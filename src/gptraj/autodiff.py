@@ -270,17 +270,25 @@ def reshape(a, shape) -> Tensor:
     return _make(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.data.shape),))
 
 
-def narrow(a, start: int, stop: int) -> Tensor:
-    """Contiguous slice along axis 0."""
+def narrow(a, start: int, stop: int, axis: int = 0) -> Tensor:
+    """Contiguous slice along ``axis``."""
     a = as_tensor(a)
-    out = a.data[start:stop]
+    index = (slice(None),) * axis + (slice(start, stop),)
+    out = a.data[index]
 
     def vjp(g):
         full = np.zeros_like(a.data)
-        full[start:stop] = g
+        full[index] = g
         return (full,)
 
     return _make(out, (a,), vjp)
+
+
+def stack(parts: Sequence) -> Tensor:
+    """Stack equally shaped tensors along a new leading axis."""
+    parts = [as_tensor(p) for p in parts]
+    out = np.stack([p.data for p in parts])
+    return _make(out, tuple(parts), lambda g: tuple(g))
 
 
 def gather0(a, idx) -> Tensor:

@@ -113,19 +113,28 @@ def masked_softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def encode_t(obs: np.ndarray, v: dict[str, Tensor], token_scale: float) -> Tensor:
-    h = autodiff.tanh(autodiff.add(autodiff.matmul(v["enc_w1"], Tensor(obs)),
-                                   v["enc_b1"]))
-    raw = autodiff.add(autodiff.matmul(v["enc_w2"], h), v["enc_b2"])
-    norm = autodiff.sqrt(autodiff.add(autodiff.tsum(autodiff.square(raw)), _NORM_EPS))
+    """Tokens (N, token_dim) of the observation rows ``obs`` (N, obs_dim)."""
+    if obs.shape[1] != v["enc_w1"].data.shape[1]:
+        raise ValueError(
+            f"observation length {obs.shape[1]} != encoder input "
+            f"{v['enc_w1'].data.shape[1]}")
+    h = autodiff.tanh(autodiff.add(
+        autodiff.matmul(Tensor(obs), autodiff.transpose(v["enc_w1"])), v["enc_b1"]))
+    raw = autodiff.add(autodiff.matmul(h, autodiff.transpose(v["enc_w2"])), v["enc_b2"])
+    norm = autodiff.sqrt(autodiff.add(
+        autodiff.tsum(autodiff.square(raw), axis=1, keepdims=True), _NORM_EPS))
     return autodiff.mul(autodiff.div(raw, norm), token_scale)
 
 
-def planner_t(token: Tensor, v: dict[str, Tensor],
+def planner_t(tokens: Tensor, v: dict[str, Tensor],
               n_code: int) -> tuple[Tensor, Tensor]:
-    """Raw logits (unmasked) and the bounded residual as tensors."""
-    h = autodiff.tanh(autodiff.add(autodiff.matmul(v["pln_w1"], token), v["pln_b1"]))
-    out = autodiff.add(autodiff.matmul(v["pln_w2"], h), v["pln_b2"])
-    logits = autodiff.narrow(out, 0, n_code)
-    residual = autodiff.mul(autodiff.tanh(autodiff.narrow(out, n_code, n_code + 12)),
-                            RESIDUAL_BOUND)
+    """Raw logits (N, n_code), unmasked, and bounded residuals (N, 12) of
+    the token rows."""
+    h = autodiff.tanh(autodiff.add(
+        autodiff.matmul(tokens, autodiff.transpose(v["pln_w1"])), v["pln_b1"]))
+    out = autodiff.add(autodiff.matmul(h, autodiff.transpose(v["pln_w2"])), v["pln_b2"])
+    logits = autodiff.narrow(out, 0, n_code, axis=1)
+    residual = autodiff.mul(
+        autodiff.tanh(autodiff.narrow(out, n_code, n_code + 12, axis=1)),
+        RESIDUAL_BOUND)
     return logits, residual

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import COMMANDS, Command, Trajectory, rng_for, traj_distance
+from .core import COMMANDS, Command, Trajectory, rng_for
 
 LLOYD_MAX_ITERS = 100
 LLOYD_TOL = 1e-6
@@ -85,6 +85,14 @@ class Codebook:
         """All basis tokens row-stacked in group order; shape (n_code*C, D)."""
         return np.concatenate([g.basis_tokens for g in self.groups], axis=0)
 
+    def traj_anchors(self) -> np.ndarray:
+        """All trajectory anchors row-stacked in group order; shape (n_code, 12)."""
+        return np.stack([g.traj_anchor for g in self.groups])
+
+    def token_anchors(self) -> np.ndarray:
+        """All token anchors row-stacked in group order; shape (n_code, D)."""
+        return np.stack([g.token_anchor for g in self.groups])
+
 
 def admissible_groups(cb: Codebook, role: Role) -> list[int]:
     """Group ids a token of this role may be classified into."""
@@ -93,7 +101,14 @@ def admissible_groups(cb: Codebook, role: Role) -> list[int]:
     return cb.agent_group_ids
 
 
-def _traj_dists(flat: np.ndarray, centroid: np.ndarray) -> np.ndarray:
+def admissible_mask(cb: Codebook, role: Role) -> np.ndarray:
+    """Boolean (n_code,) mask of ``admissible_groups``."""
+    mask = np.zeros(cb.n_code, dtype=bool)
+    mask[admissible_groups(cb, role)] = True
+    return mask
+
+
+def traj_dists(flat: np.ndarray, centroid: np.ndarray) -> np.ndarray:
     # mean-over-waypoints Euclidean distance, vectorized over rows of flat
     d = flat.reshape(len(flat), -1, 2) - centroid.reshape(-1, 2)[None]
     return np.linalg.norm(d, axis=2).mean(axis=1)
@@ -108,15 +123,15 @@ def _lloyd(flat: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     n = len(flat)
     first = int(rng.integers(n))
     centroids = [flat[first]]
-    dists = _traj_dists(flat, flat[first])
+    dists = traj_dists(flat, flat[first])
     for _ in range(1, k):
         nxt = int(np.argmax(dists))
         centroids.append(flat[nxt])
-        dists = np.minimum(dists, _traj_dists(flat, flat[nxt]))
+        dists = np.minimum(dists, traj_dists(flat, flat[nxt]))
     centroids = np.stack(centroids)
 
     for _ in range(LLOYD_MAX_ITERS):
-        all_d = np.stack([_traj_dists(flat, c) for c in centroids], axis=1)
+        all_d = np.stack([traj_dists(flat, c) for c in centroids], axis=1)
         assign = np.argmin(all_d, axis=1)
         new = centroids.copy()
         for j in range(k):
@@ -133,7 +148,7 @@ def _lloyd(flat: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
 def _fill_group(flat: np.ndarray, centroid: np.ndarray, c: int) -> tuple[np.ndarray, int]:
     """The c trajectories nearest the centroid, duplicating nearest members
     when the cluster is short."""
-    order = np.argsort(_traj_dists(flat, centroid), kind="stable")
+    order = np.argsort(traj_dists(flat, centroid), kind="stable")
     chosen = list(order[:c])
     duplicated = 0
     while len(chosen) < c:
@@ -222,8 +237,9 @@ def init_basis_tokens(cb: Codebook, rng_seed: int) -> Codebook:
     return cb
 
 
-def nearest_group(cb: Codebook, traj: Trajectory, role: Role) -> int:
-    """Ground-truth class: admissible group with the nearest traj_anchor."""
-    ids = admissible_groups(cb, role)
-    dists = [traj_distance(traj, Trajectory.from_flat(cb.group(i).traj_anchor)) for i in ids]
-    return ids[int(np.argmin(dists))]
+def nearest_group(cb: Codebook, flat: np.ndarray, admissible: np.ndarray) -> np.ndarray:
+    """Ground-truth classes of the rows of ``flat`` (M, 12): each row's
+    admissible group, from the (M, n_code) mask, with the nearest traj_anchor.
+    Ties go to the lowest group id."""
+    dists = np.stack([traj_dists(flat, a) for a in cb.traj_anchors()], axis=1)
+    return np.argmin(np.where(admissible, dists, np.inf), axis=1)

@@ -256,7 +256,7 @@ class GpGraph:
         self._stacked: Tensor | None = None
         self._stacked_sq: Tensor | None = None
         self._cond: dict[int, dict] = {}
-        self._anchors: dict[int, Tensor] = {}
+        self._anchors: Tensor | None = None
 
     def stacked_basis(self) -> Tensor:
         if self._stacked is None:
@@ -327,7 +327,11 @@ class GpGraph:
         noise = autodiff.exp(autodiff.mul(self.log_noise_traj, 2.0))
         return mean, autodiff.add(self._fn_var(cond, k_star), noise)
 
-    def token_anchor(self, gid: int) -> Tensor:
-        if gid not in self._anchors:
-            self._anchors[gid] = autodiff.tmean(self.basis_vars[gid], axis=0)
-        return self._anchors[gid]
+    def token_anchors(self) -> Tensor:
+        """Every group's token anchor (mean basis token) as an (n_code, D) tensor."""
+        if self._anchors is None:
+            cb = self.cb
+            per_group = autodiff.reshape(
+                self.stacked_basis(), (cb.n_code, cb.group_size, cb.token_dim))
+            self._anchors = autodiff.tmean(per_group, axis=1)
+        return self._anchors

@@ -5,19 +5,25 @@ ground truth, teacher outputs) must be passed as constants so no gradient
 flows into them. The variance-weighted form is the standard heteroscedastic
 Gaussian NLL, task_loss / sigma^2 + log(sigma), with sigma clamped to a
 configurable band so the total stays bounded below.
+
+Every term is computed row-wise over one optimizer step's rows: the ego
+rows of the batch's scenes first, then their agent rows, each block in
+ascending scene order. A row's admissible groups come as a boolean
+(N, n_code) mask. A role's term is the sum of its rows, so a step's
+breakdown is the sum of its scenes' breakdowns.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import autodiff
 from .autodiff import Tensor, as_tensor
-from .codebook import Codebook, admissible_groups
-from .core import traj_distance, Trajectory
+from .codebook import Codebook, traj_dists
 
 TERM_NAMES = (
     "recon_ego", "recon_agent", "ortho_ego", "ortho_agent",
@@ -68,37 +74,52 @@ class LossBreakdown:
         return LossBreakdown(terms, weights)
 
 
-def _logsumexp(x: Tensor) -> Tensor:
-    m = float(np.max(x.data))
-    return autodiff.add(autodiff.log(autodiff.tsum(autodiff.exp(autodiff.sub(x, m)))), m)
+def role_sums(per_row: Tensor, n_ego: int) -> tuple[Tensor, Tensor]:
+    """Sum of the ego rows (the first ``n_ego``) and sum of the agent rows."""
+    n = per_row.data.shape[0]
+    return (autodiff.tsum(autodiff.narrow(per_row, 0, n_ego)),
+            autodiff.tsum(autodiff.narrow(per_row, n_ego, n)))
 
 
-def log_softmax(x: Tensor) -> Tensor:
-    return autodiff.sub(x, _logsumexp(x))
+def _masked_log_softmax(logits: Tensor, admissible: np.ndarray) -> Tensor:
+    """Row-wise log-softmax over each row's admissible entries, 0 elsewhere."""
+    mask = admissible.astype(np.float64)
+    m = np.max(np.where(admissible, logits.data, -np.inf), axis=-1, keepdims=True)
+    shifted = autodiff.mul(autodiff.sub(logits, m), mask)
+    lse = autodiff.log(autodiff.tsum(autodiff.mul(autodiff.exp(shifted), mask),
+                                     axis=-1, keepdims=True))
+    return autodiff.mul(autodiff.sub(shifted, lse), mask)
 
 
-def cross_entropy(logits: Tensor, admissible: Sequence[int], label: int) -> Tensor:
-    """-log softmax probability of ``label`` among the admissible groups."""
-    ids = list(admissible)
-    sub = autodiff.gather0(logits, np.asarray(ids, dtype=np.intp))
-    ls = log_softmax(sub)
-    picked = autodiff.gather0(ls, np.array([ids.index(label)], dtype=np.intp))
-    return autodiff.mul(autodiff.reshape(picked, ()), -1.0)
+def cross_entropy(logits: Tensor, admissible: np.ndarray, labels) -> Tensor:
+    """Per row, -log softmax probability of the label among the admissible groups."""
+    labels = np.asarray(labels, dtype=np.intp)
+    rows = np.arange(len(labels))
+    if not np.all(admissible[rows, labels]):
+        raise ValueError("label outside the admissible set")
+    onehot = np.zeros(admissible.shape)
+    onehot[rows, labels] = 1.0
+    ls = _masked_log_softmax(logits, admissible)
+    return autodiff.mul(autodiff.tsum(autodiff.mul(ls, onehot), axis=1), -1.0)
 
 
-def kl_divergence(student_logits: Tensor, teacher_logits: Tensor,
-                  admissible: Sequence[int]) -> Tensor:
-    """KL(softmax(student) || softmax(teacher)) over the admissible set."""
-    idx = np.asarray(list(admissible), dtype=np.intp)
-    ls_s = log_softmax(autodiff.gather0(student_logits, idx))
-    ls_t = log_softmax(autodiff.gather0(as_tensor(teacher_logits).detach(), idx))
-    p_s = autodiff.exp(ls_s)
-    return autodiff.tsum(autodiff.mul(p_s, autodiff.sub(ls_s, ls_t)))
+def kl_divergence(student_logits: Tensor, teacher_logits: np.ndarray,
+                  admissible: np.ndarray) -> Tensor:
+    """Per row, KL(softmax(student) || softmax(teacher)) over the admissible set.
+
+    Teacher logits are constants; entries outside the set are ignored.
+    """
+    ls_s = _masked_log_softmax(student_logits, admissible)
+    teacher = Tensor(np.where(admissible, teacher_logits, 0.0))
+    ls_t = _masked_log_softmax(teacher, admissible).data
+    p_s = autodiff.mul(autodiff.exp(ls_s), admissible.astype(np.float64))
+    return autodiff.tsum(autodiff.mul(p_s, autodiff.sub(ls_s, ls_t)), axis=1)
 
 
-def heteroscedastic_nll(task_loss: Tensor, variance: Tensor,
+def heteroscedastic_nll(task_loss: Tensor, variance,
                         sigma_clamp: tuple[float, float] = DEFAULT_SIGMA_CLAMP) -> Tensor:
-    """task_loss / sigma^2 + log sigma, with sigma = clamp(sqrt(variance))."""
+    """Elementwise task_loss / sigma^2 + log sigma, sigma = clamp(sqrt(variance))."""
+    variance = as_tensor(variance)
     if np.any(variance.data <= 0.0):
         raise ValueError("non-positive variance in heteroscedastic loss")
     sigma = autodiff.clamp(autodiff.sqrt(variance), *sigma_clamp)
@@ -106,10 +127,10 @@ def heteroscedastic_nll(task_loss: Tensor, variance: Tensor,
                         autodiff.log(sigma))
 
 
-def traj_mse(pred_flat: Tensor, gt_flat) -> Tensor:
-    """Mean over the 6 waypoints of squared point error."""
-    d = autodiff.sub(pred_flat, as_tensor(gt_flat).detach())
-    return autodiff.div(autodiff.tsum(autodiff.square(d)), 6.0)
+def traj_mse(pred: Tensor, gt) -> Tensor:
+    """Per row, mean over the 6 waypoints of squared point error."""
+    d = autodiff.sub(pred, as_tensor(gt).detach())
+    return autodiff.div(autodiff.tsum(autodiff.square(d), axis=-1), 6.0)
 
 
 def sum_sq(x: Tensor) -> Tensor:
@@ -123,41 +144,30 @@ def orthogonality(basis: Tensor) -> Tensor:
     return sum_sq(autodiff.sub(gram, eye))
 
 
-AnchorFn = Callable[[int], Tensor]
+def triplet_term(tokens, positives: np.ndarray, negatives: np.ndarray, anchors,
+                 margin: float = DEFAULT_TRIPLET_MARGIN) -> Tensor:
+    """Per row, mean hinge over every (positive, negative) anchor pair.
 
-
-def _anchor_fn(source) -> AnchorFn:
-    if isinstance(source, Codebook):
-        return lambda gid: Tensor(source.group(gid).token_anchor)
-    if callable(source):
-        return source
-    raise TypeError("anchors must be a Codebook or a gid -> Tensor callable")
-
-
-def triplet_term(anchor_token, positives: Sequence[int], negatives: Sequence[int],
-                 anchors, margin: float = DEFAULT_TRIPLET_MARGIN) -> Tensor:
-    """Mean hinge over the 9 (positive, negative) anchor pairs.
-
-    Distances are Euclidean between the token and each group's token anchor.
+    ``tokens`` is (N, D); ``positives``/``negatives`` are (N, k) group ids
+    into the (n_code, D) ``anchors`` table. Distances are Euclidean between
+    a row's token and each group's token anchor.
     """
-    pos, neg = list(positives), list(negatives)
-    if set(pos) & set(neg):
-        raise ValueError(f"overlapping positive/negative sets: {sorted(set(pos) & set(neg))}")
-    fn = _anchor_fn(anchors)
-    tok = as_tensor(anchor_token)
+    tok = as_tensor(tokens)
+    table = as_tensor(anchors)
+    n, dim = tok.data.shape
+    t3 = autodiff.reshape(tok, (n, 1, dim))
 
-    def dist(gid: int) -> Tensor:
-        d = autodiff.sub(tok, fn(gid))
-        return autodiff.sqrt(autodiff.add(sum_sq(d), _NORM_EPS))
+    def dist(ids):
+        d = autodiff.sub(t3, autodiff.gather0(table, ids))
+        return autodiff.sqrt(autodiff.add(autodiff.tsum(autodiff.square(d), axis=2),
+                                          _NORM_EPS))
 
-    d_pos = [dist(g) for g in pos]
-    d_neg = [dist(g) for g in neg]
-    total = Tensor(0.0)
-    for dp in d_pos:
-        for dn in d_neg:
-            total = autodiff.add(
-                total, autodiff.relu(autodiff.add(autodiff.sub(dp, dn), margin)))
-    return autodiff.div(total, float(len(d_pos) * len(d_neg)))
+    d_pos, d_neg = dist(positives), dist(negatives)
+    k_pos, k_neg = d_pos.data.shape[1], d_neg.data.shape[1]
+    gap = autodiff.sub(autodiff.reshape(d_pos, (n, k_pos, 1)),
+                       autodiff.reshape(d_neg, (n, 1, k_neg)))
+    hinge = autodiff.relu(autodiff.add(gap, margin))
+    return autodiff.div(autodiff.tsum(hinge, axis=(1, 2)), float(k_pos * k_neg))
 
 
 def select_triplet_classes(cb: Codebook, label_group: int) -> tuple[list[int], list[int]]:
@@ -165,15 +175,16 @@ def select_triplet_classes(cb: Codebook, label_group: int) -> tuple[list[int], l
 
     Ego: positives are the 3 same-command groups with the nearest trajectory
     anchors (excluding the label); negatives the 3 nearest groups of other
-    commands. Agent: 3 nearest / 3 farthest agent groups.
+    commands. Agent: 3 nearest / 3 farthest agent groups. Distance ties go
+    to the lower group id.
     """
     g = cb.group(label_group)
-    anchor = Trajectory.from_flat(g.traj_anchor)
+    anchors = cb.traj_anchors()
 
     def by_dist(ids):
-        return sorted(
-            ids, key=lambda i: (traj_distance(
-                anchor, Trajectory.from_flat(cb.group(i).traj_anchor)), i))
+        ids = np.asarray(ids, dtype=np.intp)
+        d = traj_dists(anchors[ids], g.traj_anchor)
+        return [int(i) for i in ids[np.lexsort((ids, d))]]
 
     if g.role.kind == "ego":
         same = [i for i in cb.command_groups[g.role.command] if i != label_group]
@@ -191,141 +202,153 @@ def select_triplet_classes(cb: Codebook, label_group: int) -> tuple[list[int], l
     return ranked[:3], ranked[-3:]
 
 
-def loss_rec(e, e_hat: Tensor, var_e: Tensor,
-             agent_tokens: Sequence, agent_hats: Sequence[Tensor],
-             agent_vars: Sequence[Tensor],
-             ego_basis: Tensor, agent_bases: Sequence[Tensor],
+def triplet_table(cb: Codebook) -> tuple[np.ndarray, np.ndarray]:
+    """``select_triplet_classes`` of every group as two (n_code, 3) id arrays.
+
+    Row g holds label g's positives and negatives. Overlapping sets are
+    rejected here, once per table.
+    """
+    pairs = [select_triplet_classes(cb, g) for g in range(cb.n_code)]
+    for label, (pos, neg) in enumerate(pairs):
+        overlap = set(pos) & set(neg)
+        if overlap:
+            raise ValueError(
+                f"label {label}: overlapping positive/negative sets: {sorted(overlap)}")
+    return (np.array([p for p, _ in pairs], dtype=np.intp),
+            np.array([n for _, n in pairs], dtype=np.intp))
+
+
+def loss_rec(targets, recon: Tensor, variance: Tensor, n_ego: int,
+             groups: Sequence[int], scenes: Sequence[int], bases,
              weights: Mapping[str, float] | None = None,
              sigma_clamp: tuple[float, float] = DEFAULT_SIGMA_CLAMP) -> LossBreakdown:
-    """Token reconstruction loss plus basis orthogonality.
+    """Token reconstruction NLL plus basis orthogonality over a step's rows.
 
-    ``e`` and ``agent_tokens`` are the fixed targets and must be constants;
-    agent terms are summed over the scene's agents and orthogonality is
-    applied once per distinct involved basis.
+    ``targets`` (N, D) are the fixed tokens and must be constants; ``recon``
+    and ``variance`` are the GP reconstructions (N, D) and variances (N,).
+    Row i was conditioned on group ``groups[i]`` and belongs to scene
+    ``scenes[i]``; ``bases[g]`` is group g's basis tensor. Orthogonality is
+    applied once per distinct basis involved in a scene: once for its ego
+    group and once for each other group among its agents.
     """
-    zero = Tensor(0.0)
-    recon_ego = heteroscedastic_nll(
-        sum_sq(autodiff.sub(e_hat, as_tensor(e).detach())), var_e, sigma_clamp)
-    recon_agent = zero
-    for tok, hat, var in zip(agent_tokens, agent_hats, agent_vars):
-        recon_agent = autodiff.add(
-            recon_agent,
-            heteroscedastic_nll(sum_sq(autodiff.sub(hat, as_tensor(tok).detach())),
-                                var, sigma_clamp))
-    ortho_agent = zero
-    seen = {id(ego_basis)}
-    for b in agent_bases:
-        if id(b) in seen:
-            continue
-        seen.add(id(b))
-        ortho_agent = autodiff.add(ortho_agent, orthogonality(b))
+    task = autodiff.tsum(
+        autodiff.square(autodiff.sub(recon, as_tensor(targets).detach())), axis=1)
+    recon_ego, recon_agent = role_sums(
+        heteroscedastic_nll(task, variance, sigma_clamp), n_ego)
+    groups = [int(g) for g in groups]
+    scenes = [int(s) for s in scenes]
+    ego_of = dict(zip(scenes[:n_ego], groups[:n_ego]))
+    ego_count = Counter(groups[:n_ego])
+    agent_count = Counter(g for s, g in set(zip(scenes[n_ego:], groups[n_ego:]))
+                          if g != ego_of.get(s))
+
+    def ortho_sum(counts: Counter) -> Tensor:
+        out = Tensor(0.0)
+        for g in sorted(counts):
+            out = autodiff.add(out, autodiff.mul(orthogonality(bases[g]),
+                                                  float(counts[g])))
+        return out
+
     return LossBreakdown(
         terms={
             "recon_ego": recon_ego,
             "recon_agent": recon_agent,
-            "ortho_ego": orthogonality(ego_basis),
-            "ortho_agent": ortho_agent,
+            "ortho_ego": ortho_sum(ego_count),
+            "ortho_agent": ortho_sum(agent_count),
         },
         weights=dict(weights or {}),
     )
 
 
 @dataclass
-class SupRoleInput:
-    """One token's GP outputs plus supervision targets for loss_sup."""
+class SupRows:
+    """A step's GP outputs plus supervision targets for loss_sup, one per row."""
 
-    pred_mean: Tensor  # (12,)
-    variance: Tensor  # scalar
-    logits: Tensor  # full-length classifier logits (unmasked values suffice)
-    admissible: Sequence[int]
-    gt_flat: np.ndarray  # (12,)
-    label: int
-    token: Tensor | np.ndarray
-    positives: Sequence[int]
-    negatives: Sequence[int]
+    n_ego: int  # the first n_ego rows are ego rows
+    pred_mean: Tensor  # (N, 12)
+    variance: Tensor  # (N,)
+    logits: Tensor  # (N, n_code) classifier logits, unmasked
+    admissible: np.ndarray  # (N, n_code) bool
+    gt: np.ndarray  # (N, 12)
+    label: np.ndarray  # (N,)
+    token: Tensor | np.ndarray  # (N, D)
+    positives: np.ndarray  # (N, 3)
+    negatives: np.ndarray  # (N, 3)
 
 
-def loss_sup(ego: SupRoleInput, agents: Sequence[SupRoleInput], anchors,
-             weights: Mapping[str, float] | None = None,
+def loss_sup(rows: SupRows, anchors, weights: Mapping[str, float] | None = None,
              sigma_clamp: tuple[float, float] = DEFAULT_SIGMA_CLAMP,
              margin: float = DEFAULT_TRIPLET_MARGIN) -> LossBreakdown:
-    """Variance-weighted GP supervision: planning/motion NLL, class CE, triplets."""
-    zero = Tensor(0.0)
+    """Variance-weighted GP supervision: planning/motion NLL, class CE, triplets.
+
+    ``anchors`` is the (n_code, D) token-anchor table.
+    """
+    nll = heteroscedastic_nll(traj_mse(rows.pred_mean, rows.gt), rows.variance,
+                              sigma_clamp)
+    ce = cross_entropy(rows.logits, rows.admissible, rows.label)
+    trip = triplet_term(rows.token, rows.positives, rows.negatives, anchors, margin)
+    plan, motion = role_sums(nll, rows.n_ego)
+    ce_ego, ce_agent = role_sums(ce, rows.n_ego)
+    trip_ego, trip_agent = role_sums(trip, rows.n_ego)
     terms = {
-        "plan_nll": heteroscedastic_nll(traj_mse(ego.pred_mean, ego.gt_flat),
-                                        ego.variance, sigma_clamp),
-        "class_ce_ego": cross_entropy(ego.logits, ego.admissible, ego.label),
-        "triplet_ego": triplet_term(ego.token, ego.positives, ego.negatives,
-                                    anchors, margin),
-        "motion_nll": zero,
-        "class_ce_agent": zero,
-        "triplet_agent": zero,
+        "plan_nll": plan, "class_ce_ego": ce_ego, "triplet_ego": trip_ego,
+        "motion_nll": motion, "class_ce_agent": ce_agent,
+        "triplet_agent": trip_agent,
     }
-    for a in agents:
-        terms["motion_nll"] = autodiff.add(
-            terms["motion_nll"],
-            heteroscedastic_nll(traj_mse(a.pred_mean, a.gt_flat), a.variance,
-                                sigma_clamp))
-        terms["class_ce_agent"] = autodiff.add(
-            terms["class_ce_agent"], cross_entropy(a.logits, a.admissible, a.label))
-        terms["triplet_agent"] = autodiff.add(
-            terms["triplet_agent"],
-            triplet_term(a.token, a.positives, a.negatives, anchors, margin))
     return LossBreakdown(terms=terms, weights=dict(weights or {}))
 
 
 @dataclass
-class StudentRoleOutput:
-    """Base-model outputs entering the teacher-regularized loss."""
+class StudentRows:
+    """Base-model outputs entering the teacher-regularized loss, one per row."""
 
-    traj_flat: Tensor  # (12,)
-    logits: Tensor
-    admissible: Sequence[int]
-    token: Tensor
+    n_ego: int  # the first n_ego rows are ego rows
+    traj: Tensor  # (N, 12)
+    logits: Tensor  # (N, n_code), unmasked
+    admissible: np.ndarray  # (N, n_code) bool
+    token: Tensor  # (N, D)
 
 
 @dataclass
-class TeacherRoleOutput:
-    """Frozen GP-module outputs acting as targets (constants)."""
+class TeacherRows:
+    """Frozen GP-module outputs acting as targets (constants), one per row."""
 
-    mean_flat: np.ndarray  # (12,)
-    variance: float
-    logits: np.ndarray
-    admissible: Sequence[int]
-    label: int  # argmax of the teacher logits
-    positives: Sequence[int]
-    negatives: Sequence[int]
+    mean: np.ndarray  # (N, 12)
+    variance: np.ndarray  # (N,)
+    logits: np.ndarray  # (N, n_code), -inf outside the admissible set
+    label: np.ndarray  # (N,) argmax of the logits
+    positives: np.ndarray  # (N, 3)
+    negatives: np.ndarray  # (N, 3)
+
+    @property
+    def admissible(self) -> np.ndarray:
+        return np.isfinite(self.logits)
 
 
-def loss_gp_teacher(student_ego: StudentRoleOutput, teacher_ego: TeacherRoleOutput,
-                    student_agents: Sequence[StudentRoleOutput],
-                    teacher_agents: Sequence[TeacherRoleOutput], anchors,
+def loss_gp_teacher(student: StudentRows, teacher: TeacherRows, anchors,
                     weights: Mapping[str, float] | None = None,
                     sigma_clamp: tuple[float, float] = DEFAULT_SIGMA_CLAMP,
                     margin: float = DEFAULT_TRIPLET_MARGIN) -> LossBreakdown:
-    """Distillation of the base model against the GP module, no ground truth."""
-    def role_terms(student: StudentRoleOutput, teacher: TeacherRoleOutput):
-        if list(student.admissible) != list(teacher.admissible):
-            raise ValueError("admissible-set mismatch between student and teacher")
-        var = Tensor(float(teacher.variance))
-        plan = heteroscedastic_nll(traj_mse(student.traj_flat, teacher.mean_flat),
-                                   var, sigma_clamp)
-        ce = cross_entropy(student.logits, student.admissible, teacher.label)
-        trip = triplet_term(student.token, teacher.positives, teacher.negatives,
-                            anchors, margin)
-        kl = kl_divergence(student.logits, Tensor(teacher.logits), student.admissible)
-        return plan, ce, trip, kl
+    """Distillation of the base model against the GP module, no ground truth.
 
-    plan, ce, trip, kl = role_terms(student_ego, teacher_ego)
+    ``anchors`` is the (n_code, D) token-anchor table.
+    """
+    if not np.array_equal(student.admissible, teacher.admissible):
+        raise ValueError("admissible-set mismatch between student and teacher")
+    nll = heteroscedastic_nll(traj_mse(student.traj, teacher.mean),
+                              teacher.variance, sigma_clamp)
+    ce = cross_entropy(student.logits, student.admissible, teacher.label)
+    trip = triplet_term(student.token, teacher.positives, teacher.negatives,
+                        anchors, margin)
+    kl = kl_divergence(student.logits, teacher.logits, student.admissible)
+    n_ego = student.n_ego
+    plan, motion = role_sums(nll, n_ego)
+    ce_ego, ce_agent = role_sums(ce, n_ego)
+    trip_ego, trip_agent = role_sums(trip, n_ego)
+    kl_ego, kl_agent = role_sums(kl, n_ego)
     terms = {
-        "plan_nll": plan, "class_ce_ego": ce, "triplet_ego": trip, "kl_ego": kl,
-        "motion_nll": Tensor(0.0), "class_ce_agent": Tensor(0.0),
-        "triplet_agent": Tensor(0.0), "kl_agent": Tensor(0.0),
+        "plan_nll": plan, "class_ce_ego": ce_ego, "triplet_ego": trip_ego,
+        "kl_ego": kl_ego, "motion_nll": motion, "class_ce_agent": ce_agent,
+        "triplet_agent": trip_agent, "kl_agent": kl_agent,
     }
-    for s, t in zip(student_agents, teacher_agents):
-        plan, ce, trip, kl = role_terms(s, t)
-        terms["motion_nll"] = autodiff.add(terms["motion_nll"], plan)
-        terms["class_ce_agent"] = autodiff.add(terms["class_ce_agent"], ce)
-        terms["triplet_agent"] = autodiff.add(terms["triplet_agent"], trip)
-        terms["kl_agent"] = autodiff.add(terms["kl_agent"], kl)
     return LossBreakdown(terms=terms, weights=dict(weights or {}))

@@ -4,9 +4,21 @@ Stage 1 pretrains the base encoder/planner on ground truth; stage 2 freezes
 the base model and fits the GP side (basis tokens, classifier, kernel and
 noise parameters) on the reconstruction and supervision losses; stage 3
 freezes the GP side and finetunes the base model on ground truth plus the
-teacher regularization. Determinism contract: identical (config, seed,
-dataset) produce bit-identical checkpoints; batches are reduced in ascending
-scene order and all RNG streams derive from the seed by purpose keys.
+teacher regularization.
+
+Every optimizer step builds one tape over the batch's rows: the ego rows of
+its scenes, then their agent rows, each block in ascending scene order (see
+``SceneTable``). Base-model stages encode and plan all rows in one pass;
+stage 2 conditions the GP token by token, then evaluates its losses once
+over the rows. Labels, anchor tables and triplet classes are computed once
+per training call.
+
+Determinism contract: identical (config, seed, dataset) produce
+bit-identical checkpoints. Shuffles derive from the seed by purpose keys,
+and every reduction over a step's rows runs in the fixed row order above.
+The row-batched reduction sums in a different order than the per-scene
+tapes it replaced, so checkpoints match those only to rounding, not bit
+for bit.
 """
 
 from __future__ import annotations
@@ -24,13 +36,14 @@ import numpy as np
 from . import autodiff, basemodel, losses
 from .autodiff import Tensor
 from .basemodel import BaseModelParams, encode, encode_t, planner_t
-from .codebook import (Codebook, Role, admissible_groups, init_basis_tokens,
-                       nearest_group, sample_and_cluster)
-from .core import SceneRecord, Trajectory, rng_for
+from .codebook import (BuildError, Codebook, Role, admissible_mask,
+                       init_basis_tokens, nearest_group, sample_and_cluster)
+from .core import COMMANDS, SceneRecord, rng_for
 from .gpmodule import GpGraph, GpInference, GpParams, GroupClassifier
-from .losses import (LossBreakdown, StudentRoleOutput, SupRoleInput,
-                     TeacherRoleOutput, cross_entropy, loss_gp_teacher,
-                     loss_rec, loss_sup, select_triplet_classes, traj_mse)
+from .losses import (LossBreakdown, StudentRows, SupRows, TeacherRows,
+                     cross_entropy, loss_gp_teacher, loss_rec, loss_sup,
+                     role_sums, traj_mse, triplet_table)
+from .psdlinalg import NotPSD
 
 CHECKPOINT_MAGIC = b"GPTRAJCK"
 CHECKPOINT_SCHEMA = 1
@@ -131,26 +144,6 @@ class Adam:
             p.data[...] = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
-def finite_difference(loss_fn, params: dict[str, Tensor],
-                      h: float = 1e-5) -> dict[str, np.ndarray]:
-    """Central-difference gradients of ``loss_fn()`` for every parameter entry."""
-    out = {}
-    for name, p in params.items():
-        g = np.zeros_like(p.data)
-        flat = p.data.reshape(-1)
-        gflat = g.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            up = loss_fn()
-            flat[i] = orig - h
-            down = loss_fn()
-            flat[i] = orig
-            gflat[i] = (up - down) / (2 * h)
-        out[name] = g
-    return out
-
-
 # --- parameter registries ----------------------------------------------------
 
 
@@ -202,172 +195,206 @@ def _project_noise(params: dict[str, Tensor], sigma_clamp) -> None:
             params[n].data[...] = np.clip(params[n].data, lo, hi)
 
 
-# --- per-scene losses ----------------------------------------------------------
+# --- row layout ----------------------------------------------------------------
 
 
-def scene_labels(scene: SceneRecord, cb: Codebook) -> tuple[int, list[int]]:
-    """Ground-truth classes: nearest admissible trajectory anchors."""
-    ego = nearest_group(cb, scene.ego_gt, Role.ego(scene.command))
-    agents = [nearest_group(cb, t, Role.agent()) for t in (scene.agent_gt or [])]
-    return ego, agents
+@dataclass
+class Batch:
+    """One optimizer step's rows: the scenes' ego rows, then their agent rows.
+
+    ``rows`` index the ``SceneTable`` row arrays. The j-th scene's ego row
+    is batch row j and its agents are batch rows
+    ``agent_bounds[j]:agent_bounds[j + 1]``.
+    """
+
+    rows: np.ndarray
+    n_ego: int
+    agent_bounds: np.ndarray
+    commands: list
+    obs: np.ndarray  # (N, obs_dim)
+    admissible: np.ndarray  # (N, n_code) bool
+    gt: np.ndarray | None  # (N, 12)
+    labels: np.ndarray | None  # (N,)
+
+    @property
+    def scene_of_row(self) -> np.ndarray:
+        """Position of each row's scene within the batch."""
+        scenes = np.arange(self.n_ego)
+        return np.concatenate([scenes, np.repeat(scenes, np.diff(self.agent_bounds))])
 
 
-def base_supervised_loss(scene: SceneRecord, bvars: dict[str, Tensor],
-                         model: Model, labels: tuple[int, list[int]],
-                         weights: dict[str, float]) -> LossBreakdown:
-    """Standard base-model losses: anchored-waypoint MSE plus class CE.
+class SceneTable:
+    """One training call's scenes in row layout, built once per call.
+
+    Rows are every ego observation in record order, then every agent
+    observation in record order, with each row's admissible-group mask and,
+    when ``labeled``, its ground truth and label.
+    """
+
+    def __init__(self, records: list[SceneRecord], cb: Codebook, labeled: bool):
+        if not records:
+            raise TrainingError("dataset is empty")
+        self.records = records
+        counts = [r.n_agents for r in records]
+        self.agent_start = len(records) + np.concatenate([[0], np.cumsum(counts)])
+        self.obs = np.stack([r.ego_obs for r in records]
+                            + [a for r in records for a in r.agent_obs])
+        ego_masks = {c: admissible_mask(cb, Role.ego(c)) for c in COMMANDS}
+        self.admissible = np.stack([ego_masks[r.command] for r in records]
+                                   + [admissible_mask(cb, Role.agent())] * sum(counts))
+        self.gt = self.labels = None
+        if labeled:
+            for r in records:
+                if len(r.agent_gt or []) != r.n_agents:
+                    raise TrainingError(
+                        f"scene {r.scene_id}: {r.n_agents} agent observations but "
+                        f"{len(r.agent_gt or [])} agent trajectories")
+            self.gt = np.stack([r.ego_gt.flat for r in records]
+                               + [t.flat for r in records for t in r.agent_gt])
+            self.labels = scene_labels(self, cb)
+
+    def __len__(self) -> int:
+        return len(self.records)
+
+    def batch(self, scenes: np.ndarray) -> Batch:
+        """The rows of ``scenes`` (record indices, ascending)."""
+        agents = [np.arange(self.agent_start[i], self.agent_start[i + 1])
+                  for i in scenes]
+        rows = np.concatenate([scenes] + agents).astype(np.intp)
+        bounds = len(scenes) + np.concatenate([[0], np.cumsum([len(a) for a in agents])])
+        return Batch(
+            rows=rows, n_ego=len(scenes), agent_bounds=bounds,
+            commands=[self.records[i].command for i in scenes],
+            obs=self.obs[rows], admissible=self.admissible[rows],
+            gt=None if self.gt is None else self.gt[rows],
+            labels=None if self.labels is None else self.labels[rows])
+
+
+def scene_labels(table: SceneTable, cb: Codebook) -> np.ndarray:
+    """Ground-truth classes of every table row, in one vectorized pass: the
+    nearest admissible trajectory anchor."""
+    return nearest_group(cb, table.gt, table.admissible)
+
+
+@dataclass(frozen=True)
+class StageTables:
+    """Codebook constants of one training call."""
+
+    traj_anchors: np.ndarray  # (n_code, 12)
+    token_anchors: np.ndarray  # (n_code, D), constant while the GP side is frozen
+    positives: np.ndarray  # (n_code, 3) triplet classes of each label
+    negatives: np.ndarray  # (n_code, 3)
+
+    @classmethod
+    def of(cls, cb: Codebook) -> "StageTables":
+        positives, negatives = triplet_table(cb)
+        return cls(cb.traj_anchors(), cb.token_anchors(), positives, negatives)
+
+
+# --- step losses -----------------------------------------------------------------
+
+
+def base_supervised_loss(batch: Batch, student: StudentRows) -> dict[str, Tensor]:
+    """Ground-truth terms of a base-model step: anchored-waypoint MSE plus class CE.
 
     The planning trajectory is assembled from the label group's anchor
     (winner-takes-all convention); logits learn the label through CE.
     """
-    spec_scale = model.base.token_scale
-    n_code = model.base.n_code
-    v = {k.split(".", 1)[1]: t for k, t in bvars.items()}
-    ego_label, agent_labels = labels
-    zero = Tensor(0.0)
-
-    def role_terms(obs, label, admissible, gt_flat):
-        tok = encode_t(obs, v, spec_scale)
-        logits, residual = planner_t(tok, v, n_code)
-        traj = autodiff.add(Tensor(model.cb.group(label).traj_anchor), residual)
-        plan = traj_mse(traj, gt_flat)
-        ce = cross_entropy(logits, admissible, label)
-        return plan, ce
-
-    plan, ce = role_terms(scene.ego_obs, ego_label,
-                          admissible_groups(model.cb, Role.ego(scene.command)),
-                          scene.ego_gt.flat)
-    terms = {"base_plan": plan, "base_class_ce_ego": ce,
-             "base_motion": zero, "base_class_ce_agent": zero}
-    adm_agent = admissible_groups(model.cb, Role.agent())
-    for obs, label, gt in zip(scene.agent_obs, agent_labels, scene.agent_gt or []):
-        plan, ce = role_terms(obs, label, adm_agent, gt.flat)
-        terms["base_motion"] = autodiff.add(terms["base_motion"], plan)
-        terms["base_class_ce_agent"] = autodiff.add(terms["base_class_ce_agent"], ce)
-    return LossBreakdown(terms=terms, weights=weights)
+    plan, motion = role_sums(traj_mse(student.traj, batch.gt), batch.n_ego)
+    ce_ego, ce_agent = role_sums(
+        cross_entropy(student.logits, batch.admissible, batch.labels), batch.n_ego)
+    return {"base_plan": plan, "base_class_ce_ego": ce_ego,
+            "base_motion": motion, "base_class_ce_agent": ce_agent}
 
 
-def gp_stage_loss(scene: SceneRecord, graph: GpGraph, tokens, labels,
-                  triplet_lut, cfg: TrainConfig) -> LossBreakdown:
-    """Stage-2 loss for one scene: reconstruction plus GP supervision.
-
-    ``tokens`` are the frozen base model's (ego, agents) token constants;
-    conditioning groups come from the classifier argmax, supervision labels
-    from the ground truth.
-    """
-    cb = graph.cb
-    ego_tok, agent_toks = tokens
-    ego_label, agent_labels = labels
-    zero_sup: list[SupRoleInput] = []
-
-    def role_pass(token_arr, role, label, gt_flat):
-        tok = Tensor(token_arr)
-        feats = graph.kernel_features(tok)
-        logits = graph.classifier_logits(feats)
-        ids = admissible_groups(cb, role)
-        gid = ids[int(np.argmax(logits.data[ids]))]
-        recon, var_rec = graph.reconstruct(tok, gid)
-        mean, var_traj = graph.predict_trajectory(tok, gid)
-        pos, neg = triplet_lut[label]
-        sup = SupRoleInput(
-            pred_mean=mean, variance=var_traj, logits=logits, admissible=ids,
-            gt_flat=gt_flat, label=label, token=tok, positives=pos, negatives=neg)
-        return gid, recon, var_rec, sup
-
-    e_gid, e_hat, e_var, e_sup = role_pass(
-        ego_tok, Role.ego(scene.command), ego_label, scene.ego_gt.flat)
-    agent_sups = []
-    agent_hats, agent_vars, agent_bases, agent_targets = [], [], [], []
-    for tok_arr, label, gt in zip(agent_toks, agent_labels, scene.agent_gt or []):
-        gid, hat, var, sup = role_pass(tok_arr, Role.agent(), label, gt.flat)
-        agent_sups.append(sup)
-        agent_hats.append(hat)
-        agent_vars.append(var)
-        agent_targets.append(tok_arr)
-        agent_bases.append(graph.group_cond(gid)["basis"])
-
-    rec = loss_rec(ego_tok, e_hat, e_var, agent_targets, agent_hats, agent_vars,
-                   graph.group_cond(e_gid)["basis"], agent_bases,
-                   weights=cfg.loss_weights, sigma_clamp=cfg.sigma_clamp)
-    sup = loss_sup(e_sup, agent_sups, anchors=graph.token_anchor,
-                   weights=cfg.loss_weights, sigma_clamp=cfg.sigma_clamp,
-                   margin=cfg.triplet_margin)
-    return rec.merged(sup)
+def _teacher_rows(teacher: GpInference, batch: Batch, tokens: np.ndarray,
+                 tables: StageTables) -> TeacherRows:
+    """The frozen GP module's prediction for every row, scene by scene."""
+    n = len(tokens)
+    mean = np.empty((n, 12))
+    variance = np.empty(n)
+    logits = np.empty((n, len(tables.traj_anchors)))
+    label = np.empty(n, dtype=np.intp)
+    for j, command in enumerate(batch.commands):
+        agents = range(batch.agent_bounds[j], batch.agent_bounds[j + 1])
+        ego, preds = teacher.predict_scene(tokens[j], [tokens[r] for r in agents],
+                                           command)
+        for r, pred in zip([j, *agents], [ego, *preds]):
+            mean[r] = pred.mean.flat
+            variance[r] = pred.scalar_variance
+            logits[r] = pred.class_logits
+            label[r] = pred.group
+    return TeacherRows(mean=mean, variance=variance, logits=logits, label=label,
+                       positives=tables.positives[label],
+                       negatives=tables.negatives[label])
 
 
-def finetune_scene_loss(scene: SceneRecord, bvars: dict[str, Tensor], model: Model,
+def finetune_scene_loss(batch: Batch, bvars: dict[str, Tensor], model: Model,
                         teacher: GpInference | None, cfg: TrainConfig,
-                        use_gt: bool, anchor_cache: dict[int, Tensor],
-                        triplet_lut) -> LossBreakdown:
-    """Stage-3 / adaptation loss: optional GT terms plus teacher regularization."""
+                        tables: StageTables) -> LossBreakdown:
+    """Loss of one base-model step, over the batch's rows.
+
+    Ground-truth terms when the batch carries labels, plus the teacher
+    regularization scaled by ``cfg.gp_weight`` when a teacher is given. The
+    trajectory anchor is the label's group when supervised, else the
+    teacher's class.
+    """
     v = {k.split(".", 1)[1]: t for k, t in bvars.items()}
-    cb = model.cb
-    n_code = model.base.n_code
-
-    def anchor_fn(gid: int) -> Tensor:
-        if gid not in anchor_cache:
-            anchor_cache[gid] = Tensor(cb.group(gid).token_anchor)
-        return anchor_cache[gid]
-
-    labels = scene_labels(scene, cb) if use_gt else None
-
-    ego_tok = encode_t(scene.ego_obs, v, model.base.token_scale)
-    agent_toks = [encode_t(a, v, model.base.token_scale) for a in scene.agent_obs]
-
-    teacher_ego = teacher_agents = None
-    if teacher is not None:
-        t_ego, t_agents = teacher.predict_scene(
-            ego_tok.data, [t.data for t in agent_toks], scene.command)
-        def teacher_out(pred, role):
-            pos, neg = triplet_lut[pred.group]
-            return TeacherRoleOutput(
-                mean_flat=pred.mean.flat, variance=pred.scalar_variance,
-                logits=pred.class_logits, admissible=admissible_groups(cb, role),
-                label=pred.group, positives=pos, negatives=neg)
-        teacher_ego = teacher_out(t_ego, Role.ego(scene.command))
-        teacher_agents = [teacher_out(p, Role.agent()) for p in t_agents]
-
-    def student_out(tok, role, anchor_gid):
-        logits, residual = planner_t(tok, v, n_code)
-        traj = autodiff.add(Tensor(cb.group(anchor_gid).traj_anchor), residual)
-        return StudentRoleOutput(
-            traj_flat=traj, logits=logits,
-            admissible=admissible_groups(cb, role), token=tok)
-
-    # trajectory anchor: ground-truth class when supervised, else teacher class
-    ego_anchor_gid = labels[0] if use_gt else teacher_ego.label
-    student_ego = student_out(ego_tok, Role.ego(scene.command), ego_anchor_gid)
-    student_agents = []
-    for i, tok in enumerate(agent_toks):
-        gid = labels[1][i] if use_gt else teacher_agents[i].label
-        student_agents.append(student_out(tok, Role.agent(), gid))
-
-    breakdown = LossBreakdown(terms={}, weights=dict(cfg.loss_weights))
-    if use_gt:
-        zero = Tensor(0.0)
-        terms = {
-            "base_plan": traj_mse(student_ego.traj_flat, scene.ego_gt.flat),
-            "base_class_ce_ego": cross_entropy(student_ego.logits,
-                                               student_ego.admissible, labels[0]),
-            "base_motion": zero, "base_class_ce_agent": zero,
-        }
-        for s, label, gt in zip(student_agents, labels[1], scene.agent_gt or []):
-            terms["base_motion"] = autodiff.add(
-                terms["base_motion"], traj_mse(s.traj_flat, gt.flat))
-            terms["base_class_ce_agent"] = autodiff.add(
-                terms["base_class_ce_agent"],
-                cross_entropy(s.logits, s.admissible, label))
-        breakdown = LossBreakdown(terms=terms, weights=dict(cfg.loss_weights))
-
-    if teacher is not None and cfg.gp_weight != 0.0:
+    tokens = encode_t(batch.obs, v, model.base.token_scale)
+    logits, residual = planner_t(tokens, v, model.base.n_code)
+    taught = None if teacher is None else _teacher_rows(teacher, batch,
+                                                        tokens.data, tables)
+    anchor_gid = batch.labels if batch.labels is not None else taught.label
+    traj = autodiff.add(Tensor(tables.traj_anchors[anchor_gid]), residual)
+    student = StudentRows(n_ego=batch.n_ego, traj=traj, logits=logits,
+                          admissible=batch.admissible, token=tokens)
+    terms = {} if batch.labels is None else base_supervised_loss(batch, student)
+    breakdown = LossBreakdown(terms=terms, weights=dict(cfg.loss_weights))
+    if taught is not None:
         teacher_bd = loss_gp_teacher(
-            student_ego, teacher_ego, student_agents, teacher_agents,
-            anchors=anchor_fn, weights=cfg.loss_weights,
+            student, taught, tables.token_anchors, weights=cfg.loss_weights,
             sigma_clamp=cfg.sigma_clamp, margin=cfg.triplet_margin)
         scaled = {k: autodiff.mul(t, cfg.gp_weight)
                   for k, t in teacher_bd.terms.items()}
         breakdown = breakdown.merged(LossBreakdown(scaled, dict(cfg.loss_weights)))
     return breakdown
+
+
+def gp_stage_loss(batch: Batch, graph: GpGraph, tokens: np.ndarray,
+                  tables: StageTables, cfg: TrainConfig) -> LossBreakdown:
+    """Stage-2 loss of one step: reconstruction plus GP supervision.
+
+    ``tokens`` are the frozen base model's token rows (constants). Each row
+    is conditioned token by token on its classifier-argmax group; the losses
+    then run once over the rows, with supervision labels from the ground
+    truth.
+    """
+    outs: dict[str, list[Tensor]] = {
+        k: [] for k in ("recon", "var_rec", "mean", "var_traj", "logits")}
+    groups = []
+    for token, admissible in zip(tokens, batch.admissible):
+        tok = Tensor(token)
+        logits = graph.classifier_logits(graph.kernel_features(tok))
+        gid = int(np.argmax(np.where(admissible, logits.data, -np.inf)))
+        recon, var_rec = graph.reconstruct(tok, gid)
+        mean, var_traj = graph.predict_trajectory(tok, gid)
+        for k, t in zip(outs, (recon, var_rec, mean, var_traj, logits)):
+            outs[k].append(t)
+        groups.append(gid)
+    rows = {k: autodiff.stack(ts) for k, ts in outs.items()}
+
+    rec = loss_rec(tokens, rows["recon"], rows["var_rec"], batch.n_ego, groups,
+                   batch.scene_of_row, graph.basis_vars,
+                   weights=cfg.loss_weights, sigma_clamp=cfg.sigma_clamp)
+    sup = loss_sup(
+        SupRows(n_ego=batch.n_ego, pred_mean=rows["mean"], variance=rows["var_traj"],
+                logits=rows["logits"], admissible=batch.admissible, gt=batch.gt,
+                label=batch.labels, token=tokens,
+                positives=tables.positives[batch.labels],
+                negatives=tables.negatives[batch.labels]),
+        anchors=graph.token_anchors(), weights=cfg.loss_weights,
+        sigma_clamp=cfg.sigma_clamp, margin=cfg.triplet_margin)
+    return rec.merged(sup)
 
 
 # --- training loops ------------------------------------------------------------
@@ -386,33 +413,35 @@ def _write_log(log_path, rows) -> None:
         w.writerows(rows)
 
 
-def _run_epochs(records, cfg: TrainConfig, params, scene_loss_fn, *, epochs, lr,
-                stage: str, log_path=None, post_step=None) -> None:
-    """Shared batched loop: shuffle, fixed-order reduce, Adam step, CSV log."""
-    if not records:
-        raise TrainingError("dataset is empty")
+def _run_epochs(table: SceneTable, cfg: TrainConfig, params, step_loss_fn, *,
+                epochs, lr, stage: str, log_path=None, post_step=None) -> None:
+    """Shared loop: shuffle, one step loss per batch, Adam step, CSV log.
+
+    A GP conditioning that is not positive definite stops training with a
+    TrainingError naming the stage and step.
+    """
     opt = Adam(params, lr=lr, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps)
     rows = []
     step = 0
     for epoch in range(epochs):
-        perm = rng_for(cfg.seed, "shuffle", stage, epoch).permutation(len(records))
-        for start in range(0, len(records), cfg.batch_size):
-            batch = sorted(perm[start:start + cfg.batch_size])
-            total_bd: LossBreakdown | None = None
-            for idx in batch:
-                bd = scene_loss_fn(records[idx], step)
-                total_bd = bd if total_bd is None else total_bd.merged(bd)
+        perm = rng_for(cfg.seed, "shuffle", stage, epoch).permutation(len(table))
+        for start in range(0, len(table), cfg.batch_size):
+            batch = table.batch(np.sort(perm[start:start + cfg.batch_size]))
+            try:
+                total_bd = step_loss_fn(batch)
+            except NotPSD as e:
+                raise TrainingError(f"{stage} step {step}: {e}") from e
             bad = total_bd.first_nonfinite()
             if bad is not None:
                 raise TrainingError(
                     f"non-finite loss term {bad!r} at {stage} step {step}")
-            total = autodiff.mul(total_bd.total, 1.0 / len(batch))
+            total = autodiff.mul(total_bd.total, 1.0 / batch.n_ego)
             grads = grad(total, params)
             opt.step(grads)
             if post_step is not None:
                 post_step()
             for term, t in total_bd.terms.items():
-                rows.append([step, stage, term, f"{t.item() / len(batch):.10g}"])
+                rows.append([step, stage, term, f"{t.item() / batch.n_ego:.10g}"])
             rows.append([step, stage, "total", f"{total.item():.10g}"])
             step += 1
     _write_log(log_path, rows)
@@ -426,8 +455,11 @@ def build_model(records, cfg: TrainConfig, spec: ModelSpec) -> Model:
             trajs.append((r.ego_gt, r.command, True))
         for t in r.agent_gt or []:
             trajs.append((t, r.command, False))
-    cb = sample_and_cluster(trajs, spec.n_ego, spec.n_agent, spec.group_size,
-                            spec.token_dim, seed=cfg.seed)
+    try:
+        cb = sample_and_cluster(trajs, spec.n_ego, spec.n_agent, spec.group_size,
+                                spec.token_dim, seed=cfg.seed)
+    except BuildError as e:
+        raise TrainingError(f"stage1 codebook build: {e}") from e
     init_basis_tokens(cb, cfg.seed)
     base = BaseModelParams.init(
         spec.obs_dim, spec.token_dim, spec.n_code, spec.encoder_hidden,
@@ -444,19 +476,11 @@ def stage1_pretrain(records, cfg: TrainConfig, spec: ModelSpec,
     labeled = [r for r in records if r.labeled]
     if not labeled:
         raise TrainingError("stage 1 requires a labeled dataset")
-    model = build_model(labeled, cfg, spec)
-    bvars = base_param_tensors(model)
-    labels = [scene_labels(r, model.cb) for r in labeled]
-
-    def loss_fn(scene, _step):
-        return base_supervised_loss(scene, bvars, model,
-                                    labels[scene_index[id(scene)]],
-                                    cfg.loss_weights)
-
-    scene_index = {id(r): i for i, r in enumerate(labeled)}
-    _run_epochs(labeled, cfg, bvars, loss_fn, epochs=cfg.epochs_stage1,
-                lr=cfg.lr_stage12, stage="stage1", log_path=log_path)
-    return Checkpoint(stage="stage1", model=model, train_config=cfg, model_spec=spec)
+    init = Checkpoint(stage="init", model=build_model(labeled, cfg, spec),
+                      train_config=cfg, model_spec=spec)
+    return _finetune_base(labeled, init, cfg, use_gt=True, use_teacher=False,
+                          epochs=cfg.epochs_stage1, lr=cfg.lr_stage12,
+                          stage="stage1", log_path=log_path)
 
 
 def stage2_fit_gp(records, ckpt: "Checkpoint", cfg: TrainConfig,
@@ -467,32 +491,23 @@ def stage2_fit_gp(records, ckpt: "Checkpoint", cfg: TrainConfig,
         raise TrainingError("stage 2 requires a labeled dataset")
     model = ckpt.model.clone()
     params = gp_param_tensors(model)
-    # frozen encoder: tokens are fixed targets, computed once
-    tokens = []
-    for r in labeled:
-        ego, agents = encode(r, model.base)
-        tokens.append((ego.values, [a.values for a in agents]))
-    labels = [scene_labels(r, model.cb) for r in labeled]
-    triplet_lut = {gid: select_triplet_classes(model.cb, gid)
-                   for gid in range(model.cb.n_code)}
+    table = SceneTable(labeled, model.cb, labeled=True)
+    tables = StageTables.of(model.cb)
+    # frozen encoder: tokens are fixed targets, computed once, in row layout
+    encoded = [encode(r, model.base) for r in labeled]
+    tokens = np.stack([ego.values for ego, _ in encoded]
+                      + [a.values for _, agents in encoded for a in agents])
 
-    state = {"graph": None, "step": -1}
-    scene_index = {id(r): i for i, r in enumerate(labeled)}
+    def loss_fn(batch: Batch) -> LossBreakdown:
+        graph = GpGraph(
+            model.cb,
+            [params[f"cb.group{g.group_id:03d}.basis"] for g in model.cb.groups],
+            {n: params[f"clf.{n}"] for n in ("w1", "b1", "w2", "b2")},
+            params["gp.log_lengthscale"], params["gp.log_outputscale"],
+            params["gp.log_noise_recon"], params["gp.log_noise_traj"])
+        return gp_stage_loss(batch, graph, tokens[batch.rows], tables, cfg)
 
-    def loss_fn(scene, step):
-        if step != state["step"]:
-            state["graph"] = GpGraph(
-                model.cb,
-                [params[f"cb.group{g.group_id:03d}.basis"] for g in model.cb.groups],
-                {n: params[f"clf.{n}"] for n in ("w1", "b1", "w2", "b2")},
-                params["gp.log_lengthscale"], params["gp.log_outputscale"],
-                params["gp.log_noise_recon"], params["gp.log_noise_traj"])
-            state["step"] = step
-        i = scene_index[id(scene)]
-        return gp_stage_loss(scene, state["graph"], tokens[i], labels[i],
-                             triplet_lut, cfg)
-
-    _run_epochs(labeled, cfg, params, loss_fn, epochs=cfg.epochs_stage2,
+    _run_epochs(table, cfg, params, loss_fn, epochs=cfg.epochs_stage2,
                 lr=cfg.lr_stage12, stage="stage2", log_path=log_path,
                 post_step=lambda: (_project_noise(params, cfg.sigma_clamp),
                                    _sync_gp_scalars(model, params)))
@@ -504,24 +519,23 @@ def stage2_fit_gp(records, ckpt: "Checkpoint", cfg: TrainConfig,
 def _finetune_base(records, ckpt: "Checkpoint", cfg: TrainConfig, *, use_gt: bool,
                    use_teacher: bool, epochs: int, lr: float, stage: str,
                    log_path=None) -> "Checkpoint":
+    """Train a copy of the checkpoint's base model; the GP side stays frozen."""
     model = ckpt.model.clone()
     bvars = base_param_tensors(model)
-    teacher = GpInference(model.cb, model.clf, model.gp) if (
-        use_teacher and cfg.gp_weight != 0.0) else None
-    triplet_lut = {gid: select_triplet_classes(model.cb, gid)
-                   for gid in range(model.cb.n_code)}
-    state = {"anchors": {}, "step": -1}
-
-    def loss_fn(scene, step):
-        if step != state["step"]:
-            state["anchors"] = {}
-            state["step"] = step
-        return finetune_scene_loss(scene, bvars, model, teacher, cfg,
-                                   use_gt=use_gt, anchor_cache=state["anchors"],
-                                   triplet_lut=triplet_lut)
-
-    _run_epochs(records, cfg, bvars, loss_fn, epochs=epochs, lr=lr,
-                stage=stage, log_path=log_path)
+    teacher = None
+    if use_teacher and cfg.gp_weight != 0.0:
+        try:
+            teacher = GpInference(model.cb, model.clf, model.gp)
+        except NotPSD as e:
+            raise TrainingError(f"{stage} teacher set-up: {e}") from e
+    elif not use_gt:
+        raise TrainingError(f"{stage}: no ground truth and no teacher leaves no loss")
+    table = SceneTable(records, model.cb, labeled=use_gt)
+    tables = StageTables.of(model.cb)
+    _run_epochs(table, cfg, bvars,
+                lambda batch: finetune_scene_loss(batch, bvars, model, teacher, cfg,
+                                                  tables),
+                epochs=epochs, lr=lr, stage=stage, log_path=log_path)
     return Checkpoint(stage=stage, model=model, train_config=cfg,
                       model_spec=ckpt.model_spec)
 
@@ -573,7 +587,7 @@ class Checkpoint:
         offset = 0
         blobs = []
         for name in sorted(tensors):
-            arr = np.ascontiguousarray(tensors[name], dtype=np.float64)
+            arr = np.asarray(tensors[name], dtype=np.float64)  # keeps 0-d scalars 0-d
             index.append({"name": name, "shape": list(arr.shape), "offset": offset})
             blobs.append(arr.tobytes())
             offset += arr.size
@@ -606,16 +620,29 @@ class Checkpoint:
         raw = path.read_bytes()
         if raw[:8] != CHECKPOINT_MAGIC:
             raise ValueError(f"{path}: not a gptraj checkpoint")
+        if len(raw) < 16:
+            raise ValueError(f"{path}: truncated checkpoint header")
         hlen = struct.unpack("<Q", raw[8:16])[0]
-        header = json.loads(raw[16:16 + hlen].decode("utf-8"))
+        try:
+            header = json.loads(raw[16:16 + hlen].decode("utf-8"))
+        except ValueError as e:  # also UnicodeDecodeError and JSONDecodeError
+            raise ValueError(f"{path}: corrupt checkpoint header: {e}") from e
         if header.get("schema") != CHECKPOINT_SCHEMA:
             raise ValueError(
                 f"{path}: checkpoint schema {header.get('schema')!r} unsupported "
                 f"(expected {CHECKPOINT_SCHEMA})")
-        data = np.frombuffer(raw[16 + hlen:], dtype="<f8")
+        payload = raw[16 + hlen:]
+        sizes = [int(np.prod(e["shape"], dtype=np.int64)) for e in header["tensors"]]
+        offsets = [e["offset"] for e in header["tensors"]]
+        expected = int(sum(sizes))
+        if (len(payload) != 8 * expected
+                or offsets != [int(o) for o in np.cumsum([0] + sizes)[:-1]]):
+            raise ValueError(
+                f"{path}: truncated or corrupt checkpoint: payload holds "
+                f"{len(payload)} bytes, header describes {8 * expected}")
+        data = np.frombuffer(payload, dtype="<f8")
         tensors = {}
-        for e in header["tensors"]:
-            size = int(np.prod(e["shape"])) if e["shape"] else 1
+        for e, size in zip(header["tensors"], sizes):
             arr = data[e["offset"]: e["offset"] + size].reshape(e["shape"]).copy()
             tensors[e["name"]] = arr
 

@@ -2,8 +2,8 @@
 
 These deliberately avoid the library's own linear algebra and geometry: plain
 loops, Gauss-Jordan elimination, Jacobi eigenvalues, quadrature integration,
-and dense point sampling. They exist to cross-check the production paths and
-must stay independent of them.
+dense point sampling and central finite differences. They exist to
+cross-check the production paths and must stay independent of them.
 """
 
 from __future__ import annotations
@@ -138,3 +138,26 @@ def triplet_oracle(token: np.ndarray, pos_anchors: list, neg_anchors: list,
             dn = math.sqrt(sum((t - n) ** 2 for t, n in zip(token, na)) + 1e-12)
             total += max(0.0, dp - dn + margin)
     return total / (len(pos_anchors) * len(neg_anchors))
+
+
+def finite_difference(loss_fn, arrays: dict, h: float = 1e-5,
+                      entries: dict | None = None) -> dict:
+    """Central-difference gradients of ``loss_fn()`` for named float arrays.
+
+    Each array is perturbed in place and restored. ``entries`` maps a name to
+    the flat indices to probe (default: every entry); the others stay 0.
+    """
+    out = {}
+    for name, arr in arrays.items():
+        g = np.zeros_like(arr)
+        flat, gflat = arr.reshape(-1), g.reshape(-1)
+        for i in (range(flat.size) if entries is None else entries[name]):
+            orig = flat[i]
+            flat[i] = orig + h
+            up = loss_fn()
+            flat[i] = orig - h
+            down = loss_fn()
+            flat[i] = orig
+            gflat[i] = (up - down) / (2 * h)
+        out[name] = g
+    return out

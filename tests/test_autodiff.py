@@ -60,6 +60,18 @@ def test_reductions_and_transpose():
     check_op(lambda a: autodiff.tsum(autodiff.tsum(a, axis=0)), (3, 5))
 
 
+def test_stack_narrow_columns_and_3d_gather():
+    w = np.arange(1.0, 7.0)
+    check_op(lambda a, b: autodiff.tsum(autodiff.mul(autodiff.stack([a, b, a]), w)),
+             (6,), (6,))
+    check_op(lambda a: autodiff.tsum(autodiff.square(autodiff.narrow(a, 1, 4, axis=1))),
+             (3, 5))
+    idx = np.array([[0, 2], [2, 2], [1, 0]])  # 2-D ids gather a (3, 2, 4) block
+    check_op(lambda a: autodiff.tsum(autodiff.mul(
+        autodiff.tsum(autodiff.square(autodiff.gather0(a, idx)), axis=(1, 2)),
+        np.array([1.0, 2.0, 3.0]))), (3, 4))
+
+
 def test_elementwise_transcendentals():
     check_op(lambda a: autodiff.tsum(autodiff.exp(a)), (4,))
     check_op(lambda a: autodiff.tsum(autodiff.log(autodiff.add(autodiff.square(a), 1.0))), (4,))

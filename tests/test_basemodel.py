@@ -117,12 +117,13 @@ def test_differentiable_paths_match_numpy():
     names = ("enc_w1", "enc_b1", "enc_w2", "enc_b2",
              "pln_w1", "pln_b1", "pln_w2", "pln_b2")
     v = {n: Tensor(getattr(p, n)) for n in names}
-    tok_t = encode_t(obs, v, p.token_scale)
-    ego, _ = encode(scene_with(obs), p)
-    assert np.allclose(tok_t.data, ego.values, atol=1e-12)
+    tok_t = encode_t(np.stack([obs, obs * 0.5]), v, p.token_scale)
+    ego, agents = encode(scene_with(obs), p)
+    assert np.allclose(tok_t.data, [ego.values, agents[0].values], atol=1e-12)
     logits_t, residual_t = planner_t(tok_t, v, p.n_code)
-    h = np.tanh(p.pln_w1 @ ego.values + p.pln_b1)
-    out = p.pln_w2 @ h + p.pln_b2
-    assert np.allclose(logits_t.data, out[:p.n_code], atol=1e-12)
-    assert np.allclose(residual_t.data,
-                       RESIDUAL_BOUND * np.tanh(out[p.n_code:]), atol=1e-12)
+    for row, tok in enumerate((ego, agents[0])):
+        h = np.tanh(p.pln_w1 @ tok.values + p.pln_b1)
+        out = p.pln_w2 @ h + p.pln_b2
+        assert np.allclose(logits_t.data[row], out[:p.n_code], atol=1e-12)
+        assert np.allclose(residual_t.data[row],
+                           RESIDUAL_BOUND * np.tanh(out[p.n_code:]), atol=1e-12)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gptraj.codebook import (BuildError, Role, admissible_groups,
-                             init_basis_tokens, nearest_group,
+                             admissible_mask, init_basis_tokens, nearest_group,
                              sample_and_cluster)
 from gptraj.core import COMMANDS, Command, Trajectory, traj_distance
 
@@ -165,5 +165,21 @@ def test_admissible_group_counts_default_partition():
 
 def test_nearest_group_respects_command():
     cb = sample_and_cluster(corpus(), 6, 4, group_size=8, token_dim=4, seed=0)
-    gid = nearest_group(cb, curved(6.0, 0.05), Role.ego(Command.TURN_LEFT))
+    mask = admissible_mask(cb, Role.ego(Command.TURN_LEFT))
+    [gid] = nearest_group(cb, curved(6.0, 0.05).flat[None, :], mask[None, :])
     assert gid in cb.command_groups[Command.TURN_LEFT]
+
+
+def test_nearest_group_matches_loop_reference():
+    cb = sample_and_cluster(corpus(), 6, 4, group_size=8, token_dim=4, seed=0)
+    rng = np.random.default_rng(4)
+    trajs = [traj for traj, _, _ in corpus(seed=9)]
+    roles = [Role.ego(COMMANDS[int(rng.integers(3))]) if rng.random() < 0.5
+             else Role.agent() for _ in trajs]
+    got = nearest_group(cb, np.stack([t.flat for t in trajs]),
+                        np.stack([admissible_mask(cb, r) for r in roles]))
+    for traj, role, gid in zip(trajs, roles, got):
+        ids = admissible_groups(cb, role)
+        dists = [traj_distance(traj, Trajectory.from_flat(cb.group(i).traj_anchor))
+                 for i in ids]
+        assert gid == ids[int(np.argmin(dists))]

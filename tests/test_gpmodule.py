@@ -7,7 +7,8 @@ import pytest
 
 from gptraj import autodiff
 from gptraj.autodiff import Tensor
-from gptraj.codebook import Role, admissible_groups, init_basis_tokens, sample_and_cluster
+from gptraj.codebook import (Role, admissible_groups, admissible_mask,
+                             init_basis_tokens, sample_and_cluster)
 from gptraj.core import COMMANDS, Command, Token, Trajectory
 from gptraj.gpmodule import (GpGraph, GpInference, GpParams, GroupClassifier,
                              classify, predict_scene, predict_trajectory,
@@ -230,7 +231,7 @@ def test_classifier_learns_two_separated_modes(small_cb):
          "w2": autodiff.parameter(clf.w2), "b2": autodiff.parameter(clf.b2)}
     opt = Adam(w, lr=1e-2)
     inf = GpInference(cb, clf, p)
-    adm = cb.agent_group_ids
+    adm = admissible_mask(cb, Role.agent())[None, :]
     for _ in range(300):
         total = Tensor(0.0)
         for _ in range(8):
@@ -239,7 +240,8 @@ def test_classifier_learns_two_separated_modes(small_cb):
             feats = Tensor(inf.kernel_features(tok))
             h = autodiff.tanh(autodiff.add(autodiff.matmul(w["w1"], feats), w["b1"]))
             logits = autodiff.add(autodiff.matmul(w["w2"], h), w["b2"])
-            total = autodiff.add(total, cross_entropy(logits, adm, label))
+            ce = cross_entropy(autodiff.reshape(logits, (1, -1)), adm, [label])
+            total = autodiff.add(total, autodiff.tsum(ce))
         grads = autodiff.grad(autodiff.mul(total, 1 / 8), w)
         opt.step(grads)
     trained = GroupClassifier(w1=w["w1"].data, b1=w["b1"].data,

@@ -5,18 +5,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from gptraj import autodiff
+from gptraj import autodiff, losses
 from gptraj.autodiff import Tensor
 from gptraj.codebook import init_basis_tokens, sample_and_cluster
-from gptraj.losses import (DEFAULT_SIGMA_CLAMP, LossBreakdown, SupRoleInput,
-                           StudentRoleOutput, TeacherRoleOutput, cross_entropy,
-                           heteroscedastic_nll, kl_divergence, log_softmax,
-                           loss_gp_teacher, loss_rec, loss_sup, orthogonality,
-                           select_triplet_classes, sum_sq, traj_mse,
-                           triplet_term)
+from gptraj.losses import (DEFAULT_SIGMA_CLAMP, LossBreakdown, StudentRows,
+                           SupRows, TeacherRows, cross_entropy,
+                           heteroscedastic_nll, kl_divergence, loss_gp_teacher,
+                           loss_rec, loss_sup, orthogonality,
+                           select_triplet_classes, triplet_table, triplet_term)
 from gptraj.trainer import Adam
 
-from oracles import triplet_oracle
+from oracles import finite_difference, triplet_oracle
 
 from test_codebook import corpus
 
@@ -27,10 +26,15 @@ def cb():
     return init_basis_tokens(c, rng_seed=2)
 
 
+def ego_rec(e, e_hat, var, basis):
+    """loss_rec over one scene holding only its ego row, conditioned on group 0."""
+    return loss_rec(np.array([e]), Tensor(np.array([e_hat])), Tensor(np.array([var])),
+                    n_ego=1, groups=[0], scenes=[0], bases=[basis])
+
+
 def test_recon_nll_zero_at_perfect_unit_variance():
     e = np.array([0.3, -0.2, 0.5])
-    bd = loss_rec(e, Tensor(e.copy()), Tensor(np.array(1.0)), [], [], [],
-                  ego_basis=Tensor(np.eye(3)), agent_bases=[])
+    bd = ego_rec(e, e.copy(), 1.0, Tensor(np.eye(3)))
     assert bd.value("recon_ego") == pytest.approx(0.0)
     assert bd.value("ortho_ego") == pytest.approx(0.0)  # orthonormal rows
 
@@ -38,8 +42,7 @@ def test_recon_nll_zero_at_perfect_unit_variance():
 def test_recon_nll_unit_error_unit_variance():
     e = np.zeros(4)
     e_hat = np.array([1.0, 0.0, 0.0, 0.0])  # unit offset
-    bd = loss_rec(e, Tensor(e_hat), Tensor(np.array(1.0)), [], [], [],
-                  ego_basis=Tensor(np.eye(4)), agent_bases=[])
+    bd = ego_rec(e, e_hat, 1.0, Tensor(np.eye(4)))
     assert bd.value("recon_ego") == pytest.approx(1.0)
 
 
@@ -56,45 +59,53 @@ def test_ortho_nonzero_for_correlated_rows():
 def test_ortho_deduplicates_shared_groups():
     basis = Tensor(np.eye(3) * 2.0)
     single = orthogonality(basis).item()
-    bd = loss_rec(np.zeros(3), Tensor(np.zeros(3)), Tensor(np.array(1.0)),
-                  [np.zeros(3)] * 2, [Tensor(np.zeros(3))] * 2,
-                  [Tensor(np.array(1.0))] * 2,
-                  ego_basis=basis, agent_bases=[basis, basis])
+    # one scene: ego and both agents conditioned on the same group
+    bd = loss_rec(np.zeros((3, 3)), Tensor(np.zeros((3, 3))), Tensor(np.ones(3)),
+                  n_ego=1, groups=[0, 0, 0], scenes=[0, 0, 0], bases=[basis])
     assert bd.value("ortho_ego") == pytest.approx(single)
     assert bd.value("ortho_agent") == pytest.approx(0.0)
+
+
+def all_admissible(cb, n_rows=1):
+    return np.ones((n_rows, cb.n_code), dtype=bool)
+
+
+def ego_sup(cb, pred, variance, logits, gt, label, token):
+    """SupRows of a single ego row with the label's triplet classes."""
+    pos, neg = select_triplet_classes(cb, label)
+    return SupRows(n_ego=1, pred_mean=Tensor(np.array([pred])),
+                   variance=Tensor(np.array([variance])),
+                   logits=Tensor(np.array([logits])), admissible=all_admissible(cb),
+                   gt=np.array([gt]), label=np.array([label]),
+                   token=np.array([token]), positives=np.array([pos]),
+                   negatives=np.array([neg]))
 
 
 def test_plan_nll_closed_form(cb):
     # mean squared waypoint error 4, sigma = 2 -> 4/4 + log 2
     gt = np.zeros(12)
     pred = np.full(12, np.sqrt(2.0))  # each waypoint error^2 = 2+2 = 4
-    pos, neg = select_triplet_classes(cb, 0)
-    ego = SupRoleInput(pred_mean=Tensor(pred), variance=Tensor(np.array(4.0)),
-                       logits=Tensor(np.zeros(cb.n_code)),
-                       admissible=list(range(cb.n_code)), gt_flat=gt, label=0,
-                       token=np.zeros(5), positives=pos, negatives=neg)
-    bd = loss_sup(ego, [], anchors=cb)
+    rows = ego_sup(cb, pred, 4.0, np.zeros(cb.n_code), gt, 0, np.zeros(5))
+    bd = loss_sup(rows, anchors=cb.token_anchors())
     assert bd.value("plan_nll") == pytest.approx(4.0 / 4.0 + np.log(2.0))
 
 
 def test_class_ce_zero_temperature_limit(cb):
     logits = np.full(cb.n_code, -200.0)
     logits[3] = 200.0
-    ce = cross_entropy(Tensor(logits), list(range(cb.n_code)), 3)
-    assert ce.item() == pytest.approx(0.0, abs=1e-12)
+    ce = cross_entropy(Tensor(logits[None, :]), all_admissible(cb), [3])
+    assert ce.data.shape == (1,)
+    assert ce.data[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_perfect_prediction_all_task_terms_zero(cb):
     gt = np.arange(12.0)
-    pos, neg = select_triplet_classes(cb, 1)
+    pos, _ = select_triplet_classes(cb, 1)
     logits = np.full(cb.n_code, -50.0)
     logits[1] = 50.0
     token_far = cb.group(pos[0]).token_anchor  # at a positive anchor
-    ego = SupRoleInput(pred_mean=Tensor(gt.copy()), variance=Tensor(np.array(1.0)),
-                       logits=Tensor(logits), admissible=list(range(cb.n_code)),
-                       gt_flat=gt, label=1, token=token_far, positives=pos,
-                       negatives=neg)
-    bd = loss_sup(ego, [], anchors=cb)
+    rows = ego_sup(cb, gt.copy(), 1.0, logits, gt, 1, token_far)
+    bd = loss_sup(rows, anchors=cb.token_anchors())
     assert bd.value("plan_nll") == pytest.approx(0.0, abs=1e-12)
     assert bd.value("class_ce_ego") == pytest.approx(0.0, abs=1e-12)
 
@@ -107,7 +118,8 @@ def test_triplet_satisfied_margin_is_zero(cb):
         cbg = cb.group(gid)
         cbg.basis_tokens = cbg.basis_tokens + 50.0
     try:
-        val = triplet_term(anchor, pos, neg, cb, margin=1.0).item()
+        [val] = triplet_term(anchor[None, :], np.array([pos]), np.array([neg]),
+                             cb.token_anchors(), margin=1.0).data
         assert val == pytest.approx(0.0)
     finally:
         for gid in neg:
@@ -120,26 +132,30 @@ def test_triplet_equidistant_hinges_at_margin():
                2: np.array([-1.0, 0.0]), 3: np.array([0.0, -1.0]),
                4: np.array([1.0, 0.0]) / np.sqrt(2) + np.array([0.0, 1.0]) / np.sqrt(2),
                5: -np.array([1.0, 0.0]) / np.sqrt(2) - np.array([0.0, 1.0]) / np.sqrt(2)}
-    fn = lambda gid: Tensor(anchors[gid])
-    val = triplet_term(np.zeros(2), [0, 1, 2], [3, 4, 5], fn, margin=0.7)
-    assert val.item() == pytest.approx(0.7, abs=1e-6)
+    table = np.stack([anchors[gid] for gid in range(6)])
+    val = triplet_term(np.zeros((1, 2)), np.array([[0, 1, 2]]), np.array([[3, 4, 5]]),
+                       table, margin=0.7)
+    assert val.data[0] == pytest.approx(0.7, abs=1e-6)
 
 
 def test_triplet_matches_bruteforce_oracle(cb):
     rng = np.random.default_rng(6)
-    for _ in range(20):
-        label = int(rng.integers(cb.n_code))
-        pos, neg = select_triplet_classes(cb, label)
-        token = rng.normal(size=5)
-        got = triplet_term(token, pos, neg, cb, margin=1.0).item()
-        want = triplet_oracle(token, [cb.group(g).token_anchor for g in pos],
-                              [cb.group(g).token_anchor for g in neg], 1.0)
-        assert got == pytest.approx(want, rel=1e-10)
+    labels = rng.integers(cb.n_code, size=20)
+    tokens = rng.normal(size=(20, 5))
+    positives, negatives = triplet_table(cb)
+    pos, neg = positives[labels], negatives[labels]
+    got = triplet_term(tokens, pos, neg, cb.token_anchors(), margin=1.0).data
+    for token, p, n, value in zip(tokens, pos, neg, got):
+        want = triplet_oracle(token, [cb.group(g).token_anchor for g in p],
+                              [cb.group(g).token_anchor for g in n], 1.0)
+        assert value == pytest.approx(want, rel=1e-10)
 
 
-def test_triplet_rejects_overlap(cb):
+def test_triplet_rejects_overlap(cb, monkeypatch):
+    monkeypatch.setattr(losses, "select_triplet_classes",
+                        lambda cb, label: ([0, 1, 2], [2, 3, 4]))
     with pytest.raises(ValueError, match="overlapping"):
-        triplet_term(np.zeros(5), [0, 1, 2], [2, 3, 4], cb)
+        triplet_table(cb)
 
 
 def test_select_triplet_classes_disjoint_and_admissible(cb):
@@ -159,27 +175,29 @@ def test_select_triplet_classes_disjoint_and_admissible(cb):
 
 def test_kl_identity_and_uniform_cases():
     adm = [2, 5, 7, 9]
+    mask = np.zeros((1, 12), dtype=bool)
+    mask[0, adm] = True
     logits = np.zeros(12)
     logits[adm] = [0.3, -0.1, 0.8, 0.2]
-    assert kl_divergence(Tensor(logits), Tensor(logits.copy()), adm).item() \
+    assert kl_divergence(Tensor(logits[None]), logits[None].copy(), mask).data[0] \
         == pytest.approx(0.0, abs=1e-12)
     student = np.full(12, -300.0)
     student[adm[0]] = 300.0  # one-hot in the zero-temperature limit
     teacher = np.zeros(12)  # uniform over the 4 admissible groups
-    kl = kl_divergence(Tensor(student), Tensor(teacher), adm)
-    assert kl.item() == pytest.approx(np.log(4.0), abs=1e-9)
+    kl = kl_divergence(Tensor(student[None]), teacher[None], mask)
+    assert kl.data[0] == pytest.approx(np.log(4.0), abs=1e-9)
 
 
 def _teacher_pair(cb, label, traj, logits, variance=1.0):
     pos, neg = select_triplet_classes(cb, label)
-    adm = list(range(cb.n_code))
-    teacher = TeacherRoleOutput(mean_flat=traj, variance=variance, logits=logits,
-                                admissible=adm, label=label, positives=pos,
-                                negatives=neg)
+    teacher = TeacherRows(mean=traj[None], variance=np.array([variance]),
+                          logits=logits[None], label=np.array([label]),
+                          positives=np.array([pos]), negatives=np.array([neg]))
     token = cb.group(pos[0]).token_anchor
-    student = StudentRoleOutput(traj_flat=Tensor(traj.copy()),
-                                logits=Tensor(logits.copy()), admissible=adm,
-                                token=Tensor(token.copy()))
+    student = StudentRows(n_ego=1, traj=Tensor(traj[None].copy()),
+                          logits=Tensor(logits[None].copy()),
+                          admissible=all_admissible(cb),
+                          token=Tensor(token[None].copy()))
     return student, teacher
 
 
@@ -195,7 +213,7 @@ def test_teacher_self_distillation_fixed_point(cb):
         logits[label] = 80.0
         traj = np.linspace(0, 5, 12)
         student, teacher = _teacher_pair(cb, label, traj, logits)
-        bd = loss_gp_teacher(student, teacher, [], [], anchors=cb)
+        bd = loss_gp_teacher(student, teacher, anchors=cb.token_anchors())
         assert bd.total_value() == pytest.approx(0.0, abs=1e-10)
     finally:
         for gid in neg:
@@ -206,9 +224,10 @@ def test_teacher_admissible_mismatch_raises(cb):
     logits = np.zeros(cb.n_code)
     traj = np.zeros(12)
     student, teacher = _teacher_pair(cb, 0, traj, logits)
-    student.admissible = [0, 1]
+    student.admissible = np.zeros((1, cb.n_code), dtype=bool)
+    student.admissible[0, [0, 1]] = True
     with pytest.raises(ValueError, match="admissible"):
-        loss_gp_teacher(student, teacher, [], [], anchors=cb)
+        loss_gp_teacher(student, teacher, anchors=cb.token_anchors())
 
 
 def test_total_is_weighted_sum():
@@ -241,20 +260,6 @@ def test_optimal_sigma_squared_is_twice_task_loss():
     assert abs(sigma_sq - 2 * task) / (2 * task) < 0.05
 
 
-def _numeric_grad_scalar(fn, arr, h=1e-5):
-    g = np.zeros_like(arr)
-    flat, gflat = arr.reshape(-1), g.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + h
-        up = fn()
-        flat[i] = orig - h
-        down = fn()
-        flat[i] = orig
-        gflat[i] = (up - down) / (2 * h)
-    return g
-
-
 def test_loss_rec_gradients_match_fd(cb):
     rng = np.random.default_rng(3)
     gid = 0
@@ -276,12 +281,14 @@ def test_loss_rec_gradients_match_fd(cb):
         quad = autodiff.matmul(k_star, autodiff.solve_psd(k_bb, k_star))
         var = autodiff.add(autodiff.relu(autodiff.sub(Tensor(np.array(1.0)), quad)),
                            autodiff.exp(autodiff.mul(log_noise, 2.0)))
-        return loss_rec(e, e_hat, var, [], [], [], ego_basis=basis,
-                        agent_bases=[]).total
+        return loss_rec(e[None], autodiff.reshape(e_hat, (1, -1)),
+                        autodiff.reshape(var, (1,)), n_ego=1, groups=[0],
+                        scenes=[0], bases=[basis]).total
 
     loss = build()
     grads = autodiff.grad(loss, {"basis": basis, "log_noise": log_noise})
-    for name, p in (("basis", basis), ("log_noise", log_noise)):
-        fd = _numeric_grad_scalar(lambda: build().item(), p.data)
+    fds = finite_difference(lambda: build().item(),
+                            {"basis": basis.data, "log_noise": log_noise.data})
+    for name, fd in fds.items():
         denom = np.maximum(np.abs(fd), 1e-6)
         assert np.max(np.abs(grads[name] - fd) / denom) < 1e-4
