@@ -10,7 +10,7 @@ from .gpmodule import (GpInference, GpParams, GroupClassifier, ReconResult,
                        classify, predict_scene, predict_trajectory, reconstruct)
 from .losses import (LossBreakdown, loss_gp_teacher, loss_rec, loss_sup,
                      select_triplet_classes, triplet_term)
-from .basemodel import BaseModelParams, encode, plan
+from .basemodel import BaseModelParams
 from .synthdomain import DomainSpec, gen_dataset, gen_scene
 from .trainer import (Adam, Checkpoint, Model, ModelSpec, TrainConfig, grad,
                       stage1_pretrain, stage2_fit_gp, stage3_finetune)

@@ -15,9 +15,12 @@ import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
+from .basemodel import encode_t, frozen
+from .codebook import ego_admissible
 from .core import SceneRecord, rng_for
 from .gpmodule import GpInference
-from .basemodel import encode
 from .synthdomain import strip_labels
 from .trainer import Checkpoint, TrainConfig, TrainingError, _finetune_base
 
@@ -85,12 +88,12 @@ def active_select(records: list[SceneRecord], ckpt: Checkpoint, budget: float,
     if strategy not in ("variance", "random"):
         raise ValueError(f"unknown strategy {strategy!r}")
 
-    inf = GpInference(ckpt.model.cb, ckpt.model.clf, ckpt.model.gp)
-    scored = []
-    for rec in records:
-        ego_tok, _ = encode(rec, ckpt.model.base)
-        pred, _ = inf.predict_scene(ego_tok.values, [], rec.command)
-        scored.append((rec.scene_id, float(pred.scalar_variance)))
+    model = ckpt.model
+    tokens = encode_t(np.stack([r.ego_obs for r in records]), frozen(model.base),
+                      model.base.token_scale)
+    _, variance, _, _ = GpInference(model.cb, model.clf, model.gp).predict_rows(
+        tokens.data, ego_admissible(model.cb, [r.command for r in records]))
+    scored = [(r.scene_id, v) for r, v in zip(records, variance.tolist())]
     scored.sort(key=lambda t: (-t[1], t[0]))
 
     k = math.ceil(budget * len(records))

@@ -5,7 +5,8 @@ fixed norm so kernel lengthscales stay in a sane range), and a shared
 two-layer planner head maps a token to classification logits over all
 codebook groups plus a squashed waypoint residual. The planned trajectory is
 the selected group's anchor trajectory plus the residual; role only enters
-through the admissibility mask.
+through the admissibility mask. Both run over row matrices; training passes
+parameter tensors, inference the constants of ``frozen``.
 """
 
 from __future__ import annotations
@@ -16,12 +17,12 @@ import numpy as np
 
 from . import autodiff
 from .autodiff import Tensor
-from .codebook import Codebook, Role, admissible_groups
-from .core import SceneRecord, Token, Trajectory
 
 RESIDUAL_BOUND = 5.0  # meters per coordinate
 TOKEN_SCALE = 3.0
 _NORM_EPS = 1e-12
+PARAM_NAMES = ("enc_w1", "enc_b1", "enc_w2", "enc_b2",
+               "pln_w1", "pln_b1", "pln_w2", "pln_b2")
 
 
 @dataclass
@@ -60,53 +61,10 @@ class BaseModelParams:
         )
 
 
-def _encode_vec(obs: np.ndarray, p: BaseModelParams) -> np.ndarray:
-    h = np.tanh(p.enc_w1 @ obs + p.enc_b1)
-    raw = p.enc_w2 @ h + p.enc_b2
-    return p.token_scale * raw / np.sqrt(raw @ raw + _NORM_EPS)
-
-
-def encode(scene: SceneRecord, p: BaseModelParams) -> tuple[Token, list[Token]]:
-    """Deterministic ego and agent tokens; agents in input order."""
-    if scene.ego_obs.shape[0] != p.enc_w1.shape[1]:
-        raise ValueError(
-            f"observation length {scene.ego_obs.shape[0]} != encoder input "
-            f"{p.enc_w1.shape[1]}")
-    ego = Token(_encode_vec(scene.ego_obs, p))
-    agents = [Token(_encode_vec(a, p)) for a in scene.agent_obs]
-    return ego, agents
-
-
-def _planner_raw(token: np.ndarray, p: BaseModelParams) -> tuple[np.ndarray, np.ndarray]:
-    h = np.tanh(p.pln_w1 @ token + p.pln_b1)
-    out = p.pln_w2 @ h + p.pln_b2
-    return out[: p.n_code], RESIDUAL_BOUND * np.tanh(out[p.n_code:])
-
-
-def plan(token: Token, role: Role, p: BaseModelParams,
-         cb: Codebook) -> tuple[Trajectory, np.ndarray]:
-    """Anchor-plus-residual trajectory for the argmax admissible group."""
-    raw_logits, residual = _planner_raw(token.values, p)
-    logits = np.full_like(raw_logits, -np.inf)
-    ids = admissible_groups(cb, role)
-    logits[ids] = raw_logits[ids]
-    group = int(np.argmax(logits))
-    traj = cb.group(group).traj_anchor + residual
-    return Trajectory.from_flat(traj), logits
-
-
-def plan_with_group(token: Token, group: int, p: BaseModelParams,
-                    cb: Codebook) -> Trajectory:
-    """Trajectory for an externally chosen group (training-time label anchor)."""
-    _, residual = _planner_raw(token.values, p)
-    return Trajectory.from_flat(cb.group(group).traj_anchor + residual)
-
-
-def masked_softmax(logits: np.ndarray) -> np.ndarray:
-    """Softmax where -inf entries get exactly zero probability."""
-    m = np.max(logits[np.isfinite(logits)])
-    z = np.where(np.isfinite(logits), np.exp(logits - m), 0.0)
-    return z / z.sum()
+def frozen(p: BaseModelParams) -> dict[str, Tensor]:
+    """The weights as constant tensors, keyed by ``PARAM_NAMES``:
+    ``encode_t``/``planner_t`` over them evaluate without building a tape."""
+    return {n: Tensor(getattr(p, n)) for n in PARAM_NAMES}
 
 
 # --- differentiable builders -------------------------------------------------

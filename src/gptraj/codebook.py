@@ -108,6 +108,12 @@ def admissible_mask(cb: Codebook, role: Role) -> np.ndarray:
     return mask
 
 
+def ego_admissible(cb: Codebook, commands) -> np.ndarray:
+    """(N, n_code) admissible masks of ego rows with these commands."""
+    masks = {c: admissible_mask(cb, Role.ego(c)) for c in set(commands)}
+    return np.array([masks[c] for c in commands], dtype=bool).reshape(-1, cb.n_code)
+
+
 def traj_dists(flat: np.ndarray, centroid: np.ndarray) -> np.ndarray:
     # mean-over-waypoints Euclidean distance, vectorized over rows of flat
     d = flat.reshape(len(flat), -1, 2) - centroid.reshape(-1, 2)[None]

@@ -119,6 +119,9 @@ _DOMAIN_KEYS = {"obs_transform", "obs_noise_std", "curvature_prior",
                 "speed_prior", "mirror"}
 _TRANSFORM_KEYS = {"kind", "seed", "angle", "rank", "matrix", "bias",
                    "bias_seed", "bias_scale"}
+_MODEL_INTS = ("obs_dim", "token_dim", "encoder_hidden", "planner_hidden",
+               "classifier_hidden")
+_CODEBOOK_INTS = ("n_ego", "n_agent", "group_size")
 _BIN_KEYS = {"min_speed", "max_speed", "min_abs_curvature", "max_abs_curvature"}
 
 
@@ -127,9 +130,28 @@ class ConfigError(Exception):
 
 
 def _check_keys(d: dict, allowed, path: str) -> None:
+    if not isinstance(d, dict):
+        raise ConfigError(f"{path} must be an object, got {d!r}")
     unknown = set(d) - set(allowed)
     if unknown:
         raise ConfigError(f"unknown config keys at {path}: {sorted(unknown)}")
+
+
+def _check_int(value, path: str) -> None:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{path} must be an integer, got {value!r}")
+
+
+def _number(value, path: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{path} must be a number, got {value!r}")
+    return float(value)
+
+
+def _pair(value, path: str) -> tuple[float, float]:
+    if not isinstance(value, list) or len(value) != 2:
+        raise ConfigError(f"{path} must be a pair [a, b] of numbers, got {value!r}")
+    return _number(value[0], f"{path}[0]"), _number(value[1], f"{path}[1]")
 
 
 @dataclass
@@ -202,6 +224,11 @@ def resolve(user: dict | None = None, seed_override: int | None = None) -> Confi
     if seed_override is not None:
         raw["seed"] = int(seed_override)
 
+    for section, keys in (("model", _MODEL_INTS), ("codebook", _CODEBOOK_INTS)):
+        for key in keys:
+            _check_int(raw[section][key], f"{section}.{key}")
+    _number(raw["model"]["token_scale"], "model.token_scale")
+
     model = ModelSpec(
         obs_dim=raw["model"]["obs_dim"],
         token_dim=raw["model"]["token_dim"],
@@ -214,33 +241,46 @@ def resolve(user: dict | None = None, seed_override: int | None = None) -> Confi
         token_scale=raw["model"]["token_scale"],
     )
     tr = dict(raw["train"])
-    tr["sigma_clamp"] = tuple(tr["sigma_clamp"])
-    train = TrainConfig(seed=raw["seed"], **tr)
+    tr["sigma_clamp"] = _pair(tr["sigma_clamp"], "train.sigma_clamp")
+    try:
+        train = TrainConfig(seed=raw["seed"], **tr)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"train: {e}") from e
 
     domains = {}
     for name, d in raw["domains"].items():
-        _check_keys(d, _DOMAIN_KEYS, f"domains.{name}")
+        path = f"domains.{name}"
+        _check_keys(d, _DOMAIN_KEYS, path)
+        missing = _DOMAIN_KEYS - set(d)
+        if missing:
+            raise ConfigError(f"{path} missing keys {sorted(missing)}")
         tdesc = d["obs_transform"]
         if isinstance(tdesc, dict):
-            _check_keys(tdesc, _TRANSFORM_KEYS, f"domains.{name}.obs_transform")
-        matrix, bias = build_obs_transform(tdesc, model.obs_dim)
+            _check_keys(tdesc, _TRANSFORM_KEYS, f"{path}.obs_transform")
+        try:
+            matrix, bias = build_obs_transform(tdesc, model.obs_dim)
+        except (KeyError, TypeError, ValueError) as e:
+            raise ConfigError(f"{path}.obs_transform: {e!r}") from e
+        _check_keys(d["curvature_prior"], {c.value for c in COMMANDS},
+                    f"{path}.curvature_prior")
         curv = {}
         for cmd in COMMANDS:
             if cmd.value not in d["curvature_prior"]:
-                raise ConfigError(f"domains.{name}.curvature_prior missing {cmd.value}")
-            m, s = d["curvature_prior"][cmd.value]
-            curv[cmd] = (float(m), float(s))
-        _check_keys(d["curvature_prior"], {c.value for c in COMMANDS},
-                    f"domains.{name}.curvature_prior")
-        domains[name] = DomainSpec(
-            name=name,
-            obs_transform=matrix,
-            obs_bias=bias,
-            obs_noise_std=float(d["obs_noise_std"]),
-            curvature_prior=curv,
-            speed_prior=(float(d["speed_prior"][0]), float(d["speed_prior"][1])),
-            mirror=bool(d["mirror"]),
-        )
+                raise ConfigError(f"{path}.curvature_prior missing {cmd.value}")
+            curv[cmd] = _pair(d["curvature_prior"][cmd.value],
+                              f"{path}.curvature_prior.{cmd.value}")
+        try:
+            domains[name] = DomainSpec(
+                name=name,
+                obs_transform=matrix,
+                obs_bias=bias,
+                obs_noise_std=_number(d["obs_noise_std"], f"{path}.obs_noise_std"),
+                curvature_prior=curv,
+                speed_prior=_pair(d["speed_prior"], f"{path}.speed_prior"),
+                mirror=bool(d["mirror"]),
+            )
+        except ValueError as e:
+            raise ConfigError(f"{path}: {e}") from e
 
     return Config(
         seed=raw["seed"],

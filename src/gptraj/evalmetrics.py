@@ -4,7 +4,8 @@ L2 follows the cumulative-average convention: the value at k seconds is the
 mean point error over all waypoints up to and including k seconds, so the
 overall value equals the 3 s value. Collision uses exact separating-axis
 tests between oriented footprint rectangles at each of the 6 timesteps, with
-headings taken from waypoint chords (one-sided at the endpoints).
+headings taken from waypoint chords (one-sided at the endpoints), in one
+array pass over every (scene, agent) pair.
 """
 
 from __future__ import annotations
@@ -15,9 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .basemodel import plan as base_plan
-from .basemodel import encode
-from .codebook import Role
+from .basemodel import encode_t, frozen, planner_t
+from .codebook import ego_admissible
 from .core import Command, SceneRecord, Trajectory
 from .gpmodule import GpInference
 
@@ -34,52 +34,77 @@ def avg_l2(pred: Trajectory, gt: Trajectory) -> tuple[float, float, float, float
 
 
 def _headings(points: np.ndarray) -> np.ndarray:
-    """Unit heading per waypoint from the (k-1 -> k+1) chord; one-sided ends."""
-    n = len(points)
-    out = np.zeros_like(points)
-    for i in range(n):
-        lo = max(i - 1, 0)
-        hi = min(i + 1, n - 1)
-        d = points[hi] - points[lo]
-        norm = np.hypot(d[0], d[1])
-        out[i] = d / norm if norm > 1e-9 else np.array([1.0, 0.0])
-    return out
+    """Unit heading per waypoint of (..., n, 2) points, from the
+    (k-1 -> k+1) chord, one-sided at the ends; +x where the chord is
+    shorter than 1e-9 m (a stopped vehicle)."""
+    n = points.shape[-2]
+    k = np.arange(n)
+    d = points[..., np.minimum(k + 1, n - 1), :] - points[..., np.maximum(k - 1, 0), :]
+    norm = np.hypot(d[..., 0], d[..., 1])[..., None]
+    moving = norm > 1e-9
+    return np.where(moving, d / np.where(moving, norm, 1.0), np.array([1.0, 0.0]))
 
 
 def rect_corners(center: np.ndarray, heading: np.ndarray,
-                 length: float, width: float) -> np.ndarray:
-    """Corners of an oriented rectangle, counter-clockwise, shape (4, 2)."""
-    fwd = heading * (length / 2.0)
-    left = np.array([-heading[1], heading[0]]) * (width / 2.0)
-    return np.array([
+                 length, width) -> np.ndarray:
+    """Corners of oriented rectangles, counter-clockwise, shape (..., 4, 2).
+
+    ``center`` and ``heading`` are (..., 2); ``length`` and ``width`` are
+    scalars or arrays over the leading dimensions.
+    """
+    fwd = heading * (np.asarray(length, dtype=np.float64) / 2.0)[..., None]
+    left = (np.stack([-heading[..., 1], heading[..., 0]], axis=-1)
+            * (np.asarray(width, dtype=np.float64) / 2.0)[..., None])
+    return np.stack([
         center + fwd + left,
         center - fwd + left,
         center - fwd - left,
         center + fwd - left,
-    ])
+    ], axis=-2)
 
 
-def sat_margin(a: np.ndarray, b: np.ndarray) -> float:
-    """Signed overlap: min over candidate axes of projection overlap.
+def sat_margin(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Signed overlap of rectangle pairs (..., 4, 2): min over candidate axes
+    of projection overlap. Leading dimensions are batch dimensions.
 
     Positive means the rectangles penetrate by at least that much along
     every axis; negative means some axis separates them by that much.
     """
     margin = np.inf
     for rect in (a, b):
-        for i in range(2):  # two unique edge directions per rectangle
-            edge = rect[(i + 1) % 4] - rect[i]
-            axis = np.array([-edge[1], edge[0]])
-            axis /= np.hypot(axis[0], axis[1])
-            pa = a @ axis
-            pb = b @ axis
-            overlap = min(pa.max(), pb.max()) - max(pa.min(), pb.min())
-            margin = min(margin, overlap)
-    return float(margin)
+        # the two unique edge directions per rectangle, and their normals
+        edge = rect[..., 1:3, :] - rect[..., 0:2, :]
+        axis = np.stack([-edge[..., 1], edge[..., 0]], axis=-1)
+        axis = axis / np.hypot(axis[..., 0], axis[..., 1])[..., None]
+        # projections (..., corner, axis)
+        pa = a[..., :, None, 0] * axis[..., None, :, 0] + a[..., :, None, 1] * axis[..., None, :, 1]
+        pb = b[..., :, None, 0] * axis[..., None, :, 0] + b[..., :, None, 1] * axis[..., None, :, 1]
+        overlap = (np.minimum(pa.max(axis=-2), pb.max(axis=-2))
+                   - np.maximum(pa.min(axis=-2), pb.min(axis=-2)))
+        margin = np.minimum(margin, overlap.min(axis=-1))
+    return margin
 
 
-def rects_overlap(a: np.ndarray, b: np.ndarray) -> bool:
+def rects_overlap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return sat_margin(a, b) > 0.0
+
+
+def scene_collisions(ego_points: np.ndarray, agent_points: np.ndarray,
+                     agent_footprints: np.ndarray, agent_scene: np.ndarray,
+                     ego_footprint: tuple[float, float] = EGO_FOOTPRINT) -> np.ndarray:
+    """Per scene, True iff its ego rectangle overlaps one of its agents'
+    rectangles at a common step.
+
+    ``ego_points`` (S, n, 2) holds each scene's ego waypoints;
+    ``agent_points`` (P, n, 2), ``agent_footprints`` (P, 2) (length, width)
+    and ``agent_scene`` (P,) each agent's waypoints, footprint and scene
+    index. One SAT pass covers every (ego, agent) pair at every step.
+    """
+    ego = rect_corners(ego_points, _headings(ego_points), *ego_footprint)
+    fp = np.asarray(agent_footprints, dtype=np.float64).reshape(-1, 1, 2)
+    agents = rect_corners(agent_points, _headings(agent_points), fp[..., 0], fp[..., 1])
+    hit = rects_overlap(ego[agent_scene], agents).any(axis=-1)
+    return np.bincount(agent_scene[hit], minlength=len(ego_points)) > 0
 
 
 def collision(pred_ego: Trajectory, agent_trajs: list[Trajectory],
@@ -88,14 +113,9 @@ def collision(pred_ego: Trajectory, agent_trajs: list[Trajectory],
     """True iff the ego rectangle overlaps any agent rectangle at any step."""
     if not agent_trajs:
         return False
-    ego_head = _headings(pred_ego.points)
-    agent_heads = [_headings(t.points) for t in agent_trajs]
-    for k in range(len(pred_ego.points)):
-        ego_rect = rect_corners(pred_ego.points[k], ego_head[k], *ego_footprint)
-        for t, heads, fp in zip(agent_trajs, agent_heads, agent_footprints):
-            if rects_overlap(ego_rect, rect_corners(t.points[k], heads[k], *fp)):
-                return True
-    return False
+    agents = np.stack([t.points for t in agent_trajs])
+    return bool(scene_collisions(pred_ego.points[None], agents, agent_footprints,
+                                 np.zeros(len(agents), dtype=np.intp), ego_footprint)[0])
 
 
 def scene_stats(rec: SceneRecord) -> tuple[float, float]:
@@ -181,21 +201,28 @@ def evaluate(records: list[SceneRecord], model, mode: str = "base",
     scenes = [r for r in _subset_filter(records, subset, rarity_bins) if r.labeled]
     if not scenes:
         raise ValueError(f"no labeled scenes after subset filter {subset!r}")
-    inf = GpInference(model.cb, model.clf, model.gp) if mode == "roca" else None
+    admissible = ego_admissible(model.cb, [r.command for r in scenes])
+    v = frozen(model.base)
+    tokens = encode_t(np.stack([r.ego_obs for r in scenes]), v, model.base.token_scale)
+    if mode == "base":
+        raw, residual = planner_t(tokens, v, model.base.n_code)
+        group = np.argmax(np.where(admissible, raw.data, -np.inf), axis=1)
+        trajs = model.cb.traj_anchors()[group] + residual.data
+    else:
+        trajs = GpInference(model.cb, model.clf, model.gp).predict_rows(
+            tokens.data, admissible)[0]
+    trajs = trajs.reshape(len(scenes), -1, 2)
+    pairs = [(i, t.points, fp) for i, r in enumerate(scenes)
+             for t, fp in zip(r.agent_gt or [], r.agent_footprints)]
+    hits = scene_collisions(
+        trajs, np.array([p for _, p, _ in pairs]).reshape(-1, *trajs.shape[1:]),
+        np.array([fp for _, _, fp in pairs]).reshape(-1, 2),
+        np.array([i for i, _, _ in pairs], dtype=np.intp))
 
     rows = []
     l2s = np.zeros((len(scenes), 4))
-    collisions = 0
-    for i, rec in enumerate(scenes):
-        ego_tok, _ = encode(rec, model.base)
-        if mode == "base":
-            traj, _ = base_plan(ego_tok, Role.ego(rec.command), model.base, model.cb)
-        else:
-            pred, _ = inf.predict_scene(ego_tok.values, [], rec.command)
-            traj = pred.mean
-        overall, a1, a2, a3 = avg_l2(traj, rec.ego_gt)
-        hit = collision(traj, rec.agent_gt or [], rec.agent_footprints)
-        collisions += int(hit)
+    for i, (rec, hit) in enumerate(zip(scenes, hits)):
+        overall, a1, a2, a3 = avg_l2(Trajectory(trajs[i]), rec.ego_gt)
         l2s[i] = (overall, a1, a2, a3)
         rows.append({
             "scene_id": rec.scene_id,
@@ -213,7 +240,7 @@ def evaluate(records: list[SceneRecord], model, mode: str = "base",
         avg_l2_at_1s=float(means[1]),
         avg_l2_at_2s=float(means[2]),
         avg_l2_at_3s=float(means[3]),
-        collision_rate_pct=100.0 * collisions / len(scenes),
+        collision_rate_pct=100.0 * int(hits.sum()) / len(scenes),
         subset=subset,
         mode=mode,
         rows=rows,

@@ -10,8 +10,9 @@ with targets = B for reconstruction and the group's trajectories for
 prediction. A learnable noise variance (one for each of the two heads) is
 added on top; the function variance is identical between heads by
 construction. ``GpInference`` precomputes per-group factors for frozen-model
-hot paths (evaluation, teacher forward, active selection); the free functions
-are the reference implementations.
+hot paths (evaluation, teacher forward, active selection) and evaluates
+token rows in one batch; the free functions are the per-token reference
+implementations.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from . import autodiff, psdlinalg
 from .autodiff import Tensor
@@ -27,6 +29,9 @@ from .core import GpPrediction, Token, Trajectory
 from .psdlinalg import KernelParams
 
 NEG_INF = -np.inf
+# kernel features per GpInference.predict_rows block (2 MiB of float64): the
+# size of the classifier's first weight matrix at the default model sizes
+FEATURE_BLOCK = 1 << 18
 
 
 @dataclass
@@ -77,7 +82,8 @@ class GroupClassifier:
         )
 
     def forward(self, features: np.ndarray) -> np.ndarray:
-        return self.w2 @ np.tanh(self.w1 @ features + self.b1) + self.b2
+        """Logits of a feature vector, or of each row of a feature matrix."""
+        return np.tanh(features @ self.w1.T + self.b1) @ self.w2.T + self.b2
 
 
 @dataclass(frozen=True)
@@ -161,76 +167,85 @@ def predict_scene(ego_token: Token, agent_tokens: list[Token], command,
 
 
 class GpInference:
-    """Frozen-model fast path with per-group factors precomputed once."""
+    """Frozen-model inference over token rows.
+
+    ``__init__`` conditions every group once and stacks the results as
+    (n_code, C, .) arrays: L^-1 of the group's Gram matrix and the solved
+    targets of both heads. A call evaluates all rows with one
+    kernel-feature matrix and one classifier pass, then gathers each row's
+    group slice by id, with no loop over rows. The predictive variance is
+    ``sf2 - ||L^-1 k*||^2``, the cached-solve form of LOVE (Pleiss et al.,
+    2018).
+    """
 
     def __init__(self, cb: Codebook, clf: GroupClassifier, p: GpParams):
         self.cb = cb
         self.clf = clf
         self.p = p
         self.kp = p.kernel_params()
-        self.stacked = cb.stacked_basis()
         self.sf2 = self.kp.outputscale ** 2
-        self._groups = {}
+        self.stacked = cb.stacked_basis()
+        eye = np.eye(cb.group_size)
+        linv, alpha_basis, alpha_traj = [], [], []
         for g in cb.groups:
-            k_bb = psdlinalg.kernel_matrix(g.basis_tokens, g.basis_tokens, self.kp)
-            factor = psdlinalg.cholesky_factor(k_bb)
-            anchor = g.token_anchor
-            self._groups[g.group_id] = dict(
-                factor=factor,
-                anchor_token=anchor,
-                alpha_basis=psdlinalg.solve_with_factor(
-                    factor, g.basis_tokens - anchor[None, :]
-                ),
-                alpha_traj=psdlinalg.solve_with_factor(factor, g.traj_centered),
-                traj_anchor=g.traj_anchor,
-                basis=g.basis_tokens,
-            )
+            factor = psdlinalg.cholesky_factor(
+                psdlinalg.kernel_matrix(g.basis_tokens, g.basis_tokens, self.kp))
+            linv.append(solve_triangular(factor.lower, eye, lower=True))
+            alpha_basis.append(psdlinalg.solve_with_factor(
+                factor, g.basis_tokens - g.token_anchor[None, :]))
+            alpha_traj.append(psdlinalg.solve_with_factor(factor, g.traj_centered))
+        self.linv = np.stack(linv)  # (n_code, C, C)
+        self.alpha_basis = np.stack(alpha_basis)  # (n_code, C, D)
+        self.alpha_traj = np.stack(alpha_traj)  # (n_code, C, 12)
+        self.token_anchors = cb.token_anchors()
+        self.traj_anchors = cb.traj_anchors()
 
-    def kernel_features(self, token: np.ndarray) -> np.ndarray:
-        return psdlinalg.kernel_matrix(token, self.stacked, self.kp)[0]
+    def kernel_features(self, tokens: np.ndarray) -> np.ndarray:
+        """Kernel features (N, n_code * C) of the token rows (N, D)."""
+        return psdlinalg.kernel_matrix(tokens, self.stacked, self.kp)
 
-    def classify(self, token: np.ndarray, role: Role) -> tuple[int, np.ndarray]:
-        logits = _mask_logits(self.clf.forward(self.kernel_features(token)),
-                              admissible_groups(self.cb, role))
-        return int(np.argmax(logits)), logits
+    def _conditioned(self, features: np.ndarray,
+                     group: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's k* (N, C), gathered from its kernel features by group,
+        and its function variance (N,)."""
+        n, c = len(group), self.cb.group_size
+        k_star = features.reshape(n, -1, c)[np.arange(n), group]
+        v = np.matmul(self.linv[group], k_star[:, :, None])[:, :, 0]
+        return k_star, np.maximum(self.sf2 - np.sum(v * v, axis=1), 0.0)
 
-    def _cond(self, token: np.ndarray, gid: int):
-        g = self._groups[gid]
-        k_star = psdlinalg.kernel_matrix(
-            token, g["basis"], self.kp)[0]
-        fn_var = self.sf2 - float(
-            k_star @ psdlinalg.solve_with_factor(g["factor"], k_star))
-        return g, k_star, max(fn_var, 0.0)
-
-    def reconstruct(self, token: np.ndarray, gid: int) -> tuple[np.ndarray, float]:
-        g, k_star, fn_var = self._cond(token, gid)
-        recon = g["anchor_token"] + k_star @ g["alpha_basis"]
+    def reconstruct(self, tokens: np.ndarray,
+                    group: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Posterior mean (N, D) of each token row under its given group, and
+        its scalar variance (N,), noise included."""
+        k_star, fn_var = self._conditioned(self.kernel_features(tokens), group)
+        recon = self.token_anchors[group] + np.einsum(
+            "nc,ncd->nd", k_star, self.alpha_basis[group])
         return recon, fn_var + self.p.noise_var_recon
 
-    def predict(self, token: np.ndarray, gid: int,
-                class_logits: np.ndarray | None = None) -> GpPrediction:
-        g, k_star, fn_var = self._cond(token, gid)
-        mean = g["traj_anchor"] + k_star @ g["alpha_traj"]
-        var = fn_var + self.p.noise_var_traj
-        if class_logits is None:
-            class_logits = np.full(self.cb.n_code, NEG_INF)
-            class_logits[gid] = 0.0
-        return GpPrediction(
-            mean=Trajectory.from_flat(mean),
-            variance=np.full(12, var),
-            scalar_variance=var,
-            group=gid,
-            class_logits=class_logits,
-        )
+    def predict_rows(self, tokens: np.ndarray, admissible: np.ndarray):
+        """Classify every token row and predict within its group.
 
-    def predict_scene(self, ego_token: np.ndarray, agent_tokens, command):
-        gid, logits = self.classify(ego_token, Role.ego(command))
-        ego = self.predict(ego_token, gid, class_logits=logits)
-        agents = []
-        for tok in agent_tokens:
-            ga, la = self.classify(tok, Role.agent())
-            agents.append(self.predict(tok, ga, class_logits=la))
-        return ego, agents
+        ``tokens`` (N, D); ``admissible`` (N, n_code) bool. Returns the mean
+        trajectories (N, 12), the scalar variances (N,) with the noise
+        included, the logits (N, n_code) with -inf outside each row's mask,
+        and the groups (N,): the masked argmax, ties to the lowest id.
+
+        Rows go through in blocks of at most FEATURE_BLOCK kernel features,
+        so a large call allocates no larger buffers than a training step.
+        """
+        rows = max(1, FEATURE_BLOCK // len(self.stacked))
+        blocks = [self._predict_block(tokens[i:i + rows], admissible[i:i + rows])
+                  for i in range(0, len(tokens), rows)]
+        return tuple(np.concatenate(parts) for parts in zip(*blocks))
+
+    def _predict_block(self, tokens: np.ndarray, admissible: np.ndarray):
+        features = self.kernel_features(tokens)
+        logits = np.where(admissible, self.clf.forward(features), NEG_INF)
+        group = np.argmax(logits, axis=1)
+        k_star, fn_var = self._conditioned(features, group)
+        mean = self.traj_anchors[group] + np.einsum(
+            "nc,nck->nk", k_star, self.alpha_traj[group])
+        return mean, fn_var + self.p.noise_var_traj, logits, group
 
 
 class GpGraph:

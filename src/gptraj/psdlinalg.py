@@ -91,15 +91,20 @@ def kernel_matrix(xs, ys, p: KernelParams) -> np.ndarray:
         y = y[None, :]
     if x.shape[1] != y.shape[1]:
         raise ValueError(f"token dimension mismatch: {x.shape[1]} vs {y.shape[1]}")
-    d2 = (
-        np.sum(x * x, axis=1)[:, None]
-        - 2.0 * (x @ y.T)
-        + np.sum(y * y, axis=1)[None, :]
-    )
-    np.maximum(d2, 0.0, out=d2)
+    # one (len(xs), len(ys)) buffer, updated in place: a call over many rows
+    # holds one such array instead of one per arithmetic step
+    k = x @ y.T
+    k *= 2.0
+    np.subtract(np.sum(x * x, axis=1)[:, None], k, out=k)
+    k += np.sum(y * y, axis=1)[None, :]
+    np.maximum(k, 0.0, out=k)  # squared distances
     ell = p.lengthscale
     sf2 = p.outputscale ** 2
-    return sf2 * np.exp(-d2 / (2.0 * ell * ell))
+    np.negative(k, out=k)
+    k /= 2.0 * ell * ell
+    np.exp(k, out=k)
+    k *= sf2
+    return k
 
 
 def cholesky_factor(a: np.ndarray) -> CholeskyFactor:

@@ -8,9 +8,10 @@ teacher regularization.
 
 Every optimizer step builds one tape over the batch's rows: the ego rows of
 its scenes, then their agent rows, each block in ascending scene order (see
-``SceneTable``). Base-model stages encode and plan all rows in one pass;
-stage 2 conditions the GP token by token, then evaluates its losses once
-over the rows. Labels, anchor tables and triplet classes are computed once
+``SceneTable``). Base-model stages encode and plan all rows in one pass and
+take the frozen teacher's prediction of all rows in one call; stage 2
+conditions the GP token by token, then evaluates its losses once over the
+rows. Labels, anchor tables and triplet classes are computed once
 per training call.
 
 Determinism contract: identical (config, seed, dataset) produce
@@ -35,10 +36,10 @@ import numpy as np
 
 from . import autodiff, basemodel, losses
 from .autodiff import Tensor
-from .basemodel import BaseModelParams, encode, encode_t, planner_t
-from .codebook import (BuildError, Codebook, Role, admissible_mask,
+from .basemodel import PARAM_NAMES, BaseModelParams, encode_t, frozen, planner_t
+from .codebook import (BuildError, Codebook, Role, admissible_mask, ego_admissible,
                        init_basis_tokens, nearest_group, sample_and_cluster)
-from .core import COMMANDS, SceneRecord, rng_for
+from .core import SceneRecord, rng_for
 from .gpmodule import GpGraph, GpInference, GpParams, GroupClassifier
 from .losses import (LossBreakdown, StudentRows, SupRows, TeacherRows,
                      cross_entropy, loss_gp_teacher, loss_rec, loss_sup,
@@ -149,10 +150,8 @@ class Adam:
 
 def base_param_tensors(model: Model) -> dict[str, Tensor]:
     b = model.base
-    names = ("enc_w1", "enc_b1", "enc_w2", "enc_b2",
-             "pln_w1", "pln_b1", "pln_w2", "pln_b2")
     out = {}
-    for n in names:
+    for n in PARAM_NAMES:
         arr = np.ascontiguousarray(getattr(b, n), dtype=np.float64)
         setattr(b, n, arr)  # tensors alias the model arrays
         t = Tensor(arr)
@@ -180,6 +179,15 @@ def gp_param_tensors(model: Model) -> dict[str, Tensor]:
         t.requires_grad = True
         out[f"cb.group{grp.group_id:03d}.basis"] = t
     return out
+
+
+def gp_graph(cb: Codebook, params: dict[str, Tensor]) -> GpGraph:
+    """One step's differentiable GP module over the ``gp_param_tensors``."""
+    return GpGraph(
+        cb, [params[f"cb.group{g.group_id:03d}.basis"] for g in cb.groups],
+        {n: params[f"clf.{n}"] for n in ("w1", "b1", "w2", "b2")},
+        params["gp.log_lengthscale"], params["gp.log_outputscale"],
+        params["gp.log_noise_recon"], params["gp.log_noise_traj"])
 
 
 def _sync_gp_scalars(model: Model, params: dict[str, Tensor]) -> None:
@@ -210,7 +218,6 @@ class Batch:
     rows: np.ndarray
     n_ego: int
     agent_bounds: np.ndarray
-    commands: list
     obs: np.ndarray  # (N, obs_dim)
     admissible: np.ndarray  # (N, n_code) bool
     gt: np.ndarray | None  # (N, 12)
@@ -239,9 +246,9 @@ class SceneTable:
         self.agent_start = len(records) + np.concatenate([[0], np.cumsum(counts)])
         self.obs = np.stack([r.ego_obs for r in records]
                             + [a for r in records for a in r.agent_obs])
-        ego_masks = {c: admissible_mask(cb, Role.ego(c)) for c in COMMANDS}
-        self.admissible = np.stack([ego_masks[r.command] for r in records]
-                                   + [admissible_mask(cb, Role.agent())] * sum(counts))
+        self.admissible = np.concatenate([
+            ego_admissible(cb, [r.command for r in records]),
+            np.tile(admissible_mask(cb, Role.agent()), (sum(counts), 1))])
         self.gt = self.labels = None
         if labeled:
             for r in records:
@@ -264,7 +271,6 @@ class SceneTable:
         bounds = len(scenes) + np.concatenate([[0], np.cumsum([len(a) for a in agents])])
         return Batch(
             rows=rows, n_ego=len(scenes), agent_bounds=bounds,
-            commands=[self.records[i].command for i in scenes],
             obs=self.obs[rows], admissible=self.admissible[rows],
             gt=None if self.gt is None else self.gt[rows],
             labels=None if self.labels is None else self.labels[rows])
@@ -309,21 +315,8 @@ def base_supervised_loss(batch: Batch, student: StudentRows) -> dict[str, Tensor
 
 def _teacher_rows(teacher: GpInference, batch: Batch, tokens: np.ndarray,
                  tables: StageTables) -> TeacherRows:
-    """The frozen GP module's prediction for every row, scene by scene."""
-    n = len(tokens)
-    mean = np.empty((n, 12))
-    variance = np.empty(n)
-    logits = np.empty((n, len(tables.traj_anchors)))
-    label = np.empty(n, dtype=np.intp)
-    for j, command in enumerate(batch.commands):
-        agents = range(batch.agent_bounds[j], batch.agent_bounds[j + 1])
-        ego, preds = teacher.predict_scene(tokens[j], [tokens[r] for r in agents],
-                                           command)
-        for r, pred in zip([j, *agents], [ego, *preds]):
-            mean[r] = pred.mean.flat
-            variance[r] = pred.scalar_variance
-            logits[r] = pred.class_logits
-            label[r] = pred.group
+    """The frozen GP module's prediction for every row, in one call."""
+    mean, variance, logits, label = teacher.predict_rows(tokens, batch.admissible)
     return TeacherRows(mean=mean, variance=variance, logits=logits, label=label,
                        positives=tables.positives[label],
                        negatives=tables.negatives[label])
@@ -494,18 +487,11 @@ def stage2_fit_gp(records, ckpt: "Checkpoint", cfg: TrainConfig,
     table = SceneTable(labeled, model.cb, labeled=True)
     tables = StageTables.of(model.cb)
     # frozen encoder: tokens are fixed targets, computed once, in row layout
-    encoded = [encode(r, model.base) for r in labeled]
-    tokens = np.stack([ego.values for ego, _ in encoded]
-                      + [a.values for _, agents in encoded for a in agents])
+    tokens = encode_t(table.obs, frozen(model.base), model.base.token_scale).data
 
     def loss_fn(batch: Batch) -> LossBreakdown:
-        graph = GpGraph(
-            model.cb,
-            [params[f"cb.group{g.group_id:03d}.basis"] for g in model.cb.groups],
-            {n: params[f"clf.{n}"] for n in ("w1", "b1", "w2", "b2")},
-            params["gp.log_lengthscale"], params["gp.log_outputscale"],
-            params["gp.log_noise_recon"], params["gp.log_noise_traj"])
-        return gp_stage_loss(batch, graph, tokens[batch.rows], tables, cfg)
+        return gp_stage_loss(batch, gp_graph(model.cb, params), tokens[batch.rows],
+                             tables, cfg)
 
     _run_epochs(table, cfg, params, loss_fn, epochs=cfg.epochs_stage2,
                 lr=cfg.lr_stage12, stage="stage2", log_path=log_path,
@@ -565,10 +551,8 @@ class Checkpoint:
 
     def named_tensors(self) -> dict[str, np.ndarray]:
         out: dict[str, np.ndarray] = {}
-        b = self.model.base
-        for n in ("enc_w1", "enc_b1", "enc_w2", "enc_b2",
-                  "pln_w1", "pln_b1", "pln_w2", "pln_b2"):
-            out[f"base.{n}"] = getattr(b, n)
+        for n in PARAM_NAMES:
+            out[f"base.{n}"] = getattr(self.model.base, n)
         for n in ("w1", "b1", "w2", "b2"):
             out[f"clf.{n}"] = getattr(self.model.clf, n)
         for n in ("log_lengthscale", "log_outputscale", "log_noise_recon",

@@ -2,8 +2,9 @@
 
 These deliberately avoid the library's own linear algebra and geometry: plain
 loops, Gauss-Jordan elimination, Jacobi eigenvalues, quadrature integration,
-dense point sampling and central finite differences. They exist to
-cross-check the production paths and must stay independent of them.
+dense point sampling, a scalar separating-axis loop, one-row numpy forms of
+the base model and central finite differences. They exist to cross-check the
+production paths and must stay independent of them.
 """
 
 from __future__ import annotations
@@ -12,6 +13,10 @@ import math
 
 import numpy as np
 from scipy.integrate import quad
+
+from gptraj.basemodel import RESIDUAL_BOUND
+from gptraj.codebook import admissible_groups
+from gptraj.core import Token, Trajectory
 
 
 def gauss_jordan_inverse(a: np.ndarray) -> np.ndarray:
@@ -161,3 +166,99 @@ def finite_difference(loss_fn, arrays: dict, h: float = 1e-5,
             gflat[i] = (up - down) / (2 * h)
         out[name] = g
     return out
+
+
+# --- separating-axis collision, one pair and one step at a time -------------
+
+
+def _heading_ref(points, i: int) -> tuple[float, float]:
+    lo, hi = max(i - 1, 0), min(i + 1, len(points) - 1)
+    dx = float(points[hi][0] - points[lo][0])
+    dy = float(points[hi][1] - points[lo][1])
+    norm = math.hypot(dx, dy)
+    return (dx / norm, dy / norm) if norm > 1e-9 else (1.0, 0.0)
+
+
+def _corners_ref(center, heading, length: float, width: float) -> list:
+    cx, cy = float(center[0]), float(center[1])
+    fx, fy = heading[0] * (length / 2.0), heading[1] * (length / 2.0)
+    lx, ly = -heading[1] * (width / 2.0), heading[0] * (width / 2.0)
+    return [(cx + fx + lx, cy + fy + ly), (cx - fx + lx, cy - fy + ly),
+            (cx - fx - lx, cy - fy - ly), (cx + fx - lx, cy + fy - ly)]
+
+
+def _sat_overlap_ref(a: list, b: list) -> bool:
+    margin = math.inf
+    for rect in (a, b):
+        for i in range(2):
+            ex = rect[i + 1][0] - rect[i][0]
+            ey = rect[i + 1][1] - rect[i][1]
+            norm = math.hypot(-ey, ex)
+            ax, ay = -ey / norm, ex / norm
+            pa = [x * ax + y * ay for x, y in a]
+            pb = [x * ax + y * ay for x, y in b]
+            margin = min(margin, min(max(pa), max(pb)) - max(min(pa), min(pb)))
+    return margin > 0.0
+
+
+def collision_reference(ego: Trajectory, agent_trajs: list, agent_footprints: list,
+                        ego_footprint=(4.0, 1.8)) -> bool:
+    """Ego/agent rectangle overlap at any common step, by a scalar SAT loop
+    over every pair and step."""
+    for traj, (length, width) in zip(agent_trajs, agent_footprints):
+        for k in range(len(ego.points)):
+            if _sat_overlap_ref(
+                    _corners_ref(ego.points[k], _heading_ref(ego.points, k),
+                                 *ego_footprint),
+                    _corners_ref(traj.points[k], _heading_ref(traj.points, k),
+                                 length, width)):
+                return True
+    return False
+
+
+# --- the base model, one numpy row at a time -----------------------------------
+
+
+def _encode_vec(obs: np.ndarray, p) -> np.ndarray:
+    h = np.tanh(p.enc_w1 @ obs + p.enc_b1)
+    raw = p.enc_w2 @ h + p.enc_b2
+    return p.token_scale * raw / np.sqrt(raw @ raw + 1e-12)
+
+
+def encode(scene, p) -> tuple[Token, list[Token]]:
+    """Ego and agent tokens of one scene; agents in input order."""
+    if scene.ego_obs.shape[0] != p.enc_w1.shape[1]:
+        raise ValueError(
+            f"observation length {scene.ego_obs.shape[0]} != encoder input "
+            f"{p.enc_w1.shape[1]}")
+    return (Token(_encode_vec(scene.ego_obs, p)),
+            [Token(_encode_vec(a, p)) for a in scene.agent_obs])
+
+
+def _planner_raw(token: np.ndarray, p) -> tuple[np.ndarray, np.ndarray]:
+    h = np.tanh(p.pln_w1 @ token + p.pln_b1)
+    out = p.pln_w2 @ h + p.pln_b2
+    return out[: p.n_code], RESIDUAL_BOUND * np.tanh(out[p.n_code:])
+
+
+def plan(token: Token, role, p, cb) -> tuple[Trajectory, np.ndarray]:
+    """Anchor-plus-residual trajectory for the argmax admissible group."""
+    raw_logits, residual = _planner_raw(token.values, p)
+    logits = np.full_like(raw_logits, -np.inf)
+    ids = admissible_groups(cb, role)
+    logits[ids] = raw_logits[ids]
+    group = int(np.argmax(logits))
+    return Trajectory.from_flat(cb.group(group).traj_anchor + residual), logits
+
+
+def plan_with_group(token: Token, group: int, p, cb) -> Trajectory:
+    """Trajectory for an externally chosen group."""
+    _, residual = _planner_raw(token.values, p)
+    return Trajectory.from_flat(cb.group(group).traj_anchor + residual)
+
+
+def masked_softmax(logits: np.ndarray) -> np.ndarray:
+    """Softmax where -inf entries get exactly zero probability."""
+    m = np.max(logits[np.isfinite(logits)])
+    z = np.where(np.isfinite(logits), np.exp(logits - m), 0.0)
+    return z / z.sum()

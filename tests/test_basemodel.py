@@ -7,11 +7,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from gptraj.basemodel import (BaseModelParams, RESIDUAL_BOUND, encode,
-                              encode_t, masked_softmax, plan, plan_with_group,
+from gptraj.basemodel import (BaseModelParams, RESIDUAL_BOUND, encode_t, frozen,
                               planner_t)
 from gptraj.codebook import Role, admissible_groups
 from gptraj.core import Command, SceneRecord, Token, Trajectory, rng_for
+
+from oracles import encode, masked_softmax, plan, plan_with_group
 
 
 def make_params(obs_dim=16, token_dim=8, n_code=23, seed=0) -> BaseModelParams:
@@ -25,35 +26,39 @@ def scene_with(obs, domain="a") -> SceneRecord:
                        ego_gt=None, agent_gt=None, agent_footprints=[(4.5, 2.0)])
 
 
+def tokens_of(obs_rows, p: BaseModelParams) -> np.ndarray:
+    return encode_t(np.atleast_2d(obs_rows), frozen(p), p.token_scale).data
+
+
 def test_zero_observation_zero_weights_zero_token():
     p = make_params()
     for name in ("enc_w1", "enc_b1", "enc_w2", "enc_b2"):
         setattr(p, name, np.zeros_like(getattr(p, name)))
-    ego, agents = encode(scene_with(np.zeros(16)), p)
-    assert np.array_equal(ego.values, np.zeros(8))
-    assert np.array_equal(agents[0].values, np.zeros(8))
+    assert np.array_equal(tokens_of(np.zeros((2, 16)), p), np.zeros((2, 8)))
 
 
 def test_encode_deterministic_and_metadata_free():
     p = make_params(seed=3)
     obs = rng_for(1, "obs").normal(size=16)
-    a1 = encode(scene_with(obs, "city_a"), p)
-    a2 = encode(scene_with(obs, "city_b"), p)
-    assert np.array_equal(a1[0].values, a2[0].values)
-    assert np.array_equal(a1[1][0].values, a2[1][0].values)
+    rows = np.stack([obs, obs * 0.5])
+    assert np.array_equal(tokens_of(rows, p), tokens_of(rows, p))
+    # a row's token does not depend on the other rows of the call, up to the
+    # rounding of the matrix product
+    assert np.allclose(tokens_of(rows, p)[1], tokens_of(rows[1], p)[0],
+                       rtol=0, atol=1e-14)
 
 
 def test_encode_rejects_wrong_obs_length():
     p = make_params()
     with pytest.raises(ValueError, match="observation length"):
-        encode(scene_with(np.zeros(9)), p)
+        tokens_of(np.zeros(9), p)
 
 
 def test_tokens_have_fixed_scale():
     p = make_params()
-    obs = rng_for(2, "obs").normal(size=16)
-    ego, _ = encode(scene_with(obs), p)
-    assert np.linalg.norm(ego.values) == pytest.approx(p.token_scale, rel=1e-6)
+    obs = rng_for(2, "obs").normal(size=(3, 16))
+    assert np.allclose(np.linalg.norm(tokens_of(obs, p), axis=1), p.token_scale,
+                       rtol=1e-6)
 
 
 def test_plan_zero_residual_returns_anchor(tiny_model):

@@ -1,0 +1,94 @@
+"""Config resolution: defaults, and one-line ConfigErrors naming the key path."""
+
+from __future__ import annotations
+
+import copy
+import json
+
+import pytest
+
+from gptraj import config
+from gptraj.config import DEFAULT_CONFIG, ConfigError
+
+
+def domain(**changes) -> dict:
+    d = copy.deepcopy(DEFAULT_CONFIG["domains"]["source_city"])
+    d.update(changes)
+    return d
+
+
+def test_defaults_resolve():
+    cfg = config.resolve({})
+    assert cfg.model.token_dim == DEFAULT_CONFIG["model"]["token_dim"]
+    assert cfg.domain("target_city").speed_prior == (2.0, 9.0)
+    assert cfg.train.sigma_clamp == (1e-3, 1e3)
+
+
+@pytest.mark.parametrize("user,path", [
+    ({"domains": {"city": {"obs_noise_std": 0.1}}}, "domains.city missing keys"),
+    ({"domains": {"city": domain(curvature_prior={
+        "turn_left": [0.05, 0.01, 0.3], "go_straight": [0.0, 0.004],
+        "turn_right": [-0.05, 0.015]})}}, "domains.city.curvature_prior.turn_left"),
+    ({"domains": {"city": domain(speed_prior=5.0)}}, "domains.city.speed_prior"),
+    ({"domains": {"city": domain(speed_prior=[3.0, "fast"])}},
+     r"domains.city.speed_prior\[1\]"),
+    ({"domains": {"city": domain(speed_prior=[0.5, 9.0])}}, "domains.city: speed range"),
+    ({"domains": {"city": domain(obs_transform={"kind": "warp"})}},
+     "domains.city.obs_transform"),
+    ({"domains": {"city": domain(obs_noise_std="low")}}, "domains.city.obs_noise_std"),
+    ({"domains": {"city": domain(curvature_prior={"turn_left": [0.05, 0.01]})}},
+     "domains.city.curvature_prior missing"),
+    ({"model": {"token_dim": "x"}}, "model.token_dim"),
+    ({"model": {"token_dim": 32.5}}, "model.token_dim"),
+    ({"model": {"token_scale": "big"}}, "model.token_scale"),
+    ({"codebook": {"group_size": True}}, "codebook.group_size"),
+    ({"model": 3}, "model must be an object"),
+    ({"train": {"batch_size": 0}}, "train: batch_size"),
+    ({"train": {"epochs_stage1": "x"}}, "train: "),
+    ({"train": {"sigma_clamp": 1.0}}, "train.sigma_clamp"),
+])
+def test_malformed_values_name_their_key_path(user, path):
+    with pytest.raises(ConfigError, match=path):
+        config.resolve(user)
+
+
+@pytest.mark.parametrize("user,path", [
+    ({"extra": 1}, "<root>"),
+    ({"model": {"depth": 3}}, "model"),
+    ({"codebook": {"size": 3}}, "codebook"),
+    ({"train": {"momentum": 0.9}}, "train"),
+    ({"data": {"n_test": 3}}, "data"),
+    ({"eval": {"bins": {}}}, "eval"),
+    ({"eval": {"rarity_bins": {"slow": {"max_speeed": 3.0}}}}, "eval.rarity_bins.slow"),
+    ({"domains": {"city": domain(blur=0.3)}}, "domains.city"),
+    ({"domains": {"city": domain(obs_transform={"kind": "identity", "scale": 2})}},
+     "domains.city.obs_transform"),
+    ({"domains": {"city": domain(curvature_prior={
+        "turn_left": [0.05, 0.01], "go_straight": [0.0, 0.004],
+        "turn_right": [-0.05, 0.015], "u_turn": [0.2, 0.01]})}},
+     "domains.city.curvature_prior"),
+])
+def test_unknown_keys_rejected_at_each_level(user, path):
+    with pytest.raises(ConfigError, match=f"unknown config keys at {path}: "):
+        config.resolve(user)
+
+
+def test_unknown_loss_weight_rejected():
+    with pytest.raises(ConfigError, match=r"unknown loss weight names: \['recon_egoo'\]"):
+        config.resolve({"train": {"loss_weights": {"recon_egoo": 1.0}}})
+
+
+def test_load_rejects_invalid_json_and_non_object_root(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"seed": 1,')
+    with pytest.raises(ConfigError, match="invalid JSON"):
+        config.load(bad)
+    listed = tmp_path / "list.json"
+    listed.write_text(json.dumps([1, 2]))
+    with pytest.raises(ConfigError, match="config root must be an object"):
+        config.load(listed)
+
+
+def test_unknown_domain_rejected():
+    with pytest.raises(ConfigError, match="unknown domain 'nowhere'"):
+        config.resolve({}).domain("nowhere")

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from gptraj import autodiff
+from gptraj import autodiff, gpmodule
 from gptraj.autodiff import Tensor
 from gptraj.codebook import (Role, admissible_groups, admissible_mask,
                              init_basis_tokens, sample_and_cluster)
@@ -171,21 +171,43 @@ def test_forced_group_reproduces_basis_trajectory_end_to_end(small_cb, small_clf
 def test_inference_cache_matches_free_functions(small_cb, small_clf):
     p = GpParams(log_lengthscale=0.1, log_noise_recon=np.log(0.03))
     inf = GpInference(small_cb, small_clf, p)
-    rng = np.random.default_rng(12)
-    for _ in range(10):
-        tok = Token(rng.normal(size=6))
-        gid, logits = classify(tok, Role.agent(), small_cb, small_clf, p)
-        gid2, logits2 = inf.classify(tok.values, Role.agent())
-        assert gid == gid2
-        assert np.allclose(logits[np.isfinite(logits)],
-                           logits2[np.isfinite(logits2)])
-        r = reconstruct(tok, gid, small_cb, p)
-        r2, var2 = inf.reconstruct(tok.values, gid)
+    toks = np.random.default_rng(12).normal(size=(10, 6))
+    groups = np.array([classify(Token(t), Role.agent(), small_cb, small_clf, p)[0]
+                       for t in toks])
+    recon, var = inf.reconstruct(toks, groups)
+    for tok, gid, r2, var2 in zip(toks, groups, recon, var):
+        r = reconstruct(Token(tok), gid, small_cb, p)
         assert np.allclose(r.recon.values, r2, atol=1e-12)
         assert r.variance == pytest.approx(var2, abs=1e-12)
-        pred = predict_trajectory(tok, gid, small_cb, p)
-        pred2 = inf.predict(tok.values, gid)
-        assert np.allclose(pred.mean.flat, pred2.mean.flat, atol=1e-12)
+
+
+def mixed_rows(cb, n_per_role: int, rng):
+    """Token rows and admissible masks of ego rows under every command, then
+    agent rows; the roles with them."""
+    roles = [Role.ego(c) for c in COMMANDS for _ in range(n_per_role)]
+    roles += [Role.agent()] * n_per_role
+    tokens = rng.normal(scale=1.5, size=(len(roles), cb.token_dim))
+    return tokens, np.stack([admissible_mask(cb, r) for r in roles]), roles
+
+
+def test_predict_rows_matches_per_token_reference(small_cb, small_clf, monkeypatch):
+    p = GpParams(log_lengthscale=0.1, log_outputscale=0.05,
+                 log_noise_traj=np.log(0.07))
+    tokens, admissible, roles = mixed_rows(small_cb, 6, np.random.default_rng(21))
+    # blocks of 5 rows, the last one short
+    monkeypatch.setattr(gpmodule, "FEATURE_BLOCK", 5 * small_cb.n_code * small_cb.group_size)
+    mean, var, logits, groups = GpInference(small_cb, small_clf, p).predict_rows(
+        tokens, admissible)
+    assert mean.shape == (len(tokens), 12) and var.shape == (len(tokens),)
+    for i, (tok, role) in enumerate(zip(tokens, roles)):
+        gid, want_logits = classify(Token(tok), role, small_cb, small_clf, p)
+        assert groups[i] == gid
+        assert np.array_equal(np.isneginf(logits[i]), np.isneginf(want_logits))
+        assert np.allclose(logits[i][admissible[i]], want_logits[admissible[i]],
+                           rtol=0, atol=1e-12)
+        want = predict_trajectory(Token(tok), gid, small_cb, p)
+        assert np.allclose(mean[i], want.mean.flat, rtol=0, atol=1e-12)
+        assert var[i] == pytest.approx(want.scalar_variance, rel=0, abs=1e-12)
 
 
 def test_graph_path_matches_inference_path(small_cb, small_clf):
@@ -203,18 +225,20 @@ def test_graph_path_matches_inference_path(small_cb, small_clf):
     tok = rng.normal(size=6)
     feats = graph.kernel_features(Tensor(tok))
     inf = GpInference(small_cb, small_clf, p)
-    assert np.allclose(feats.data, inf.kernel_features(tok), atol=1e-12)
+    inf_feats = inf.kernel_features(tok[None])[0]
+    assert np.allclose(feats.data, inf_feats, atol=1e-12)
     logits = graph.classifier_logits(feats)
-    assert np.allclose(logits.data, small_clf.forward(inf.kernel_features(tok)),
-                       atol=1e-12)
+    assert np.allclose(logits.data, small_clf.forward(inf_feats), atol=1e-12)
     recon, var = graph.reconstruct(Tensor(tok), 3)
-    r2, v2 = inf.reconstruct(tok, 3)
-    assert np.allclose(recon.data, r2, atol=1e-10)
-    assert float(var.data) == pytest.approx(v2, abs=1e-10)
+    r2, v2 = inf.reconstruct(tok[None], np.array([3]))
+    assert np.allclose(recon.data, r2[0], atol=1e-10)
+    assert float(var.data) == pytest.approx(v2[0], abs=1e-10)
     mean, var_t = graph.predict_trajectory(Tensor(tok), 3)
-    pred = inf.predict(tok, 3)
-    assert np.allclose(mean.data, pred.mean.flat, atol=1e-10)
-    assert float(var_t.data) == pytest.approx(pred.scalar_variance, abs=1e-10)
+    only3 = np.arange(small_cb.n_code)[None, :] == 3  # forces group 3
+    mean2, var2, _, groups = inf.predict_rows(tok[None], only3)
+    assert groups.tolist() == [3]
+    assert np.allclose(mean.data, mean2[0], atol=1e-10)
+    assert float(var_t.data) == pytest.approx(var2[0], abs=1e-10)
 
 
 def test_classifier_learns_two_separated_modes(small_cb):
@@ -237,7 +261,7 @@ def test_classifier_learns_two_separated_modes(small_cb):
         for _ in range(8):
             label = ids[int(rng.integers(2))]
             tok = centers[label] + rng.normal(scale=0.3, size=6)
-            feats = Tensor(inf.kernel_features(tok))
+            feats = Tensor(inf.kernel_features(tok[None])[0])
             h = autodiff.tanh(autodiff.add(autodiff.matmul(w["w1"], feats), w["b1"]))
             logits = autodiff.add(autodiff.matmul(w["w2"], h), w["b2"])
             ce = cross_entropy(autodiff.reshape(logits, (1, -1)), adm, [label])

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from gptraj import synthdomain
 from gptraj.core import Command, load_dataset, rng_for, validate_record
 from gptraj.evalmetrics import collision
 from gptraj.synthdomain import (AGENT_FOOTPRINT, arc_points,
@@ -12,7 +13,7 @@ from gptraj.synthdomain import (AGENT_FOOTPRINT, arc_points,
                                 strip_labels)
 
 from conftest import TINY_OBS_DIM, tiny_domain
-from oracles import arc_position_quadrature
+from oracles import arc_position_quadrature, collision_reference
 
 
 def test_straight_line_kinematics():
@@ -92,6 +93,16 @@ def test_gt_collision_free_invariant():
     records = gen_dataset(tiny_domain(), 150, seed=8, obs_dim=TINY_OBS_DIM)
     for rec in records:
         assert not collision(rec.ego_gt, rec.agent_gt, rec.agent_footprints)
+
+
+def test_records_unchanged_under_reference_collision(monkeypatch):
+    # the generator's rejection sampling decides with the batched SAT pass;
+    # the scalar reference loop must yield the same records, byte for byte
+    domain = tiny_domain(speed=(1.0, 12.0))
+    got = gen_dataset(domain, 120, seed=4, obs_dim=TINY_OBS_DIM)
+    monkeypatch.setattr(synthdomain, "collision", collision_reference)
+    want = gen_dataset(domain, 120, seed=4, obs_dim=TINY_OBS_DIM)
+    assert [r.to_json_dict() for r in got] == [r.to_json_dict() for r in want]
 
 
 def test_agent_metadata_consistent():

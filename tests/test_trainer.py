@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 
 from gptraj import autodiff, psdlinalg, trainer
-from gptraj.adapt import adapt_supervised, adapt_unsupervised
+from gptraj.adapt import active_select, adapt_supervised, adapt_unsupervised
+from gptraj.basemodel import encode_t, frozen
 from gptraj.codebook import BuildError, Role, admissible_groups
 from gptraj.core import Trajectory, traj_distance
 from gptraj.evalmetrics import evaluate
-from gptraj.gpmodule import GpInference
+from gptraj.gpmodule import GpInference, classify, predict_trajectory
 from gptraj.psdlinalg import NotPSD
 from gptraj.synthdomain import gen_dataset, strip_labels
 from gptraj.trainer import (Checkpoint, SceneTable, StageTables, TrainingError,
@@ -21,7 +22,7 @@ from gptraj.trainer import (Checkpoint, SceneTable, StageTables, TrainingError,
                             stage1_pretrain, stage2_fit_gp, stage3_finetune)
 
 from conftest import TINY_OBS_DIM, tiny_config, tiny_domain, tiny_spec
-from oracles import finite_difference
+from oracles import encode, finite_difference
 
 CFG = tiny_config(epochs_stage1=2, epochs_stage2=1, epochs_stage3=1, adapt_epochs=1)
 
@@ -155,20 +156,17 @@ def test_scene_labels_match_per_scene_loop(tiny_dataset, tiny_model):
 
 
 class ReplayTeacher:
-    """Teacher whose predictions are recorded once and then replayed, so that
+    """Teacher whose row predictions are recorded once and then replayed, so that
     finite differences see the teacher as the constant the gradient treats it as."""
 
     def __init__(self, teacher: GpInference):
         self.teacher = teacher
-        self.recorded = []
-        self.calls = 0
+        self.recorded = None
 
-    def predict_scene(self, *args):
-        if self.calls == len(self.recorded):
-            self.recorded.append(self.teacher.predict_scene(*args))
-        out = self.recorded[self.calls]
-        self.calls += 1
-        return out
+    def predict_rows(self, tokens, admissible):
+        if self.recorded is None:
+            self.recorded = self.teacher.predict_rows(tokens, admissible)
+        return self.recorded
 
 
 @pytest.fixture(scope="module")
@@ -187,8 +185,6 @@ def step_loss_setup(fitted, records, use_gt: bool, use_teacher: bool):
     tables = StageTables.of(model.cb)
 
     def loss():
-        if teacher is not None:
-            teacher.calls = 0
         return finetune_scene_loss(batch, bvars, model, teacher, CFG, tables)
 
     return bvars, loss
@@ -230,3 +226,48 @@ def test_unsupervised_without_teacher_rejected(fitted, tiny_dataset):
     cfg = dataclasses.replace(CFG, gp_weight=0.0)
     with pytest.raises(TrainingError, match="no loss"):
         adapt_unsupervised(strip_labels(tiny_dataset[:8]), fitted, cfg)
+
+
+def test_gp_stage_loss_gradients_match_finite_differences(fitted, tiny_dataset):
+    model = fitted.model.clone()
+    params = trainer.gp_param_tensors(model)
+    table = SceneTable(tiny_dataset[:4], model.cb, labeled=True)
+    batch = table.batch(np.arange(4))
+    tokens = encode_t(table.obs, frozen(model.base), model.base.token_scale).data
+    tables = StageTables.of(model.cb)
+
+    def loss():
+        return trainer.gp_stage_loss(batch, trainer.gp_graph(model.cb, params),
+                                     tokens, tables, CFG).total
+
+    grads = autodiff.grad(loss(), params)
+    rng = np.random.default_rng(1)
+    entries = {name: rng.choice(p.data.size, size=min(3, p.data.size), replace=False)
+               for name, p in params.items()}
+    # the summed step loss is O(1e3): at h = 1e-5 central differences carry
+    # about 1e-7 of rounding and truncation error, and move no row's group
+    fd = finite_difference(lambda: loss().item(),
+                           {name: p.data for name, p in params.items()},
+                           h=1e-5, entries=entries)
+    families = {name.split(".")[0] if name.startswith("cb.") else name for name in params}
+    assert families == {"cb", "clf.w1", "clf.b1", "clf.w2", "clf.b2", "gp.log_lengthscale",
+                        "gp.log_outputscale", "gp.log_noise_recon", "gp.log_noise_traj"}
+    for name, idx in entries.items():
+        got, want = grads[name].reshape(-1)[idx], fd[name].reshape(-1)[idx]
+        assert np.allclose(got, want, rtol=1e-5, atol=1e-6), name
+
+
+def test_active_select_ranking_matches_per_scene_reference(fitted, target_dataset):
+    records = strip_labels(target_dataset)
+    rep = active_select(records, fitted, budget=0.5)
+    model = fitted.model
+    want = []
+    for r in records:
+        ego, _ = encode(r, model.base)
+        gid, _ = classify(ego, Role.ego(r.command), model.cb, model.clf, model.gp)
+        want.append((r.scene_id,
+                     predict_trajectory(ego, gid, model.cb, model.gp).scalar_variance))
+    want.sort(key=lambda t: (-t[1], t[0]))
+    assert [sid for sid, _ in rep.rows] == [sid for sid, _ in want]
+    assert np.allclose([v for _, v in rep.rows], [v for _, v in want], rtol=0, atol=1e-12)
+    assert rep.selected == [sid for sid, _ in want[:len(records) // 2]]
