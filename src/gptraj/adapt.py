@@ -17,8 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .basemodel import encode_t, frozen
-from .codebook import ego_admissible
+from .basemodel import encode
 from .core import SceneRecord, rng_for
 from .gpmodule import GpInference
 from .synthdomain import strip_labels
@@ -89,10 +88,9 @@ def active_select(records: list[SceneRecord], ckpt: Checkpoint, budget: float,
         raise ValueError(f"unknown strategy {strategy!r}")
 
     model = ckpt.model
-    tokens = encode_t(np.stack([r.ego_obs for r in records]), frozen(model.base),
-                      model.base.token_scale)
-    _, variance, _, _ = GpInference(model.cb, model.clf, model.gp).predict_rows(
-        tokens.data, ego_admissible(model.cb, [r.command for r in records]))
+    tokens = encode(np.stack([r.ego_obs for r in records]), model.base)
+    _, variance, _, _ = GpInference(model.cb, model.clf, model.gp).predict_scene(
+        tokens, [r.command for r in records])
     scored = [(r.scene_id, v) for r, v in zip(records, variance.tolist())]
     scored.sort(key=lambda t: (-t[1], t[0]))
 

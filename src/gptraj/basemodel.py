@@ -6,7 +6,8 @@ two-layer planner head maps a token to classification logits over all
 codebook groups plus a squashed waypoint residual. The planned trajectory is
 the selected group's anchor trajectory plus the residual; role only enters
 through the admissibility mask. Both run over row matrices; training passes
-parameter tensors, inference the constants of ``frozen``.
+parameter tensors to ``encode_t``/``planner_t``, and inference calls
+``encode``/``plan``, which run them over the constants of ``frozen``.
 """
 
 from __future__ import annotations
@@ -96,3 +97,22 @@ def planner_t(tokens: Tensor, v: dict[str, Tensor],
         autodiff.tanh(autodiff.narrow(out, n_code, n_code + 12, axis=1)),
         RESIDUAL_BOUND)
     return logits, residual
+
+
+# --- frozen-model inference --------------------------------------------------
+
+
+def encode(obs: np.ndarray, p: BaseModelParams) -> np.ndarray:
+    """Tokens (N, token_dim) of the observation rows ``obs`` (N, obs_dim)."""
+    return encode_t(obs, frozen(p), p.token_scale).data
+
+
+def plan(tokens: np.ndarray, admissible: np.ndarray, p: BaseModelParams,
+         traj_anchors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Planned trajectories (N, 12) of the token rows (N, token_dim) and their
+    groups (N,): the anchor of each row's argmax admissible group (ties to the
+    lowest id) plus the row's residual. ``admissible`` is (N, n_code) bool and
+    ``traj_anchors`` (n_code, 12)."""
+    raw, residual = planner_t(Tensor(tokens), frozen(p), p.n_code)
+    group = np.argmax(np.where(admissible, raw.data, -np.inf), axis=1)
+    return traj_anchors[group] + residual.data, group

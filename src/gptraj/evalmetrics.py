@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .basemodel import encode_t, frozen, planner_t
+from .basemodel import encode, plan
 from .codebook import ego_admissible
 from .core import Command, SceneRecord, Trajectory
 from .gpmodule import GpInference
@@ -201,16 +201,14 @@ def evaluate(records: list[SceneRecord], model, mode: str = "base",
     scenes = [r for r in _subset_filter(records, subset, rarity_bins) if r.labeled]
     if not scenes:
         raise ValueError(f"no labeled scenes after subset filter {subset!r}")
-    admissible = ego_admissible(model.cb, [r.command for r in scenes])
-    v = frozen(model.base)
-    tokens = encode_t(np.stack([r.ego_obs for r in scenes]), v, model.base.token_scale)
+    commands = [r.command for r in scenes]
+    tokens = encode(np.stack([r.ego_obs for r in scenes]), model.base)
     if mode == "base":
-        raw, residual = planner_t(tokens, v, model.base.n_code)
-        group = np.argmax(np.where(admissible, raw.data, -np.inf), axis=1)
-        trajs = model.cb.traj_anchors()[group] + residual.data
+        trajs = plan(tokens, ego_admissible(model.cb, commands), model.base,
+                     model.cb.traj_anchors())[0]
     else:
-        trajs = GpInference(model.cb, model.clf, model.gp).predict_rows(
-            tokens.data, admissible)[0]
+        trajs = GpInference(model.cb, model.clf, model.gp).predict_scene(
+            tokens, commands)[0]
     trajs = trajs.reshape(len(scenes), -1, 2)
     pairs = [(i, t.points, fp) for i, r in enumerate(scenes)
              for t, fp in zip(r.agent_gt or [], r.agent_footprints)]

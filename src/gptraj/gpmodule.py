@@ -24,7 +24,7 @@ from scipy.linalg import solve_triangular
 
 from . import autodiff, psdlinalg
 from .autodiff import Tensor
-from .codebook import Codebook, CodebookGroup, Role, admissible_groups
+from .codebook import Codebook, CodebookGroup, Role, admissible_groups, ego_admissible
 from .core import GpPrediction, Token, Trajectory
 from .psdlinalg import KernelParams
 
@@ -171,7 +171,7 @@ class GpInference:
 
     ``__init__`` conditions every group once and stacks the results as
     (n_code, C, .) arrays: L^-1 of the group's Gram matrix and the solved
-    targets of both heads. A call evaluates all rows with one
+    trajectory targets. A call evaluates all rows with one
     kernel-feature matrix and one classifier pass, then gathers each row's
     group slice by id, with no loop over rows. The predictive variance is
     ``sf2 - ||L^-1 k*||^2``, the cached-solve form of LOVE (Pleiss et al.,
@@ -186,18 +186,14 @@ class GpInference:
         self.sf2 = self.kp.outputscale ** 2
         self.stacked = cb.stacked_basis()
         eye = np.eye(cb.group_size)
-        linv, alpha_basis, alpha_traj = [], [], []
+        linv, alpha_traj = [], []
         for g in cb.groups:
             factor = psdlinalg.cholesky_factor(
                 psdlinalg.kernel_matrix(g.basis_tokens, g.basis_tokens, self.kp))
             linv.append(solve_triangular(factor.lower, eye, lower=True))
-            alpha_basis.append(psdlinalg.solve_with_factor(
-                factor, g.basis_tokens - g.token_anchor[None, :]))
             alpha_traj.append(psdlinalg.solve_with_factor(factor, g.traj_centered))
         self.linv = np.stack(linv)  # (n_code, C, C)
-        self.alpha_basis = np.stack(alpha_basis)  # (n_code, C, D)
         self.alpha_traj = np.stack(alpha_traj)  # (n_code, C, 12)
-        self.token_anchors = cb.token_anchors()
         self.traj_anchors = cb.traj_anchors()
 
     def kernel_features(self, tokens: np.ndarray) -> np.ndarray:
@@ -212,15 +208,6 @@ class GpInference:
         k_star = features.reshape(n, -1, c)[np.arange(n), group]
         v = np.matmul(self.linv[group], k_star[:, :, None])[:, :, 0]
         return k_star, np.maximum(self.sf2 - np.sum(v * v, axis=1), 0.0)
-
-    def reconstruct(self, tokens: np.ndarray,
-                    group: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Posterior mean (N, D) of each token row under its given group, and
-        its scalar variance (N,), noise included."""
-        k_star, fn_var = self._conditioned(self.kernel_features(tokens), group)
-        recon = self.token_anchors[group] + np.einsum(
-            "nc,ncd->nd", k_star, self.alpha_basis[group])
-        return recon, fn_var + self.p.noise_var_recon
 
     def predict_rows(self, tokens: np.ndarray, admissible: np.ndarray):
         """Classify every token row and predict within its group.
@@ -237,6 +224,11 @@ class GpInference:
         blocks = [self._predict_block(tokens[i:i + rows], admissible[i:i + rows])
                   for i in range(0, len(tokens), rows)]
         return tuple(np.concatenate(parts) for parts in zip(*blocks))
+
+    def predict_scene(self, ego_tokens: np.ndarray, commands):
+        """``predict_rows`` of each scene's ego token row (N, D) under the
+        admissibility mask of its driving command."""
+        return self.predict_rows(ego_tokens, ego_admissible(self.cb, commands))
 
     def _predict_block(self, tokens: np.ndarray, admissible: np.ndarray):
         features = self.kernel_features(tokens)

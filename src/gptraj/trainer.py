@@ -36,7 +36,7 @@ import numpy as np
 
 from . import autodiff, basemodel, losses
 from .autodiff import Tensor
-from .basemodel import PARAM_NAMES, BaseModelParams, encode_t, frozen, planner_t
+from .basemodel import PARAM_NAMES, BaseModelParams, encode, encode_t, planner_t
 from .codebook import (BuildError, Codebook, Role, admissible_mask, ego_admissible,
                        init_basis_tokens, nearest_group, sample_and_cluster)
 from .core import SceneRecord, rng_for
@@ -487,7 +487,7 @@ def stage2_fit_gp(records, ckpt: "Checkpoint", cfg: TrainConfig,
     table = SceneTable(labeled, model.cb, labeled=True)
     tables = StageTables.of(model.cb)
     # frozen encoder: tokens are fixed targets, computed once, in row layout
-    tokens = encode_t(table.obs, frozen(model.base), model.base.token_scale).data
+    tokens = encode(table.obs, model.base)
 
     def loss_fn(batch: Batch) -> LossBreakdown:
         return gp_stage_loss(batch, gp_graph(model.cb, params), tokens[batch.rows],

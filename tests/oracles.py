@@ -225,7 +225,7 @@ def _encode_vec(obs: np.ndarray, p) -> np.ndarray:
     return p.token_scale * raw / np.sqrt(raw @ raw + 1e-12)
 
 
-def encode(scene, p) -> tuple[Token, list[Token]]:
+def encode_ref(scene, p) -> tuple[Token, list[Token]]:
     """Ego and agent tokens of one scene; agents in input order."""
     if scene.ego_obs.shape[0] != p.enc_w1.shape[1]:
         raise ValueError(
@@ -241,7 +241,7 @@ def _planner_raw(token: np.ndarray, p) -> tuple[np.ndarray, np.ndarray]:
     return out[: p.n_code], RESIDUAL_BOUND * np.tanh(out[p.n_code:])
 
 
-def plan(token: Token, role, p, cb) -> tuple[Trajectory, np.ndarray]:
+def plan_ref(token: Token, role, p, cb) -> tuple[Trajectory, np.ndarray]:
     """Anchor-plus-residual trajectory for the argmax admissible group."""
     raw_logits, residual = _planner_raw(token.values, p)
     logits = np.full_like(raw_logits, -np.inf)
@@ -251,7 +251,7 @@ def plan(token: Token, role, p, cb) -> tuple[Trajectory, np.ndarray]:
     return Trajectory.from_flat(cb.group(group).traj_anchor + residual), logits
 
 
-def plan_with_group(token: Token, group: int, p, cb) -> Trajectory:
+def plan_with_group_ref(token: Token, group: int, p, cb) -> Trajectory:
     """Trajectory for an externally chosen group."""
     _, residual = _planner_raw(token.values, p)
     return Trajectory.from_flat(cb.group(group).traj_anchor + residual)

@@ -7,12 +7,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from gptraj.basemodel import (BaseModelParams, RESIDUAL_BOUND, encode_t, frozen,
-                              planner_t)
-from gptraj.codebook import Role, admissible_groups
-from gptraj.core import Command, SceneRecord, Token, Trajectory, rng_for
+from gptraj.basemodel import (BaseModelParams, RESIDUAL_BOUND, encode, encode_t,
+                              plan, planner_t)
+from gptraj.codebook import Role, admissible_groups, admissible_mask
+from gptraj.core import COMMANDS, Command, SceneRecord, Token, Trajectory, rng_for
 
-from oracles import encode, masked_softmax, plan, plan_with_group
+from oracles import encode_ref, masked_softmax, plan_ref, plan_with_group_ref
 
 
 def make_params(obs_dim=16, token_dim=8, n_code=23, seed=0) -> BaseModelParams:
@@ -27,7 +27,7 @@ def scene_with(obs, domain="a") -> SceneRecord:
 
 
 def tokens_of(obs_rows, p: BaseModelParams) -> np.ndarray:
-    return encode_t(np.atleast_2d(obs_rows), frozen(p), p.token_scale).data
+    return encode(np.atleast_2d(obs_rows), p)
 
 
 def test_zero_observation_zero_weights_zero_token():
@@ -67,11 +67,10 @@ def test_plan_zero_residual_returns_anchor(tiny_model):
     p.pln_w2 = np.zeros_like(p.pln_w2)
     p.pln_b2 = np.zeros_like(p.pln_b2)
     p.pln_b2[0] = 1.0  # group 0 wins among admissible after masking
-    tok = Token(np.ones(8))
-    role = Role.ego(cb.group(0).role.command)
-    traj, logits = plan(tok, role, p, cb)
-    assert np.allclose(traj.flat, cb.group(0).traj_anchor)
-    assert int(np.argmax(logits)) == 0
+    admissible = admissible_mask(cb, Role.ego(cb.group(0).role.command))[None]
+    traj, group = plan(np.ones((1, 8)), admissible, p, cb.traj_anchors())
+    assert group.tolist() == [0]
+    assert np.allclose(traj[0], cb.group(0).traj_anchor)
 
 
 def test_residual_saturates_at_bound(tiny_model):
@@ -80,33 +79,32 @@ def test_residual_saturates_at_bound(tiny_model):
     p.pln_b2 = np.zeros_like(p.pln_b2)
     p.pln_w2 = np.zeros_like(p.pln_w2)
     p.pln_b2[cb.n_code:] = 1e3  # tanh saturates to +1
-    tok = Token(np.ones(8))
-    traj = plan_with_group(tok, 0, p, cb)
-    offset = traj.flat - cb.group(0).traj_anchor
-    assert np.allclose(offset, RESIDUAL_BOUND)
+    only0 = np.arange(cb.n_code)[None] == 0  # forces group 0
+    traj, _ = plan(np.ones((1, 8)), only0, p, cb.traj_anchors())
+    assert np.allclose(traj[0] - cb.group(0).traj_anchor, RESIDUAL_BOUND)
+    ref = plan_with_group_ref(Token(np.ones(8)), 0, p, cb)
+    assert np.allclose(ref.flat - cb.group(0).traj_anchor, RESIDUAL_BOUND)
 
 
 def test_plan_translation_consistent_with_anchor_shift(tiny_model):
     cb = tiny_model.cb
     p = make_params(n_code=cb.n_code, seed=5)
-    tok = Token(rng_for(4, "tok").normal(size=8))
-    role = Role.ego(cb.group(0).role.command)
-    before, logits = plan(tok, role, p, cb)
-    group = int(np.argmax(logits))
+    tok = rng_for(4, "tok").normal(size=(1, 8))
+    admissible = admissible_mask(cb, Role.ego(cb.group(0).role.command))[None]
+    anchors = cb.traj_anchors()
+    before, group = plan(tok, admissible, p, anchors)
     shift = np.tile([2.0, -1.0], 6)
-    cb.group(group).traj_anchor = cb.group(group).traj_anchor + shift
-    try:
-        after, _ = plan(tok, role, p, cb)
-        assert np.allclose(after.flat - before.flat, shift)
-    finally:
-        cb.group(group).traj_anchor = cb.group(group).traj_anchor - shift
+    anchors[group] += shift
+    after, group_after = plan(tok, admissible, p, anchors)
+    assert group_after.tolist() == group.tolist()
+    assert np.allclose(after - before, shift)
 
 
 def test_masked_probability_mass_exactly_zero(tiny_model):
     cb = tiny_model.cb
     p = make_params(n_code=cb.n_code, seed=2)
     tok = Token(rng_for(6, "tok").normal(size=8))
-    _, logits = plan(tok, Role.ego(Command.TURN_LEFT), p, cb)
+    _, logits = plan_ref(tok, Role.ego(Command.TURN_LEFT), p, cb)
     probs = masked_softmax(logits)
     admissible = admissible_groups(cb, Role.ego(Command.TURN_LEFT))
     non_adm = np.setdiff1d(np.arange(cb.n_code), admissible)
@@ -123,7 +121,7 @@ def test_differentiable_paths_match_numpy():
              "pln_w1", "pln_b1", "pln_w2", "pln_b2")
     v = {n: Tensor(getattr(p, n)) for n in names}
     tok_t = encode_t(np.stack([obs, obs * 0.5]), v, p.token_scale)
-    ego, agents = encode(scene_with(obs), p)
+    ego, agents = encode_ref(scene_with(obs), p)
     assert np.allclose(tok_t.data, [ego.values, agents[0].values], atol=1e-12)
     logits_t, residual_t = planner_t(tok_t, v, p.n_code)
     for row, tok in enumerate((ego, agents[0])):
@@ -132,3 +130,17 @@ def test_differentiable_paths_match_numpy():
         assert np.allclose(logits_t.data[row], out[:p.n_code], atol=1e-12)
         assert np.allclose(residual_t.data[row],
                            RESIDUAL_BOUND * np.tanh(out[p.n_code:]), atol=1e-12)
+
+
+def test_plan_rows_match_per_token_reference(tiny_model):
+    cb = tiny_model.cb
+    p = make_params(n_code=cb.n_code, seed=11)
+    rng = rng_for(8, "tok")
+    roles = [Role.ego(c) for c in COMMANDS for _ in range(4)] + [Role.agent()] * 4
+    tokens = rng.normal(size=(len(roles), 8))
+    admissible = np.stack([admissible_mask(cb, r) for r in roles])
+    trajs, groups = plan(tokens, admissible, p, cb.traj_anchors())
+    for tok, role, traj, group in zip(tokens, roles, trajs, groups, strict=True):
+        want, logits = plan_ref(Token(tok), role, p, cb)
+        assert group == int(np.argmax(logits))
+        assert np.allclose(traj, want.flat, rtol=0, atol=1e-12)

@@ -15,7 +15,7 @@ from gptraj.synthdomain import arc_points
 from gptraj.trainer import stage1_pretrain
 
 from conftest import tiny_config, tiny_spec
-from oracles import collision_reference, encode, plan, rects_overlap_sampled
+from oracles import collision_reference, encode_ref, plan_ref, rects_overlap_sampled
 
 
 def straight(speed=5.0):
@@ -156,10 +156,10 @@ def test_evaluate_rows_match_per_scene_reference(tiny_dataset, stage1_ckpt):
         rep = evaluate(tiny_dataset, model, mode=mode)
         l2s = []
         for rec, row in zip(tiny_dataset, rep.rows, strict=True):
-            ego, _ = encode(rec, model.base)
+            ego, _ = encode_ref(rec, model.base)
             role = Role.ego(rec.command)
             if mode == "base":
-                traj, _ = plan(ego, role, model.base, model.cb)
+                traj, _ = plan_ref(ego, role, model.base, model.cb)
             else:
                 gid, _ = classify(ego, role, model.cb, model.clf, model.gp)
                 traj = predict_trajectory(ego, gid, model.cb, model.gp).mean

@@ -169,16 +169,19 @@ def test_forced_group_reproduces_basis_trajectory_end_to_end(small_cb, small_clf
 
 
 def test_inference_cache_matches_free_functions(small_cb, small_clf):
-    p = GpParams(log_lengthscale=0.1, log_noise_recon=np.log(0.03))
+    p = GpParams(log_lengthscale=0.1, log_noise_traj=np.log(0.03))
     inf = GpInference(small_cb, small_clf, p)
-    toks = np.random.default_rng(12).normal(size=(10, 6))
-    groups = np.array([classify(Token(t), Role.agent(), small_cb, small_clf, p)[0]
-                       for t in toks])
-    recon, var = inf.reconstruct(toks, groups)
-    for tok, gid, r2, var2 in zip(toks, groups, recon, var):
-        r = reconstruct(Token(tok), gid, small_cb, p)
-        assert np.allclose(r.recon.values, r2, atol=1e-12)
-        assert r.variance == pytest.approx(var2, abs=1e-12)
+    commands = [c for c in COMMANDS for _ in range(4)]
+    toks = np.random.default_rng(12).normal(size=(len(commands), 6))
+    mean, var, logits, groups = inf.predict_scene(toks, commands)
+    for tok, command, m2, v2, l2, g2 in zip(toks, commands, mean, var, logits, groups,
+                                           strict=True):
+        gid, want_logits = classify(Token(tok), Role.ego(command), small_cb, small_clf, p)
+        assert g2 == gid
+        assert np.array_equal(np.isneginf(l2), np.isneginf(want_logits))
+        want = predict_trajectory(Token(tok), gid, small_cb, p)
+        assert np.allclose(m2, want.mean.flat, rtol=0, atol=1e-12)
+        assert v2 == pytest.approx(want.scalar_variance, rel=0, abs=1e-12)
 
 
 def mixed_rows(cb, n_per_role: int, rng):
@@ -230,9 +233,9 @@ def test_graph_path_matches_inference_path(small_cb, small_clf):
     logits = graph.classifier_logits(feats)
     assert np.allclose(logits.data, small_clf.forward(inf_feats), atol=1e-12)
     recon, var = graph.reconstruct(Tensor(tok), 3)
-    r2, v2 = inf.reconstruct(tok[None], np.array([3]))
-    assert np.allclose(recon.data, r2[0], atol=1e-10)
-    assert float(var.data) == pytest.approx(v2[0], abs=1e-10)
+    want = reconstruct(Token(tok), 3, small_cb, p)
+    assert np.allclose(recon.data, want.recon.values, atol=1e-10)
+    assert float(var.data) == pytest.approx(want.variance, abs=1e-10)
     mean, var_t = graph.predict_trajectory(Tensor(tok), 3)
     only3 = np.arange(small_cb.n_code)[None, :] == 3  # forces group 3
     mean2, var2, _, groups = inf.predict_rows(tok[None], only3)

@@ -10,7 +10,7 @@ import pytest
 
 from gptraj import autodiff, psdlinalg, trainer
 from gptraj.adapt import active_select, adapt_supervised, adapt_unsupervised
-from gptraj.basemodel import encode_t, frozen
+from gptraj.basemodel import encode
 from gptraj.codebook import BuildError, Role, admissible_groups
 from gptraj.core import Trajectory, traj_distance
 from gptraj.evalmetrics import evaluate
@@ -22,7 +22,7 @@ from gptraj.trainer import (Checkpoint, SceneTable, StageTables, TrainingError,
                             stage1_pretrain, stage2_fit_gp, stage3_finetune)
 
 from conftest import TINY_OBS_DIM, tiny_config, tiny_domain, tiny_spec
-from oracles import encode, finite_difference
+from oracles import encode_ref, finite_difference
 
 CFG = tiny_config(epochs_stage1=2, epochs_stage2=1, epochs_stage3=1, adapt_epochs=1)
 
@@ -233,7 +233,7 @@ def test_gp_stage_loss_gradients_match_finite_differences(fitted, tiny_dataset):
     params = trainer.gp_param_tensors(model)
     table = SceneTable(tiny_dataset[:4], model.cb, labeled=True)
     batch = table.batch(np.arange(4))
-    tokens = encode_t(table.obs, frozen(model.base), model.base.token_scale).data
+    tokens = encode(table.obs, model.base)
     tables = StageTables.of(model.cb)
 
     def loss():
@@ -263,7 +263,7 @@ def test_active_select_ranking_matches_per_scene_reference(fitted, target_datase
     model = fitted.model
     want = []
     for r in records:
-        ego, _ = encode(r, model.base)
+        ego, _ = encode_ref(r, model.base)
         gid, _ = classify(ego, Role.ego(r.command), model.cb, model.clf, model.gp)
         want.append((r.scene_id,
                      predict_trajectory(ego, gid, model.cb, model.gp).scalar_variance))
