@@ -1,13 +1,12 @@
 """Codebook-conditioned GP trajectory prediction, training, and adaptation."""
 
-from .core import (Command, GpPrediction, SceneRecord, Token, Trajectory,
-                   load_dataset, save_dataset, traj_distance, validate_record)
+from .core import (Command, SceneRecord, Token, Trajectory, load_dataset,
+                   save_dataset, traj_distance, validate_record)
 from .codebook import (Codebook, CodebookGroup, Role, admissible_groups,
                        init_basis_tokens, sample_and_cluster)
 from .psdlinalg import (CholeskyFactor, KernelParams, NotPSD, chol_solve,
                         cholesky_factor, kernel, kernel_matrix)
-from .gpmodule import (GpInference, GpParams, GroupClassifier, ReconResult,
-                       classify, predict_scene, predict_trajectory, reconstruct)
+from .gpmodule import GpInference, GpParams, GroupClassifier
 from .losses import (LossBreakdown, loss_gp_teacher, loss_rec, loss_sup,
                      select_triplet_classes, triplet_term)
 from .basemodel import BaseModelParams

@@ -3,8 +3,8 @@
 The engine is a classic Wengert tape: every operation returns a ``Tensor``
 holding its value, its parent nodes, and a vector-Jacobian-product closure.
 ``backward`` walks the tape once in reverse topological order. Primitives are
-matrix-level (matmul, reductions, elementwise transcendentals, a PSD solve),
-so tapes stay short even for whole training steps.
+matrix-level (batched matmul, reductions, elementwise transcendentals, a
+batched PSD inverse), so tapes stay short even for whole training steps.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ class Tensor:
     for parents that do not require gradient flow).
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp", "_chol")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp")
 
     def __init__(self, data, requires_grad: bool = False, parents=(), vjp=None):
         self.data = np.asarray(data, dtype=np.float64)
@@ -44,7 +44,6 @@ class Tensor:
         self.requires_grad = requires_grad
         self._parents: tuple[Tensor, ...] = parents
         self._vjp: Callable[[np.ndarray], tuple] | None = vjp
-        self._chol = None  # cached factorization, used by solve_psd
 
     @property
     def shape(self):
@@ -157,20 +156,20 @@ def div(a, b) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
+    """``a @ b`` with numpy's rules: 1-D operands are a row or a column, and
+    leading axes batch (and broadcast) over stacks of matrices."""
     a, b = as_tensor(a), as_tensor(b)
     out = a.data @ b.data
-    an, bn = a.data.ndim, b.data.ndim
+    a2 = a.data[None, :] if a.data.ndim == 1 else a.data
+    b2 = b.data[:, None] if b.data.ndim == 1 else b.data
+    out2 = np.broadcast_shapes(a2.shape[:-2], b2.shape[:-2]) + (a2.shape[-2],
+                                                                b2.shape[-1])
 
     def vjp(g):
-        if an == 2 and bn == 2:
-            return g @ b.data.T, a.data.T @ g
-        if an == 1 and bn == 2:  # (n,) @ (n,k) -> (k,)
-            return b.data @ g, np.outer(a.data, g)
-        if an == 2 and bn == 1:  # (m,n) @ (n,) -> (m,)
-            return np.outer(g, b.data), a.data.T @ g
-        if an == 1 and bn == 1:  # dot -> scalar
-            return g * b.data, g * a.data
-        raise ValueError(f"unsupported matmul ranks {an}x{bn}")
+        g = np.reshape(g, out2)
+        ga = _unbroadcast(g @ np.swapaxes(b2, -1, -2), a2.shape)
+        gb = _unbroadcast(np.swapaxes(a2, -1, -2) @ g, b2.shape)
+        return ga.reshape(a.data.shape), gb.reshape(b.data.shape)
 
     return _make(out, (a, b), vjp)
 
@@ -223,12 +222,6 @@ def sqrt(a) -> Tensor:
     a = as_tensor(a)
     out = np.sqrt(a.data)
     return _make(out, (a,), lambda g: (g * 0.5 / out,))
-
-
-def power(a, p: float) -> Tensor:
-    a = as_tensor(a)
-    out = a.data ** p
-    return _make(out, (a,), lambda g: (g * p * a.data ** (p - 1.0),))
 
 
 def square(a) -> Tensor:
@@ -305,36 +298,30 @@ def gather0(a, idx) -> Tensor:
     return _make(out, (a,), vjp)
 
 
-def stop_grad(a) -> Tensor:
-    return as_tensor(a).detach()
+def psd_inverse(a) -> Tensor:
+    """Differentiable (A + jitter I)^-1 of each symmetric PSD matrix in a
+    (..., n, n) stack.
 
-
-def solve_psd(a, b, solver=None) -> Tensor:
-    """Differentiable X = (A + jitter I)^-1 B for symmetric PSD A.
-
-    ``solver`` must provide ``factor(A)`` and ``solve(factor, B)``; by default
-    the jitter-escalating Cholesky route from :mod:`gptraj.psdlinalg` is used.
-    The factorization is cached on the A node so repeated solves against the
-    same matrix within one tape factor only once.
+    Each matrix is factored by :func:`gptraj.psdlinalg.cholesky_factor`,
+    with its jitter ladder; a failure raises its ``NotPSD`` with ``group``
+    set to the matrix's index in the flattened stack. The gradient is
+    -A^-T G A^-T.
     """
     from . import psdlinalg  # deferred: psdlinalg imports this module
 
-    a, b = as_tensor(a), as_tensor(b)
-    if a._chol is None:
-        a._chol = psdlinalg.cholesky_factor(a.data)
-    factor = a._chol
-    vec = b.data.ndim == 1
-    rhs = b.data[:, None] if vec else b.data
-    x = psdlinalg.solve_with_factor(factor, rhs)
-    out = x[:, 0] if vec else x
-
-    def vjp(g):
-        gm = g[:, None] if vec else g
-        gb = psdlinalg.solve_with_factor(factor, gm)
-        ga = -gb @ x.T
-        return ga, (gb[:, 0] if vec else gb)
-
-    return _make(out, (a, b), vjp)
+    a = as_tensor(a)
+    n = a.data.shape[-1]
+    eye = np.eye(n)
+    inv = np.empty(a.data.shape)
+    flat = inv.reshape(-1, n, n)
+    for i, m in enumerate(a.data.reshape(-1, n, n)):
+        try:
+            factor = psdlinalg.cholesky_factor(m)
+        except psdlinalg.NotPSD as e:
+            raise psdlinalg.NotPSD(e.pivot, e.jitter, group=i) from e
+        flat[i] = psdlinalg.solve_with_factor(factor, eye)
+    inv_t = np.swapaxes(inv, -1, -2)
+    return _make(inv, (a,), lambda g: (-(inv_t @ g @ inv_t),))
 
 
 def backward(root: Tensor) -> None:

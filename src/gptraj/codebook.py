@@ -81,10 +81,6 @@ class Codebook:
     def group(self, group_id: int) -> CodebookGroup:
         return self.groups[group_id]
 
-    def stacked_basis(self) -> np.ndarray:
-        """All basis tokens row-stacked in group order; shape (n_code*C, D)."""
-        return np.concatenate([g.basis_tokens for g in self.groups], axis=0)
-
     def traj_anchors(self) -> np.ndarray:
         """All trajectory anchors row-stacked in group order; shape (n_code, 12)."""
         return np.stack([g.traj_anchor for g in self.groups])

@@ -9,6 +9,7 @@ trainer/model configs; every run should log the fully resolved form via
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -19,39 +20,29 @@ from .synthdomain import DomainSpec, build_obs_transform
 from .trainer import ModelSpec, TrainConfig
 
 _BASE_TERMS = ("base_plan", "base_motion", "base_class_ce_ego", "base_class_ce_agent")
+_CODEBOOK_KEYS = ("n_ego", "n_agent", "group_size")
+
+
+def _field_defaults(cls) -> dict:
+    """A dataclass's field defaults in JSON form (tuples become lists); fields
+    without a default are left out."""
+    out = {}
+    for f in dataclasses.fields(cls):
+        if f.default_factory is not dataclasses.MISSING:
+            out[f.name] = f.default_factory()
+        elif f.default is not dataclasses.MISSING:
+            out[f.name] = list(f.default) if isinstance(f.default, tuple) else f.default
+    return out
+
+
+_SPEC_DEFAULTS = _field_defaults(ModelSpec)
 
 DEFAULT_CONFIG: dict = {
     "seed": 0,
     "out_dir": "runs/default",
-    "model": {
-        "obs_dim": 24,
-        "token_dim": 32,
-        "encoder_hidden": 64,
-        "planner_hidden": 64,
-        "classifier_hidden": 128,
-        "token_scale": 3.0,
-    },
-    "codebook": {
-        "n_ego": 48,
-        "n_agent": 64,
-        "group_size": 16,
-    },
-    "train": {
-        "epochs_stage1": 30,
-        "epochs_stage2": 10,
-        "epochs_stage3": 15,
-        "adapt_epochs": 8,
-        "batch_size": 32,
-        "lr_stage12": 1e-3,
-        "lr_stage3": 3e-4,
-        "beta1": 0.9,
-        "beta2": 0.999,
-        "eps": 1e-8,
-        "loss_weights": {},
-        "sigma_clamp": [1e-3, 1e3],
-        "triplet_margin": 1.0,
-        "gp_weight": 1.0,
-    },
+    "model": {k: v for k, v in _SPEC_DEFAULTS.items() if k not in _CODEBOOK_KEYS},
+    "codebook": {k: _SPEC_DEFAULTS[k] for k in _CODEBOOK_KEYS},
+    "train": _field_defaults(TrainConfig),
     "data": {
         "n_source": 2000,
         "n_source_val": 400,
@@ -119,9 +110,7 @@ _DOMAIN_KEYS = {"obs_transform", "obs_noise_std", "curvature_prior",
                 "speed_prior", "mirror"}
 _TRANSFORM_KEYS = {"kind", "seed", "angle", "rank", "matrix", "bias",
                    "bias_seed", "bias_scale"}
-_MODEL_INTS = ("obs_dim", "token_dim", "encoder_hidden", "planner_hidden",
-               "classifier_hidden")
-_CODEBOOK_INTS = ("n_ego", "n_agent", "group_size")
+_MODEL_INTS = tuple(k for k, v in DEFAULT_CONFIG["model"].items() if type(v) is int)
 _BIN_KEYS = {"min_speed", "max_speed", "min_abs_curvature", "max_abs_curvature"}
 
 
@@ -201,14 +190,8 @@ def resolve(user: dict | None = None, seed_override: int | None = None) -> Confi
     raw = _merge_defaults(user or {})
     _check_keys(raw, {"seed", "out_dir", "model", "codebook", "train", "data",
                       "domains", "eval"}, "<root>")
-    _check_keys(raw["model"], {"obs_dim", "token_dim", "encoder_hidden",
-                               "planner_hidden", "classifier_hidden",
-                               "token_scale"}, "model")
-    _check_keys(raw["codebook"], {"n_ego", "n_agent", "group_size"}, "codebook")
-    _check_keys(raw["train"], {
-        "epochs_stage1", "epochs_stage2", "epochs_stage3", "adapt_epochs",
-        "batch_size", "lr_stage12", "lr_stage3", "beta1", "beta2", "eps",
-        "loss_weights", "sigma_clamp", "triplet_margin", "gp_weight"}, "train")
+    for section in ("model", "codebook", "train"):
+        _check_keys(raw[section], DEFAULT_CONFIG[section], section)
     _check_keys(raw["data"], {"n_source", "n_source_val", "n_target",
                               "n_target_val", "source_domain", "target_domain"},
                 "data")
@@ -224,7 +207,7 @@ def resolve(user: dict | None = None, seed_override: int | None = None) -> Confi
     if seed_override is not None:
         raw["seed"] = int(seed_override)
 
-    for section, keys in (("model", _MODEL_INTS), ("codebook", _CODEBOOK_INTS)):
+    for section, keys in (("model", _MODEL_INTS), ("codebook", _CODEBOOK_KEYS)):
         for key in keys:
             _check_int(raw[section][key], f"{section}.{key}")
     _number(raw["model"]["token_scale"], "model.token_scale")

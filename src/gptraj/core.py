@@ -166,23 +166,6 @@ class SceneRecord:
         )
 
 
-@dataclass(frozen=True)
-class GpPrediction:
-    """GP posterior for one token: mean trajectory, variances, classification."""
-
-    mean: Trajectory
-    variance: np.ndarray  # 12 non-negative entries, one per waypoint coordinate
-    scalar_variance: float  # arithmetic mean of the variance vector
-    group: int
-    class_logits: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "variance", np.asarray(self.variance, dtype=np.float64))
-        object.__setattr__(
-            self, "class_logits", np.asarray(self.class_logits, dtype=np.float64)
-        )
-
-
 def validate_record(rec: SceneRecord, obs_dim: int | None = None) -> list[str]:
     """All invariant violations for a record; empty list means ok."""
     errors: list[str] = []

@@ -1,10 +1,15 @@
 """RBF kernel evaluation and numerically guarded PSD linear algebra.
 
-All Gaussian-process conditioning in the package funnels through
-``cholesky_factor`` / ``solve_with_factor``: a dpotrf factorization with a
-fixed jitter escalation ladder. The learnable noise variances are *not* part
-of the jitter; jitter is purely a numerical guard so the learned noise stays
-interpretable.
+``kernel_matrix`` is the one RBF implementation: ``kernel`` is its one-entry
+case and ``kernel_matrix_t`` its differentiable form, a single tape node
+with closed-form gradients. Both take leading batch axes, so every codebook
+group's Gram matrix comes from one call.
+
+Every Cholesky factorization in the package goes through ``cholesky_factor``:
+a dpotrf factorization with a fixed jitter escalation ladder. GP
+conditioning reaches it through ``autodiff.psd_inverse``, once per group.
+The learnable noise variances are *not* part of the jitter; jitter is
+purely a numerical guard so the learned noise stays interpretable.
 """
 
 from __future__ import annotations
@@ -24,28 +29,30 @@ MAX_DIM = 4096
 class NotPSD(Exception):
     """Factorization failed at the maximum jitter.
 
-    ``pivot`` is the zero-based index of the smallest failing pivot.
+    ``pivot`` is the zero-based index of the smallest failing pivot;
+    ``group``, when known, the index of the failing matrix in a stack of
+    per-group matrices.
     """
 
-    def __init__(self, pivot: int, jitter: float):
+    def __init__(self, pivot: int, jitter: float, group: int | None = None):
         self.pivot = pivot
         self.jitter = jitter
+        self.group = group
+        where = "" if group is None else f"group {group}: "
         super().__init__(
-            f"matrix not positive definite: pivot {pivot} failed at jitter {jitter:g}"
-        )
+            f"{where}matrix not positive definite: pivot {pivot} failed at "
+            f"jitter {jitter:g}")
 
 
 @dataclass(frozen=True)
 class KernelParams:
     """RBF hyperparameters stored in log space so they stay positive.
 
-    lengthscale = exp(log_lengthscale), outputscale = exp(log_outputscale),
-    noise = exp(log_noise).
+    lengthscale = exp(log_lengthscale), outputscale = exp(log_outputscale).
     """
 
     log_lengthscale: float = 0.0
     log_outputscale: float = 0.0
-    log_noise: float = float(np.log(1e-2))
 
     @property
     def lengthscale(self) -> float:
@@ -54,10 +61,6 @@ class KernelParams:
     @property
     def outputscale(self) -> float:
         return float(np.exp(self.log_outputscale))
-
-    @property
-    def noise(self) -> float:
-        return float(np.exp(self.log_noise))
 
 
 @dataclass(frozen=True)
@@ -75,35 +78,37 @@ def kernel(x, y, p: KernelParams) -> float:
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape or x.ndim != 1:
         raise ValueError(f"kernel inputs must be equal-length vectors, got {x.shape} vs {y.shape}")
-    d2 = float(np.sum((x - y) ** 2))
-    ell = p.lengthscale
-    sf2 = p.outputscale ** 2
-    return sf2 * float(np.exp(-d2 / (2.0 * ell * ell)))
+    return float(kernel_matrix(x, y, p)[0, 0])
+
+
+def _sq_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Squared distances (..., N, M) between the rows of x (..., N, D) and
+    y (..., M, D), clipped at 0, in one buffer updated in place: a call over
+    many rows holds one such array instead of one per arithmetic step."""
+    d2 = x @ np.swapaxes(y, -1, -2)
+    d2 *= 2.0
+    np.subtract(np.sum(x * x, axis=-1)[..., :, None], d2, out=d2)
+    d2 += np.sum(y * y, axis=-1)[..., None, :]
+    np.maximum(d2, 0.0, out=d2)
+    return d2
 
 
 def kernel_matrix(xs, ys, p: KernelParams) -> np.ndarray:
-    """Pairwise kernel matrix; entry (i, j) = kernel(xs[i], ys[j], p)."""
-    x = np.asarray(xs, dtype=np.float64)
-    y = np.asarray(ys, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[None, :]
-    if y.ndim == 1:
-        y = y[None, :]
-    if x.shape[1] != y.shape[1]:
-        raise ValueError(f"token dimension mismatch: {x.shape[1]} vs {y.shape[1]}")
-    # one (len(xs), len(ys)) buffer, updated in place: a call over many rows
-    # holds one such array instead of one per arithmetic step
-    k = x @ y.T
-    k *= 2.0
-    np.subtract(np.sum(x * x, axis=1)[:, None], k, out=k)
-    k += np.sum(y * y, axis=1)[None, :]
-    np.maximum(k, 0.0, out=k)  # squared distances
+    """Pairwise kernel matrix; entry (..., i, j) = kernel(xs[..., i, :], ys[..., j, :], p).
+
+    Leading axes batch independent matrices, e.g. (G, C, D) x (G, C, D) ->
+    (G, C, C). A 1-D input is one row.
+    """
+    x = np.atleast_2d(np.asarray(xs, dtype=np.float64))
+    y = np.atleast_2d(np.asarray(ys, dtype=np.float64))
+    if x.shape[-1] != y.shape[-1]:
+        raise ValueError(f"token dimension mismatch: {x.shape[-1]} vs {y.shape[-1]}")
+    k = _sq_dists(x, y)
     ell = p.lengthscale
-    sf2 = p.outputscale ** 2
     np.negative(k, out=k)
     k /= 2.0 * ell * ell
     np.exp(k, out=k)
-    k *= sf2
+    k *= p.outputscale ** 2
     return k
 
 
@@ -139,31 +144,29 @@ def chol_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return solve_with_factor(cholesky_factor(a), b)
 
 
-# --- differentiable versions used in training tapes -------------------------
-#
-# Same formulas as above, expressed over autodiff tensors. log-domain
-# hyperparameters enter as tensors so kernel gradients flow into them.
+def kernel_matrix_t(x, y, log_lengthscale, log_outputscale) -> Tensor:
+    """Differentiable ``kernel_matrix`` between row-stacked token matrices
+    (..., N, D) and (..., M, D), with the log-hyperparameters as tensors.
 
+    One tape node. Its forward is ``kernel_matrix``; its backward recomputes
+    the squared distances and applies the closed-form gradients
+    dk/dd2 = -k / (2 l^2), dk/dlog_l = k d2 / l^2 and dk/dlog_sf = 2 k, with
+    no gradient through distances clipped at 0.
+    """
+    x, y, log_ell, log_sf = (autodiff.as_tensor(t) for t in
+                             (x, y, log_lengthscale, log_outputscale))
+    p = KernelParams(float(log_ell.data), float(log_sf.data))
+    k = kernel_matrix(x.data, y.data, p)
+    x2, y2 = np.atleast_2d(x.data), np.atleast_2d(y.data)
 
-def kernel_matrix_t(x: Tensor, y: Tensor, log_lengthscale: Tensor,
-                    log_outputscale: Tensor) -> Tensor:
-    """Differentiable pairwise RBF matrix between row-stacked token matrices."""
-    x2 = autodiff.tsum(autodiff.square(x), axis=1)
-    y2 = autodiff.tsum(autodiff.square(y), axis=1)
-    cross = autodiff.matmul(x, autodiff.transpose(y))
-    d2 = autodiff.add(
-        autodiff.sub(autodiff.reshape(x2, (-1, 1)), autodiff.mul(cross, 2.0)),
-        autodiff.reshape(y2, (1, -1)),
-    )
-    d2 = autodiff.relu(d2)  # clip the tiny negatives roundoff can produce
-    inv2l2 = autodiff.mul(autodiff.exp(autodiff.mul(log_lengthscale, -2.0)), 0.5)
-    sf2 = autodiff.exp(autodiff.mul(log_outputscale, 2.0))
-    return autodiff.mul(sf2, autodiff.exp(autodiff.mul(autodiff.mul(d2, inv2l2), -1.0)))
+    def vjp(g):
+        d2 = _sq_dists(x2, y2)
+        gk = g * k
+        gd2 = np.where(d2 > 0.0, gk, 0.0) * (-0.5 / p.lengthscale ** 2)
+        gx = 2.0 * (np.sum(gd2, axis=-1)[..., None] * x2 - gd2 @ y2)
+        gy = 2.0 * (np.sum(gd2, axis=-2)[..., None] * y2
+                    - np.swapaxes(gd2, -1, -2) @ x2)
+        return (gx.reshape(x.data.shape), gy.reshape(y.data.shape),
+                np.array(-2.0 * np.sum(gd2 * d2)), np.array(2.0 * np.sum(gk)))
 
-
-def kernel_vector_t(token: Tensor, basis: Tensor, log_lengthscale: Tensor,
-                    log_outputscale: Tensor) -> Tensor:
-    """Differentiable kernel vector between one token and a basis matrix."""
-    k = kernel_matrix_t(autodiff.reshape(token, (1, -1)), basis,
-                        log_lengthscale, log_outputscale)
-    return autodiff.reshape(k, (-1,))
+    return autodiff._make(k, (x, y, log_ell, log_sf), vjp)

@@ -9,10 +9,11 @@ teacher regularization.
 Every optimizer step builds one tape over the batch's rows: the ego rows of
 its scenes, then their agent rows, each block in ascending scene order (see
 ``SceneTable``). Base-model stages encode and plan all rows in one pass and
-take the frozen teacher's prediction of all rows in one call; stage 2
-conditions the GP token by token, then evaluates its losses once over the
-rows. Labels, anchor tables and triplet classes are computed once
-per training call.
+take the frozen teacher's prediction of all rows in one call. Stage 2
+conditions every codebook group once per step and evaluates the GP and its
+losses over all rows at once. Labels, anchor tables and triplet classes are
+computed once per training call. Each step's loss terms are appended to the
+loss CSV as the step ends.
 
 Determinism contract: identical (config, seed, dataset) produce
 bit-identical checkpoints. Shuffles derive from the seed by purpose keys,
@@ -40,7 +41,8 @@ from .basemodel import PARAM_NAMES, BaseModelParams, encode, encode_t, planner_t
 from .codebook import (BuildError, Codebook, Role, admissible_mask, ego_admissible,
                        init_basis_tokens, nearest_group, sample_and_cluster)
 from .core import SceneRecord, rng_for
-from .gpmodule import GpGraph, GpInference, GpParams, GroupClassifier
+from .gpmodule import (CLASSIFIER_NAMES, GP_SCALAR_NAMES, GpGraph, GpInference,
+                       GpParams, GroupClassifier)
 from .losses import (LossBreakdown, StudentRows, SupRows, TeacherRows,
                      cross_entropy, loss_gp_teacher, loss_rec, loss_sup,
                      role_sums, traj_mse, triplet_table)
@@ -163,11 +165,9 @@ def base_param_tensors(model: Model) -> dict[str, Tensor]:
 def gp_param_tensors(model: Model) -> dict[str, Tensor]:
     g = model.gp
     out = {}
-    for n in ("log_lengthscale", "log_outputscale", "log_noise_recon",
-              "log_noise_traj"):
-        t = autodiff.parameter(np.array(getattr(g, n), dtype=np.float64))
-        out[f"gp.{n}"] = t
-    for n in ("w1", "b1", "w2", "b2"):
+    for n in GP_SCALAR_NAMES:
+        out[f"gp.{n}"] = autodiff.parameter(np.array(getattr(g, n), dtype=np.float64))
+    for n in CLASSIFIER_NAMES:
         arr = np.ascontiguousarray(getattr(model.clf, n), dtype=np.float64)
         setattr(model.clf, n, arr)
         t = Tensor(arr)
@@ -185,14 +185,12 @@ def gp_graph(cb: Codebook, params: dict[str, Tensor]) -> GpGraph:
     """One step's differentiable GP module over the ``gp_param_tensors``."""
     return GpGraph(
         cb, [params[f"cb.group{g.group_id:03d}.basis"] for g in cb.groups],
-        {n: params[f"clf.{n}"] for n in ("w1", "b1", "w2", "b2")},
-        params["gp.log_lengthscale"], params["gp.log_outputscale"],
-        params["gp.log_noise_recon"], params["gp.log_noise_traj"])
+        {n: params[f"clf.{n}"] for n in CLASSIFIER_NAMES},
+        *(params[f"gp.{n}"] for n in GP_SCALAR_NAMES))
 
 
 def _sync_gp_scalars(model: Model, params: dict[str, Tensor]) -> None:
-    for n in ("log_lengthscale", "log_outputscale", "log_noise_recon",
-              "log_noise_traj"):
+    for n in GP_SCALAR_NAMES:
         setattr(model.gp, n, float(params[f"gp.{n}"].data))
 
 
@@ -357,35 +355,24 @@ def gp_stage_loss(batch: Batch, graph: GpGraph, tokens: np.ndarray,
                   tables: StageTables, cfg: TrainConfig) -> LossBreakdown:
     """Stage-2 loss of one step: reconstruction plus GP supervision.
 
-    ``tokens`` are the frozen base model's token rows (constants). Each row
-    is conditioned token by token on its classifier-argmax group; the losses
-    then run once over the rows, with supervision labels from the ground
-    truth.
+    ``tokens`` are the frozen base model's token rows (constants). All rows
+    are classified in one pass and conditioned on their classifier-argmax
+    groups; supervision labels come from the ground truth.
     """
-    outs: dict[str, list[Tensor]] = {
-        k: [] for k in ("recon", "var_rec", "mean", "var_traj", "logits")}
-    groups = []
-    for token, admissible in zip(tokens, batch.admissible):
-        tok = Tensor(token)
-        logits = graph.classifier_logits(graph.kernel_features(tok))
-        gid = int(np.argmax(np.where(admissible, logits.data, -np.inf)))
-        recon, var_rec = graph.reconstruct(tok, gid)
-        mean, var_traj = graph.predict_trajectory(tok, gid)
-        for k, t in zip(outs, (recon, var_rec, mean, var_traj, logits)):
-            outs[k].append(t)
-        groups.append(gid)
-    rows = {k: autodiff.stack(ts) for k, ts in outs.items()}
-
-    rec = loss_rec(tokens, rows["recon"], rows["var_rec"], batch.n_ego, groups,
-                   batch.scene_of_row, graph.basis_vars,
-                   weights=cfg.loss_weights, sigma_clamp=cfg.sigma_clamp)
+    features = graph.kernel_features(tokens)
+    logits = graph.classifier_logits(features)
+    groups = np.argmax(np.where(batch.admissible, logits.data, -np.inf), axis=1)
+    recon, var_rec = graph.reconstruct(features, groups)
+    mean, var_traj = graph.predict_trajectory(features, groups)
+    rec = loss_rec(tokens, recon, var_rec, batch.n_ego, groups, batch.scene_of_row,
+                   graph.basis_vars, weights=cfg.loss_weights,
+                   sigma_clamp=cfg.sigma_clamp)
     sup = loss_sup(
-        SupRows(n_ego=batch.n_ego, pred_mean=rows["mean"], variance=rows["var_traj"],
-                logits=rows["logits"], admissible=batch.admissible, gt=batch.gt,
-                label=batch.labels, token=tokens,
-                positives=tables.positives[batch.labels],
+        SupRows(n_ego=batch.n_ego, pred_mean=mean, variance=var_traj, logits=logits,
+                admissible=batch.admissible, gt=batch.gt, label=batch.labels,
+                token=tokens, positives=tables.positives[batch.labels],
                 negatives=tables.negatives[batch.labels]),
-        anchors=graph.token_anchors(), weights=cfg.loss_weights,
+        anchors=graph.group_cond()["token_anchors"], weights=cfg.loss_weights,
         sigma_clamp=cfg.sigma_clamp, margin=cfg.triplet_margin)
     return rec.merged(sup)
 
@@ -393,51 +380,58 @@ def gp_stage_loss(batch: Batch, graph: GpGraph, tokens: np.ndarray,
 # --- training loops ------------------------------------------------------------
 
 
-def _write_log(log_path, rows) -> None:
-    if log_path is None or not rows:
-        return
+def _open_log(log_path):
+    """The loss CSV opened for appending, with its header written if new."""
     path = Path(log_path)
     path.parent.mkdir(parents=True, exist_ok=True)
     exists = path.exists()
-    with open(path, "a", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        if not exists:
-            w.writerow(["step", "stage", "term", "value"])
-        w.writerows(rows)
+    f = open(path, "a", newline="", encoding="utf-8")
+    if not exists:
+        csv.writer(f).writerow(["step", "stage", "term", "value"])
+    return f
 
 
 def _run_epochs(table: SceneTable, cfg: TrainConfig, params, step_loss_fn, *,
                 epochs, lr, stage: str, log_path=None, post_step=None) -> None:
     """Shared loop: shuffle, one step loss per batch, Adam step, CSV log.
 
-    A GP conditioning that is not positive definite stops training with a
-    TrainingError naming the stage and step.
+    The log is opened at the first step and each step's rows are flushed as
+    the step ends, so a failed run keeps the steps before the failure. A GP
+    conditioning that is not positive definite stops training with a
+    TrainingError naming the stage, step and group.
     """
     opt = Adam(params, lr=lr, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps)
-    rows = []
+    log = None
     step = 0
-    for epoch in range(epochs):
-        perm = rng_for(cfg.seed, "shuffle", stage, epoch).permutation(len(table))
-        for start in range(0, len(table), cfg.batch_size):
-            batch = table.batch(np.sort(perm[start:start + cfg.batch_size]))
-            try:
-                total_bd = step_loss_fn(batch)
-            except NotPSD as e:
-                raise TrainingError(f"{stage} step {step}: {e}") from e
-            bad = total_bd.first_nonfinite()
-            if bad is not None:
-                raise TrainingError(
-                    f"non-finite loss term {bad!r} at {stage} step {step}")
-            total = autodiff.mul(total_bd.total, 1.0 / batch.n_ego)
-            grads = grad(total, params)
-            opt.step(grads)
-            if post_step is not None:
-                post_step()
-            for term, t in total_bd.terms.items():
-                rows.append([step, stage, term, f"{t.item() / batch.n_ego:.10g}"])
-            rows.append([step, stage, "total", f"{total.item():.10g}"])
-            step += 1
-    _write_log(log_path, rows)
+    try:
+        for epoch in range(epochs):
+            perm = rng_for(cfg.seed, "shuffle", stage, epoch).permutation(len(table))
+            for start in range(0, len(table), cfg.batch_size):
+                batch = table.batch(np.sort(perm[start:start + cfg.batch_size]))
+                try:
+                    total_bd = step_loss_fn(batch)
+                except NotPSD as e:
+                    raise TrainingError(f"{stage} step {step}: {e}") from e
+                bad = total_bd.first_nonfinite()
+                if bad is not None:
+                    raise TrainingError(
+                        f"non-finite loss term {bad!r} at {stage} step {step}")
+                total = autodiff.mul(total_bd.total, 1.0 / batch.n_ego)
+                grads = grad(total, params)
+                opt.step(grads)
+                if post_step is not None:
+                    post_step()
+                if log_path is not None:
+                    log = log or _open_log(log_path)
+                    csv.writer(log).writerows(
+                        [[step, stage, term, f"{t.item() / batch.n_ego:.10g}"]
+                         for term, t in total_bd.terms.items()]
+                        + [[step, stage, "total", f"{total.item():.10g}"]])
+                    log.flush()
+                step += 1
+    finally:
+        if log is not None:
+            log.close()
 
 
 def build_model(records, cfg: TrainConfig, spec: ModelSpec) -> Model:
@@ -553,10 +547,9 @@ class Checkpoint:
         out: dict[str, np.ndarray] = {}
         for n in PARAM_NAMES:
             out[f"base.{n}"] = getattr(self.model.base, n)
-        for n in ("w1", "b1", "w2", "b2"):
+        for n in CLASSIFIER_NAMES:
             out[f"clf.{n}"] = getattr(self.model.clf, n)
-        for n in ("log_lengthscale", "log_outputscale", "log_noise_recon",
-                  "log_noise_traj"):
+        for n in GP_SCALAR_NAMES:
             out[f"gp.{n}"] = np.array(getattr(self.model.gp, n))
         for g in self.model.cb.groups:
             out[f"cb.group{g.group_id:03d}.basis"] = g.basis_tokens
@@ -657,13 +650,8 @@ class Checkpoint:
             pln_w1=tensors["base.pln_w1"], pln_b1=tensors["base.pln_b1"],
             pln_w2=tensors["base.pln_w2"], pln_b2=tensors["base.pln_b2"],
             n_code=spec.n_code, token_scale=spec.token_scale)
-        clf = GroupClassifier(w1=tensors["clf.w1"], b1=tensors["clf.b1"],
-                              w2=tensors["clf.w2"], b2=tensors["clf.b2"])
-        gp = GpParams(
-            log_lengthscale=float(tensors["gp.log_lengthscale"]),
-            log_outputscale=float(tensors["gp.log_outputscale"]),
-            log_noise_recon=float(tensors["gp.log_noise_recon"]),
-            log_noise_traj=float(tensors["gp.log_noise_traj"]))
+        clf = GroupClassifier(**{n: tensors[f"clf.{n}"] for n in CLASSIFIER_NAMES})
+        gp = GpParams(**{n: float(tensors[f"gp.{n}"]) for n in GP_SCALAR_NAMES})
         return cls(stage=header["stage"], model=Model(cb, base, clf, gp),
                    train_config=cfg, model_spec=spec)
 

@@ -3,7 +3,7 @@
 These deliberately avoid the library's own linear algebra and geometry: plain
 loops, Gauss-Jordan elimination, Jacobi eigenvalues, quadrature integration,
 dense point sampling, a scalar separating-axis loop, one-row numpy forms of
-the base model and central finite differences. They exist to cross-check the
+the base model and the group classifier, and central finite differences. They exist to cross-check the
 production paths and must stay independent of them.
 """
 
@@ -85,6 +85,30 @@ def gp_oracle(basis: np.ndarray, targets: np.ndarray, query: np.ndarray,
     mean = anchor + k_star @ k_inv @ centered
     var = sf * sf - float(k_star @ k_inv @ k_star)
     return mean, max(var, 0.0) + noise_var
+
+
+def classify_ref(token: np.ndarray, role, cb, clf, p) -> tuple[int, np.ndarray]:
+    """Masked classifier logits of one token and the argmax group (ties: lowest
+    id): ``rbf_oracle`` features against every basis token in group order,
+    then the two-layer tanh perceptron."""
+    ell, sf = math.exp(p.log_lengthscale), math.exp(p.log_outputscale)
+    feats = np.array([rbf_oracle(token, b, ell, sf)
+                      for g in cb.groups for b in g.basis_tokens])
+    raw = clf.w2 @ np.tanh(clf.w1 @ feats + clf.b1) + clf.b2
+    logits = np.full_like(raw, -np.inf)
+    ids = admissible_groups(cb, role)
+    logits[ids] = raw[ids]
+    return int(np.argmax(logits)), logits
+
+
+def predict_ref(token: np.ndarray, role, model) -> tuple[np.ndarray, float]:
+    """The GP module's trajectory mean and scalar variance for one token of a
+    model (cb, clf, gp): ``classify_ref``, then ``gp_oracle`` in that group."""
+    p = model.gp
+    g = model.cb.group(classify_ref(token, role, model.cb, model.clf, p)[0])
+    return gp_oracle(g.basis_tokens, g.trajectories, token,
+                     math.exp(p.log_lengthscale), math.exp(p.log_outputscale),
+                     math.exp(2.0 * p.log_noise_traj))
 
 
 def arc_position_quadrature(speed: float, curvature: float, t: float):

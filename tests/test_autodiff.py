@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from gptraj import autodiff
+from gptraj import autodiff, psdlinalg
 from gptraj.autodiff import Tensor
 
 
@@ -51,6 +51,13 @@ def test_matmul_all_rank_combos():
     check_op(lambda a, b: autodiff.tsum(autodiff.matmul(a, b)), (4,), (4, 2))
     check_op(lambda a, b: autodiff.tsum(autodiff.matmul(a, b)), (3, 4), (4,))
     check_op(lambda a, b: autodiff.matmul(a, b), (4,), (4,))
+    # leading batch axes, also broadcast against a plain matrix or vector
+    w = np.random.default_rng(1).normal(size=(2, 3, 5))
+    for shapes in [((2, 3, 4), (2, 4, 5)), ((2, 3, 4), (4, 5)), ((3, 4), (2, 4, 5))]:
+        check_op(lambda a, b: autodiff.tsum(autodiff.mul(autodiff.matmul(a, b), w)),
+                 *shapes)
+    check_op(lambda a, b: autodiff.tsum(autodiff.square(autodiff.matmul(a, b))),
+             (4,), (2, 4, 3))
 
 
 def test_reductions_and_transpose():
@@ -77,7 +84,6 @@ def test_elementwise_transcendentals():
     check_op(lambda a: autodiff.tsum(autodiff.log(autodiff.add(autodiff.square(a), 1.0))), (4,))
     check_op(lambda a: autodiff.tsum(autodiff.tanh(a)), (4,))
     check_op(lambda a: autodiff.tsum(autodiff.sqrt(autodiff.add(autodiff.square(a), 0.5))), (4,))
-    check_op(lambda a: autodiff.tsum(autodiff.power(autodiff.add(autodiff.square(a), 1.0), -1.5)), (4,))
 
 
 def test_relu_and_clamp_masks():
@@ -109,29 +115,37 @@ def test_gather_repeated_indices_accumulate():
     assert np.array_equal(x.grad, [0.0, 3.0, 0.0])
 
 
-def test_solve_psd_gradients():
-    rng = np.random.default_rng(7)
-    m = rng.normal(size=(4, 4))
-    spd = m @ m.T + 4.0 * np.eye(4)
+def test_psd_inverse_gradients():
+    # a stack of two SPD matrices m m^T + 4 I, weighted unevenly
+    w = np.random.default_rng(7).normal(size=(2, 4, 4))
 
-    def build(a, b):
-        sym = autodiff.mul(autodiff.add(a, autodiff.transpose(a)), 0.5)
-        return autodiff.tsum(autodiff.square(autodiff.solve_psd(sym, b)))
+    def spd(m):
+        return autodiff.add(autodiff.matmul(m, autodiff.transpose(m)), 4.0 * np.eye(4))
 
-    a0 = autodiff.parameter(spd)
-    b0 = autodiff.parameter(rng.normal(size=(4, 2)))
-    loss = build(a0, b0)
-    autodiff.backward(loss)
-    for p in (a0, b0):
-        fd = numeric_grad(lambda: build(Tensor(a0.data), Tensor(b0.data)).item(),
-                          p.data, h=1e-6)
-        assert np.allclose(p.grad, fd, atol=1e-5)
+    check_op(lambda a, b: autodiff.tsum(autodiff.mul(
+        autodiff.psd_inverse(autodiff.stack([spd(a), spd(b)])), w)), (4, 4), (4, 4),
+        seed=7)
 
 
-def test_solve_psd_vector_rhs():
-    a = np.diag([4.0, 9.0])
-    out = autodiff.solve_psd(Tensor(a), Tensor(np.array([1.0, 1.0])))
-    assert np.allclose(out.data, [0.25, 1.0 / 9.0])
+def test_psd_inverse_of_diagonal_stack_and_failing_group():
+    out = autodiff.psd_inverse(Tensor(np.stack([np.diag([4.0, 9.0]), np.eye(2)])))
+    assert np.allclose(out.data, [np.diag([0.25, 1.0 / 9.0]), np.eye(2)])
+    with pytest.raises(psdlinalg.NotPSD, match="^group 1: matrix not positive") as exc:
+        autodiff.psd_inverse(Tensor(np.stack([np.eye(2), np.diag([1.0, -5.0])])))
+    assert (exc.value.group, exc.value.pivot) == (1, 1)
+
+
+def test_fused_rbf_kernel_gradients_with_batch_axes():
+    w = np.random.default_rng(3).normal(size=(2, 3, 5))
+    check_op(lambda x, y, log_ell, log_sf: autodiff.tsum(autodiff.mul(
+        psdlinalg.kernel_matrix_t(x, y, log_ell, log_sf), w)),
+        (2, 3, 4), (2, 5, 4), (), (), seed=4)
+    # one basis against itself, as in a group's Gram matrix (zero distances
+    # on the diagonal)
+    w = np.random.default_rng(5).normal(size=(2, 3, 3))
+    check_op(lambda b, log_ell, log_sf: autodiff.tsum(autodiff.mul(
+        psdlinalg.kernel_matrix_t(b, b, log_ell, log_sf), w)), (2, 3, 4), (), (),
+        seed=6)
 
 
 def test_shared_subexpression_accumulates():

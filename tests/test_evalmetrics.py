@@ -10,12 +10,12 @@ from gptraj.core import Command, Trajectory
 from gptraj.evalmetrics import (avg_l2, collision, evaluate, rect_corners,
                                 rects_overlap, sat_margin, scene_collisions,
                                 scene_stats)
-from gptraj.gpmodule import classify, predict_trajectory
 from gptraj.synthdomain import arc_points
 from gptraj.trainer import stage1_pretrain
 
 from conftest import tiny_config, tiny_spec
-from oracles import collision_reference, encode_ref, plan_ref, rects_overlap_sampled
+from oracles import (collision_reference, encode_ref, plan_ref, predict_ref,
+                     rects_overlap_sampled)
 
 
 def straight(speed=5.0):
@@ -161,8 +161,7 @@ def test_evaluate_rows_match_per_scene_reference(tiny_dataset, stage1_ckpt):
             if mode == "base":
                 traj, _ = plan_ref(ego, role, model.base, model.cb)
             else:
-                gid, _ = classify(ego, role, model.cb, model.clf, model.gp)
-                traj = predict_trajectory(ego, gid, model.cb, model.gp).mean
+                traj = Trajectory.from_flat(predict_ref(ego.values, role, model)[0])
             l2 = avg_l2(traj, rec.ego_gt)
             l2s.append(l2[0])
             assert row["scene_id"] == rec.scene_id

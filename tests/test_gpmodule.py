@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -9,15 +11,13 @@ from gptraj import autodiff, gpmodule
 from gptraj.autodiff import Tensor
 from gptraj.codebook import (Role, admissible_groups, admissible_mask,
                              init_basis_tokens, sample_and_cluster)
-from gptraj.core import COMMANDS, Command, Token, Trajectory
-from gptraj.gpmodule import (GpGraph, GpInference, GpParams, GroupClassifier,
-                             classify, predict_scene, predict_trajectory,
-                             reconstruct)
+from gptraj.core import COMMANDS, Command
+from gptraj.gpmodule import GpGraph, GpInference, GpParams, GroupClassifier
 from gptraj.trainer import Adam
 from gptraj.losses import cross_entropy
 from gptraj.core import rng_for
 
-from oracles import gp_oracle
+from oracles import classify_ref, gp_oracle
 
 from test_codebook import corpus
 
@@ -39,136 +39,156 @@ def near_zero_noise() -> GpParams:
     return GpParams(log_noise_recon=np.log(1e-5), log_noise_traj=np.log(1e-5))
 
 
-def test_reconstruct_interpolates_basis_token(small_cb):
+def noise_var(log_noise: float) -> float:
+    return math.exp(2.0 * log_noise)
+
+
+def reconstruct(cb, clf, p, tokens, groups):
+    """``GpInference.reconstruct`` of token rows under given groups, as arrays."""
+    inf = GpInference(cb, clf, p)
+    mean, var = inf.reconstruct(inf.kernel_features(np.atleast_2d(tokens)),
+                                np.atleast_1d(groups))
+    return mean.data, var.data
+
+
+def predict(cb, clf, p, tokens, groups):
+    """``GpInference.predict_trajectory`` of token rows under given groups."""
+    inf = GpInference(cb, clf, p)
+    mean, var = inf.predict_trajectory(inf.kernel_features(np.atleast_2d(tokens)),
+                                       np.atleast_1d(groups))
+    return mean.data, var.data
+
+
+def oracle(cb, p, token, gid, head: str):
+    """``gp_oracle`` of one token under group ``gid``: the reconstruction head
+    (targets = basis) or the trajectory head."""
+    g = cb.group(gid)
+    targets, log_noise = ((g.basis_tokens, p.log_noise_recon) if head == "recon"
+                          else (g.trajectories, p.log_noise_traj))
+    return gp_oracle(g.basis_tokens, targets, token, math.exp(p.log_lengthscale),
+                     math.exp(p.log_outputscale), noise_var(log_noise))
+
+
+def test_reconstruct_interpolates_basis_token(small_cb, small_clf):
     p = near_zero_noise()
-    g = small_cb.group(2)
-    tok = Token(g.basis_tokens[3].copy())
-    res = reconstruct(tok, 2, small_cb, p)
-    assert np.max(np.abs(res.recon.values - tok.values)) < 1e-4
-    assert res.variance <= 1e-6 + p.noise_var_recon
+    tok = small_cb.group(2).basis_tokens[3].copy()
+    recon, var = reconstruct(small_cb, small_clf, p, tok, 2)
+    assert np.max(np.abs(recon[0] - tok)) < 1e-4
+    assert var[0] <= 1e-6 + noise_var(p.log_noise_recon)
 
 
-def test_reconstruct_far_token_reverts_to_anchor(small_cb):
+def test_reconstruct_far_token_reverts_to_anchor(small_cb, small_clf):
     p = GpParams()
-    g = small_cb.group(1)
-    tok = Token(np.full(6, 80.0))  # effectively infinite kernel distance
-    res = reconstruct(tok, 1, small_cb, p)
-    assert np.allclose(res.recon.values, g.token_anchor, atol=1e-8)
-    assert res.variance == pytest.approx(1.0 + p.noise_var_recon)
+    tok = np.full(6, 80.0)  # effectively infinite kernel distance
+    recon, var = reconstruct(small_cb, small_clf, p, tok, 1)
+    assert np.allclose(recon[0], small_cb.group(1).token_anchor, atol=1e-8)
+    assert var[0] == pytest.approx(1.0 + noise_var(p.log_noise_recon))
 
 
-def test_predict_interpolates_paired_trajectory(small_cb):
+def test_predict_interpolates_paired_trajectory(small_cb, small_clf):
     p = near_zero_noise()
     g = small_cb.group(4)
-    tok = Token(g.basis_tokens[0].copy())
-    pred = predict_trajectory(tok, 4, small_cb, p)
-    assert np.max(np.abs(pred.mean.flat - g.trajectories[0])) < 1e-4
+    mean, _ = predict(small_cb, small_clf, p, g.basis_tokens[0].copy(), 4)
+    assert np.max(np.abs(mean[0] - g.trajectories[0])) < 1e-4
 
 
-def test_predict_far_token_returns_anchor_trajectory(small_cb):
+def test_predict_far_token_returns_anchor_trajectory(small_cb, small_clf):
     p = GpParams()
-    g = small_cb.group(3)
-    tok = Token(np.full(6, -90.0))
-    pred = predict_trajectory(tok, 3, small_cb, p)
-    assert np.allclose(pred.mean.flat, g.traj_anchor, atol=1e-8)
-    assert pred.scalar_variance == pytest.approx(1.0 + p.noise_var_traj)
-    assert np.allclose(pred.variance, pred.scalar_variance)
-    assert pred.variance.shape == (12,)
+    mean, var = predict(small_cb, small_clf, p, np.full(6, -90.0), 3)
+    assert mean.shape == (1, 12) and var.shape == (1,)
+    assert np.allclose(mean[0], small_cb.group(3).traj_anchor, atol=1e-8)
+    assert var[0] == pytest.approx(1.0 + noise_var(p.log_noise_traj))
 
 
-def test_matches_dense_inverse_oracle(small_cb):
+def test_matches_dense_inverse_oracle(small_cb, small_clf):
     rng = np.random.default_rng(3)
     p = GpParams(log_lengthscale=0.2, log_outputscale=-0.1,
                  log_noise_recon=np.log(0.05), log_noise_traj=np.log(0.02))
-    ell, sf = p.kernel_params().lengthscale, p.kernel_params().outputscale
-    for gid in (0, 3, 7):
-        g = small_cb.group(gid)
-        tok = Token(rng.normal(size=6))
-        res = reconstruct(tok, gid, small_cb, p)
-        mean_o, var_o = gp_oracle(g.basis_tokens, g.basis_tokens, tok.values,
-                                  ell, sf, p.noise_var_recon)
-        assert np.max(np.abs(res.recon.values - mean_o)) < 1e-8
-        assert abs(res.variance - var_o) < 1e-8
-
-        pred = predict_trajectory(tok, gid, small_cb, p)
-        mean_o, var_o = gp_oracle(g.basis_tokens, g.trajectories, tok.values,
-                                  ell, sf, p.noise_var_traj)
-        assert np.max(np.abs(pred.mean.flat - mean_o)) < 1e-8
-        assert abs(pred.scalar_variance - var_o) < 1e-8
+    groups = np.array([0, 3, 7, 3])  # a repeated group in one call
+    toks = rng.normal(size=(len(groups), 6))
+    recon, var_rec = reconstruct(small_cb, small_clf, p, toks, groups)
+    mean, var_traj = predict(small_cb, small_clf, p, toks, groups)
+    for i, (tok, gid) in enumerate(zip(toks, groups)):
+        mean_o, var_o = oracle(small_cb, p, tok, gid, "recon")
+        assert np.max(np.abs(recon[i] - mean_o)) < 1e-8
+        assert abs(var_rec[i] - var_o) < 1e-8
+        mean_o, var_o = oracle(small_cb, p, tok, gid, "traj")
+        assert np.max(np.abs(mean[i] - mean_o)) < 1e-8
+        assert abs(var_traj[i] - var_o) < 1e-8
 
 
-def test_recon_and_prediction_share_conditioning(small_cb):
+def test_recon_and_prediction_share_conditioning(small_cb, small_clf):
     # identical function-space variance from both heads at equal noise
     p = GpParams(log_noise_recon=np.log(0.1), log_noise_traj=np.log(0.1))
-    tok = Token(np.linspace(-1, 1, 6))
-    r = reconstruct(tok, 5, small_cb, p)
-    pr = predict_trajectory(tok, 5, small_cb, p)
-    assert r.variance == pytest.approx(pr.scalar_variance, abs=1e-12)
+    tok = np.linspace(-1, 1, 6)
+    _, var_rec = reconstruct(small_cb, small_clf, p, tok, 5)
+    _, var_traj = predict(small_cb, small_clf, p, tok, 5)
+    assert var_rec[0] == pytest.approx(var_traj[0], abs=1e-12)
 
 
 def test_classifier_masking_and_determinism(small_cb, small_clf):
     p = GpParams()
-    tok = Token(np.linspace(-0.5, 0.5, 6))
-    g1, logits1 = classify(tok, Role.ego(Command.TURN_LEFT), small_cb, small_clf, p)
-    g2, logits2 = classify(tok, Role.ego(Command.TURN_LEFT), small_cb, small_clf, p)
+    inf = GpInference(small_cb, small_clf, p)
+    tok = np.linspace(-0.5, 0.5, 6)[None]
+    left_mask = admissible_mask(small_cb, Role.ego(Command.TURN_LEFT))[None]
+    *_, logits1, g1 = inf.predict_rows(tok, left_mask)
+    *_, logits2, g2 = inf.predict_rows(tok, left_mask)
     assert g1 == g2 and np.array_equal(logits1, logits2)
     left = admissible_groups(small_cb, Role.ego(Command.TURN_LEFT))
-    assert g1 in left
-    masked = np.delete(logits1, left)
-    assert np.all(np.isneginf(masked))
-    ga, _ = classify(tok, Role.agent(), small_cb, small_clf, p)
-    assert ga in small_cb.agent_group_ids
+    assert g1[0] in left
+    assert np.all(np.isneginf(np.delete(logits1[0], left)))
+    want, want_logits = classify_ref(tok[0], Role.ego(Command.TURN_LEFT), small_cb,
+                                     small_clf, p)
+    assert g1[0] == want
+    assert np.allclose(logits1[0][left], want_logits[left], rtol=0, atol=1e-12)
+    *_, ga = inf.predict_rows(tok, admissible_mask(small_cb, Role.agent())[None])
+    assert ga[0] in small_cb.agent_group_ids
 
 
-def test_variance_lower_bound_and_monotonicity(small_cb):
+def test_variance_lower_bound_and_monotonicity(small_cb, small_clf):
     p = GpParams(log_noise_traj=np.log(0.05))
     rng = np.random.default_rng(8)
-    g = small_cb.group(0)
-    base = g.token_anchor
-    for _ in range(50):
-        tok = Token(rng.normal(size=6))
-        pred = predict_trajectory(tok, 0, small_cb, p)
-        assert pred.scalar_variance >= p.noise_var_traj - 1e-15
+    _, var = predict(small_cb, small_clf, p, rng.normal(size=(50, 6)), np.zeros(50, int))
+    assert np.all(var >= noise_var(p.log_noise_traj) - 1e-15)
     # moving the query towards the basis cloud decreases variance
     direction = rng.normal(size=6)
     direction /= np.linalg.norm(direction)
-    vars_by_dist = [predict_trajectory(Token(base + r * direction), 0, small_cb,
-                                       p).scalar_variance
-                    for r in (0.5, 2.0, 6.0, 20.0)]
-    assert all(a <= b + 1e-12 for a, b in zip(vars_by_dist, vars_by_dist[1:]))
+    base = small_cb.group(0).token_anchor
+    toks = np.stack([base + r * direction for r in (0.5, 2.0, 6.0, 20.0)])
+    _, by_dist = predict(small_cb, small_clf, p, toks, np.zeros(4, int))
+    assert all(a <= b + 1e-12 for a, b in zip(by_dist, by_dist[1:]))
 
 
 def test_predict_scene_shapes_and_order(small_cb, small_clf):
     p = GpParams()
     rng = np.random.default_rng(5)
-    ego = Token(rng.normal(size=6))
-    ego_pred, agent_preds = predict_scene(ego, [], Command.GO_STRAIGHT,
-                                          small_cb, small_clf, p)
-    assert agent_preds == []
-    assert ego_pred.group in admissible_groups(small_cb, Role.ego(Command.GO_STRAIGHT))
-
-    agents = [Token(rng.normal(size=6)) for _ in range(3)]
-    _, agent_preds = predict_scene(ego, agents, Command.GO_STRAIGHT,
-                                   small_cb, small_clf, p)
-    assert len(agent_preds) == 3
-    for tok, pred in zip(agents, agent_preds):
-        direct = predict_trajectory(tok, pred.group, small_cb, p)
-        assert np.allclose(direct.mean.flat, pred.mean.flat)
+    inf = GpInference(small_cb, small_clf, p)
+    egos = rng.normal(size=(3, 6))
+    mean, var, logits, groups = inf.predict_scene(egos, [Command.GO_STRAIGHT] * 3)
+    assert (mean.shape, var.shape, logits.shape, groups.shape) == (
+        (3, 12), (3,), (3, small_cb.n_code), (3,))
+    straight = admissible_groups(small_cb, Role.ego(Command.GO_STRAIGHT))
+    assert all(g in straight for g in groups)
+    # each row as if it were alone: no row's prediction depends on another's
+    for i in range(3):
+        alone = inf.predict_scene(egos[i:i + 1], [Command.GO_STRAIGHT])
+        assert alone[3][0] == groups[i]
+        assert np.allclose(alone[0][0], mean[i], rtol=0, atol=1e-12)
 
 
 def test_forced_group_reproduces_basis_trajectory_end_to_end(small_cb, small_clf):
     # classifier forced via a single-group admissible mask
     p = near_zero_noise()
-    left = admissible_groups(small_cb, Role.ego(Command.TURN_LEFT))
-    gid = left[0]
+    gid = admissible_groups(small_cb, Role.ego(Command.TURN_LEFT))[0]
     g = small_cb.group(gid)
-    tok = Token(g.basis_tokens[2].copy())
-    feats = None  # classify with a restricted mask: emulate via direct predict
-    pred = predict_trajectory(tok, gid, small_cb, p)
-    assert np.max(np.abs(pred.mean.flat - g.trajectories[2])) < 1e-3
+    only = np.arange(small_cb.n_code)[None, :] == gid
+    mean, _, _, groups = GpInference(small_cb, small_clf, p).predict_rows(
+        g.basis_tokens[2][None], only)
+    assert groups.tolist() == [gid]
+    assert np.max(np.abs(mean[0] - g.trajectories[2])) < 1e-3
 
 
-def test_inference_cache_matches_free_functions(small_cb, small_clf):
+def test_predict_scene_matches_oracle(small_cb, small_clf):
     p = GpParams(log_lengthscale=0.1, log_noise_traj=np.log(0.03))
     inf = GpInference(small_cb, small_clf, p)
     commands = [c for c in COMMANDS for _ in range(4)]
@@ -176,12 +196,12 @@ def test_inference_cache_matches_free_functions(small_cb, small_clf):
     mean, var, logits, groups = inf.predict_scene(toks, commands)
     for tok, command, m2, v2, l2, g2 in zip(toks, commands, mean, var, logits, groups,
                                            strict=True):
-        gid, want_logits = classify(Token(tok), Role.ego(command), small_cb, small_clf, p)
+        gid, want_logits = classify_ref(tok, Role.ego(command), small_cb, small_clf, p)
         assert g2 == gid
         assert np.array_equal(np.isneginf(l2), np.isneginf(want_logits))
-        want = predict_trajectory(Token(tok), gid, small_cb, p)
-        assert np.allclose(m2, want.mean.flat, rtol=0, atol=1e-12)
-        assert v2 == pytest.approx(want.scalar_variance, rel=0, abs=1e-12)
+        want_mean, want_var = oracle(small_cb, p, tok, gid, "traj")
+        assert np.allclose(m2, want_mean, rtol=0, atol=1e-8)
+        assert v2 == pytest.approx(want_var, rel=0, abs=1e-8)
 
 
 def mixed_rows(cb, n_per_role: int, rng):
@@ -203,45 +223,52 @@ def test_predict_rows_matches_per_token_reference(small_cb, small_clf, monkeypat
         tokens, admissible)
     assert mean.shape == (len(tokens), 12) and var.shape == (len(tokens),)
     for i, (tok, role) in enumerate(zip(tokens, roles)):
-        gid, want_logits = classify(Token(tok), role, small_cb, small_clf, p)
+        gid, want_logits = classify_ref(tok, role, small_cb, small_clf, p)
         assert groups[i] == gid
         assert np.array_equal(np.isneginf(logits[i]), np.isneginf(want_logits))
         assert np.allclose(logits[i][admissible[i]], want_logits[admissible[i]],
                            rtol=0, atol=1e-12)
-        want = predict_trajectory(Token(tok), gid, small_cb, p)
-        assert np.allclose(mean[i], want.mean.flat, rtol=0, atol=1e-12)
-        assert var[i] == pytest.approx(want.scalar_variance, rel=0, abs=1e-12)
+        want_mean, want_var = oracle(small_cb, p, tok, gid, "traj")
+        assert np.allclose(mean[i], want_mean, rtol=0, atol=1e-8)
+        assert var[i] == pytest.approx(want_var, rel=0, abs=1e-8)
 
 
 def test_graph_path_matches_inference_path(small_cb, small_clf):
+    # a GpGraph over tracked parameters computes what GpInference computes
+    # over constants, and its backward reaches every parameter family
     p = GpParams(log_lengthscale=0.15, log_outputscale=-0.05,
                  log_noise_recon=np.log(0.04), log_noise_traj=np.log(0.06))
-    basis_vars = [Tensor(g.basis_tokens) for g in small_cb.groups]
-    clf_vars = {"w1": Tensor(small_clf.w1), "b1": Tensor(small_clf.b1),
-                "w2": Tensor(small_clf.w2), "b2": Tensor(small_clf.b2)}
-    graph = GpGraph(small_cb, basis_vars, clf_vars,
-                    Tensor(np.array(p.log_lengthscale)),
-                    Tensor(np.array(p.log_outputscale)),
-                    Tensor(np.array(p.log_noise_recon)),
-                    Tensor(np.array(p.log_noise_traj)))
-    rng = np.random.default_rng(17)
-    tok = rng.normal(size=6)
-    feats = graph.kernel_features(Tensor(tok))
+    basis_vars = [autodiff.parameter(g.basis_tokens) for g in small_cb.groups]
+    clf_vars = {n: autodiff.parameter(getattr(small_clf, n))
+                for n in gpmodule.CLASSIFIER_NAMES}
+    scalars = [autodiff.parameter(getattr(p, n)) for n in gpmodule.GP_SCALAR_NAMES]
+    graph = GpGraph(small_cb, basis_vars, clf_vars, *scalars)
     inf = GpInference(small_cb, small_clf, p)
-    inf_feats = inf.kernel_features(tok[None])[0]
-    assert np.allclose(feats.data, inf_feats, atol=1e-12)
+    toks = np.random.default_rng(17).normal(size=(4, 6))
+    groups = np.array([3, 3, 0, 9])
+    feats = graph.kernel_features(toks)
+    inf_feats = inf.kernel_features(toks)
+    assert np.allclose(feats.data, inf_feats.data, rtol=0, atol=1e-12)
     logits = graph.classifier_logits(feats)
-    assert np.allclose(logits.data, small_clf.forward(inf_feats), atol=1e-12)
-    recon, var = graph.reconstruct(Tensor(tok), 3)
-    want = reconstruct(Token(tok), 3, small_cb, p)
-    assert np.allclose(recon.data, want.recon.values, atol=1e-10)
-    assert float(var.data) == pytest.approx(want.variance, abs=1e-10)
-    mean, var_t = graph.predict_trajectory(Tensor(tok), 3)
-    only3 = np.arange(small_cb.n_code)[None, :] == 3  # forces group 3
-    mean2, var2, _, groups = inf.predict_rows(tok[None], only3)
-    assert groups.tolist() == [3]
-    assert np.allclose(mean.data, mean2[0], atol=1e-10)
-    assert float(var_t.data) == pytest.approx(var2[0], abs=1e-10)
+    assert np.allclose(logits.data, inf.classifier_logits(inf_feats).data,
+                       rtol=0, atol=1e-12)
+    recon, var = graph.reconstruct(feats, groups)
+    mean, var_t = graph.predict_trajectory(feats, groups)
+    for got, want in zip((recon, var, mean, var_t),
+                         inf.reconstruct(inf_feats, groups)
+                         + inf.predict_trajectory(inf_feats, groups)):
+        assert np.allclose(got.data, want.data, rtol=0, atol=1e-12)
+    for i, (tok, gid) in enumerate(zip(toks, groups)):
+        want_recon, want_var = oracle(small_cb, p, tok, gid, "recon")
+        assert np.allclose(recon.data[i], want_recon, atol=1e-8)
+        assert var.data[i] == pytest.approx(want_var, abs=1e-8)
+    loss = autodiff.tsum(autodiff.add(
+        autodiff.add(autodiff.tsum(recon), autodiff.tsum(var)),
+        autodiff.add(autodiff.tsum(logits), autodiff.tsum(var_t))))
+    autodiff.backward(loss)
+    for leaf in basis_vars[3:4] + list(clf_vars.values()) + scalars:
+        assert leaf.grad is not None and np.any(leaf.grad != 0.0)
+    assert inf.log_ell.grad is None  # the constants build no tape
 
 
 def test_classifier_learns_two_separated_modes(small_cb):
@@ -264,7 +291,7 @@ def test_classifier_learns_two_separated_modes(small_cb):
         for _ in range(8):
             label = ids[int(rng.integers(2))]
             tok = centers[label] + rng.normal(scale=0.3, size=6)
-            feats = Tensor(inf.kernel_features(tok[None])[0])
+            feats = inf.kernel_features(tok[None]).data[0]
             h = autodiff.tanh(autodiff.add(autodiff.matmul(w["w1"], feats), w["b1"]))
             logits = autodiff.add(autodiff.matmul(w["w2"], h), w["b2"])
             ce = cross_entropy(autodiff.reshape(logits, (1, -1)), adm, [label])
@@ -273,11 +300,10 @@ def test_classifier_learns_two_separated_modes(small_cb):
         opt.step(grads)
     trained = GroupClassifier(w1=w["w1"].data, b1=w["b1"].data,
                               w2=w["w2"].data, b2=w["b2"].data)
-    hits = 0
-    n_eval = 200
-    for _ in range(n_eval):
-        label = ids[int(rng.integers(2))]
-        tok = Token(centers[label] + rng.normal(scale=0.3, size=6))
-        got, _ = classify(tok, Role.agent(), cb, trained, p)
-        hits += int(got == label)
-    assert hits / n_eval >= 0.95
+    labels, toks = [], []
+    for _ in range(200):
+        labels.append(ids[int(rng.integers(2))])
+        toks.append(centers[labels[-1]] + rng.normal(scale=0.3, size=6))
+    *_, got = GpInference(cb, trained, p).predict_rows(
+        np.stack(toks), np.repeat(adm, len(labels), axis=0))
+    assert np.mean(got == np.array(labels)) >= 0.95

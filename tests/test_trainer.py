@@ -4,6 +4,7 @@ row-batched step losses and their gradients."""
 from __future__ import annotations
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from gptraj.basemodel import encode
 from gptraj.codebook import BuildError, Role, admissible_groups
 from gptraj.core import Trajectory, traj_distance
 from gptraj.evalmetrics import evaluate
-from gptraj.gpmodule import GpInference, classify, predict_trajectory
+from gptraj.gpmodule import GpInference
 from gptraj.psdlinalg import NotPSD
 from gptraj.synthdomain import gen_dataset, strip_labels
 from gptraj.trainer import (Checkpoint, SceneTable, StageTables, TrainingError,
@@ -22,7 +23,7 @@ from gptraj.trainer import (Checkpoint, SceneTable, StageTables, TrainingError,
                             stage1_pretrain, stage2_fit_gp, stage3_finetune)
 
 from conftest import TINY_OBS_DIM, tiny_config, tiny_domain, tiny_spec
-from oracles import encode_ref, finite_difference
+from oracles import encode_ref, finite_difference, predict_ref
 
 CFG = tiny_config(epochs_stage1=2, epochs_stage2=1, epochs_stage3=1, adapt_epochs=1)
 
@@ -107,20 +108,58 @@ def test_truncated_or_foreign_checkpoint_rejected_with_path(pipeline_bytes):
     assert str(foreign) in str(exc.value)
 
 
-def _raise_not_psd(a):
-    raise NotPSD(pivot=0, jitter=psdlinalg.JITTER_LADDER[-1])
+def failing_factor(fail_at: int):
+    """A ``cholesky_factor`` whose ``fail_at``-th call (from 0) raises NotPSD.
+
+    Each GP conditioning factors the groups once each, in group order, so
+    call ``s * n_code + g`` is group g's factorization at step s.
+    """
+    calls = itertools.count()
+    real = psdlinalg.cholesky_factor
+
+    def factor(a):
+        if next(calls) == fail_at:
+            raise NotPSD(pivot=0, jitter=psdlinalg.JITTER_LADDER[-1])
+        return real(a)
+
+    return factor
 
 
 def test_not_psd_names_stage_and_step(tiny_dataset, monkeypatch):
     ckpt = stage1_pretrain(tiny_dataset, CFG, tiny_spec())
-    ckpt2 = stage2_fit_gp(tiny_dataset[:16], ckpt, CFG)
-    monkeypatch.setattr(psdlinalg, "cholesky_factor", _raise_not_psd)
-    with pytest.raises(TrainingError, match="stage2 step 0") as exc:
-        stage2_fit_gp(tiny_dataset[:16], ckpt, CFG)
+    ckpt2 = stage2_fit_gp(tiny_dataset[:48], ckpt, CFG)
+    n_code = tiny_spec().n_code
+    monkeypatch.setattr(psdlinalg, "cholesky_factor", failing_factor(n_code + 5))
+    with pytest.raises(TrainingError, match="^stage2 step 1: group 5: matrix not "
+                                            "positive definite") as exc:
+        stage2_fit_gp(tiny_dataset[:48], ckpt, CFG)
     assert isinstance(exc.value.__cause__, NotPSD)
-    with pytest.raises(TrainingError, match="stage3 teacher set-up") as exc:
+    assert exc.value.__cause__.group == 5
+    monkeypatch.setattr(psdlinalg, "cholesky_factor", failing_factor(17))
+    with pytest.raises(TrainingError, match="^stage3 teacher set-up: group 17: "
+                                            "matrix not positive definite") as exc:
         stage3_finetune(tiny_dataset[:16], ckpt2, CFG)
     assert isinstance(exc.value.__cause__, NotPSD)
+
+
+def test_loss_log_keeps_the_steps_before_a_failure(tiny_dataset, fitted, tmp_path,
+                                                   monkeypatch):
+    real = trainer.gp_stage_loss
+    steps = itertools.count()
+
+    def failing_at_step_2(*args):
+        if next(steps) == 2:
+            raise RuntimeError("step 2 failed")
+        return real(*args)
+
+    monkeypatch.setattr(trainer, "gp_stage_loss", failing_at_step_2)
+    log = tmp_path / "loss.csv"
+    with pytest.raises(RuntimeError, match="step 2 failed"):
+        stage2_fit_gp(tiny_dataset[:48], fitted, CFG, log_path=log)
+    rows = log.read_text().splitlines()
+    assert rows[0] == "step,stage,term,value"
+    assert {row.split(",")[0] for row in rows[1:]} == {"0", "1"}
+    assert [row.split(",")[2] for row in rows[1:]].count("total") == 2
 
 
 def test_codebook_build_error_names_stage(tiny_dataset):
@@ -264,9 +303,7 @@ def test_active_select_ranking_matches_per_scene_reference(fitted, target_datase
     want = []
     for r in records:
         ego, _ = encode_ref(r, model.base)
-        gid, _ = classify(ego, Role.ego(r.command), model.cb, model.clf, model.gp)
-        want.append((r.scene_id,
-                     predict_trajectory(ego, gid, model.cb, model.gp).scalar_variance))
+        want.append((r.scene_id, predict_ref(ego.values, Role.ego(r.command), model)[1]))
     want.sort(key=lambda t: (-t[1], t[0]))
     assert [sid for sid, _ in rep.rows] == [sid for sid, _ in want]
     assert np.allclose([v for _, v in rep.rows], [v for _, v in want], rtol=0, atol=1e-12)
