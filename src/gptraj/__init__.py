@@ -2,10 +2,10 @@
 
 from .core import (Command, SceneRecord, Token, Trajectory, load_dataset,
                    save_dataset, traj_distance, validate_record)
-from .codebook import (Codebook, CodebookGroup, Role, admissible_groups,
-                       init_basis_tokens, sample_and_cluster)
-from .psdlinalg import (CholeskyFactor, KernelParams, NotPSD, chol_solve,
-                        cholesky_factor, kernel, kernel_matrix)
+from .codebook import (Codebook, Role, admissible_groups, init_basis_tokens,
+                       sample_and_cluster)
+from .psdlinalg import (CholeskyFactor, KernelParams, NotPSD, cholesky_factor,
+                        kernel_matrix)
 from .gpmodule import GpInference, GpParams, GroupClassifier
 from .losses import (LossBreakdown, loss_gp_teacher, loss_rec, loss_sup,
                      select_triplet_classes, triplet_term)

@@ -175,8 +175,9 @@ def matmul(a, b) -> Tensor:
 
 
 def transpose(a) -> Tensor:
+    """Swap the last two axes."""
     a = as_tensor(a)
-    return _make(a.data.T, (a,), lambda g: (g.T,))
+    return _make(np.swapaxes(a.data, -1, -2), (a,), lambda g: (np.swapaxes(g, -1, -2),))
 
 
 def tsum(a, axis=None, keepdims: bool = False) -> Tensor:

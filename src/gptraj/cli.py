@@ -254,10 +254,10 @@ def cmd_eval(args, cfg) -> int:
 
 
 def cmd_inspect_ckpt(args, cfg) -> int:
-    from .trainer import Checkpoint
+    from .trainer import CHECKPOINT_SCHEMA, Checkpoint
 
     ckpt = Checkpoint.load(_require(Path(args.ckpt), "checkpoint"))
-    print(f"schema: 1  stage: {ckpt.stage}")
+    print(f"schema: {CHECKPOINT_SCHEMA}  stage: {ckpt.stage}")
     print(f"model_spec: {ckpt.model_spec}")
     for name, arr in sorted(ckpt.named_tensors().items()):
         print(f"  {name}  {list(arr.shape)}")

@@ -3,13 +3,18 @@
 Groups are built by Lloyd-style clustering of ground-truth trajectories under
 the mean-waypoint-distance metric, bucketed by role: ego groups are
 partitioned evenly across the three driving commands, agent groups share one
-bucket. Each group stores exactly ``group_size`` trajectories; basis tokens
+bucket. Each group holds exactly ``group_size`` trajectories; basis tokens
 map to them one-to-one and are the learnable half of the pair.
+
+The codebook is two stacked arrays, trajectories (n_code, C, 12) and basis
+tokens (n_code, C, D), in a fixed group layout: the ``n_ego`` ego groups
+first, ``n_ego / 3`` per command in ``COMMANDS`` order, then the agent
+groups. A group's role follows from its index, so it is not stored.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,60 +45,58 @@ class Role:
 
 
 @dataclass
-class CodebookGroup:
-    group_id: int
-    role: Role
-    trajectories: np.ndarray  # (C, 12), fixed after build
-    traj_anchor: np.ndarray  # (12,), mean of trajectories
-    basis_tokens: np.ndarray | None = None  # (C, D), learnable
-    duplicated: int = 0  # members cloned to reach C at build time
-
-    @property
-    def traj_centered(self) -> np.ndarray:
-        return self.trajectories - self.traj_anchor[None, :]
-
-    @property
-    def token_anchor(self) -> np.ndarray:
-        """Mean of the current basis tokens; recomputed on read so it always
-        tracks optimizer updates."""
-        if self.basis_tokens is None:
-            raise ValueError(f"group {self.group_id}: basis tokens not initialized")
-        return self.basis_tokens.mean(axis=0)
-
-
-@dataclass
 class Codebook:
-    groups: list[CodebookGroup]
+    """Group g's C trajectories are ``trajectories[g]`` and its C basis
+    tokens ``basis[g]``, paired one-to-one, in the group layout above."""
+
+    trajectories: np.ndarray  # (n_code, C, 12), fixed after build
     n_ego: int
-    n_agent: int
-    group_size: int
     token_dim: int
-    command_groups: dict[Command, list[int]] = field(default_factory=dict)
+    basis: np.ndarray | None = None  # (n_code, C, D), learnable
 
     @property
     def n_code(self) -> int:
-        return self.n_ego + self.n_agent
+        return self.trajectories.shape[0]
+
+    @property
+    def n_agent(self) -> int:
+        return self.n_code - self.n_ego
+
+    @property
+    def group_size(self) -> int:
+        return self.trajectories.shape[1]
+
+    @property
+    def command_groups(self) -> dict[Command, list[int]]:
+        per_cmd = self.n_ego // len(COMMANDS)
+        return {c: list(range(i * per_cmd, (i + 1) * per_cmd))
+                for i, c in enumerate(COMMANDS)}
 
     @property
     def agent_group_ids(self) -> list[int]:
-        return [g.group_id for g in self.groups if g.role.kind == "agent"]
+        return list(range(self.n_ego, self.n_code))
 
-    def group(self, group_id: int) -> CodebookGroup:
-        return self.groups[group_id]
+    def role(self, group: int) -> Role:
+        if group >= self.n_ego:
+            return Role.agent()
+        return Role.ego(COMMANDS[group // (self.n_ego // len(COMMANDS))])
 
     def traj_anchors(self) -> np.ndarray:
-        """All trajectory anchors row-stacked in group order; shape (n_code, 12)."""
-        return np.stack([g.traj_anchor for g in self.groups])
+        """Mean trajectory of each group; shape (n_code, 12)."""
+        return self.trajectories.mean(axis=1)
 
     def token_anchors(self) -> np.ndarray:
-        """All token anchors row-stacked in group order; shape (n_code, D)."""
-        return np.stack([g.token_anchor for g in self.groups])
+        """Mean basis token of each group; shape (n_code, D). Recomputed on
+        read so it tracks optimizer updates."""
+        if self.basis is None:
+            raise ValueError("basis tokens not initialized")
+        return self.basis.mean(axis=1)
 
 
 def admissible_groups(cb: Codebook, role: Role) -> list[int]:
     """Group ids a token of this role may be classified into."""
     if role.kind == "ego":
-        return list(cb.command_groups[role.command])
+        return cb.command_groups[role.command]
     return cb.agent_group_ids
 
 
@@ -147,18 +150,6 @@ def _lloyd(flat: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     return centroids
 
 
-def _fill_group(flat: np.ndarray, centroid: np.ndarray, c: int) -> tuple[np.ndarray, int]:
-    """The c trajectories nearest the centroid, duplicating nearest members
-    when the cluster is short."""
-    order = np.argsort(traj_dists(flat, centroid), kind="stable")
-    chosen = list(order[:c])
-    duplicated = 0
-    while len(chosen) < c:
-        chosen.append(chosen[duplicated % max(len(order), 1)])
-        duplicated += 1
-    return flat[np.asarray(chosen[:c])], duplicated
-
-
 def sample_and_cluster(
     trajs: list[tuple[Trajectory, Command, bool]],
     n_ego_groups: int,
@@ -171,7 +162,8 @@ def sample_and_cluster(
 
     ``trajs`` entries are (trajectory, command, is_ego). Ego trajectories are
     bucketed per command with n_ego_groups/3 groups each; agent trajectories
-    form one bucket with n_agent_groups groups.
+    form one bucket with n_agent_groups groups. A group's trajectories are
+    the ``group_size`` rows of its bucket nearest its centroid.
     """
     if n_ego_groups % len(COMMANDS) != 0:
         raise BuildError(f"n_ego_groups {n_ego_groups} not divisible by {len(COMMANDS)}")
@@ -182,12 +174,7 @@ def sample_and_cluster(
         key = ("ego", cmd) if is_ego else ("agent", None)
         buckets.setdefault(key, []).append(traj.flat)
 
-    groups: list[CodebookGroup] = []
-    command_groups: dict[Command, list[int]] = {c: [] for c in COMMANDS}
-    gid = 0
-
-    def build_bucket(key, k, role):
-        nonlocal gid
+    def build_bucket(key, k) -> list[np.ndarray]:
         rows = buckets.get(key, [])
         need = k * group_size
         if len(rows) < need:
@@ -200,42 +187,20 @@ def sample_and_cluster(
                                             key[1].value if key[1] else "all"))
         # stable centroid order: by forward progress of the anchor endpoint
         order = np.argsort(centroids[:, -2], kind="stable")
-        for j in order:
-            members, dup = _fill_group(flat, centroids[j], group_size)
-            anchor = members.mean(axis=0)
-            groups.append(
-                CodebookGroup(
-                    group_id=gid,
-                    role=role,
-                    trajectories=members,
-                    traj_anchor=anchor,
-                    duplicated=dup,
-                )
-            )
-            if role.kind == "ego":
-                command_groups[role.command].append(gid)
-            gid += 1
+        return [flat[np.argsort(traj_dists(flat, c), kind="stable")[:group_size]]
+                for c in centroids[order]]
 
-    for cmd in COMMANDS:
-        build_bucket(("ego", cmd), per_cmd, Role.ego(cmd))
-    build_bucket(("agent", None), n_agent_groups, Role.agent())
-
-    return Codebook(
-        groups=groups,
-        n_ego=n_ego_groups,
-        n_agent=n_agent_groups,
-        group_size=group_size,
-        token_dim=token_dim,
-        command_groups=command_groups,
-    )
+    members = [m for cmd in COMMANDS for m in build_bucket(("ego", cmd), per_cmd)]
+    members += build_bucket(("agent", None), n_agent_groups)
+    return Codebook(trajectories=np.stack(members), n_ego=n_ego_groups,
+                    token_dim=token_dim)
 
 
 def init_basis_tokens(cb: Codebook, rng_seed: int) -> Codebook:
     """Sample basis tokens i.i.d. from N(0, 1/D) per entry, in place."""
     rng = rng_for(rng_seed, "basis-init")
-    std = 1.0 / np.sqrt(cb.token_dim)
-    for g in cb.groups:
-        g.basis_tokens = rng.normal(0.0, std, size=(cb.group_size, cb.token_dim))
+    cb.basis = rng.normal(0.0, 1.0 / np.sqrt(cb.token_dim),
+                          size=(cb.n_code, cb.group_size, cb.token_dim))
     return cb
 
 

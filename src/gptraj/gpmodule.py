@@ -77,29 +77,25 @@ class GroupClassifier:
 class GpGraph:
     """The GP module over token rows, as tape tensors.
 
-    Holds the parameter tensors and, once computed, the stacked basis and
-    every group's conditioning. Training builds one per optimizer step.
+    Holds the parameter tensors, the basis both as (n_code, C, D) and as
+    (n_code * C, D) rows, and, once computed, every group's conditioning.
+    Training builds one per optimizer step.
     """
 
-    def __init__(self, cb: Codebook, basis_vars: list[Tensor], clf_vars: dict,
+    def __init__(self, cb: Codebook, basis: Tensor, clf_vars: dict,
                  log_ell: Tensor, log_sf: Tensor, log_noise_recon: Tensor,
                  log_noise_traj: Tensor):
         self.cb = cb
-        self.basis_vars = basis_vars
+        self.basis = basis  # (n_code, C, D)
+        self.flat_basis = autodiff.reshape(basis, (cb.n_code * cb.group_size,
+                                                   cb.token_dim))
         self.clf = clf_vars  # keys: CLASSIFIER_NAMES
         self.log_ell = log_ell
         self.log_sf = log_sf
         self.sf2 = autodiff.exp(autodiff.mul(log_sf, 2.0))
         self.noise_recon = autodiff.exp(autodiff.mul(log_noise_recon, 2.0))
         self.noise_traj = autodiff.exp(autodiff.mul(log_noise_traj, 2.0))
-        self._stacked: Tensor | None = None
         self._cond: dict | None = None
-
-    def stacked_basis(self) -> Tensor:
-        """Every group's basis tokens as one (n_code * C, D) matrix."""
-        if self._stacked is None:
-            self._stacked = autodiff.concat(self.basis_vars, axis=0)
-        return self._stacked
 
     def group_cond(self) -> dict:
         """Every group conditioned on its basis, computed once per graph.
@@ -111,27 +107,26 @@ class GpGraph:
         the centred basis and the centred trajectories.
         """
         if self._cond is None:
-            cb = self.cb
-            basis = autodiff.reshape(self.stacked_basis(),
-                                     (cb.n_code, cb.group_size, cb.token_dim))
+            cb, basis = self.cb, self.basis
             anchors = autodiff.tmean(basis, axis=1)
             centered = autodiff.sub(basis, autodiff.reshape(
                 anchors, (cb.n_code, 1, cb.token_dim)))
             k_inv = autodiff.psd_inverse(psdlinalg.kernel_matrix_t(
                 basis, basis, self.log_ell, self.log_sf))
+            traj_anchors = cb.traj_anchors()
             self._cond = dict(
                 k_inv=k_inv,
                 token_anchors=anchors,
-                traj_anchors=Tensor(cb.traj_anchors()),
+                traj_anchors=Tensor(traj_anchors),
                 alpha_basis=autodiff.matmul(k_inv, centered),
                 alpha_traj=autodiff.matmul(
-                    k_inv, Tensor(np.stack([g.traj_centered for g in cb.groups]))),
+                    k_inv, Tensor(cb.trajectories - traj_anchors[:, None, :])),
             )
         return self._cond
 
     def kernel_features(self, tokens) -> Tensor:
         """Kernel features (N, n_code * C) of the token rows (N, D)."""
-        return psdlinalg.kernel_matrix_t(tokens, self.stacked_basis(), self.log_ell,
+        return psdlinalg.kernel_matrix_t(tokens, self.flat_basis, self.log_ell,
                                          self.log_sf)
 
     def classifier_logits(self, features: Tensor) -> Tensor:
@@ -187,7 +182,7 @@ class GpInference(GpGraph):
     def __init__(self, cb: Codebook, clf: GroupClassifier, p: GpParams):
         with autodiff.no_grad():
             super().__init__(
-                cb, [Tensor(g.basis_tokens) for g in cb.groups],
+                cb, Tensor(cb.basis),
                 {n: Tensor(getattr(clf, n)) for n in CLASSIFIER_NAMES},
                 *(Tensor(getattr(p, n)) for n in GP_SCALAR_NAMES))
             self.group_cond()

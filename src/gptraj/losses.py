@@ -15,7 +15,6 @@ breakdown is the sum of its scenes' breakdowns.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -49,15 +48,6 @@ class LossBreakdown:
         for name, t in self.terms.items():
             out = autodiff.add(out, autodiff.mul(t, self.weights.get(name, 1.0)))
         return out
-
-    def value(self, name: str) -> float:
-        return self.terms[name].item()
-
-    def values(self) -> dict[str, float]:
-        return {k: t.item() for k, t in self.terms.items()}
-
-    def total_value(self) -> float:
-        return self.total.item()
 
     def first_nonfinite(self) -> str | None:
         for name, t in self.terms.items():
@@ -133,15 +123,12 @@ def traj_mse(pred: Tensor, gt) -> Tensor:
     return autodiff.div(autodiff.tsum(autodiff.square(d), axis=-1), 6.0)
 
 
-def sum_sq(x: Tensor) -> Tensor:
-    return autodiff.tsum(autodiff.square(x))
-
-
 def orthogonality(basis: Tensor) -> Tensor:
-    """Squared Frobenius distance of B B^T from the identity."""
+    """Squared Frobenius distance of B B^T from the identity, per group of
+    the (n_code, C, D) basis; shape (n_code,)."""
     gram = autodiff.matmul(basis, autodiff.transpose(basis))
-    eye = np.eye(gram.data.shape[0])
-    return sum_sq(autodiff.sub(gram, eye))
+    eye = np.eye(gram.data.shape[-1])
+    return autodiff.tsum(autodiff.square(autodiff.sub(gram, eye)), axis=(1, 2))
 
 
 def triplet_term(tokens, positives: np.ndarray, negatives: np.ndarray, anchors,
@@ -178,18 +165,18 @@ def select_triplet_classes(cb: Codebook, label_group: int) -> tuple[list[int], l
     commands. Agent: 3 nearest / 3 farthest agent groups. Distance ties go
     to the lower group id.
     """
-    g = cb.group(label_group)
+    role = cb.role(label_group)
     anchors = cb.traj_anchors()
 
     def by_dist(ids):
         ids = np.asarray(ids, dtype=np.intp)
-        d = traj_dists(anchors[ids], g.traj_anchor)
+        d = traj_dists(anchors[ids], anchors[label_group])
         return [int(i) for i in ids[np.lexsort((ids, d))]]
 
-    if g.role.kind == "ego":
-        same = [i for i in cb.command_groups[g.role.command] if i != label_group]
+    if role.kind == "ego":
+        same = [i for i in cb.command_groups[role.command] if i != label_group]
         other = [i for cmd, ids in cb.command_groups.items()
-                 if cmd != g.role.command for i in ids]
+                 if cmd != role.command for i in ids]
         pos_pool, neg_pool = by_dist(same), by_dist(other)
         if len(pos_pool) < 3 or len(neg_pool) < 3:
             raise ValueError("not enough groups for triplet selection")
@@ -219,7 +206,7 @@ def triplet_table(cb: Codebook) -> tuple[np.ndarray, np.ndarray]:
 
 
 def loss_rec(targets, recon: Tensor, variance: Tensor, n_ego: int,
-             groups: Sequence[int], scenes: Sequence[int], bases,
+             groups: Sequence[int], scenes: Sequence[int], basis: Tensor,
              weights: Mapping[str, float] | None = None,
              sigma_clamp: tuple[float, float] = DEFAULT_SIGMA_CLAMP) -> LossBreakdown:
     """Token reconstruction NLL plus basis orthogonality over a step's rows.
@@ -227,34 +214,33 @@ def loss_rec(targets, recon: Tensor, variance: Tensor, n_ego: int,
     ``targets`` (N, D) are the fixed tokens and must be constants; ``recon``
     and ``variance`` are the GP reconstructions (N, D) and variances (N,).
     Row i was conditioned on group ``groups[i]`` and belongs to scene
-    ``scenes[i]``; ``bases[g]`` is group g's basis tensor. Orthogonality is
-    applied once per distinct basis involved in a scene: once for its ego
-    group and once for each other group among its agents.
+    ``scenes[i]``; ``basis`` is the (n_code, C, D) basis tensor.
+    Orthogonality is applied once per distinct basis involved in a scene:
+    once for its ego group and once for each other group among its agents.
     """
     task = autodiff.tsum(
         autodiff.square(autodiff.sub(recon, as_tensor(targets).detach())), axis=1)
     recon_ego, recon_agent = role_sums(
         heteroscedastic_nll(task, variance, sigma_clamp), n_ego)
-    groups = [int(g) for g in groups]
-    scenes = [int(s) for s in scenes]
-    ego_of = dict(zip(scenes[:n_ego], groups[:n_ego]))
-    ego_count = Counter(groups[:n_ego])
-    agent_count = Counter(g for s, g in set(zip(scenes[n_ego:], groups[n_ego:]))
-                          if g != ego_of.get(s))
+    groups = np.asarray(groups, dtype=np.intp)
+    scenes = np.asarray(scenes, dtype=np.intp)
+    n_code = basis.data.shape[0]
+    ego_of = np.full(scenes.max(initial=-1) + 1, -1)
+    ego_of[scenes[:n_ego]] = groups[:n_ego]
+    pairs = np.unique(np.stack([scenes[n_ego:], groups[n_ego:]]), axis=1)
+    agent_groups = pairs[1][pairs[1] != ego_of[pairs[0]]]
+    ortho = orthogonality(basis)
 
-    def ortho_sum(counts: Counter) -> Tensor:
-        out = Tensor(0.0)
-        for g in sorted(counts):
-            out = autodiff.add(out, autodiff.mul(orthogonality(bases[g]),
-                                                  float(counts[g])))
-        return out
+    def weighted(ids: np.ndarray) -> Tensor:
+        counts = np.bincount(ids, minlength=n_code).astype(np.float64)
+        return autodiff.tsum(autodiff.mul(ortho, counts))
 
     return LossBreakdown(
         terms={
             "recon_ego": recon_ego,
             "recon_agent": recon_agent,
-            "ortho_ego": ortho_sum(ego_count),
-            "ortho_agent": ortho_sum(agent_count),
+            "ortho_ego": weighted(groups[:n_ego]),
+            "ortho_agent": weighted(agent_groups),
         },
         weights=dict(weights or {}),
     )

@@ -1,9 +1,10 @@
 """RBF kernel evaluation and numerically guarded PSD linear algebra.
 
-``kernel_matrix`` is the one RBF implementation: ``kernel`` is its one-entry
-case and ``kernel_matrix_t`` its differentiable form, a single tape node
-with closed-form gradients. Both take leading batch axes, so every codebook
-group's Gram matrix comes from one call.
+``kernel_matrix`` is the one RBF implementation, sigma_f^2 *
+exp(-||x - y||^2 / (2 l^2)) over row pairs; ``kernel_matrix_t`` is its
+differentiable form, a single tape node with closed-form gradients. Both
+take leading batch axes, so every codebook group's Gram matrix comes from
+one call.
 
 Every Cholesky factorization in the package goes through ``cholesky_factor``:
 a dpotrf factorization with a fixed jitter escalation ladder. GP
@@ -72,15 +73,6 @@ class CholeskyFactor:
     jitter_used: float
 
 
-def kernel(x, y, p: KernelParams) -> float:
-    """RBF kernel sigma_f^2 * exp(-||x - y||^2 / (2 l^2)) for two vectors."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape or x.ndim != 1:
-        raise ValueError(f"kernel inputs must be equal-length vectors, got {x.shape} vs {y.shape}")
-    return float(kernel_matrix(x, y, p)[0, 0])
-
-
 def _sq_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Squared distances (..., N, M) between the rows of x (..., N, D) and
     y (..., M, D), clipped at 0, in one buffer updated in place: a call over
@@ -137,11 +129,6 @@ def solve_with_factor(factor: CholeskyFactor, b: np.ndarray) -> np.ndarray:
     y = solve_triangular(factor.lower, rhs, lower=True)
     x = solve_triangular(factor.lower.T, y, lower=False)
     return x[:, 0] if vec else x
-
-
-def chol_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve (A + jitter I) X = B with the escalating-jitter policy."""
-    return solve_with_factor(cholesky_factor(a), b)
 
 
 def kernel_matrix_t(x, y, log_lengthscale, log_outputscale) -> Tensor:

@@ -40,7 +40,7 @@ from .autodiff import Tensor
 from .basemodel import PARAM_NAMES, BaseModelParams, encode, encode_t, planner_t
 from .codebook import (BuildError, Codebook, Role, admissible_mask, ego_admissible,
                        init_basis_tokens, nearest_group, sample_and_cluster)
-from .core import SceneRecord, rng_for
+from .core import COMMANDS, SceneRecord, rng_for
 from .gpmodule import (CLASSIFIER_NAMES, GP_SCALAR_NAMES, GpGraph, GpInference,
                        GpParams, GroupClassifier)
 from .losses import (LossBreakdown, StudentRows, SupRows, TeacherRows,
@@ -49,7 +49,7 @@ from .losses import (LossBreakdown, StudentRows, SupRows, TeacherRows,
 from .psdlinalg import NotPSD
 
 CHECKPOINT_MAGIC = b"GPTRAJCK"
-CHECKPOINT_SCHEMA = 1
+CHECKPOINT_SCHEMA = 2
 
 grad = autodiff.grad  # reverse-mode gradient map; the package's grad contract
 
@@ -75,6 +75,22 @@ class ModelSpec:
     @property
     def n_code(self) -> int:
         return self.n_ego + self.n_agent
+
+    def tensor_shapes(self) -> dict[str, tuple[int, ...]]:
+        """Shape of every checkpoint tensor at these sizes."""
+        n_code, c, d = self.n_code, self.group_size, self.token_dim
+        he, hp, hc = self.encoder_hidden, self.planner_hidden, self.classifier_hidden
+        shapes = {
+            "base.enc_w1": (he, self.obs_dim), "base.enc_b1": (he,),
+            "base.enc_w2": (d, he), "base.enc_b2": (d,),
+            "base.pln_w1": (hp, d), "base.pln_b1": (hp,),
+            "base.pln_w2": (n_code + 12, hp), "base.pln_b2": (n_code + 12,),
+            "clf.w1": (hc, n_code * c), "clf.b1": (hc,),
+            "clf.w2": (n_code, hc), "clf.b2": (n_code,),
+            "cb.basis": (n_code, c, d), "cb.trajs": (n_code, c, 12),
+        }
+        shapes.update({f"gp.{n}": () for n in GP_SCALAR_NAMES})
+        return shapes
 
 
 @dataclass
@@ -173,18 +189,18 @@ def gp_param_tensors(model: Model) -> dict[str, Tensor]:
         t = Tensor(arr)
         t.requires_grad = True
         out[f"clf.{n}"] = t
-    for grp in model.cb.groups:
-        grp.basis_tokens = np.ascontiguousarray(grp.basis_tokens, dtype=np.float64)
-        t = Tensor(grp.basis_tokens)
-        t.requires_grad = True
-        out[f"cb.group{grp.group_id:03d}.basis"] = t
+    cb = model.cb
+    cb.basis = np.ascontiguousarray(cb.basis, dtype=np.float64)
+    t = Tensor(cb.basis)
+    t.requires_grad = True
+    out["cb.basis"] = t
     return out
 
 
 def gp_graph(cb: Codebook, params: dict[str, Tensor]) -> GpGraph:
     """One step's differentiable GP module over the ``gp_param_tensors``."""
     return GpGraph(
-        cb, [params[f"cb.group{g.group_id:03d}.basis"] for g in cb.groups],
+        cb, params["cb.basis"],
         {n: params[f"clf.{n}"] for n in CLASSIFIER_NAMES},
         *(params[f"gp.{n}"] for n in GP_SCALAR_NAMES))
 
@@ -365,7 +381,7 @@ def gp_stage_loss(batch: Batch, graph: GpGraph, tokens: np.ndarray,
     recon, var_rec = graph.reconstruct(features, groups)
     mean, var_traj = graph.predict_trajectory(features, groups)
     rec = loss_rec(tokens, recon, var_rec, batch.n_ego, groups, batch.scene_of_row,
-                   graph.basis_vars, weights=cfg.loss_weights,
+                   graph.basis, weights=cfg.loss_weights,
                    sigma_clamp=cfg.sigma_clamp)
     sup = loss_sup(
         SupRows(n_ego=batch.n_ego, pred_mean=mean, variance=var_traj, logits=logits,
@@ -551,9 +567,8 @@ class Checkpoint:
             out[f"clf.{n}"] = getattr(self.model.clf, n)
         for n in GP_SCALAR_NAMES:
             out[f"gp.{n}"] = np.array(getattr(self.model.gp, n))
-        for g in self.model.cb.groups:
-            out[f"cb.group{g.group_id:03d}.basis"] = g.basis_tokens
-            out[f"cb.group{g.group_id:03d}.trajs"] = g.trajectories
+        out["cb.basis"] = self.model.cb.basis
+        out["cb.trajs"] = self.model.cb.trajectories
         return out
 
     def save(self, path) -> None:
@@ -573,11 +588,6 @@ class Checkpoint:
             "stage": self.stage,
             "train_config": _config_dict(self.train_config),
             "model_spec": dataclasses.asdict(self.model_spec),
-            "groups": [
-                {"group_id": g.group_id, "kind": g.role.kind,
-                 "command": g.role.command.value if g.role.command else None}
-                for g in self.model.cb.groups
-            ],
             "tensors": index,
         }
         blob = json.dumps(header, sort_keys=True).encode("utf-8")
@@ -590,9 +600,6 @@ class Checkpoint:
 
     @classmethod
     def load(cls, path) -> "Checkpoint":
-        from .codebook import CodebookGroup  # local: avoids wide import surface
-        from .core import Command
-
         path = Path(path)
         raw = path.read_bytes()
         if raw[:8] != CHECKPOINT_MAGIC:
@@ -608,6 +615,28 @@ class Checkpoint:
             raise ValueError(
                 f"{path}: checkpoint schema {header.get('schema')!r} unsupported "
                 f"(expected {CHECKPOINT_SCHEMA})")
+        try:
+            spec = ModelSpec(**header["model_spec"])
+            if spec.n_ego % len(COMMANDS):  # the group layout needs equal thirds
+                raise ValueError(f"model_spec n_ego {spec.n_ego} is not a multiple "
+                                 f"of {len(COMMANDS)}")
+            cfg_d = dict(header["train_config"])
+            cfg_d["sigma_clamp"] = tuple(cfg_d["sigma_clamp"])
+            cfg = TrainConfig(**cfg_d)
+            index = {e["name"]: e for e in header["tensors"]}
+        except (KeyError, TypeError, ValueError) as e:
+            raise ValueError(f"{path}: bad checkpoint header: {e!r}") from e
+        shapes = spec.tensor_shapes()
+        if index.keys() != shapes.keys():
+            raise ValueError(
+                f"{path}: checkpoint tensors do not match the model: missing "
+                f"{sorted(shapes.keys() - index.keys())}, unexpected "
+                f"{sorted(index.keys() - shapes.keys())}")
+        for name, shape in shapes.items():
+            if tuple(index[name]["shape"]) != shape:
+                raise ValueError(
+                    f"{path}: checkpoint tensor {name} has shape "
+                    f"{index[name]['shape']}, its model_spec implies {list(shape)}")
         payload = raw[16 + hlen:]
         sizes = [int(np.prod(e["shape"], dtype=np.int64)) for e in header["tensors"]]
         offsets = [e["offset"] for e in header["tensors"]]
@@ -618,38 +647,13 @@ class Checkpoint:
                 f"{path}: truncated or corrupt checkpoint: payload holds "
                 f"{len(payload)} bytes, header describes {8 * expected}")
         data = np.frombuffer(payload, dtype="<f8")
-        tensors = {}
-        for e, size in zip(header["tensors"], sizes):
-            arr = data[e["offset"]: e["offset"] + size].reshape(e["shape"]).copy()
-            tensors[e["name"]] = arr
+        tensors = {e["name"]: data[e["offset"]:e["offset"] + size].reshape(e["shape"])
+                   .copy() for e, size in zip(header["tensors"], sizes)}
 
-        spec = ModelSpec(**header["model_spec"])
-        cfg_d = dict(header["train_config"])
-        cfg_d["sigma_clamp"] = tuple(cfg_d["sigma_clamp"])
-        cfg = TrainConfig(**cfg_d)
-
-        groups = []
-        command_groups: dict[Command, list[int]] = {}
-        for g in header["groups"]:
-            cmd = Command.from_str(g["command"]) if g["command"] else None
-            role = Role(g["kind"], cmd)
-            trajs = tensors[f"cb.group{g['group_id']:03d}.trajs"]
-            grp = CodebookGroup(
-                group_id=g["group_id"], role=role, trajectories=trajs,
-                traj_anchor=trajs.mean(axis=0),
-                basis_tokens=tensors[f"cb.group{g['group_id']:03d}.basis"])
-            groups.append(grp)
-            if cmd is not None:
-                command_groups.setdefault(cmd, []).append(g["group_id"])
-        cb = Codebook(groups=groups, n_ego=spec.n_ego, n_agent=spec.n_agent,
-                      group_size=spec.group_size, token_dim=spec.token_dim,
-                      command_groups=command_groups)
-        base = BaseModelParams(
-            enc_w1=tensors["base.enc_w1"], enc_b1=tensors["base.enc_b1"],
-            enc_w2=tensors["base.enc_w2"], enc_b2=tensors["base.enc_b2"],
-            pln_w1=tensors["base.pln_w1"], pln_b1=tensors["base.pln_b1"],
-            pln_w2=tensors["base.pln_w2"], pln_b2=tensors["base.pln_b2"],
-            n_code=spec.n_code, token_scale=spec.token_scale)
+        cb = Codebook(trajectories=tensors["cb.trajs"], n_ego=spec.n_ego,
+                      token_dim=spec.token_dim, basis=tensors["cb.basis"])
+        base = BaseModelParams(**{n: tensors[f"base.{n}"] for n in PARAM_NAMES},
+                               n_code=spec.n_code, token_scale=spec.token_scale)
         clf = GroupClassifier(**{n: tensors[f"clf.{n}"] for n in CLASSIFIER_NAMES})
         gp = GpParams(**{n: float(tensors[f"gp.{n}"]) for n in GP_SCALAR_NAMES})
         return cls(stage=header["stage"], model=Model(cb, base, clf, gp),

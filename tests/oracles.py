@@ -93,7 +93,7 @@ def classify_ref(token: np.ndarray, role, cb, clf, p) -> tuple[int, np.ndarray]:
     then the two-layer tanh perceptron."""
     ell, sf = math.exp(p.log_lengthscale), math.exp(p.log_outputscale)
     feats = np.array([rbf_oracle(token, b, ell, sf)
-                      for g in cb.groups for b in g.basis_tokens])
+                      for group in cb.basis for b in group])
     raw = clf.w2 @ np.tanh(clf.w1 @ feats + clf.b1) + clf.b2
     logits = np.full_like(raw, -np.inf)
     ids = admissible_groups(cb, role)
@@ -105,8 +105,8 @@ def predict_ref(token: np.ndarray, role, model) -> tuple[np.ndarray, float]:
     """The GP module's trajectory mean and scalar variance for one token of a
     model (cb, clf, gp): ``classify_ref``, then ``gp_oracle`` in that group."""
     p = model.gp
-    g = model.cb.group(classify_ref(token, role, model.cb, model.clf, p)[0])
-    return gp_oracle(g.basis_tokens, g.trajectories, token,
+    g = classify_ref(token, role, model.cb, model.clf, p)[0]
+    return gp_oracle(model.cb.basis[g], model.cb.trajectories[g], token,
                      math.exp(p.log_lengthscale), math.exp(p.log_outputscale),
                      math.exp(2.0 * p.log_noise_traj))
 
@@ -120,41 +120,37 @@ def arc_position_quadrature(speed: float, curvature: float, t: float):
     return np.array([x, y])
 
 
-def point_in_convex_quad(point: np.ndarray, corners: np.ndarray) -> bool:
-    """Half-plane containment for counter-clockwise quad corners."""
+def point_in_convex_quad(points: np.ndarray, corners: np.ndarray) -> np.ndarray:
+    """Half-plane containment of each point (..., 2) in the quad with these
+    counter-clockwise corners; boolean (...)."""
+    inside = np.ones(points.shape[:-1], dtype=bool)
     for i in range(4):
         a = corners[i]
         b = corners[(i + 1) % 4]
         edge = b - a
-        if edge[0] * (point[1] - a[1]) - edge[1] * (point[0] - a[0]) < 0:
-            return False
-    return True
+        inside &= (edge[0] * (points[..., 1] - a[1])
+                   - edge[1] * (points[..., 0] - a[0])) >= 0
+    return inside
 
 
 def _grid_points(corners: np.ndarray, pitch: float) -> np.ndarray:
-    """Points covering the rectangle on a regular grid in its own frame."""
+    """Points (nu * nv, 2) covering the rectangle on a regular grid in its own
+    frame."""
     origin = corners[0]
     u = corners[1] - corners[0]
     v = corners[3] - corners[0]
     lu, lv = np.linalg.norm(u), np.linalg.norm(v)
     nu = max(int(math.ceil(lu / pitch)) + 1, 2)
     nv = max(int(math.ceil(lv / pitch)) + 1, 2)
-    pts = []
-    for i in range(nu):
-        for j in range(nv):
-            pts.append(origin + u * (i / (nu - 1)) + v * (j / (nv - 1)))
-    return np.array(pts)
+    s = (np.arange(nu) / (nu - 1))[:, None, None]
+    t = (np.arange(nv) / (nv - 1))[None, :, None]
+    return (origin + u * s + v * t).reshape(-1, 2)
 
 
 def rects_overlap_sampled(a: np.ndarray, b: np.ndarray, pitch: float = 0.05) -> bool:
     """Dense point-sampling overlap test between two convex quads."""
-    for p in _grid_points(a, pitch):
-        if point_in_convex_quad(p, b):
-            return True
-    for p in _grid_points(b, pitch):
-        if point_in_convex_quad(p, a):
-            return True
-    return False
+    return bool(point_in_convex_quad(_grid_points(a, pitch), b).any()
+                or point_in_convex_quad(_grid_points(b, pitch), a).any())
 
 
 def triplet_oracle(token: np.ndarray, pos_anchors: list, neg_anchors: list,
@@ -272,13 +268,13 @@ def plan_ref(token: Token, role, p, cb) -> tuple[Trajectory, np.ndarray]:
     ids = admissible_groups(cb, role)
     logits[ids] = raw_logits[ids]
     group = int(np.argmax(logits))
-    return Trajectory.from_flat(cb.group(group).traj_anchor + residual), logits
+    return Trajectory.from_flat(cb.traj_anchors()[group] + residual), logits
 
 
 def plan_with_group_ref(token: Token, group: int, p, cb) -> Trajectory:
     """Trajectory for an externally chosen group."""
     _, residual = _planner_raw(token.values, p)
-    return Trajectory.from_flat(cb.group(group).traj_anchor + residual)
+    return Trajectory.from_flat(cb.traj_anchors()[group] + residual)
 
 
 def masked_softmax(logits: np.ndarray) -> np.ndarray:

@@ -67,10 +67,10 @@ def test_plan_zero_residual_returns_anchor(tiny_model):
     p.pln_w2 = np.zeros_like(p.pln_w2)
     p.pln_b2 = np.zeros_like(p.pln_b2)
     p.pln_b2[0] = 1.0  # group 0 wins among admissible after masking
-    admissible = admissible_mask(cb, Role.ego(cb.group(0).role.command))[None]
+    admissible = admissible_mask(cb, Role.ego(cb.role(0).command))[None]
     traj, group = plan(np.ones((1, 8)), admissible, p, cb.traj_anchors())
     assert group.tolist() == [0]
-    assert np.allclose(traj[0], cb.group(0).traj_anchor)
+    assert np.allclose(traj[0], cb.traj_anchors()[0])
 
 
 def test_residual_saturates_at_bound(tiny_model):
@@ -81,16 +81,16 @@ def test_residual_saturates_at_bound(tiny_model):
     p.pln_b2[cb.n_code:] = 1e3  # tanh saturates to +1
     only0 = np.arange(cb.n_code)[None] == 0  # forces group 0
     traj, _ = plan(np.ones((1, 8)), only0, p, cb.traj_anchors())
-    assert np.allclose(traj[0] - cb.group(0).traj_anchor, RESIDUAL_BOUND)
+    assert np.allclose(traj[0] - cb.traj_anchors()[0], RESIDUAL_BOUND)
     ref = plan_with_group_ref(Token(np.ones(8)), 0, p, cb)
-    assert np.allclose(ref.flat - cb.group(0).traj_anchor, RESIDUAL_BOUND)
+    assert np.allclose(ref.flat - cb.traj_anchors()[0], RESIDUAL_BOUND)
 
 
 def test_plan_translation_consistent_with_anchor_shift(tiny_model):
     cb = tiny_model.cb
     p = make_params(n_code=cb.n_code, seed=5)
     tok = rng_for(4, "tok").normal(size=(1, 8))
-    admissible = admissible_mask(cb, Role.ego(cb.group(0).role.command))[None]
+    admissible = admissible_mask(cb, Role.ego(cb.role(0).command))[None]
     anchors = cb.traj_anchors()
     before, group = plan(tok, admissible, p, anchors)
     shift = np.tile([2.0, -1.0], 6)

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from gptraj import cli
+from gptraj import cli, trainer
 
 TOY_CONFIG = {
     "seed": 0,
@@ -22,7 +22,7 @@ TOY_CONFIG = {
 
 
 @pytest.mark.filterwarnings("ignore:unsupervised adaptation")
-def test_cli_pipeline_at_toy_size(tmp_path, monkeypatch):
+def test_cli_pipeline_at_toy_size(tmp_path, monkeypatch, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(TOY_CONFIG))
     out = tmp_path / "run"
@@ -51,3 +51,10 @@ def test_cli_pipeline_at_toy_size(tmp_path, monkeypatch):
         for name in artifacts:
             assert (out / name).is_file(), name
     assert (out / "train_log.csv").is_file()
+
+    capsys.readouterr()
+    assert run("inspect-ckpt", "--ckpt", str(out / "ckpt_stage2.bin")) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"schema: {trainer.CHECKPOINT_SCHEMA}  stage: stage2"
+    assert trainer.CHECKPOINT_SCHEMA == 2
+    assert "  cb.basis  [19, 4, 8]" in lines

@@ -51,16 +51,15 @@ def test_speed_clusters_are_pure():
             trajs.append((straight(6.0, 0.05, rng), cmd, True))
     cb = sample_and_cluster(trajs, n_ego_groups=3, n_agent_groups=3,
                             group_size=8, token_dim=4, seed=0)
-    agent_groups = [cb.group(i) for i in cb.agent_group_ids]
-    for g in agent_groups:
-        anchor = Trajectory.from_flat(g.traj_anchor)
-        others = [o for o in agent_groups if o.group_id != g.group_id]
-        for row in g.trajectories:
+    anchors = cb.traj_anchors()
+    for g in cb.agent_group_ids:
+        others = [o for o in cb.agent_group_ids if o != g]
+        for row in cb.trajectories[g]:
             member = Trajectory.from_flat(row)
-            d_own = traj_distance(member, anchor)
+            d_own = traj_distance(member, Trajectory.from_flat(anchors[g]))
             for o in others:
                 assert d_own <= traj_distance(
-                    member, Trajectory.from_flat(o.traj_anchor)) + 1e-9
+                    member, Trajectory.from_flat(anchors[o])) + 1e-9
 
 
 def test_agent_speed_families_separate():
@@ -76,7 +75,7 @@ def test_agent_speed_families_separate():
     cb = sample_and_cluster(trajs, 3, 3, group_size=4, token_dim=4, seed=1)
     speeds_per_group = []
     for gid in cb.agent_group_ids:
-        xs = cb.group(gid).trajectories[:, 0]  # first-waypoint x ~ 0.5 * speed
+        xs = cb.trajectories[gid, :, 0]  # first-waypoint x ~ 0.5 * speed
         speeds_per_group.append(xs.mean() * 2.0)
         assert xs.std() * 2.0 < 2.0  # one speed family per group
     assert sorted(np.round(speeds_per_group)) == [2.0, 8.0, 14.0]
@@ -87,19 +86,32 @@ def test_identical_trajectories_degenerate_cluster():
     trajs = [(t, cmd, True) for cmd in COMMANDS for _ in range(4)]
     trajs += [(t, Command.GO_STRAIGHT, False) for _ in range(4)]
     cb = sample_and_cluster(trajs, 3, 1, group_size=4, token_dim=4, seed=0)
-    g = cb.group(cb.agent_group_ids[0])
-    assert np.allclose(g.traj_anchor, t.flat)
-    assert np.allclose(g.traj_centered, 0.0)
+    g = cb.agent_group_ids[0]
+    assert np.allclose(cb.traj_anchors()[g], t.flat)
+    assert np.allclose(cb.trajectories[g], t.flat)
 
 
 def test_no_group_mixes_commands():
-    cb = sample_and_cluster(corpus(), 6, 4, group_size=8, token_dim=4, seed=3)
+    trajs = corpus()
+    cb = sample_and_cluster(trajs, 6, 4, group_size=8, token_dim=4, seed=3)
     for cmd in COMMANDS:
         ids = set(cb.command_groups[cmd])
         for other in COMMANDS:
             if other != cmd:
                 assert ids.isdisjoint(cb.command_groups[other])
     assert set(admissible_groups(cb, Role.agent())) == set(cb.agent_group_ids)
+    # the derived roles match the buckets the build drew each group from
+    bucket = {}
+    for traj, cmd, is_ego in trajs:
+        bucket[traj.flat.tobytes()] = Role.ego(cmd) if is_ego else Role.agent()
+    assert [cb.role(g) for g in range(cb.n_code)] == (
+        [Role.ego(c) for c in COMMANDS for _ in range(2)] + [Role.agent()] * 4)
+    for g in range(cb.n_code):
+        for row in cb.trajectories[g]:
+            assert bucket[row.tobytes()] == cb.role(g)
+    for cmd, ids in cb.command_groups.items():
+        assert {bucket[row.tobytes()] for row in cb.trajectories[ids].reshape(-1, 12)} == {
+            Role.ego(cmd)}
 
 
 def test_insufficient_trajectories_raise_with_counts():
@@ -110,32 +122,30 @@ def test_insufficient_trajectories_raise_with_counts():
 
 def test_centered_rows_mean_zero():
     cb = sample_and_cluster(corpus(), 6, 4, group_size=8, token_dim=4, seed=3)
-    for g in cb.groups:
-        assert np.max(np.abs(g.traj_centered.mean(axis=0))) < 1e-9
+    centered = cb.trajectories - cb.traj_anchors()[:, None, :]
+    assert np.max(np.abs(centered.mean(axis=1))) < 1e-9
 
 
 def test_cluster_stability_same_seed():
     a = sample_and_cluster(corpus(), 6, 4, group_size=8, token_dim=4, seed=7)
     b = sample_and_cluster(corpus(), 6, 4, group_size=8, token_dim=4, seed=7)
-    for ga, gb in zip(a.groups, b.groups):
-        assert np.array_equal(ga.trajectories, gb.trajectories)
+    assert np.array_equal(a.trajectories, b.trajectories)
 
 
 def test_init_basis_tokens_deterministic_and_shaped():
     cb = sample_and_cluster(corpus(), 6, 4, group_size=8, token_dim=32, seed=0)
     init_basis_tokens(cb, rng_seed=9)
-    first = [g.basis_tokens.copy() for g in cb.groups]
+    first = cb.basis.copy()
     init_basis_tokens(cb, rng_seed=9)
-    for f, g in zip(first, cb.groups):
-        assert np.array_equal(f, g.basis_tokens)
-        assert g.basis_tokens.shape == (8, 32)
+    assert np.array_equal(first, cb.basis)
+    assert cb.basis.shape == (cb.n_code, 8, 32)
 
 
 def test_init_basis_variance_near_1_over_d():
     cb = sample_and_cluster(corpus(n_per_cmd=40, n_agent=700), 3, 20,
                             group_size=32, token_dim=16, seed=0)
     init_basis_tokens(cb, rng_seed=4)
-    samples = np.concatenate([g.basis_tokens.reshape(-1) for g in cb.groups])
+    samples = cb.basis.reshape(-1)
     assert samples.size >= 10_000
     assert abs(samples.var() - 1.0 / 16) < 0.2 / 16
 
@@ -143,17 +153,15 @@ def test_init_basis_variance_near_1_over_d():
 def test_token_anchor_tracks_updates():
     cb = sample_and_cluster(corpus(), 6, 4, group_size=8, token_dim=4, seed=0)
     init_basis_tokens(cb, rng_seed=0)
-    g = cb.group(0)
-    assert np.allclose(g.token_anchor, g.basis_tokens.mean(axis=0))
-    g.basis_tokens[0] += 5.0  # simulated optimizer step
-    assert np.allclose(g.token_anchor, g.basis_tokens.mean(axis=0))
+    assert np.allclose(cb.token_anchors()[0], cb.basis[0].mean(axis=0))
+    cb.basis[0, 0] += 5.0  # simulated optimizer step
+    assert np.allclose(cb.token_anchors()[0], cb.basis[0].mean(axis=0))
 
 
 def test_bijection_shapes():
     cb = sample_and_cluster(corpus(), 6, 4, group_size=8, token_dim=4, seed=0)
     init_basis_tokens(cb, rng_seed=0)
-    for g in cb.groups:
-        assert g.basis_tokens.shape[0] == g.trajectories.shape[0] == cb.group_size
+    assert cb.basis.shape[:2] == cb.trajectories.shape[:2] == (cb.n_code, cb.group_size)
 
 
 def test_admissible_group_counts_default_partition():
@@ -180,6 +188,6 @@ def test_nearest_group_matches_loop_reference():
                         np.stack([admissible_mask(cb, r) for r in roles]))
     for traj, role, gid in zip(trajs, roles, got):
         ids = admissible_groups(cb, role)
-        dists = [traj_distance(traj, Trajectory.from_flat(cb.group(i).traj_anchor))
+        dists = [traj_distance(traj, Trajectory.from_flat(cb.traj_anchors()[i]))
                  for i in ids]
         assert gid == ids[int(np.argmin(dists))]

@@ -62,16 +62,15 @@ def predict(cb, clf, p, tokens, groups):
 def oracle(cb, p, token, gid, head: str):
     """``gp_oracle`` of one token under group ``gid``: the reconstruction head
     (targets = basis) or the trajectory head."""
-    g = cb.group(gid)
-    targets, log_noise = ((g.basis_tokens, p.log_noise_recon) if head == "recon"
-                          else (g.trajectories, p.log_noise_traj))
-    return gp_oracle(g.basis_tokens, targets, token, math.exp(p.log_lengthscale),
+    targets, log_noise = ((cb.basis[gid], p.log_noise_recon) if head == "recon"
+                          else (cb.trajectories[gid], p.log_noise_traj))
+    return gp_oracle(cb.basis[gid], targets, token, math.exp(p.log_lengthscale),
                      math.exp(p.log_outputscale), noise_var(log_noise))
 
 
 def test_reconstruct_interpolates_basis_token(small_cb, small_clf):
     p = near_zero_noise()
-    tok = small_cb.group(2).basis_tokens[3].copy()
+    tok = small_cb.basis[2, 3].copy()
     recon, var = reconstruct(small_cb, small_clf, p, tok, 2)
     assert np.max(np.abs(recon[0] - tok)) < 1e-4
     assert var[0] <= 1e-6 + noise_var(p.log_noise_recon)
@@ -81,22 +80,21 @@ def test_reconstruct_far_token_reverts_to_anchor(small_cb, small_clf):
     p = GpParams()
     tok = np.full(6, 80.0)  # effectively infinite kernel distance
     recon, var = reconstruct(small_cb, small_clf, p, tok, 1)
-    assert np.allclose(recon[0], small_cb.group(1).token_anchor, atol=1e-8)
+    assert np.allclose(recon[0], small_cb.token_anchors()[1], atol=1e-8)
     assert var[0] == pytest.approx(1.0 + noise_var(p.log_noise_recon))
 
 
 def test_predict_interpolates_paired_trajectory(small_cb, small_clf):
     p = near_zero_noise()
-    g = small_cb.group(4)
-    mean, _ = predict(small_cb, small_clf, p, g.basis_tokens[0].copy(), 4)
-    assert np.max(np.abs(mean[0] - g.trajectories[0])) < 1e-4
+    mean, _ = predict(small_cb, small_clf, p, small_cb.basis[4, 0].copy(), 4)
+    assert np.max(np.abs(mean[0] - small_cb.trajectories[4, 0])) < 1e-4
 
 
 def test_predict_far_token_returns_anchor_trajectory(small_cb, small_clf):
     p = GpParams()
     mean, var = predict(small_cb, small_clf, p, np.full(6, -90.0), 3)
     assert mean.shape == (1, 12) and var.shape == (1,)
-    assert np.allclose(mean[0], small_cb.group(3).traj_anchor, atol=1e-8)
+    assert np.allclose(mean[0], small_cb.traj_anchors()[3], atol=1e-8)
     assert var[0] == pytest.approx(1.0 + noise_var(p.log_noise_traj))
 
 
@@ -153,7 +151,7 @@ def test_variance_lower_bound_and_monotonicity(small_cb, small_clf):
     # moving the query towards the basis cloud decreases variance
     direction = rng.normal(size=6)
     direction /= np.linalg.norm(direction)
-    base = small_cb.group(0).token_anchor
+    base = small_cb.token_anchors()[0]
     toks = np.stack([base + r * direction for r in (0.5, 2.0, 6.0, 20.0)])
     _, by_dist = predict(small_cb, small_clf, p, toks, np.zeros(4, int))
     assert all(a <= b + 1e-12 for a, b in zip(by_dist, by_dist[1:]))
@@ -180,12 +178,11 @@ def test_forced_group_reproduces_basis_trajectory_end_to_end(small_cb, small_clf
     # classifier forced via a single-group admissible mask
     p = near_zero_noise()
     gid = admissible_groups(small_cb, Role.ego(Command.TURN_LEFT))[0]
-    g = small_cb.group(gid)
     only = np.arange(small_cb.n_code)[None, :] == gid
     mean, _, _, groups = GpInference(small_cb, small_clf, p).predict_rows(
-        g.basis_tokens[2][None], only)
+        small_cb.basis[gid, 2][None], only)
     assert groups.tolist() == [gid]
-    assert np.max(np.abs(mean[0] - g.trajectories[2])) < 1e-3
+    assert np.max(np.abs(mean[0] - small_cb.trajectories[gid, 2])) < 1e-3
 
 
 def test_predict_scene_matches_oracle(small_cb, small_clf):
@@ -238,11 +235,11 @@ def test_graph_path_matches_inference_path(small_cb, small_clf):
     # over constants, and its backward reaches every parameter family
     p = GpParams(log_lengthscale=0.15, log_outputscale=-0.05,
                  log_noise_recon=np.log(0.04), log_noise_traj=np.log(0.06))
-    basis_vars = [autodiff.parameter(g.basis_tokens) for g in small_cb.groups]
+    basis = autodiff.parameter(small_cb.basis)
     clf_vars = {n: autodiff.parameter(getattr(small_clf, n))
                 for n in gpmodule.CLASSIFIER_NAMES}
     scalars = [autodiff.parameter(getattr(p, n)) for n in gpmodule.GP_SCALAR_NAMES]
-    graph = GpGraph(small_cb, basis_vars, clf_vars, *scalars)
+    graph = GpGraph(small_cb, basis, clf_vars, *scalars)
     inf = GpInference(small_cb, small_clf, p)
     toks = np.random.default_rng(17).normal(size=(4, 6))
     groups = np.array([3, 3, 0, 9])
@@ -266,7 +263,8 @@ def test_graph_path_matches_inference_path(small_cb, small_clf):
         autodiff.add(autodiff.tsum(recon), autodiff.tsum(var)),
         autodiff.add(autodiff.tsum(logits), autodiff.tsum(var_t))))
     autodiff.backward(loss)
-    for leaf in basis_vars[3:4] + list(clf_vars.values()) + scalars:
+    assert np.any(basis.grad[3] != 0.0)
+    for leaf in list(clf_vars.values()) + scalars:
         assert leaf.grad is not None and np.any(leaf.grad != 0.0)
     assert inf.log_ell.grad is None  # the constants build no tape
 
@@ -278,8 +276,8 @@ def test_classifier_learns_two_separated_modes(small_cb):
     cb = small_cb
     p = GpParams()
     ids = cb.agent_group_ids[:2]
-    centers = {gid: cb.group(gid).basis_tokens.mean(axis=0) + 0.8 for gid in ids}
-    centers[ids[1]] = cb.group(ids[1]).basis_tokens.mean(axis=0) - 0.8
+    centers = {gid: cb.token_anchors()[gid] + 0.8 for gid in ids}
+    centers[ids[1]] = cb.token_anchors()[ids[1]] - 0.8
     clf = GroupClassifier.init(cb.n_code, cb.group_size, 16, rng)
     w = {"w1": autodiff.parameter(clf.w1), "b1": autodiff.parameter(clf.b1),
          "w2": autodiff.parameter(clf.w2), "b2": autodiff.parameter(clf.b2)}

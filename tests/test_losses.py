@@ -27,23 +27,24 @@ def cb():
 
 
 def ego_rec(e, e_hat, var, basis):
-    """loss_rec over one scene holding only its ego row, conditioned on group 0."""
+    """loss_rec over one scene holding only its ego row, conditioned on group 0
+    of a one-group codebook with this (C, D) basis."""
     return loss_rec(np.array([e]), Tensor(np.array([e_hat])), Tensor(np.array([var])),
-                    n_ego=1, groups=[0], scenes=[0], bases=[basis])
+                    n_ego=1, groups=[0], scenes=[0], basis=Tensor(basis[None]))
 
 
 def test_recon_nll_zero_at_perfect_unit_variance():
     e = np.array([0.3, -0.2, 0.5])
-    bd = ego_rec(e, e.copy(), 1.0, Tensor(np.eye(3)))
-    assert bd.value("recon_ego") == pytest.approx(0.0)
-    assert bd.value("ortho_ego") == pytest.approx(0.0)  # orthonormal rows
+    bd = ego_rec(e, e.copy(), 1.0, np.eye(3))
+    assert bd.terms["recon_ego"].item() == pytest.approx(0.0)
+    assert bd.terms["ortho_ego"].item() == pytest.approx(0.0)  # orthonormal rows
 
 
 def test_recon_nll_unit_error_unit_variance():
     e = np.zeros(4)
     e_hat = np.array([1.0, 0.0, 0.0, 0.0])  # unit offset
-    bd = ego_rec(e, e_hat, 1.0, Tensor(np.eye(4)))
-    assert bd.value("recon_ego") == pytest.approx(1.0)
+    bd = ego_rec(e, e_hat, 1.0, np.eye(4))
+    assert bd.terms["recon_ego"].item() == pytest.approx(1.0)
 
 
 def test_recon_rejects_nonpositive_variance():
@@ -53,17 +54,44 @@ def test_recon_rejects_nonpositive_variance():
 
 def test_ortho_nonzero_for_correlated_rows():
     b = np.array([[1.0, 0.0], [1.0, 0.1]])
-    assert orthogonality(Tensor(b)).item() > 0.5
+    assert orthogonality(Tensor(b[None])).data[0] > 0.5
+
+
+def test_ortho_matches_per_group_frobenius(cb):
+    want = [np.sum((b @ b.T - np.eye(len(b))) ** 2) for b in cb.basis]
+    assert np.allclose(orthogonality(Tensor(cb.basis)).data, want, rtol=1e-12)
 
 
 def test_ortho_deduplicates_shared_groups():
-    basis = Tensor(np.eye(3) * 2.0)
-    single = orthogonality(basis).item()
+    basis = Tensor(np.eye(3)[None] * 2.0)
+    single = orthogonality(basis).data[0]
     # one scene: ego and both agents conditioned on the same group
     bd = loss_rec(np.zeros((3, 3)), Tensor(np.zeros((3, 3))), Tensor(np.ones(3)),
-                  n_ego=1, groups=[0, 0, 0], scenes=[0, 0, 0], bases=[basis])
-    assert bd.value("ortho_ego") == pytest.approx(single)
-    assert bd.value("ortho_agent") == pytest.approx(0.0)
+                  n_ego=1, groups=[0, 0, 0], scenes=[0, 0, 0], basis=basis)
+    assert bd.terms["ortho_ego"].item() == pytest.approx(single)
+    assert bd.terms["ortho_agent"].item() == pytest.approx(0.0)
+
+
+def test_ortho_counts_match_per_scene_loop(cb):
+    # each scene counts its ego group once in ortho_ego, and each other
+    # distinct group among its agents once in ortho_agent
+    rng = np.random.default_rng(11)
+    n_scenes = 6
+    agent_scenes = np.sort(rng.integers(n_scenes, size=20))
+    scenes = np.concatenate([np.arange(n_scenes), agent_scenes])
+    groups = rng.integers(4, size=len(scenes))  # few groups, so many repeats
+    n = len(scenes)
+    bd = loss_rec(np.zeros((n, 5)), Tensor(np.zeros((n, 5))), Tensor(np.ones(n)),
+                  n_ego=n_scenes, groups=groups, scenes=scenes, basis=Tensor(cb.basis))
+    ortho = orthogonality(Tensor(cb.basis)).data
+    want_ego = want_agent = 0.0
+    for s in range(n_scenes):
+        ego = groups[s]
+        want_ego += ortho[ego]
+        for g in set(groups[n_scenes:][agent_scenes == s]) - {ego}:
+            want_agent += ortho[g]
+    assert bd.terms["ortho_ego"].item() == pytest.approx(want_ego, rel=1e-12)
+    assert bd.terms["ortho_agent"].item() == pytest.approx(want_agent, rel=1e-12)
 
 
 def all_admissible(cb, n_rows=1):
@@ -87,7 +115,7 @@ def test_plan_nll_closed_form(cb):
     pred = np.full(12, np.sqrt(2.0))  # each waypoint error^2 = 2+2 = 4
     rows = ego_sup(cb, pred, 4.0, np.zeros(cb.n_code), gt, 0, np.zeros(5))
     bd = loss_sup(rows, anchors=cb.token_anchors())
-    assert bd.value("plan_nll") == pytest.approx(4.0 / 4.0 + np.log(2.0))
+    assert bd.terms["plan_nll"].item() == pytest.approx(4.0 / 4.0 + np.log(2.0))
 
 
 def test_class_ce_zero_temperature_limit(cb):
@@ -103,28 +131,23 @@ def test_perfect_prediction_all_task_terms_zero(cb):
     pos, _ = select_triplet_classes(cb, 1)
     logits = np.full(cb.n_code, -50.0)
     logits[1] = 50.0
-    token_far = cb.group(pos[0]).token_anchor  # at a positive anchor
+    token_far = cb.token_anchors()[pos[0]]  # at a positive anchor
     rows = ego_sup(cb, gt.copy(), 1.0, logits, gt, 1, token_far)
     bd = loss_sup(rows, anchors=cb.token_anchors())
-    assert bd.value("plan_nll") == pytest.approx(0.0, abs=1e-12)
-    assert bd.value("class_ce_ego") == pytest.approx(0.0, abs=1e-12)
+    assert bd.terms["plan_nll"].item() == pytest.approx(0.0, abs=1e-12)
+    assert bd.terms["class_ce_ego"].item() == pytest.approx(0.0, abs=1e-12)
 
 
 def test_triplet_satisfied_margin_is_zero(cb):
     pos, neg = select_triplet_classes(cb, 0)
-    anchor = cb.group(pos[0]).token_anchor.copy()
-    # negatives far beyond the margin
-    for gid in neg:
-        cbg = cb.group(gid)
-        cbg.basis_tokens = cbg.basis_tokens + 50.0
+    anchor = cb.token_anchors()[pos[0]]
+    cb.basis[neg] += 50.0  # negatives far beyond the margin
     try:
         [val] = triplet_term(anchor[None, :], np.array([pos]), np.array([neg]),
                              cb.token_anchors(), margin=1.0).data
         assert val == pytest.approx(0.0)
     finally:
-        for gid in neg:
-            cbg = cb.group(gid)
-            cbg.basis_tokens = cbg.basis_tokens - 50.0
+        cb.basis[neg] -= 50.0
 
 
 def test_triplet_equidistant_hinges_at_margin():
@@ -146,8 +169,8 @@ def test_triplet_matches_bruteforce_oracle(cb):
     pos, neg = positives[labels], negatives[labels]
     got = triplet_term(tokens, pos, neg, cb.token_anchors(), margin=1.0).data
     for token, p, n, value in zip(tokens, pos, neg, got):
-        want = triplet_oracle(token, [cb.group(g).token_anchor for g in p],
-                              [cb.group(g).token_anchor for g in n], 1.0)
+        want = triplet_oracle(token, list(cb.token_anchors()[p]),
+                              list(cb.token_anchors()[n]), 1.0)
         assert value == pytest.approx(want, rel=1e-10)
 
 
@@ -164,13 +187,13 @@ def test_select_triplet_classes_disjoint_and_admissible(cb):
         assert len(pos) == len(neg) == 3
         assert not set(pos) & set(neg)
         assert label not in pos and label not in neg
-        role = cb.group(label).role
+        role = cb.role(label)
         if role.kind == "ego":
-            assert all(cb.group(p).role == role for p in pos)
-            assert all(cb.group(n).role.kind == "ego"
-                       and cb.group(n).role.command != role.command for n in neg)
+            assert all(cb.role(p) == role for p in pos)
+            assert all(cb.role(n).kind == "ego"
+                       and cb.role(n).command != role.command for n in neg)
         else:
-            assert all(cb.group(g).role.kind == "agent" for g in pos + neg)
+            assert all(cb.role(g).kind == "agent" for g in pos + neg)
 
 
 def test_kl_identity_and_uniform_cases():
@@ -193,7 +216,7 @@ def _teacher_pair(cb, label, traj, logits, variance=1.0):
     teacher = TeacherRows(mean=traj[None], variance=np.array([variance]),
                           logits=logits[None], label=np.array([label]),
                           positives=np.array([pos]), negatives=np.array([neg]))
-    token = cb.group(pos[0]).token_anchor
+    token = cb.token_anchors()[pos[0]]
     student = StudentRows(n_ego=1, traj=Tensor(traj[None].copy()),
                           logits=Tensor(logits[None].copy()),
                           admissible=all_admissible(cb),
@@ -206,18 +229,16 @@ def test_teacher_self_distillation_fixed_point(cb):
     # with negatives beyond the margin: every term vanishes
     label = 0
     pos, neg = select_triplet_classes(cb, label)
-    for gid in neg:
-        cb.group(gid).basis_tokens = cb.group(gid).basis_tokens + 50.0
+    cb.basis[neg] += 50.0
     try:
         logits = np.full(cb.n_code, -80.0)
         logits[label] = 80.0
         traj = np.linspace(0, 5, 12)
         student, teacher = _teacher_pair(cb, label, traj, logits)
         bd = loss_gp_teacher(student, teacher, anchors=cb.token_anchors())
-        assert bd.total_value() == pytest.approx(0.0, abs=1e-10)
+        assert bd.total.item() == pytest.approx(0.0, abs=1e-10)
     finally:
-        for gid in neg:
-            cb.group(gid).basis_tokens = cb.group(gid).basis_tokens - 50.0
+        cb.basis[neg] -= 50.0
 
 
 def test_teacher_admissible_mismatch_raises(cb):
@@ -233,7 +254,7 @@ def test_teacher_admissible_mismatch_raises(cb):
 def test_total_is_weighted_sum():
     t = {"recon_ego": Tensor(np.array(2.0)), "plan_nll": Tensor(np.array(3.0))}
     bd = LossBreakdown(terms=t, weights={"recon_ego": 0.5})
-    assert bd.total_value() == pytest.approx(0.5 * 2.0 + 3.0)
+    assert bd.total.item() == pytest.approx(0.5 * 2.0 + 3.0)
 
 
 def test_loss_bounded_below_under_clamp():
@@ -264,7 +285,7 @@ def test_loss_rec_gradients_match_fd(cb):
     rng = np.random.default_rng(3)
     gid = 0
     e = rng.normal(size=5)
-    basis = autodiff.parameter(cb.group(gid).basis_tokens)
+    basis = autodiff.parameter(cb.basis[gid])
     log_noise = autodiff.parameter(np.array(np.log(0.3)))
 
     def build():
@@ -284,7 +305,7 @@ def test_loss_rec_gradients_match_fd(cb):
                            autodiff.exp(autodiff.mul(log_noise, 2.0)))
         return loss_rec(e[None], autodiff.reshape(e_hat, (1, -1)),
                         autodiff.reshape(var, (1,)), n_ego=1, groups=[0],
-                        scenes=[0], bases=[basis]).total
+                        scenes=[0], basis=autodiff.reshape(basis, (1, 4, 5))).total
 
     loss = build()
     grads = autodiff.grad(loss, {"basis": basis, "log_noise": log_noise})

@@ -7,9 +7,8 @@ import pytest
 
 from gptraj import autodiff
 from gptraj.autodiff import Tensor
-from gptraj.psdlinalg import (JITTER_LADDER, KernelParams, NotPSD, chol_solve,
-                              cholesky_factor, kernel, kernel_matrix,
-                              kernel_matrix_t, solve_with_factor)
+from gptraj.psdlinalg import (JITTER_LADDER, KernelParams, NotPSD, cholesky_factor,
+                              kernel_matrix, kernel_matrix_t, solve_with_factor)
 
 from oracles import gauss_jordan_inverse, jacobi_eigenvalues
 
@@ -21,16 +20,16 @@ def unit_params(**kw) -> KernelParams:
 def test_kernel_closed_forms():
     p = unit_params()
     x = np.array([1.0, 0.0])
-    assert kernel(x, x, p) == pytest.approx(1.0)
-    assert kernel(x, np.zeros(2), p) == pytest.approx(np.exp(-0.5))
+    assert kernel_matrix(x, x, p)[0, 0] == pytest.approx(1.0)
+    assert kernel_matrix(x, np.zeros(2), p)[0, 0] == pytest.approx(np.exp(-0.5))
     p2 = KernelParams(log_lengthscale=np.log(5.0), log_outputscale=np.log(2.0))
     x = np.array([3.0, 4.0, 0.0])
-    assert kernel(x, np.zeros(3), p2) == pytest.approx(4.0 * np.exp(-0.5))
+    assert kernel_matrix(x, np.zeros(3), p2)[0, 0] == pytest.approx(4.0 * np.exp(-0.5))
 
 
 def test_kernel_length_mismatch():
     with pytest.raises(ValueError):
-        kernel(np.zeros(3), np.zeros(4), unit_params())
+        kernel_matrix(np.zeros(3), np.zeros(4), unit_params())
 
 
 def test_kernel_symmetry_and_bounds():
@@ -39,10 +38,10 @@ def test_kernel_symmetry_and_bounds():
     sf2 = p.outputscale ** 2
     for _ in range(100):
         x, y = rng.normal(size=5), rng.normal(size=5)
-        kxy = kernel(x, y, p)
-        assert kxy == pytest.approx(kernel(y, x, p))
+        kxy = kernel_matrix(x, y, p)[0, 0]
+        assert kxy == pytest.approx(kernel_matrix(y, x, p)[0, 0])
         assert 0.0 < kxy <= sf2
-        assert kernel(x, x, p) == pytest.approx(sf2)
+        assert kernel_matrix(x, x, p)[0, 0] == pytest.approx(sf2)
 
 
 def test_kernel_matrix_single_and_duplicate():
@@ -63,10 +62,10 @@ def test_kernel_matrix_psd_by_jacobi():
 
 
 def test_chol_solve_identity_and_diagonal():
-    x = chol_solve(np.eye(3), np.eye(3))
+    x = solve_with_factor(cholesky_factor(np.eye(3)), np.eye(3))
     assert np.allclose(x, np.eye(3))
     assert cholesky_factor(np.eye(3)).jitter_used == 0.0
-    x = chol_solve(np.diag([4.0, 9.0]), np.array([1.0, 1.0]))
+    x = solve_with_factor(cholesky_factor(np.diag([4.0, 9.0])), np.array([1.0, 1.0]))
     assert np.allclose(x, [0.25, 1.0 / 9.0])
 
 
@@ -76,7 +75,8 @@ def test_chol_solve_matches_gauss_jordan_oracle():
         m = rng.normal(size=(n, n))
         a = m @ m.T + 0.5 * np.eye(n)
         b = rng.normal(size=(n, 3))
-        assert np.max(np.abs(chol_solve(a, b) - gauss_jordan_inverse(a) @ b)) < 1e-8
+        x = solve_with_factor(cholesky_factor(a), b)
+        assert np.max(np.abs(x - gauss_jordan_inverse(a) @ b)) < 1e-8
 
 
 def test_solve_roundtrip_up_to_256():

@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import json
+import struct
 
 import numpy as np
 import pytest
@@ -108,6 +110,63 @@ def test_truncated_or_foreign_checkpoint_rejected_with_path(pipeline_bytes):
     assert str(foreign) in str(exc.value)
 
 
+def edited_header(blob: bytes, edit) -> bytes:
+    """The checkpoint ``blob`` with ``edit`` applied to its parsed header."""
+    hlen = struct.unpack("<Q", blob[8:16])[0]
+    header = json.loads(blob[16:16 + hlen])
+    edit(header)
+    text = json.dumps(header, sort_keys=True).encode("utf-8")
+    return blob[:8] + struct.pack("<Q", len(text)) + text + blob[16 + hlen:]
+
+
+def rejected(tmp, blob: bytes, name: str, match: str) -> None:
+    """Loading ``blob`` raises a one-line ValueError naming the file."""
+    path = tmp / name
+    path.write_bytes(blob)
+    with pytest.raises(ValueError, match=match) as exc:
+        Checkpoint.load(path)
+    assert str(path) in str(exc.value) and "\n" not in str(exc.value)
+
+
+def test_checkpoint_missing_tensor_rejected_with_path(pipeline_bytes):
+    tmp, saved = pipeline_bytes
+
+    def drop(header):
+        header["tensors"] = [e for e in header["tensors"] if e["name"] != "base.enc_b1"]
+
+    rejected(tmp, edited_header(saved["stage2"], drop), "missing.bin",
+             r"missing \['base.enc_b1'\], unexpected \[\]")
+
+
+@pytest.mark.parametrize("change, match", [
+    ({"n_wheels": 4}, "n_wheels"),
+    # same n_code, but no layout of 13 ego groups into equal thirds
+    ({"n_ego": 13, "n_agent": 6}, "n_ego 13 is not a multiple of 3"),
+])
+def test_checkpoint_bad_model_spec_rejected_with_path(pipeline_bytes, change, match):
+    tmp, saved = pipeline_bytes
+    rejected(tmp, edited_header(saved["stage2"], lambda h: h["model_spec"].update(change)),
+             "spec.bin", f"bad checkpoint header: .*{match}")
+
+
+def test_checkpoint_wrong_tensor_shape_rejected_with_path(pipeline_bytes):
+    tmp, saved = pipeline_bytes
+
+    def transpose(header):
+        [entry] = [e for e in header["tensors"] if e["name"] == "base.enc_w1"]
+        entry["shape"] = entry["shape"][::-1]
+
+    rejected(tmp, edited_header(saved["stage2"], transpose), "shape.bin",
+             r"tensor base.enc_w1 has shape \[16, 24\], its model_spec implies "
+             r"\[24, 16\]")
+
+
+def test_schema_1_checkpoint_rejected(pipeline_bytes):
+    tmp, saved = pipeline_bytes
+    rejected(tmp, edited_header(saved["stage2"], lambda h: h.update(schema=1)),
+             "schema1.bin", "checkpoint schema 1 unsupported \\(expected 2\\)")
+
+
 def failing_factor(fail_at: int):
     """A ``cholesky_factor`` whose ``fail_at``-th call (from 0) raises NotPSD.
 
@@ -182,7 +241,7 @@ def test_scene_labels_match_per_scene_loop(tiny_dataset, tiny_model):
 
     def nearest(traj, role):
         ids = admissible_groups(cb, role)
-        d = [traj_distance(traj, Trajectory.from_flat(cb.group(i).traj_anchor))
+        d = [traj_distance(traj, Trajectory.from_flat(cb.traj_anchors()[i]))
              for i in ids]
         return ids[int(np.argmin(d))]
 
@@ -254,8 +313,11 @@ def test_step_loss_gradients_match_finite_differences(fitted, tiny_dataset,
 def test_step_loss_is_sum_of_scene_losses(fitted, tiny_dataset):
     records = tiny_dataset[:5]
     _, loss = step_loss_setup(fitted, records, True, True)
-    whole = loss().values()
-    parts = [step_loss_setup(fitted, [r], True, True)[1]().values() for r in records]
+    def values(bd):
+        return {k: t.item() for k, t in bd.terms.items()}
+
+    whole = values(loss())
+    parts = [values(step_loss_setup(fitted, [r], True, True)[1]()) for r in records]
     for term, value in whole.items():
         assert value == pytest.approx(sum(p[term] for p in parts), rel=1e-12,
                                       abs=1e-12), term
@@ -283,14 +345,18 @@ def test_gp_stage_loss_gradients_match_finite_differences(fitted, tiny_dataset):
     rng = np.random.default_rng(1)
     entries = {name: rng.choice(p.data.size, size=min(3, p.data.size), replace=False)
                for name, p in params.items()}
+    per_group = params["cb.basis"].data[0].size  # three entries of every group
+    entries["cb.basis"] = np.concatenate([
+        g * per_group + rng.choice(per_group, size=3, replace=False)
+        for g in range(model.cb.n_code)])
     # the summed step loss is O(1e3): at h = 1e-5 central differences carry
     # about 1e-7 of rounding and truncation error, and move no row's group
     fd = finite_difference(lambda: loss().item(),
                            {name: p.data for name, p in params.items()},
                            h=1e-5, entries=entries)
-    families = {name.split(".")[0] if name.startswith("cb.") else name for name in params}
-    assert families == {"cb", "clf.w1", "clf.b1", "clf.w2", "clf.b2", "gp.log_lengthscale",
-                        "gp.log_outputscale", "gp.log_noise_recon", "gp.log_noise_traj"}
+    assert set(params) == {"cb.basis", "clf.w1", "clf.b1", "clf.w2", "clf.b2",
+                           "gp.log_lengthscale", "gp.log_outputscale",
+                           "gp.log_noise_recon", "gp.log_noise_traj"}
     for name, idx in entries.items():
         got, want = grads[name].reshape(-1)[idx], fd[name].reshape(-1)[idx]
         assert np.allclose(got, want, rtol=1e-5, atol=1e-6), name
