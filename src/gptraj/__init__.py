@@ -1,14 +1,13 @@
 """Codebook-conditioned GP trajectory prediction, training, and adaptation."""
 
-from .core import (Command, SceneRecord, Token, Trajectory, load_dataset,
-                   save_dataset, traj_distance, validate_record)
-from .codebook import (Codebook, Role, admissible_groups, init_basis_tokens,
-                       sample_and_cluster)
+from .core import (Command, SceneRecord, Trajectory, load_dataset, save_dataset,
+                   validate_record)
+from .codebook import (Codebook, admissible, init_basis_tokens, sample_and_cluster,
+                       triplet_table)
 from .psdlinalg import (CholeskyFactor, KernelParams, NotPSD, cholesky_factor,
                         kernel_matrix)
 from .gpmodule import GpInference, GpParams, GroupClassifier
-from .losses import (LossBreakdown, loss_gp_teacher, loss_rec, loss_sup,
-                     select_triplet_classes, triplet_term)
+from .losses import LossBreakdown, loss_gp_teacher, loss_rec, loss_sup, triplet_term
 from .basemodel import BaseModelParams
 from .synthdomain import DomainSpec, gen_dataset, gen_scene
 from .trainer import (Adam, Checkpoint, Model, ModelSpec, TrainConfig, grad,

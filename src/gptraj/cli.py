@@ -46,8 +46,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="generate a single domain instead of the default splits")
     p.add_argument("--count", type=int, default=None)
     p.add_argument("--out", type=str, default=None)
-    p.add_argument("--labeled", action="store_true", default=True)
-    p.add_argument("--unlabeled", dest="labeled", action="store_false")
+    p.add_argument("--unlabeled", action="store_true",
+                   help="strip the ground truth (requires --domain)")
 
     p = sub.add_parser("pretrain", help="stage 1: pretrain the base model")
     p.add_argument("--data", type=str, default=None)
@@ -136,13 +136,15 @@ def cmd_gen_data(args, cfg) -> int:
     from .synthdomain import gen_dataset, strip_labels
     from .core import save_dataset
 
+    if args.unlabeled and args.domain is None:
+        raise ValueError("--unlabeled requires --domain")
     if args.domain is not None:
         if args.count is None or args.out is None:
             raise ValueError("--domain requires --count and --out")
         spec = cfg.domain(args.domain)
         records = gen_dataset(spec, args.count, cfg.seed, path=None,
                               obs_dim=cfg.model.obs_dim)
-        if not args.labeled:
+        if args.unlabeled:
             records = strip_labels(records)
         save_dataset(records, args.out)
         print(f"wrote {len(records)} scenes -> {args.out}")

@@ -9,7 +9,12 @@ map to them one-to-one and are the learnable half of the pair.
 The codebook is two stacked arrays, trajectories (n_code, C, 12) and basis
 tokens (n_code, C, D), in a fixed group layout: the ``n_ego`` ego groups
 first, ``n_ego / 3`` per command in ``COMMANDS`` order, then the agent
-groups. A group's role follows from its index, so it is not stored.
+groups. The layout is stated once, as ``Codebook.buckets``: one entry per
+group, the ``COMMANDS`` index of an ego group's command or ``len(COMMANDS)``
+for an agent group. ``admissible`` compares it against one bucket per row
+(a ``Command`` for an ego row, ``None`` for an agent row) to give the
+groups each row may be classified into, and ``triplet_table`` ranks the
+triplet classes of every label within the buckets.
 """
 
 from __future__ import annotations
@@ -22,26 +27,14 @@ from .core import COMMANDS, Command, Trajectory, rng_for
 
 LLOYD_MAX_ITERS = 100
 LLOYD_TOL = 1e-6
+# triplet selection takes 3 positives and 3 negatives per label: 3 other
+# groups of an ego label's command, and 6 other groups of an agent label
+MIN_EGO_PER_COMMAND = 4
+MIN_AGENT_GROUPS = 7
 
 
 class BuildError(Exception):
     """Raised when a bucket has too few trajectories to populate its groups."""
-
-
-@dataclass(frozen=True)
-class Role:
-    """Ego-with-command or agent; determines which groups are admissible."""
-
-    kind: str  # "ego" | "agent"
-    command: Command | None = None
-
-    @classmethod
-    def ego(cls, command: Command) -> "Role":
-        return cls("ego", command)
-
-    @classmethod
-    def agent(cls) -> "Role":
-        return cls("agent")
 
 
 @dataclass
@@ -59,27 +52,16 @@ class Codebook:
         return self.trajectories.shape[0]
 
     @property
-    def n_agent(self) -> int:
-        return self.n_code - self.n_ego
-
-    @property
     def group_size(self) -> int:
         return self.trajectories.shape[1]
 
     @property
-    def command_groups(self) -> dict[Command, list[int]]:
+    def buckets(self) -> np.ndarray:
+        """(n_code,) bucket of each group: the ``COMMANDS`` index of an ego
+        group's command, ``len(COMMANDS)`` for an agent group."""
         per_cmd = self.n_ego // len(COMMANDS)
-        return {c: list(range(i * per_cmd, (i + 1) * per_cmd))
-                for i, c in enumerate(COMMANDS)}
-
-    @property
-    def agent_group_ids(self) -> list[int]:
-        return list(range(self.n_ego, self.n_code))
-
-    def role(self, group: int) -> Role:
-        if group >= self.n_ego:
-            return Role.agent()
-        return Role.ego(COMMANDS[group // (self.n_ego // len(COMMANDS))])
+        return np.repeat(np.arange(len(COMMANDS) + 1),
+                         [per_cmd] * len(COMMANDS) + [self.n_code - self.n_ego])
 
     def traj_anchors(self) -> np.ndarray:
         """Mean trajectory of each group; shape (n_code, 12)."""
@@ -93,30 +75,19 @@ class Codebook:
         return self.basis.mean(axis=1)
 
 
-def admissible_groups(cb: Codebook, role: Role) -> list[int]:
-    """Group ids a token of this role may be classified into."""
-    if role.kind == "ego":
-        return cb.command_groups[role.command]
-    return cb.agent_group_ids
+def admissible(cb: Codebook, commands) -> np.ndarray:
+    """(N, n_code) masks of the groups each row may be classified into, one
+    row per entry of ``commands``: a ``Command`` for an ego row, ``None`` for
+    an agent row."""
+    rows = [len(COMMANDS) if c is None else COMMANDS.index(c) for c in commands]
+    return np.array(rows, dtype=np.intp)[:, None] == cb.buckets
 
 
-def admissible_mask(cb: Codebook, role: Role) -> np.ndarray:
-    """Boolean (n_code,) mask of ``admissible_groups``."""
-    mask = np.zeros(cb.n_code, dtype=bool)
-    mask[admissible_groups(cb, role)] = True
-    return mask
-
-
-def ego_admissible(cb: Codebook, commands) -> np.ndarray:
-    """(N, n_code) admissible masks of ego rows with these commands."""
-    masks = {c: admissible_mask(cb, Role.ego(c)) for c in set(commands)}
-    return np.array([masks[c] for c in commands], dtype=bool).reshape(-1, cb.n_code)
-
-
-def traj_dists(flat: np.ndarray, centroid: np.ndarray) -> np.ndarray:
-    # mean-over-waypoints Euclidean distance, vectorized over rows of flat
-    d = flat.reshape(len(flat), -1, 2) - centroid.reshape(-1, 2)[None]
-    return np.linalg.norm(d, axis=2).mean(axis=1)
+def traj_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Mean-over-waypoints Euclidean distance between flat trajectories
+    (..., 12), broadcast over the leading axes."""
+    d = a - b
+    return np.linalg.norm(d.reshape(*d.shape[:-1], -1, 2), axis=-1).mean(axis=-1)
 
 
 def _lloyd(flat: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -210,3 +181,34 @@ def nearest_group(cb: Codebook, flat: np.ndarray, admissible: np.ndarray) -> np.
     Ties go to the lowest group id."""
     dists = np.stack([traj_dists(flat, a) for a in cb.traj_anchors()], axis=1)
     return np.argmin(np.where(admissible, dists, np.inf), axis=1)
+
+
+def triplet_table(cb: Codebook) -> tuple[np.ndarray, np.ndarray]:
+    """Positive and negative triplet classes of every label group, as two
+    (n_code, 3) id arrays; row g holds label g's.
+
+    An ego label's positives are the 3 other groups of its command with the
+    nearest trajectory anchors, its negatives the 3 nearest ego groups of
+    the other commands. An agent label's are its 3 nearest and 3 farthest
+    other agent groups. Each label's candidates are ranked by one stable
+    sort of its row of the anchor-distance matrix, so ties go to the lower id.
+    """
+    per_cmd, n_agent = cb.n_ego // len(COMMANDS), cb.n_code - cb.n_ego
+    if per_cmd < MIN_EGO_PER_COMMAND or n_agent < MIN_AGENT_GROUPS:
+        raise ValueError(
+            f"not enough groups for triplet selection: {per_cmd} ego groups per "
+            f"command (need {MIN_EGO_PER_COMMAND}), {n_agent} agent groups "
+            f"(need {MIN_AGENT_GROUPS})")
+    anchors = cb.traj_anchors()
+    dist = traj_dists(anchors[None], anchors[:, None])  # [label, candidate]
+    buckets = cb.buckets
+    ego = buckets < len(COMMANDS)
+    # rank class of a candidate: 0 in the label's bucket, 1 in another ego
+    # bucket (ego labels only), 2 never chosen (the label itself, other role)
+    rank = np.where(buckets[:, None] == buckets, 0, np.where(ego[:, None] & ego, 1, 2))
+    np.fill_diagonal(rank, 2)
+    order = np.lexsort((dist, rank))
+    # an ego label's negatives open its class-1 block, after its per_cmd - 1
+    # class-0 groups; an agent label's close its n_agent - 1 class-0 groups
+    start = np.where(ego, per_cmd - 1, n_agent - 4)
+    return order[:, :3], np.take_along_axis(order, start[:, None] + np.arange(3), axis=1)

@@ -148,9 +148,6 @@ class Config:
     seed: int
     out_dir: Path
     model: ModelSpec
-    n_ego: int
-    n_agent: int
-    group_size: int
     train: TrainConfig
     data: dict
     domains: dict[str, DomainSpec]
@@ -212,17 +209,13 @@ def resolve(user: dict | None = None, seed_override: int | None = None) -> Confi
             _check_int(raw[section][key], f"{section}.{key}")
     _number(raw["model"]["token_scale"], "model.token_scale")
 
-    model = ModelSpec(
-        obs_dim=raw["model"]["obs_dim"],
-        token_dim=raw["model"]["token_dim"],
-        n_ego=raw["codebook"]["n_ego"],
-        n_agent=raw["codebook"]["n_agent"],
-        group_size=raw["codebook"]["group_size"],
-        encoder_hidden=raw["model"]["encoder_hidden"],
-        planner_hidden=raw["model"]["planner_hidden"],
-        classifier_hidden=raw["model"]["classifier_hidden"],
-        token_scale=raw["model"]["token_scale"],
-    )
+    try:
+        model = ModelSpec(**{k: raw[s][k] for s in ("model", "codebook")
+                             for k in raw[s]})
+    except ValueError as e:
+        # ModelSpec checks only the codebook sizes, each message opening
+        # with the field's name
+        raise ConfigError(f"codebook.{e}") from e
     tr = dict(raw["train"])
     tr["sigma_clamp"] = _pair(tr["sigma_clamp"], "train.sigma_clamp")
     try:
@@ -269,9 +262,6 @@ def resolve(user: dict | None = None, seed_override: int | None = None) -> Confi
         seed=raw["seed"],
         out_dir=Path(raw["out_dir"]),
         model=model,
-        n_ego=raw["codebook"]["n_ego"],
-        n_agent=raw["codebook"]["n_agent"],
-        group_size=raw["codebook"]["group_size"],
         train=train,
         data=dict(raw["data"]),
         domains=domains,

@@ -78,31 +78,6 @@ class Trajectory:
 
 
 @dataclass(frozen=True)
-class Token:
-    """Fixed-dimension embedding vector for an ego or agent state."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[0]
-
-    def violations(self, expected_dim: int | None = None) -> list[str]:
-        out = []
-        if self.values.ndim != 1:
-            out.append(f"token must be a vector, got shape {self.values.shape}")
-            return out
-        if expected_dim is not None and self.dim != expected_dim:
-            out.append(f"token length {self.dim} != configured {expected_dim}")
-        if not np.all(np.isfinite(self.values)):
-            out.append("non-finite token entry")
-        return out
-
-
-@dataclass(frozen=True)
 class SceneRecord:
     """One training/eval sample. Ground truth is absent for unlabeled data."""
 
@@ -201,11 +176,6 @@ def validate_record(rec: SceneRecord, obs_dim: int | None = None) -> list[str]:
     return errors
 
 
-def traj_distance(a: Trajectory, b: Trajectory) -> float:
-    """Mean Euclidean distance over the 6 waypoint pairs, in meters."""
-    return float(np.mean(np.linalg.norm(a.points - b.points, axis=1)))
-
-
 def save_dataset(records, path) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -216,6 +186,9 @@ def save_dataset(records, path) -> None:
 
 
 def load_dataset(path) -> list[SceneRecord]:
+    """The file's records, each checked by ``validate_record`` with the
+    observation length of the first record; the first violation found is
+    raised as ``<path>:<line>: <violation>``."""
     records = []
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
@@ -223,9 +196,14 @@ def load_dataset(path) -> list[SceneRecord]:
             if not line:
                 continue
             try:
-                records.append(SceneRecord.from_json_dict(json.loads(line)))
+                rec = SceneRecord.from_json_dict(json.loads(line))
             except (ValueError, KeyError) as e:
                 raise ValueError(f"{path}:{lineno}: {e}") from e
+            obs_dim = records[0].ego_obs.shape[0] if records else None
+            errors = validate_record(rec, obs_dim)
+            if errors:
+                raise ValueError(f"{path}:{lineno}: {errors[0]}")
+            records.append(rec)
     return records
 
 

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .basemodel import encode, plan
-from .codebook import ego_admissible
+from .codebook import admissible
 from .core import Command, SceneRecord, Trajectory
 from .gpmodule import GpInference
 
@@ -204,7 +204,7 @@ def evaluate(records: list[SceneRecord], model, mode: str = "base",
     commands = [r.command for r in scenes]
     tokens = encode(np.stack([r.ego_obs for r in scenes]), model.base)
     if mode == "base":
-        trajs = plan(tokens, ego_admissible(model.cb, commands), model.base,
+        trajs = plan(tokens, admissible(model.cb, commands), model.base,
                      model.cb.traj_anchors())[0]
     else:
         trajs = GpInference(model.cb, model.clf, model.gp).predict_scene(

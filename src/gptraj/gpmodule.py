@@ -28,7 +28,7 @@ import numpy as np
 
 from . import autodiff, psdlinalg
 from .autodiff import Tensor
-from .codebook import Codebook, ego_admissible
+from .codebook import Codebook, admissible
 
 # kernel features per GpInference.predict_rows block (2 MiB of float64): the
 # size of the classifier's first weight matrix at the default model sizes
@@ -207,7 +207,7 @@ class GpInference(GpGraph):
     def predict_scene(self, ego_tokens: np.ndarray, commands):
         """``predict_rows`` of each scene's ego token row (N, D) under the
         admissibility mask of its driving command."""
-        return self.predict_rows(ego_tokens, ego_admissible(self.cb, commands))
+        return self.predict_rows(ego_tokens, admissible(self.cb, commands))
 
     def _predict_block(self, tokens: np.ndarray, admissible: np.ndarray):
         features = self.kernel_features(tokens)

@@ -22,7 +22,6 @@ import numpy as np
 
 from . import autodiff
 from .autodiff import Tensor, as_tensor
-from .codebook import Codebook, traj_dists
 
 TERM_NAMES = (
     "recon_ego", "recon_agent", "ortho_ego", "ortho_agent",
@@ -155,54 +154,6 @@ def triplet_term(tokens, positives: np.ndarray, negatives: np.ndarray, anchors,
                        autodiff.reshape(d_neg, (n, 1, k_neg)))
     hinge = autodiff.relu(autodiff.add(gap, margin))
     return autodiff.div(autodiff.tsum(hinge, axis=(1, 2)), float(k_pos * k_neg))
-
-
-def select_triplet_classes(cb: Codebook, label_group: int) -> tuple[list[int], list[int]]:
-    """Positive/negative class ids for the triplet terms.
-
-    Ego: positives are the 3 same-command groups with the nearest trajectory
-    anchors (excluding the label); negatives the 3 nearest groups of other
-    commands. Agent: 3 nearest / 3 farthest agent groups. Distance ties go
-    to the lower group id.
-    """
-    role = cb.role(label_group)
-    anchors = cb.traj_anchors()
-
-    def by_dist(ids):
-        ids = np.asarray(ids, dtype=np.intp)
-        d = traj_dists(anchors[ids], anchors[label_group])
-        return [int(i) for i in ids[np.lexsort((ids, d))]]
-
-    if role.kind == "ego":
-        same = [i for i in cb.command_groups[role.command] if i != label_group]
-        other = [i for cmd, ids in cb.command_groups.items()
-                 if cmd != role.command for i in ids]
-        pos_pool, neg_pool = by_dist(same), by_dist(other)
-        if len(pos_pool) < 3 or len(neg_pool) < 3:
-            raise ValueError("not enough groups for triplet selection")
-        return pos_pool[:3], neg_pool[:3]
-
-    others = [i for i in cb.agent_group_ids if i != label_group]
-    ranked = by_dist(others)
-    if len(ranked) < 6:
-        raise ValueError("not enough agent groups for triplet selection")
-    return ranked[:3], ranked[-3:]
-
-
-def triplet_table(cb: Codebook) -> tuple[np.ndarray, np.ndarray]:
-    """``select_triplet_classes`` of every group as two (n_code, 3) id arrays.
-
-    Row g holds label g's positives and negatives. Overlapping sets are
-    rejected here, once per table.
-    """
-    pairs = [select_triplet_classes(cb, g) for g in range(cb.n_code)]
-    for label, (pos, neg) in enumerate(pairs):
-        overlap = set(pos) & set(neg)
-        if overlap:
-            raise ValueError(
-                f"label {label}: overlapping positive/negative sets: {sorted(overlap)}")
-    return (np.array([p for p, _ in pairs], dtype=np.intp),
-            np.array([n for _, n in pairs], dtype=np.intp))
 
 
 def loss_rec(targets, recon: Tensor, variance: Tensor, n_ego: int,

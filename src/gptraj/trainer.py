@@ -38,14 +38,15 @@ import numpy as np
 from . import autodiff, basemodel, losses
 from .autodiff import Tensor
 from .basemodel import PARAM_NAMES, BaseModelParams, encode, encode_t, planner_t
-from .codebook import (BuildError, Codebook, Role, admissible_mask, ego_admissible,
-                       init_basis_tokens, nearest_group, sample_and_cluster)
+from .codebook import (MIN_AGENT_GROUPS, MIN_EGO_PER_COMMAND, BuildError, Codebook,
+                       admissible, init_basis_tokens, nearest_group,
+                       sample_and_cluster, triplet_table)
 from .core import COMMANDS, SceneRecord, rng_for
 from .gpmodule import (CLASSIFIER_NAMES, GP_SCALAR_NAMES, GpGraph, GpInference,
                        GpParams, GroupClassifier)
 from .losses import (LossBreakdown, StudentRows, SupRows, TeacherRows,
                      cross_entropy, loss_gp_teacher, loss_rec, loss_sup,
-                     role_sums, traj_mse, triplet_table)
+                     role_sums, traj_mse)
 from .psdlinalg import NotPSD
 
 CHECKPOINT_MAGIC = b"GPTRAJCK"
@@ -71,6 +72,20 @@ class ModelSpec:
     planner_hidden: int = 64
     classifier_hidden: int = 128
     token_scale: float = basemodel.TOKEN_SCALE
+
+    def __post_init__(self):
+        # the group layout needs equal thirds, and triplet_table enough
+        # groups in each bucket
+        n_cmd = len(COMMANDS)
+        if self.n_ego % n_cmd:
+            raise ValueError(f"n_ego {self.n_ego} is not a multiple of {n_cmd}")
+        if self.n_ego < MIN_EGO_PER_COMMAND * n_cmd:
+            raise ValueError(f"n_ego {self.n_ego} gives {self.n_ego // n_cmd} ego "
+                             f"groups per command; triplet selection needs "
+                             f"{MIN_EGO_PER_COMMAND}")
+        if self.n_agent < MIN_AGENT_GROUPS:
+            raise ValueError(f"n_agent {self.n_agent} is below the {MIN_AGENT_GROUPS} "
+                             f"agent groups triplet selection needs")
 
     @property
     def n_code(self) -> int:
@@ -260,9 +275,8 @@ class SceneTable:
         self.agent_start = len(records) + np.concatenate([[0], np.cumsum(counts)])
         self.obs = np.stack([r.ego_obs for r in records]
                             + [a for r in records for a in r.agent_obs])
-        self.admissible = np.concatenate([
-            ego_admissible(cb, [r.command for r in records]),
-            np.tile(admissible_mask(cb, Role.agent()), (sum(counts), 1))])
+        self.admissible = admissible(cb, [r.command for r in records]
+                                     + [None] * sum(counts))
         self.gt = self.labels = None
         if labeled:
             for r in records:
@@ -617,9 +631,6 @@ class Checkpoint:
                 f"(expected {CHECKPOINT_SCHEMA})")
         try:
             spec = ModelSpec(**header["model_spec"])
-            if spec.n_ego % len(COMMANDS):  # the group layout needs equal thirds
-                raise ValueError(f"model_spec n_ego {spec.n_ego} is not a multiple "
-                                 f"of {len(COMMANDS)}")
             cfg_d = dict(header["train_config"])
             cfg_d["sigma_clamp"] = tuple(cfg_d["sigma_clamp"])
             cfg = TrainConfig(**cfg_d)

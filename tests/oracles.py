@@ -3,8 +3,10 @@
 These deliberately avoid the library's own linear algebra and geometry: plain
 loops, Gauss-Jordan elimination, Jacobi eigenvalues, quadrature integration,
 dense point sampling, a scalar separating-axis loop, one-row numpy forms of
-the base model and the group classifier, and central finite differences. They exist to cross-check the
-production paths and must stay independent of them.
+the base model and the group classifier, a statement of the codebook's group
+layout with a sort-per-label triplet selection, and central finite
+differences. They exist to cross-check the production paths and must stay
+independent of them.
 """
 
 from __future__ import annotations
@@ -15,8 +17,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from gptraj.basemodel import RESIDUAL_BOUND
-from gptraj.codebook import admissible_groups
-from gptraj.core import Token, Trajectory
+from gptraj.core import COMMANDS, Trajectory
 
 
 def gauss_jordan_inverse(a: np.ndarray) -> np.ndarray:
@@ -87,7 +88,51 @@ def gp_oracle(basis: np.ndarray, targets: np.ndarray, query: np.ndarray,
     return mean, max(var, 0.0) + noise_var
 
 
-def classify_ref(token: np.ndarray, role, cb, clf, p) -> tuple[int, np.ndarray]:
+def traj_distance(a: Trajectory, b: Trajectory) -> float:
+    """Mean Euclidean distance over the 6 waypoint pairs, in meters."""
+    return float(np.mean(np.linalg.norm(a.points - b.points, axis=1)))
+
+
+# --- the codebook's group layout ---------------------------------------------
+
+
+def group_ids_ref(cb, command) -> list[int]:
+    """Groups a row may be classified into: ``n_ego / 3`` ego groups per
+    command in ``COMMANDS`` order, then the agent groups. ``command`` is
+    None for an agent row."""
+    if command is None:
+        return list(range(cb.n_ego, cb.n_code))
+    per_cmd = cb.n_ego // len(COMMANDS)
+    first = COMMANDS.index(command) * per_cmd
+    return list(range(first, first + per_cmd))
+
+
+def command_of_ref(cb, group: int):
+    """The command of an ego group, None for an agent group."""
+    if group >= cb.n_ego:
+        return None
+    return COMMANDS[group // (cb.n_ego // len(COMMANDS))]
+
+
+def triplet_classes_ref(cb, label: int) -> tuple[list[int], list[int]]:
+    """Positive/negative classes of one label by sorting its candidates on
+    (trajectory-anchor distance, id). Ego: the 3 nearest other groups of its
+    command, the 3 nearest groups of other commands. Agent: the 3 nearest
+    and 3 farthest other agent groups."""
+    anchors = [Trajectory.from_flat(a) for a in cb.traj_anchors()]
+
+    def ranked(ids):
+        return sorted(ids, key=lambda i: (traj_distance(anchors[i], anchors[label]), i))
+
+    command = command_of_ref(cb, label)
+    same = ranked(g for g in group_ids_ref(cb, command) if g != label)
+    if command is None:
+        return same[:3], same[-3:]
+    other = ranked(g for c in COMMANDS if c != command for g in group_ids_ref(cb, c))
+    return same[:3], other[:3]
+
+
+def classify_ref(token: np.ndarray, command, cb, clf, p) -> tuple[int, np.ndarray]:
     """Masked classifier logits of one token and the argmax group (ties: lowest
     id): ``rbf_oracle`` features against every basis token in group order,
     then the two-layer tanh perceptron."""
@@ -96,16 +141,16 @@ def classify_ref(token: np.ndarray, role, cb, clf, p) -> tuple[int, np.ndarray]:
                       for group in cb.basis for b in group])
     raw = clf.w2 @ np.tanh(clf.w1 @ feats + clf.b1) + clf.b2
     logits = np.full_like(raw, -np.inf)
-    ids = admissible_groups(cb, role)
+    ids = group_ids_ref(cb, command)
     logits[ids] = raw[ids]
     return int(np.argmax(logits)), logits
 
 
-def predict_ref(token: np.ndarray, role, model) -> tuple[np.ndarray, float]:
+def predict_ref(token: np.ndarray, command, model) -> tuple[np.ndarray, float]:
     """The GP module's trajectory mean and scalar variance for one token of a
     model (cb, clf, gp): ``classify_ref``, then ``gp_oracle`` in that group."""
     p = model.gp
-    g = classify_ref(token, role, model.cb, model.clf, p)[0]
+    g = classify_ref(token, command, model.cb, model.clf, p)[0]
     return gp_oracle(model.cb.basis[g], model.cb.trajectories[g], token,
                      math.exp(p.log_lengthscale), math.exp(p.log_outputscale),
                      math.exp(2.0 * p.log_noise_traj))
@@ -245,14 +290,13 @@ def _encode_vec(obs: np.ndarray, p) -> np.ndarray:
     return p.token_scale * raw / np.sqrt(raw @ raw + 1e-12)
 
 
-def encode_ref(scene, p) -> tuple[Token, list[Token]]:
+def encode_ref(scene, p) -> tuple[np.ndarray, list[np.ndarray]]:
     """Ego and agent tokens of one scene; agents in input order."""
     if scene.ego_obs.shape[0] != p.enc_w1.shape[1]:
         raise ValueError(
             f"observation length {scene.ego_obs.shape[0]} != encoder input "
             f"{p.enc_w1.shape[1]}")
-    return (Token(_encode_vec(scene.ego_obs, p)),
-            [Token(_encode_vec(a, p)) for a in scene.agent_obs])
+    return _encode_vec(scene.ego_obs, p), [_encode_vec(a, p) for a in scene.agent_obs]
 
 
 def _planner_raw(token: np.ndarray, p) -> tuple[np.ndarray, np.ndarray]:
@@ -261,19 +305,19 @@ def _planner_raw(token: np.ndarray, p) -> tuple[np.ndarray, np.ndarray]:
     return out[: p.n_code], RESIDUAL_BOUND * np.tanh(out[p.n_code:])
 
 
-def plan_ref(token: Token, role, p, cb) -> tuple[Trajectory, np.ndarray]:
+def plan_ref(token: np.ndarray, command, p, cb) -> tuple[Trajectory, np.ndarray]:
     """Anchor-plus-residual trajectory for the argmax admissible group."""
-    raw_logits, residual = _planner_raw(token.values, p)
+    raw_logits, residual = _planner_raw(token, p)
     logits = np.full_like(raw_logits, -np.inf)
-    ids = admissible_groups(cb, role)
+    ids = group_ids_ref(cb, command)
     logits[ids] = raw_logits[ids]
     group = int(np.argmax(logits))
     return Trajectory.from_flat(cb.traj_anchors()[group] + residual), logits
 
 
-def plan_with_group_ref(token: Token, group: int, p, cb) -> Trajectory:
+def plan_with_group_ref(token: np.ndarray, group: int, p, cb) -> Trajectory:
     """Trajectory for an externally chosen group."""
-    _, residual = _planner_raw(token.values, p)
+    _, residual = _planner_raw(token, p)
     return Trajectory.from_flat(cb.traj_anchors()[group] + residual)
 
 

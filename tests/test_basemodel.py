@@ -9,10 +9,11 @@ import pytest
 
 from gptraj.basemodel import (BaseModelParams, RESIDUAL_BOUND, encode, encode_t,
                               plan, planner_t)
-from gptraj.codebook import Role, admissible_groups, admissible_mask
-from gptraj.core import COMMANDS, Command, SceneRecord, Token, Trajectory, rng_for
+from gptraj.codebook import admissible
+from gptraj.core import COMMANDS, Command, SceneRecord, Trajectory, rng_for
 
-from oracles import encode_ref, masked_softmax, plan_ref, plan_with_group_ref
+from oracles import (encode_ref, group_ids_ref, masked_softmax, plan_ref,
+                     plan_with_group_ref)
 
 
 def make_params(obs_dim=16, token_dim=8, n_code=23, seed=0) -> BaseModelParams:
@@ -67,8 +68,8 @@ def test_plan_zero_residual_returns_anchor(tiny_model):
     p.pln_w2 = np.zeros_like(p.pln_w2)
     p.pln_b2 = np.zeros_like(p.pln_b2)
     p.pln_b2[0] = 1.0  # group 0 wins among admissible after masking
-    admissible = admissible_mask(cb, Role.ego(cb.role(0).command))[None]
-    traj, group = plan(np.ones((1, 8)), admissible, p, cb.traj_anchors())
+    mask = admissible(cb, [COMMANDS[cb.buckets[0]]])
+    traj, group = plan(np.ones((1, 8)), mask, p, cb.traj_anchors())
     assert group.tolist() == [0]
     assert np.allclose(traj[0], cb.traj_anchors()[0])
 
@@ -82,7 +83,7 @@ def test_residual_saturates_at_bound(tiny_model):
     only0 = np.arange(cb.n_code)[None] == 0  # forces group 0
     traj, _ = plan(np.ones((1, 8)), only0, p, cb.traj_anchors())
     assert np.allclose(traj[0] - cb.traj_anchors()[0], RESIDUAL_BOUND)
-    ref = plan_with_group_ref(Token(np.ones(8)), 0, p, cb)
+    ref = plan_with_group_ref(np.ones(8), 0, p, cb)
     assert np.allclose(ref.flat - cb.traj_anchors()[0], RESIDUAL_BOUND)
 
 
@@ -90,12 +91,12 @@ def test_plan_translation_consistent_with_anchor_shift(tiny_model):
     cb = tiny_model.cb
     p = make_params(n_code=cb.n_code, seed=5)
     tok = rng_for(4, "tok").normal(size=(1, 8))
-    admissible = admissible_mask(cb, Role.ego(cb.role(0).command))[None]
+    mask = admissible(cb, [COMMANDS[cb.buckets[0]]])
     anchors = cb.traj_anchors()
-    before, group = plan(tok, admissible, p, anchors)
+    before, group = plan(tok, mask, p, anchors)
     shift = np.tile([2.0, -1.0], 6)
     anchors[group] += shift
-    after, group_after = plan(tok, admissible, p, anchors)
+    after, group_after = plan(tok, mask, p, anchors)
     assert group_after.tolist() == group.tolist()
     assert np.allclose(after - before, shift)
 
@@ -103,11 +104,10 @@ def test_plan_translation_consistent_with_anchor_shift(tiny_model):
 def test_masked_probability_mass_exactly_zero(tiny_model):
     cb = tiny_model.cb
     p = make_params(n_code=cb.n_code, seed=2)
-    tok = Token(rng_for(6, "tok").normal(size=8))
-    _, logits = plan_ref(tok, Role.ego(Command.TURN_LEFT), p, cb)
+    tok = rng_for(6, "tok").normal(size=8)
+    _, logits = plan_ref(tok, Command.TURN_LEFT, p, cb)
     probs = masked_softmax(logits)
-    admissible = admissible_groups(cb, Role.ego(Command.TURN_LEFT))
-    non_adm = np.setdiff1d(np.arange(cb.n_code), admissible)
+    non_adm = np.setdiff1d(np.arange(cb.n_code), group_ids_ref(cb, Command.TURN_LEFT))
     assert np.all(probs[non_adm] == 0.0)
     assert probs.sum() == pytest.approx(1.0)
 
@@ -122,10 +122,10 @@ def test_differentiable_paths_match_numpy():
     v = {n: Tensor(getattr(p, n)) for n in names}
     tok_t = encode_t(np.stack([obs, obs * 0.5]), v, p.token_scale)
     ego, agents = encode_ref(scene_with(obs), p)
-    assert np.allclose(tok_t.data, [ego.values, agents[0].values], atol=1e-12)
+    assert np.allclose(tok_t.data, [ego, agents[0]], atol=1e-12)
     logits_t, residual_t = planner_t(tok_t, v, p.n_code)
     for row, tok in enumerate((ego, agents[0])):
-        h = np.tanh(p.pln_w1 @ tok.values + p.pln_b1)
+        h = np.tanh(p.pln_w1 @ tok + p.pln_b1)
         out = p.pln_w2 @ h + p.pln_b2
         assert np.allclose(logits_t.data[row], out[:p.n_code], atol=1e-12)
         assert np.allclose(residual_t.data[row],
@@ -136,11 +136,10 @@ def test_plan_rows_match_per_token_reference(tiny_model):
     cb = tiny_model.cb
     p = make_params(n_code=cb.n_code, seed=11)
     rng = rng_for(8, "tok")
-    roles = [Role.ego(c) for c in COMMANDS for _ in range(4)] + [Role.agent()] * 4
-    tokens = rng.normal(size=(len(roles), 8))
-    admissible = np.stack([admissible_mask(cb, r) for r in roles])
-    trajs, groups = plan(tokens, admissible, p, cb.traj_anchors())
-    for tok, role, traj, group in zip(tokens, roles, trajs, groups, strict=True):
-        want, logits = plan_ref(Token(tok), role, p, cb)
+    commands = [c for c in COMMANDS for _ in range(4)] + [None] * 4
+    tokens = rng.normal(size=(len(commands), 8))
+    trajs, groups = plan(tokens, admissible(cb, commands), p, cb.traj_anchors())
+    for tok, command, traj, group in zip(tokens, commands, trajs, groups, strict=True):
+        want, logits = plan_ref(tok, command, p, cb)
         assert group == int(np.argmax(logits))
         assert np.allclose(traj, want.flat, rtol=0, atol=1e-12)

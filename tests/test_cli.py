@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from gptraj import cli, trainer
+from gptraj.core import load_dataset
 
 TOY_CONFIG = {
     "seed": 0,
@@ -58,3 +59,23 @@ def test_cli_pipeline_at_toy_size(tmp_path, monkeypatch, capsys):
     assert lines[0] == f"schema: {trainer.CHECKPOINT_SCHEMA}  stage: stage2"
     assert trainer.CHECKPOINT_SCHEMA == 2
     assert "  cb.basis  [19, 4, 8]" in lines
+
+
+def test_gen_data_unlabeled_requires_domain(tmp_path, capsys):
+    assert cli.cli_run(["--out-dir", str(tmp_path), "gen-data", "--unlabeled"]) == 1
+    assert "error: --unlabeled requires --domain" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args(["gen-data", "--labeled"])
+
+
+def test_gen_data_domain_unlabeled_writes_no_ground_truth(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(TOY_CONFIG))
+    out = tmp_path / "unlabeled.jsonl"
+    assert cli.cli_run(["--config", str(config), "--out-dir", str(tmp_path / "run"),
+                        "gen-data", "--domain", "target_city", "--count", "5",
+                        "--unlabeled", "--out", str(out)]) == 0
+    lines = [json.loads(line) for line in out.read_text().splitlines()]
+    assert len(lines) == 5
+    assert not any("ego_gt" in d or "agent_gt" in d for d in lines)
+    assert not any(r.labeled for r in load_dataset(out))

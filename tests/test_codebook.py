@@ -1,14 +1,15 @@
-"""Clustering, anchors, basis initialization, and admissibility."""
+"""Clustering, anchors, basis initialization, admissibility, and triplet classes."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from gptraj.codebook import (BuildError, Role, admissible_groups,
-                             admissible_mask, init_basis_tokens, nearest_group,
-                             sample_and_cluster)
-from gptraj.core import COMMANDS, Command, Trajectory, traj_distance
+from gptraj.codebook import (BuildError, Codebook, admissible, init_basis_tokens,
+                             nearest_group, sample_and_cluster, triplet_table)
+from gptraj.core import COMMANDS, Command, Trajectory
+
+from oracles import command_of_ref, group_ids_ref, traj_distance, triplet_classes_ref
 
 
 def straight(speed: float, jitter: float = 0.0, rng=None) -> Trajectory:
@@ -52,8 +53,9 @@ def test_speed_clusters_are_pure():
     cb = sample_and_cluster(trajs, n_ego_groups=3, n_agent_groups=3,
                             group_size=8, token_dim=4, seed=0)
     anchors = cb.traj_anchors()
-    for g in cb.agent_group_ids:
-        others = [o for o in cb.agent_group_ids if o != g]
+    agent_ids = group_ids_ref(cb, None)
+    for g in agent_ids:
+        others = [o for o in agent_ids if o != g]
         for row in cb.trajectories[g]:
             member = Trajectory.from_flat(row)
             d_own = traj_distance(member, Trajectory.from_flat(anchors[g]))
@@ -74,7 +76,7 @@ def test_agent_speed_families_separate():
             trajs.append((straight(6.0, 0.02, rng), cmd, True))
     cb = sample_and_cluster(trajs, 3, 3, group_size=4, token_dim=4, seed=1)
     speeds_per_group = []
-    for gid in cb.agent_group_ids:
+    for gid in group_ids_ref(cb, None):
         xs = cb.trajectories[gid, :, 0]  # first-waypoint x ~ 0.5 * speed
         speeds_per_group.append(xs.mean() * 2.0)
         assert xs.std() * 2.0 < 2.0  # one speed family per group
@@ -86,7 +88,7 @@ def test_identical_trajectories_degenerate_cluster():
     trajs = [(t, cmd, True) for cmd in COMMANDS for _ in range(4)]
     trajs += [(t, Command.GO_STRAIGHT, False) for _ in range(4)]
     cb = sample_and_cluster(trajs, 3, 1, group_size=4, token_dim=4, seed=0)
-    g = cb.agent_group_ids[0]
+    [g] = group_ids_ref(cb, None)
     assert np.allclose(cb.traj_anchors()[g], t.flat)
     assert np.allclose(cb.trajectories[g], t.flat)
 
@@ -94,24 +96,20 @@ def test_identical_trajectories_degenerate_cluster():
 def test_no_group_mixes_commands():
     trajs = corpus()
     cb = sample_and_cluster(trajs, 6, 4, group_size=8, token_dim=4, seed=3)
-    for cmd in COMMANDS:
-        ids = set(cb.command_groups[cmd])
-        for other in COMMANDS:
-            if other != cmd:
-                assert ids.isdisjoint(cb.command_groups[other])
-    assert set(admissible_groups(cb, Role.agent())) == set(cb.agent_group_ids)
-    # the derived roles match the buckets the build drew each group from
+    assert cb.buckets.tolist() == [0, 0, 1, 1, 2, 2, 3, 3, 3, 3]
+    assert [command_of_ref(cb, g) for g in range(cb.n_code)] == (
+        [c for c in COMMANDS for _ in range(2)] + [None] * 4)
+    # each group holds only trajectories of the bucket its layout entry names
     bucket = {}
     for traj, cmd, is_ego in trajs:
-        bucket[traj.flat.tobytes()] = Role.ego(cmd) if is_ego else Role.agent()
-    assert [cb.role(g) for g in range(cb.n_code)] == (
-        [Role.ego(c) for c in COMMANDS for _ in range(2)] + [Role.agent()] * 4)
+        bucket[traj.flat.tobytes()] = cmd if is_ego else None
     for g in range(cb.n_code):
         for row in cb.trajectories[g]:
-            assert bucket[row.tobytes()] == cb.role(g)
-    for cmd, ids in cb.command_groups.items():
+            assert bucket[row.tobytes()] == command_of_ref(cb, g)
+    for cmd in COMMANDS + (None,):
+        ids = group_ids_ref(cb, cmd)
         assert {bucket[row.tobytes()] for row in cb.trajectories[ids].reshape(-1, 12)} == {
-            Role.ego(cmd)}
+            cmd}
 
 
 def test_insufficient_trajectories_raise_with_counts():
@@ -166,28 +164,83 @@ def test_bijection_shapes():
 
 def test_admissible_group_counts_default_partition():
     cb = sample_and_cluster(corpus(), 6, 4, group_size=8, token_dim=4, seed=0)
-    for cmd in COMMANDS:
-        assert len(admissible_groups(cb, Role.ego(cmd))) == 2
-    assert len(admissible_groups(cb, Role.agent())) == 4
+    assert admissible(cb, list(COMMANDS) + [None]).sum(axis=1).tolist() == [2, 2, 2, 4]
+    # rows in any order get the groups of the layout reference
+    rng = np.random.default_rng(3)
+    commands = [None if k == 3 else COMMANDS[k] for k in rng.integers(4, size=30)]
+    masks = admissible(cb, commands)
+    assert masks.shape == (30, cb.n_code) and masks.dtype == bool
+    for command, mask in zip(commands, masks):
+        assert np.flatnonzero(mask).tolist() == group_ids_ref(cb, command)
+    assert admissible(cb, []).shape == (0, cb.n_code)
 
 
 def test_nearest_group_respects_command():
     cb = sample_and_cluster(corpus(), 6, 4, group_size=8, token_dim=4, seed=0)
-    mask = admissible_mask(cb, Role.ego(Command.TURN_LEFT))
-    [gid] = nearest_group(cb, curved(6.0, 0.05).flat[None, :], mask[None, :])
-    assert gid in cb.command_groups[Command.TURN_LEFT]
+    mask = admissible(cb, [Command.TURN_LEFT])
+    [gid] = nearest_group(cb, curved(6.0, 0.05).flat[None, :], mask)
+    assert gid in group_ids_ref(cb, Command.TURN_LEFT)
 
 
 def test_nearest_group_matches_loop_reference():
     cb = sample_and_cluster(corpus(), 6, 4, group_size=8, token_dim=4, seed=0)
     rng = np.random.default_rng(4)
     trajs = [traj for traj, _, _ in corpus(seed=9)]
-    roles = [Role.ego(COMMANDS[int(rng.integers(3))]) if rng.random() < 0.5
-             else Role.agent() for _ in trajs]
-    got = nearest_group(cb, np.stack([t.flat for t in trajs]),
-                        np.stack([admissible_mask(cb, r) for r in roles]))
-    for traj, role, gid in zip(trajs, roles, got):
-        ids = admissible_groups(cb, role)
+    commands = [COMMANDS[int(rng.integers(3))] if rng.random() < 0.5 else None
+                for _ in trajs]
+    got = nearest_group(cb, np.stack([t.flat for t in trajs]), admissible(cb, commands))
+    for traj, command, gid in zip(trajs, commands, got):
+        ids = group_ids_ref(cb, command)
         dists = [traj_distance(traj, Trajectory.from_flat(cb.traj_anchors()[i]))
                  for i in ids]
         assert gid == ids[int(np.argmin(dists))]
+
+
+@pytest.fixture(scope="module")
+def cb_4x3_7():
+    """Four ego groups per command and seven agent groups: the fewest that
+    triplet selection allows."""
+    return sample_and_cluster(corpus(), 12, 7, group_size=4, token_dim=5, seed=2)
+
+
+def test_triplet_table_disjoint_and_admissible(cb_4x3_7):
+    cb = cb_4x3_7
+    positives, negatives = triplet_table(cb)
+    assert positives.shape == negatives.shape == (cb.n_code, 3)
+    for label, (pos, neg) in enumerate(zip(positives.tolist(), negatives.tolist())):
+        assert len(set(pos)) == len(set(neg)) == 3
+        assert not set(pos) & set(neg)
+        assert label not in pos and label not in neg
+        command = command_of_ref(cb, label)
+        if command is not None:
+            assert all(command_of_ref(cb, p) == command for p in pos)
+            assert all(n < cb.n_ego and command_of_ref(cb, n) != command for n in neg)
+        else:
+            assert all(command_of_ref(cb, g) is None for g in pos + neg)
+
+
+def shared_anchor_codebook() -> Codebook:
+    """12 ego and 9 agent groups whose trajectories repeat three distinct
+    groups, so that most candidates tie with another on anchor distance."""
+    rng = np.random.default_rng(5)
+    distinct = rng.normal(scale=5.0, size=(3, 2, 12))
+    return Codebook(trajectories=distinct[rng.integers(3, size=21)], n_ego=12,
+                    token_dim=2)
+
+
+@pytest.mark.parametrize("make", [lambda model: model.cb,
+                                  lambda model: shared_anchor_codebook()],
+                         ids=["tiny", "shared_anchors"])
+def test_triplet_table_matches_per_label_reference(tiny_model, make):
+    cb = make(tiny_model)
+    positives, negatives = triplet_table(cb)
+    for label in range(cb.n_code):
+        pos, neg = triplet_classes_ref(cb, label)
+        assert (positives[label].tolist(), negatives[label].tolist()) == (pos, neg), label
+
+
+def test_triplet_table_rejects_small_pools():
+    cb = Codebook(trajectories=np.zeros((9 + 6, 2, 12)), n_ego=9, token_dim=2)
+    with pytest.raises(ValueError, match=r"3 ego groups per command \(need 4\), "
+                                         r"6 agent groups \(need 7\)"):
+        triplet_table(cb)

@@ -46,6 +46,9 @@ def test_defaults_resolve():
     ({"train": {"batch_size": 0}}, "train: batch_size"),
     ({"train": {"epochs_stage1": "x"}}, "train: "),
     ({"train": {"sigma_clamp": 1.0}}, "train.sigma_clamp"),
+    ({"codebook": {"n_ego": 13}}, "codebook.n_ego 13 is not a multiple of 3"),
+    ({"codebook": {"n_ego": 9}}, "codebook.n_ego 9 gives 3 ego groups per command"),
+    ({"codebook": {"n_agent": 6}}, "codebook.n_agent 6 is below the 7 agent groups"),
 ])
 def test_malformed_values_name_their_key_path(user, path):
     with pytest.raises(ConfigError, match=path):

@@ -1,12 +1,18 @@
-"""Core types: validation, the trajectory metric, and dataset round-trips."""
+"""Core types, validation, dataset round-trips, and the tests' reference
+trajectory metric."""
 
 from __future__ import annotations
+
+import dataclasses
+import re
 
 import numpy as np
 import pytest
 
 from gptraj.core import (Command, SceneRecord, Trajectory, load_dataset,
-                         rng_for, save_dataset, traj_distance, validate_record)
+                         rng_for, save_dataset, validate_record)
+
+from oracles import traj_distance
 
 
 def straight_traj(speed: float) -> Trajectory:
@@ -34,7 +40,6 @@ def test_wellformed_record_ok():
 
 
 def test_wrong_waypoint_count_reported():
-    import dataclasses
     bad = Trajectory(np.zeros((5, 2)))
     errors = validate_record(dataclasses.replace(make_record(), ego_gt=bad))
     assert any("waypoint count" in e for e in errors)
@@ -51,7 +56,6 @@ def test_agent_list_length_mismatch_reported():
 
 
 def test_coordinate_bound_and_finiteness():
-    import dataclasses
     too_far = Trajectory(np.full((6, 2), 250.0))
     rec = dataclasses.replace(make_record(), ego_gt=too_far)
     assert any("bound" in e for e in validate_record(rec))
@@ -116,6 +120,23 @@ def test_unknown_keys_rejected(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text(json.dumps(d) + "\n", encoding="utf-8")
     with pytest.raises(ValueError, match="unknown dataset keys"):
+        load_dataset(path)
+
+
+@pytest.mark.parametrize("bad, violation", [
+    # the first scene's observation length is the file's, so the odd one out
+    # is reported on line 2
+    (dict(ego_obs=np.zeros(6), agent_obs=[np.zeros(6)]), "2: ego_obs length 8 != 6"),
+    (dict(ego_gt=Trajectory(np.zeros((5, 2)))), "1: ego_gt: waypoint count != 6"),
+    (dict(agent_footprints=[]),
+     "1: agent list length mismatch: 1 agent_obs, 0 agent_footprints"),
+], ids=["short_ego_obs", "five_waypoint_ego_gt", "missing_footprint"])
+def test_load_validates_records_with_path_and_line(tmp_path, bad, violation):
+    records = [make_record(scene_id=f"s{i}") for i in range(3)]
+    records[0] = dataclasses.replace(records[0], **bad)
+    path = tmp_path / "data.jsonl"
+    save_dataset(records, path)
+    with pytest.raises(ValueError, match=re.escape(f"{path}:{violation}")):
         load_dataset(path)
 
 

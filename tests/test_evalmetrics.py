@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from gptraj.codebook import Role
 from gptraj.core import Command, Trajectory
 from gptraj.evalmetrics import (avg_l2, collision, evaluate, rect_corners,
                                 rects_overlap, sat_margin, scene_collisions,
@@ -157,11 +156,10 @@ def test_evaluate_rows_match_per_scene_reference(tiny_dataset, stage1_ckpt):
         l2s = []
         for rec, row in zip(tiny_dataset, rep.rows, strict=True):
             ego, _ = encode_ref(rec, model.base)
-            role = Role.ego(rec.command)
             if mode == "base":
-                traj, _ = plan_ref(ego, role, model.base, model.cb)
+                traj, _ = plan_ref(ego, rec.command, model.base, model.cb)
             else:
-                traj = Trajectory.from_flat(predict_ref(ego.values, role, model)[0])
+                traj = Trajectory.from_flat(predict_ref(ego, rec.command, model)[0])
             l2 = avg_l2(traj, rec.ego_gt)
             l2s.append(l2[0])
             assert row["scene_id"] == rec.scene_id

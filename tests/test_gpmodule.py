@@ -9,15 +9,14 @@ import pytest
 
 from gptraj import autodiff, gpmodule
 from gptraj.autodiff import Tensor
-from gptraj.codebook import (Role, admissible_groups, admissible_mask,
-                             init_basis_tokens, sample_and_cluster)
+from gptraj.codebook import admissible, init_basis_tokens, sample_and_cluster
 from gptraj.core import COMMANDS, Command
 from gptraj.gpmodule import GpGraph, GpInference, GpParams, GroupClassifier
 from gptraj.trainer import Adam
 from gptraj.losses import cross_entropy
 from gptraj.core import rng_for
 
-from oracles import classify_ref, gp_oracle
+from oracles import classify_ref, gp_oracle, group_ids_ref
 
 from test_codebook import corpus
 
@@ -128,19 +127,18 @@ def test_classifier_masking_and_determinism(small_cb, small_clf):
     p = GpParams()
     inf = GpInference(small_cb, small_clf, p)
     tok = np.linspace(-0.5, 0.5, 6)[None]
-    left_mask = admissible_mask(small_cb, Role.ego(Command.TURN_LEFT))[None]
+    left_mask = admissible(small_cb, [Command.TURN_LEFT])
     *_, logits1, g1 = inf.predict_rows(tok, left_mask)
     *_, logits2, g2 = inf.predict_rows(tok, left_mask)
     assert g1 == g2 and np.array_equal(logits1, logits2)
-    left = admissible_groups(small_cb, Role.ego(Command.TURN_LEFT))
+    left = group_ids_ref(small_cb, Command.TURN_LEFT)
     assert g1[0] in left
     assert np.all(np.isneginf(np.delete(logits1[0], left)))
-    want, want_logits = classify_ref(tok[0], Role.ego(Command.TURN_LEFT), small_cb,
-                                     small_clf, p)
+    want, want_logits = classify_ref(tok[0], Command.TURN_LEFT, small_cb, small_clf, p)
     assert g1[0] == want
     assert np.allclose(logits1[0][left], want_logits[left], rtol=0, atol=1e-12)
-    *_, ga = inf.predict_rows(tok, admissible_mask(small_cb, Role.agent())[None])
-    assert ga[0] in small_cb.agent_group_ids
+    *_, ga = inf.predict_rows(tok, admissible(small_cb, [None]))
+    assert ga[0] in group_ids_ref(small_cb, None)
 
 
 def test_variance_lower_bound_and_monotonicity(small_cb, small_clf):
@@ -165,7 +163,7 @@ def test_predict_scene_shapes_and_order(small_cb, small_clf):
     mean, var, logits, groups = inf.predict_scene(egos, [Command.GO_STRAIGHT] * 3)
     assert (mean.shape, var.shape, logits.shape, groups.shape) == (
         (3, 12), (3,), (3, small_cb.n_code), (3,))
-    straight = admissible_groups(small_cb, Role.ego(Command.GO_STRAIGHT))
+    straight = group_ids_ref(small_cb, Command.GO_STRAIGHT)
     assert all(g in straight for g in groups)
     # each row as if it were alone: no row's prediction depends on another's
     for i in range(3):
@@ -177,7 +175,7 @@ def test_predict_scene_shapes_and_order(small_cb, small_clf):
 def test_forced_group_reproduces_basis_trajectory_end_to_end(small_cb, small_clf):
     # classifier forced via a single-group admissible mask
     p = near_zero_noise()
-    gid = admissible_groups(small_cb, Role.ego(Command.TURN_LEFT))[0]
+    gid = group_ids_ref(small_cb, Command.TURN_LEFT)[0]
     only = np.arange(small_cb.n_code)[None, :] == gid
     mean, _, _, groups = GpInference(small_cb, small_clf, p).predict_rows(
         small_cb.basis[gid, 2][None], only)
@@ -193,7 +191,7 @@ def test_predict_scene_matches_oracle(small_cb, small_clf):
     mean, var, logits, groups = inf.predict_scene(toks, commands)
     for tok, command, m2, v2, l2, g2 in zip(toks, commands, mean, var, logits, groups,
                                            strict=True):
-        gid, want_logits = classify_ref(tok, Role.ego(command), small_cb, small_clf, p)
+        gid, want_logits = classify_ref(tok, command, small_cb, small_clf, p)
         assert g2 == gid
         assert np.array_equal(np.isneginf(l2), np.isneginf(want_logits))
         want_mean, want_var = oracle(small_cb, p, tok, gid, "traj")
@@ -203,27 +201,26 @@ def test_predict_scene_matches_oracle(small_cb, small_clf):
 
 def mixed_rows(cb, n_per_role: int, rng):
     """Token rows and admissible masks of ego rows under every command, then
-    agent rows; the roles with them."""
-    roles = [Role.ego(c) for c in COMMANDS for _ in range(n_per_role)]
-    roles += [Role.agent()] * n_per_role
-    tokens = rng.normal(scale=1.5, size=(len(roles), cb.token_dim))
-    return tokens, np.stack([admissible_mask(cb, r) for r in roles]), roles
+    agent rows; the rows' commands (None for an agent) with them."""
+    commands = [c for c in COMMANDS for _ in range(n_per_role)] + [None] * n_per_role
+    tokens = rng.normal(scale=1.5, size=(len(commands), cb.token_dim))
+    return tokens, admissible(cb, commands), commands
 
 
 def test_predict_rows_matches_per_token_reference(small_cb, small_clf, monkeypatch):
     p = GpParams(log_lengthscale=0.1, log_outputscale=0.05,
                  log_noise_traj=np.log(0.07))
-    tokens, admissible, roles = mixed_rows(small_cb, 6, np.random.default_rng(21))
+    tokens, masks, commands = mixed_rows(small_cb, 6, np.random.default_rng(21))
     # blocks of 5 rows, the last one short
     monkeypatch.setattr(gpmodule, "FEATURE_BLOCK", 5 * small_cb.n_code * small_cb.group_size)
     mean, var, logits, groups = GpInference(small_cb, small_clf, p).predict_rows(
-        tokens, admissible)
+        tokens, masks)
     assert mean.shape == (len(tokens), 12) and var.shape == (len(tokens),)
-    for i, (tok, role) in enumerate(zip(tokens, roles)):
-        gid, want_logits = classify_ref(tok, role, small_cb, small_clf, p)
+    for i, (tok, command) in enumerate(zip(tokens, commands)):
+        gid, want_logits = classify_ref(tok, command, small_cb, small_clf, p)
         assert groups[i] == gid
         assert np.array_equal(np.isneginf(logits[i]), np.isneginf(want_logits))
-        assert np.allclose(logits[i][admissible[i]], want_logits[admissible[i]],
+        assert np.allclose(logits[i][masks[i]], want_logits[masks[i]],
                            rtol=0, atol=1e-12)
         want_mean, want_var = oracle(small_cb, p, tok, gid, "traj")
         assert np.allclose(mean[i], want_mean, rtol=0, atol=1e-8)
@@ -275,7 +272,7 @@ def test_classifier_learns_two_separated_modes(small_cb):
     rng = rng_for(0, "clf-train")
     cb = small_cb
     p = GpParams()
-    ids = cb.agent_group_ids[:2]
+    ids = group_ids_ref(cb, None)[:2]
     centers = {gid: cb.token_anchors()[gid] + 0.8 for gid in ids}
     centers[ids[1]] = cb.token_anchors()[ids[1]] - 0.8
     clf = GroupClassifier.init(cb.n_code, cb.group_size, 16, rng)
@@ -283,7 +280,7 @@ def test_classifier_learns_two_separated_modes(small_cb):
          "w2": autodiff.parameter(clf.w2), "b2": autodiff.parameter(clf.b2)}
     opt = Adam(w, lr=1e-2)
     inf = GpInference(cb, clf, p)
-    adm = admissible_mask(cb, Role.agent())[None, :]
+    adm = admissible(cb, [None])
     for _ in range(300):
         total = Tensor(0.0)
         for _ in range(8):

@@ -5,17 +5,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from gptraj import autodiff, losses
+from gptraj import autodiff
 from gptraj.autodiff import Tensor
-from gptraj.codebook import init_basis_tokens, sample_and_cluster
+from gptraj.codebook import init_basis_tokens, sample_and_cluster, triplet_table
 from gptraj.losses import (DEFAULT_SIGMA_CLAMP, LossBreakdown, StudentRows,
                            SupRows, TeacherRows, cross_entropy,
                            heteroscedastic_nll, kl_divergence, loss_gp_teacher,
-                           loss_rec, loss_sup, orthogonality,
-                           select_triplet_classes, triplet_table, triplet_term)
+                           loss_rec, loss_sup, orthogonality, triplet_term)
 from gptraj.trainer import Adam
 
-from oracles import finite_difference, triplet_oracle
+from oracles import finite_difference, triplet_classes_ref, triplet_oracle
 
 from test_codebook import corpus
 
@@ -100,7 +99,7 @@ def all_admissible(cb, n_rows=1):
 
 def ego_sup(cb, pred, variance, logits, gt, label, token):
     """SupRows of a single ego row with the label's triplet classes."""
-    pos, neg = select_triplet_classes(cb, label)
+    pos, neg = triplet_classes_ref(cb, label)
     return SupRows(n_ego=1, pred_mean=Tensor(np.array([pred])),
                    variance=Tensor(np.array([variance])),
                    logits=Tensor(np.array([logits])), admissible=all_admissible(cb),
@@ -128,7 +127,7 @@ def test_class_ce_zero_temperature_limit(cb):
 
 def test_perfect_prediction_all_task_terms_zero(cb):
     gt = np.arange(12.0)
-    pos, _ = select_triplet_classes(cb, 1)
+    pos, _ = triplet_classes_ref(cb, 1)
     logits = np.full(cb.n_code, -50.0)
     logits[1] = 50.0
     token_far = cb.token_anchors()[pos[0]]  # at a positive anchor
@@ -139,7 +138,7 @@ def test_perfect_prediction_all_task_terms_zero(cb):
 
 
 def test_triplet_satisfied_margin_is_zero(cb):
-    pos, neg = select_triplet_classes(cb, 0)
+    pos, neg = triplet_classes_ref(cb, 0)
     anchor = cb.token_anchors()[pos[0]]
     cb.basis[neg] += 50.0  # negatives far beyond the margin
     try:
@@ -174,28 +173,6 @@ def test_triplet_matches_bruteforce_oracle(cb):
         assert value == pytest.approx(want, rel=1e-10)
 
 
-def test_triplet_rejects_overlap(cb, monkeypatch):
-    monkeypatch.setattr(losses, "select_triplet_classes",
-                        lambda cb, label: ([0, 1, 2], [2, 3, 4]))
-    with pytest.raises(ValueError, match="overlapping"):
-        triplet_table(cb)
-
-
-def test_select_triplet_classes_disjoint_and_admissible(cb):
-    for label in range(cb.n_code):
-        pos, neg = select_triplet_classes(cb, label)
-        assert len(pos) == len(neg) == 3
-        assert not set(pos) & set(neg)
-        assert label not in pos and label not in neg
-        role = cb.role(label)
-        if role.kind == "ego":
-            assert all(cb.role(p) == role for p in pos)
-            assert all(cb.role(n).kind == "ego"
-                       and cb.role(n).command != role.command for n in neg)
-        else:
-            assert all(cb.role(g).kind == "agent" for g in pos + neg)
-
-
 def test_kl_identity_and_uniform_cases():
     adm = [2, 5, 7, 9]
     mask = np.zeros((1, 12), dtype=bool)
@@ -212,7 +189,7 @@ def test_kl_identity_and_uniform_cases():
 
 
 def _teacher_pair(cb, label, traj, logits, variance=1.0):
-    pos, neg = select_triplet_classes(cb, label)
+    pos, neg = triplet_classes_ref(cb, label)
     teacher = TeacherRows(mean=traj[None], variance=np.array([variance]),
                           logits=logits[None], label=np.array([label]),
                           positives=np.array([pos]), negatives=np.array([neg]))
@@ -228,7 +205,7 @@ def test_teacher_self_distillation_fixed_point(cb):
     # identical outputs, peaked logits, sigma = 1, token at a positive anchor
     # with negatives beyond the margin: every term vanishes
     label = 0
-    pos, neg = select_triplet_classes(cb, label)
+    pos, neg = triplet_classes_ref(cb, label)
     cb.basis[neg] += 50.0
     try:
         logits = np.full(cb.n_code, -80.0)

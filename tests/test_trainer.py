@@ -14,8 +14,8 @@ import pytest
 from gptraj import autodiff, psdlinalg, trainer
 from gptraj.adapt import active_select, adapt_supervised, adapt_unsupervised
 from gptraj.basemodel import encode
-from gptraj.codebook import BuildError, Role, admissible_groups
-from gptraj.core import Trajectory, traj_distance
+from gptraj.codebook import BuildError
+from gptraj.core import Trajectory
 from gptraj.evalmetrics import evaluate
 from gptraj.gpmodule import GpInference
 from gptraj.psdlinalg import NotPSD
@@ -25,7 +25,8 @@ from gptraj.trainer import (Checkpoint, SceneTable, StageTables, TrainingError,
                             stage1_pretrain, stage2_fit_gp, stage3_finetune)
 
 from conftest import TINY_OBS_DIM, tiny_config, tiny_domain, tiny_spec
-from oracles import encode_ref, finite_difference, predict_ref
+from oracles import (encode_ref, finite_difference, group_ids_ref, predict_ref,
+                     traj_distance)
 
 CFG = tiny_config(epochs_stage1=2, epochs_stage2=1, epochs_stage3=1, adapt_epochs=1)
 
@@ -239,14 +240,14 @@ def test_scene_labels_match_per_scene_loop(tiny_dataset, tiny_model):
     table = SceneTable(tiny_dataset, cb, labeled=True)
     labels = scene_labels(table, cb)
 
-    def nearest(traj, role):
-        ids = admissible_groups(cb, role)
+    def nearest(traj, command):
+        ids = group_ids_ref(cb, command)
         d = [traj_distance(traj, Trajectory.from_flat(cb.traj_anchors()[i]))
              for i in ids]
         return ids[int(np.argmin(d))]
 
-    want = [nearest(r.ego_gt, Role.ego(r.command)) for r in tiny_dataset]
-    want += [nearest(t, Role.agent()) for r in tiny_dataset for t in r.agent_gt]
+    want = [nearest(r.ego_gt, r.command) for r in tiny_dataset]
+    want += [nearest(t, None) for r in tiny_dataset for t in r.agent_gt]
     assert labels.tolist() == want
 
 
@@ -369,7 +370,7 @@ def test_active_select_ranking_matches_per_scene_reference(fitted, target_datase
     want = []
     for r in records:
         ego, _ = encode_ref(r, model.base)
-        want.append((r.scene_id, predict_ref(ego.values, Role.ego(r.command), model)[1]))
+        want.append((r.scene_id, predict_ref(ego, r.command, model)[1]))
     want.sort(key=lambda t: (-t[1], t[0]))
     assert [sid for sid, _ in rep.rows] == [sid for sid, _ in want]
     assert np.allclose([v for _, v in rep.rows], [v for _, v in want], rtol=0, atol=1e-12)
