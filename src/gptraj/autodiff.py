@@ -55,37 +55,6 @@ class Tensor:
     def detach(self) -> "Tensor":
         return Tensor(self.data)
 
-    # arithmetic sugar; all dispatch to the module-level ops
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, grad={self.requires_grad})"
 
@@ -244,21 +213,6 @@ def clamp(a, lo: float, hi: float) -> Tensor:
     return _make(out, (a,), lambda g: (g * mask,))
 
 
-def concat(parts: Sequence, axis: int = 0) -> Tensor:
-    parts = [as_tensor(p) for p in parts]
-    out = np.concatenate([p.data for p in parts], axis=axis)
-    sizes = [p.data.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
-
-    def vjp(g):
-        return tuple(
-            np.take(g, np.arange(offsets[i], offsets[i + 1]), axis=axis)
-            for i in range(len(parts))
-        )
-
-    return _make(out, tuple(parts), vjp)
-
-
 def reshape(a, shape) -> Tensor:
     a = as_tensor(a)
     return _make(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.data.shape),))
@@ -301,32 +255,24 @@ def gather0(a, idx) -> Tensor:
 
 def psd_inverse(a) -> Tensor:
     """Differentiable (A + jitter I)^-1 of each symmetric PSD matrix in a
-    (..., n, n) stack.
-
-    Each matrix is factored by :func:`gptraj.psdlinalg.cholesky_factor`,
-    with its jitter ladder; a failure raises its ``NotPSD`` with ``group``
-    set to the matrix's index in the flattened stack. The gradient is
+    (..., n, n) stack, from one :func:`gptraj.psdlinalg.cholesky_factor`
+    and one ``solve_with_factor`` call over the whole stack. A matrix that
+    stays indefinite through the jitter ladder raises ``NotPSD`` with
+    ``group`` set to its index in the flattened stack. The gradient is
     -A^-T G A^-T.
     """
     from . import psdlinalg  # deferred: psdlinalg imports this module
 
     a = as_tensor(a)
-    n = a.data.shape[-1]
-    eye = np.eye(n)
-    inv = np.empty(a.data.shape)
-    flat = inv.reshape(-1, n, n)
-    for i, m in enumerate(a.data.reshape(-1, n, n)):
-        try:
-            factor = psdlinalg.cholesky_factor(m)
-        except psdlinalg.NotPSD as e:
-            raise psdlinalg.NotPSD(e.pivot, e.jitter, group=i) from e
-        flat[i] = psdlinalg.solve_with_factor(factor, eye)
+    inv = psdlinalg.solve_with_factor(psdlinalg.cholesky_factor(a.data),
+                                      np.eye(a.data.shape[-1]))
     inv_t = np.swapaxes(inv, -1, -2)
     return _make(inv, (a,), lambda g: (-(inv_t @ g @ inv_t),))
 
 
 def backward(root: Tensor) -> None:
-    """Accumulate gradients of a scalar ``root`` into every tape leaf."""
+    """Accumulate gradients of a scalar ``root`` into every tape node that
+    requires them; constant leaves keep ``grad`` None."""
     if root.data.ndim != 0:
         raise ValueError("backward expects a scalar loss")
     topo: list[Tensor] = []
@@ -350,11 +296,15 @@ def backward(root: Tensor) -> None:
         if node._vjp is None or node.grad is None:
             continue
         for p, g in zip(node._parents, node._vjp(node.grad)):
-            if g is None:
-                continue
-            if p.grad is None:
+            if g is None or not (p.requires_grad or p._vjp is not None):
+                continue  # constants take no gradient
+            if p.grad is not None:
+                p.grad += g
+            elif g.shape == p.data.shape:
+                p.grad = np.array(g, dtype=np.float64)  # a copy: g may alias
+            else:
                 p.grad = np.zeros_like(p.data)
-            p.grad += g
+                p.grad += g
 
 
 def grad(loss: Tensor, params: dict[str, Tensor]) -> dict[str, np.ndarray]:

@@ -16,13 +16,15 @@ from pathlib import Path
 
 
 def _apply_threads(argv: list[str]) -> None:
-    threads = os.environ.get("GPTRAJ_THREADS")
+    source, threads = "GPTRAJ_THREADS", os.environ.get("GPTRAJ_THREADS")
     for i, a in enumerate(argv):
         if a == "--threads" and i + 1 < len(argv):
-            threads = argv[i + 1]
+            source, threads = "--threads", argv[i + 1]
         elif a.startswith("--threads="):
-            threads = a.split("=", 1)[1]
+            source, threads = "--threads", a.split("=", 1)[1]
     if threads:
+        if not threads.strip().isdecimal() or int(threads) < 1:
+            raise ValueError(f"{source}: expected an integer >= 1, got {threads!r}")
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
             os.environ.setdefault(var, str(int(threads)))
 
@@ -281,7 +283,11 @@ _HANDLERS = {
 def cli_run(argv: list[str] | None = None) -> int:
     """Run one subcommand; returns the process exit code."""
     argv = list(sys.argv[1:] if argv is None else argv)
-    _apply_threads(argv)
+    try:
+        _apply_threads(argv)
+    except ValueError as e:  # a usage error, as argparse reports them
+        print(f"gptraj: error: {e}", file=sys.stderr)
+        return 2
     args = build_parser().parse_args(argv)
     try:
         cfg = _load_config(args)

@@ -6,11 +6,14 @@ differentiable form, a single tape node with closed-form gradients. Both
 take leading batch axes, so every codebook group's Gram matrix comes from
 one call.
 
-Every Cholesky factorization in the package goes through ``cholesky_factor``:
-a dpotrf factorization with a fixed jitter escalation ladder. GP
-conditioning reaches it through ``autodiff.psd_inverse``, once per group.
-The learnable noise variances are *not* part of the jitter; jitter is
-purely a numerical guard so the learned noise stays interpretable.
+Every Cholesky factorization in the package goes through ``cholesky_factor``.
+It factors a whole (..., n, n) stack with one batched ``np.linalg.cholesky``;
+only when that fails does it factor the matrices one by one with dpotrf, each
+escalating its jitter through a fixed ladder. GP conditioning reaches it
+through ``autodiff.psd_inverse``, once for all codebook groups, and
+``solve_with_factor`` solves the whole stack at once. The learnable noise
+variances are *not* part of the jitter; jitter is purely a numerical guard
+so the learned noise stays interpretable.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack, solve_triangular
+from scipy.linalg import lapack
 
 from . import autodiff
 from .autodiff import Tensor
@@ -66,11 +69,15 @@ class KernelParams:
 
 @dataclass(frozen=True)
 class CholeskyFactor:
-    """Lower-triangular factor of (A + jitter_used * I)."""
+    """Lower-triangular factors (..., n, n) of each A + jitter * I in a stack.
+
+    ``jitters`` (...) holds each matrix's jitter and ``jitter_used`` the
+    largest of them.
+    """
 
     lower: np.ndarray
-    dim: int
     jitter_used: float
+    jitters: np.ndarray
 
 
 def _sq_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -105,30 +112,54 @@ def kernel_matrix(xs, ys, p: KernelParams) -> np.ndarray:
 
 
 def cholesky_factor(a: np.ndarray) -> CholeskyFactor:
-    """Factor A + jitter*I, escalating jitter through the fixed ladder."""
+    """Factor each matrix A of a (..., n, n) stack as A + jitter * I.
+
+    One ``np.linalg.cholesky`` factors the whole stack at jitter 0. Only if
+    it fails is each matrix factored with dpotrf, escalating its jitter
+    through the fixed ladder; a matrix that fails at the last rung raises
+    ``NotPSD`` with ``group`` set to its index in the flattened stack (no
+    group for a single matrix).
+    """
     a = np.asarray(a, dtype=np.float64)
-    n = a.shape[0]
-    if a.ndim != 2 or a.shape[1] != n:
-        raise ValueError(f"expected square matrix, got {a.shape}")
+    n = a.shape[-1]
+    if a.ndim < 2 or a.shape[-2] != n:
+        raise ValueError(f"expected square matrices, got {a.shape}")
     if n > MAX_DIM:
         raise ValueError(f"matrix dimension {n} exceeds supported maximum {MAX_DIM}")
-    info = 0
-    for jitter in JITTER_LADDER:
-        m = a if jitter == 0.0 else a + jitter * np.eye(n)
-        c, info = lapack.dpotrf(m, lower=1, overwrite_a=False)
-        if info == 0:
-            return CholeskyFactor(lower=np.tril(c), dim=n, jitter_used=jitter)
-    raise NotPSD(pivot=int(info) - 1, jitter=JITTER_LADDER[-1])
+    try:
+        return CholeskyFactor(lower=np.linalg.cholesky(a), jitter_used=0.0,
+                              jitters=np.zeros(a.shape[:-2]))
+    except np.linalg.LinAlgError:
+        pass
+    lower = np.empty_like(a)
+    jitters = np.empty(a.shape[:-2])
+    flat_lower, flat_jitters = lower.reshape(-1, n, n), jitters.reshape(-1)
+    for i, m in enumerate(a.reshape(-1, n, n)):
+        for jitter in JITTER_LADDER:
+            c, info = lapack.dpotrf(m if jitter == 0.0 else m + jitter * np.eye(n),
+                                    lower=1, overwrite_a=False)
+            if info == 0:
+                break
+        else:
+            raise NotPSD(pivot=int(info) - 1, jitter=JITTER_LADDER[-1],
+                         group=i if a.ndim > 2 else None)
+        flat_lower[i] = np.tril(c)
+        flat_jitters[i] = jitter
+    return CholeskyFactor(lower=lower, jitter_used=float(jitters.max()),
+                          jitters=jitters)
 
 
 def solve_with_factor(factor: CholeskyFactor, b: np.ndarray) -> np.ndarray:
-    """Solve (A + jitter I) X = B given the Cholesky factor of A."""
+    """Solve (A + jitter I) X = B for every matrix of a factored stack.
+
+    ``b`` is (..., n, k), broadcast against the stack, or one vector (n,).
+    X = L^-T (L^-1 B), with every L^-1 from one batched ``np.linalg.inv``.
+    """
     b = np.asarray(b, dtype=np.float64)
     vec = b.ndim == 1
-    rhs = b[:, None] if vec else b
-    y = solve_triangular(factor.lower, rhs, lower=True)
-    x = solve_triangular(factor.lower.T, y, lower=False)
-    return x[:, 0] if vec else x
+    l_inv = np.linalg.inv(factor.lower)
+    x = np.swapaxes(l_inv, -1, -2) @ (l_inv @ (b[:, None] if vec else b))
+    return x[..., 0] if vec else x
 
 
 def kernel_matrix_t(x, y, log_lengthscale, log_outputscale) -> Tensor:

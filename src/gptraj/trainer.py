@@ -169,13 +169,24 @@ class Adam:
     def step(self, grads: dict[str, np.ndarray]) -> None:
         self.t += 1
         b1, b2 = self.beta1, self.beta2
+        # in place, with the out-of-place update's operations in the same order,
+        # so the bits do not change
         for name, p in self.params.items():
-            g = grads[name]
-            self.m[name] = b1 * self.m[name] + (1 - b1) * g
-            self.v[name] = b2 * self.v[name] + (1 - b2) * g * g
-            m_hat = self.m[name] / (1 - b1 ** self.t)
-            v_hat = self.v[name] / (1 - b2 ** self.t)
-            p.data[...] = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            g, m, v = grads[name], self.m[name], self.v[name]
+            step, v_hat = np.empty_like(m), np.empty_like(v)  # arrays also for 0-d
+            m *= b1
+            m += np.multiply(1 - b1, g, out=step)
+            v *= b2
+            np.multiply(1 - b2, g, out=v_hat)
+            v_hat *= g
+            v += v_hat
+            np.divide(m, 1 - b1 ** self.t, out=step)
+            step *= self.lr
+            np.divide(v, 1 - b2 ** self.t, out=v_hat)
+            np.sqrt(v_hat, out=v_hat)
+            v_hat += self.eps
+            step /= v_hat
+            p.data -= step
 
 
 # --- parameter registries ----------------------------------------------------

@@ -1,7 +1,8 @@
 """Independent oracles for the test suite.
 
 These deliberately avoid the library's own linear algebra and geometry: plain
-loops, Gauss-Jordan elimination, Jacobi eigenvalues, quadrature integration,
+loops, Gauss-Jordan elimination, Jacobi eigenvalues, a per-matrix jittered
+Cholesky inverse, the out-of-place Adam update, quadrature integration,
 dense point sampling, a scalar separating-axis loop, one-row numpy forms of
 the base model and the group classifier, a statement of the codebook's group
 layout with a sort-per-label triplet selection, and central finite
@@ -15,6 +16,7 @@ import math
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.linalg import lapack, solve_triangular
 
 from gptraj.basemodel import RESIDUAL_BOUND
 from gptraj.core import COMMANDS, Trajectory
@@ -60,6 +62,38 @@ def jacobi_eigenvalues(a: np.ndarray, sweeps: int = 50) -> np.ndarray:
         if off < 1e-24:
             break
     return np.sort(np.diag(m))
+
+
+def psd_inverse_ref(stack: np.ndarray, ladder) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse of each (A + jitter I) in a (..., n, n) stack, one matrix at a
+    time: dpotrf at each jitter of ``ladder`` until one succeeds, then two
+    triangular solves against the identity. Returns the inverses and the
+    jitters (...)."""
+    stack = np.asarray(stack, dtype=np.float64)
+    n = stack.shape[-1]
+    inv = np.empty_like(stack).reshape(-1, n, n)
+    jitters = np.empty(len(inv))
+    for i, a in enumerate(stack.reshape(-1, n, n)):
+        for jitter in ladder:
+            c, info = lapack.dpotrf(a + jitter * np.eye(n), lower=1)
+            if info == 0:
+                break
+        else:
+            raise ZeroDivisionError(f"matrix {i} not positive definite")
+        lower = np.tril(c)
+        l_inv = solve_triangular(lower, np.eye(n), lower=True)
+        inv[i] = solve_triangular(lower.T, l_inv, lower=False)
+        jitters[i] = jitter
+    return inv.reshape(stack.shape), jitters.reshape(stack.shape[:-2])
+
+
+def adam_ref(p, g, m, v, t: int, lr: float, b1: float, b2: float, eps: float):
+    """One out-of-place Adam step with bias correction: the new (p, m, v)."""
+    m = b1 * m + (1 - b1) * g
+    v = b2 * v + (1 - b2) * g * g
+    m_hat = m / (1 - b1 ** t)
+    v_hat = v / (1 - b2 ** t)
+    return p - lr * m_hat / (np.sqrt(v_hat) + eps), m, v
 
 
 def rbf_oracle(x: np.ndarray, y: np.ndarray, ell: float, sf: float) -> float:

@@ -68,6 +68,21 @@ def test_gen_data_unlabeled_requires_domain(tmp_path, capsys):
         cli.build_parser().parse_args(["gen-data", "--labeled"])
 
 
+@pytest.mark.parametrize("threads", ["x", "0", "-1"])
+def test_bad_threads_flag_is_a_usage_error(tmp_path, capsys, threads):
+    assert cli.cli_run(["--threads", threads, "--out-dir", str(tmp_path),
+                        "gen-data"]) == 2
+    assert capsys.readouterr().err == (
+        f"gptraj: error: --threads: expected an integer >= 1, got {threads!r}\n")
+
+
+def test_bad_threads_env_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("GPTRAJ_THREADS", "abc")
+    assert cli.cli_run(["--out-dir", str(tmp_path), "gen-data"]) == 2
+    assert capsys.readouterr().err == (
+        "gptraj: error: GPTRAJ_THREADS: expected an integer >= 1, got 'abc'\n")
+
+
 def test_gen_data_domain_unlabeled_writes_no_ground_truth(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(TOY_CONFIG))

@@ -10,7 +10,7 @@ from gptraj.autodiff import Tensor
 from gptraj.psdlinalg import (JITTER_LADDER, KernelParams, NotPSD, cholesky_factor,
                               kernel_matrix, kernel_matrix_t, solve_with_factor)
 
-from oracles import gauss_jordan_inverse, jacobi_eigenvalues
+from oracles import gauss_jordan_inverse, jacobi_eigenvalues, psd_inverse_ref
 
 
 def unit_params(**kw) -> KernelParams:
@@ -114,6 +114,45 @@ def test_not_psd_error_names_pivot():
         cholesky_factor(a)
     assert exc.value.pivot == 1
     assert "pivot 1" in str(exc.value)
+
+
+def spd_stack(rng, shape, n):
+    m = rng.normal(size=(*shape, n, n))
+    return m @ np.swapaxes(m, -1, -2) + 0.5 * np.eye(n)
+
+
+def test_batched_factor_matches_per_matrix_reference():
+    rng = np.random.default_rng(31)
+    stack = spd_stack(rng, (2, 3), 6)
+    for a in (spd_stack(rng, (), 6), stack):
+        factor = cholesky_factor(a)
+        assert factor.lower.shape == a.shape and factor.jitters.shape == a.shape[:-2]
+        assert factor.jitter_used == 0.0 and not factor.jitters.any()
+        ref, _ = psd_inverse_ref(a, JITTER_LADDER)
+        got = solve_with_factor(factor, np.eye(6))
+        err = np.linalg.norm(got - ref, axis=(-2, -1))
+        assert np.all(err < 1e-12 * np.linalg.norm(ref, axis=(-2, -1)))
+    stack[1, 2] = -np.eye(6)  # flattened index 5
+    with pytest.raises(NotPSD, match="^group 5: ") as exc:
+        cholesky_factor(stack)
+    assert exc.value.group == 5
+
+
+def test_jitter_ladder_runs_for_the_failing_group_only():
+    rng = np.random.default_rng(37)
+    stack = spd_stack(rng, (6,), 5)
+    v = np.array([[1.0, 2.0, 3.0, 0.0, -1.0]])
+    stack[3] = v.T @ v  # rank 1: the batched factorization fails
+    factor = cholesky_factor(stack)
+    ref, jitters = psd_inverse_ref(stack, JITTER_LADDER)
+    assert jitters[3] > 0.0 and not np.delete(jitters, 3).any()
+    assert np.array_equal(factor.jitters, jitters)
+    assert type(factor.jitter_used) is float and factor.jitter_used == jitters[3]
+    inv = autodiff.psd_inverse(Tensor(stack)).data
+    for g in range(len(stack)):
+        # an inverse's relative error grows with the condition number
+        cond = np.linalg.cond(stack[g] + jitters[g] * np.eye(5))
+        assert np.linalg.norm(inv[g] - ref[g]) <= 1e-14 * cond * np.linalg.norm(ref[g])
 
 
 def test_dimension_cap():

@@ -25,8 +25,8 @@ from gptraj.trainer import (Checkpoint, SceneTable, StageTables, TrainingError,
                             stage1_pretrain, stage2_fit_gp, stage3_finetune)
 
 from conftest import TINY_OBS_DIM, tiny_config, tiny_domain, tiny_spec
-from oracles import (encode_ref, finite_difference, group_ids_ref, predict_ref,
-                     traj_distance)
+from oracles import (adam_ref, encode_ref, finite_difference, group_ids_ref,
+                     predict_ref, traj_distance)
 
 CFG = tiny_config(epochs_stage1=2, epochs_stage2=1, epochs_stage3=1, adapt_epochs=1)
 
@@ -168,18 +168,38 @@ def test_schema_1_checkpoint_rejected(pipeline_bytes):
              "schema1.bin", "checkpoint schema 1 unsupported \\(expected 2\\)")
 
 
-def failing_factor(fail_at: int):
-    """A ``cholesky_factor`` whose ``fail_at``-th call (from 0) raises NotPSD.
+def test_adam_step_is_bit_identical_to_out_of_place_update():
+    rng = np.random.default_rng(41)
+    shapes = {"s": (), "v": (7,), "t": (3, 4, 5)}
+    params = {k: autodiff.parameter(rng.normal(size=sh)) for k, sh in shapes.items()}
+    opt = trainer.Adam(params, lr=0.01, beta1=0.8, beta2=0.99, eps=1e-6)
+    ref = {k: (p.data.copy(), np.zeros(sh), np.zeros(sh))
+           for (k, p), sh in zip(params.items(), shapes.values())}
+    for t in range(1, 6):
+        grads = {k: rng.normal(size=sh) for k, sh in shapes.items()}
+        opt.step(grads)
+        for k, p in params.items():
+            p_ref, m_ref, v_ref = ref[k]
+            ref[k] = adam_ref(p_ref, grads[k], m_ref, v_ref, t, 0.01, 0.8, 0.99, 1e-6)
+            assert np.array_equal(p.data, ref[k][0])
+            assert np.array_equal(opt.m[k], ref[k][1])
+            assert np.array_equal(opt.v[k], ref[k][2])
 
-    Each GP conditioning factors the groups once each, in group order, so
-    call ``s * n_code + g`` is group g's factorization at step s.
+
+def corrupting_factor(call: int, group: int):
+    """The real ``cholesky_factor``, except that its ``call``-th call (from
+    0) gets a stack in which group ``group``'s matrix is -I.
+
+    Each GP conditioning factors the stack of all groups once, so call s is
+    step s's conditioning.
     """
     calls = itertools.count()
     real = psdlinalg.cholesky_factor
 
     def factor(a):
-        if next(calls) == fail_at:
-            raise NotPSD(pivot=0, jitter=psdlinalg.JITTER_LADDER[-1])
+        if next(calls) == call:
+            a = a.copy()
+            a[group] = -np.eye(a.shape[-1])
         return real(a)
 
     return factor
@@ -188,14 +208,13 @@ def failing_factor(fail_at: int):
 def test_not_psd_names_stage_and_step(tiny_dataset, monkeypatch):
     ckpt = stage1_pretrain(tiny_dataset, CFG, tiny_spec())
     ckpt2 = stage2_fit_gp(tiny_dataset[:48], ckpt, CFG)
-    n_code = tiny_spec().n_code
-    monkeypatch.setattr(psdlinalg, "cholesky_factor", failing_factor(n_code + 5))
+    monkeypatch.setattr(psdlinalg, "cholesky_factor", corrupting_factor(1, 5))
     with pytest.raises(TrainingError, match="^stage2 step 1: group 5: matrix not "
                                             "positive definite") as exc:
         stage2_fit_gp(tiny_dataset[:48], ckpt, CFG)
     assert isinstance(exc.value.__cause__, NotPSD)
     assert exc.value.__cause__.group == 5
-    monkeypatch.setattr(psdlinalg, "cholesky_factor", failing_factor(17))
+    monkeypatch.setattr(psdlinalg, "cholesky_factor", corrupting_factor(0, 17))
     with pytest.raises(TrainingError, match="^stage3 teacher set-up: group 17: "
                                             "matrix not positive definite") as exc:
         stage3_finetune(tiny_dataset[:16], ckpt2, CFG)
