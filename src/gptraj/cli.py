@@ -3,7 +3,8 @@ active selection, evaluation, and checkpoint inspection.
 
 Every subcommand is deterministic given (config, seed): artifacts are
 byte-identical across reruns. Heavy imports happen after thread setup so
-``--threads`` (or GPTRAJ_THREADS) can cap the BLAS pools.
+``--threads`` (or GPTRAJ_THREADS) can cap the BLAS pools, over any inherited
+``OMP_NUM_THREADS``, ``OPENBLAS_NUM_THREADS`` or ``MKL_NUM_THREADS``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ def _apply_threads(argv: list[str]) -> None:
         if not threads.strip().isdecimal() or int(threads) < 1:
             raise ValueError(f"{source}: expected an integer >= 1, got {threads!r}")
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, str(int(threads)))
+            os.environ[var] = str(int(threads))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,10 +1,14 @@
 """Paired codebooks of learnable basis tokens and fixed anchor trajectories.
 
-Groups are built by Lloyd-style clustering of ground-truth trajectories under
-the mean-waypoint-distance metric, bucketed by role: ego groups are
-partitioned evenly across the three driving commands, agent groups share one
-bucket. Each group holds exactly ``group_size`` trajectories; basis tokens
-map to them one-to-one and are the learnable half of the pair.
+Groups are built by Lloyd clustering of ground-truth trajectories under the
+mean-waypoint-distance metric, bucketed by role: ego groups are partitioned
+evenly across the three driving commands, agent groups share one bucket.
+Each group holds the ``group_size`` trajectories nearest its centroid; basis
+tokens map to them one-to-one and are the learnable half of the pair. The
+clustering keeps every row's distance to each centroid, recomputes only the
+columns of centroids that moved and updates the centroids by one scatter-add:
+both exact, so the codebook is bit-identical to the plain loop and
+``np.linalg.norm`` distance in ``tests/oracles.py``.
 
 The codebook is two stacked arrays, trajectories (n_code, C, 12) and basis
 tokens (n_code, C, D), in a fixed group layout: the ``n_ego`` ego groups
@@ -85,40 +89,48 @@ def admissible(cb: Codebook, commands) -> np.ndarray:
 
 def traj_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Mean-over-waypoints Euclidean distance between flat trajectories
-    (..., 12), broadcast over the leading axes."""
+    (..., 12), broadcast over the leading axes. Squares in place and adds the
+    x and y halves: the operations of the ``np.linalg.norm`` form in
+    ``tests/oracles.py``, in its order, so the bytes are equal."""
     d = a - b
-    return np.linalg.norm(d.reshape(*d.shape[:-1], -1, 2), axis=-1).mean(axis=-1)
+    d *= d
+    s = d[..., 0::2] + d[..., 1::2]
+    np.sqrt(s, out=s)
+    return s.mean(axis=-1)
 
 
-def _lloyd(flat: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Cluster rows of ``flat`` into k centroids.
+def _lloyd(flat: np.ndarray, k: int, rng: np.random.Generator
+           ) -> tuple[np.ndarray, np.ndarray]:
+    """Cluster rows of ``flat`` into k centroids; returns them and the (n, k)
+    distances of every row to each.
 
     Farthest-point initialization from a seeded first pick, then Lloyd
-    iterations: assign by trajectory distance, update centroids as means.
-    """
+    iterations: assign by trajectory distance, move each non-empty cluster's
+    centroid to its mean by one scatter-add in row order (the order of
+    ``mean``), and recompute only the distance columns of centroids that
+    moved. Bit-identical to ``tests/oracles.py``'s ``lloyd_ref``, which
+    recomputes everything."""
     n = len(flat)
-    first = int(rng.integers(n))
-    centroids = [flat[first]]
-    dists = traj_dists(flat, flat[first])
-    for _ in range(1, k):
-        nxt = int(np.argmax(dists))
-        centroids.append(flat[nxt])
-        dists = np.minimum(dists, traj_dists(flat, flat[nxt]))
-    centroids = np.stack(centroids)
+    picks, nearest, dists = [], np.full(n, np.inf), np.empty((n, k))
+    for j in range(k):
+        picks.append(int(np.argmax(nearest)) if j else int(rng.integers(n)))
+        dists[:, j] = traj_dists(flat, flat[picks[j]])
+        nearest = np.minimum(nearest, dists[:, j])
+    centroids = flat[picks]
 
     for _ in range(LLOYD_MAX_ITERS):
-        all_d = np.stack([traj_dists(flat, c) for c in centroids], axis=1)
-        assign = np.argmin(all_d, axis=1)
-        new = centroids.copy()
-        for j in range(k):
-            members = flat[assign == j]
-            if len(members):
-                new[j] = members.mean(axis=0)
+        assign = np.argmin(dists, axis=1)
+        counts = np.bincount(assign, minlength=k)[:, None]
+        sums = np.zeros_like(centroids)
+        np.add.at(sums, assign, flat)
+        new = np.where(counts > 0, sums / np.maximum(counts, 1), centroids)
+        for j in np.flatnonzero(np.any(new != centroids, axis=1)):
+            dists[:, j] = traj_dists(flat, new[j])
         motion = float(np.max(np.linalg.norm(new - centroids, axis=1)))
         centroids = new
         if motion < LLOYD_TOL:
             break
-    return centroids
+    return centroids, dists
 
 
 def sample_and_cluster(
@@ -145,7 +157,7 @@ def sample_and_cluster(
         key = ("ego", cmd) if is_ego else ("agent", None)
         buckets.setdefault(key, []).append(traj.flat)
 
-    def build_bucket(key, k) -> list[np.ndarray]:
+    def build_bucket(key, k) -> np.ndarray:
         rows = buckets.get(key, [])
         need = k * group_size
         if len(rows) < need:
@@ -154,16 +166,15 @@ def sample_and_cluster(
                 f"{len(rows)} trajectories < required {need} ({k} groups x {group_size})"
             )
         flat = np.stack(rows)
-        centroids = _lloyd(flat, k, rng_for(seed, "cluster", key[0],
-                                            key[1].value if key[1] else "all"))
+        centroids, dists = _lloyd(flat, k, rng_for(seed, "cluster", key[0],
+                                                   key[1].value if key[1] else "all"))
         # stable centroid order: by forward progress of the anchor endpoint
         order = np.argsort(centroids[:, -2], kind="stable")
-        return [flat[np.argsort(traj_dists(flat, c), kind="stable")[:group_size]]
-                for c in centroids[order]]
+        return flat[np.argsort(dists[:, order], axis=0, kind="stable")[:group_size].T]
 
-    members = [m for cmd in COMMANDS for m in build_bucket(("ego", cmd), per_cmd)]
-    members += build_bucket(("agent", None), n_agent_groups)
-    return Codebook(trajectories=np.stack(members), n_ego=n_ego_groups,
+    members = [build_bucket(("ego", cmd), per_cmd) for cmd in COMMANDS]
+    members.append(build_bucket(("agent", None), n_agent_groups))
+    return Codebook(trajectories=np.concatenate(members), n_ego=n_ego_groups,
                     token_dim=token_dim)
 
 

@@ -4,10 +4,11 @@ These deliberately avoid the library's own linear algebra and geometry: plain
 loops, Gauss-Jordan elimination, Jacobi eigenvalues, a per-matrix jittered
 Cholesky inverse, the out-of-place Adam update, quadrature integration,
 dense point sampling, a scalar separating-axis loop, one-row numpy forms of
-the base model and the group classifier, a statement of the codebook's group
-layout with a sort-per-label triplet selection, and central finite
-differences. They exist to cross-check the production paths and must stay
-independent of them.
+the base model and the group classifier, the codebook's Lloyd clustering
+with every distance recomputed by ``np.linalg.norm`` and per-cluster means,
+a statement of the codebook's group layout with a sort-per-label triplet
+selection, and central finite differences. They exist to cross-check the
+production paths and must stay independent of them.
 """
 
 from __future__ import annotations
@@ -125,6 +126,47 @@ def gp_oracle(basis: np.ndarray, targets: np.ndarray, query: np.ndarray,
 def traj_distance(a: Trajectory, b: Trajectory) -> float:
     """Mean Euclidean distance over the 6 waypoint pairs, in meters."""
     return float(np.mean(np.linalg.norm(a.points - b.points, axis=1)))
+
+
+# --- codebook clustering -----------------------------------------------------
+
+
+def traj_dists_ref(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Mean-over-waypoints distance of flat (..., 12) rows, broadcast, by
+    ``np.linalg.norm`` over the (x, y) axis."""
+    d = a - b
+    return np.linalg.norm(d.reshape(*d.shape[:-1], -1, 2), axis=-1).mean(axis=-1)
+
+
+def lloyd_ref(flat: np.ndarray, k: int, rng: np.random.Generator, *,
+              max_iters: int, tol: float) -> np.ndarray:
+    """The k centroids of farthest-point initialization from a seeded first
+    pick, then Lloyd iterations that recompute every distance, update each
+    non-empty cluster by its ``mean`` and stop once no centroid moves by
+    ``tol`` or more."""
+    n = len(flat)
+    first = int(rng.integers(n))
+    centroids = [flat[first]]
+    dists = traj_dists_ref(flat, flat[first])
+    for _ in range(1, k):
+        nxt = int(np.argmax(dists))
+        centroids.append(flat[nxt])
+        dists = np.minimum(dists, traj_dists_ref(flat, flat[nxt]))
+    centroids = np.stack(centroids)
+
+    for _ in range(max_iters):
+        all_d = np.stack([traj_dists_ref(flat, c) for c in centroids], axis=1)
+        assign = np.argmin(all_d, axis=1)
+        new = centroids.copy()
+        for j in range(k):
+            members = flat[assign == j]
+            if len(members):
+                new[j] = members.mean(axis=0)
+        motion = float(np.max(np.linalg.norm(new - centroids, axis=1)))
+        centroids = new
+        if motion < tol:
+            break
+    return centroids
 
 
 # --- the codebook's group layout ---------------------------------------------

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -81,6 +84,30 @@ def test_bad_threads_env_is_a_usage_error(tmp_path, capsys, monkeypatch):
     assert cli.cli_run(["--out-dir", str(tmp_path), "gen-data"]) == 2
     assert capsys.readouterr().err == (
         "gptraj: error: GPTRAJ_THREADS: expected an integer >= 1, got 'abc'\n")
+
+
+def run_python(code: str, cwd: Path, **env: str) -> str:
+    """Stdout of ``code`` in a fresh interpreter that imports this gptraj."""
+    env = {**os.environ, **env, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env, check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def test_import_cli_leaves_numpy_unloaded(tmp_path):
+    # OpenBLAS reads its thread count when numpy loads, so --threads can
+    # only cap it if nothing imports numpy before cli_run
+    code = "import sys, gptraj.cli; print('numpy' in sys.modules)"
+    assert run_python(code, tmp_path) == "False"
+
+
+def test_threads_flag_overrides_inherited_blas_env(tmp_path):
+    code = ("import os, sys, gptraj.cli as cli\n"
+            "assert 'numpy' not in sys.modules\n"
+            "cli.cli_run(['--threads', '1', 'inspect-ckpt', '--ckpt', 'missing.bin'])\n"
+            "print(*(os.environ[v] for v in ('OMP_NUM_THREADS', 'OPENBLAS_NUM_THREADS',"
+            " 'MKL_NUM_THREADS')))")
+    assert run_python(code, tmp_path, OMP_NUM_THREADS="4", OPENBLAS_NUM_THREADS="4",
+                      MKL_NUM_THREADS="4") == "1 1 1"
 
 
 def test_gen_data_domain_unlabeled_writes_no_ground_truth(tmp_path):

@@ -5,11 +5,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from gptraj import codebook, config
 from gptraj.codebook import (BuildError, Codebook, admissible, init_basis_tokens,
-                             nearest_group, sample_and_cluster, triplet_table)
-from gptraj.core import COMMANDS, Command, Trajectory
+                             nearest_group, sample_and_cluster, traj_dists,
+                             triplet_table)
+from gptraj.core import COMMANDS, COORD_BOUND, Command, Trajectory
+from gptraj.synthdomain import gen_dataset
 
-from oracles import command_of_ref, group_ids_ref, traj_distance, triplet_classes_ref
+from oracles import (command_of_ref, group_ids_ref, lloyd_ref, traj_distance,
+                     traj_dists_ref, triplet_classes_ref)
 
 
 def straight(speed: float, jitter: float = 0.0, rng=None) -> Trajectory:
@@ -110,6 +114,69 @@ def test_no_group_mixes_commands():
         ids = group_ids_ref(cb, cmd)
         assert {bucket[row.tobytes()] for row in cb.trajectories[ids].reshape(-1, 12)} == {
             cmd}
+
+
+def test_traj_dists_matches_norm_form_bit_for_bit():
+    rng = np.random.default_rng(11)
+    rows = rng.uniform(-COORD_BOUND, COORD_BOUND, size=(300, 12))
+    rows[:20] = 0.0
+    # 0.1 m rounding gives equal distances and signed zeros
+    rows[20:140] = np.round(rng.normal(scale=0.3, size=(120, 12)), 1)
+    rows[140:160] = COORD_BOUND * rng.choice([-1.0, 1.0], size=(20, 12))
+    for c in rows[[0, 30, 150, 299]]:  # _lloyd's columns and nearest_group's
+        assert traj_dists(rows, c).tobytes() == traj_dists_ref(rows, c).tobytes()
+    anchors = rows[::3]  # triplet_table's anchor-distance matrix
+    assert (traj_dists(anchors[None], anchors[:, None]).tobytes()
+            == traj_dists_ref(anchors[None], anchors[:, None]).tobytes())
+
+
+def lloyd_bucket(case: int) -> tuple[np.ndarray, int]:
+    """Bucket ``case``: n rows, log-uniform in [50, 2500], and k in [4, 64].
+    Every third bucket is rounded to 0.1 m, and every other one of those is
+    drawn from fewer distinct rows than k, so that distances tie and
+    clusters empty."""
+    rng = np.random.default_rng(case)
+    n = int(np.exp(rng.uniform(np.log(50), np.log(2500))))
+    k = int(rng.integers(4, 65))
+    speed = rng.uniform(0.0, 15.0, size=(n, 1, 1))
+    steps = speed * [0.5, 0.0] + rng.normal(scale=0.4, size=(n, 6, 2))
+    flat = steps.cumsum(axis=1).reshape(n, 12)
+    if case % 3 == 2:
+        flat = np.round(flat, 1)
+        if case % 2:
+            flat = flat[rng.integers(k // 2, size=n)]
+    return flat, k
+
+
+@pytest.mark.parametrize("case", range(24))
+def test_lloyd_matches_reference_bit_for_bit(case):
+    flat, k = lloyd_bucket(case)
+    centroids, dists = codebook._lloyd(flat, k, np.random.default_rng(case))
+    ref = lloyd_ref(flat, k, np.random.default_rng(case),
+                    max_iters=codebook.LLOYD_MAX_ITERS, tol=codebook.LLOYD_TOL)
+    assert centroids.tobytes() == ref.tobytes()
+    # the kept distance columns are those of the final centroids
+    assert dists.tobytes() == np.stack([traj_dists_ref(flat, c) for c in ref],
+                                       axis=1).tobytes()
+    if case % 6 == 5:  # fewer distinct rows than k: equal centroids, empty clusters
+        assert len(np.unique(ref, axis=0)) < k
+
+
+def test_build_matches_reference_forms(monkeypatch):
+    records = gen_dataset(config.resolve({}).domain("source_city"), 80, seed=3)
+    trajs = [(r.ego_gt, r.command, True) for r in records]
+    trajs += [(t, r.command, False) for r in records for t in r.agent_gt]
+    got = sample_and_cluster(trajs, 12, 7, group_size=4, token_dim=4, seed=3)
+
+    def lloyd(flat, k, rng):
+        centroids = lloyd_ref(flat, k, rng, max_iters=codebook.LLOYD_MAX_ITERS,
+                              tol=codebook.LLOYD_TOL)
+        return centroids, np.stack([traj_dists_ref(flat, c) for c in centroids], axis=1)
+
+    monkeypatch.setattr(codebook, "_lloyd", lloyd)
+    monkeypatch.setattr(codebook, "traj_dists", traj_dists_ref)
+    want = sample_and_cluster(trajs, 12, 7, group_size=4, token_dim=4, seed=3)
+    assert got.trajectories.tobytes() == want.trajectories.tobytes()
 
 
 def test_insufficient_trajectories_raise_with_counts():
