@@ -89,14 +89,19 @@ def admissible(cb: Codebook, commands) -> np.ndarray:
 
 def traj_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Mean-over-waypoints Euclidean distance between flat trajectories
-    (..., 12), broadcast over the leading axes. Squares in place and adds the
-    x and y halves: the operations of the ``np.linalg.norm`` form in
-    ``tests/oracles.py``, in its order, so the bytes are equal."""
+    (..., 12), broadcast over the leading axes. Squares in place, adds the
+    x and y halves, then sums the waypoint columns left to right and divides
+    by their count: the operations of the ``np.linalg.norm`` and ``mean``
+    form in ``tests/oracles.py``, in its order, so the bytes are equal."""
     d = a - b
     d *= d
     s = d[..., 0::2] + d[..., 1::2]
     np.sqrt(s, out=s)
-    return s.mean(axis=-1)
+    total = s[..., 0].copy()
+    for k in range(1, s.shape[-1]):
+        total += s[..., k]
+    total /= s.shape[-1]
+    return total
 
 
 def _lloyd(flat: np.ndarray, k: int, rng: np.random.Generator
@@ -131,6 +136,22 @@ def _lloyd(flat: np.ndarray, k: int, rng: np.random.Generator
         if motion < LLOYD_TOL:
             break
     return centroids, dists
+
+
+def _nearest_rows(dists: np.ndarray, m: int) -> np.ndarray:
+    """(k, m) column indices of the m smallest entries in each row of
+    ``dists`` (k, n), ascending, equal distances in index order: the first m
+    of a stable argsort, from one partial selection. Every entry below a
+    row's m-th smallest value is kept, then entries equal to it in index
+    order until the row has m."""
+    cut = np.partition(dists, m - 1, axis=1)[:, m - 1:m]
+    below = dists < cut
+    tied = dists == cut
+    keep = below | (tied & (np.cumsum(tied, axis=1)
+                            <= m - np.count_nonzero(below, axis=1, keepdims=True)))
+    idx = np.nonzero(keep)[1].reshape(len(dists), m)
+    by_dist = np.argsort(np.take_along_axis(dists, idx, axis=1), axis=1, kind="stable")
+    return np.take_along_axis(idx, by_dist, axis=1)
 
 
 def sample_and_cluster(
@@ -170,7 +191,7 @@ def sample_and_cluster(
                                                    key[1].value if key[1] else "all"))
         # stable centroid order: by forward progress of the anchor endpoint
         order = np.argsort(centroids[:, -2], kind="stable")
-        return flat[np.argsort(dists[:, order], axis=0, kind="stable")[:group_size].T]
+        return flat[_nearest_rows(dists.T[order], group_size)]
 
     members = [build_bucket(("ego", cmd), per_cmd) for cmd in COMMANDS]
     members.append(build_bucket(("agent", None), n_agent_groups))

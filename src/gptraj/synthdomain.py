@@ -7,6 +7,17 @@ features, distorted by a per-domain affine transform plus Gaussian noise.
 Domain shift is therefore purely statistical: mirrored geometry with swapped
 turn labels, shifted speed/curvature priors, a rotated or rank-deficient
 observation space, and a higher noise floor.
+
+Each scene draws from its own stream: command, speed, curvature and agent
+count, then 5 scalar draws per candidate agent, then the observation noise.
+A candidate that collides with the ego is redrawn, up to
+``AGENT_RESAMPLE_ATTEMPTS`` times per agent. The candidates therefore form
+one fixed sequence per scene whatever is accepted; the decisions only set
+how many are consumed before the noise draws start. ``gen_dataset`` draws
+ahead in rounds: one candidate per open agent slot of every scene, all
+checked by one SAT pass, then each scene's decisions in draw order. A round
+never draws more candidates than its decisions consume, so every stream,
+and with it every record, is the one a candidate-at-a-time loop gives.
 """
 
 from __future__ import annotations
@@ -18,7 +29,7 @@ import numpy as np
 from scipy.linalg import expm, qr
 
 from .core import Command, SceneRecord, Trajectory, rng_for, save_dataset
-from .evalmetrics import collision
+from .evalmetrics import scene_collisions
 
 RAW_DIM = 12
 DEFAULT_OBS_DIM = 24
@@ -31,6 +42,9 @@ _SPEED_NORM = 10.0
 _CURV_NORM = 0.08
 _RELX_NORM = 20.0
 _RELY_NORM = 10.0
+
+# a scene's command draw indexes this order, as does its one-hot raw feature
+_COMMAND_ORDER = (Command.TURN_LEFT, Command.GO_STRAIGHT, Command.TURN_RIGHT)
 
 _MIRROR_SWAP = {
     Command.TURN_LEFT: Command.TURN_RIGHT,
@@ -136,8 +150,7 @@ def _ego_raw(speed, curvature, command, agents) -> np.ndarray:
     raw[0] = 1.0
     raw[1] = speed / _SPEED_NORM
     raw[2] = curvature / _CURV_NORM
-    raw[3 + [Command.TURN_LEFT, Command.GO_STRAIGHT,
-             Command.TURN_RIGHT].index(command)] = 1.0
+    raw[3 + _COMMAND_ORDER.index(command)] = 1.0
     if agents:
         rel = np.stack([a.rel for a in agents])
         raw[6] = rel[:, 0].mean() / _RELX_NORM
@@ -158,73 +171,96 @@ def _agent_raw(a: _AgentDraw) -> np.ndarray:
     return raw
 
 
-def gen_scene(spec: DomainSpec, rng: np.random.Generator, scene_id: str = "scene",
-              obs_dim: int = DEFAULT_OBS_DIM) -> SceneRecord:
-    """One scene: ego arc, 0-4 collision-free agents, distorted observations.
+def _draw_agents(spec: DomainSpec, rngs: list[np.random.Generator],
+                 ego_points: list[np.ndarray], n_agents: list[int]
+                 ) -> list[list[_AgentDraw]]:
+    """The collision-free agents of every scene, in slot order.
 
-    The mirror flag reflects the whole scene about the x axis after the draws
-    (so mirrored and unmirrored runs of the same seed differ exactly by the
-    sign of every y) and swaps the turn-left/turn-right label to keep command
-    semantics truthful.
+    Each round draws one candidate per open slot of every pending scene from
+    that scene's stream, checks them all with one SAT pass, then walks each
+    scene's candidates in draw order: a clear one fills the slot, a colliding
+    one counts an attempt, and a slot's ``AGENT_RESAMPLE_ATTEMPTS``-th
+    collision drops it. Resolving a slot takes at least one candidate, so a
+    scene consumes every candidate of its round and its stream stands where
+    the one-at-a-time loop would leave it.
     """
-    command = [Command.TURN_LEFT, Command.GO_STRAIGHT,
-               Command.TURN_RIGHT][int(rng.integers(3))]
-    speed = rng.uniform(*spec.speed_prior)
-    mu, sd = spec.curvature_prior[command]
-    curvature = rng.normal(mu, sd)
-    ego_points = arc_points(speed, curvature)
-    ego_traj = Trajectory(ego_points)
-
-    agents: list[_AgentDraw] = []
-    n_agents = int(rng.integers(0, MAX_AGENTS + 1))
-    for _ in range(n_agents):
-        for _ in range(AGENT_RESAMPLE_ATTEMPTS):
-            cand = _sample_agent(rng, spec.speed_prior)
-            if not collision(ego_traj, [Trajectory(cand.points)], [AGENT_FOOTPRINT]):
-                agents.append(cand)
-                break
-        # all attempts collided: drop the agent
-
-    if spec.mirror:
-        command = _MIRROR_SWAP[command]
-        curvature = -curvature
-        ego_points = ego_points * np.array([1.0, -1.0])
-        for a in agents:
-            a.rel = a.rel * np.array([1.0, -1.0])
-            a.heading = -a.heading
-            a.curvature = -a.curvature
-            a.points = a.points * np.array([1.0, -1.0])
-
-    embed = embed_matrix(obs_dim)
-
-    def observe(raw: np.ndarray) -> np.ndarray:
-        clean = spec.obs_transform @ (embed @ raw) + spec.obs_bias
-        return clean + rng.normal(0.0, spec.obs_noise_std, size=obs_dim)
-
-    ego_obs = observe(_ego_raw(speed, curvature, command, agents))
-    agent_obs = [observe(_agent_raw(a)) for a in agents]
-
-    return SceneRecord(
-        scene_id=scene_id,
-        domain_tag=spec.name,
-        command=command,
-        ego_obs=ego_obs,
-        agent_obs=agent_obs,
-        ego_gt=Trajectory(ego_points),
-        agent_gt=[Trajectory(a.points) for a in agents],
-        agent_footprints=[AGENT_FOOTPRINT] * len(agents),
-    )
+    agents: list[list[_AgentDraw]] = [[] for _ in rngs]
+    open_slots = list(n_agents)
+    attempts = [0] * len(rngs)
+    pending = [i for i in range(len(rngs)) if open_slots[i]]
+    while pending:
+        owner = [i for i in pending for _ in range(open_slots[i])]
+        cands = [_sample_agent(rngs[i], spec.speed_prior) for i in owner]
+        hits = scene_collisions(np.stack([ego_points[i] for i in owner]),
+                                np.stack([c.points for c in cands]),
+                                np.full((len(cands), 2), AGENT_FOOTPRINT),
+                                np.arange(len(cands)))
+        for i, cand, hit in zip(owner, cands, hits):
+            if hit:
+                attempts[i] += 1
+                if attempts[i] < AGENT_RESAMPLE_ATTEMPTS:
+                    continue
+                # all attempts collided: drop the agent
+            else:
+                agents[i].append(cand)
+            attempts[i] = 0
+            open_slots[i] -= 1
+        pending = [i for i in pending if open_slots[i]]
+    return agents
 
 
 def gen_dataset(spec: DomainSpec, n_scenes: int, seed: int, path=None,
                 obs_dim: int = DEFAULT_OBS_DIM) -> list[SceneRecord]:
-    """n scenes with per-scene derived RNG streams; optionally written to disk."""
+    """n scenes with per-scene derived RNG streams; optionally written to disk.
+
+    A scene is an ego arc, 0-4 collision-free agents and distorted
+    observations. The mirror flag reflects the whole scene about the x axis
+    after the draws (so mirrored and unmirrored runs of the same seed differ
+    exactly by the sign of every y) and swaps the turn-left/turn-right label
+    to keep command semantics truthful.
+    """
+    rngs = [rng_for(seed, "scene", spec.name, i) for i in range(n_scenes)]
+    egos = []  # per scene: command, speed, curvature, ego points, agent count
+    for rng in rngs:
+        command = _COMMAND_ORDER[int(rng.integers(3))]
+        speed = rng.uniform(*spec.speed_prior)
+        mu, sd = spec.curvature_prior[command]
+        curvature = rng.normal(mu, sd)
+        egos.append((command, speed, curvature, arc_points(speed, curvature),
+                     int(rng.integers(0, MAX_AGENTS + 1))))
+    agents = _draw_agents(spec, rngs, [e[3] for e in egos], [e[4] for e in egos])
+
+    embed = embed_matrix(obs_dim)
+
+    def observe(raw: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        clean = spec.obs_transform @ (embed @ raw) + spec.obs_bias
+        return clean + rng.normal(0.0, spec.obs_noise_std, size=obs_dim)
+
+    flip = np.array([1.0, -1.0])
     records = []
-    for i in range(n_scenes):
-        rng = rng_for(seed, "scene", spec.name, i)
-        records.append(
-            gen_scene(spec, rng, scene_id=f"{spec.name}-{seed}-{i:06d}",
-                      obs_dim=obs_dim))
+    for i, (rng, (command, speed, curvature, ego_points, _), scene_agents) in enumerate(
+            zip(rngs, egos, agents)):
+        if spec.mirror:
+            command = _MIRROR_SWAP[command]
+            curvature = -curvature
+            ego_points = ego_points * flip
+            for a in scene_agents:
+                a.rel = a.rel * flip
+                a.heading = -a.heading
+                a.curvature = -a.curvature
+                a.points = a.points * flip
+        ego_obs = observe(_ego_raw(speed, curvature, command, scene_agents), rng)
+        agent_obs = [observe(_agent_raw(a), rng) for a in scene_agents]
+        records.append(SceneRecord(
+            scene_id=f"{spec.name}-{seed}-{i:06d}",
+            domain_tag=spec.name,
+            command=command,
+            ego_obs=ego_obs,
+            agent_obs=agent_obs,
+            ego_gt=Trajectory(ego_points),
+            agent_gt=[Trajectory(a.points) for a in scene_agents],
+            agent_footprints=[AGENT_FOOTPRINT] * len(scene_agents),
+        ))
     if path is not None:
         save_dataset(records, Path(path))
     return records

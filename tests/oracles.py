@@ -7,20 +7,23 @@ dense point sampling, a scalar separating-axis loop, one-row numpy forms of
 the base model and the group classifier, the codebook's Lloyd clustering
 with every distance recomputed by ``np.linalg.norm`` and per-cluster means,
 a statement of the codebook's group layout with a sort-per-label triplet
-selection, and central finite differences. They exist to cross-check the
+selection, the scene generator drawing and checking one candidate agent at a
+time, and central finite differences. They exist to cross-check the
 production paths and must stay independent of them.
 """
 
 from __future__ import annotations
 
 import math
+import zlib
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import lapack, solve_triangular
 
 from gptraj.basemodel import RESIDUAL_BOUND
-from gptraj.core import COMMANDS, Trajectory
+from gptraj.core import COMMANDS, Command, SceneRecord, Trajectory
 
 
 def gauss_jordan_inverse(a: np.ndarray) -> np.ndarray:
@@ -355,6 +358,96 @@ def collision_reference(ego: Trajectory, agent_trajs: list, agent_footprints: li
                                  length, width)):
                 return True
     return False
+
+
+# --- the scene generator, one candidate agent at a time -----------------------
+
+
+def _stream_ref(seed: int, *keys) -> np.random.Generator:
+    """The stream of a seed and keys: ``default_rng`` over the seed and each
+    key, strings by their crc32."""
+    ints = [seed & 0xFFFFFFFF] + [zlib.crc32(k.encode()) if isinstance(k, str)
+                                  else k & 0xFFFFFFFF for k in keys]
+    return np.random.default_rng(ints)
+
+
+def _arc_ref(speed: float, curvature: float) -> np.ndarray:
+    s = speed * (0.5 * np.arange(1, 7))
+    if abs(curvature) < 1e-9:
+        return np.stack([s, np.zeros_like(s)], axis=1)
+    th = curvature * s
+    return np.stack([np.sin(th) / curvature, (1.0 - np.cos(th)) / curvature], axis=1)
+
+
+def sample_agent_ref(rng: np.random.Generator, speed_prior) -> SimpleNamespace:
+    """One candidate agent: 5 scalar draws, then its arc from the drawn pose."""
+    a = SimpleNamespace(rel=np.array([rng.uniform(4.0, 28.0), rng.uniform(-8.0, 8.0)]),
+                        heading=rng.normal(0.0, 0.25), speed=rng.uniform(*speed_prior),
+                        curvature=rng.normal(0.0, 0.01))
+    c, s = np.cos(a.heading), np.sin(a.heading)
+    a.points = a.rel[None, :] + _arc_ref(a.speed, a.curvature) @ np.array([[c, -s], [s, c]]).T
+    return a
+
+
+def gen_dataset_ref(spec, n_scenes: int, seed: int, obs_dim: int,
+                    sample_agent=sample_agent_ref) -> list:
+    """Scenes one at a time from their own streams: command, speed and
+    curvature, the agent count, then per agent up to 20 candidates from
+    ``sample_agent`` until ``collision_reference`` clears one, the mirror,
+    and noisy observations of the raw features."""
+    order = [Command.TURN_LEFT, Command.GO_STRAIGHT, Command.TURN_RIGHT]
+    footprint = (4.5, 2.0)
+    embed = _stream_ref(0, "obs-embed", obs_dim).normal(0.0, 1.0 / np.sqrt(12),
+                                                         size=(obs_dim, 12))
+    records = []
+    for i in range(n_scenes):
+        rng = _stream_ref(seed, "scene", spec.name, i)
+        command = order[int(rng.integers(3))]
+        speed = rng.uniform(*spec.speed_prior)
+        curvature = rng.normal(*spec.curvature_prior[command])
+        ego = _arc_ref(speed, curvature)
+        agents = []
+        for _ in range(int(rng.integers(0, 5))):
+            for _ in range(20):
+                cand = sample_agent(rng, spec.speed_prior)
+                if not collision_reference(Trajectory(ego), [Trajectory(cand.points)],
+                                           [footprint]):
+                    agents.append(cand)
+                    break
+        if spec.mirror:
+            command = {Command.TURN_LEFT: Command.TURN_RIGHT,
+                       Command.TURN_RIGHT: Command.TURN_LEFT}.get(command, command)
+            curvature = -curvature
+            ego = ego * np.array([1.0, -1.0])
+            for a in agents:
+                a.rel = a.rel * np.array([1.0, -1.0])
+                a.heading, a.curvature = -a.heading, -a.curvature
+                a.points = a.points * np.array([1.0, -1.0])
+
+        def observe(raw):
+            clean = spec.obs_transform @ (embed @ raw) + spec.obs_bias
+            return clean + rng.normal(0.0, spec.obs_noise_std, size=obs_dim)
+
+        raw = np.zeros(12)
+        raw[[0, 1, 2, 3 + order.index(command), 10]] = (
+            1.0, speed / 10.0, curvature / 0.08, 1.0, len(agents) / 4)
+        if agents:
+            raw[6] = np.mean([a.rel[0] for a in agents]) / 20.0
+            raw[7] = np.mean([a.rel[1] for a in agents]) / 10.0
+        agent_obs = []
+        ego_obs = observe(raw)
+        for a in agents:
+            raw = np.zeros(12)
+            raw[[1, 2, 6, 7, 8, 9, 10]] = (
+                a.speed / 10.0, a.curvature / 0.08, a.rel[0] / 20.0, a.rel[1] / 10.0,
+                np.sin(a.heading), np.cos(a.heading), footprint[0] / 5.0)
+            agent_obs.append(observe(raw))
+        records.append(SceneRecord(
+            scene_id=f"{spec.name}-{seed}-{i:06d}", domain_tag=spec.name,
+            command=command, ego_obs=ego_obs, agent_obs=agent_obs,
+            ego_gt=Trajectory(ego), agent_gt=[Trajectory(a.points) for a in agents],
+            agent_footprints=[footprint] * len(agents)))
+    return records
 
 
 # --- the base model, one numpy row at a time -----------------------------------

@@ -179,6 +179,29 @@ def test_build_matches_reference_forms(monkeypatch):
     assert got.trajectories.tobytes() == want.trajectories.tobytes()
 
 
+def test_group_members_keep_index_order_across_tied_cut():
+    # one agent group centred exactly on straight(4.0): rows 1 and 2 are
+    # 0.5 m from it and rows 4-7 all 1 m, so the 3-member cut falls inside
+    # the tie (a plain argpartition keeps row 5 here)
+    base = straight(4.0).points
+    shifts = [(0, 2), (0, 0.5), (0, -0.5), (0, -2), (0, 1), (0, -1), (1, 0), (-1, 0)]
+    agent_rows = [Trajectory(base + s) for s in shifts]
+    _, dists = codebook._lloyd(np.stack([t.flat for t in agent_rows]), 1,
+                               np.random.default_rng(0))
+    assert dists[:, 0].tolist() == [2.0, 0.5, 0.5, 2.0, 1.0, 1.0, 1.0, 1.0]
+    trajs = [(t, Command.GO_STRAIGHT, False) for t in agent_rows]
+    trajs += [(straight(6.0), cmd, True) for cmd in COMMANDS for _ in range(3)]
+    cb = sample_and_cluster(trajs, 3, 1, group_size=3, token_dim=4, seed=0)
+    [g] = group_ids_ref(cb, None)
+    assert cb.trajectories[g].tobytes() == np.stack(
+        [agent_rows[i].flat for i in (1, 2, 4)]).tobytes()
+    # the selection against a full stable argsort, on integer distances
+    dists = np.random.default_rng(0).integers(0, 6, size=(40, 300)).astype(float)
+    for m in (1, 16, 299):
+        assert np.array_equal(codebook._nearest_rows(dists, m),
+                              np.argsort(dists, axis=1, kind="stable")[:, :m])
+
+
 def test_insufficient_trajectories_raise_with_counts():
     trajs = [(straight(5.0), Command.TURN_LEFT, True)]
     with pytest.raises(BuildError, match="required"):

@@ -1,19 +1,22 @@
-"""Generator kinematics against quadrature, mirroring, and determinism."""
+"""Generator kinematics against quadrature, mirroring, determinism, and the
+round-batched rejection sampling against the one-candidate-at-a-time oracle."""
 
 from __future__ import annotations
+
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from gptraj import synthdomain
-from gptraj.core import Command, load_dataset, rng_for, validate_record
+from gptraj import config, synthdomain
+from gptraj.core import Command, load_dataset, validate_record
 from gptraj.evalmetrics import collision
-from gptraj.synthdomain import (AGENT_FOOTPRINT, arc_points,
-                                build_obs_transform, gen_dataset, gen_scene,
+from gptraj.synthdomain import (AGENT_FOOTPRINT, AGENT_RESAMPLE_ATTEMPTS,
+                                arc_points, build_obs_transform, gen_dataset,
                                 strip_labels)
 
 from conftest import TINY_OBS_DIM, tiny_domain
-from oracles import arc_position_quadrature, collision_reference
+from oracles import arc_position_quadrature, gen_dataset_ref, sample_agent_ref
 
 
 def test_straight_line_kinematics():
@@ -41,8 +44,8 @@ def test_arc_points_lie_on_circle():
 def test_mirror_flips_every_y_same_seed():
     plain = tiny_domain(name="m", mirror=False)
     flipped = tiny_domain(name="m", mirror=True)
-    a = gen_scene(plain, rng_for(3, "scene", 0), obs_dim=TINY_OBS_DIM)
-    b = gen_scene(flipped, rng_for(3, "scene", 0), obs_dim=TINY_OBS_DIM)
+    [a] = gen_dataset(plain, 1, seed=3, obs_dim=TINY_OBS_DIM)
+    [b] = gen_dataset(flipped, 1, seed=3, obs_dim=TINY_OBS_DIM)
     assert np.allclose(b.ego_gt.points[:, 0], a.ego_gt.points[:, 0])
     assert np.allclose(b.ego_gt.points[:, 1], -a.ego_gt.points[:, 1])
     for ta, tb in zip(a.agent_gt, b.agent_gt):
@@ -55,9 +58,8 @@ def test_mirror_swaps_turn_labels():
     swap = {Command.TURN_LEFT: Command.TURN_RIGHT,
             Command.TURN_RIGHT: Command.TURN_LEFT,
             Command.GO_STRAIGHT: Command.GO_STRAIGHT}
-    for i in range(20):
-        a = gen_scene(plain, rng_for(9, "scene", i), obs_dim=TINY_OBS_DIM)
-        b = gen_scene(flipped, rng_for(9, "scene", i), obs_dim=TINY_OBS_DIM)
+    for a, b in zip(gen_dataset(plain, 20, seed=9, obs_dim=TINY_OBS_DIM),
+                    gen_dataset(flipped, 20, seed=9, obs_dim=TINY_OBS_DIM)):
         assert b.command == swap[a.command]
 
 
@@ -95,14 +97,83 @@ def test_gt_collision_free_invariant():
         assert not collision(rec.ego_gt, rec.agent_gt, rec.agent_footprints)
 
 
-def test_records_unchanged_under_reference_collision(monkeypatch):
-    # the generator's rejection sampling decides with the batched SAT pass;
-    # the scalar reference loop must yield the same records, byte for byte
+def as_json(records):
+    return [r.to_json_dict() for r in records]
+
+
+@pytest.mark.parametrize("name", ["source_city", "target_city", "low_light",
+                                  "motion_blur"])
+def test_configured_domains_match_sequential_oracle(name):
+    spec = config.resolve({}).domain(name)
+    got = gen_dataset(spec, 150, seed=4)
+    assert as_json(got) == as_json(gen_dataset_ref(spec, 150, 4, synthdomain.DEFAULT_OBS_DIM))
+
+
+def test_tiny_domain_matches_sequential_oracle():
+    # slow agents linger in front of the ego: more rejections per scene
     domain = tiny_domain(speed=(1.0, 12.0))
-    got = gen_dataset(domain, 120, seed=4, obs_dim=TINY_OBS_DIM)
-    monkeypatch.setattr(synthdomain, "collision", collision_reference)
-    want = gen_dataset(domain, 120, seed=4, obs_dim=TINY_OBS_DIM)
-    assert [r.to_json_dict() for r in got] == [r.to_json_dict() for r in want]
+    got = gen_dataset(domain, 150, seed=4, obs_dim=TINY_OBS_DIM)
+    assert as_json(got) == as_json(gen_dataset_ref(domain, 150, 4, TINY_OBS_DIM))
+
+
+def forced(sample, egos, hits):
+    """``sample`` with its draws unchanged, except that the k-th candidate of
+    scene i lies on the scene's ego path for each k in ``hits[i]``, and every
+    other candidate 1 km to the side: it collides exactly when chosen."""
+    calls = Counter()
+
+    def wrapped(rng, speed_prior):
+        a = sample(rng, speed_prior)
+        i = rng.bit_generator.seed_seq.entropy[-1]  # the scene index key
+        k, calls[i] = calls[i], calls[i] + 1
+        a.points = egos[i].copy() if k in hits.get(i, ()) else a.points + [0.0, 1000.0]
+        return a
+    wrapped.calls = calls
+    return wrapped
+
+
+@pytest.mark.parametrize("hits, min_agents, kept, candidates", [
+    # the first slot is accepted on its last attempt; the second slot's
+    # attempts count from zero again
+    ([*range(AGENT_RESAMPLE_ATTEMPTS - 1), AGENT_RESAMPLE_ATTEMPTS], 2, 0,
+     AGENT_RESAMPLE_ATTEMPTS),
+    # the first slot is dropped, the next one accepted at once
+    (range(AGENT_RESAMPLE_ATTEMPTS), 2, -1, AGENT_RESAMPLE_ATTEMPTS - 1),
+    # two rejections among the first round's candidates of one scene
+    ((0, 2), 3, 0, 2),
+])
+def test_forced_rejections_match_sequential_oracle(monkeypatch, hits, min_agents,
+                                                    kept, candidates):
+    domain = tiny_domain()
+    clear = gen_dataset_ref(domain, 30, 6, TINY_OBS_DIM,
+                            forced(sample_agent_ref, {}, {}))
+    n_agents = [len(r.agent_gt) for r in clear]
+    scene = next(i for i, n in enumerate(n_agents) if n >= min_agents)
+    egos = {scene: clear[scene].ego_gt.points}
+    want_sample = forced(sample_agent_ref, egos, {scene: set(hits)})
+    want = gen_dataset_ref(domain, 30, 6, TINY_OBS_DIM, want_sample)
+    got_sample = forced(synthdomain._sample_agent, egos, {scene: set(hits)})
+    monkeypatch.setattr(synthdomain, "_sample_agent", got_sample)
+    got = gen_dataset(domain, 30, seed=6, obs_dim=TINY_OBS_DIM)
+    assert as_json(got) == as_json(want)
+    assert got_sample.calls == want_sample.calls
+    assert got_sample.calls[scene] == n_agents[scene] + candidates
+    assert [len(r.agent_gt) for r in got] == [
+        n + kept * (i == scene) for i, n in enumerate(n_agents)]
+
+
+def test_scenes_without_agents_draw_no_candidate(monkeypatch):
+    def fail(*args):
+        raise AssertionError("no candidate or collision check expected")
+
+    monkeypatch.setattr(synthdomain, "_sample_agent", fail)
+    monkeypatch.setattr(synthdomain, "scene_collisions", fail)
+    domain = tiny_domain()
+    # seed 16's first three scenes draw no agents
+    want = gen_dataset_ref(domain, 3, 16, TINY_OBS_DIM)
+    assert [len(r.agent_gt) for r in want] == [0, 0, 0]
+    assert as_json(gen_dataset(domain, 3, seed=16, obs_dim=TINY_OBS_DIM)) == as_json(want)
+    assert gen_dataset(domain, 0, seed=16, obs_dim=TINY_OBS_DIM) == []
 
 
 def test_agent_metadata_consistent():
@@ -116,8 +187,8 @@ def test_agent_metadata_consistent():
 def test_noise_ordering_changes_observations_only():
     quiet = tiny_domain(name="n", noise=0.0)
     loud = tiny_domain(name="n", noise=0.5)
-    a = gen_scene(quiet, rng_for(5, "scene", 0), obs_dim=TINY_OBS_DIM)
-    b = gen_scene(loud, rng_for(5, "scene", 0), obs_dim=TINY_OBS_DIM)
+    [a] = gen_dataset(quiet, 1, seed=5, obs_dim=TINY_OBS_DIM)
+    [b] = gen_dataset(loud, 1, seed=5, obs_dim=TINY_OBS_DIM)
     assert np.allclose(a.ego_gt.points, b.ego_gt.points)
     assert not np.allclose(a.ego_obs, b.ego_obs)
 
