@@ -4,8 +4,13 @@ L2 follows the cumulative-average convention: the value at k seconds is the
 mean point error over all waypoints up to and including k seconds, so the
 overall value equals the 3 s value. Collision uses exact separating-axis
 tests between oriented footprint rectangles at each of the 6 timesteps, with
-headings taken from waypoint chords (one-sided at the endpoints), in one
-array pass over every (scene, agent) pair.
+headings taken from waypoint chords (one-sided at the endpoints).
+
+``evaluate`` works in array passes: one ``avg_l2`` call over every scene's
+trajectory and one ``sat_margin`` call over every (scene, agent) pair. The
+SAT runs on contiguous per-corner x and y arrays, and each ego rectangle's
+edge normals and its projections onto them are computed once per scene and
+gathered for the scene's agents.
 """
 
 from __future__ import annotations
@@ -24,13 +29,13 @@ from .gpmodule import GpInference
 EGO_FOOTPRINT = (4.0, 1.8)  # length, width in meters
 
 
-def avg_l2(pred: Trajectory, gt: Trajectory) -> tuple[float, float, float, float]:
-    """(overall, at 1 s, at 2 s, at 3 s) cumulative-average point errors."""
-    err = np.linalg.norm(pred.points - gt.points, axis=1)
-    at1 = float(err[:2].mean())
-    at2 = float(err[:4].mean())
-    at3 = float(err.mean())
-    return at3, at1, at2, at3
+def avg_l2(pred: np.ndarray, gt: np.ndarray) -> np.ndarray:
+    """Cumulative-average point errors of (..., n, 2) waypoints: the (..., 4)
+    columns (overall, at 1 s, at 2 s, at 3 s), one row per trajectory."""
+    err = np.linalg.norm(pred - gt, axis=-1)
+    at3 = err.mean(axis=-1)
+    return np.stack([at3, err[..., :2].mean(axis=-1), err[..., :4].mean(axis=-1), at3],
+                    axis=-1)
 
 
 def _headings(points: np.ndarray) -> np.ndarray:
@@ -63,30 +68,51 @@ def rect_corners(center: np.ndarray, heading: np.ndarray,
     ], axis=-2)
 
 
-def sat_margin(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _normals(x: np.ndarray, y: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Unit normals (nx, ny) of the edges 0->1 and 1->2 of rectangles given
+    as corner-major coordinates (4, ...)."""
+    out = []
+    for k in (0, 1):
+        nx, ny = -(y[k + 1] - y[k]), x[k + 1] - x[k]
+        norm = np.hypot(nx, ny)
+        out.append((nx / norm, ny / norm))
+    return out
+
+
+def _extent(x: np.ndarray, y: np.ndarray, normal) -> tuple[np.ndarray, np.ndarray]:
+    """(min, max) over the 4 corners of their projections onto ``normal``."""
+    p = x * normal[0] + y * normal[1]
+    return (np.minimum(np.minimum(np.minimum(p[0], p[1]), p[2]), p[3]),
+            np.maximum(np.maximum(np.maximum(p[0], p[1]), p[2]), p[3]))
+
+
+def sat_margin(a: np.ndarray, b: np.ndarray, index: np.ndarray | None = None) -> np.ndarray:
     """Signed overlap of rectangle pairs (..., 4, 2): min over candidate axes
     of projection overlap. Leading dimensions are batch dimensions.
 
     Positive means the rectangles penetrate by at least that much along
     every axis; negative means some axis separates them by that much.
+    With ``index``, ``b[j]`` pairs with ``a[index[j]]``: each rectangle of
+    ``a`` has its edge normals and its projections onto them computed once,
+    then gathered.
     """
-    margin = np.inf
-    for rect in (a, b):
-        # the two unique edge directions per rectangle, and their normals
-        edge = rect[..., 1:3, :] - rect[..., 0:2, :]
-        axis = np.stack([-edge[..., 1], edge[..., 0]], axis=-1)
-        axis = axis / np.hypot(axis[..., 0], axis[..., 1])[..., None]
-        # projections (..., corner, axis)
-        pa = a[..., :, None, 0] * axis[..., None, :, 0] + a[..., :, None, 1] * axis[..., None, :, 1]
-        pb = b[..., :, None, 0] * axis[..., None, :, 0] + b[..., :, None, 1] * axis[..., None, :, 1]
-        overlap = (np.minimum(pa.max(axis=-2), pb.max(axis=-2))
-                   - np.maximum(pa.min(axis=-2), pb.min(axis=-2)))
-        margin = np.minimum(margin, overlap.min(axis=-1))
-    return margin
-
-
-def rects_overlap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return sat_margin(a, b) > 0.0
+    if index is None:
+        a, b = np.broadcast_arrays(a, b)
+    ax, ay = (np.ascontiguousarray(np.moveaxis(a[..., i], -1, 0)) for i in (0, 1))
+    bx, by = (np.ascontiguousarray(np.moveaxis(b[..., i], -1, 0)) for i in (0, 1))
+    a_normals = _normals(ax, ay)
+    a_self = [_extent(ax, ay, n) for n in a_normals]
+    if index is not None:
+        ax, ay = ax[:, index], ay[:, index]
+        a_normals = [(nx[index], ny[index]) for nx, ny in a_normals]
+        a_self = [(lo[index], hi[index]) for lo, hi in a_self]
+    b_normals = _normals(bx, by)
+    extents = ([(ea, _extent(bx, by, n)) for ea, n in zip(a_self, a_normals)]
+               + [(_extent(ax, ay, n), _extent(bx, by, n)) for n in b_normals])
+    overlap = [np.minimum(hi_a, hi_b) - np.maximum(lo_a, lo_b)
+               for (lo_a, hi_a), (lo_b, hi_b) in extents]
+    return np.minimum(np.minimum(overlap[0], overlap[1]),
+                      np.minimum(overlap[2], overlap[3]))
 
 
 def scene_collisions(ego_points: np.ndarray, agent_points: np.ndarray,
@@ -103,14 +129,18 @@ def scene_collisions(ego_points: np.ndarray, agent_points: np.ndarray,
     ego = rect_corners(ego_points, _headings(ego_points), *ego_footprint)
     fp = np.asarray(agent_footprints, dtype=np.float64).reshape(-1, 1, 2)
     agents = rect_corners(agent_points, _headings(agent_points), fp[..., 0], fp[..., 1])
-    hit = rects_overlap(ego[agent_scene], agents).any(axis=-1)
+    hit = (sat_margin(ego, agents, agent_scene) > 0.0).any(axis=-1)
     return np.bincount(agent_scene[hit], minlength=len(ego_points)) > 0
 
 
 def collision(pred_ego: Trajectory, agent_trajs: list[Trajectory],
               agent_footprints: list[tuple[float, float]],
               ego_footprint: tuple[float, float] = EGO_FOOTPRINT) -> bool:
-    """True iff the ego rectangle overlaps any agent rectangle at any step."""
+    """True iff the ego rectangle overlaps any agent rectangle at any step.
+
+    Kept for the tests and because the benchmark probes it by name;
+    ``evaluate`` and the scene generator call ``scene_collisions``.
+    """
     if not agent_trajs:
         return False
     agents = np.stack([t.points for t in agent_trajs])
@@ -126,7 +156,8 @@ def scene_stats(rec: SceneRecord) -> tuple[float, float]:
     arclen = float(lens.sum())
     speed = arclen / 3.0
     theta = np.arctan2(segs[:, 1], segs[:, 0])
-    dtheta = float(np.unwrap(theta)[-1] - np.unwrap(theta)[0])
+    heading = np.unwrap(theta)
+    dtheta = float(heading[-1] - heading[0])
     curv = abs(dtheta) / arclen if arclen > 1e-6 else 0.0
     return speed, curv
 
@@ -198,9 +229,13 @@ def evaluate(records: list[SceneRecord], model, mode: str = "base",
     """
     if mode not in ("base", "roca"):
         raise ValueError(f"unknown eval mode {mode!r}")
-    scenes = [r for r in _subset_filter(records, subset, rarity_bins) if r.labeled]
+    scenes = _subset_filter([r for r in records if r.labeled], subset, rarity_bins)
     if not scenes:
         raise ValueError(f"no labeled scenes after subset filter {subset!r}")
+    for r in scenes:
+        if len(r.agent_gt or []) != r.n_agents:
+            raise ValueError(f"scene {r.scene_id}: {r.n_agents} agent observations "
+                             f"but {len(r.agent_gt or [])} agent trajectories")
     commands = [r.command for r in scenes]
     tokens = encode(np.stack([r.ego_obs for r in scenes]), model.base)
     if mode == "base":
@@ -210,27 +245,22 @@ def evaluate(records: list[SceneRecord], model, mode: str = "base",
         trajs = GpInference(model.cb, model.clf, model.gp).predict_scene(
             tokens, commands)[0]
     trajs = trajs.reshape(len(scenes), -1, 2)
-    pairs = [(i, t.points, fp) for i, r in enumerate(scenes)
-             for t, fp in zip(r.agent_gt or [], r.agent_footprints)]
     hits = scene_collisions(
-        trajs, np.array([p for _, p, _ in pairs]).reshape(-1, *trajs.shape[1:]),
-        np.array([fp for _, _, fp in pairs]).reshape(-1, 2),
-        np.array([i for i, _, _ in pairs], dtype=np.intp))
-
-    rows = []
-    l2s = np.zeros((len(scenes), 4))
-    for i, (rec, hit) in enumerate(zip(scenes, hits)):
-        overall, a1, a2, a3 = avg_l2(Trajectory(trajs[i]), rec.ego_gt)
-        l2s[i] = (overall, a1, a2, a3)
-        rows.append({
-            "scene_id": rec.scene_id,
-            "command": rec.command.value,
-            "l2_overall": f"{overall:.6f}",
-            "l2_at_1s": f"{a1:.6f}",
-            "l2_at_2s": f"{a2:.6f}",
-            "l2_at_3s": f"{a3:.6f}",
-            "collision": int(hit),
-        })
+        trajs,
+        np.array([t.points for r in scenes for t in r.agent_gt or []]
+                 ).reshape(-1, *trajs.shape[1:]),
+        np.array([fp for r in scenes for fp in r.agent_footprints]).reshape(-1, 2),
+        np.repeat(np.arange(len(scenes)), [r.n_agents for r in scenes]))
+    l2s = avg_l2(trajs, np.stack([r.ego_gt.points for r in scenes]))
+    rows = [{
+        "scene_id": rec.scene_id,
+        "command": rec.command.value,
+        "l2_overall": f"{overall:.6f}",
+        "l2_at_1s": f"{a1:.6f}",
+        "l2_at_2s": f"{a2:.6f}",
+        "l2_at_3s": f"{a3:.6f}",
+        "collision": int(hit),
+    } for rec, (overall, a1, a2, a3), hit in zip(scenes, l2s.tolist(), hits.tolist())]
     means = l2s.mean(axis=0)
     return EvalReport(
         n_scenes=len(scenes),

@@ -3,13 +3,14 @@
 These deliberately avoid the library's own linear algebra and geometry: plain
 loops, Gauss-Jordan elimination, Jacobi eigenvalues, a per-matrix jittered
 Cholesky inverse, the out-of-place Adam update, quadrature integration,
-dense point sampling, a scalar separating-axis loop, one-row numpy forms of
-the base model and the group classifier, the codebook's Lloyd clustering
-with every distance recomputed by ``np.linalg.norm`` and per-cluster means,
-a statement of the codebook's group layout with a sort-per-label triplet
-selection, the scene generator drawing and checking one candidate agent at a
-time, and central finite differences. They exist to cross-check the
-production paths and must stay independent of them.
+dense point sampling, a one-scene L2, a broadcast separating-axis margin
+over (..., corner, axis) projections, a scalar separating-axis loop, one-row
+numpy forms of the base model and the group classifier, the codebook's Lloyd
+clustering with every distance recomputed by ``np.linalg.norm`` and
+per-cluster means, a statement of the codebook's group layout with a
+sort-per-label triplet selection, the scene generator drawing and checking
+one candidate agent at a time, and central finite differences. They exist to
+cross-check the production paths and must stay independent of them.
 """
 
 from __future__ import annotations
@@ -310,6 +311,33 @@ def finite_difference(loss_fn, arrays: dict, h: float = 1e-5,
             gflat[i] = (up - down) / (2 * h)
         out[name] = g
     return out
+
+
+# --- planning metrics in their earlier forms --------------------------------
+
+
+def avg_l2_ref(pred: np.ndarray, gt: np.ndarray) -> tuple[float, float, float, float]:
+    """(overall, at 1 s, at 2 s, at 3 s) cumulative-average point errors of
+    one (6, 2) trajectory."""
+    err = np.linalg.norm(pred - gt, axis=1)
+    at3 = float(err.mean())
+    return at3, float(err[:2].mean()), float(err[:4].mean()), at3
+
+
+def sat_margin_ref(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Signed SAT overlap of rectangle pairs (..., 4, 2), by broadcasting the
+    projections of both rectangles onto each rectangle's edge normals."""
+    margin = np.inf
+    for rect in (a, b):
+        edge = rect[..., 1:3, :] - rect[..., 0:2, :]
+        axis = np.stack([-edge[..., 1], edge[..., 0]], axis=-1)
+        axis = axis / np.hypot(axis[..., 0], axis[..., 1])[..., None]
+        pa = a[..., :, None, 0] * axis[..., None, :, 0] + a[..., :, None, 1] * axis[..., None, :, 1]
+        pb = b[..., :, None, 0] * axis[..., None, :, 0] + b[..., :, None, 1] * axis[..., None, :, 1]
+        overlap = (np.minimum(pa.max(axis=-2), pb.max(axis=-2))
+                   - np.maximum(pa.min(axis=-2), pb.min(axis=-2)))
+        margin = np.minimum(margin, overlap.min(axis=-1))
+    return margin
 
 
 # --- separating-axis collision, one pair and one step at a time -------------
