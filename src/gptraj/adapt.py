@@ -19,9 +19,8 @@ import numpy as np
 
 from .basemodel import encode
 from .core import SceneRecord, rng_for
-from .gpmodule import GpInference
 from .synthdomain import strip_labels
-from .trainer import Checkpoint, TrainConfig, TrainingError, _finetune_base
+from .trainer import Checkpoint, TrainConfig, TrainingError, _finetune_base, frozen_gp
 
 
 @dataclass
@@ -89,7 +88,7 @@ def active_select(records: list[SceneRecord], ckpt: Checkpoint, budget: float,
 
     model = ckpt.model
     tokens = encode(np.stack([r.ego_obs for r in records]), model.base)
-    _, variance, _, _ = GpInference(model.cb, model.clf, model.gp).predict_scene(
+    _, variance, _, _ = frozen_gp(model, "active-select GP set-up").predict_scene(
         tokens, [r.command for r in records])
     scored = [(r.scene_id, v) for r, v in zip(records, variance.tolist())]
     scored.sort(key=lambda t: (-t[1], t[0]))

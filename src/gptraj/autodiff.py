@@ -5,11 +5,21 @@ holding its value, its parent nodes, and a vector-Jacobian-product closure.
 ``backward`` walks the tape once in reverse topological order. Primitives are
 matrix-level (batched matmul, reductions, elementwise transcendentals, a
 batched PSD inverse), so tapes stay short even for whole training steps.
+
+The vjp contract: a node's vjp takes the upstream gradient and returns one
+thunk per parent, which computes that parent's gradient. ``backward`` calls
+the thunks of the parents that need a gradient (parameters and tape nodes,
+not constants), in parent order, and no others, so no operation computes a
+gradient that is dropped. Neither a vjp nor its thunks write into the
+upstream gradient. A thunk returns its parent's gradient in the parent's
+shape, as a view of the upstream gradient or as an array that nothing else
+holds, which ``backward`` may keep as the parent's gradient.
 """
 
 from __future__ import annotations
 
 import contextlib
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -32,8 +42,7 @@ def no_grad():
 class Tensor:
     """A tape node: float64 array plus backward plumbing.
 
-    ``_vjp`` maps the upstream gradient to one gradient per parent (``None``
-    for parents that do not require gradient flow).
+    ``_vjp`` maps the upstream gradient to one gradient thunk per parent.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp")
@@ -96,32 +105,31 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     out = a.data + b.data
-    return _make(out, (a, b), lambda g: (_unbroadcast(g, a.data.shape),
-                                         _unbroadcast(g, b.data.shape)))
+    return _make(out, (a, b), lambda g: (lambda: _unbroadcast(g, a.data.shape),
+                                         lambda: _unbroadcast(g, b.data.shape)))
 
 
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     out = a.data - b.data
-    return _make(out, (a, b), lambda g: (_unbroadcast(g, a.data.shape),
-                                         _unbroadcast(-g, b.data.shape)))
+    return _make(out, (a, b), lambda g: (lambda: _unbroadcast(g, a.data.shape),
+                                         lambda: _unbroadcast(-g, b.data.shape)))
 
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     out = a.data * b.data
-    return _make(out, (a, b), lambda g: (_unbroadcast(g * b.data, a.data.shape),
-                                         _unbroadcast(g * a.data, b.data.shape)))
+    return _make(out, (a, b), lambda g: (
+        lambda: _unbroadcast(g * b.data, a.data.shape),
+        lambda: _unbroadcast(g * a.data, b.data.shape)))
 
 
 def div(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     out = a.data / b.data
-    def vjp(g):
-        ga = _unbroadcast(g / b.data, a.data.shape)
-        gb = _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape)
-        return ga, gb
-    return _make(out, (a, b), vjp)
+    return _make(out, (a, b), lambda g: (
+        lambda: _unbroadcast(g / b.data, a.data.shape),
+        lambda: _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape)))
 
 
 def matmul(a, b) -> Tensor:
@@ -136,9 +144,10 @@ def matmul(a, b) -> Tensor:
 
     def vjp(g):
         g = np.reshape(g, out2)
-        ga = _unbroadcast(g @ np.swapaxes(b2, -1, -2), a2.shape)
-        gb = _unbroadcast(np.swapaxes(a2, -1, -2) @ g, b2.shape)
-        return ga.reshape(a.data.shape), gb.reshape(b.data.shape)
+        return (lambda: _unbroadcast(g @ np.swapaxes(b2, -1, -2),
+                                     a2.shape).reshape(a.data.shape),
+                lambda: _unbroadcast(np.swapaxes(a2, -1, -2) @ g,
+                                     b2.shape).reshape(b.data.shape))
 
     return _make(out, (a, b), vjp)
 
@@ -146,7 +155,8 @@ def matmul(a, b) -> Tensor:
 def transpose(a) -> Tensor:
     """Swap the last two axes."""
     a = as_tensor(a)
-    return _make(np.swapaxes(a.data, -1, -2), (a,), lambda g: (np.swapaxes(g, -1, -2),))
+    return _make(np.swapaxes(a.data, -1, -2), (a,),
+                 lambda g: (lambda: np.swapaxes(g, -1, -2),))
 
 
 def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
@@ -157,7 +167,7 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
         g = np.asarray(g)
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.data.shape).copy(),)
+        return (lambda: np.broadcast_to(g, a.data.shape).copy(),)
 
     return _make(out, (a,), vjp)
 
@@ -174,35 +184,35 @@ def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
 def exp(a) -> Tensor:
     a = as_tensor(a)
     out = np.exp(a.data)
-    return _make(out, (a,), lambda g: (g * out,))
+    return _make(out, (a,), lambda g: (lambda: g * out,))
 
 
 def log(a) -> Tensor:
     a = as_tensor(a)
-    return _make(np.log(a.data), (a,), lambda g: (g / a.data,))
+    return _make(np.log(a.data), (a,), lambda g: (lambda: g / a.data,))
 
 
 def tanh(a) -> Tensor:
     a = as_tensor(a)
     out = np.tanh(a.data)
-    return _make(out, (a,), lambda g: (g * (1.0 - out * out),))
+    return _make(out, (a,), lambda g: (lambda: g * (1.0 - out * out),))
 
 
 def sqrt(a) -> Tensor:
     a = as_tensor(a)
     out = np.sqrt(a.data)
-    return _make(out, (a,), lambda g: (g * 0.5 / out,))
+    return _make(out, (a,), lambda g: (lambda: g * 0.5 / out,))
 
 
 def square(a) -> Tensor:
     a = as_tensor(a)
-    return _make(a.data * a.data, (a,), lambda g: (2.0 * g * a.data,))
+    return _make(a.data * a.data, (a,), lambda g: (lambda: 2.0 * g * a.data,))
 
 
 def relu(a) -> Tensor:
     a = as_tensor(a)
     mask = a.data > 0.0
-    return _make(np.where(mask, a.data, 0.0), (a,), lambda g: (g * mask,))
+    return _make(np.where(mask, a.data, 0.0), (a,), lambda g: (lambda: g * mask,))
 
 
 def clamp(a, lo: float, hi: float) -> Tensor:
@@ -210,12 +220,13 @@ def clamp(a, lo: float, hi: float) -> Tensor:
     a = as_tensor(a)
     out = np.clip(a.data, lo, hi)
     mask = (a.data >= lo) & (a.data <= hi)
-    return _make(out, (a,), lambda g: (g * mask,))
+    return _make(out, (a,), lambda g: (lambda: g * mask,))
 
 
 def reshape(a, shape) -> Tensor:
     a = as_tensor(a)
-    return _make(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.data.shape),))
+    return _make(a.data.reshape(shape), (a,),
+                 lambda g: (lambda: g.reshape(a.data.shape),))
 
 
 def narrow(a, start: int, stop: int, axis: int = 0) -> Tensor:
@@ -224,33 +235,37 @@ def narrow(a, start: int, stop: int, axis: int = 0) -> Tensor:
     index = (slice(None),) * axis + (slice(start, stop),)
     out = a.data[index]
 
-    def vjp(g):
+    def grad_a(g):
         full = np.zeros_like(a.data)
         full[index] = g
-        return (full,)
+        return full
 
-    return _make(out, (a,), vjp)
+    return _make(out, (a,), lambda g: (lambda: grad_a(g),))
 
 
 def stack(parts: Sequence) -> Tensor:
     """Stack equally shaped tensors along a new leading axis."""
     parts = [as_tensor(p) for p in parts]
     out = np.stack([p.data for p in parts])
-    return _make(out, tuple(parts), lambda g: tuple(g))
+    return _make(out, tuple(parts),
+                 lambda g: tuple((lambda i=i: g[i]) for i in range(len(parts))))
 
 
 def gather0(a, idx) -> Tensor:
-    """Select entries/rows along axis 0 by integer index array."""
+    """Select entries/rows along axis 0 by an integer index array of ids in
+    [0, len(a))."""
     a = as_tensor(a)
     idx = np.asarray(idx, dtype=np.intp)
     out = a.data[idx]
 
-    def vjp(g):
-        full = np.zeros_like(a.data)
-        np.add.at(full, idx, g)
-        return (full,)
+    def grad_a(g):
+        # one bincount over flat (row, column) ids: np.add.at's in-order sums
+        width = math.prod(a.data.shape[1:])
+        ids = (idx.reshape(-1, 1) * width + np.arange(width)).reshape(-1)
+        return np.bincount(ids, weights=np.reshape(g, -1),
+                           minlength=a.data.size).reshape(a.data.shape)
 
-    return _make(out, (a,), vjp)
+    return _make(out, (a,), lambda g: (lambda: grad_a(g),))
 
 
 def psd_inverse(a) -> Tensor:
@@ -267,14 +282,20 @@ def psd_inverse(a) -> Tensor:
     inv = psdlinalg.solve_with_factor(psdlinalg.cholesky_factor(a.data),
                                       np.eye(a.data.shape[-1]))
     inv_t = np.swapaxes(inv, -1, -2)
-    return _make(inv, (a,), lambda g: (-(inv_t @ g @ inv_t),))
+    return _make(inv, (a,), lambda g: (lambda: -(inv_t @ g @ inv_t),))
 
 
-def backward(root: Tensor) -> None:
-    """Accumulate gradients of a scalar ``root`` into every tape node that
-    requires them; constant leaves keep ``grad`` None."""
+def backward(root: Tensor, into: dict[int, np.ndarray] | None = None) -> None:
+    """Accumulate gradients of a scalar ``root`` into the leaves that
+    require them; constant leaves keep ``grad`` None, and a tape node drops
+    its gradient once it has passed it on to its parents.
+
+    ``into`` maps the ``id`` of a leaf to a buffer of its shape that becomes
+    its ``grad``: the first gradient is copied into it, later ones added.
+    """
     if root.data.ndim != 0:
         raise ValueError("backward expects a scalar loss")
+    into = into or {}
     topo: list[Tensor] = []
     visited: set[int] = set()
     stack: list[tuple[Tensor, bool]] = [(root, False)]
@@ -295,30 +316,35 @@ def backward(root: Tensor) -> None:
     for node in reversed(topo):
         if node._vjp is None or node.grad is None:
             continue
-        for p, g in zip(node._parents, node._vjp(node.grad)):
-            if g is None or not (p.requires_grad or p._vjp is not None):
-                continue  # constants take no gradient
+        for p, thunk in zip(node._parents, node._vjp(node.grad)):
+            if not (p.requires_grad or p._vjp is not None):
+                continue  # constants take no gradient: their thunk never runs
+            g = thunk()
             if p.grad is not None:
                 p.grad += g
-            elif g.shape == p.data.shape:
-                p.grad = np.array(g, dtype=np.float64)  # a copy: g may alias
+            elif id(p) in into:
+                p.grad = into[id(p)]
+                p.grad[...] = g
+            elif g.flags.writeable and not np.may_share_memory(g, node.grad):
+                p.grad = g  # a new array, which nothing else holds
             else:
-                p.grad = np.zeros_like(p.data)
-                p.grad += g
+                p.grad = np.array(g)  # a copy: g may alias
+        node.grad = None
 
 
-def grad(loss: Tensor, params: dict[str, Tensor]) -> dict[str, np.ndarray]:
+def grad(loss: Tensor, params: dict[str, Tensor],
+         out: dict[str, np.ndarray] | None = None) -> dict[str, np.ndarray]:
     """Gradient map of a scalar loss for the named parameters.
 
     Parameters absent from the tape get zero gradients. Existing ``.grad``
-    buffers on the parameters are reset first.
+    buffers on the parameters are reset first; with ``out``, a map of
+    buffers of the parameters' shapes, each gradient is written into its
+    buffer.
     """
     if not np.isfinite(loss.data):
         raise FloatingPointError("non-finite loss")
     for p in params.values():
         p.grad = None
-    backward(loss)
-    return {
-        name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
-        for name, p in params.items()
-    }
+    backward(loss, out and {id(p): out[name] for name, p in params.items()})
+    return {name: np.zeros_like(p.data) if p.grad is None else p.grad
+            for name, p in params.items()}

@@ -24,7 +24,7 @@ import numpy as np
 from .basemodel import encode, plan
 from .codebook import admissible
 from .core import Command, SceneRecord, Trajectory
-from .gpmodule import GpInference
+from .trainer import frozen_gp
 
 EGO_FOOTPRINT = (4.0, 1.8)  # length, width in meters
 
@@ -242,8 +242,7 @@ def evaluate(records: list[SceneRecord], model, mode: str = "base",
         trajs = plan(tokens, admissible(model.cb, commands), model.base,
                      model.cb.traj_anchors())[0]
     else:
-        trajs = GpInference(model.cb, model.clf, model.gp).predict_scene(
-            tokens, commands)[0]
+        trajs = frozen_gp(model, "eval GP set-up").predict_scene(tokens, commands)[0]
     trajs = trajs.reshape(len(scenes), -1, 2)
     hits = scene_collisions(
         trajs,

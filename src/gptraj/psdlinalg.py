@@ -84,12 +84,25 @@ def _sq_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Squared distances (..., N, M) between the rows of x (..., N, D) and
     y (..., M, D), clipped at 0, in one buffer updated in place: a call over
     many rows holds one such array instead of one per arithmetic step."""
+    if x.shape[-1] != y.shape[-1]:
+        raise ValueError(f"token dimension mismatch: {x.shape[-1]} vs {y.shape[-1]}")
     d2 = x @ np.swapaxes(y, -1, -2)
     d2 *= 2.0
     np.subtract(np.sum(x * x, axis=-1)[..., :, None], d2, out=d2)
     d2 += np.sum(y * y, axis=-1)[..., None, :]
     np.maximum(d2, 0.0, out=d2)
     return d2
+
+
+def _rbf(d2: np.ndarray, p: KernelParams, out: np.ndarray) -> np.ndarray:
+    """The kernel of squared distances ``d2``, written into ``out`` (which may
+    be ``d2``)."""
+    ell = p.lengthscale
+    np.negative(d2, out=out)
+    out /= 2.0 * ell * ell
+    np.exp(out, out=out)
+    out *= p.outputscale ** 2
+    return out
 
 
 def kernel_matrix(xs, ys, p: KernelParams) -> np.ndarray:
@@ -100,15 +113,8 @@ def kernel_matrix(xs, ys, p: KernelParams) -> np.ndarray:
     """
     x = np.atleast_2d(np.asarray(xs, dtype=np.float64))
     y = np.atleast_2d(np.asarray(ys, dtype=np.float64))
-    if x.shape[-1] != y.shape[-1]:
-        raise ValueError(f"token dimension mismatch: {x.shape[-1]} vs {y.shape[-1]}")
     k = _sq_dists(x, y)
-    ell = p.lengthscale
-    np.negative(k, out=k)
-    k /= 2.0 * ell * ell
-    np.exp(k, out=k)
-    k *= p.outputscale ** 2
-    return k
+    return _rbf(k, p, out=k)
 
 
 def cholesky_factor(a: np.ndarray) -> CholeskyFactor:
@@ -166,25 +172,31 @@ def kernel_matrix_t(x, y, log_lengthscale, log_outputscale) -> Tensor:
     """Differentiable ``kernel_matrix`` between row-stacked token matrices
     (..., N, D) and (..., M, D), with the log-hyperparameters as tensors.
 
-    One tape node. Its forward is ``kernel_matrix``; its backward recomputes
-    the squared distances and applies the closed-form gradients
-    dk/dd2 = -k / (2 l^2), dk/dlog_l = k d2 / l^2 and dk/dlog_sf = 2 k, with
-    no gradient through distances clipped at 0.
+    One tape node. Untracked, it is ``kernel_matrix``. Tracked, it keeps its
+    squared distances for the backward, which applies the closed-form
+    gradients dk/dd2 = -k / (2 l^2), dk/dlog_l = k d2 / l^2 and
+    dk/dlog_sf = 2 k, with no gradient through distances clipped at 0.
     """
     x, y, log_ell, log_sf = (autodiff.as_tensor(t) for t in
                              (x, y, log_lengthscale, log_outputscale))
     p = KernelParams(float(log_ell.data), float(log_sf.data))
-    k = kernel_matrix(x.data, y.data, p)
+    if not autodiff._tracked(x, y, log_ell, log_sf):
+        return Tensor(kernel_matrix(x.data, y.data, p))
     x2, y2 = np.atleast_2d(x.data), np.atleast_2d(y.data)
+    d2 = _sq_dists(x2, y2)
+    k = _rbf(d2, p, out=np.empty_like(d2))
 
     def vjp(g):
-        d2 = _sq_dists(x2, y2)
-        gk = g * k
-        gd2 = np.where(d2 > 0.0, gk, 0.0) * (-0.5 / p.lengthscale ** 2)
-        gx = 2.0 * (np.sum(gd2, axis=-1)[..., None] * x2 - gd2 @ y2)
-        gy = 2.0 * (np.sum(gd2, axis=-2)[..., None] * y2
-                    - np.swapaxes(gd2, -1, -2) @ x2)
-        return (gx.reshape(x.data.shape), gy.reshape(y.data.shape),
-                np.array(-2.0 * np.sum(gd2 * d2)), np.array(2.0 * np.sum(gk)))
+        gd2 = np.multiply(g, k)
+        sf_grad = np.array(2.0 * np.sum(gd2))
+        np.copyto(gd2, 0.0, where=~(d2 > 0.0))
+        gd2 *= -0.5 / p.lengthscale ** 2
+        return (lambda: (2.0 * (np.sum(gd2, axis=-1)[..., None] * x2 - gd2 @ y2)
+                         ).reshape(x.data.shape),
+                lambda: (2.0 * (np.sum(gd2, axis=-2)[..., None] * y2
+                                - np.swapaxes(gd2, -1, -2) @ x2)).reshape(y.data.shape),
+                # scales gd2 in place: backward runs it after the two above
+                lambda: np.array(-2.0 * np.sum(np.multiply(gd2, d2, out=gd2))),
+                lambda: sf_grad)
 
     return autodiff._make(k, (x, y, log_ell, log_sf), vjp)

@@ -129,11 +129,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.seed is None:
             raise ValueError("seed is mandatory")
-        for name in ("epochs_stage1", "epochs_stage2", "epochs_stage3",
-                     "adapt_epochs", "batch_size"):
-            if getattr(self, name) < 0 or (name == "batch_size" and self.batch_size < 1):
-                raise ValueError(f"{name} must be positive")
-        for name in ("lr_stage12", "lr_stage3", "beta1", "beta2", "eps"):
+        for name in ("epochs_stage1", "epochs_stage2", "epochs_stage3", "adapt_epochs"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative")
+        for name in ("batch_size", "lr_stage12", "lr_stage3", "beta1", "beta2", "eps"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         lo, hi = self.sigma_clamp
@@ -152,75 +151,117 @@ class Model:
         return copy.deepcopy(self)
 
 
+def _views(flat: np.ndarray, shapes: dict[str, tuple]) -> dict[str, np.ndarray]:
+    """Consecutive views of the 1-D ``flat``, one per named shape, in order."""
+    ends = np.cumsum([np.prod(s, dtype=np.int64) for s in shapes.values()])
+    return {name: part.reshape(shape) for (name, shape), part
+            in zip(shapes.items(), np.split(flat, ends[:-1]))}
+
+
+def _flat_buffer(params: dict[str, Tensor]) -> np.ndarray:
+    """The 1-D buffer that holds the parameters' data as consecutive views,
+    in order: their own if they are such views, else a new one they are
+    copied into and rebound to."""
+    arrays = [p.data for p in params.values()]
+    flat, ends = arrays[0].base, np.cumsum([a.size for a in arrays])
+    if (flat is None or flat.ndim != 1 or flat.size != ends[-1] or not all(
+            a.base is flat and a.flags.c_contiguous
+            and a.ctypes.data == flat.ctypes.data + 8 * (end - a.size)
+            for a, end in zip(arrays, ends))):
+        flat = np.concatenate([np.ravel(a) for a in arrays])
+        for p, view in zip(params.values(), _views(
+                flat, {k: a.shape for k, a in zip(params, arrays)}).values()):
+            p.data = view
+    return flat
+
+
 class Adam:
-    """Adam with bias correction; updates parameter arrays in place."""
+    """Adam with bias correction over one flat buffer per stage.
+
+    Parameters, gradients and the moments m and v each live in one flat
+    float64 buffer. The parameter tensors (and, through the registries, the
+    model's arrays) are views of the first; ``grads``, ``m`` and ``v`` map
+    each name to its view of the others. ``step`` is one fused pass with one
+    scratch buffer; it computes the step in the gradient buffer once m and v
+    are updated, so a step spends its gradients.
+    """
 
     def __init__(self, params: dict[str, Tensor], lr: float, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
-        self.params = params
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
-        self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
+        self.flat = _flat_buffer(params)
+        self._g, self._m, self._v, self._scratch = (np.zeros_like(self.flat)
+                                                    for _ in range(4))
+        shapes = {k: p.data.shape for k, p in params.items()}
+        self.grads, self.m, self.v = (_views(b, shapes)
+                                      for b in (self._g, self._m, self._v))
 
     def step(self, grads: dict[str, np.ndarray]) -> None:
+        for name, view in self.grads.items():
+            if grads[name] is not view:
+                view[...] = grads[name]
         self.t += 1
         b1, b2 = self.beta1, self.beta2
+        g, m, v, s = self._g, self._m, self._v, self._scratch
         # in place, with the out-of-place update's operations in the same order,
         # so the bits do not change
-        for name, p in self.params.items():
-            g, m, v = grads[name], self.m[name], self.v[name]
-            step, v_hat = np.empty_like(m), np.empty_like(v)  # arrays also for 0-d
-            m *= b1
-            m += np.multiply(1 - b1, g, out=step)
-            v *= b2
-            np.multiply(1 - b2, g, out=v_hat)
-            v_hat *= g
-            v += v_hat
-            np.divide(m, 1 - b1 ** self.t, out=step)
-            step *= self.lr
-            np.divide(v, 1 - b2 ** self.t, out=v_hat)
-            np.sqrt(v_hat, out=v_hat)
-            v_hat += self.eps
-            step /= v_hat
-            p.data -= step
+        m *= b1
+        m += np.multiply(1 - b1, g, out=s)
+        v *= b2
+        np.multiply(1 - b2, g, out=s)
+        s *= g
+        v += s
+        step = np.divide(m, 1 - b1 ** self.t, out=g)
+        step *= self.lr
+        np.divide(v, 1 - b2 ** self.t, out=s)
+        np.sqrt(s, out=s)
+        s += self.eps
+        step /= s
+        self.flat -= step
 
 
 # --- parameter registries ----------------------------------------------------
 
 
+def _tensor_owners(model: Model) -> dict[str, tuple[object, str]]:
+    """Each checkpoint tensor's name, with the object and attribute holding it."""
+    return {**{f"base.{n}": (model.base, n) for n in PARAM_NAMES},
+            **{f"clf.{n}": (model.clf, n) for n in CLASSIFIER_NAMES},
+            **{f"gp.{n}": (model.gp, n) for n in GP_SCALAR_NAMES},
+            "cb.basis": (model.cb, "basis"), "cb.trajs": (model.cb, "trajectories")}
+
+
+def _parameters(model: Model, names) -> dict[str, Tensor]:
+    """The named model tensors as parameters over one flat buffer; the
+    model's attributes become views of it (the GP scalars 0-d ones)."""
+    owners = _tensor_owners(model)
+    params = {n: Tensor(getattr(*owners[n]), requires_grad=True) for n in names}
+    _flat_buffer(params)
+    for n, p in params.items():
+        setattr(*owners[n], p.data)
+    return params
+
+
 def base_param_tensors(model: Model) -> dict[str, Tensor]:
-    b = model.base
-    out = {}
-    for n in PARAM_NAMES:
-        arr = np.ascontiguousarray(getattr(b, n), dtype=np.float64)
-        setattr(b, n, arr)  # tensors alias the model arrays
-        t = Tensor(arr)
-        t.requires_grad = True
-        out[f"base.{n}"] = t
-    return out
+    return _parameters(model, [f"base.{n}" for n in PARAM_NAMES])
 
 
 def gp_param_tensors(model: Model) -> dict[str, Tensor]:
-    g = model.gp
-    out = {}
-    for n in GP_SCALAR_NAMES:
-        out[f"gp.{n}"] = autodiff.parameter(np.array(getattr(g, n), dtype=np.float64))
-    for n in CLASSIFIER_NAMES:
-        arr = np.ascontiguousarray(getattr(model.clf, n), dtype=np.float64)
-        setattr(model.clf, n, arr)
-        t = Tensor(arr)
-        t.requires_grad = True
-        out[f"clf.{n}"] = t
-    cb = model.cb
-    cb.basis = np.ascontiguousarray(cb.basis, dtype=np.float64)
-    t = Tensor(cb.basis)
-    t.requires_grad = True
-    out["cb.basis"] = t
-    return out
+    return _parameters(model, [*(f"gp.{n}" for n in GP_SCALAR_NAMES),
+                               *(f"clf.{n}" for n in CLASSIFIER_NAMES), "cb.basis"])
+
+
+def frozen_gp(model: Model, what: str) -> GpInference:
+    """The model's GP module, frozen; a conditioning that is not positive
+    definite raises a TrainingError that starts with ``what``."""
+    try:
+        return GpInference(model.cb, model.clf, model.gp)
+    except NotPSD as e:
+        raise TrainingError(f"{what}: {e}") from e
 
 
 def gp_graph(cb: Codebook, params: dict[str, Tensor]) -> GpGraph:
@@ -229,11 +270,6 @@ def gp_graph(cb: Codebook, params: dict[str, Tensor]) -> GpGraph:
         cb, params["cb.basis"],
         {n: params[f"clf.{n}"] for n in CLASSIFIER_NAMES},
         *(params[f"gp.{n}"] for n in GP_SCALAR_NAMES))
-
-
-def _sync_gp_scalars(model: Model, params: dict[str, Tensor]) -> None:
-    for n in GP_SCALAR_NAMES:
-        setattr(model.gp, n, float(params[f"gp.{n}"].data))
 
 
 def _project_noise(params: dict[str, Tensor], sigma_clamp) -> None:
@@ -458,8 +494,7 @@ def _run_epochs(table: SceneTable, cfg: TrainConfig, params, step_loss_fn, *,
                     raise TrainingError(
                         f"non-finite loss term {bad!r} at {stage} step {step}")
                 total = autodiff.mul(total_bd.total, 1.0 / batch.n_ego)
-                grads = grad(total, params)
-                opt.step(grads)
+                opt.step(grad(total, params, out=opt.grads))
                 if post_step is not None:
                     post_step()
                 if log_path is not None:
@@ -530,9 +565,7 @@ def stage2_fit_gp(records, ckpt: "Checkpoint", cfg: TrainConfig,
 
     _run_epochs(table, cfg, params, loss_fn, epochs=cfg.epochs_stage2,
                 lr=cfg.lr_stage12, stage="stage2", log_path=log_path,
-                post_step=lambda: (_project_noise(params, cfg.sigma_clamp),
-                                   _sync_gp_scalars(model, params)))
-    _sync_gp_scalars(model, params)
+                post_step=lambda: _project_noise(params, cfg.sigma_clamp))
     return Checkpoint(stage="stage2", model=model, train_config=cfg,
                       model_spec=ckpt.model_spec)
 
@@ -545,10 +578,7 @@ def _finetune_base(records, ckpt: "Checkpoint", cfg: TrainConfig, *, use_gt: boo
     bvars = base_param_tensors(model)
     teacher = None
     if use_teacher and cfg.gp_weight != 0.0:
-        try:
-            teacher = GpInference(model.cb, model.clf, model.gp)
-        except NotPSD as e:
-            raise TrainingError(f"{stage} teacher set-up: {e}") from e
+        teacher = frozen_gp(model, f"{stage} teacher set-up")
     elif not use_gt:
         raise TrainingError(f"{stage}: no ground truth and no teacher leaves no loss")
     table = SceneTable(records, model.cb, labeled=use_gt)
@@ -585,16 +615,8 @@ class Checkpoint:
     model_spec: ModelSpec
 
     def named_tensors(self) -> dict[str, np.ndarray]:
-        out: dict[str, np.ndarray] = {}
-        for n in PARAM_NAMES:
-            out[f"base.{n}"] = getattr(self.model.base, n)
-        for n in CLASSIFIER_NAMES:
-            out[f"clf.{n}"] = getattr(self.model.clf, n)
-        for n in GP_SCALAR_NAMES:
-            out[f"gp.{n}"] = np.array(getattr(self.model.gp, n))
-        out["cb.basis"] = self.model.cb.basis
-        out["cb.trajs"] = self.model.cb.trajectories
-        return out
+        return {name: np.asarray(getattr(*owner))
+                for name, owner in _tensor_owners(self.model).items()}
 
     def save(self, path) -> None:
         path = Path(path)

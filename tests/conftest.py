@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import sys
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from gptraj import psdlinalg
 from gptraj.core import COMMANDS, Command
 from gptraj.synthdomain import DomainSpec, gen_dataset
 from gptraj.trainer import ModelSpec, TrainConfig, build_model
@@ -57,6 +59,25 @@ def tiny_dataset():
 @pytest.fixture(scope="session")
 def tiny_model(tiny_dataset):
     return build_model(tiny_dataset, tiny_config(), tiny_spec())
+
+
+def corrupting_factor(call: int, group: int):
+    """The real ``cholesky_factor``, except that its ``call``-th call (from
+    0) gets a stack in which group ``group``'s matrix is -I.
+
+    Each GP conditioning factors the stack of all groups once, so call s is
+    step s's conditioning.
+    """
+    calls = itertools.count()
+    real = psdlinalg.cholesky_factor
+
+    def factor(a):
+        if next(calls) == call:
+            a = a.copy()
+            a[group] = -np.eye(a.shape[-1])
+        return real(a)
+
+    return factor
 
 
 def assert_commands_covered(records):

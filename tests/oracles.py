@@ -2,7 +2,7 @@
 
 These deliberately avoid the library's own linear algebra and geometry: plain
 loops, Gauss-Jordan elimination, Jacobi eigenvalues, a per-matrix jittered
-Cholesky inverse, the out-of-place Adam update, quadrature integration,
+Cholesky inverse, a scatter-add loop, the out-of-place Adam update, quadrature integration,
 dense point sampling, a one-scene L2, a broadcast separating-axis margin
 over (..., corner, axis) projections, a scalar separating-axis loop, one-row
 numpy forms of the base model and the group classifier, the codebook's Lloyd
@@ -90,6 +90,18 @@ def psd_inverse_ref(stack: np.ndarray, ladder) -> tuple[np.ndarray, np.ndarray]:
         inv[i] = solve_triangular(lower.T, l_inv, lower=False)
         jitters[i] = jitter
     return inv.reshape(stack.shape), jitters.reshape(stack.shape[:-2])
+
+
+def add_at_ref(shape: tuple, idx, g) -> np.ndarray:
+    """``np.add.at(np.zeros(shape), idx, g)`` as a plain loop: each entry
+    of row ``idx[i]`` adds ``g[i]``'s entry in index order, from 0.0."""
+    out = np.zeros(shape)
+    flat = out.reshape(shape[0], -1)
+    ids = np.asarray(idx).reshape(-1)
+    for i, row in zip(ids, np.reshape(g, (len(ids), flat.shape[1]))):
+        for j, x in enumerate(row):
+            flat[i, j] += x
+    return out
 
 
 def adam_ref(p, g, m, v, t: int, lr: float, b1: float, b2: float, eps: float):

@@ -8,6 +8,8 @@ import pytest
 from gptraj import autodiff, psdlinalg
 from gptraj.autodiff import Tensor
 
+from oracles import add_at_ref
+
 
 def numeric_grad(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
     g = np.zeros_like(x)
@@ -113,6 +115,32 @@ def test_gather_repeated_indices_accumulate():
     assert np.array_equal(x.grad, [0.0, 3.0, 0.0])
 
 
+@pytest.mark.parametrize("shape,idx", [
+    ((7,), [3, 0, 3, 6, 0]),
+    ((5, 4), [4, 1, 4]),
+    ((6, 3, 3), [1, 5, 1, 0]),
+    ((5, 4), [[0, 2], [2, 2], [4, 1]]),  # 2-D ids, as the triplet tables
+    ((4, 3), [2] * 200),  # a pairwise sum of the 200 rows would differ
+    ((3, 2), np.zeros(0, dtype=int)),
+], ids=["1d", "2d", "3d", "2d-ids", "repeated", "empty"])
+def test_gather_gradient_is_the_add_at_loop_bit_for_bit(shape, idx):
+    rng = np.random.default_rng(len(shape))
+    idx = np.asarray(idx)
+    # magnitudes over 16 decades, so that the summation order shows
+    g = rng.normal(size=idx.shape + shape[1:]) * 10.0 ** rng.integers(
+        -8, 8, size=idx.shape + shape[1:])
+    got = autodiff.gather0(autodiff.parameter(np.ones(shape)), idx)._vjp(g)[0]()
+    assert got.shape == shape
+    assert got.tobytes() == add_at_ref(shape, idx, g).tobytes()
+
+
+def test_gather_gradient_of_negative_zeros_is_positive_zero():
+    got = autodiff.gather0(autodiff.parameter(np.ones((3, 2))), [0, 0, 2])._vjp(
+        np.full((3, 2), -0.0))[0]()
+    assert got.tobytes() == add_at_ref((3, 2), [0, 0, 2], np.full((3, 2), -0.0)).tobytes()
+    assert not np.signbit(got).any()
+
+
 def test_psd_inverse_gradients():
     # a stack of two SPD matrices m m^T + 4 I, weighted unevenly
     w = np.random.default_rng(7).normal(size=(2, 4, 4))
@@ -144,6 +172,32 @@ def test_fused_rbf_kernel_gradients_with_batch_axes():
     check_op(lambda b, log_ell, log_sf: autodiff.tsum(autodiff.mul(
         psdlinalg.kernel_matrix_t(b, b, log_ell, log_sf), w)), (2, 3, 4), (), (),
         seed=6)
+
+
+@pytest.mark.parametrize("op,shapes", [
+    (autodiff.add, [(3, 4), (4,)]),
+    (autodiff.sub, [(3, 4), (3, 1)]),
+    (autodiff.mul, [(2, 3), (2, 3)]),
+    (autodiff.div, [(4,), (3, 4)]),
+    (autodiff.matmul, [(2, 3, 4), (4, 5)]),
+    (psdlinalg.kernel_matrix_t, [(2, 3, 4), (2, 5, 4), (), ()]),
+], ids=["add", "sub", "mul", "div", "matmul", "kernel_matrix_t"])
+def test_a_parents_gradient_does_not_depend_on_what_else_needs_one(op, shapes):
+    rng = np.random.default_rng(8)
+    arrays = [rng.uniform(0.5, 1.5, size=s) for s in shapes]
+    w = rng.normal(size=op(*arrays).shape)
+
+    def grads(needed):
+        parents = [autodiff.parameter(a) if i in needed else Tensor(a)
+                   for i, a in enumerate(arrays)]
+        autodiff.backward(autodiff.tsum(autodiff.mul(op(*parents), w)))
+        return [p.grad for p in parents]
+
+    every = grads(range(len(arrays)))
+    for i in range(len(arrays)):
+        alone = grads({i})
+        assert alone[i].tobytes() == every[i].tobytes()
+        assert all(g is None for j, g in enumerate(alone) if j != i)
 
 
 def test_shared_subexpression_accumulates():

@@ -10,8 +10,10 @@ from pathlib import Path
 
 import pytest
 
-from gptraj import cli, trainer
+from gptraj import cli, psdlinalg, trainer
 from gptraj.core import load_dataset
+
+from conftest import corrupting_factor
 
 TOY_CONFIG = {
     "seed": 0,
@@ -62,6 +64,22 @@ def test_cli_pipeline_at_toy_size(tmp_path, monkeypatch, capsys):
     assert lines[0] == f"schema: {trainer.CHECKPOINT_SCHEMA}  stage: stage2"
     assert trainer.CHECKPOINT_SCHEMA == 2
     assert "  cb.basis  [19, 4, 8]" in lines
+
+
+def test_gp_set_up_failure_names_the_command(tmp_path, monkeypatch, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(TOY_CONFIG))
+    argv = ["--config", str(config), "--out-dir", str(tmp_path / "run")]
+    assert cli.cli_run(argv + ["gen-data"]) == 0
+    assert cli.cli_run(argv + ["pretrain"]) == 0
+    ckpt = ["--ckpt", str(tmp_path / "run" / "ckpt_stage1.bin")]
+    for command, args in (("eval", ["--mode", "roca"]),
+                          ("active-select", ["--budget", "0.5"])):
+        monkeypatch.setattr(psdlinalg, "cholesky_factor", corrupting_factor(0, 3))
+        capsys.readouterr()
+        assert cli.cli_run(argv + [command] + args + ckpt) == 1
+        assert capsys.readouterr().err.splitlines()[-1].startswith(
+            f"error: {command} GP set-up: group 3: matrix not positive definite")
 
 
 def test_gen_data_unlabeled_requires_domain(tmp_path, capsys):

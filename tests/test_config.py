@@ -22,6 +22,7 @@ def test_defaults_resolve():
     assert cfg.model.token_dim == DEFAULT_CONFIG["model"]["token_dim"]
     assert cfg.domain("target_city").speed_prior == (2.0, 9.0)
     assert cfg.train.sigma_clamp == (1e-3, 1e3)
+    assert config.resolve({"train": {"epochs_stage3": 0}}).train.epochs_stage3 == 0
 
 
 @pytest.mark.parametrize("user,path", [
@@ -49,6 +50,9 @@ def test_defaults_resolve():
     ({"codebook": {"n_ego": 13}}, "codebook.n_ego 13 is not a multiple of 3"),
     ({"codebook": {"n_ego": 9}}, "codebook.n_ego 9 gives 3 ego groups per command"),
     ({"codebook": {"n_agent": 6}}, "codebook.n_agent 6 is below the 7 agent groups"),
+    ({"train": {"epochs_stage2": -1}}, "train: epochs_stage2 must be non-negative"),
+    ({"train": {"adapt_epochs": -3}}, "train: adapt_epochs must be non-negative"),
+    ({"train": {"batch_size": -2}}, "train: batch_size must be positive"),
 ])
 def test_malformed_values_name_their_key_path(user, path):
     with pytest.raises(ConfigError, match=path):

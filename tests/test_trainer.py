@@ -24,7 +24,8 @@ from gptraj.trainer import (Checkpoint, SceneTable, StageTables, TrainingError,
                             base_param_tensors, finetune_scene_loss, scene_labels,
                             stage1_pretrain, stage2_fit_gp, stage3_finetune)
 
-from conftest import TINY_OBS_DIM, tiny_config, tiny_domain, tiny_spec
+from conftest import (TINY_OBS_DIM, corrupting_factor, tiny_config, tiny_domain,
+                      tiny_spec)
 from oracles import (adam_ref, encode_ref, finite_difference, group_ids_ref,
                      predict_ref, traj_distance)
 
@@ -184,25 +185,6 @@ def test_adam_step_is_bit_identical_to_out_of_place_update():
             assert np.array_equal(p.data, ref[k][0])
             assert np.array_equal(opt.m[k], ref[k][1])
             assert np.array_equal(opt.v[k], ref[k][2])
-
-
-def corrupting_factor(call: int, group: int):
-    """The real ``cholesky_factor``, except that its ``call``-th call (from
-    0) gets a stack in which group ``group``'s matrix is -I.
-
-    Each GP conditioning factors the stack of all groups once, so call s is
-    step s's conditioning.
-    """
-    calls = itertools.count()
-    real = psdlinalg.cholesky_factor
-
-    def factor(a):
-        if next(calls) == call:
-            a = a.copy()
-            a[group] = -np.eye(a.shape[-1])
-        return real(a)
-
-    return factor
 
 
 def test_not_psd_names_stage_and_step(tiny_dataset, monkeypatch):
@@ -380,6 +362,45 @@ def test_gp_stage_loss_gradients_match_finite_differences(fitted, tiny_dataset):
     for name, idx in entries.items():
         got, want = grads[name].reshape(-1)[idx], fd[name].reshape(-1)[idx]
         assert np.allclose(got, want, rtol=1e-5, atol=1e-6), name
+
+
+def read_only(g) -> np.ndarray:
+    view = np.asarray(g).view()
+    view.flags.writeable = False
+    return view
+
+
+def read_only_upstream(loss):
+    """Hand every vjp on ``loss``'s tape a read-only view of its upstream
+    gradient, so that a vjp writing into it raises."""
+    seen, stack = set(), [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if node._vjp is not None:
+            node._vjp = lambda g, vjp=node._vjp: vjp(read_only(g))
+        stack.extend(node._parents)
+    return loss
+
+
+def test_no_vjp_writes_into_its_upstream_gradient(fitted, tiny_dataset):
+    model = fitted.model.clone()
+    params = trainer.gp_param_tensors(model)
+    table = SceneTable(tiny_dataset[:6], model.cb, labeled=True)
+    batch = table.batch(np.arange(6))
+    tokens = encode(table.obs, model.base)
+    tables = StageTables.of(model.cb)
+    bvars, finetune_loss = step_loss_setup(fitted, tiny_dataset[:6], True, True)
+    for loss, variables in [
+            (lambda: trainer.gp_stage_loss(batch, trainer.gp_graph(model.cb, params),
+                                           tokens, tables, CFG).total, params),
+            (lambda: finetune_loss().total, bvars)]:
+        want = autodiff.grad(loss(), variables)
+        got = autodiff.grad(read_only_upstream(loss()), variables)
+        for name in variables:
+            assert got[name].tobytes() == want[name].tobytes(), name
 
 
 def test_active_select_ranking_matches_per_scene_reference(fitted, target_dataset):
