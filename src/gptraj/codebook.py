@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import COMMANDS, Command, Trajectory, rng_for
+from .core import COMMANDS, N_WAYPOINTS, Command, rng_for
 
 LLOYD_MAX_ITERS = 100
 LLOYD_TOL = 1e-6
@@ -155,7 +155,9 @@ def _nearest_rows(dists: np.ndarray, m: int) -> np.ndarray:
 
 
 def sample_and_cluster(
-    trajs: list[tuple[Trajectory, Command, bool]],
+    ego: np.ndarray,
+    commands: list[Command],
+    agents: np.ndarray,
     n_ego_groups: int,
     n_agent_groups: int,
     group_size: int,
@@ -164,37 +166,33 @@ def sample_and_cluster(
 ) -> Codebook:
     """Cluster trajectories into a codebook skeleton (basis tokens unset).
 
-    ``trajs`` entries are (trajectory, command, is_ego). Ego trajectories are
-    bucketed per command with n_ego_groups/3 groups each; agent trajectories
-    form one bucket with n_agent_groups groups. A group's trajectories are
-    the ``group_size`` rows of its bucket nearest its centroid.
+    ``ego`` (S, 6, 2) holds ego trajectories and ``commands`` their S
+    commands, ``agents`` (A, 6, 2) agent trajectories. Ego trajectories are
+    bucketed per command, in row order, with n_ego_groups/3 groups each;
+    agent trajectories form one bucket with n_agent_groups groups. A group's
+    trajectories are the ``group_size`` rows of its bucket nearest its
+    centroid.
     """
     if n_ego_groups % len(COMMANDS) != 0:
         raise BuildError(f"n_ego_groups {n_ego_groups} not divisible by {len(COMMANDS)}")
     per_cmd = n_ego_groups // len(COMMANDS)
+    ego, agents = (np.reshape(t, (len(t), 2 * N_WAYPOINTS)) for t in (ego, agents))
 
-    buckets: dict[tuple[str, Command | None], list[np.ndarray]] = {}
-    for traj, cmd, is_ego in trajs:
-        key = ("ego", cmd) if is_ego else ("agent", None)
-        buckets.setdefault(key, []).append(traj.flat)
-
-    def build_bucket(key, k) -> np.ndarray:
-        rows = buckets.get(key, [])
+    def build_bucket(flat: np.ndarray, role: str, cmd: Command | None, k: int) -> np.ndarray:
         need = k * group_size
-        if len(rows) < need:
+        if len(flat) < need:
             raise BuildError(
-                f"bucket {key[0]}/{key[1].value if key[1] else '-'}: "
-                f"{len(rows)} trajectories < required {need} ({k} groups x {group_size})"
-            )
-        flat = np.stack(rows)
-        centroids, dists = _lloyd(flat, k, rng_for(seed, "cluster", key[0],
-                                                   key[1].value if key[1] else "all"))
+                f"bucket {role}/{cmd.value if cmd else '-'}: {len(flat)} trajectories "
+                f"< required {need} ({k} groups x {group_size})")
+        centroids, dists = _lloyd(flat, k, rng_for(seed, "cluster", role,
+                                                   cmd.value if cmd else "all"))
         # stable centroid order: by forward progress of the anchor endpoint
         order = np.argsort(centroids[:, -2], kind="stable")
         return flat[_nearest_rows(dists.T[order], group_size)]
 
-    members = [build_bucket(("ego", cmd), per_cmd) for cmd in COMMANDS]
-    members.append(build_bucket(("agent", None), n_agent_groups))
+    members = [build_bucket(ego[np.array([c is cmd for c in commands], dtype=bool)],
+                            "ego", cmd, per_cmd) for cmd in COMMANDS]
+    members.append(build_bucket(agents, "agent", None, n_agent_groups))
     return Codebook(trajectories=np.concatenate(members), n_ego=n_ego_groups,
                     token_dim=token_dim)
 

@@ -1,9 +1,15 @@
 """Shared domain types, record validation, and dataset file IO.
 
 Trajectories are 6 BEV waypoints covering 3 s at 2 Hz (t = 0.5 s ... 3.0 s)
-in an ego-centric frame: x forward, y left, meters. Datasets are
-line-delimited JSON, one scene per line, with a mandatory ``"schema": 1``
-version key.
+in an ego-centric frame: x forward, y left, meters. A scene of one ego
+vehicle and A agents is a ``SceneRecord`` of float64 arrays: ``ego_obs``
+(D,), ``agent_obs`` (A, D), ``ego_gt`` (6, 2), ``agent_gt`` (A, 6, 2) and
+``agent_footprints`` (A, 2) as (length, width) in meters. Ground truth is
+None for unlabeled data; a labeled scene without agents has a (0, 6, 2)
+``agent_gt``. ``scene_rows`` lays scenes out as the rows that every stage,
+selection and eval pass works on: every ego row in record order, then every
+agent row in record order. Datasets are line-delimited JSON, one scene per
+line, with a mandatory ``"schema": 1`` version key.
 """
 
 from __future__ import annotations
@@ -11,20 +17,17 @@ from __future__ import annotations
 import enum
 import json
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 N_WAYPOINTS = 6
-WAYPOINT_DT = 0.5  # seconds between waypoints
 COORD_BOUND = 200.0  # sanity bound on |x|, |y| in meters
 SCHEMA_VERSION = 1
 
-DATASET_FIELDS = {
-    "schema", "scene_id", "domain_tag", "command", "ego_obs", "agent_obs",
-    "ego_gt", "agent_gt", "agent_footprints",
-}
+ARRAY_FIELDS = ("ego_obs", "agent_obs", "ego_gt", "agent_gt", "agent_footprints")
+DATASET_FIELDS = {"schema", "scene_id", "domain_tag", "command", *ARRAY_FIELDS}
 
 
 class Command(enum.Enum):
@@ -34,67 +37,60 @@ class Command(enum.Enum):
     TURN_RIGHT = "turn_right"
     GO_STRAIGHT = "go_straight"
 
-    @classmethod
-    def from_str(cls, s: str) -> "Command":
-        for c in cls:
-            if c.value == s:
-                return c
-        raise ValueError(f"unknown command {s!r}")
-
 
 COMMANDS = (Command.TURN_LEFT, Command.TURN_RIGHT, Command.GO_STRAIGHT)
 
+_TRAJ_SHAPE = (N_WAYPOINTS, 2)
 
-@dataclass(frozen=True)
-class Trajectory:
-    """Six (x, y) waypoints in meters, ego-centric BEV frame."""
+# the violation of a row of a per-agent field that has the wrong shape
+_ROW_SHAPE_ERRORS = {
+    "agent_obs": "agent_obs[{i}] length mismatch with ego_obs",
+    "agent_gt": "agent_gt[{i}]: waypoint count != %d: shape {shape}" % N_WAYPOINTS,
+    "agent_footprints": "agent_footprints[{i}] must be a (length, width) pair",
+}
 
-    points: np.ndarray  # shape (6, 2), float64
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "points", np.asarray(self.points, dtype=np.float64).reshape(-1, 2)
-        )
-
-    @property
-    def flat(self) -> np.ndarray:
-        """Row-major 12-vector (x1, y1, ..., x6, y6)."""
-        return self.points.reshape(-1)
-
-    @classmethod
-    def from_flat(cls, v) -> "Trajectory":
-        return cls(np.asarray(v, dtype=np.float64).reshape(N_WAYPOINTS, 2))
-
-    def violations(self) -> list[str]:
-        out = []
-        if self.points.shape != (N_WAYPOINTS, 2):
-            out.append(f"waypoint count != {N_WAYPOINTS}: shape {self.points.shape}")
-            return out
-        if not np.all(np.isfinite(self.points)):
-            out.append("non-finite waypoint coordinate")
-        elif np.any(np.abs(self.points) > COORD_BOUND):
-            out.append(f"waypoint coordinate exceeds {COORD_BOUND} m bound")
-        return out
+def _array(name: str, value, row_shape: tuple | None = None) -> np.ndarray:
+    """``value`` as a float64 array. With ``row_shape`` it is a per-agent
+    field, (A, *row_shape), and an empty list is (0, *row_shape). Nothing is
+    reshaped, so a row of another shape stays one for ``validate_record``;
+    a ragged list is rejected here, naming its first row of another shape."""
+    try:
+        arr = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError) as e:
+        for i, row in enumerate(() if row_shape is None else value):
+            shape = np.asarray(row, dtype=object).shape  # ragged rows too
+            if shape != row_shape:
+                raise ValueError(_ROW_SHAPE_ERRORS[name].format(i=i, shape=shape)) from None
+        raise ValueError(f"{name}: {e}") from None
+    if row_shape is None:
+        return arr
+    if arr.ndim == 0:
+        raise ValueError(f"{name} must be a list")
+    return arr.reshape(0, *row_shape) if arr.shape == (0,) else arr
 
 
 @dataclass(frozen=True)
 class SceneRecord:
-    """One training/eval sample. Ground truth is absent for unlabeled data."""
+    """One training/eval scene, its fields shaped as the module docstring
+    states; list-valued fields are converted to arrays."""
 
     scene_id: str
     domain_tag: str
     command: Command
     ego_obs: np.ndarray
-    agent_obs: list[np.ndarray] = field(default_factory=list)
-    ego_gt: Trajectory | None = None
-    agent_gt: list[Trajectory] | None = None
-    agent_footprints: list[tuple[float, float]] = field(default_factory=list)
+    agent_obs: np.ndarray
+    ego_gt: np.ndarray | None
+    agent_gt: np.ndarray | None
+    agent_footprints: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "ego_obs", np.asarray(self.ego_obs, dtype=np.float64))
-        object.__setattr__(
-            self, "agent_obs", [np.asarray(a, dtype=np.float64) for a in self.agent_obs]
-        )
+        object.__setattr__(self, "ego_obs", _array("ego_obs", self.ego_obs))
+        for name, row_shape in (("agent_obs", self.ego_obs.shape), ("ego_gt", None),
+                                ("agent_gt", _TRAJ_SHAPE), ("agent_footprints", (2,))):
+            value = getattr(self, name)
+            if value is not None:
+                object.__setattr__(self, name, _array(name, value, row_shape))
 
     @property
     def n_agents(self) -> int:
@@ -105,19 +101,11 @@ class SceneRecord:
         return self.ego_gt is not None
 
     def to_json_dict(self) -> dict:
-        d: dict = {
-            "schema": SCHEMA_VERSION,
-            "scene_id": self.scene_id,
-            "domain_tag": self.domain_tag,
-            "command": self.command.value,
-            "ego_obs": self.ego_obs.tolist(),
-            "agent_obs": [a.tolist() for a in self.agent_obs],
-            "agent_footprints": [[float(l), float(w)] for l, w in self.agent_footprints],
-        }
-        if self.ego_gt is not None:
-            d["ego_gt"] = self.ego_gt.points.tolist()
-        if self.agent_gt is not None:
-            d["agent_gt"] = [t.points.tolist() for t in self.agent_gt]
+        d = {"schema": SCHEMA_VERSION, "scene_id": self.scene_id,
+             "domain_tag": self.domain_tag, "command": self.command.value}
+        for name in ARRAY_FIELDS:
+            if getattr(self, name) is not None:
+                d[name] = getattr(self, name).tolist()
         return d
 
     @classmethod
@@ -127,53 +115,97 @@ class SceneRecord:
             raise ValueError(f"unknown dataset keys: {sorted(unknown)}")
         if d.get("schema") != SCHEMA_VERSION:
             raise ValueError(f"unsupported schema version {d.get('schema')!r}")
+        missing = DATASET_FIELDS - {"ego_gt", "agent_gt"} - set(d)
+        if missing:
+            raise ValueError(f"missing dataset keys: {sorted(missing)}")
+        nulls = sorted(k for k, v in d.items() if v is None)
+        if nulls:
+            raise ValueError(f"null dataset values: {nulls}")
         return cls(
-            scene_id=d["scene_id"],
-            domain_tag=d["domain_tag"],
-            command=Command.from_str(d["command"]),
-            ego_obs=np.asarray(d["ego_obs"], dtype=np.float64),
-            agent_obs=[np.asarray(a, dtype=np.float64) for a in d["agent_obs"]],
-            ego_gt=Trajectory(np.asarray(d["ego_gt"])) if "ego_gt" in d else None,
-            agent_gt=[Trajectory(np.asarray(t)) for t in d["agent_gt"]]
-            if "agent_gt" in d
-            else None,
-            agent_footprints=[(float(l), float(w)) for l, w in d["agent_footprints"]],
-        )
+            scene_id=d["scene_id"], domain_tag=d["domain_tag"],
+            command=Command(d["command"]), ego_obs=d["ego_obs"],
+            agent_obs=d["agent_obs"], ego_gt=d.get("ego_gt"),
+            agent_gt=d.get("agent_gt"), agent_footprints=d["agent_footprints"])
+
+
+def _traj_violations(trajs: np.ndarray, name) -> list[str]:
+    """Violations of stacked (n, 6, 2) trajectories, the i-th named
+    ``name(i)``."""
+    if trajs.shape[1:] != _TRAJ_SHAPE:
+        return [f"{name(0)}: waypoint count != {N_WAYPOINTS}: shape {trajs.shape[1:]}"]
+    inside = (np.abs(trajs) <= COORD_BOUND).all(axis=(1, 2))  # False for NaN too
+    return [f"{name(i)}: non-finite waypoint coordinate"
+            if not np.isfinite(trajs[i]).all() else
+            f"{name(i)}: waypoint coordinate exceeds {COORD_BOUND} m bound"
+            for i in np.flatnonzero(~inside)]
 
 
 def validate_record(rec: SceneRecord, obs_dim: int | None = None) -> list[str]:
     """All invariant violations for a record; empty list means ok."""
     errors: list[str] = []
-    if rec.ego_obs.ndim != 1:
+    ego, agents, footprints = rec.ego_obs, rec.agent_obs, rec.agent_footprints
+    if ego.ndim != 1:
         errors.append("ego_obs must be a vector")
-    if obs_dim is not None and rec.ego_obs.shape[0] != obs_dim:
-        errors.append(f"ego_obs length {rec.ego_obs.shape[0]} != {obs_dim}")
-    if not np.all(np.isfinite(rec.ego_obs)):
+    elif obs_dim is not None and len(ego) != obs_dim:
+        errors.append(f"ego_obs length {len(ego)} != {obs_dim}")
+    if not np.all(np.isfinite(ego)):
         errors.append("non-finite ego_obs")
-    for i, a in enumerate(rec.agent_obs):
-        if a.shape != rec.ego_obs.shape:
-            errors.append(f"agent_obs[{i}] length mismatch with ego_obs")
-        elif not np.all(np.isfinite(a)):
-            errors.append(f"non-finite agent_obs[{i}]")
+    if agents.shape[1:] != ego.shape:
+        errors.append(_ROW_SHAPE_ERRORS["agent_obs"].format(i=0))
+    elif ego.ndim == 1:
+        errors.extend(f"non-finite agent_obs[{i}]"
+                      for i in np.flatnonzero(~np.isfinite(agents).all(axis=1)))
     if rec.ego_gt is not None:
-        errors.extend(f"ego_gt: {v}" for v in rec.ego_gt.violations())
+        errors.extend(_traj_violations(rec.ego_gt[None], lambda i: "ego_gt"))
     if rec.agent_gt is not None:
-        if len(rec.agent_gt) != len(rec.agent_obs):
-            errors.append(
-                f"agent list length mismatch: {len(rec.agent_obs)} agent_obs, "
-                f"{len(rec.agent_gt)} agent_gt"
-            )
-        for i, t in enumerate(rec.agent_gt):
-            errors.extend(f"agent_gt[{i}]: {v}" for v in t.violations())
-    if len(rec.agent_footprints) != len(rec.agent_obs):
-        errors.append(
-            f"agent list length mismatch: {len(rec.agent_obs)} agent_obs, "
-            f"{len(rec.agent_footprints)} agent_footprints"
-        )
-    for i, (l, w) in enumerate(rec.agent_footprints):
-        if not (l > 0 and w > 0 and np.isfinite(l) and np.isfinite(w)):
-            errors.append(f"agent_footprints[{i}] must be positive finite (length, width)")
+        if len(rec.agent_gt) != len(agents):
+            errors.append(f"agent list length mismatch: {len(agents)} agent_obs, "
+                          f"{len(rec.agent_gt)} agent_gt")
+        errors.extend(_traj_violations(rec.agent_gt, lambda i: f"agent_gt[{i}]"))
+    if len(footprints) != len(agents):
+        errors.append(f"agent list length mismatch: {len(agents)} agent_obs, "
+                      f"{len(footprints)} agent_footprints")
+    if footprints.shape[1:] != (2,):
+        errors.append(_ROW_SHAPE_ERRORS["agent_footprints"].format(i=0))
+    else:
+        ok = np.isfinite(footprints).all(axis=1) & (footprints > 0).all(axis=1)
+        errors.extend(f"agent_footprints[{i}] must be positive finite (length, width)"
+                      for i in np.flatnonzero(~ok))
     return errors
+
+
+@dataclass(frozen=True)
+class SceneRows:
+    """Scenes in row layout: every ego row in record order, then every
+    agent row in record order. Scene i's ego is row i and its agents are
+    rows ``agent_start[i]:agent_start[i + 1]``.
+    """
+
+    commands: list[Command]  # (S,)
+    agent_start: np.ndarray  # (S + 1,)
+    obs: np.ndarray  # (S + A, D)
+    gt: np.ndarray | None  # (S + A, 6, 2), when labeled
+
+
+def scene_rows(records: list[SceneRecord], labeled: bool) -> SceneRows:
+    """The rows of non-empty ``records``; with ``labeled``, their ground
+    truth too, which needs one agent trajectory per agent observation."""
+    counts = [r.n_agents for r in records]
+    gt = None
+    if labeled:
+        for r, n in zip(records, counts):
+            got = 0 if r.agent_gt is None else len(r.agent_gt)
+            if got != n:
+                raise ValueError(f"scene {r.scene_id}: {n} agent observations "
+                                 f"but {got} agent trajectories")
+        gt = np.concatenate([np.array([r.ego_gt for r in records])]
+                            + [r.agent_gt for r in records])
+    return SceneRows(
+        commands=[r.command for r in records],
+        agent_start=len(records) + np.concatenate([[0], np.cumsum(counts)]),
+        obs=np.concatenate([np.array([r.ego_obs for r in records])]
+                           + [r.agent_obs for r in records]),
+        gt=gt)
 
 
 def save_dataset(records, path) -> None:
@@ -197,7 +229,7 @@ def load_dataset(path) -> list[SceneRecord]:
                 continue
             try:
                 rec = SceneRecord.from_json_dict(json.loads(line))
-            except (ValueError, KeyError) as e:
+            except ValueError as e:
                 raise ValueError(f"{path}:{lineno}: {e}") from e
             obs_dim = records[0].ego_obs.shape[0] if records else None
             errors = validate_record(rec, obs_dim)

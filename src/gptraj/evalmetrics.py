@@ -23,7 +23,7 @@ import numpy as np
 
 from .basemodel import encode, plan
 from .codebook import admissible
-from .core import Command, SceneRecord, Trajectory
+from .core import Command, SceneRecord, scene_rows
 from .trainer import frozen_gp
 
 EGO_FOOTPRINT = (4.0, 1.8)  # length, width in meters
@@ -133,24 +133,23 @@ def scene_collisions(ego_points: np.ndarray, agent_points: np.ndarray,
     return np.bincount(agent_scene[hit], minlength=len(ego_points)) > 0
 
 
-def collision(pred_ego: Trajectory, agent_trajs: list[Trajectory],
-              agent_footprints: list[tuple[float, float]],
+def collision(pred_ego: np.ndarray, agent_trajs: np.ndarray, agent_footprints: np.ndarray,
               ego_footprint: tuple[float, float] = EGO_FOOTPRINT) -> bool:
-    """True iff the ego rectangle overlaps any agent rectangle at any step.
+    """True iff the ego rectangle of ``pred_ego`` (6, 2) overlaps the
+    rectangle of one of ``agent_trajs`` (A, 6, 2), with ``agent_footprints``
+    (A, 2), at a common step.
 
     Kept for the tests and because the benchmark probes it by name;
     ``evaluate`` and the scene generator call ``scene_collisions``.
     """
-    if not agent_trajs:
-        return False
-    agents = np.stack([t.points for t in agent_trajs])
-    return bool(scene_collisions(pred_ego.points[None], agents, agent_footprints,
-                                 np.zeros(len(agents), dtype=np.intp), ego_footprint)[0])
+    agent_scene = np.zeros(len(agent_trajs), dtype=np.intp)
+    return bool(scene_collisions(pred_ego[None], agent_trajs, agent_footprints,
+                                 agent_scene, ego_footprint)[0])
 
 
 def scene_stats(rec: SceneRecord) -> tuple[float, float]:
     """(speed m/s, |curvature| 1/m) estimated from the ground-truth trajectory."""
-    pts = np.vstack([[0.0, 0.0], rec.ego_gt.points])
+    pts = np.vstack([[0.0, 0.0], rec.ego_gt])
     segs = np.diff(pts, axis=0)
     lens = np.linalg.norm(segs, axis=1)
     arclen = float(lens.sum())
@@ -232,25 +231,19 @@ def evaluate(records: list[SceneRecord], model, mode: str = "base",
     scenes = _subset_filter([r for r in records if r.labeled], subset, rarity_bins)
     if not scenes:
         raise ValueError(f"no labeled scenes after subset filter {subset!r}")
-    for r in scenes:
-        if len(r.agent_gt or []) != r.n_agents:
-            raise ValueError(f"scene {r.scene_id}: {r.n_agents} agent observations "
-                             f"but {len(r.agent_gt or [])} agent trajectories")
-    commands = [r.command for r in scenes]
-    tokens = encode(np.stack([r.ego_obs for r in scenes]), model.base)
+    layout = scene_rows(scenes, labeled=True)
+    n = len(scenes)
+    tokens = encode(layout.obs[:n], model.base)
     if mode == "base":
-        trajs = plan(tokens, admissible(model.cb, commands), model.base,
+        trajs = plan(tokens, admissible(model.cb, layout.commands), model.base,
                      model.cb.traj_anchors())[0]
     else:
-        trajs = frozen_gp(model, "eval GP set-up").predict_scene(tokens, commands)[0]
-    trajs = trajs.reshape(len(scenes), -1, 2)
-    hits = scene_collisions(
-        trajs,
-        np.array([t.points for r in scenes for t in r.agent_gt or []]
-                 ).reshape(-1, *trajs.shape[1:]),
-        np.array([fp for r in scenes for fp in r.agent_footprints]).reshape(-1, 2),
-        np.repeat(np.arange(len(scenes)), [r.n_agents for r in scenes]))
-    l2s = avg_l2(trajs, np.stack([r.ego_gt.points for r in scenes]))
+        trajs = frozen_gp(model, "eval GP set-up").predict_scene(tokens, layout.commands)[0]
+    trajs = trajs.reshape(n, -1, 2)
+    hits = scene_collisions(trajs, layout.gt[n:],
+                            np.concatenate([r.agent_footprints for r in scenes]),
+                            np.repeat(np.arange(n), np.diff(layout.agent_start)))
+    l2s = avg_l2(trajs, layout.gt[:n])
     rows = [{
         "scene_id": rec.scene_id,
         "command": rec.command.value,

@@ -22,13 +22,13 @@ and with it every record, is the one a candidate-at-a-time loop gives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 from scipy.linalg import expm, qr
 
-from .core import Command, SceneRecord, Trajectory, rng_for, save_dataset
+from .core import Command, SceneRecord, rng_for, save_dataset
 from .evalmetrics import scene_collisions
 
 RAW_DIM = 12
@@ -250,15 +250,14 @@ def gen_dataset(spec: DomainSpec, n_scenes: int, seed: int, path=None,
                 a.curvature = -a.curvature
                 a.points = a.points * flip
         ego_obs = observe(_ego_raw(speed, curvature, command, scene_agents), rng)
-        agent_obs = [observe(_agent_raw(a), rng) for a in scene_agents]
         records.append(SceneRecord(
             scene_id=f"{spec.name}-{seed}-{i:06d}",
             domain_tag=spec.name,
             command=command,
             ego_obs=ego_obs,
-            agent_obs=agent_obs,
-            ego_gt=Trajectory(ego_points),
-            agent_gt=[Trajectory(a.points) for a in scene_agents],
+            agent_obs=[observe(_agent_raw(a), rng) for a in scene_agents],
+            ego_gt=ego_points,
+            agent_gt=[a.points for a in scene_agents],
             agent_footprints=[AGENT_FOOTPRINT] * len(scene_agents),
         ))
     if path is not None:
@@ -268,16 +267,4 @@ def gen_dataset(spec: DomainSpec, n_scenes: int, seed: int, path=None,
 
 def strip_labels(records: list[SceneRecord]) -> list[SceneRecord]:
     """Unlabeled copies of the records (target-domain adaptation input)."""
-    return [
-        SceneRecord(
-            scene_id=r.scene_id,
-            domain_tag=r.domain_tag,
-            command=r.command,
-            ego_obs=r.ego_obs,
-            agent_obs=r.agent_obs,
-            ego_gt=None,
-            agent_gt=None,
-            agent_footprints=r.agent_footprints,
-        )
-        for r in records
-    ]
+    return [replace(r, ego_gt=None, agent_gt=None) for r in records]

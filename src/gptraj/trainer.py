@@ -41,7 +41,7 @@ from .basemodel import PARAM_NAMES, BaseModelParams, encode, encode_t, planner_t
 from .codebook import (MIN_AGENT_GROUPS, MIN_EGO_PER_COMMAND, BuildError, Codebook,
                        admissible, init_basis_tokens, nearest_group,
                        sample_and_cluster, triplet_table)
-from .core import COMMANDS, SceneRecord, rng_for
+from .core import COMMANDS, SceneRecord, rng_for, scene_rows
 from .gpmodule import (CLASSIFIER_NAMES, GP_SCALAR_NAMES, GpGraph, GpInference,
                        GpParams, GroupClassifier)
 from .losses import (LossBreakdown, StudentRows, SupRows, TeacherRows,
@@ -307,32 +307,23 @@ class Batch:
 
 
 class SceneTable:
-    """One training call's scenes in row layout, built once per call.
-
-    Rows are every ego observation in record order, then every agent
-    observation in record order, with each row's admissible-group mask and,
-    when ``labeled``, its ground truth and label.
+    """One training call's scenes in ``core.scene_rows`` layout, built once
+    per call, with each row's admissible-group mask and, when ``labeled``,
+    its flat (12,) ground truth and label.
     """
 
     def __init__(self, records: list[SceneRecord], cb: Codebook, labeled: bool):
         if not records:
             raise TrainingError("dataset is empty")
+        rows = scene_rows(records, labeled)
         self.records = records
-        counts = [r.n_agents for r in records]
-        self.agent_start = len(records) + np.concatenate([[0], np.cumsum(counts)])
-        self.obs = np.stack([r.ego_obs for r in records]
-                            + [a for r in records for a in r.agent_obs])
-        self.admissible = admissible(cb, [r.command for r in records]
-                                     + [None] * sum(counts))
+        self.agent_start = rows.agent_start
+        self.obs = rows.obs
+        self.admissible = admissible(
+            cb, rows.commands + [None] * (len(rows.obs) - len(records)))
         self.gt = self.labels = None
         if labeled:
-            for r in records:
-                if len(r.agent_gt or []) != r.n_agents:
-                    raise TrainingError(
-                        f"scene {r.scene_id}: {r.n_agents} agent observations but "
-                        f"{len(r.agent_gt or [])} agent trajectories")
-            self.gt = np.stack([r.ego_gt.flat for r in records]
-                               + [t.flat for r in records for t in r.agent_gt])
+            self.gt = rows.gt.reshape(len(rows.gt), -1)
             self.labels = scene_labels(self, cb)
 
     def __len__(self) -> int:
@@ -511,16 +502,13 @@ def _run_epochs(table: SceneTable, cfg: TrainConfig, params, step_loss_fn, *,
 
 
 def build_model(records, cfg: TrainConfig, spec: ModelSpec) -> Model:
-    """Codebook skeleton from clustered GT plus seeded parameter init."""
-    trajs = []
-    for r in records:
-        if r.ego_gt is not None:
-            trajs.append((r.ego_gt, r.command, True))
-        for t in r.agent_gt or []:
-            trajs.append((t, r.command, False))
+    """Codebook skeleton from clustered GT of labeled records plus seeded
+    parameter init."""
+    rows = scene_rows(records, labeled=True)
     try:
-        cb = sample_and_cluster(trajs, spec.n_ego, spec.n_agent, spec.group_size,
-                                spec.token_dim, seed=cfg.seed)
+        cb = sample_and_cluster(rows.gt[:len(records)], rows.commands,
+                                rows.gt[len(records):], spec.n_ego, spec.n_agent,
+                                spec.group_size, spec.token_dim, seed=cfg.seed)
     except BuildError as e:
         raise TrainingError(f"stage1 codebook build: {e}") from e
     init_basis_tokens(cb, cfg.seed)

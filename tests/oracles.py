@@ -24,7 +24,7 @@ from scipy.integrate import quad
 from scipy.linalg import lapack, solve_triangular
 
 from gptraj.basemodel import RESIDUAL_BOUND
-from gptraj.core import COMMANDS, Command, SceneRecord, Trajectory
+from gptraj.core import COMMANDS, Command
 
 
 def gauss_jordan_inverse(a: np.ndarray) -> np.ndarray:
@@ -139,9 +139,10 @@ def gp_oracle(basis: np.ndarray, targets: np.ndarray, query: np.ndarray,
     return mean, max(var, 0.0) + noise_var
 
 
-def traj_distance(a: Trajectory, b: Trajectory) -> float:
-    """Mean Euclidean distance over the 6 waypoint pairs, in meters."""
-    return float(np.mean(np.linalg.norm(a.points - b.points, axis=1)))
+def traj_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """Mean Euclidean distance over the 6 waypoint pairs of two (6, 2)
+    trajectories, in meters."""
+    return float(np.mean(np.linalg.norm(a - b, axis=1)))
 
 
 # --- codebook clustering -----------------------------------------------------
@@ -211,7 +212,7 @@ def triplet_classes_ref(cb, label: int) -> tuple[list[int], list[int]]:
     (trajectory-anchor distance, id). Ego: the 3 nearest other groups of its
     command, the 3 nearest groups of other commands. Agent: the 3 nearest
     and 3 farthest other agent groups."""
-    anchors = [Trajectory.from_flat(a) for a in cb.traj_anchors()]
+    anchors = cb.traj_anchors().reshape(-1, 6, 2)
 
     def ranked(ids):
         return sorted(ids, key=lambda i: (traj_distance(anchors[i], anchors[label]), i))
@@ -385,17 +386,16 @@ def _sat_overlap_ref(a: list, b: list) -> bool:
     return margin > 0.0
 
 
-def collision_reference(ego: Trajectory, agent_trajs: list, agent_footprints: list,
+def collision_reference(ego: np.ndarray, agent_trajs, agent_footprints,
                         ego_footprint=(4.0, 1.8)) -> bool:
-    """Ego/agent rectangle overlap at any common step, by a scalar SAT loop
-    over every pair and step."""
+    """Overlap of the ego rectangle of (6, 2) waypoints and an agent
+    rectangle at any common step, by a scalar SAT loop over every pair and
+    step."""
     for traj, (length, width) in zip(agent_trajs, agent_footprints):
-        for k in range(len(ego.points)):
+        for k in range(len(ego)):
             if _sat_overlap_ref(
-                    _corners_ref(ego.points[k], _heading_ref(ego.points, k),
-                                 *ego_footprint),
-                    _corners_ref(traj.points[k], _heading_ref(traj.points, k),
-                                 length, width)):
+                    _corners_ref(ego[k], _heading_ref(ego, k), *ego_footprint),
+                    _corners_ref(traj[k], _heading_ref(traj, k), length, width)):
                 return True
     return False
 
@@ -434,7 +434,8 @@ def gen_dataset_ref(spec, n_scenes: int, seed: int, obs_dim: int,
     """Scenes one at a time from their own streams: command, speed and
     curvature, the agent count, then per agent up to 20 candidates from
     ``sample_agent`` until ``collision_reference`` clears one, the mirror,
-    and noisy observations of the raw features."""
+    and noisy observations of the raw features. Each scene is a dict of
+    the dataset's JSON form, built here from plain lists."""
     order = [Command.TURN_LEFT, Command.GO_STRAIGHT, Command.TURN_RIGHT]
     footprint = (4.5, 2.0)
     embed = _stream_ref(0, "obs-embed", obs_dim).normal(0.0, 1.0 / np.sqrt(12),
@@ -450,8 +451,7 @@ def gen_dataset_ref(spec, n_scenes: int, seed: int, obs_dim: int,
         for _ in range(int(rng.integers(0, 5))):
             for _ in range(20):
                 cand = sample_agent(rng, spec.speed_prior)
-                if not collision_reference(Trajectory(ego), [Trajectory(cand.points)],
-                                           [footprint]):
+                if not collision_reference(ego, [cand.points], [footprint]):
                     agents.append(cand)
                     break
         if spec.mirror:
@@ -482,11 +482,12 @@ def gen_dataset_ref(spec, n_scenes: int, seed: int, obs_dim: int,
                 a.speed / 10.0, a.curvature / 0.08, a.rel[0] / 20.0, a.rel[1] / 10.0,
                 np.sin(a.heading), np.cos(a.heading), footprint[0] / 5.0)
             agent_obs.append(observe(raw))
-        records.append(SceneRecord(
-            scene_id=f"{spec.name}-{seed}-{i:06d}", domain_tag=spec.name,
-            command=command, ego_obs=ego_obs, agent_obs=agent_obs,
-            ego_gt=Trajectory(ego), agent_gt=[Trajectory(a.points) for a in agents],
-            agent_footprints=[footprint] * len(agents)))
+        records.append({
+            "schema": 1, "scene_id": f"{spec.name}-{seed}-{i:06d}",
+            "domain_tag": spec.name, "command": command.value,
+            "ego_obs": ego_obs.tolist(), "agent_obs": [a.tolist() for a in agent_obs],
+            "ego_gt": ego.tolist(), "agent_gt": [a.points.tolist() for a in agents],
+            "agent_footprints": [list(footprint)] * len(agents)})
     return records
 
 
@@ -514,20 +515,21 @@ def _planner_raw(token: np.ndarray, p) -> tuple[np.ndarray, np.ndarray]:
     return out[: p.n_code], RESIDUAL_BOUND * np.tanh(out[p.n_code:])
 
 
-def plan_ref(token: np.ndarray, command, p, cb) -> tuple[Trajectory, np.ndarray]:
-    """Anchor-plus-residual trajectory for the argmax admissible group."""
+def plan_ref(token: np.ndarray, command, p, cb) -> tuple[np.ndarray, np.ndarray]:
+    """Anchor-plus-residual (6, 2) trajectory for the argmax admissible
+    group, and the masked logits."""
     raw_logits, residual = _planner_raw(token, p)
     logits = np.full_like(raw_logits, -np.inf)
     ids = group_ids_ref(cb, command)
     logits[ids] = raw_logits[ids]
     group = int(np.argmax(logits))
-    return Trajectory.from_flat(cb.traj_anchors()[group] + residual), logits
+    return (cb.traj_anchors()[group] + residual).reshape(6, 2), logits
 
 
-def plan_with_group_ref(token: np.ndarray, group: int, p, cb) -> Trajectory:
-    """Trajectory for an externally chosen group."""
+def plan_with_group_ref(token: np.ndarray, group: int, p, cb) -> np.ndarray:
+    """(6, 2) trajectory for an externally chosen group."""
     _, residual = _planner_raw(token, p)
-    return Trajectory.from_flat(cb.traj_anchors()[group] + residual)
+    return (cb.traj_anchors()[group] + residual).reshape(6, 2)
 
 
 def masked_softmax(logits: np.ndarray) -> np.ndarray:

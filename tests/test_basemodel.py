@@ -10,7 +10,7 @@ import pytest
 from gptraj.basemodel import (BaseModelParams, RESIDUAL_BOUND, encode, encode_t,
                               plan, planner_t)
 from gptraj.codebook import admissible
-from gptraj.core import COMMANDS, Command, SceneRecord, Trajectory, rng_for
+from gptraj.core import COMMANDS, Command, SceneRecord, rng_for
 
 from oracles import (encode_ref, group_ids_ref, masked_softmax, plan_ref,
                      plan_with_group_ref)
@@ -84,7 +84,7 @@ def test_residual_saturates_at_bound(tiny_model):
     traj, _ = plan(np.ones((1, 8)), only0, p, cb.traj_anchors())
     assert np.allclose(traj[0] - cb.traj_anchors()[0], RESIDUAL_BOUND)
     ref = plan_with_group_ref(np.ones(8), 0, p, cb)
-    assert np.allclose(ref.flat - cb.traj_anchors()[0], RESIDUAL_BOUND)
+    assert np.allclose(ref.reshape(-1) - cb.traj_anchors()[0], RESIDUAL_BOUND)
 
 
 def test_plan_translation_consistent_with_anchor_shift(tiny_model):
@@ -142,4 +142,4 @@ def test_plan_rows_match_per_token_reference(tiny_model):
     for tok, command, traj, group in zip(tokens, commands, trajs, groups, strict=True):
         want, logits = plan_ref(tok, command, p, cb)
         assert group == int(np.argmax(logits))
-        assert np.allclose(traj, want.flat, rtol=0, atol=1e-12)
+        assert np.allclose(traj, want.reshape(-1), rtol=0, atol=1e-12)

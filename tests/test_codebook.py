@@ -9,76 +9,74 @@ from gptraj import codebook, config
 from gptraj.codebook import (BuildError, Codebook, admissible, init_basis_tokens,
                              nearest_group, sample_and_cluster, traj_dists,
                              triplet_table)
-from gptraj.core import COMMANDS, COORD_BOUND, Command, Trajectory
+from gptraj.core import COMMANDS, COORD_BOUND, Command
 from gptraj.synthdomain import gen_dataset
 
 from oracles import (command_of_ref, group_ids_ref, lloyd_ref, traj_distance,
                      traj_dists_ref, triplet_classes_ref)
 
 
-def straight(speed: float, jitter: float = 0.0, rng=None) -> Trajectory:
+def straight(speed: float, jitter: float = 0.0, rng=None) -> np.ndarray:
     t = 0.5 * np.arange(1, 7)
     pts = np.stack([speed * t, np.zeros(6)], axis=1)
     if rng is not None:
         pts = pts + rng.normal(scale=jitter, size=pts.shape)
-    return Trajectory(pts)
+    return pts
 
 
-def curved(speed: float, curv: float) -> Trajectory:
+def curved(speed: float, curv: float) -> np.ndarray:
     t = 0.5 * np.arange(1, 7)
     th = curv * speed * t
-    return Trajectory(np.stack([np.sin(th) / curv, (1 - np.cos(th)) / curv], axis=1))
+    return np.stack([np.sin(th) / curv, (1 - np.cos(th)) / curv], axis=1)
+
+
+def cluster_input(ego: list, agents: list) -> tuple:
+    """``sample_and_cluster``'s first three arguments from a list of
+    (trajectory, command) ego pairs and a list of agent trajectories."""
+    return (np.array([t for t, _ in ego]).reshape(-1, 6, 2), [c for _, c in ego],
+            np.array(agents).reshape(-1, 6, 2))
 
 
 def corpus(n_per_cmd=24, n_agent=40, seed=0):
+    """(ego, commands, agents) of curved turns, noisy straight ego
+    trajectories and noisier straight agent trajectories."""
     rng = np.random.default_rng(seed)
-    out = []
+    ego = []
     for cmd, curv in ((Command.TURN_LEFT, 0.05), (Command.TURN_RIGHT, -0.05)):
         for _ in range(n_per_cmd):
-            out.append((curved(rng.uniform(3, 12), curv + rng.normal(0, 0.01)), cmd, True))
+            ego.append((curved(rng.uniform(3, 12), curv + rng.normal(0, 0.01)), cmd))
     for _ in range(n_per_cmd):
-        out.append((straight(rng.uniform(3, 12), 0.05, rng), Command.GO_STRAIGHT, True))
-    for _ in range(n_agent):
-        out.append((straight(rng.uniform(3, 12), 0.3, rng), Command.GO_STRAIGHT, False))
-    return out
+        ego.append((straight(rng.uniform(3, 12), 0.05, rng), Command.GO_STRAIGHT))
+    agents = [straight(rng.uniform(3, 12), 0.3, rng) for _ in range(n_agent)]
+    return cluster_input(ego, agents)
 
 
 def test_speed_clusters_are_pure():
     # three well-separated speed families in one bucket; every member must be
     # nearer its own centroid than any other (brute-force assignment check)
-    trajs = []
     rng = np.random.default_rng(1)
-    for speed in (2.0, 8.0, 14.0):
-        for _ in range(12):
-            trajs.append((straight(speed, 0.05, rng), Command.GO_STRAIGHT, False))
-    for cmd in COMMANDS:  # minimal ego data per command bucket
-        for _ in range(8):
-            trajs.append((straight(6.0, 0.05, rng), cmd, True))
-    cb = sample_and_cluster(trajs, n_ego_groups=3, n_agent_groups=3,
-                            group_size=8, token_dim=4, seed=0)
-    anchors = cb.traj_anchors()
+    agents = [straight(speed, 0.05, rng) for speed in (2.0, 8.0, 14.0) for _ in range(12)]
+    # minimal ego data per command bucket
+    ego = [(straight(6.0, 0.05, rng), cmd) for cmd in COMMANDS for _ in range(8)]
+    cb = sample_and_cluster(*cluster_input(ego, agents), n_ego_groups=3,
+                            n_agent_groups=3, group_size=8, token_dim=4, seed=0)
+    anchors = cb.traj_anchors().reshape(-1, 6, 2)
     agent_ids = group_ids_ref(cb, None)
     for g in agent_ids:
         others = [o for o in agent_ids if o != g]
-        for row in cb.trajectories[g]:
-            member = Trajectory.from_flat(row)
-            d_own = traj_distance(member, Trajectory.from_flat(anchors[g]))
+        for member in cb.trajectories[g].reshape(-1, 6, 2):
+            d_own = traj_distance(member, anchors[g])
             for o in others:
-                assert d_own <= traj_distance(
-                    member, Trajectory.from_flat(anchors[o])) + 1e-9
+                assert d_own <= traj_distance(member, anchors[o]) + 1e-9
 
 
 def test_agent_speed_families_separate():
-    trajs = []
     rng = np.random.default_rng(2)
-    for speed in (2.0, 8.0, 14.0):
-        for _ in range(10):
-            trajs.append((straight(speed, 0.02, rng), Command.GO_STRAIGHT, False))
+    agents = [straight(speed, 0.02, rng) for speed in (2.0, 8.0, 14.0) for _ in range(10)]
     # minimal ego data so the build succeeds
-    for cmd in COMMANDS:
-        for _ in range(4):
-            trajs.append((straight(6.0, 0.02, rng), cmd, True))
-    cb = sample_and_cluster(trajs, 3, 3, group_size=4, token_dim=4, seed=1)
+    ego = [(straight(6.0, 0.02, rng), cmd) for cmd in COMMANDS for _ in range(4)]
+    cb = sample_and_cluster(*cluster_input(ego, agents), 3, 3, group_size=4,
+                            token_dim=4, seed=1)
     speeds_per_group = []
     for gid in group_ids_ref(cb, None):
         xs = cb.trajectories[gid, :, 0]  # first-waypoint x ~ 0.5 * speed
@@ -89,24 +87,24 @@ def test_agent_speed_families_separate():
 
 def test_identical_trajectories_degenerate_cluster():
     t = straight(5.0)
-    trajs = [(t, cmd, True) for cmd in COMMANDS for _ in range(4)]
-    trajs += [(t, Command.GO_STRAIGHT, False) for _ in range(4)]
-    cb = sample_and_cluster(trajs, 3, 1, group_size=4, token_dim=4, seed=0)
+    ego = [(t, cmd) for cmd in COMMANDS for _ in range(4)]
+    cb = sample_and_cluster(*cluster_input(ego, [t] * 4), 3, 1, group_size=4,
+                            token_dim=4, seed=0)
     [g] = group_ids_ref(cb, None)
-    assert np.allclose(cb.traj_anchors()[g], t.flat)
-    assert np.allclose(cb.trajectories[g], t.flat)
+    assert np.allclose(cb.traj_anchors()[g], t.reshape(-1))
+    assert np.allclose(cb.trajectories[g], t.reshape(-1))
 
 
 def test_no_group_mixes_commands():
-    trajs = corpus()
-    cb = sample_and_cluster(trajs, 6, 4, group_size=8, token_dim=4, seed=3)
+    ego, commands, agents = corpus()
+    cb = sample_and_cluster(ego, commands, agents, 6, 4, group_size=8, token_dim=4,
+                            seed=3)
     assert cb.buckets.tolist() == [0, 0, 1, 1, 2, 2, 3, 3, 3, 3]
     assert [command_of_ref(cb, g) for g in range(cb.n_code)] == (
         [c for c in COMMANDS for _ in range(2)] + [None] * 4)
     # each group holds only trajectories of the bucket its layout entry names
-    bucket = {}
-    for traj, cmd, is_ego in trajs:
-        bucket[traj.flat.tobytes()] = cmd if is_ego else None
+    bucket = {t.tobytes(): cmd for t, cmd in zip(ego, commands)}
+    bucket.update((t.tobytes(), None) for t in agents)
     for g in range(cb.n_code):
         for row in cb.trajectories[g]:
             assert bucket[row.tobytes()] == command_of_ref(cb, g)
@@ -164,9 +162,9 @@ def test_lloyd_matches_reference_bit_for_bit(case):
 
 def test_build_matches_reference_forms(monkeypatch):
     records = gen_dataset(config.resolve({}).domain("source_city"), 80, seed=3)
-    trajs = [(r.ego_gt, r.command, True) for r in records]
-    trajs += [(t, r.command, False) for r in records for t in r.agent_gt]
-    got = sample_and_cluster(trajs, 12, 7, group_size=4, token_dim=4, seed=3)
+    trajs = cluster_input([(r.ego_gt, r.command) for r in records],
+                          [t for r in records for t in r.agent_gt])
+    got = sample_and_cluster(*trajs, 12, 7, group_size=4, token_dim=4, seed=3)
 
     def lloyd(flat, k, rng):
         centroids = lloyd_ref(flat, k, rng, max_iters=codebook.LLOYD_MAX_ITERS,
@@ -175,7 +173,7 @@ def test_build_matches_reference_forms(monkeypatch):
 
     monkeypatch.setattr(codebook, "_lloyd", lloyd)
     monkeypatch.setattr(codebook, "traj_dists", traj_dists_ref)
-    want = sample_and_cluster(trajs, 12, 7, group_size=4, token_dim=4, seed=3)
+    want = sample_and_cluster(*trajs, 12, 7, group_size=4, token_dim=4, seed=3)
     assert got.trajectories.tobytes() == want.trajectories.tobytes()
 
 
@@ -183,18 +181,16 @@ def test_group_members_keep_index_order_across_tied_cut():
     # one agent group centred exactly on straight(4.0): rows 1 and 2 are
     # 0.5 m from it and rows 4-7 all 1 m, so the 3-member cut falls inside
     # the tie (a plain argpartition keeps row 5 here)
-    base = straight(4.0).points
+    base = straight(4.0)
     shifts = [(0, 2), (0, 0.5), (0, -0.5), (0, -2), (0, 1), (0, -1), (1, 0), (-1, 0)]
-    agent_rows = [Trajectory(base + s) for s in shifts]
-    _, dists = codebook._lloyd(np.stack([t.flat for t in agent_rows]), 1,
-                               np.random.default_rng(0))
+    agent_rows = np.stack([base + s for s in shifts])
+    _, dists = codebook._lloyd(agent_rows.reshape(-1, 12), 1, np.random.default_rng(0))
     assert dists[:, 0].tolist() == [2.0, 0.5, 0.5, 2.0, 1.0, 1.0, 1.0, 1.0]
-    trajs = [(t, Command.GO_STRAIGHT, False) for t in agent_rows]
-    trajs += [(straight(6.0), cmd, True) for cmd in COMMANDS for _ in range(3)]
-    cb = sample_and_cluster(trajs, 3, 1, group_size=3, token_dim=4, seed=0)
+    ego = [(straight(6.0), cmd) for cmd in COMMANDS for _ in range(3)]
+    cb = sample_and_cluster(*cluster_input(ego, agent_rows), 3, 1, group_size=3,
+                            token_dim=4, seed=0)
     [g] = group_ids_ref(cb, None)
-    assert cb.trajectories[g].tobytes() == np.stack(
-        [agent_rows[i].flat for i in (1, 2, 4)]).tobytes()
+    assert cb.trajectories[g].tobytes() == agent_rows[[1, 2, 4]].tobytes()
     # the selection against a full stable argsort, on integer distances
     dists = np.random.default_rng(0).integers(0, 6, size=(40, 300)).astype(float)
     for m in (1, 16, 299):
@@ -203,25 +199,25 @@ def test_group_members_keep_index_order_across_tied_cut():
 
 
 def test_insufficient_trajectories_raise_with_counts():
-    trajs = [(straight(5.0), Command.TURN_LEFT, True)]
+    trajs = cluster_input([(straight(5.0), Command.TURN_LEFT)], [])
     with pytest.raises(BuildError, match="required"):
-        sample_and_cluster(trajs, 3, 1, group_size=4, token_dim=4, seed=0)
+        sample_and_cluster(*trajs, 3, 1, group_size=4, token_dim=4, seed=0)
 
 
 def test_centered_rows_mean_zero():
-    cb = sample_and_cluster(corpus(), 6, 4, group_size=8, token_dim=4, seed=3)
+    cb = sample_and_cluster(*corpus(), 6, 4, group_size=8, token_dim=4, seed=3)
     centered = cb.trajectories - cb.traj_anchors()[:, None, :]
     assert np.max(np.abs(centered.mean(axis=1))) < 1e-9
 
 
 def test_cluster_stability_same_seed():
-    a = sample_and_cluster(corpus(), 6, 4, group_size=8, token_dim=4, seed=7)
-    b = sample_and_cluster(corpus(), 6, 4, group_size=8, token_dim=4, seed=7)
+    a = sample_and_cluster(*corpus(), 6, 4, group_size=8, token_dim=4, seed=7)
+    b = sample_and_cluster(*corpus(), 6, 4, group_size=8, token_dim=4, seed=7)
     assert np.array_equal(a.trajectories, b.trajectories)
 
 
 def test_init_basis_tokens_deterministic_and_shaped():
-    cb = sample_and_cluster(corpus(), 6, 4, group_size=8, token_dim=32, seed=0)
+    cb = sample_and_cluster(*corpus(), 6, 4, group_size=8, token_dim=32, seed=0)
     init_basis_tokens(cb, rng_seed=9)
     first = cb.basis.copy()
     init_basis_tokens(cb, rng_seed=9)
@@ -230,7 +226,7 @@ def test_init_basis_tokens_deterministic_and_shaped():
 
 
 def test_init_basis_variance_near_1_over_d():
-    cb = sample_and_cluster(corpus(n_per_cmd=40, n_agent=700), 3, 20,
+    cb = sample_and_cluster(*corpus(n_per_cmd=40, n_agent=700), 3, 20,
                             group_size=32, token_dim=16, seed=0)
     init_basis_tokens(cb, rng_seed=4)
     samples = cb.basis.reshape(-1)
@@ -239,7 +235,7 @@ def test_init_basis_variance_near_1_over_d():
 
 
 def test_token_anchor_tracks_updates():
-    cb = sample_and_cluster(corpus(), 6, 4, group_size=8, token_dim=4, seed=0)
+    cb = sample_and_cluster(*corpus(), 6, 4, group_size=8, token_dim=4, seed=0)
     init_basis_tokens(cb, rng_seed=0)
     assert np.allclose(cb.token_anchors()[0], cb.basis[0].mean(axis=0))
     cb.basis[0, 0] += 5.0  # simulated optimizer step
@@ -247,13 +243,13 @@ def test_token_anchor_tracks_updates():
 
 
 def test_bijection_shapes():
-    cb = sample_and_cluster(corpus(), 6, 4, group_size=8, token_dim=4, seed=0)
+    cb = sample_and_cluster(*corpus(), 6, 4, group_size=8, token_dim=4, seed=0)
     init_basis_tokens(cb, rng_seed=0)
     assert cb.basis.shape[:2] == cb.trajectories.shape[:2] == (cb.n_code, cb.group_size)
 
 
 def test_admissible_group_counts_default_partition():
-    cb = sample_and_cluster(corpus(), 6, 4, group_size=8, token_dim=4, seed=0)
+    cb = sample_and_cluster(*corpus(), 6, 4, group_size=8, token_dim=4, seed=0)
     assert admissible(cb, list(COMMANDS) + [None]).sum(axis=1).tolist() == [2, 2, 2, 4]
     # rows in any order get the groups of the layout reference
     rng = np.random.default_rng(3)
@@ -266,23 +262,24 @@ def test_admissible_group_counts_default_partition():
 
 
 def test_nearest_group_respects_command():
-    cb = sample_and_cluster(corpus(), 6, 4, group_size=8, token_dim=4, seed=0)
+    cb = sample_and_cluster(*corpus(), 6, 4, group_size=8, token_dim=4, seed=0)
     mask = admissible(cb, [Command.TURN_LEFT])
-    [gid] = nearest_group(cb, curved(6.0, 0.05).flat[None, :], mask)
+    [gid] = nearest_group(cb, curved(6.0, 0.05).reshape(1, 12), mask)
     assert gid in group_ids_ref(cb, Command.TURN_LEFT)
 
 
 def test_nearest_group_matches_loop_reference():
-    cb = sample_and_cluster(corpus(), 6, 4, group_size=8, token_dim=4, seed=0)
+    cb = sample_and_cluster(*corpus(), 6, 4, group_size=8, token_dim=4, seed=0)
     rng = np.random.default_rng(4)
-    trajs = [traj for traj, _, _ in corpus(seed=9)]
+    ego, _, agents = corpus(seed=9)
+    trajs = np.concatenate([ego, agents])
     commands = [COMMANDS[int(rng.integers(3))] if rng.random() < 0.5 else None
                 for _ in trajs]
-    got = nearest_group(cb, np.stack([t.flat for t in trajs]), admissible(cb, commands))
+    got = nearest_group(cb, trajs.reshape(-1, 12), admissible(cb, commands))
+    anchors = cb.traj_anchors().reshape(-1, 6, 2)
     for traj, command, gid in zip(trajs, commands, got):
         ids = group_ids_ref(cb, command)
-        dists = [traj_distance(traj, Trajectory.from_flat(cb.traj_anchors()[i]))
-                 for i in ids]
+        dists = [traj_distance(traj, anchors[i]) for i in ids]
         assert gid == ids[int(np.argmin(dists))]
 
 
@@ -290,7 +287,7 @@ def test_nearest_group_matches_loop_reference():
 def cb_4x3_7():
     """Four ego groups per command and seven agent groups: the fewest that
     triplet selection allows."""
-    return sample_and_cluster(corpus(), 12, 7, group_size=4, token_dim=5, seed=2)
+    return sample_and_cluster(*corpus(), 12, 7, group_size=4, token_dim=5, seed=2)
 
 
 def test_triplet_table_disjoint_and_admissible(cb_4x3_7):

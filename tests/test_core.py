@@ -4,20 +4,21 @@ trajectory metric."""
 from __future__ import annotations
 
 import dataclasses
+import json
 import re
 
 import numpy as np
 import pytest
 
-from gptraj.core import (Command, SceneRecord, Trajectory, load_dataset,
-                         rng_for, save_dataset, validate_record)
+from gptraj.core import (Command, SceneRecord, load_dataset, rng_for, save_dataset,
+                         validate_record)
 
 from oracles import traj_distance
 
 
-def straight_traj(speed: float) -> Trajectory:
+def straight_traj(speed: float) -> np.ndarray:
     t = 0.5 * np.arange(1, 7)
-    return Trajectory(np.stack([speed * t, np.zeros(6)], axis=1))
+    return np.stack([speed * t, np.zeros(6)], axis=1)
 
 
 def make_record(n_agents=1, ego_gt=True, agent_gt=True, **overrides) -> SceneRecord:
@@ -40,9 +41,14 @@ def test_wellformed_record_ok():
 
 
 def test_wrong_waypoint_count_reported():
-    bad = Trajectory(np.zeros((5, 2)))
+    bad = np.zeros((5, 2))
     errors = validate_record(dataclasses.replace(make_record(), ego_gt=bad))
     assert any("waypoint count" in e for e in errors)
+
+
+def test_scalar_ego_obs_reported_with_known_length():
+    rec = make_record(n_agents=0, ego_obs=np.float64(5.0))
+    assert validate_record(rec, obs_dim=8) == ["ego_obs must be a vector"]
 
 
 def test_agent_list_length_mismatch_reported():
@@ -56,10 +62,10 @@ def test_agent_list_length_mismatch_reported():
 
 
 def test_coordinate_bound_and_finiteness():
-    too_far = Trajectory(np.full((6, 2), 250.0))
+    too_far = np.full((6, 2), 250.0)
     rec = dataclasses.replace(make_record(), ego_gt=too_far)
     assert any("bound" in e for e in validate_record(rec))
-    nan_traj = Trajectory(np.full((6, 2), np.nan))
+    nan_traj = np.full((6, 2), np.nan)
     rec = dataclasses.replace(make_record(), ego_gt=nan_traj)
     assert any("non-finite" in e for e in validate_record(rec))
 
@@ -67,7 +73,7 @@ def test_coordinate_bound_and_finiteness():
 def test_traj_distance_identity_and_offset():
     a = straight_traj(5.0)
     assert traj_distance(a, a) == 0.0
-    shifted = Trajectory(a.points + np.array([1.0, 0.0]))
+    shifted = a + np.array([1.0, 0.0])
     assert traj_distance(a, shifted) == pytest.approx(1.0)
 
 
@@ -81,7 +87,7 @@ def test_traj_distance_two_speeds_hand_computed():
 def test_traj_distance_is_a_metric():
     rng = np.random.default_rng(11)
     for _ in range(200):
-        a, b, c = (Trajectory(rng.normal(scale=10, size=(6, 2))) for _ in range(3))
+        a, b, c = (rng.normal(scale=10, size=(6, 2)) for _ in range(3))
         dab, dba = traj_distance(a, b), traj_distance(b, a)
         assert dab == pytest.approx(dba)
         assert dab >= 0.0
@@ -91,14 +97,21 @@ def test_traj_distance_is_a_metric():
 
 def test_dataset_roundtrip_identity(tmp_path):
     records = [make_record(), make_record(n_agents=0, ego_gt=False, agent_gt=False,
-                                          **{"scene_id": "s1"})]
+                                          **{"scene_id": "s1"}),
+               make_record(n_agents=0, scene_id="s2")]
     path = tmp_path / "data.jsonl"
     save_dataset(records, path)
     loaded = load_dataset(path)
-    assert len(loaded) == 2
+    assert len(loaded) == 3
     assert loaded[0].scene_id == "s0"
-    assert np.array_equal(loaded[0].ego_gt.points, records[0].ego_gt.points)
+    assert np.array_equal(loaded[0].ego_gt, records[0].ego_gt)
+    assert loaded[0].agent_gt.shape == (1, 6, 2)
     assert loaded[1].ego_gt is None and loaded[1].agent_gt is None
+    assert not loaded[1].labeled
+    # a labeled scene without agents keeps an empty agent_gt
+    assert loaded[2].labeled and loaded[2].agent_gt.shape == (0, 6, 2)
+    assert loaded[2].agent_obs.shape == (0, 8)
+    assert loaded[2].agent_footprints.shape == (0, 2)
     # byte-identical re-serialization
     path2 = tmp_path / "data2.jsonl"
     save_dataset(loaded, path2)
@@ -116,37 +129,61 @@ def test_unknown_keys_rejected(tmp_path):
     rec = make_record()
     d = rec.to_json_dict()
     d["mystery"] = 1
-    import json
     path = tmp_path / "bad.jsonl"
     path.write_text(json.dumps(d) + "\n", encoding="utf-8")
     with pytest.raises(ValueError, match="unknown dataset keys"):
         load_dataset(path)
 
 
+MISSING = object()  # drops the key from the line
+
+
 @pytest.mark.parametrize("bad, violation", [
     # the first scene's observation length is the file's, so the odd one out
     # is reported on line 2
-    (dict(ego_obs=np.zeros(6), agent_obs=[np.zeros(6)]), "2: ego_obs length 8 != 6"),
-    (dict(ego_gt=Trajectory(np.zeros((5, 2)))), "1: ego_gt: waypoint count != 6"),
+    (dict(ego_obs=[0.0] * 6, agent_obs=[[0.0] * 6]), "2: ego_obs length 8 != 6"),
+    (dict(ego_gt=[[0.0, 0.0]] * 5), "1: ego_gt: waypoint count != 6"),
     (dict(agent_footprints=[]),
      "1: agent list length mismatch: 1 agent_obs, 0 agent_footprints"),
-], ids=["short_ego_obs", "five_waypoint_ego_gt", "missing_footprint"])
+    (dict(agent_footprints=[[4.5, 2.0, 1.0]]),
+     "1: agent_footprints[0] must be a (length, width) pair"),
+    # a flat 12-number trajectory is not read as 6 waypoints
+    (dict(ego_gt=[0.0] * 12), "1: ego_gt: waypoint count != 6: shape (12,)"),
+    (dict(agent_gt=[[0.0] * 12]), "1: agent_gt[0]: waypoint count != 6: shape (12,)"),
+    (dict(ego_obs=MISSING), "1: missing dataset keys: ['ego_obs']"),
+    (dict(agent_obs=[[0.0] * 8, [0.0] * 6]), "1: agent_obs[1] length mismatch with ego_obs"),
+    (dict(agent_gt=[[[0.0, 0.0]] * 6, [[0.0, 0.0]] * 5]),
+     "1: agent_gt[1]: waypoint count != 6: shape (5, 2)"),
+    (dict(agent_footprints=[[4.5, 2.0], [4.5, 2.0, 1.0]]),
+     "1: agent_footprints[1] must be a (length, width) pair"),
+    (dict(agent_footprints=4.5), "1: agent_footprints must be a list"),
+    (dict(ego_obs=["x"] + [0.0] * 7), "1: ego_obs: could not convert"),
+    (dict(ego_gt=None), "1: null dataset values: ['ego_gt']"),
+], ids=["short_ego_obs", "five_waypoint_ego_gt", "missing_footprint",
+        "three_number_footprint", "flat_ego_gt", "flat_agent_gt", "missing_key",
+        "ragged_agent_obs", "ragged_agent_gt", "ragged_footprints", "scalar_footprints",
+        "non_numeric_ego_obs", "null_ego_gt"])
 def test_load_validates_records_with_path_and_line(tmp_path, bad, violation):
-    records = [make_record(scene_id=f"s{i}") for i in range(3)]
-    records[0] = dataclasses.replace(records[0], **bad)
+    lines = [make_record(scene_id=f"s{i}").to_json_dict() for i in range(3)]
+    lines[0] = {k: v for k, v in {**lines[0], **bad}.items() if v is not MISSING}
     path = tmp_path / "data.jsonl"
-    save_dataset(records, path)
-    with pytest.raises(ValueError, match=re.escape(f"{path}:{violation}")):
+    path.write_text("".join(json.dumps(d) + "\n" for d in lines), encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:{violation}")) as e:
         load_dataset(path)
+    assert "\n" not in str(e.value)
 
 
-def test_command_serialization_lowercase():
+def test_command_serialization_lowercase(tmp_path):
     assert {c.value for c in Command} == {"turn_left", "turn_right", "go_straight"}
     for c in Command:
         assert c.value == c.value.lower()
-        assert Command.from_str(c.value) is c
-    with pytest.raises(ValueError):
-        Command.from_str("reverse")
+        assert Command(c.value) is c
+    d = make_record().to_json_dict()
+    d["command"] = "reverse"
+    path = tmp_path / "data.jsonl"
+    path.write_text(json.dumps(d) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))}:1: .*'reverse'"):
+        load_dataset(path)
 
 
 def test_rng_streams_are_stable_and_distinct():

@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gptraj.core import Command, Trajectory
+from gptraj.core import Command
 from gptraj.evalmetrics import (avg_l2, collision, evaluate, rect_corners,
                                 sat_margin, scene_collisions, scene_stats)
 from gptraj.synthdomain import arc_points
@@ -22,11 +22,11 @@ from oracles import (avg_l2_ref, collision_reference, encode_ref, plan_ref,
 
 def straight(speed=5.0):
     t = 0.5 * np.arange(1, 7)
-    return Trajectory(np.stack([speed * t, np.zeros(6)], axis=1))
+    return np.stack([speed * t, np.zeros(6)], axis=1)
 
 
 def test_avg_l2_zero_and_constant_offset():
-    gt = straight().points
+    gt = straight()
     assert avg_l2(gt, gt).tolist() == [0.0, 0.0, 0.0, 0.0]
     off = gt + np.array([0.6, 0.8])  # 1 m offset
     overall, a1, a2, a3 = avg_l2(off, gt)
@@ -35,7 +35,7 @@ def test_avg_l2_zero_and_constant_offset():
 
 
 def test_avg_l2_cumulative_convention():
-    gt = straight().points
+    gt = straight()
     pts = gt.copy()
     for k in range(6):
         pts[k, 1] += 0.1 * (k + 1)  # error 0.1k at waypoint k
@@ -57,14 +57,14 @@ def test_avg_l2_rows_match_one_scene_reference_bits():
 
 
 def test_collision_trivial_cases():
-    ego = straight()
-    assert collision(ego, [], []) is False
+    ego, footprint = straight(), np.array([[4.5, 2.0]])
+    assert collision(ego, np.zeros((0, 6, 2)), np.zeros((0, 2))) is False
     # agent parked exactly on ego waypoint 3
-    stopped = Trajectory(np.tile(ego.points[2], (6, 1)))
-    assert collision(ego, [stopped], [(4.5, 2.0)]) is True
+    stopped = np.tile(ego[2], (1, 6, 1))
+    assert collision(ego, stopped, footprint) is True
     # agent far to the side the whole time
-    far = Trajectory(ego.points + np.array([0.0, 50.0]))
-    assert collision(ego, [far], [(4.5, 2.0)]) is False
+    far = ego[None] + np.array([0.0, 50.0])
+    assert collision(ego, far, footprint) is False
 
 
 def random_scenes(rng, n: int):
@@ -72,18 +72,19 @@ def random_scenes(rng, n: int):
     of them stopped (a zero chord at every step)."""
     scenes = []
     for _ in range(n):
-        ego = Trajectory(arc_points(rng.uniform(0.0, 10.0), rng.normal(0.0, 0.05)))
+        ego = arc_points(rng.uniform(0.0, 10.0), rng.normal(0.0, 0.05))
         agents, footprints = [], []
         for _ in range(int(rng.integers(0, 5))):
             theta = rng.uniform(0, 2 * np.pi)
             rot = np.array([[np.cos(theta), -np.sin(theta)],
                             [np.sin(theta), np.cos(theta)]])
             speed = 0.0 if rng.uniform() < 0.25 else rng.uniform(0.5, 8.0)
-            start = ego.points[int(rng.integers(6))] + rng.normal(0.0, 3.0, 2)
-            agents.append(Trajectory(start + arc_points(speed, rng.normal(0.0, 0.05))
-                                     @ rot.T - speed * 0.5 * rot[:, 0]))
+            start = ego[int(rng.integers(6))] + rng.normal(0.0, 3.0, 2)
+            agents.append(start + arc_points(speed, rng.normal(0.0, 0.05))
+                          @ rot.T - speed * 0.5 * rot[:, 0])
             footprints.append((rng.uniform(3.0, 5.0), rng.uniform(1.5, 2.5)))
-        scenes.append((ego, agents, footprints))
+        scenes.append((ego, np.array(agents).reshape(-1, 6, 2),
+                       np.array(footprints).reshape(-1, 2)))
     return scenes
 
 
@@ -91,12 +92,12 @@ def test_batched_collision_matches_scalar_reference():
     scenes = random_scenes(np.random.default_rng(7), 200)
     want = [collision_reference(*scene) for scene in scenes]
     assert 40 <= sum(want) <= 160  # both outcomes are well represented
-    assert any(not agents for _, agents, _ in scenes)
+    assert any(not len(agents) for _, agents, _ in scenes)
     assert [collision(*scene) for scene in scenes] == want
     # every (scene, agent) pair in one pass, reduced by scene
-    pairs = [(i, t.points, fp) for i, (_, agents, fps) in enumerate(scenes)
+    pairs = [(i, t, fp) for i, (_, agents, fps) in enumerate(scenes)
              for t, fp in zip(agents, fps)]
-    hits = scene_collisions(np.stack([ego.points for ego, _, _ in scenes]),
+    hits = scene_collisions(np.stack([ego for ego, _, _ in scenes]),
                             np.stack([p for _, p, _ in pairs]),
                             np.array([fp for _, _, fp in pairs]),
                             np.array([i for i, _, _ in pairs]))
@@ -104,14 +105,14 @@ def test_batched_collision_matches_scalar_reference():
 
 
 def test_touching_and_stopped_rectangles():
-    parked = Trajectory(np.zeros((6, 2)))  # zero chord: heads along +x
+    parked = np.zeros((6, 2))  # zero chord: heads along +x
     # the 4 m ego reaches x = 2, where a 4.5 m agent centred at x = 4.25 starts
-    touching = Trajectory(np.tile([4.25, 0.0], (6, 1)))
-    inside = Trajectory(np.tile([4.25 - 1e-6, 0.0], (6, 1)))
-    beside = Trajectory(np.tile([0.0, 1.9], (6, 1)))  # widths 1.8 and 2.0
+    touching = np.tile([4.25, 0.0], (1, 6, 1))
+    inside = np.tile([4.25 - 1e-6, 0.0], (1, 6, 1))
+    beside = np.tile([0.0, 1.9], (1, 6, 1))  # widths 1.8 and 2.0
     for agent, hit in ((touching, False), (inside, True), (beside, None)):
-        want = collision_reference(parked, [agent], [(4.5, 2.0)])
-        assert collision(parked, [agent], [(4.5, 2.0)]) is want
+        want = collision_reference(parked, agent, [(4.5, 2.0)])
+        assert collision(parked, agent, np.array([[4.5, 2.0]])) is want
         assert hit is None or want is hit
 
 
@@ -229,8 +230,8 @@ def test_evaluate_rows_match_per_scene_reference(tiny_dataset, stage1_ckpt):
             if mode == "base":
                 traj, _ = plan_ref(ego, rec.command, model.base, model.cb)
             else:
-                traj = Trajectory.from_flat(predict_ref(ego, rec.command, model)[0])
-            l2 = avg_l2_ref(traj.points, rec.ego_gt.points)
+                traj = predict_ref(ego, rec.command, model)[0].reshape(6, 2)
+            l2 = avg_l2_ref(traj, rec.ego_gt)
             l2s.append(l2)
             assert row["scene_id"] == rec.scene_id
             got = [row[k] for k in ("l2_overall", "l2_at_1s", "l2_at_2s", "l2_at_3s")]

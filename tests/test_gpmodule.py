@@ -23,7 +23,7 @@ from test_codebook import corpus
 
 @pytest.fixture(scope="module")
 def small_cb():
-    cb = sample_and_cluster(corpus(n_per_cmd=24, n_agent=60), 6, 4,
+    cb = sample_and_cluster(*corpus(n_per_cmd=24, n_agent=60), 6, 4,
                             group_size=8, token_dim=6, seed=0)
     return init_basis_tokens(cb, rng_seed=1)
 

@@ -21,7 +21,7 @@ from test_codebook import corpus
 
 @pytest.fixture(scope="module")
 def cb():
-    c = sample_and_cluster(corpus(), 12, 7, group_size=4, token_dim=5, seed=2)
+    c = sample_and_cluster(*corpus(), 12, 7, group_size=4, token_dim=5, seed=2)
     return init_basis_tokens(c, rng_seed=2)
 
 

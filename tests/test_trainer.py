@@ -15,7 +15,6 @@ from gptraj import autodiff, psdlinalg, trainer
 from gptraj.adapt import active_select, adapt_supervised, adapt_unsupervised
 from gptraj.basemodel import encode
 from gptraj.codebook import BuildError
-from gptraj.core import Trajectory
 from gptraj.evalmetrics import evaluate
 from gptraj.gpmodule import GpInference
 from gptraj.psdlinalg import NotPSD
@@ -229,6 +228,19 @@ def test_codebook_build_error_names_stage(tiny_dataset):
     assert isinstance(exc.value.__cause__, BuildError)
 
 
+def test_training_rejects_scene_without_agent_gt(tiny_dataset, fitted):
+    rec = next(r for r in tiny_dataset if r.n_agents)
+    records = [dataclasses.replace(r, agent_gt=None) if r is rec else r
+               for r in tiny_dataset]
+    message = (f"^scene {rec.scene_id}: {rec.n_agents} agent observations but 0 "
+               f"agent trajectories$")
+    # stage 1 through the codebook build, stage 2 through its scene table
+    with pytest.raises(ValueError, match=message):
+        stage1_pretrain(records, CFG, tiny_spec())
+    with pytest.raises(ValueError, match=message):
+        stage2_fit_gp(records, fitted, CFG)
+
+
 def test_nonfinite_loss_raises_training_error(tiny_dataset):
     ckpt = stage1_pretrain(tiny_dataset, CFG, tiny_spec())
     ckpt.model.base.pln_b2[:] = np.nan
@@ -241,10 +253,11 @@ def test_scene_labels_match_per_scene_loop(tiny_dataset, tiny_model):
     table = SceneTable(tiny_dataset, cb, labeled=True)
     labels = scene_labels(table, cb)
 
+    anchors = cb.traj_anchors().reshape(-1, 6, 2)
+
     def nearest(traj, command):
         ids = group_ids_ref(cb, command)
-        d = [traj_distance(traj, Trajectory.from_flat(cb.traj_anchors()[i]))
-             for i in ids]
+        d = [traj_distance(traj, anchors[i]) for i in ids]
         return ids[int(np.argmin(d))]
 
     want = [nearest(r.ego_gt, r.command) for r in tiny_dataset]
