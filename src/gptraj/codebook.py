@@ -111,11 +111,12 @@ def _lloyd(flat: np.ndarray, k: int, rng: np.random.Generator
 
     Farthest-point initialization from a seeded first pick, then Lloyd
     iterations: assign by trajectory distance, move each non-empty cluster's
-    centroid to its mean by one scatter-add in row order (the order of
-    ``mean``), and recompute only the distance columns of centroids that
-    moved. Bit-identical to ``tests/oracles.py``'s ``lloyd_ref``, which
+    centroid to its mean, summed by one ``bincount`` over flat (group,
+    column) ids, which adds in row order (the order of ``mean``), and
+    recompute only the distance columns of centroids that moved.
+    Bit-identical to ``tests/oracles.py``'s ``lloyd_ref``, which
     recomputes everything."""
-    n = len(flat)
+    n, d = flat.shape
     picks, nearest, dists = [], np.full(n, np.inf), np.empty((n, k))
     for j in range(k):
         picks.append(int(np.argmax(nearest)) if j else int(rng.integers(n)))
@@ -126,8 +127,8 @@ def _lloyd(flat: np.ndarray, k: int, rng: np.random.Generator
     for _ in range(LLOYD_MAX_ITERS):
         assign = np.argmin(dists, axis=1)
         counts = np.bincount(assign, minlength=k)[:, None]
-        sums = np.zeros_like(centroids)
-        np.add.at(sums, assign, flat)
+        sums = np.bincount((assign[:, None] * d + np.arange(d)).ravel(), flat.ravel(),
+                           minlength=k * d).reshape(k, d)
         new = np.where(counts > 0, sums / np.maximum(counts, 1), centroids)
         for j in np.flatnonzero(np.any(new != centroids, axis=1)):
             dists[:, j] = traj_dists(flat, new[j])

@@ -110,6 +110,8 @@ class SceneRecord:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "SceneRecord":
+        if not isinstance(d, dict):
+            raise ValueError(f"a scene must be a JSON object, not {type(d).__name__}")
         unknown = set(d) - DATASET_FIELDS
         if unknown:
             raise ValueError(f"unknown dataset keys: {sorted(unknown)}")
@@ -209,19 +211,79 @@ def scene_rows(records: list[SceneRecord], labeled: bool) -> SceneRows:
 
 
 def save_dataset(records, path) -> None:
+    """Write ``records`` as JSONL, one scene per line. A non-finite value
+    has no JSON form, so it raises ``<path>: scene <id>: non-finite value``
+    and leaves no file at ``path``."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        for rec in records:
-            f.write(json.dumps(rec.to_json_dict(), sort_keys=True))
-            f.write("\n")
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as f:
+            for rec in records:
+                try:
+                    line = json.dumps(rec.to_json_dict(), sort_keys=True, allow_nan=False)
+                except ValueError:
+                    raise ValueError(f"{path}: scene {rec.scene_id}: non-finite value") from None
+                f.write(line)
+                f.write("\n")
+    except ValueError:
+        path.unlink(missing_ok=True)
+        raise
+
+
+def _invalid_records(records: list[SceneRecord]) -> np.ndarray:
+    """(n,) True where ``validate_record``, given the first record's
+    observation length from the second record on, reports a violation.
+
+    One pass over the stacked fields instead of one call per record: a
+    Python comparison of each record's shapes, then one array check per
+    value group (observations finite, trajectories within ``COORD_BOUND``,
+    footprints finite and positive) whose failing elements are mapped back
+    to their records. A first observation that is not a vector flags every
+    record."""
+    obs_shape = records[0].ego_obs.shape if records else ()
+    bad = np.array([len(obs_shape) != 1
+                    or r.ego_obs.shape != obs_shape
+                    or r.agent_obs.shape[1:] != obs_shape
+                    or r.agent_footprints.shape != (len(r.agent_obs), 2)
+                    or (r.ego_gt is not None and r.ego_gt.shape != _TRAJ_SHAPE)
+                    or (r.agent_gt is not None
+                        and r.agent_gt.shape != (len(r.agent_obs), *_TRAJ_SHAPE))
+                    for r in records], dtype=bool)
+    groups = (
+        ([[r.ego_obs, r.agent_obs] for r in records], np.isfinite),
+        ([[t for t in (r.ego_gt, r.agent_gt) if t is not None] for r in records],
+         lambda v: np.abs(v) <= COORD_BOUND),  # False for NaN too
+        ([[r.agent_footprints] for r in records], lambda v: np.isfinite(v) & (v > 0)),
+    )
+    for arrays, good in groups:
+        ends = np.cumsum([sum(a.size for a in arrs) for arrs in arrays])
+        # the leading empty array keeps a group without arrays valid
+        flat = np.concatenate([np.empty(0)] + [a for arrs in arrays for a in arrs], axis=None)
+        bad[np.searchsorted(ends, np.flatnonzero(~good(flat)), side="right")] = True
+    return bad
+
+
+def _raise_first_violation(path, records: list[SceneRecord], linenos: list[int]) -> None:
+    """Raise ``<path>:<line>: <violation>`` for the first record that
+    ``validate_record`` rejects, if there is one."""
+    flagged = np.flatnonzero(_invalid_records(records))
+    if flagged.size:
+        k = int(flagged[0])
+        errors = validate_record(records[k], records[0].ego_obs.shape[0] if k else None)
+        raise ValueError(f"{path}:{linenos[k]}: {errors[0]}")
 
 
 def load_dataset(path) -> list[SceneRecord]:
-    """The file's records, each checked by ``validate_record`` with the
-    observation length of the first record; the first violation found is
-    raised as ``<path>:<line>: <violation>``."""
-    records = []
+    """The file's records, each checked as ``validate_record`` checks it
+    with the observation length of the first record.
+
+    Lines are parsed and built into records one at a time, then the whole
+    file is checked by one array pass, and ``validate_record`` runs only on
+    the first record that pass flags. The first fault in line order is
+    raised as ``<path>:<line>: <message>``, the line counted in the file,
+    blank lines included: a record's first violation, or a line that does
+    not parse into a record, whichever comes first."""
+    records, linenos = [], []
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             line = line.strip()
@@ -230,12 +292,11 @@ def load_dataset(path) -> list[SceneRecord]:
             try:
                 rec = SceneRecord.from_json_dict(json.loads(line))
             except ValueError as e:
+                _raise_first_violation(path, records, linenos)  # an earlier line wins
                 raise ValueError(f"{path}:{lineno}: {e}") from e
-            obs_dim = records[0].ego_obs.shape[0] if records else None
-            errors = validate_record(rec, obs_dim)
-            if errors:
-                raise ValueError(f"{path}:{lineno}: {errors[0]}")
             records.append(rec)
+            linenos.append(lineno)
+    _raise_first_violation(path, records, linenos)
     return records
 
 

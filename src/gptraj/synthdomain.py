@@ -14,21 +14,24 @@ A candidate that collides with the ego is redrawn, up to
 ``AGENT_RESAMPLE_ATTEMPTS`` times per agent. The candidates therefore form
 one fixed sequence per scene whatever is accepted; the decisions only set
 how many are consumed before the noise draws start. ``gen_dataset`` draws
-ahead in rounds: one candidate per open agent slot of every scene, all
-checked by one SAT pass, then each scene's decisions in draw order. A round
-never draws more candidates than its decisions consume, so every stream,
-and with it every record, is the one a candidate-at-a-time loop gives.
+ahead in rounds: one candidate per open agent slot of every scene, each
+candidate's draws still taken one at a time from its own scene's stream,
+then the whole round's geometry (rotations, arcs, waypoints) in one array
+pass, all of it checked by one SAT pass, then each scene's decisions in draw
+order. A round never draws more candidates than its decisions consume, so
+every stream, and with it every record, is the one a candidate-at-a-time
+loop gives. The ego arcs are one array pass over all scenes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 from scipy.linalg import expm, qr
 
-from .core import Command, SceneRecord, rng_for, save_dataset
+from .core import N_WAYPOINTS, Command, SceneRecord, rng_for, save_dataset
 from .evalmetrics import scene_collisions
 
 RAW_DIM = 12
@@ -51,6 +54,13 @@ _MIRROR_SWAP = {
     Command.TURN_RIGHT: Command.TURN_LEFT,
     Command.GO_STRAIGHT: Command.GO_STRAIGHT,
 }
+
+_TIMES = 0.5 * np.arange(1, N_WAYPOINTS + 1)  # the waypoint times in s
+
+# the columns of a candidate agent's draws, in draw order: start x and y,
+# heading, speed, curvature; mirroring negates y, heading and curvature
+_X, _Y, _HEADING, _SPEED, _CURV = range(5)
+_MIRROR_DRAWS = np.array([1.0, -1.0, -1.0, 1.0, -1.0])
 
 
 @dataclass(frozen=True)
@@ -111,102 +121,106 @@ def build_obs_transform(desc: dict | str, obs_dim: int) -> tuple[np.ndarray, np.
     raise ValueError(f"unknown obs_transform kind {kind!r}")
 
 
-def arc_points(speed: float, curvature: float,
-               times: np.ndarray | None = None) -> np.ndarray:
-    """Constant-curvature arc from the origin heading +x, exact closed form."""
-    if times is None:
-        times = 0.5 * np.arange(1, 7)
-    s = speed * times
-    if abs(curvature) < 1e-9:
-        return np.stack([s, np.zeros_like(s)], axis=1)
-    th = curvature * s
-    return np.stack([np.sin(th) / curvature, (1.0 - np.cos(th)) / curvature], axis=1)
+def arc_points(speed, curvature) -> np.ndarray:
+    """Constant-curvature arcs from the origin heading +x, exact closed form.
+
+    ``speed`` and ``curvature`` are (m,) rows, giving the (m, 6, 2)
+    waypoints at t = 0.5 ... 3.0 s, or scalars, giving (6, 2). A row with
+    ``|curvature| < 1e-9`` is the straight line (speed * t, 0).
+    """
+    speed, curvature = np.asarray(speed, dtype=np.float64), np.asarray(curvature, dtype=np.float64)
+    s = speed[..., None] * _TIMES
+    straight = (np.abs(curvature) < 1e-9)[..., None]
+    c = np.where(straight, 1.0, curvature[..., None])  # a straight row's stand-in
+    th = c * s
+    return np.stack([np.where(straight, s, np.sin(th) / c),
+                     np.where(straight, 0.0, (1.0 - np.cos(th)) / c)], axis=-1)
 
 
-@dataclass
-class _AgentDraw:
-    rel: np.ndarray
-    heading: float
-    speed: float
-    curvature: float
-    points: np.ndarray = field(default_factory=lambda: np.zeros((6, 2)))
+def _sample_agents(rngs: list[np.random.Generator], speed_prior
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """One candidate agent from each stream of ``rngs``: its 5 scalar draws
+    (m, 5) in the column order of ``_X`` ... ``_CURV``, which is their draw
+    order, and its waypoints (m, 6, 2), the arc of its speed and curvature
+    turned by its heading and moved to its start."""
+    lo, hi = speed_prior
+    draws = np.array([(rng.uniform(4.0, 28.0), rng.uniform(-8.0, 8.0), rng.normal(0.0, 0.25),
+                       rng.uniform(lo, hi), rng.normal(0.0, 0.01)) for rng in rngs])
+    c, s = np.cos(draws[:, _HEADING]), np.sin(draws[:, _HEADING])
+    rot = np.stack([c, -s, s, c], axis=1).reshape(-1, 2, 2)
+    # a (6, 2) @ (2, 2) product per row, as for one arc: BLAS fuses its
+    # multiply-adds, so an elementwise rotation would round differently
+    arcs = arc_points(draws[:, _SPEED], draws[:, _CURV])
+    return draws, draws[:, None, :2] + arcs @ rot.transpose(0, 2, 1)
 
 
-def _sample_agent(rng: np.random.Generator, speed_prior) -> _AgentDraw:
-    a = _AgentDraw(
-        rel=np.array([rng.uniform(4.0, 28.0), rng.uniform(-8.0, 8.0)]),
-        heading=rng.normal(0.0, 0.25),
-        speed=rng.uniform(*speed_prior),
-        curvature=rng.normal(0.0, 0.01),
-    )
-    c, s = np.cos(a.heading), np.sin(a.heading)
-    rot = np.array([[c, -s], [s, c]])
-    a.points = a.rel[None, :] + arc_points(a.speed, a.curvature) @ rot.T
-    return a
-
-
-def _ego_raw(speed, curvature, command, agents) -> np.ndarray:
+def _ego_raw(speed, curvature, command, agents: np.ndarray) -> np.ndarray:
     raw = np.zeros(RAW_DIM)
     raw[0] = 1.0
     raw[1] = speed / _SPEED_NORM
     raw[2] = curvature / _CURV_NORM
     raw[3 + _COMMAND_ORDER.index(command)] = 1.0
-    if agents:
-        rel = np.stack([a.rel for a in agents])
-        raw[6] = rel[:, 0].mean() / _RELX_NORM
-        raw[7] = rel[:, 1].mean() / _RELY_NORM
+    if len(agents):
+        raw[6] = agents[:, _X].mean() / _RELX_NORM
+        raw[7] = agents[:, _Y].mean() / _RELY_NORM
     raw[10] = len(agents) / MAX_AGENTS
     return raw
 
 
-def _agent_raw(a: _AgentDraw) -> np.ndarray:
-    raw = np.zeros(RAW_DIM)
-    raw[1] = a.speed / _SPEED_NORM
-    raw[2] = a.curvature / _CURV_NORM
-    raw[6] = a.rel[0] / _RELX_NORM
-    raw[7] = a.rel[1] / _RELY_NORM
-    raw[8] = np.sin(a.heading)
-    raw[9] = np.cos(a.heading)
-    raw[10] = AGENT_FOOTPRINT[0] / 5.0
+def _agent_raw(agents: np.ndarray) -> np.ndarray:
+    raw = np.zeros((len(agents), RAW_DIM))
+    raw[:, 1] = agents[:, _SPEED] / _SPEED_NORM
+    raw[:, 2] = agents[:, _CURV] / _CURV_NORM
+    raw[:, 6] = agents[:, _X] / _RELX_NORM
+    raw[:, 7] = agents[:, _Y] / _RELY_NORM
+    raw[:, 8] = np.sin(agents[:, _HEADING])
+    raw[:, 9] = np.cos(agents[:, _HEADING])
+    raw[:, 10] = AGENT_FOOTPRINT[0] / 5.0
     return raw
 
 
 def _draw_agents(spec: DomainSpec, rngs: list[np.random.Generator],
-                 ego_points: list[np.ndarray], n_agents: list[int]
-                 ) -> list[list[_AgentDraw]]:
-    """The collision-free agents of every scene, in slot order.
+                 ego_points: np.ndarray, n_agents: list[int]
+                 ) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The collision-free agents of every scene, in slot order: their draws
+    (A, 5) and waypoints (A, 6, 2), as ``_sample_agents`` gives them.
 
     Each round draws one candidate per open slot of every pending scene from
-    that scene's stream, checks them all with one SAT pass, then walks each
-    scene's candidates in draw order: a clear one fills the slot, a colliding
-    one counts an attempt, and a slot's ``AGENT_RESAMPLE_ATTEMPTS``-th
-    collision drops it. Resolving a slot takes at least one candidate, so a
-    scene consumes every candidate of its round and its stream stands where
-    the one-at-a-time loop would leave it.
+    that scene's stream, checks them all with one SAT pass against
+    ``ego_points`` (S, 6, 2), then walks each scene's candidates in draw
+    order: a clear one fills the slot, a colliding one counts an attempt,
+    and a slot's ``AGENT_RESAMPLE_ATTEMPTS``-th collision drops it.
+    Resolving a slot takes at least one candidate, so a scene consumes every
+    candidate of its round and its stream stands where the one-at-a-time
+    loop would leave it.
     """
-    agents: list[list[_AgentDraw]] = [[] for _ in rngs]
+    draws, points = [np.empty((0, 5))], [np.empty((0, N_WAYPOINTS, 2))]
+    kept: list[list[int]] = [[] for _ in rngs]  # per scene: its agents' candidate ids
     open_slots = list(n_agents)
     attempts = [0] * len(rngs)
     pending = [i for i in range(len(rngs)) if open_slots[i]]
+    n_drawn = 0
     while pending:
         owner = [i for i in pending for _ in range(open_slots[i])]
-        cands = [_sample_agent(rngs[i], spec.speed_prior) for i in owner]
-        hits = scene_collisions(np.stack([ego_points[i] for i in owner]),
-                                np.stack([c.points for c in cands]),
-                                np.full((len(cands), 2), AGENT_FOOTPRINT),
-                                np.arange(len(cands)))
-        for i, cand, hit in zip(owner, cands, hits):
+        d, p = _sample_agents([rngs[i] for i in owner], spec.speed_prior)
+        hits = scene_collisions(ego_points[owner], p, np.full((len(owner), 2), AGENT_FOOTPRINT),
+                                np.arange(len(owner)))
+        for cand, (i, hit) in enumerate(zip(owner, hits), start=n_drawn):
             if hit:
                 attempts[i] += 1
                 if attempts[i] < AGENT_RESAMPLE_ATTEMPTS:
                     continue
                 # all attempts collided: drop the agent
             else:
-                agents[i].append(cand)
+                kept[i].append(cand)
             attempts[i] = 0
             open_slots[i] -= 1
+        draws.append(d)
+        points.append(p)
+        n_drawn += len(owner)
         pending = [i for i in pending if open_slots[i]]
-    return agents
+    draws, points = np.concatenate(draws), np.concatenate(points)
+    return [(draws[ids], points[ids]) for ids in kept]
 
 
 def gen_dataset(spec: DomainSpec, n_scenes: int, seed: int, path=None,
@@ -220,15 +234,16 @@ def gen_dataset(spec: DomainSpec, n_scenes: int, seed: int, path=None,
     to keep command semantics truthful.
     """
     rngs = [rng_for(seed, "scene", spec.name, i) for i in range(n_scenes)]
-    egos = []  # per scene: command, speed, curvature, ego points, agent count
+    commands, speeds, curvatures, n_agents = [], [], [], []
     for rng in rngs:
         command = _COMMAND_ORDER[int(rng.integers(3))]
-        speed = rng.uniform(*spec.speed_prior)
+        speeds.append(rng.uniform(*spec.speed_prior))
         mu, sd = spec.curvature_prior[command]
-        curvature = rng.normal(mu, sd)
-        egos.append((command, speed, curvature, arc_points(speed, curvature),
-                     int(rng.integers(0, MAX_AGENTS + 1))))
-    agents = _draw_agents(spec, rngs, [e[3] for e in egos], [e[4] for e in egos])
+        curvatures.append(rng.normal(mu, sd))
+        commands.append(command)
+        n_agents.append(int(rng.integers(0, MAX_AGENTS + 1)))
+    ego_points = arc_points(np.array(speeds), np.array(curvatures))
+    agents = _draw_agents(spec, rngs, ego_points, n_agents)
 
     embed = embed_matrix(obs_dim)
 
@@ -238,27 +253,24 @@ def gen_dataset(spec: DomainSpec, n_scenes: int, seed: int, path=None,
 
     flip = np.array([1.0, -1.0])
     records = []
-    for i, (rng, (command, speed, curvature, ego_points, _), scene_agents) in enumerate(
-            zip(rngs, egos, agents)):
+    for i, (rng, command, speed, curvature, ego, (draws, points)) in enumerate(
+            zip(rngs, commands, speeds, curvatures, ego_points, agents)):
         if spec.mirror:
             command = _MIRROR_SWAP[command]
             curvature = -curvature
-            ego_points = ego_points * flip
-            for a in scene_agents:
-                a.rel = a.rel * flip
-                a.heading = -a.heading
-                a.curvature = -a.curvature
-                a.points = a.points * flip
-        ego_obs = observe(_ego_raw(speed, curvature, command, scene_agents), rng)
+            ego = ego * flip
+            draws = draws * _MIRROR_DRAWS
+            points = points * flip
+        ego_obs = observe(_ego_raw(speed, curvature, command, draws), rng)
         records.append(SceneRecord(
             scene_id=f"{spec.name}-{seed}-{i:06d}",
             domain_tag=spec.name,
             command=command,
             ego_obs=ego_obs,
-            agent_obs=[observe(_agent_raw(a), rng) for a in scene_agents],
-            ego_gt=ego_points,
-            agent_gt=[a.points for a in scene_agents],
-            agent_footprints=[AGENT_FOOTPRINT] * len(scene_agents),
+            agent_obs=[observe(raw, rng) for raw in _agent_raw(draws)],
+            ego_gt=ego,
+            agent_gt=points,
+            agent_footprints=[AGENT_FOOTPRINT] * len(draws),
         ))
     if path is not None:
         save_dataset(records, Path(path))

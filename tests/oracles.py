@@ -411,7 +411,9 @@ def _stream_ref(seed: int, *keys) -> np.random.Generator:
     return np.random.default_rng(ints)
 
 
-def _arc_ref(speed: float, curvature: float) -> np.ndarray:
+def arc_points_ref(speed: float, curvature: float) -> np.ndarray:
+    """The (6, 2) waypoints of one constant-curvature arc from the origin
+    heading +x: a straight line below curvature 1e-9 in magnitude."""
     s = speed * (0.5 * np.arange(1, 7))
     if abs(curvature) < 1e-9:
         return np.stack([s, np.zeros_like(s)], axis=1)
@@ -425,7 +427,8 @@ def sample_agent_ref(rng: np.random.Generator, speed_prior) -> SimpleNamespace:
                         heading=rng.normal(0.0, 0.25), speed=rng.uniform(*speed_prior),
                         curvature=rng.normal(0.0, 0.01))
     c, s = np.cos(a.heading), np.sin(a.heading)
-    a.points = a.rel[None, :] + _arc_ref(a.speed, a.curvature) @ np.array([[c, -s], [s, c]]).T
+    rot = np.array([[c, -s], [s, c]])
+    a.points = a.rel[None, :] + arc_points_ref(a.speed, a.curvature) @ rot.T
     return a
 
 
@@ -446,7 +449,7 @@ def gen_dataset_ref(spec, n_scenes: int, seed: int, obs_dim: int,
         command = order[int(rng.integers(3))]
         speed = rng.uniform(*spec.speed_prior)
         curvature = rng.normal(*spec.curvature_prior[command])
-        ego = _arc_ref(speed, curvature)
+        ego = arc_points_ref(speed, curvature)
         agents = []
         for _ in range(int(rng.integers(0, 5))):
             for _ in range(20):

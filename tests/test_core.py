@@ -10,8 +10,9 @@ import re
 import numpy as np
 import pytest
 
-from gptraj.core import (Command, SceneRecord, load_dataset, rng_for, save_dataset,
-                         validate_record)
+from gptraj import core
+from gptraj.core import (COORD_BOUND, Command, SceneRecord, load_dataset, rng_for,
+                         save_dataset, validate_record)
 
 from oracles import traj_distance
 
@@ -137,8 +138,8 @@ def test_unknown_keys_rejected(tmp_path):
 
 MISSING = object()  # drops the key from the line
 
-
-@pytest.mark.parametrize("bad, violation", [
+# corruptions of a line's fields and the violation they give, with its line
+CORRUPTIONS = [
     # the first scene's observation length is the file's, so the odd one out
     # is reported on line 2
     (dict(ego_obs=[0.0] * 6, agent_obs=[[0.0] * 6]), "2: ego_obs length 8 != 6"),
@@ -159,18 +160,131 @@ MISSING = object()  # drops the key from the line
     (dict(agent_footprints=4.5), "1: agent_footprints must be a list"),
     (dict(ego_obs=["x"] + [0.0] * 7), "1: ego_obs: could not convert"),
     (dict(ego_gt=None), "1: null dataset values: ['ego_gt']"),
-], ids=["short_ego_obs", "five_waypoint_ego_gt", "missing_footprint",
-        "three_number_footprint", "flat_ego_gt", "flat_agent_gt", "missing_key",
-        "ragged_agent_obs", "ragged_agent_gt", "ragged_footprints", "scalar_footprints",
-        "non_numeric_ego_obs", "null_ego_gt"])
-def test_load_validates_records_with_path_and_line(tmp_path, bad, violation):
-    lines = [make_record(scene_id=f"s{i}").to_json_dict() for i in range(3)]
+]
+CORRUPTION_IDS = ["short_ego_obs", "five_waypoint_ego_gt", "missing_footprint",
+                  "three_number_footprint", "flat_ego_gt", "flat_agent_gt", "missing_key",
+                  "ragged_agent_obs", "ragged_agent_gt", "ragged_footprints",
+                  "scalar_footprints", "non_numeric_ego_obs", "null_ego_gt"]
+
+
+def corrupted_lines(bad: dict, n: int = 3) -> list[dict]:
+    lines = [make_record(scene_id=f"s{i}").to_json_dict() for i in range(n)]
     lines[0] = {k: v for k, v in {**lines[0], **bad}.items() if v is not MISSING}
+    return lines
+
+
+@pytest.mark.parametrize("bad, violation", CORRUPTIONS, ids=CORRUPTION_IDS)
+def test_load_validates_records_with_path_and_line(tmp_path, bad, violation):
+    lines = corrupted_lines(bad)
     path = tmp_path / "data.jsonl"
     path.write_text("".join(json.dumps(d) + "\n" for d in lines), encoding="utf-8")
     with pytest.raises(ValueError, match=re.escape(f"{path}:{violation}")) as e:
         load_dataset(path)
     assert "\n" not in str(e.value)
+
+
+def write_lines(path, lines: list) -> None:
+    """Write dicts as JSON lines and strings as they are."""
+    path.write_text("".join((ln if isinstance(ln, str) else json.dumps(ln)) + "\n"
+                            for ln in lines), encoding="utf-8")
+
+
+def numeric_violation() -> dict:
+    d = make_record(scene_id="bad").to_json_dict()
+    d["ego_gt"][3][1] = 250.0
+    return d
+
+
+@pytest.mark.parametrize("lines, violation", [
+    # a record's violation on line 2 is found before line 3 fails to parse
+    ([make_record().to_json_dict(), numeric_violation(), "{not json"],
+     "2: ego_gt: waypoint coordinate exceeds 200.0 m bound"),
+    ([make_record().to_json_dict(), numeric_violation(), "5"],
+     "2: ego_gt: waypoint coordinate exceeds 200.0 m bound"),
+    # and a line that does not parse comes before a later violation
+    ([make_record().to_json_dict(), "{not json", numeric_violation()],
+     "2: Expecting property name"),
+    ([make_record().to_json_dict(), "[1, 2]", numeric_violation()],
+     "2: a scene must be a JSON object, not list"),
+    # blank lines are counted
+    (["", make_record().to_json_dict(), "  ", "", numeric_violation()],
+     "5: ego_gt: waypoint coordinate exceeds 200.0 m bound"),
+], ids=["violation_then_bad_json", "violation_then_number", "bad_json_then_violation",
+        "list_then_violation", "after_blank_lines"])
+def test_load_reports_the_first_fault_in_line_order(tmp_path, lines, violation):
+    path = tmp_path / "data.jsonl"
+    write_lines(path, lines)
+    with pytest.raises(ValueError, match=re.escape(f"{path}:{violation}")):
+        load_dataset(path)
+
+
+@pytest.mark.parametrize("text", ["", "\n", "\n  \n\t\n"])
+def test_load_empty_and_blank_files(tmp_path, text):
+    path = tmp_path / "data.jsonl"
+    path.write_text(text, encoding="utf-8")
+    assert load_dataset(path) == []
+
+
+def random_record(rng, k: int) -> SceneRecord:
+    n = int(rng.integers(0, 4))
+    labeled = k % 3 != 2
+    return SceneRecord(
+        scene_id=f"r{k}", domain_tag="test", command=Command.GO_STRAIGHT,
+        ego_obs=rng.normal(size=8), agent_obs=rng.normal(size=(n, 8)),
+        ego_gt=rng.uniform(-COORD_BOUND, COORD_BOUND, (6, 2)) if labeled else None,
+        agent_gt=rng.uniform(-COORD_BOUND, COORD_BOUND, (n, 6, 2)) if labeled else None,
+        agent_footprints=rng.uniform(0.5, 5.0, (n, 2)))
+
+
+def test_array_pass_flags_exactly_what_validate_record_rejects():
+    rng = np.random.default_rng(7)
+    records = [random_record(rng, k) for k in range(120)]
+    # every array field of some records gets a bad value, boundary values too
+    bad_values = {
+        "ego_obs": [np.nan, np.inf, -np.inf],
+        "agent_obs": [np.nan, np.inf, -np.inf],
+        "ego_gt": [np.nan, np.inf, -np.inf, np.nextafter(COORD_BOUND, np.inf),
+                   -COORD_BOUND - 1.0, COORD_BOUND, -COORD_BOUND],
+        "agent_gt": [np.nan, -np.inf, np.nextafter(-COORD_BOUND, -np.inf), COORD_BOUND],
+        "agent_footprints": [np.nan, np.inf, -np.inf, 0.0, -0.0, -1.0, 5e-324],
+    }
+    k = 1
+    for name, values in bad_values.items():
+        for value in values:
+            while getattr(records[k], name) is None or getattr(records[k], name).size == 0:
+                k += 1
+            arr = getattr(records[k], name).copy()
+            arr.flat[int(rng.integers(arr.size))] = value
+            records[k] = dataclasses.replace(records[k], **{name: arr})
+            k += 1
+    # and the records of every corruption that still builds a record
+    for bad, _ in CORRUPTIONS:
+        for d in corrupted_lines(bad, n=2)[::-1]:
+            try:
+                records.insert(k, SceneRecord.from_json_dict(d))
+            except ValueError:
+                pass
+    want = [bool(validate_record(r, None if i == 0 else 8)) for i, r in enumerate(records)]
+    # 20 bad values (bound values and 5e-324 are fine) and 6 corrupted records
+    assert sum(want) == 26
+    assert core._invalid_records(records).tolist() == want
+
+
+def test_save_refuses_non_finite_values(tmp_path):
+    path = tmp_path / "data.jsonl"
+    good = make_record(scene_id="ok")
+    save_dataset([good], path)
+    want = path.read_bytes()
+    for name in ("ego_obs", "ego_gt", "agent_gt", "agent_footprints"):
+        arr = getattr(good, name).copy()
+        arr.flat[-1] = np.nan if name == "ego_obs" else np.inf
+        bad = dataclasses.replace(good, scene_id="s9", **{name: arr})
+        with pytest.raises(ValueError, match=re.escape(f"{path}: scene s9: non-finite value")):
+            save_dataset([good, bad], path)
+        assert not path.exists()
+    # finite values keep their bytes
+    save_dataset([good], path)
+    assert path.read_bytes() == want
 
 
 def test_command_serialization_lowercase(tmp_path):

@@ -16,7 +16,8 @@ from gptraj.synthdomain import (AGENT_FOOTPRINT, AGENT_RESAMPLE_ATTEMPTS,
                                 strip_labels)
 
 from conftest import TINY_OBS_DIM, tiny_domain
-from oracles import arc_position_quadrature, gen_dataset_ref, sample_agent_ref
+from oracles import (arc_points_ref, arc_position_quadrature, gen_dataset_ref,
+                     sample_agent_ref)
 
 
 def test_straight_line_kinematics():
@@ -39,6 +40,21 @@ def test_arc_points_lie_on_circle():
     center = np.array([0.0, 1.0 / curv])
     radii = np.linalg.norm(pts - center, axis=1)
     assert np.allclose(radii, 1.0 / curv, atol=1e-9)
+
+
+def test_arc_rows_match_scalar_closed_form_bit_for_bit():
+    rng = np.random.default_rng(3)
+    # both sides of the straight/arc threshold, signed zero, and random rows
+    curvatures = np.concatenate([[0.0, -0.0, 1e-9, -1e-9, 0.999e-9, -0.999e-9],
+                                 rng.normal(0.0, 0.05, 60)])
+    speeds = rng.uniform(1.0, 20.0, len(curvatures))
+    rows = arc_points(speeds, curvatures)
+    assert rows.shape == (len(curvatures), 6, 2)
+    for speed, curvature, row in zip(speeds, curvatures, rows):
+        want = arc_points_ref(float(speed), float(curvature))
+        assert row.tobytes() == want.tobytes()
+        scalar = arc_points(float(speed), float(curvature))
+        assert scalar.shape == (6, 2) and scalar.tobytes() == want.tobytes()
 
 
 def test_mirror_flips_every_y_same_seed():
@@ -115,20 +131,36 @@ def test_tiny_domain_matches_sequential_oracle():
     assert as_json(got) == gen_dataset_ref(domain, 150, 4, TINY_OBS_DIM)
 
 
-def forced(sample, egos, hits):
-    """``sample`` with its draws unchanged, except that the k-th candidate of
-    scene i lies on the scene's ego path for each k in ``hits[i]``, and every
-    other candidate 1 km to the side: it collides exactly when chosen."""
+def forced(egos, hits):
+    """A placement of candidates that keeps their draws, except that the k-th
+    candidate of scene i lies on the scene's ego path for each k in
+    ``hits[i]``, and every other candidate 1 km to the side: it collides
+    exactly when chosen. ``calls`` counts each scene's candidates."""
     calls = Counter()
 
-    def wrapped(rng, speed_prior):
-        a = sample(rng, speed_prior)
+    def place(rng, points):
         i = rng.bit_generator.seed_seq.entropy[-1]  # the scene index key
         k, calls[i] = calls[i], calls[i] + 1
-        a.points = egos[i].copy() if k in hits.get(i, ()) else a.points + [0.0, 1000.0]
+        return egos[i].copy() if k in hits.get(i, ()) else points + [0.0, 1000.0]
+    place.calls = calls
+    return place
+
+
+def one_at_a_time(place):
+    """The oracle's candidate sampler, placed by ``place``."""
+    def sample(rng, speed_prior):
+        a = sample_agent_ref(rng, speed_prior)
+        a.points = place(rng, a.points)
         return a
-    wrapped.calls = calls
-    return wrapped
+    return sample
+
+
+def per_round(place, sample_agents):
+    """The generator's round sampler ``sample_agents``, placed by ``place``."""
+    def sample(rngs, speed_prior):
+        draws, points = sample_agents(rngs, speed_prior)
+        return draws, np.array([place(rng, p) for rng, p in zip(rngs, points)])
+    return sample
 
 
 @pytest.mark.parametrize("hits, min_agents, kept, candidates", [
@@ -144,19 +176,19 @@ def forced(sample, egos, hits):
 def test_forced_rejections_match_sequential_oracle(monkeypatch, hits, min_agents,
                                                     kept, candidates):
     domain = tiny_domain()
-    clear = gen_dataset_ref(domain, 30, 6, TINY_OBS_DIM,
-                            forced(sample_agent_ref, {}, {}))
+    clear = gen_dataset_ref(domain, 30, 6, TINY_OBS_DIM, one_at_a_time(forced({}, {})))
     n_agents = [len(r["agent_gt"]) for r in clear]
     scene = next(i for i, n in enumerate(n_agents) if n >= min_agents)
     egos = {scene: np.array(clear[scene]["ego_gt"])}
-    want_sample = forced(sample_agent_ref, egos, {scene: set(hits)})
-    want = gen_dataset_ref(domain, 30, 6, TINY_OBS_DIM, want_sample)
-    got_sample = forced(synthdomain._sample_agent, egos, {scene: set(hits)})
-    monkeypatch.setattr(synthdomain, "_sample_agent", got_sample)
+    want_place = forced(egos, {scene: set(hits)})
+    want = gen_dataset_ref(domain, 30, 6, TINY_OBS_DIM, one_at_a_time(want_place))
+    got_place = forced(egos, {scene: set(hits)})
+    monkeypatch.setattr(synthdomain, "_sample_agents",
+                        per_round(got_place, synthdomain._sample_agents))
     got = gen_dataset(domain, 30, seed=6, obs_dim=TINY_OBS_DIM)
     assert as_json(got) == want
-    assert got_sample.calls == want_sample.calls
-    assert got_sample.calls[scene] == n_agents[scene] + candidates
+    assert got_place.calls == want_place.calls
+    assert got_place.calls[scene] == n_agents[scene] + candidates
     assert [len(r.agent_gt) for r in got] == [
         n + kept * (i == scene) for i, n in enumerate(n_agents)]
 
@@ -165,7 +197,7 @@ def test_scenes_without_agents_draw_no_candidate(monkeypatch):
     def fail(*args):
         raise AssertionError("no candidate or collision check expected")
 
-    monkeypatch.setattr(synthdomain, "_sample_agent", fail)
+    monkeypatch.setattr(synthdomain, "_sample_agents", fail)
     monkeypatch.setattr(synthdomain, "scene_collisions", fail)
     domain = tiny_domain()
     # seed 16's first three scenes draw no agents
