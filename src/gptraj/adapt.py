@@ -49,7 +49,7 @@ def adapt_unsupervised(records: list[SceneRecord], ckpt: Checkpoint,
     if any(r.labeled for r in records):
         warnings.warn("unsupervised adaptation: ground truth present, ignoring it")
         records = strip_labels(records)
-    return _finetune_base(records, ckpt, cfg, use_gt=False, use_teacher=True,
+    return _finetune_base(records, ckpt, cfg, use_teacher=True,
                           epochs=cfg.adapt_epochs, lr=cfg.lr_stage3,
                           stage="adapt_unsup", log_path=log_path)
 
@@ -64,7 +64,7 @@ def adapt_supervised(records: list[SceneRecord], ckpt: Checkpoint,
         raise TrainingError(
             f"supervised adaptation requires ground truth; missing on "
             f"{len(missing)} scenes (first: {missing[0]})")
-    return _finetune_base(records, ckpt, cfg, use_gt=True, use_teacher=True,
+    return _finetune_base(records, ckpt, cfg, use_teacher=True,
                           epochs=cfg.adapt_epochs, lr=cfg.lr_stage3,
                           stage="adapt_sup", log_path=log_path)
 

@@ -15,11 +15,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .core import COMMANDS, Command
-from .losses import TERM_NAMES
 from .synthdomain import DomainSpec, build_obs_transform
 from .trainer import ModelSpec, TrainConfig
 
-_BASE_TERMS = ("base_plan", "base_motion", "base_class_ce_ego", "base_class_ce_agent")
 _CODEBOOK_KEYS = ("n_ego", "n_agent", "group_size")
 
 
@@ -195,11 +193,6 @@ def resolve(user: dict | None = None, seed_override: int | None = None) -> Confi
     _check_keys(raw["eval"], {"rarity_bins"}, "eval")
     for name, spec in raw["eval"]["rarity_bins"].items():
         _check_keys(spec, _BIN_KEYS, f"eval.rarity_bins.{name}")
-
-    known_terms = set(TERM_NAMES) | set(_BASE_TERMS)
-    bad = set(raw["train"]["loss_weights"]) - known_terms
-    if bad:
-        raise ConfigError(f"unknown loss weight names: {sorted(bad)}")
 
     if seed_override is not None:
         raw["seed"] = int(seed_override)

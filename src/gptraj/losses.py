@@ -9,13 +9,20 @@ configurable band so the total stays bounded below.
 Every term is computed row-wise over one optimizer step's rows: the ego
 rows of the batch's scenes first, then their agent rows, each block in
 ascending scene order. A row's admissible groups come as a boolean
-(N, n_code) mask. A role's term is the sum of its rows, so a step's
-breakdown is the sum of its scenes' breakdowns.
+(N, n_code) mask. A role's term is the sum of its rows, so a step's terms
+are the sum of its scenes' terms.
+
+Each loss returns its terms as a plain dict of scalar tensors named from
+``TERM_NAMES``. The trainer weights them once per step with
+``weighted_total``, which sums in dict order, so that order is part of the
+checkpoint bits. Stage 2 fits the GP-guided families against ground truth
+(``loss_sup``); base-model stages distil the same families from the frozen
+GP teacher (``loss_gp_teacher``), which adds only the KL term.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -27,6 +34,7 @@ TERM_NAMES = (
     "recon_ego", "recon_agent", "ortho_ego", "ortho_agent",
     "plan_nll", "motion_nll", "class_ce_ego", "class_ce_agent",
     "triplet_ego", "triplet_agent", "kl_ego", "kl_agent",
+    "base_plan", "base_motion", "base_class_ce_ego", "base_class_ce_agent",
 )
 
 DEFAULT_SIGMA_CLAMP = (1e-3, 1e3)
@@ -34,33 +42,12 @@ DEFAULT_TRIPLET_MARGIN = 1.0
 _NORM_EPS = 1e-12
 
 
-@dataclass
-class LossBreakdown:
-    """Named loss terms plus the weights that combine them."""
-
-    terms: dict[str, Tensor]
-    weights: dict[str, float] = field(default_factory=dict)
-
-    @property
-    def total(self) -> Tensor:
-        out = Tensor(0.0)
-        for name, t in self.terms.items():
-            out = autodiff.add(out, autodiff.mul(t, self.weights.get(name, 1.0)))
-        return out
-
-    def first_nonfinite(self) -> str | None:
-        for name, t in self.terms.items():
-            if not np.all(np.isfinite(t.data)):
-                return name
-        return None
-
-    def merged(self, other: "LossBreakdown") -> "LossBreakdown":
-        terms = dict(self.terms)
-        for k, t in other.terms.items():
-            terms[k] = autodiff.add(terms[k], t) if k in terms else t
-        weights = dict(self.weights)
-        weights.update(other.weights)
-        return LossBreakdown(terms, weights)
+def weighted_total(terms: Mapping[str, Tensor], weights: Mapping[str, float]) -> Tensor:
+    """Sum of the terms in dict order, each times its weight (1 if unnamed)."""
+    out = Tensor(0.0)
+    for name, t in terms.items():
+        out = autodiff.add(out, autodiff.mul(t, weights.get(name, 1.0)))
+    return out
 
 
 def role_sums(per_row: Tensor, n_ego: int) -> tuple[Tensor, Tensor]:
@@ -68,6 +55,14 @@ def role_sums(per_row: Tensor, n_ego: int) -> tuple[Tensor, Tensor]:
     n = per_row.data.shape[0]
     return (autodiff.tsum(autodiff.narrow(per_row, 0, n_ego)),
             autodiff.tsum(autodiff.narrow(per_row, n_ego, n)))
+
+
+def role_terms(per_row: Mapping[tuple[str, str], Tensor], n_ego: int) -> dict[str, Tensor]:
+    """Role sums of per-row families keyed (ego name, agent name): every
+    family's ego term, then every family's agent term, in key order."""
+    sums = [role_sums(rows, n_ego) for rows in per_row.values()]
+    return {**{ego: s[0] for (ego, _), s in zip(per_row, sums)},
+            **{agent: s[1] for (_, agent), s in zip(per_row, sums)}}
 
 
 def _masked_log_softmax(logits: Tensor, admissible: np.ndarray) -> Tensor:
@@ -158,8 +153,7 @@ def triplet_term(tokens, positives: np.ndarray, negatives: np.ndarray, anchors,
 
 def loss_rec(targets, recon: Tensor, variance: Tensor, n_ego: int,
              groups: Sequence[int], scenes: Sequence[int], basis: Tensor,
-             weights: Mapping[str, float] | None = None,
-             sigma_clamp: tuple[float, float] = DEFAULT_SIGMA_CLAMP) -> LossBreakdown:
+             sigma_clamp: tuple[float, float] = DEFAULT_SIGMA_CLAMP) -> dict[str, Tensor]:
     """Token reconstruction NLL plus basis orthogonality over a step's rows.
 
     ``targets`` (N, D) are the fixed tokens and must be constants; ``recon``
@@ -186,106 +180,62 @@ def loss_rec(targets, recon: Tensor, variance: Tensor, n_ego: int,
         counts = np.bincount(ids, minlength=n_code).astype(np.float64)
         return autodiff.tsum(autodiff.mul(ortho, counts))
 
-    return LossBreakdown(
-        terms={
-            "recon_ego": recon_ego,
-            "recon_agent": recon_agent,
-            "ortho_ego": weighted(groups[:n_ego]),
-            "ortho_agent": weighted(agent_groups),
-        },
-        weights=dict(weights or {}),
-    )
+    return {"recon_ego": recon_ego, "recon_agent": recon_agent,
+            "ortho_ego": weighted(groups[:n_ego]), "ortho_agent": weighted(agent_groups)}
 
 
 @dataclass
 class SupRows:
-    """A step's GP outputs plus supervision targets for loss_sup, one per row."""
+    """A step's predictions and their constant targets, one per row: ground
+    truth in stage 2, the frozen GP teacher's outputs in base-model stages."""
 
-    n_ego: int  # the first n_ego rows are ego rows
-    pred_mean: Tensor  # (N, 12)
-    variance: Tensor  # (N,)
+    traj: Tensor  # (N, 12) predicted trajectories
+    target: np.ndarray  # (N, 12)
+    variance: Tensor | np.ndarray  # (N,) GP predictive variance
     logits: Tensor  # (N, n_code) classifier logits, unmasked
     admissible: np.ndarray  # (N, n_code) bool
-    gt: np.ndarray  # (N, 12)
     label: np.ndarray  # (N,)
     token: Tensor | np.ndarray  # (N, D)
-    positives: np.ndarray  # (N, 3)
+    positives: np.ndarray  # (N, 3) triplet classes of each label
     negatives: np.ndarray  # (N, 3)
+    n_ego: int  # the first n_ego rows are ego rows
 
 
-def loss_sup(rows: SupRows, anchors, weights: Mapping[str, float] | None = None,
+def _gp_families(rows: SupRows, anchors, sigma_clamp,
+                 margin) -> dict[tuple[str, str], Tensor]:
+    """Per-row variance-weighted trajectory NLL, class CE and triplets."""
+    return {
+        ("plan_nll", "motion_nll"): heteroscedastic_nll(
+            traj_mse(rows.traj, rows.target), rows.variance, sigma_clamp),
+        ("class_ce_ego", "class_ce_agent"): cross_entropy(
+            rows.logits, rows.admissible, rows.label),
+        ("triplet_ego", "triplet_agent"): triplet_term(
+            rows.token, rows.positives, rows.negatives, anchors, margin),
+    }
+
+
+def loss_sup(rows: SupRows, anchors,
              sigma_clamp: tuple[float, float] = DEFAULT_SIGMA_CLAMP,
-             margin: float = DEFAULT_TRIPLET_MARGIN) -> LossBreakdown:
+             margin: float = DEFAULT_TRIPLET_MARGIN) -> dict[str, Tensor]:
     """Variance-weighted GP supervision: planning/motion NLL, class CE, triplets.
 
     ``anchors`` is the (n_code, D) token-anchor table.
     """
-    nll = heteroscedastic_nll(traj_mse(rows.pred_mean, rows.gt), rows.variance,
-                              sigma_clamp)
-    ce = cross_entropy(rows.logits, rows.admissible, rows.label)
-    trip = triplet_term(rows.token, rows.positives, rows.negatives, anchors, margin)
-    plan, motion = role_sums(nll, rows.n_ego)
-    ce_ego, ce_agent = role_sums(ce, rows.n_ego)
-    trip_ego, trip_agent = role_sums(trip, rows.n_ego)
-    terms = {
-        "plan_nll": plan, "class_ce_ego": ce_ego, "triplet_ego": trip_ego,
-        "motion_nll": motion, "class_ce_agent": ce_agent,
-        "triplet_agent": trip_agent,
-    }
-    return LossBreakdown(terms=terms, weights=dict(weights or {}))
+    return role_terms(_gp_families(rows, anchors, sigma_clamp, margin), rows.n_ego)
 
 
-@dataclass
-class StudentRows:
-    """Base-model outputs entering the teacher-regularized loss, one per row."""
-
-    n_ego: int  # the first n_ego rows are ego rows
-    traj: Tensor  # (N, 12)
-    logits: Tensor  # (N, n_code), unmasked
-    admissible: np.ndarray  # (N, n_code) bool
-    token: Tensor  # (N, D)
-
-
-@dataclass
-class TeacherRows:
-    """Frozen GP-module outputs acting as targets (constants), one per row."""
-
-    mean: np.ndarray  # (N, 12)
-    variance: np.ndarray  # (N,)
-    logits: np.ndarray  # (N, n_code), -inf outside the admissible set
-    label: np.ndarray  # (N,) argmax of the logits
-    positives: np.ndarray  # (N, 3)
-    negatives: np.ndarray  # (N, 3)
-
-    @property
-    def admissible(self) -> np.ndarray:
-        return np.isfinite(self.logits)
-
-
-def loss_gp_teacher(student: StudentRows, teacher: TeacherRows, anchors,
-                    weights: Mapping[str, float] | None = None,
+def loss_gp_teacher(rows: SupRows, teacher_logits: np.ndarray, anchors,
                     sigma_clamp: tuple[float, float] = DEFAULT_SIGMA_CLAMP,
-                    margin: float = DEFAULT_TRIPLET_MARGIN) -> LossBreakdown:
+                    margin: float = DEFAULT_TRIPLET_MARGIN) -> dict[str, Tensor]:
     """Distillation of the base model against the GP module, no ground truth.
 
-    ``anchors`` is the (n_code, D) token-anchor table.
+    ``rows`` hold the base model's outputs and the teacher's targets;
+    ``teacher_logits`` (N, n_code) are the teacher's, -inf outside each
+    row's admissible set. Adds the KL to the teacher's class distribution
+    to ``loss_sup``'s families. ``anchors`` is the (n_code, D) token-anchor
+    table.
     """
-    if not np.array_equal(student.admissible, teacher.admissible):
-        raise ValueError("admissible-set mismatch between student and teacher")
-    nll = heteroscedastic_nll(traj_mse(student.traj, teacher.mean),
-                              teacher.variance, sigma_clamp)
-    ce = cross_entropy(student.logits, student.admissible, teacher.label)
-    trip = triplet_term(student.token, teacher.positives, teacher.negatives,
-                        anchors, margin)
-    kl = kl_divergence(student.logits, teacher.logits, student.admissible)
-    n_ego = student.n_ego
-    plan, motion = role_sums(nll, n_ego)
-    ce_ego, ce_agent = role_sums(ce, n_ego)
-    trip_ego, trip_agent = role_sums(trip, n_ego)
-    kl_ego, kl_agent = role_sums(kl, n_ego)
-    terms = {
-        "plan_nll": plan, "class_ce_ego": ce_ego, "triplet_ego": trip_ego,
-        "kl_ego": kl_ego, "motion_nll": motion, "class_ce_agent": ce_agent,
-        "triplet_agent": trip_agent, "kl_agent": kl_agent,
-    }
-    return LossBreakdown(terms=terms, weights=dict(weights or {}))
+    families = _gp_families(rows, anchors, sigma_clamp, margin)
+    families["kl_ego", "kl_agent"] = kl_divergence(rows.logits, teacher_logits,
+                                                   rows.admissible)
+    return role_terms(families, rows.n_ego)

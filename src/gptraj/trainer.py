@@ -12,8 +12,11 @@ its scenes, then their agent rows, each block in ascending scene order (see
 take the frozen teacher's prediction of all rows in one call. Stage 2
 conditions every codebook group once per step and evaluates the GP and its
 losses over all rows at once. Labels, anchor tables and triplet classes are
-computed once per training call. Each step's loss terms are appended to the
-loss CSV as the step ends.
+computed once per training call.
+
+A step loss returns its terms as a plain dict (see ``losses``);
+``_run_epochs`` checks them, weights them once with ``cfg.loss_weights``
+and appends them to the loss CSV as the step ends.
 
 Determinism contract: identical (config, seed, dataset) produce
 bit-identical checkpoints. Shuffles derive from the seed by purpose keys,
@@ -29,6 +32,8 @@ import copy
 import csv
 import dataclasses
 import json
+import math
+import operator
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -44,9 +49,8 @@ from .codebook import (MIN_AGENT_GROUPS, MIN_EGO_PER_COMMAND, BuildError, Codebo
 from .core import COMMANDS, SceneRecord, rng_for, scene_rows
 from .gpmodule import (CLASSIFIER_NAMES, GP_SCALAR_NAMES, GpGraph, GpInference,
                        GpParams, GroupClassifier)
-from .losses import (LossBreakdown, StudentRows, SupRows, TeacherRows,
-                     cross_entropy, loss_gp_teacher, loss_rec, loss_sup,
-                     role_sums, traj_mse)
+from .losses import (SupRows, cross_entropy, loss_gp_teacher, loss_rec, loss_sup,
+                     role_terms, traj_mse, weighted_total)
 from .psdlinalg import NotPSD
 
 CHECKPOINT_MAGIC = b"GPTRAJCK"
@@ -135,6 +139,18 @@ class TrainConfig:
         for name in ("batch_size", "lr_stage12", "lr_stage3", "beta1", "beta2", "eps"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        for name in ("beta1", "beta2"):
+            if getattr(self, name) >= 1:
+                raise ValueError(f"{name} must be below 1")
+        if not isinstance(self.loss_weights, dict):
+            raise ValueError("loss_weights must map term names to numbers")
+        bad = set(self.loss_weights) - set(losses.TERM_NAMES)
+        if bad:
+            raise ValueError(f"unknown loss weight names: {sorted(bad)}")
+        for name, w in self.loss_weights.items():
+            if (isinstance(w, bool) or not isinstance(w, (int, float))
+                    or not math.isfinite(w)):
+                raise ValueError(f"loss weight {name} must be a finite number, got {w!r}")
         lo, hi = self.sigma_clamp
         if not (0 < lo < hi):
             raise ValueError("sigma_clamp must satisfy 0 < lo < hi")
@@ -366,34 +382,25 @@ class StageTables:
 # --- step losses -----------------------------------------------------------------
 
 
-def base_supervised_loss(batch: Batch, student: StudentRows) -> dict[str, Tensor]:
+def base_supervised_loss(batch: Batch, traj: Tensor, logits: Tensor) -> dict[str, Tensor]:
     """Ground-truth terms of a base-model step: anchored-waypoint MSE plus class CE.
 
     The planning trajectory is assembled from the label group's anchor
     (winner-takes-all convention); logits learn the label through CE.
     """
-    plan, motion = role_sums(traj_mse(student.traj, batch.gt), batch.n_ego)
-    ce_ego, ce_agent = role_sums(
-        cross_entropy(student.logits, batch.admissible, batch.labels), batch.n_ego)
-    return {"base_plan": plan, "base_class_ce_ego": ce_ego,
-            "base_motion": motion, "base_class_ce_agent": ce_agent}
-
-
-def _teacher_rows(teacher: GpInference, batch: Batch, tokens: np.ndarray,
-                 tables: StageTables) -> TeacherRows:
-    """The frozen GP module's prediction for every row, in one call."""
-    mean, variance, logits, label = teacher.predict_rows(tokens, batch.admissible)
-    return TeacherRows(mean=mean, variance=variance, logits=logits, label=label,
-                       positives=tables.positives[label],
-                       negatives=tables.negatives[label])
+    return role_terms({
+        ("base_plan", "base_motion"): traj_mse(traj, batch.gt),
+        ("base_class_ce_ego", "base_class_ce_agent"): cross_entropy(
+            logits, batch.admissible, batch.labels),
+    }, batch.n_ego)
 
 
 def finetune_scene_loss(batch: Batch, bvars: dict[str, Tensor], model: Model,
                         teacher: GpInference | None, cfg: TrainConfig,
-                        tables: StageTables) -> LossBreakdown:
-    """Loss of one base-model step, over the batch's rows.
+                        tables: StageTables) -> dict[str, Tensor]:
+    """Terms of one base-model step, over the batch's rows.
 
-    Ground-truth terms when the batch carries labels, plus the teacher
+    Ground-truth terms when the batch carries labels, then the teacher
     regularization scaled by ``cfg.gp_weight`` when a teacher is given. The
     trajectory anchor is the label's group when supervised, else the
     teacher's class.
@@ -401,27 +408,27 @@ def finetune_scene_loss(batch: Batch, bvars: dict[str, Tensor], model: Model,
     v = {k.split(".", 1)[1]: t for k, t in bvars.items()}
     tokens = encode_t(batch.obs, v, model.base.token_scale)
     logits, residual = planner_t(tokens, v, model.base.n_code)
-    taught = None if teacher is None else _teacher_rows(teacher, batch,
-                                                        tokens.data, tables)
-    anchor_gid = batch.labels if batch.labels is not None else taught.label
+    if teacher is not None:
+        mean, variance, t_logits, t_label = teacher.predict_rows(tokens.data,
+                                                                 batch.admissible)
+    anchor_gid = batch.labels if batch.labels is not None else t_label
     traj = autodiff.add(Tensor(tables.traj_anchors[anchor_gid]), residual)
-    student = StudentRows(n_ego=batch.n_ego, traj=traj, logits=logits,
-                          admissible=batch.admissible, token=tokens)
-    terms = {} if batch.labels is None else base_supervised_loss(batch, student)
-    breakdown = LossBreakdown(terms=terms, weights=dict(cfg.loss_weights))
-    if taught is not None:
-        teacher_bd = loss_gp_teacher(
-            student, taught, tables.token_anchors, weights=cfg.loss_weights,
-            sigma_clamp=cfg.sigma_clamp, margin=cfg.triplet_margin)
-        scaled = {k: autodiff.mul(t, cfg.gp_weight)
-                  for k, t in teacher_bd.terms.items()}
-        breakdown = breakdown.merged(LossBreakdown(scaled, dict(cfg.loss_weights)))
-    return breakdown
+    terms = {} if batch.labels is None else base_supervised_loss(batch, traj, logits)
+    if teacher is None:
+        return terms
+    taught = loss_gp_teacher(
+        SupRows(traj=traj, target=mean, variance=variance, logits=logits,
+                admissible=batch.admissible, label=t_label, token=tokens,
+                positives=tables.positives[t_label],
+                negatives=tables.negatives[t_label], n_ego=batch.n_ego),
+        t_logits, tables.token_anchors, sigma_clamp=cfg.sigma_clamp,
+        margin=cfg.triplet_margin)
+    return terms | {k: autodiff.mul(t, cfg.gp_weight) for k, t in taught.items()}
 
 
 def gp_stage_loss(batch: Batch, graph: GpGraph, tokens: np.ndarray,
-                  tables: StageTables, cfg: TrainConfig) -> LossBreakdown:
-    """Stage-2 loss of one step: reconstruction plus GP supervision.
+                  tables: StageTables, cfg: TrainConfig) -> dict[str, Tensor]:
+    """Stage-2 terms of one step: reconstruction plus GP supervision.
 
     ``tokens`` are the frozen base model's token rows (constants). All rows
     are classified in one pass and conditioned on their classifier-argmax
@@ -433,16 +440,15 @@ def gp_stage_loss(batch: Batch, graph: GpGraph, tokens: np.ndarray,
     recon, var_rec = graph.reconstruct(features, groups)
     mean, var_traj = graph.predict_trajectory(features, groups)
     rec = loss_rec(tokens, recon, var_rec, batch.n_ego, groups, batch.scene_of_row,
-                   graph.basis, weights=cfg.loss_weights,
-                   sigma_clamp=cfg.sigma_clamp)
+                   graph.basis, sigma_clamp=cfg.sigma_clamp)
     sup = loss_sup(
-        SupRows(n_ego=batch.n_ego, pred_mean=mean, variance=var_traj, logits=logits,
-                admissible=batch.admissible, gt=batch.gt, label=batch.labels,
-                token=tokens, positives=tables.positives[batch.labels],
-                negatives=tables.negatives[batch.labels]),
-        anchors=graph.group_cond()["token_anchors"], weights=cfg.loss_weights,
-        sigma_clamp=cfg.sigma_clamp, margin=cfg.triplet_margin)
-    return rec.merged(sup)
+        SupRows(traj=mean, target=batch.gt, variance=var_traj, logits=logits,
+                admissible=batch.admissible, label=batch.labels, token=tokens,
+                positives=tables.positives[batch.labels],
+                negatives=tables.negatives[batch.labels], n_ego=batch.n_ego),
+        anchors=graph.group_cond()["token_anchors"], sigma_clamp=cfg.sigma_clamp,
+        margin=cfg.triplet_margin)
+    return rec | sup
 
 
 # --- training loops ------------------------------------------------------------
@@ -463,6 +469,9 @@ def _run_epochs(table: SceneTable, cfg: TrainConfig, params, step_loss_fn, *,
                 epochs, lr, stage: str, log_path=None, post_step=None) -> None:
     """Shared loop: shuffle, one step loss per batch, Adam step, CSV log.
 
+    ``step_loss_fn`` returns a batch's terms as a dict; they are weighted
+    by ``cfg.loss_weights`` here, once per step, in dict order.
+
     The log is opened at the first step and each step's rows are flushed as
     the step ends, so a failed run keeps the steps before the failure. A GP
     conditioning that is not positive definite stops training with a
@@ -477,14 +486,15 @@ def _run_epochs(table: SceneTable, cfg: TrainConfig, params, step_loss_fn, *,
             for start in range(0, len(table), cfg.batch_size):
                 batch = table.batch(np.sort(perm[start:start + cfg.batch_size]))
                 try:
-                    total_bd = step_loss_fn(batch)
+                    terms = step_loss_fn(batch)
                 except NotPSD as e:
                     raise TrainingError(f"{stage} step {step}: {e}") from e
-                bad = total_bd.first_nonfinite()
-                if bad is not None:
-                    raise TrainingError(
-                        f"non-finite loss term {bad!r} at {stage} step {step}")
-                total = autodiff.mul(total_bd.total, 1.0 / batch.n_ego)
+                for name, t in terms.items():
+                    if not np.all(np.isfinite(t.data)):
+                        raise TrainingError(
+                            f"non-finite loss term {name!r} at {stage} step {step}")
+                total = autodiff.mul(weighted_total(terms, cfg.loss_weights),
+                                     1.0 / batch.n_ego)
                 opt.step(grad(total, params, out=opt.grads))
                 if post_step is not None:
                     post_step()
@@ -492,7 +502,7 @@ def _run_epochs(table: SceneTable, cfg: TrainConfig, params, step_loss_fn, *,
                     log = log or _open_log(log_path)
                     csv.writer(log).writerows(
                         [[step, stage, term, f"{t.item() / batch.n_ego:.10g}"]
-                         for term, t in total_bd.terms.items()]
+                         for term, t in terms.items()]
                         + [[step, stage, "total", f"{total.item():.10g}"]])
                     log.flush()
                 step += 1
@@ -529,7 +539,7 @@ def stage1_pretrain(records, cfg: TrainConfig, spec: ModelSpec,
         raise TrainingError("stage 1 requires a labeled dataset")
     init = Checkpoint(stage="init", model=build_model(labeled, cfg, spec),
                       train_config=cfg, model_spec=spec)
-    return _finetune_base(labeled, init, cfg, use_gt=True, use_teacher=False,
+    return _finetune_base(labeled, init, cfg, use_teacher=False,
                           epochs=cfg.epochs_stage1, lr=cfg.lr_stage12,
                           stage="stage1", log_path=log_path)
 
@@ -547,7 +557,7 @@ def stage2_fit_gp(records, ckpt: "Checkpoint", cfg: TrainConfig,
     # frozen encoder: tokens are fixed targets, computed once, in row layout
     tokens = encode(table.obs, model.base)
 
-    def loss_fn(batch: Batch) -> LossBreakdown:
+    def loss_fn(batch: Batch) -> dict[str, Tensor]:
         return gp_stage_loss(batch, gp_graph(model.cb, params), tokens[batch.rows],
                              tables, cfg)
 
@@ -558,18 +568,23 @@ def stage2_fit_gp(records, ckpt: "Checkpoint", cfg: TrainConfig,
                       model_spec=ckpt.model_spec)
 
 
-def _finetune_base(records, ckpt: "Checkpoint", cfg: TrainConfig, *, use_gt: bool,
+def _finetune_base(records, ckpt: "Checkpoint", cfg: TrainConfig, *,
                    use_teacher: bool, epochs: int, lr: float, stage: str,
                    log_path=None) -> "Checkpoint":
-    """Train a copy of the checkpoint's base model; the GP side stays frozen."""
+    """Train a copy of the checkpoint's base model; the GP side stays frozen.
+
+    Ground truth is used when the records are labeled; every caller passes
+    records that are all labeled or all unlabeled.
+    """
     model = ckpt.model.clone()
     bvars = base_param_tensors(model)
+    labeled = all(r.labeled for r in records)
     teacher = None
     if use_teacher and cfg.gp_weight != 0.0:
         teacher = frozen_gp(model, f"{stage} teacher set-up")
-    elif not use_gt:
+    elif not labeled:
         raise TrainingError(f"{stage}: no ground truth and no teacher leaves no loss")
-    table = SceneTable(records, model.cb, labeled=use_gt)
+    table = SceneTable(records, model.cb, labeled=labeled)
     tables = StageTables.of(model.cb)
     _run_epochs(table, cfg, bvars,
                 lambda batch: finetune_scene_loss(batch, bvars, model, teacher, cfg,
@@ -585,7 +600,7 @@ def stage3_finetune(records, ckpt: "Checkpoint", cfg: TrainConfig,
     labeled = [r for r in records if r.labeled]
     if not labeled:
         raise TrainingError("stage 3 requires a labeled dataset")
-    return _finetune_base(labeled, ckpt, cfg, use_gt=True, use_teacher=True,
+    return _finetune_base(labeled, ckpt, cfg, use_teacher=True,
                           epochs=cfg.epochs_stage3, lr=cfg.lr_stage3,
                           stage="stage3", log_path=log_path)
 
@@ -655,9 +670,12 @@ class Checkpoint:
             cfg_d = dict(header["train_config"])
             cfg_d["sigma_clamp"] = tuple(cfg_d["sigma_clamp"])
             cfg = TrainConfig(**cfg_d)
-            index = {e["name"]: e for e in header["tensors"]}
+            # (name, shape, offset) of each tensor, in header order
+            entries = [(e["name"], tuple(operator.index(n) for n in e["shape"]),
+                        operator.index(e["offset"])) for e in header["tensors"]]
         except (KeyError, TypeError, ValueError) as e:
             raise ValueError(f"{path}: bad checkpoint header: {e!r}") from e
+        index = {name: shape for name, shape, _ in entries}
         shapes = spec.tensor_shapes()
         if index.keys() != shapes.keys():
             raise ValueError(
@@ -665,22 +683,21 @@ class Checkpoint:
                 f"{sorted(shapes.keys() - index.keys())}, unexpected "
                 f"{sorted(index.keys() - shapes.keys())}")
         for name, shape in shapes.items():
-            if tuple(index[name]["shape"]) != shape:
+            if index[name] != shape:
                 raise ValueError(
                     f"{path}: checkpoint tensor {name} has shape "
-                    f"{index[name]['shape']}, its model_spec implies {list(shape)}")
+                    f"{list(index[name])}, its model_spec implies {list(shape)}")
         payload = raw[16 + hlen:]
-        sizes = [int(np.prod(e["shape"], dtype=np.int64)) for e in header["tensors"]]
-        offsets = [e["offset"] for e in header["tensors"]]
-        expected = int(sum(sizes))
+        sizes = [math.prod(shape) for _, shape, _ in entries]
+        expected = sum(sizes)
         if (len(payload) != 8 * expected
-                or offsets != [int(o) for o in np.cumsum([0] + sizes)[:-1]]):
+                or [off for _, _, off in entries] != np.cumsum([0] + sizes)[:-1].tolist()):
             raise ValueError(
                 f"{path}: truncated or corrupt checkpoint: payload holds "
                 f"{len(payload)} bytes, header describes {8 * expected}")
         data = np.frombuffer(payload, dtype="<f8")
-        tensors = {e["name"]: data[e["offset"]:e["offset"] + size].reshape(e["shape"])
-                   .copy() for e, size in zip(header["tensors"], sizes)}
+        tensors = {name: data[off:off + size].reshape(shape).copy()
+                   for (name, shape, off), size in zip(entries, sizes)}
 
         cb = Codebook(trajectories=tensors["cb.trajs"], n_ego=spec.n_ego,
                       token_dim=spec.token_dim, basis=tensors["cb.basis"])

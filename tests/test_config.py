@@ -85,6 +85,19 @@ def test_unknown_loss_weight_rejected():
         config.resolve({"train": {"loss_weights": {"recon_egoo": 1.0}}})
 
 
+@pytest.mark.parametrize("train, match", [
+    ({"loss_weights": {"base_plan": "x"}}, "loss weight base_plan must be a finite number"),
+    # Python's json reads NaN, so a config file can carry one
+    ({"loss_weights": {"kl_ego": float("nan")}}, "loss weight kl_ego must be a finite number"),
+    ({"loss_weights": [0.5]}, "loss_weights must map term names to numbers"),
+    ({"beta1": 1.0}, "beta1 must be below 1"),
+    ({"beta2": 1.5}, "beta2 must be below 1"),
+], ids=["string-weight", "nan-weight", "weight-list", "beta1", "beta2"])
+def test_bad_train_values_rejected(train, match):
+    with pytest.raises(ConfigError, match=f"train: {match}"):
+        config.resolve({"train": train})
+
+
 def test_load_rejects_invalid_json_and_non_object_root(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"seed": 1,')

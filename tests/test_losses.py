@@ -8,10 +8,10 @@ import pytest
 from gptraj import autodiff
 from gptraj.autodiff import Tensor
 from gptraj.codebook import init_basis_tokens, sample_and_cluster, triplet_table
-from gptraj.losses import (DEFAULT_SIGMA_CLAMP, LossBreakdown, StudentRows,
-                           SupRows, TeacherRows, cross_entropy,
+from gptraj.losses import (DEFAULT_SIGMA_CLAMP, SupRows, cross_entropy,
                            heteroscedastic_nll, kl_divergence, loss_gp_teacher,
-                           loss_rec, loss_sup, orthogonality, triplet_term)
+                           loss_rec, loss_sup, orthogonality, triplet_term,
+                           weighted_total)
 from gptraj.trainer import Adam
 
 from oracles import finite_difference, triplet_classes_ref, triplet_oracle
@@ -34,16 +34,16 @@ def ego_rec(e, e_hat, var, basis):
 
 def test_recon_nll_zero_at_perfect_unit_variance():
     e = np.array([0.3, -0.2, 0.5])
-    bd = ego_rec(e, e.copy(), 1.0, np.eye(3))
-    assert bd.terms["recon_ego"].item() == pytest.approx(0.0)
-    assert bd.terms["ortho_ego"].item() == pytest.approx(0.0)  # orthonormal rows
+    terms = ego_rec(e, e.copy(), 1.0, np.eye(3))
+    assert terms["recon_ego"].item() == pytest.approx(0.0)
+    assert terms["ortho_ego"].item() == pytest.approx(0.0)  # orthonormal rows
 
 
 def test_recon_nll_unit_error_unit_variance():
     e = np.zeros(4)
     e_hat = np.array([1.0, 0.0, 0.0, 0.0])  # unit offset
-    bd = ego_rec(e, e_hat, 1.0, np.eye(4))
-    assert bd.terms["recon_ego"].item() == pytest.approx(1.0)
+    terms = ego_rec(e, e_hat, 1.0, np.eye(4))
+    assert terms["recon_ego"].item() == pytest.approx(1.0)
 
 
 def test_recon_rejects_nonpositive_variance():
@@ -65,10 +65,10 @@ def test_ortho_deduplicates_shared_groups():
     basis = Tensor(np.eye(3)[None] * 2.0)
     single = orthogonality(basis).data[0]
     # one scene: ego and both agents conditioned on the same group
-    bd = loss_rec(np.zeros((3, 3)), Tensor(np.zeros((3, 3))), Tensor(np.ones(3)),
+    terms = loss_rec(np.zeros((3, 3)), Tensor(np.zeros((3, 3))), Tensor(np.ones(3)),
                   n_ego=1, groups=[0, 0, 0], scenes=[0, 0, 0], basis=basis)
-    assert bd.terms["ortho_ego"].item() == pytest.approx(single)
-    assert bd.terms["ortho_agent"].item() == pytest.approx(0.0)
+    assert terms["ortho_ego"].item() == pytest.approx(single)
+    assert terms["ortho_agent"].item() == pytest.approx(0.0)
 
 
 def test_ortho_counts_match_per_scene_loop(cb):
@@ -80,7 +80,7 @@ def test_ortho_counts_match_per_scene_loop(cb):
     scenes = np.concatenate([np.arange(n_scenes), agent_scenes])
     groups = rng.integers(4, size=len(scenes))  # few groups, so many repeats
     n = len(scenes)
-    bd = loss_rec(np.zeros((n, 5)), Tensor(np.zeros((n, 5))), Tensor(np.ones(n)),
+    terms = loss_rec(np.zeros((n, 5)), Tensor(np.zeros((n, 5))), Tensor(np.ones(n)),
                   n_ego=n_scenes, groups=groups, scenes=scenes, basis=Tensor(cb.basis))
     ortho = orthogonality(Tensor(cb.basis)).data
     want_ego = want_agent = 0.0
@@ -89,8 +89,8 @@ def test_ortho_counts_match_per_scene_loop(cb):
         want_ego += ortho[ego]
         for g in set(groups[n_scenes:][agent_scenes == s]) - {ego}:
             want_agent += ortho[g]
-    assert bd.terms["ortho_ego"].item() == pytest.approx(want_ego, rel=1e-12)
-    assert bd.terms["ortho_agent"].item() == pytest.approx(want_agent, rel=1e-12)
+    assert terms["ortho_ego"].item() == pytest.approx(want_ego, rel=1e-12)
+    assert terms["ortho_agent"].item() == pytest.approx(want_agent, rel=1e-12)
 
 
 def all_admissible(cb, n_rows=1):
@@ -100,12 +100,11 @@ def all_admissible(cb, n_rows=1):
 def ego_sup(cb, pred, variance, logits, gt, label, token):
     """SupRows of a single ego row with the label's triplet classes."""
     pos, neg = triplet_classes_ref(cb, label)
-    return SupRows(n_ego=1, pred_mean=Tensor(np.array([pred])),
+    return SupRows(traj=Tensor(np.array([pred])), target=np.array([gt]),
                    variance=Tensor(np.array([variance])),
                    logits=Tensor(np.array([logits])), admissible=all_admissible(cb),
-                   gt=np.array([gt]), label=np.array([label]),
-                   token=np.array([token]), positives=np.array([pos]),
-                   negatives=np.array([neg]))
+                   label=np.array([label]), token=np.array([token]),
+                   positives=np.array([pos]), negatives=np.array([neg]), n_ego=1)
 
 
 def test_plan_nll_closed_form(cb):
@@ -113,8 +112,8 @@ def test_plan_nll_closed_form(cb):
     gt = np.zeros(12)
     pred = np.full(12, np.sqrt(2.0))  # each waypoint error^2 = 2+2 = 4
     rows = ego_sup(cb, pred, 4.0, np.zeros(cb.n_code), gt, 0, np.zeros(5))
-    bd = loss_sup(rows, anchors=cb.token_anchors())
-    assert bd.terms["plan_nll"].item() == pytest.approx(4.0 / 4.0 + np.log(2.0))
+    terms = loss_sup(rows, anchors=cb.token_anchors())
+    assert terms["plan_nll"].item() == pytest.approx(4.0 / 4.0 + np.log(2.0))
 
 
 def test_class_ce_zero_temperature_limit(cb):
@@ -132,9 +131,9 @@ def test_perfect_prediction_all_task_terms_zero(cb):
     logits[1] = 50.0
     token_far = cb.token_anchors()[pos[0]]  # at a positive anchor
     rows = ego_sup(cb, gt.copy(), 1.0, logits, gt, 1, token_far)
-    bd = loss_sup(rows, anchors=cb.token_anchors())
-    assert bd.terms["plan_nll"].item() == pytest.approx(0.0, abs=1e-12)
-    assert bd.terms["class_ce_ego"].item() == pytest.approx(0.0, abs=1e-12)
+    terms = loss_sup(rows, anchors=cb.token_anchors())
+    assert terms["plan_nll"].item() == pytest.approx(0.0, abs=1e-12)
+    assert terms["class_ce_ego"].item() == pytest.approx(0.0, abs=1e-12)
 
 
 def test_triplet_satisfied_margin_is_zero(cb):
@@ -188,17 +187,16 @@ def test_kl_identity_and_uniform_cases():
     assert kl.data[0] == pytest.approx(np.log(4.0), abs=1e-9)
 
 
-def _teacher_pair(cb, label, traj, logits, variance=1.0):
+def _teacher_rows(cb, label, traj, logits, variance=1.0):
+    """A single ego row whose student outputs equal the teacher's targets,
+    its token at the label's first positive anchor."""
     pos, neg = triplet_classes_ref(cb, label)
-    teacher = TeacherRows(mean=traj[None], variance=np.array([variance]),
-                          logits=logits[None], label=np.array([label]),
-                          positives=np.array([pos]), negatives=np.array([neg]))
     token = cb.token_anchors()[pos[0]]
-    student = StudentRows(n_ego=1, traj=Tensor(traj[None].copy()),
-                          logits=Tensor(logits[None].copy()),
-                          admissible=all_admissible(cb),
-                          token=Tensor(token[None].copy()))
-    return student, teacher
+    return SupRows(traj=Tensor(traj[None].copy()), target=traj[None],
+                   variance=np.array([variance]), logits=Tensor(logits[None].copy()),
+                   admissible=all_admissible(cb), label=np.array([label]),
+                   token=Tensor(token[None].copy()), positives=np.array([pos]),
+                   negatives=np.array([neg]), n_ego=1)
 
 
 def test_teacher_self_distillation_fixed_point(cb):
@@ -211,27 +209,16 @@ def test_teacher_self_distillation_fixed_point(cb):
         logits = np.full(cb.n_code, -80.0)
         logits[label] = 80.0
         traj = np.linspace(0, 5, 12)
-        student, teacher = _teacher_pair(cb, label, traj, logits)
-        bd = loss_gp_teacher(student, teacher, anchors=cb.token_anchors())
-        assert bd.total.item() == pytest.approx(0.0, abs=1e-10)
+        rows = _teacher_rows(cb, label, traj, logits)
+        terms = loss_gp_teacher(rows, logits[None], anchors=cb.token_anchors())
+        assert weighted_total(terms, {}).item() == pytest.approx(0.0, abs=1e-10)
     finally:
         cb.basis[neg] -= 50.0
 
 
-def test_teacher_admissible_mismatch_raises(cb):
-    logits = np.zeros(cb.n_code)
-    traj = np.zeros(12)
-    student, teacher = _teacher_pair(cb, 0, traj, logits)
-    student.admissible = np.zeros((1, cb.n_code), dtype=bool)
-    student.admissible[0, [0, 1]] = True
-    with pytest.raises(ValueError, match="admissible"):
-        loss_gp_teacher(student, teacher, anchors=cb.token_anchors())
-
-
 def test_total_is_weighted_sum():
     t = {"recon_ego": Tensor(np.array(2.0)), "plan_nll": Tensor(np.array(3.0))}
-    bd = LossBreakdown(terms=t, weights={"recon_ego": 0.5})
-    assert bd.total.item() == pytest.approx(0.5 * 2.0 + 3.0)
+    assert weighted_total(t, {"recon_ego": 0.5}).item() == pytest.approx(0.5 * 2.0 + 3.0)
 
 
 def test_loss_bounded_below_under_clamp():
@@ -280,9 +267,10 @@ def test_loss_rec_gradients_match_fd(cb):
         quad = autodiff.matmul(k_star, autodiff.matmul(k_inv, k_star))
         var = autodiff.add(autodiff.relu(autodiff.sub(Tensor(np.array(1.0)), quad)),
                            autodiff.exp(autodiff.mul(log_noise, 2.0)))
-        return loss_rec(e[None], autodiff.reshape(e_hat, (1, -1)),
-                        autodiff.reshape(var, (1,)), n_ego=1, groups=[0],
-                        scenes=[0], basis=autodiff.reshape(basis, (1, 4, 5))).total
+        return weighted_total(loss_rec(
+            e[None], autodiff.reshape(e_hat, (1, -1)), autodiff.reshape(var, (1,)),
+            n_ego=1, groups=[0], scenes=[0], basis=autodiff.reshape(basis, (1, 4, 5))),
+            {})
 
     loss = build()
     grads = autodiff.grad(loss, {"basis": basis, "log_noise": log_noise})

@@ -17,6 +17,7 @@ from gptraj.basemodel import encode
 from gptraj.codebook import BuildError
 from gptraj.evalmetrics import evaluate
 from gptraj.gpmodule import GpInference
+from gptraj.losses import weighted_total
 from gptraj.psdlinalg import NotPSD
 from gptraj.synthdomain import gen_dataset, strip_labels
 from gptraj.trainer import (Checkpoint, SceneTable, StageTables, TrainingError,
@@ -29,6 +30,11 @@ from oracles import (adam_ref, encode_ref, finite_difference, group_ids_ref,
                      predict_ref, traj_distance)
 
 CFG = tiny_config(epochs_stage1=2, epochs_stage2=1, epochs_stage3=1, adapt_epochs=1)
+
+
+def total(terms):
+    """A step's terms weighted as the training loop weights them."""
+    return weighted_total(terms, CFG.loss_weights)
 
 
 @pytest.fixture(scope="module")
@@ -160,6 +166,36 @@ def test_checkpoint_wrong_tensor_shape_rejected_with_path(pipeline_bytes):
     rejected(tmp, edited_header(saved["stage2"], transpose), "shape.bin",
              r"tensor base.enc_w1 has shape \[16, 24\], its model_spec implies "
              r"\[24, 16\]")
+
+
+@pytest.mark.parametrize("edit, match", [
+    (lambda e: e.pop("shape"), r"KeyError\('shape'\)"),
+    (lambda e: e.pop("offset"), r"KeyError\('offset'\)"),
+    (lambda e: e.update(shape=[float(n) for n in e["shape"]]),
+     "'float' object cannot be interpreted as an integer"),
+], ids=["no-shape", "no-offset", "float-shape"])
+def test_checkpoint_malformed_tensor_entry_rejected_with_path(pipeline_bytes, edit,
+                                                              match):
+    tmp, saved = pipeline_bytes
+
+    def malform(header):
+        [entry] = [e for e in header["tensors"] if e["name"] == "base.enc_w1"]
+        edit(entry)
+
+    rejected(tmp, edited_header(saved["stage2"], malform), "entry.bin",
+             f"bad checkpoint header: .*{match}")
+
+
+@pytest.mark.parametrize("change, match", [
+    ({"loss_weights": {"recon_egoo": 1.0}}, r"unknown loss weight names: \['recon_egoo'\]"),
+    ({"loss_weights": {"plan_nll": "x"}}, "loss weight plan_nll must be a finite number"),
+    ({"loss_weights": {"plan_nll": float("nan")}}, "must be a finite number, got nan"),
+    ({"beta1": 1.0}, "beta1 must be below 1"),
+], ids=["weight-name", "string-weight", "nan-weight", "beta1"])
+def test_checkpoint_bad_train_config_rejected_with_path(pipeline_bytes, change, match):
+    tmp, saved = pipeline_bytes
+    rejected(tmp, edited_header(saved["stage2"], lambda h: h["train_config"].update(change)),
+             "train.bin", f"bad checkpoint header: .*{match}")
 
 
 def test_schema_1_checkpoint_rejected(pipeline_bytes):
@@ -312,11 +348,11 @@ def test_step_loss_gradients_match_finite_differences(fitted, tiny_dataset,
     if not use_gt:
         records = strip_labels(records)
     bvars, loss = step_loss_setup(fitted, records, use_gt, use_teacher)
-    grads = autodiff.grad(loss().total, bvars)
+    grads = autodiff.grad(total(loss()), bvars)
     rng = np.random.default_rng(0)
     entries = {name: rng.choice(p.data.size, size=min(6, p.data.size), replace=False)
                for name, p in bvars.items()}
-    fd = finite_difference(lambda: loss().total.item(),
+    fd = finite_difference(lambda: total(loss()).item(),
                            {name: p.data for name, p in bvars.items()},
                            h=1e-6, entries=entries)
     assert len(bvars) == 8  # every base parameter family
@@ -328,14 +364,40 @@ def test_step_loss_gradients_match_finite_differences(fitted, tiny_dataset,
 def test_step_loss_is_sum_of_scene_losses(fitted, tiny_dataset):
     records = tiny_dataset[:5]
     _, loss = step_loss_setup(fitted, records, True, True)
-    def values(bd):
-        return {k: t.item() for k, t in bd.terms.items()}
+    def values(terms):
+        return {k: t.item() for k, t in terms.items()}
 
     whole = values(loss())
     parts = [values(step_loss_setup(fitted, [r], True, True)[1]()) for r in records]
     for term, value in whole.items():
         assert value == pytest.approx(sum(p[term] for p in parts), rel=1e-12,
                                       abs=1e-12), term
+
+
+TEACHER_TERMS = ["plan_nll", "class_ce_ego", "triplet_ego", "kl_ego",
+                 "motion_nll", "class_ce_agent", "triplet_agent", "kl_agent"]
+BASE_TERMS = ["base_plan", "base_class_ce_ego", "base_motion", "base_class_ce_agent"]
+
+
+@pytest.mark.parametrize("use_gt,use_teacher,order", [
+    (True, False, BASE_TERMS), (True, True, BASE_TERMS + TEACHER_TERMS),
+    (False, True, TEACHER_TERMS)], ids=["gt", "gt+teacher", "teacher"])
+def test_step_loss_term_order(fitted, tiny_dataset, use_gt, use_teacher, order):
+    # the step total sums the terms in this order, so it sets checkpoint bits
+    records = tiny_dataset[:3] if use_gt else strip_labels(tiny_dataset[:3])
+    _, loss = step_loss_setup(fitted, records, use_gt, use_teacher)
+    assert list(loss()) == order
+
+
+def test_gp_stage_loss_term_order(fitted, tiny_dataset):
+    model = fitted.model.clone()
+    table = SceneTable(tiny_dataset[:3], model.cb, labeled=True)
+    terms = trainer.gp_stage_loss(
+        table.batch(np.arange(3)), trainer.gp_graph(model.cb, trainer.gp_param_tensors(model)),
+        encode(table.obs, model.base), StageTables.of(model.cb), CFG)
+    assert list(terms) == ["recon_ego", "recon_agent", "ortho_ego", "ortho_agent",
+                           "plan_nll", "class_ce_ego", "triplet_ego",
+                           "motion_nll", "class_ce_agent", "triplet_agent"]
 
 
 def test_unsupervised_without_teacher_rejected(fitted, tiny_dataset):
@@ -353,8 +415,8 @@ def test_gp_stage_loss_gradients_match_finite_differences(fitted, tiny_dataset):
     tables = StageTables.of(model.cb)
 
     def loss():
-        return trainer.gp_stage_loss(batch, trainer.gp_graph(model.cb, params),
-                                     tokens, tables, CFG).total
+        return total(trainer.gp_stage_loss(batch, trainer.gp_graph(model.cb, params),
+                                           tokens, tables, CFG))
 
     grads = autodiff.grad(loss(), params)
     rng = np.random.default_rng(1)
@@ -407,9 +469,9 @@ def test_no_vjp_writes_into_its_upstream_gradient(fitted, tiny_dataset):
     tables = StageTables.of(model.cb)
     bvars, finetune_loss = step_loss_setup(fitted, tiny_dataset[:6], True, True)
     for loss, variables in [
-            (lambda: trainer.gp_stage_loss(batch, trainer.gp_graph(model.cb, params),
-                                           tokens, tables, CFG).total, params),
-            (lambda: finetune_loss().total, bvars)]:
+            (lambda: total(trainer.gp_stage_loss(
+                batch, trainer.gp_graph(model.cb, params), tokens, tables, CFG)), params),
+            (lambda: total(finetune_loss()), bvars)]:
         want = autodiff.grad(loss(), variables)
         got = autodiff.grad(read_only_upstream(loss()), variables)
         for name in variables:
