@@ -5,6 +5,9 @@ holding its value, its parent nodes, and a vector-Jacobian-product closure.
 ``backward`` walks the tape once in reverse topological order. Primitives are
 matrix-level (batched matmul, reductions, elementwise transcendentals, a
 batched PSD inverse), so tapes stay short even for whole training steps.
+An operation on constants (tensors that neither require a gradient nor come
+from the tape) returns a constant and records nothing, so a frozen model,
+whose tensors are all constants, runs without a tape.
 
 The vjp contract: a node's vjp takes the upstream gradient and returns one
 thunk per parent, which computes that parent's gradient. ``backward`` calls
@@ -18,26 +21,10 @@ holds, which ``backward`` may keep as the parent's gradient.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from typing import Callable, Sequence
 
 import numpy as np
-
-_GRAD_ENABLED = True
-
-
-@contextlib.contextmanager
-def no_grad():
-    """Disable tape construction inside the block (pure forward evaluation)."""
-    global _GRAD_ENABLED
-    prev = _GRAD_ENABLED
-    _GRAD_ENABLED = False
-    try:
-        yield
-    finally:
-        _GRAD_ENABLED = prev
-
 
 class Tensor:
     """A tape node: float64 array plus backward plumbing.
@@ -78,9 +65,7 @@ def as_tensor(x) -> Tensor:
 
 
 def _tracked(*parents: Tensor) -> bool:
-    return _GRAD_ENABLED and any(
-        p.requires_grad or p._parents or p._vjp is not None for p in parents
-    )
+    return any(p.requires_grad or p._parents or p._vjp is not None for p in parents)
 
 
 def _make(data, parents, vjp):

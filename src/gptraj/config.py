@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .core import COMMANDS, Command
+from .core import COMMANDS
 from .synthdomain import DomainSpec, build_obs_transform
 from .trainer import ModelSpec, TrainConfig
 
@@ -108,7 +108,6 @@ _DOMAIN_KEYS = {"obs_transform", "obs_noise_std", "curvature_prior",
                 "speed_prior", "mirror"}
 _TRANSFORM_KEYS = {"kind", "seed", "angle", "rank", "matrix", "bias",
                    "bias_seed", "bias_scale"}
-_MODEL_INTS = tuple(k for k, v in DEFAULT_CONFIG["model"].items() if type(v) is int)
 _BIN_KEYS = {"min_speed", "max_speed", "min_abs_curvature", "max_abs_curvature"}
 
 
@@ -122,11 +121,6 @@ def _check_keys(d: dict, allowed, path: str) -> None:
     unknown = set(d) - set(allowed)
     if unknown:
         raise ConfigError(f"unknown config keys at {path}: {sorted(unknown)}")
-
-
-def _check_int(value, path: str) -> None:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path} must be an integer, got {value!r}")
 
 
 def _number(value, path: str) -> float:
@@ -197,18 +191,15 @@ def resolve(user: dict | None = None, seed_override: int | None = None) -> Confi
     if seed_override is not None:
         raw["seed"] = int(seed_override)
 
-    for section, keys in (("model", _MODEL_INTS), ("codebook", _CODEBOOK_KEYS)):
-        for key in keys:
-            _check_int(raw[section][key], f"{section}.{key}")
-    _number(raw["model"]["token_scale"], "model.token_scale")
-
+    if not isinstance(raw["out_dir"], str):
+        raise ConfigError(f"out_dir must be a path string, got {raw['out_dir']!r}")
     try:
         model = ModelSpec(**{k: raw[s][k] for s in ("model", "codebook")
                              for k in raw[s]})
     except ValueError as e:
-        # ModelSpec checks only the codebook sizes, each message opening
-        # with the field's name
-        raise ConfigError(f"codebook.{e}") from e
+        # each ModelSpec message opens with the field's name
+        section = "codebook" if str(e).split()[0] in _CODEBOOK_KEYS else "model"
+        raise ConfigError(f"{section}.{e}") from e
     tr = dict(raw["train"])
     tr["sigma_clamp"] = _pair(tr["sigma_clamp"], "train.sigma_clamp")
     try:
@@ -232,6 +223,8 @@ def resolve(user: dict | None = None, seed_override: int | None = None) -> Confi
             raise ConfigError(f"{path}.obs_transform: {e!r}") from e
         _check_keys(d["curvature_prior"], {c.value for c in COMMANDS},
                     f"{path}.curvature_prior")
+        if not isinstance(d["mirror"], bool):
+            raise ConfigError(f"{path}.mirror must be true or false, got {d['mirror']!r}")
         curv = {}
         for cmd in COMMANDS:
             if cmd.value not in d["curvature_prior"]:
@@ -246,10 +239,14 @@ def resolve(user: dict | None = None, seed_override: int | None = None) -> Confi
                 obs_noise_std=_number(d["obs_noise_std"], f"{path}.obs_noise_std"),
                 curvature_prior=curv,
                 speed_prior=_pair(d["speed_prior"], f"{path}.speed_prior"),
-                mirror=bool(d["mirror"]),
+                mirror=d["mirror"],
             )
         except ValueError as e:
             raise ConfigError(f"{path}: {e}") from e
+    for key in ("source_domain", "target_domain"):
+        name = raw["data"][key]
+        if not isinstance(name, str) or name not in domains:
+            raise ConfigError(f"data.{key}: unknown domain {name!r}")
 
     return Config(
         seed=raw["seed"],

@@ -179,12 +179,12 @@ def validate_record(rec: SceneRecord, obs_dim: int | None = None) -> list[str]:
 @dataclass(frozen=True)
 class SceneRows:
     """Scenes in row layout: every ego row in record order, then every
-    agent row in record order. Scene i's ego is row i and its agents are
-    rows ``agent_start[i]:agent_start[i + 1]``.
+    agent row in record order. Scene i's ego is row i, and ``scene_of_row``
+    holds the record index of every row.
     """
 
     commands: list[Command]  # (S,)
-    agent_start: np.ndarray  # (S + 1,)
+    scene_of_row: np.ndarray  # (S + A,)
     obs: np.ndarray  # (S + A, D)
     gt: np.ndarray | None  # (S + A, 6, 2), when labeled
 
@@ -204,7 +204,8 @@ def scene_rows(records: list[SceneRecord], labeled: bool) -> SceneRows:
                             + [r.agent_gt for r in records])
     return SceneRows(
         commands=[r.command for r in records],
-        agent_start=len(records) + np.concatenate([[0], np.cumsum(counts)]),
+        scene_of_row=np.concatenate([np.arange(len(records)),
+                                     np.repeat(np.arange(len(records)), counts)]),
         obs=np.concatenate([np.array([r.ego_obs for r in records])]
                            + [r.agent_obs for r in records]),
         gt=gt)

@@ -242,7 +242,7 @@ def evaluate(records: list[SceneRecord], model, mode: str = "base",
     trajs = trajs.reshape(n, -1, 2)
     hits = scene_collisions(trajs, layout.gt[n:],
                             np.concatenate([r.agent_footprints for r in scenes]),
-                            np.repeat(np.arange(n), np.diff(layout.agent_start)))
+                            layout.scene_of_row[n:])
     l2s = avg_l2(trajs, layout.gt[:n])
     rows = [{
         "scene_id": rec.scene_id,

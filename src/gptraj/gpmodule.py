@@ -15,9 +15,9 @@ construction.
 graph as (n_code, C, .) tensors, then evaluates token rows with one
 kernel-feature matrix and one classifier pass, gathering each row's group
 slice by id. Training builds one graph per optimizer step over the parameter
-tensors. ``GpInference`` is the same graph over a frozen model's constants,
-run under ``no_grad`` for evaluation, the teacher forward and active
-selection.
+tensors. ``GpInference`` is the same graph over a frozen model's tensors,
+which are all constants, so evaluation, the teacher forward and active
+selection build no tape.
 """
 
 from __future__ import annotations
@@ -177,15 +177,14 @@ class GpGraph:
 
 class GpInference(GpGraph):
     """The GP module of a frozen model: a ``GpGraph`` over constant tensors,
-    conditioned at construction and run under ``no_grad``."""
+    conditioned at construction; constants build no tape."""
 
     def __init__(self, cb: Codebook, clf: GroupClassifier, p: GpParams):
-        with autodiff.no_grad():
-            super().__init__(
-                cb, Tensor(cb.basis),
-                {n: Tensor(getattr(clf, n)) for n in CLASSIFIER_NAMES},
-                *(Tensor(getattr(p, n)) for n in GP_SCALAR_NAMES))
-            self.group_cond()
+        super().__init__(
+            cb, Tensor(cb.basis),
+            {n: Tensor(getattr(clf, n)) for n in CLASSIFIER_NAMES},
+            *(Tensor(getattr(p, n)) for n in GP_SCALAR_NAMES))
+        self.group_cond()
 
     def predict_rows(self, tokens: np.ndarray, admissible: np.ndarray):
         """Classify every token row and predict within its group.
@@ -199,9 +198,8 @@ class GpInference(GpGraph):
         so a large call allocates no larger buffers than a training step.
         """
         rows = max(1, FEATURE_BLOCK // (self.cb.n_code * self.cb.group_size))
-        with autodiff.no_grad():
-            blocks = [self._predict_block(tokens[i:i + rows], admissible[i:i + rows])
-                      for i in range(0, len(tokens), rows)]
+        blocks = [self._predict_block(tokens[i:i + rows], admissible[i:i + rows])
+                  for i in range(0, len(tokens), rows)]
         return tuple(np.concatenate(parts) for parts in zip(*blocks))
 
     def predict_scene(self, ego_tokens: np.ndarray, commands):

@@ -2,9 +2,10 @@
 
 ``kernel_matrix`` is the one RBF implementation, sigma_f^2 *
 exp(-||x - y||^2 / (2 l^2)) over row pairs; ``kernel_matrix_t`` is its
-differentiable form, a single tape node with closed-form gradients. Both
-take leading batch axes, so every codebook group's Gram matrix comes from
-one call.
+differentiable form, a single tape node with closed-form gradients, and on
+constants (a frozen model's tensors are all constants) it calls
+``kernel_matrix``. Both take the hyperparameters in log space and leading
+batch axes, so every codebook group's Gram matrix comes from one call.
 
 Every Cholesky factorization in the package goes through ``cholesky_factor``.
 It factors a whole (..., n, n) stack with one batched ``np.linalg.cholesky``;
@@ -49,25 +50,6 @@ class NotPSD(Exception):
 
 
 @dataclass(frozen=True)
-class KernelParams:
-    """RBF hyperparameters stored in log space so they stay positive.
-
-    lengthscale = exp(log_lengthscale), outputscale = exp(log_outputscale).
-    """
-
-    log_lengthscale: float = 0.0
-    log_outputscale: float = 0.0
-
-    @property
-    def lengthscale(self) -> float:
-        return float(np.exp(self.log_lengthscale))
-
-    @property
-    def outputscale(self) -> float:
-        return float(np.exp(self.log_outputscale))
-
-
-@dataclass(frozen=True)
 class CholeskyFactor:
     """Lower-triangular factors (..., n, n) of each A + jitter * I in a stack.
 
@@ -94,19 +76,22 @@ def _sq_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return d2
 
 
-def _rbf(d2: np.ndarray, p: KernelParams, out: np.ndarray) -> np.ndarray:
+def _rbf(d2: np.ndarray, log_lengthscale, log_outputscale,
+         out: np.ndarray) -> np.ndarray:
     """The kernel of squared distances ``d2``, written into ``out`` (which may
     be ``d2``)."""
-    ell = p.lengthscale
+    ell = float(np.exp(log_lengthscale))
     np.negative(d2, out=out)
     out /= 2.0 * ell * ell
     np.exp(out, out=out)
-    out *= p.outputscale ** 2
+    out *= float(np.exp(log_outputscale)) ** 2
     return out
 
 
-def kernel_matrix(xs, ys, p: KernelParams) -> np.ndarray:
-    """Pairwise kernel matrix; entry (..., i, j) = kernel(xs[..., i, :], ys[..., j, :], p).
+def kernel_matrix(xs, ys, log_lengthscale, log_outputscale) -> np.ndarray:
+    """Pairwise kernel matrix; entry (..., i, j) is the kernel of
+    xs[..., i, :] and ys[..., j, :] with lengthscale exp(log_lengthscale)
+    and outputscale exp(log_outputscale).
 
     Leading axes batch independent matrices, e.g. (G, C, D) x (G, C, D) ->
     (G, C, C). A 1-D input is one row.
@@ -114,7 +99,7 @@ def kernel_matrix(xs, ys, p: KernelParams) -> np.ndarray:
     x = np.atleast_2d(np.asarray(xs, dtype=np.float64))
     y = np.atleast_2d(np.asarray(ys, dtype=np.float64))
     k = _sq_dists(x, y)
-    return _rbf(k, p, out=k)
+    return _rbf(k, log_lengthscale, log_outputscale, out=k)
 
 
 def cholesky_factor(a: np.ndarray) -> CholeskyFactor:
@@ -179,18 +164,18 @@ def kernel_matrix_t(x, y, log_lengthscale, log_outputscale) -> Tensor:
     """
     x, y, log_ell, log_sf = (autodiff.as_tensor(t) for t in
                              (x, y, log_lengthscale, log_outputscale))
-    p = KernelParams(float(log_ell.data), float(log_sf.data))
     if not autodiff._tracked(x, y, log_ell, log_sf):
-        return Tensor(kernel_matrix(x.data, y.data, p))
+        return Tensor(kernel_matrix(x.data, y.data, log_ell.data, log_sf.data))
     x2, y2 = np.atleast_2d(x.data), np.atleast_2d(y.data)
     d2 = _sq_dists(x2, y2)
-    k = _rbf(d2, p, out=np.empty_like(d2))
+    k = _rbf(d2, log_ell.data, log_sf.data, out=np.empty_like(d2))
+    ell = float(np.exp(log_ell.data))
 
     def vjp(g):
         gd2 = np.multiply(g, k)
         sf_grad = np.array(2.0 * np.sum(gd2))
         np.copyto(gd2, 0.0, where=~(d2 > 0.0))
-        gd2 *= -0.5 / p.lengthscale ** 2
+        gd2 *= -0.5 / ell ** 2
         return (lambda: (2.0 * (np.sum(gd2, axis=-1)[..., None] * x2 - gd2 @ y2)
                          ).reshape(x.data.shape),
                 lambda: (2.0 * (np.sum(gd2, axis=-2)[..., None] * y2

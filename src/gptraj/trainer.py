@@ -12,7 +12,10 @@ its scenes, then their agent rows, each block in ascending scene order (see
 take the frozen teacher's prediction of all rows in one call. Stage 2
 conditions every codebook group once per step and evaluates the GP and its
 losses over all rows at once. Labels, anchor tables and triplet classes are
-computed once per training call.
+computed once per training call. A stage's parameters are the model's own
+arrays, which ``Adam`` updates in place; its flat buffers hold only the
+gradients and moments. The frozen side of a stage is constants, which build
+no tape.
 
 A step loss returns its terms as a plain dict (see ``losses``);
 ``_run_epochs`` checks them, weights them once with ``cfg.loss_weights``
@@ -63,6 +66,28 @@ class TrainingError(Exception):
     pass
 
 
+def _finite(v) -> bool:
+    """Whether ``v`` is a finite real number; a bool is not one."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _check_fields(obj, positive=(), non_negative=()) -> None:
+    """Check the numeric fields of the dataclass ``obj``: an ``int`` field
+    holds an int and a ``float`` field a finite real number (a bool is
+    neither); the fields named in ``positive`` are above 0 and those in
+    ``non_negative`` at least 0. Messages open with the field's name."""
+    for f in dataclasses.fields(obj):
+        v = getattr(obj, f.name)
+        if f.type == "int" and (isinstance(v, bool) or not isinstance(v, int)):
+            raise ValueError(f"{f.name} must be an integer, got {v!r}")
+        if f.type == "float" and not _finite(v):
+            raise ValueError(f"{f.name} must be a finite number, got {v!r}")
+        if f.name in positive and v <= 0:
+            raise ValueError(f"{f.name} must be positive")
+        if f.name in non_negative and v < 0:
+            raise ValueError(f"{f.name} must be non-negative")
+
+
 @dataclass
 class ModelSpec:
     """Architecture sizes captured in every checkpoint."""
@@ -78,6 +103,7 @@ class ModelSpec:
     token_scale: float = basemodel.TOKEN_SCALE
 
     def __post_init__(self):
+        _check_fields(self, positive=[f.name for f in dataclasses.fields(self)])
         # the group layout needs equal thirds, and triplet_table enough
         # groups in each bucket
         n_cmd = len(COMMANDS)
@@ -131,14 +157,11 @@ class TrainConfig:
     gp_weight: float = 1.0  # weight of the teacher-regularization total
 
     def __post_init__(self):
-        if self.seed is None:
-            raise ValueError("seed is mandatory")
-        for name in ("epochs_stage1", "epochs_stage2", "epochs_stage3", "adapt_epochs"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
-        for name in ("batch_size", "lr_stage12", "lr_stage3", "beta1", "beta2", "eps"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        _check_fields(
+            self, positive=("batch_size", "lr_stage12", "lr_stage3", "beta1", "beta2",
+                            "eps"),
+            non_negative=("epochs_stage1", "epochs_stage2", "epochs_stage3",
+                          "adapt_epochs"))
         for name in ("beta1", "beta2"):
             if getattr(self, name) >= 1:
                 raise ValueError(f"{name} must be below 1")
@@ -148,8 +171,7 @@ class TrainConfig:
         if bad:
             raise ValueError(f"unknown loss weight names: {sorted(bad)}")
         for name, w in self.loss_weights.items():
-            if (isinstance(w, bool) or not isinstance(w, (int, float))
-                    or not math.isfinite(w)):
+            if not _finite(w):
                 raise ValueError(f"loss weight {name} must be a finite number, got {w!r}")
         lo, hi = self.sigma_clamp
         if not (0 < lo < hi):
@@ -174,32 +196,15 @@ def _views(flat: np.ndarray, shapes: dict[str, tuple]) -> dict[str, np.ndarray]:
             in zip(shapes.items(), np.split(flat, ends[:-1]))}
 
 
-def _flat_buffer(params: dict[str, Tensor]) -> np.ndarray:
-    """The 1-D buffer that holds the parameters' data as consecutive views,
-    in order: their own if they are such views, else a new one they are
-    copied into and rebound to."""
-    arrays = [p.data for p in params.values()]
-    flat, ends = arrays[0].base, np.cumsum([a.size for a in arrays])
-    if (flat is None or flat.ndim != 1 or flat.size != ends[-1] or not all(
-            a.base is flat and a.flags.c_contiguous
-            and a.ctypes.data == flat.ctypes.data + 8 * (end - a.size)
-            for a, end in zip(arrays, ends))):
-        flat = np.concatenate([np.ravel(a) for a in arrays])
-        for p, view in zip(params.values(), _views(
-                flat, {k: a.shape for k, a in zip(params, arrays)}).values()):
-            p.data = view
-    return flat
-
-
 class Adam:
-    """Adam with bias correction over one flat buffer per stage.
+    """Adam with bias correction.
 
-    Parameters, gradients and the moments m and v each live in one flat
-    float64 buffer. The parameter tensors (and, through the registries, the
-    model's arrays) are views of the first; ``grads``, ``m`` and ``v`` map
-    each name to its view of the others. ``step`` is one fused pass with one
-    scratch buffer; it computes the step in the gradient buffer once m and v
-    are updated, so a step spends its gradients.
+    The parameters stay in their own arrays. Gradients and the moments m and
+    v each live in one flat float64 buffer; ``grads``, ``m`` and ``v`` map
+    each name to its view of them. ``step`` is one fused pass over the flat
+    buffers with one scratch buffer; it computes the step in the gradient
+    buffer once m and v are updated, so a step spends its gradients, and
+    then subtracts each parameter's slice of it from that parameter in place.
     """
 
     def __init__(self, params: dict[str, Tensor], lr: float, beta1: float = 0.9,
@@ -209,9 +214,9 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.flat = _flat_buffer(params)
-        self._g, self._m, self._v, self._scratch = (np.zeros_like(self.flat)
-                                                    for _ in range(4))
+        self.params = params
+        size = sum(p.data.size for p in params.values())
+        self._g, self._m, self._v, self._scratch = (np.zeros(size) for _ in range(4))
         shapes = {k: p.data.shape for k, p in params.items()}
         self.grads, self.m, self.v = (_views(b, shapes)
                                       for b in (self._g, self._m, self._v))
@@ -237,7 +242,8 @@ class Adam:
         np.sqrt(s, out=s)
         s += self.eps
         step /= s
-        self.flat -= step
+        for name, p in self.params.items():
+            p.data -= self.grads[name]  # this parameter's slice of the step
 
 
 # --- parameter registries ----------------------------------------------------
@@ -252,11 +258,11 @@ def _tensor_owners(model: Model) -> dict[str, tuple[object, str]]:
 
 
 def _parameters(model: Model, names) -> dict[str, Tensor]:
-    """The named model tensors as parameters over one flat buffer; the
-    model's attributes become views of it (the GP scalars 0-d ones)."""
+    """The named model tensors as parameters over the model's own arrays,
+    which optimizer steps update in place; the GP scalars are rebound as
+    0-d arrays."""
     owners = _tensor_owners(model)
     params = {n: Tensor(getattr(*owners[n]), requires_grad=True) for n in names}
-    _flat_buffer(params)
     for n, p in params.items():
         setattr(*owners[n], p.data)
     return params
@@ -298,42 +304,24 @@ def _project_noise(params: dict[str, Tensor], sigma_clamp) -> None:
 # --- row layout ----------------------------------------------------------------
 
 
-@dataclass
-class Batch:
-    """One optimizer step's rows: the scenes' ego rows, then their agent rows.
-
-    ``rows`` index the ``SceneTable`` row arrays. The j-th scene's ego row
-    is batch row j and its agents are batch rows
-    ``agent_bounds[j]:agent_bounds[j + 1]``.
-    """
-
-    rows: np.ndarray
-    n_ego: int
-    agent_bounds: np.ndarray
-    obs: np.ndarray  # (N, obs_dim)
-    admissible: np.ndarray  # (N, n_code) bool
-    gt: np.ndarray | None  # (N, 12)
-    labels: np.ndarray | None  # (N,)
-
-    @property
-    def scene_of_row(self) -> np.ndarray:
-        """Position of each row's scene within the batch."""
-        scenes = np.arange(self.n_ego)
-        return np.concatenate([scenes, np.repeat(scenes, np.diff(self.agent_bounds))])
-
-
 class SceneTable:
-    """One training call's scenes in ``core.scene_rows`` layout, built once
-    per call, with each row's admissible-group mask and, when ``labeled``,
-    its flat (12,) ground truth and label.
+    """Scenes in ``core.scene_rows`` layout, with each row's scene, its
+    admissible-group mask and, when ``labeled``, its flat (12,) ground truth
+    and label.
+
+    A training call builds one table of its scenes; each optimizer step
+    works on the table of its batch, from ``batch``. ``rows`` index the
+    training call's table and ``scene_of_row`` gives each row's scene
+    position within this table.
     """
 
     def __init__(self, records: list[SceneRecord], cb: Codebook, labeled: bool):
         if not records:
             raise TrainingError("dataset is empty")
         rows = scene_rows(records, labeled)
-        self.records = records
-        self.agent_start = rows.agent_start
+        self.n_ego = len(records)
+        self.rows = np.arange(len(rows.obs))
+        self.scene_of_row = rows.scene_of_row
         self.obs = rows.obs
         self.admissible = admissible(
             cb, rows.commands + [None] * (len(rows.obs) - len(records)))
@@ -343,19 +331,20 @@ class SceneTable:
             self.labels = scene_labels(self, cb)
 
     def __len__(self) -> int:
-        return len(self.records)
+        return self.n_ego
 
-    def batch(self, scenes: np.ndarray) -> Batch:
-        """The rows of ``scenes`` (record indices, ascending)."""
-        agents = [np.arange(self.agent_start[i], self.agent_start[i + 1])
-                  for i in scenes]
-        rows = np.concatenate([scenes] + agents).astype(np.intp)
-        bounds = len(scenes) + np.concatenate([[0], np.cumsum([len(a) for a in agents])])
-        return Batch(
-            rows=rows, n_ego=len(scenes), agent_bounds=bounds,
-            obs=self.obs[rows], admissible=self.admissible[rows],
-            gt=None if self.gt is None else self.gt[rows],
-            labels=None if self.labels is None else self.labels[rows])
+    def batch(self, scenes: np.ndarray) -> "SceneTable":
+        """The table of ``scenes`` (scene positions, ascending): their ego
+        rows, then their agent rows, each block in scene order."""
+        rows = np.flatnonzero(np.isin(self.scene_of_row, scenes))
+        sub = copy.copy(self)
+        sub.n_ego = len(scenes)
+        sub.rows = self.rows[rows]
+        sub.scene_of_row = np.searchsorted(scenes, self.scene_of_row[rows])
+        sub.obs, sub.admissible, sub.gt, sub.labels = (
+            None if a is None else a[rows]
+            for a in (self.obs, self.admissible, self.gt, self.labels))
+        return sub
 
 
 def scene_labels(table: SceneTable, cb: Codebook) -> np.ndarray:
@@ -382,7 +371,7 @@ class StageTables:
 # --- step losses -----------------------------------------------------------------
 
 
-def base_supervised_loss(batch: Batch, traj: Tensor, logits: Tensor) -> dict[str, Tensor]:
+def base_supervised_loss(batch: SceneTable, traj: Tensor, logits: Tensor) -> dict[str, Tensor]:
     """Ground-truth terms of a base-model step: anchored-waypoint MSE plus class CE.
 
     The planning trajectory is assembled from the label group's anchor
@@ -395,7 +384,7 @@ def base_supervised_loss(batch: Batch, traj: Tensor, logits: Tensor) -> dict[str
     }, batch.n_ego)
 
 
-def finetune_scene_loss(batch: Batch, bvars: dict[str, Tensor], model: Model,
+def finetune_scene_loss(batch: SceneTable, bvars: dict[str, Tensor], model: Model,
                         teacher: GpInference | None, cfg: TrainConfig,
                         tables: StageTables) -> dict[str, Tensor]:
     """Terms of one base-model step, over the batch's rows.
@@ -426,7 +415,7 @@ def finetune_scene_loss(batch: Batch, bvars: dict[str, Tensor], model: Model,
     return terms | {k: autodiff.mul(t, cfg.gp_weight) for k, t in taught.items()}
 
 
-def gp_stage_loss(batch: Batch, graph: GpGraph, tokens: np.ndarray,
+def gp_stage_loss(batch: SceneTable, graph: GpGraph, tokens: np.ndarray,
                   tables: StageTables, cfg: TrainConfig) -> dict[str, Tensor]:
     """Stage-2 terms of one step: reconstruction plus GP supervision.
 
@@ -557,7 +546,7 @@ def stage2_fit_gp(records, ckpt: "Checkpoint", cfg: TrainConfig,
     # frozen encoder: tokens are fixed targets, computed once, in row layout
     tokens = encode(table.obs, model.base)
 
-    def loss_fn(batch: Batch) -> dict[str, Tensor]:
+    def loss_fn(batch: SceneTable) -> dict[str, Tensor]:
         return gp_stage_loss(batch, gp_graph(model.cb, params), tokens[batch.rows],
                              tables, cfg)
 
@@ -661,11 +650,17 @@ class Checkpoint:
             header = json.loads(raw[16:16 + hlen].decode("utf-8"))
         except ValueError as e:  # also UnicodeDecodeError and JSONDecodeError
             raise ValueError(f"{path}: corrupt checkpoint header: {e}") from e
+        if not isinstance(header, dict):
+            raise ValueError(f"{path}: bad checkpoint header: the root is a "
+                             f"{type(header).__name__}, not an object")
         if header.get("schema") != CHECKPOINT_SCHEMA:
             raise ValueError(
                 f"{path}: checkpoint schema {header.get('schema')!r} unsupported "
                 f"(expected {CHECKPOINT_SCHEMA})")
         try:
+            stage = header["stage"]
+            if not isinstance(stage, str):
+                raise TypeError(f"stage must be a string, got {stage!r}")
             spec = ModelSpec(**header["model_spec"])
             cfg_d = dict(header["train_config"])
             cfg_d["sigma_clamp"] = tuple(cfg_d["sigma_clamp"])
@@ -705,7 +700,7 @@ class Checkpoint:
                                n_code=spec.n_code, token_scale=spec.token_scale)
         clf = GroupClassifier(**{n: tensors[f"clf.{n}"] for n in CLASSIFIER_NAMES})
         gp = GpParams(**{n: float(tensors[f"gp.{n}"]) for n in GP_SCALAR_NAMES})
-        return cls(stage=header["stage"], model=Model(cb, base, clf, gp),
+        return cls(stage=stage, model=Model(cb, base, clf, gp),
                    train_config=cfg, model_spec=spec)
 
 

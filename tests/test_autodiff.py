@@ -229,13 +229,16 @@ def test_constant_leaf_takes_no_gradient():
     assert c.grad is None
 
 
-def test_no_grad_builds_no_tape():
-    x = autodiff.parameter(np.array([1.0, 2.0]))
-    with autodiff.no_grad():
-        y = autodiff.tsum(autodiff.square(x))
-    assert y._parents == ()
+def test_constants_build_no_tape():
+    # a frozen model's tensors are all constants, so inference records nothing
+    x = Tensor(np.array([[1.0, 2.0], [0.5, -1.0]]))
+    log_ell, log_sf = Tensor(np.array(0.1)), Tensor(np.array(-0.2))
+    k = psdlinalg.kernel_matrix_t(x, x, log_ell, log_sf)
+    y = autodiff.tsum(autodiff.square(autodiff.matmul(autodiff.psd_inverse(k), x)))
+    for t in (k, y):
+        assert t._parents == () and t._vjp is None and not t.requires_grad
     autodiff.backward(y)  # nothing to walk; leaves untouched
-    assert x.grad is None
+    assert x.grad is None and log_ell.grad is None and log_sf.grad is None
 
 
 def test_grad_map_zero_for_unused():

@@ -53,6 +53,16 @@ def test_defaults_resolve():
     ({"train": {"epochs_stage2": -1}}, "train: epochs_stage2 must be non-negative"),
     ({"train": {"adapt_epochs": -3}}, "train: adapt_epochs must be non-negative"),
     ({"train": {"batch_size": -2}}, "train: batch_size must be positive"),
+    # bool("false") is True: the string must not resolve to a mirrored domain
+    ({"domains": {"city": domain(mirror="false")}}, "domains.city.mirror must be true or false"),
+    ({"data": {"source_domain": "nowhere"}}, "data.source_domain: unknown domain 'nowhere'"),
+    ({"data": {"target_domain": ["target_city"]}}, "data.target_domain: unknown domain"),
+    ({"out_dir": 3}, "out_dir must be a path string, got 3"),
+    ({"seed": "abc"}, "train: seed must be an integer, got 'abc'"),
+    ({"seed": 1.5}, "train: seed must be an integer, got 1.5"),
+    ({"model": {"encoder_hidden": 0}}, "model.encoder_hidden must be positive"),
+    ({"codebook": {"group_size": 0}}, "codebook.group_size must be positive"),
+    ({"model": {"token_scale": -1}}, "model.token_scale must be positive"),
 ])
 def test_malformed_values_name_their_key_path(user, path):
     with pytest.raises(ConfigError, match=path):
@@ -92,7 +102,16 @@ def test_unknown_loss_weight_rejected():
     ({"loss_weights": [0.5]}, "loss_weights must map term names to numbers"),
     ({"beta1": 1.0}, "beta1 must be below 1"),
     ({"beta2": 1.5}, "beta2 must be below 1"),
-], ids=["string-weight", "nan-weight", "weight-list", "beta1", "beta2"])
+    ({"batch_size": 2.5}, "batch_size must be an integer, got 2.5"),
+    ({"epochs_stage1": 1.5}, "epochs_stage1 must be an integer, got 1.5"),
+    ({"lr_stage3": float("nan")}, "lr_stage3 must be a finite number, got nan"),
+    ({"eps": float("inf")}, "eps must be a finite number, got inf"),
+    ({"gp_weight": "x"}, "gp_weight must be a finite number, got 'x'"),
+    ({"gp_weight": float("nan")}, "gp_weight must be a finite number, got nan"),
+    ({"triplet_margin": "x"}, "triplet_margin must be a finite number, got 'x'"),
+], ids=["string-weight", "nan-weight", "weight-list", "beta1", "beta2", "float-batch",
+        "float-epochs", "nan-lr", "inf-eps", "string-gp-weight", "nan-gp-weight",
+        "string-margin"])
 def test_bad_train_values_rejected(train, match):
     with pytest.raises(ConfigError, match=f"train: {match}"):
         config.resolve({"train": train})

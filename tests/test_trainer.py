@@ -75,6 +75,25 @@ def test_same_seed_runs_write_identical_checkpoints(pipeline_bytes, tiny_dataset
         assert first[stage] == second[stage], stage
 
 
+def test_each_stage_changes_exactly_its_own_tensors(tiny_dataset, target_dataset):
+    stages = [
+        ("stage2", lambda c: stage2_fit_gp(tiny_dataset[:24], c, CFG),
+         ("gp.", "clf.", "cb.basis")),
+        ("stage3", lambda c: stage3_finetune(tiny_dataset[:24], c, CFG), ("base.",)),
+        ("adapt_unsup", lambda c: adapt_unsupervised(strip_labels(target_dataset), c, CFG),
+         ("base.",)),
+        ("adapt_sup", lambda c: adapt_supervised(target_dataset[:12], c, CFG), ("base.",)),
+    ]
+    ckpt = stage1_pretrain(tiny_dataset, CFG, tiny_spec())
+    for stage, train, own in stages:
+        before = {k: v.tobytes() for k, v in ckpt.named_tensors().items()}
+        out = train(ckpt)
+        assert {k: v.tobytes() for k, v in ckpt.named_tensors().items()} == before, stage
+        changed = {k for k, v in out.named_tensors().items() if v.tobytes() != before[k]}
+        assert changed == {k for k in before if k.startswith(own)}, stage
+        ckpt = out
+
+
 def test_checkpoint_roundtrip_is_byte_identical(pipeline_bytes, tiny_dataset):
     tmp, saved = pipeline_bytes
     for stage, blob in saved.items():
@@ -118,11 +137,13 @@ def test_truncated_or_foreign_checkpoint_rejected_with_path(pipeline_bytes):
 
 
 def edited_header(blob: bytes, edit) -> bytes:
-    """The checkpoint ``blob`` with ``edit`` applied to its parsed header."""
+    """The checkpoint ``blob`` with ``edit`` applied to its parsed header:
+    ``edit`` changes the header in place or returns the one to write."""
     hlen = struct.unpack("<Q", blob[8:16])[0]
     header = json.loads(blob[16:16 + hlen])
-    edit(header)
-    text = json.dumps(header, sort_keys=True).encode("utf-8")
+    replaced = edit(header)
+    text = json.dumps(header if replaced is None else replaced,
+                      sort_keys=True).encode("utf-8")
     return blob[:8] + struct.pack("<Q", len(text)) + text + blob[16 + hlen:]
 
 
@@ -149,11 +170,28 @@ def test_checkpoint_missing_tensor_rejected_with_path(pipeline_bytes):
     ({"n_wheels": 4}, "n_wheels"),
     # same n_code, but no layout of 13 ego groups into equal thirds
     ({"n_ego": 13, "n_agent": 6}, "n_ego 13 is not a multiple of 3"),
+    ({"encoder_hidden": 0}, "encoder_hidden must be positive"),
+    ({"token_scale": "big"}, "token_scale must be a finite number, got 'big'"),
 ])
 def test_checkpoint_bad_model_spec_rejected_with_path(pipeline_bytes, change, match):
     tmp, saved = pipeline_bytes
     rejected(tmp, edited_header(saved["stage2"], lambda h: h["model_spec"].update(change)),
              "spec.bin", f"bad checkpoint header: .*{match}")
+
+
+def drop_stage(header):
+    del header["stage"]
+
+
+@pytest.mark.parametrize("edit, match", [
+    (drop_stage, r"KeyError\('stage'\)"),
+    (lambda h: h.update(stage=3), "stage must be a string, got 3"),
+    (lambda h: [h], "the root is a list, not an object"),
+], ids=["no-stage", "int-stage", "list-root"])
+def test_checkpoint_malformed_header_rejected_with_path(pipeline_bytes, edit, match):
+    tmp, saved = pipeline_bytes
+    rejected(tmp, edited_header(saved["stage2"], edit), "header.bin",
+             f"bad checkpoint header: .*{match}")
 
 
 def test_checkpoint_wrong_tensor_shape_rejected_with_path(pipeline_bytes):
@@ -191,7 +229,10 @@ def test_checkpoint_malformed_tensor_entry_rejected_with_path(pipeline_bytes, ed
     ({"loss_weights": {"plan_nll": "x"}}, "loss weight plan_nll must be a finite number"),
     ({"loss_weights": {"plan_nll": float("nan")}}, "must be a finite number, got nan"),
     ({"beta1": 1.0}, "beta1 must be below 1"),
-], ids=["weight-name", "string-weight", "nan-weight", "beta1"])
+    ({"batch_size": 2.5}, "batch_size must be an integer, got 2.5"),
+    ({"lr_stage3": float("nan")}, "lr_stage3 must be a finite number, got nan"),
+], ids=["weight-name", "string-weight", "nan-weight", "beta1", "float-batch",
+        "nan-lr"])
 def test_checkpoint_bad_train_config_rejected_with_path(pipeline_bytes, change, match):
     tmp, saved = pipeline_bytes
     rejected(tmp, edited_header(saved["stage2"], lambda h: h["train_config"].update(change)),
@@ -299,6 +340,32 @@ def test_scene_labels_match_per_scene_loop(tiny_dataset, tiny_model):
     want = [nearest(r.ego_gt, r.command) for r in tiny_dataset]
     want += [nearest(t, None) for r in tiny_dataset for t in r.agent_gt]
     assert labels.tolist() == want
+
+
+@pytest.mark.parametrize("labeled", [True, False], ids=["labeled", "unlabeled"])
+def test_batch_is_the_table_of_its_scenes(tiny_dataset, tiny_model, labeled):
+    cb = tiny_model.cb
+    records = tiny_dataset[:40] if labeled else strip_labels(tiny_dataset[:40])
+    table = SceneTable(records, cb, labeled)
+    agentless = [i for i, r in enumerate(records) if r.n_agents == 0]
+    rng = np.random.default_rng(7)
+    subsets = [np.sort(rng.choice(len(records), size=n, replace=False))
+               for n in (1, 2, 5, 13, 32, 40) for _ in range(3)]
+    subsets += [np.array(agentless[:1]), np.array(agentless), np.array([0, agentless[-1]])]
+    assert sum(bool(set(s) & set(agentless)) for s in subsets) > len(subsets) // 2
+    for scenes in subsets:
+        got = table.batch(scenes)
+        want = SceneTable([records[i] for i in scenes], cb, labeled)
+        assert len(got) == got.n_ego == want.n_ego == len(scenes)
+        for name in ("obs", "admissible", "gt", "labels", "scene_of_row"):
+            g, w = getattr(got, name), getattr(want, name)
+            if w is None:
+                assert g is None and not labeled, name
+                continue
+            assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes()), name
+            if name != "scene_of_row":
+                assert g.tobytes() == getattr(table, name)[got.rows].tobytes(), name
+        assert np.array_equal(table.scene_of_row[got.rows], scenes[got.scene_of_row])
 
 
 # --- the batched step loss -----------------------------------------------------
