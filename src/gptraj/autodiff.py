@@ -22,7 +22,7 @@ holds, which ``backward`` may keep as the parent's gradient.
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -53,11 +53,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, grad={self.requires_grad})"
-
-
-def parameter(data) -> Tensor:
-    """A learnable leaf. ``data`` is copied so callers keep ownership."""
-    return Tensor(np.array(data, dtype=np.float64), requires_grad=True)
 
 
 def as_tensor(x) -> Tensor:
@@ -226,14 +221,6 @@ def narrow(a, start: int, stop: int, axis: int = 0) -> Tensor:
         return full
 
     return _make(out, (a,), lambda g: (lambda: grad_a(g),))
-
-
-def stack(parts: Sequence) -> Tensor:
-    """Stack equally shaped tensors along a new leading axis."""
-    parts = [as_tensor(p) for p in parts]
-    out = np.stack([p.data for p in parts])
-    return _make(out, tuple(parts),
-                 lambda g: tuple((lambda i=i: g[i]) for i in range(len(parts))))
 
 
 def gather0(a, idx) -> Tensor:

@@ -2,32 +2,24 @@
 active selection, evaluation, and checkpoint inspection.
 
 Every subcommand is deterministic given (config, seed): artifacts are
-byte-identical across reruns. Heavy imports happen after thread setup so
-``--threads`` (or GPTRAJ_THREADS) can cap the BLAS pools, over any inherited
-``OMP_NUM_THREADS``, ``OPENBLAS_NUM_THREADS`` or ``MKL_NUM_THREADS``.
+byte-identical across reruns and hosts. The BLAS pools always run one
+thread: this module sets ``OMP_NUM_THREADS``, ``OPENBLAS_NUM_THREADS`` and
+``MKL_NUM_THREADS`` to 1, over any inherited value, before anything loads
+numpy, because a multithreaded BLAS sums in an order that depends on the
+thread count.
 """
 
 from __future__ import annotations
 
+import os
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
-
-
-def _apply_threads(argv: list[str]) -> None:
-    source, threads = "GPTRAJ_THREADS", os.environ.get("GPTRAJ_THREADS")
-    for i, a in enumerate(argv):
-        if a == "--threads" and i + 1 < len(argv):
-            source, threads = "--threads", argv[i + 1]
-        elif a.startswith("--threads="):
-            source, threads = "--threads", a.split("=", 1)[1]
-    if threads:
-        if not threads.strip().isdecimal() or int(threads) < 1:
-            raise ValueError(f"{source}: expected an integer >= 1, got {threads!r}")
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(int(threads))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -38,8 +30,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="JSON config path (defaults used when omitted)")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the config seed for all RNG streams")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="cap numeric thread pools (env: GPTRAJ_THREADS)")
     parser.add_argument("--out-dir", type=str, default=None,
                         help="override the config output directory")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -283,12 +273,6 @@ _HANDLERS = {
 
 def cli_run(argv: list[str] | None = None) -> int:
     """Run one subcommand; returns the process exit code."""
-    argv = list(sys.argv[1:] if argv is None else argv)
-    try:
-        _apply_threads(argv)
-    except ValueError as e:  # a usage error, as argparse reports them
-        print(f"gptraj: error: {e}", file=sys.stderr)
-        return 2
     args = build_parser().parse_args(argv)
     try:
         cfg = _load_config(args)

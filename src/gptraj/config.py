@@ -243,6 +243,10 @@ def resolve(user: dict | None = None, seed_override: int | None = None) -> Confi
             )
         except ValueError as e:
             raise ConfigError(f"{path}: {e}") from e
+    for key in ("n_source", "n_source_val", "n_target", "n_target_val"):
+        n = raw["data"][key]
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+            raise ConfigError(f"data.{key} must be a positive integer, got {n!r}")
     for key in ("source_domain", "target_domain"):
         name = raw["data"][key]
         if not isinstance(name, str) or name not in domains:

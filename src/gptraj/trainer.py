@@ -22,11 +22,12 @@ A step loss returns its terms as a plain dict (see ``losses``);
 and appends them to the loss CSV as the step ends.
 
 Determinism contract: identical (config, seed, dataset) produce
-bit-identical checkpoints. Shuffles derive from the seed by purpose keys,
-and every reduction over a step's rows runs in the fixed row order above.
-The row-batched reduction sums in a different order than the per-scene
-tapes it replaced, so checkpoints match those only to rounding, not bit
-for bit.
+bit-identical checkpoints at one BLAS thread, the count ``gptraj.cli``
+pins (a multithreaded BLAS sums in a thread-dependent order). Shuffles
+derive from the seed by purpose keys, and every reduction over a step's
+rows runs in the fixed row order above. The row-batched reduction sums in
+a different order than the per-scene tapes it replaced, so checkpoints
+match those only to rounding, not bit for bit.
 """
 
 from __future__ import annotations

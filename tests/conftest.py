@@ -2,6 +2,13 @@
 
 from __future__ import annotations
 
+import os
+
+# the CLI's contract: one BLAS thread, pinned before numpy loads, so the
+# bit-for-bit tests judge the bytes the CLI writes on every host
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
 import itertools
 import sys
 from pathlib import Path
@@ -12,6 +19,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from gptraj import psdlinalg
+from gptraj.autodiff import Tensor
 from gptraj.core import COMMANDS, Command
 from gptraj.synthdomain import DomainSpec, gen_dataset
 from gptraj.trainer import ModelSpec, TrainConfig, build_model
@@ -59,6 +67,11 @@ def tiny_dataset():
 @pytest.fixture(scope="session")
 def tiny_model(tiny_dataset):
     return build_model(tiny_dataset, tiny_config(), tiny_spec())
+
+
+def parameter(data) -> Tensor:
+    """A learnable leaf holding a copy of ``data``."""
+    return Tensor(np.array(data, dtype=np.float64), requires_grad=True)
 
 
 def corrupting_factor(call: int, group: int):

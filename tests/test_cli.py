@@ -89,43 +89,52 @@ def test_gen_data_unlabeled_requires_domain(tmp_path, capsys):
         cli.build_parser().parse_args(["gen-data", "--labeled"])
 
 
-@pytest.mark.parametrize("threads", ["x", "0", "-1"])
-def test_bad_threads_flag_is_a_usage_error(tmp_path, capsys, threads):
-    assert cli.cli_run(["--threads", threads, "--out-dir", str(tmp_path),
-                        "gen-data"]) == 2
-    assert capsys.readouterr().err == (
-        f"gptraj: error: --threads: expected an integer >= 1, got {threads!r}\n")
-
-
-def test_bad_threads_env_is_a_usage_error(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("GPTRAJ_THREADS", "abc")
-    assert cli.cli_run(["--out-dir", str(tmp_path), "gen-data"]) == 2
-    assert capsys.readouterr().err == (
-        "gptraj: error: GPTRAJ_THREADS: expected an integer >= 1, got 'abc'\n")
-
-
-def run_python(code: str, cwd: Path, **env: str) -> str:
-    """Stdout of ``code`` in a fresh interpreter that imports this gptraj."""
+def run_python(*args: str, cwd: Path, **env: str) -> str:
+    """Stdout of ``python *args`` in a fresh interpreter that imports this
+    gptraj, with ``env`` over the inherited environment."""
     env = {**os.environ, **env, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
-    return subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env, check=True,
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, check=True,
                           capture_output=True, text=True).stdout.strip()
 
 
 def test_import_cli_leaves_numpy_unloaded(tmp_path):
-    # OpenBLAS reads its thread count when numpy loads, so --threads can
-    # only cap it if nothing imports numpy before cli_run
+    # OpenBLAS reads its thread count when numpy loads, so the CLI's pin to
+    # one thread only holds if nothing imports numpy before gptraj.cli
     code = "import sys, gptraj.cli; print('numpy' in sys.modules)"
-    assert run_python(code, tmp_path) == "False"
+    assert run_python("-c", code, cwd=tmp_path) == "False"
 
 
-def test_threads_flag_overrides_inherited_blas_env(tmp_path):
-    code = ("import os, sys, gptraj.cli as cli\n"
-            "assert 'numpy' not in sys.modules\n"
-            "cli.cli_run(['--threads', '1', 'inspect-ckpt', '--ckpt', 'missing.bin'])\n"
-            "print(*(os.environ[v] for v in ('OMP_NUM_THREADS', 'OPENBLAS_NUM_THREADS',"
-            " 'MKL_NUM_THREADS')))")
-    assert run_python(code, tmp_path, OMP_NUM_THREADS="4", OPENBLAS_NUM_THREADS="4",
-                      MKL_NUM_THREADS="4") == "1 1 1"
+# large enough that OpenBLAS splits the training matmuls over two threads
+# (at TOY_CONFIG's sizes one- and two-thread bytes agree anyway)
+THREADED_CONFIG = {
+    "seed": 0,
+    "codebook": {"group_size": 4},
+    "train": {"epochs_stage1": 1, "epochs_stage2": 1, "epochs_stage3": 1},
+    "data": {"n_source": 300, "n_source_val": 16, "n_target": 16,
+             "n_target_val": 16},
+}
+
+
+def test_checkpoints_ignore_inherited_blas_threads(tmp_path):
+    """The CLI runs BLAS on one thread whatever the environment says: a
+    pipeline run from a shell exporting two BLAS threads writes the same
+    checkpoint bytes as one exporting one thread.
+
+    On a one-core host OpenBLAS runs one thread either way, so there the
+    test cannot tell a pinned CLI from an unpinned one.
+    """
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(THREADED_CONFIG))
+    stages = ("ckpt_stage1.bin", "ckpt_stage2.bin", "ckpt_stage3.bin")
+    written = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        for command in ("gen-data", "pretrain", "fit-gp", "finetune"):
+            run_python("-m", "gptraj.cli", "--config", str(config), "--out-dir",
+                       str(out), command, cwd=tmp_path,
+                       OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        written.append([(out / name).read_bytes() for name in stages])
+    assert [name for name, one, two in zip(stages, *written) if one != two] == []
 
 
 def test_gen_data_domain_unlabeled_writes_no_ground_truth(tmp_path):

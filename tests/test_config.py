@@ -63,6 +63,12 @@ def test_defaults_resolve():
     ({"model": {"encoder_hidden": 0}}, "model.encoder_hidden must be positive"),
     ({"codebook": {"group_size": 0}}, "codebook.group_size must be positive"),
     ({"model": {"token_scale": -1}}, "model.token_scale must be positive"),
+    ({"data": {"n_source": 2.5}}, "data.n_source must be a positive integer, got 2.5"),
+    ({"data": {"n_source_val": -3}}, "data.n_source_val must be a positive integer, got -3"),
+    ({"data": {"n_target": 0}}, "data.n_target must be a positive integer, got 0"),
+    ({"data": {"n_target": True}}, "data.n_target must be a positive integer, got True"),
+    ({"data": {"n_target_val": "10"}},
+     "data.n_target_val must be a positive integer, got '10'"),
 ])
 def test_malformed_values_name_their_key_path(user, path):
     with pytest.raises(ConfigError, match=path):

@@ -16,6 +16,7 @@ from gptraj.trainer import Adam
 from gptraj.losses import cross_entropy
 from gptraj.core import rng_for
 
+from conftest import parameter
 from oracles import classify_ref, gp_oracle, group_ids_ref
 
 from test_codebook import corpus
@@ -232,10 +233,10 @@ def test_graph_path_matches_inference_path(small_cb, small_clf):
     # over constants, and its backward reaches every parameter family
     p = GpParams(log_lengthscale=0.15, log_outputscale=-0.05,
                  log_noise_recon=np.log(0.04), log_noise_traj=np.log(0.06))
-    basis = autodiff.parameter(small_cb.basis)
-    clf_vars = {n: autodiff.parameter(getattr(small_clf, n))
+    basis = parameter(small_cb.basis)
+    clf_vars = {n: parameter(getattr(small_clf, n))
                 for n in gpmodule.CLASSIFIER_NAMES}
-    scalars = [autodiff.parameter(getattr(p, n)) for n in gpmodule.GP_SCALAR_NAMES]
+    scalars = [parameter(getattr(p, n)) for n in gpmodule.GP_SCALAR_NAMES]
     graph = GpGraph(small_cb, basis, clf_vars, *scalars)
     inf = GpInference(small_cb, small_clf, p)
     toks = np.random.default_rng(17).normal(size=(4, 6))
@@ -276,8 +277,8 @@ def test_classifier_learns_two_separated_modes(small_cb):
     centers = {gid: cb.token_anchors()[gid] + 0.8 for gid in ids}
     centers[ids[1]] = cb.token_anchors()[ids[1]] - 0.8
     clf = GroupClassifier.init(cb.n_code, cb.group_size, 16, rng)
-    w = {"w1": autodiff.parameter(clf.w1), "b1": autodiff.parameter(clf.b1),
-         "w2": autodiff.parameter(clf.w2), "b2": autodiff.parameter(clf.b2)}
+    w = {"w1": parameter(clf.w1), "b1": parameter(clf.b1),
+         "w2": parameter(clf.w2), "b2": parameter(clf.b2)}
     opt = Adam(w, lr=1e-2)
     inf = GpInference(cb, clf, p)
     adm = admissible(cb, [None])

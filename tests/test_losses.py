@@ -14,6 +14,7 @@ from gptraj.losses import (DEFAULT_SIGMA_CLAMP, SupRows, cross_entropy,
                            weighted_total)
 from gptraj.trainer import Adam
 
+from conftest import parameter
 from oracles import finite_difference, triplet_classes_ref, triplet_oracle
 
 from test_codebook import corpus
@@ -233,7 +234,7 @@ def test_loss_bounded_below_under_clamp():
 def test_optimal_sigma_squared_is_twice_task_loss():
     # analytic optimum of L/sigma^2 + log sigma at sigma^2 = 2L
     task = 2.0
-    theta = autodiff.parameter(np.array(0.0))  # log sigma
+    theta = parameter(np.array(0.0))  # log sigma
     opt = Adam({"theta": theta}, lr=1e-2)
     for _ in range(500):
         sigma = autodiff.exp(theta)
@@ -249,8 +250,8 @@ def test_loss_rec_gradients_match_fd(cb):
     rng = np.random.default_rng(3)
     gid = 0
     e = rng.normal(size=5)
-    basis = autodiff.parameter(cb.basis[gid])
-    log_noise = autodiff.parameter(np.array(np.log(0.3)))
+    basis = parameter(cb.basis[gid])
+    log_noise = parameter(np.array(np.log(0.3)))
 
     def build():
         anchor = autodiff.tmean(basis, axis=0)

@@ -10,6 +10,7 @@ from gptraj.autodiff import Tensor
 from gptraj.psdlinalg import (JITTER_LADDER, NotPSD, cholesky_factor, kernel_matrix,
                               kernel_matrix_t, solve_with_factor)
 
+from conftest import parameter
 from oracles import gauss_jordan_inverse, jacobi_eigenvalues, psd_inverse_ref
 
 
@@ -162,9 +163,9 @@ def test_kernel_gradients_match_finite_differences():
     rng = np.random.default_rng(21)
     x = rng.normal(size=(3, 4))
     y = rng.normal(size=(2, 4))
-    log_ell = autodiff.parameter(np.array(0.2))
-    log_sf = autodiff.parameter(np.array(-0.3))
-    xt = autodiff.parameter(x)
+    log_ell = parameter(np.array(0.2))
+    log_sf = parameter(np.array(-0.3))
+    xt = parameter(x)
 
     def forward():
         return autodiff.tsum(kernel_matrix_t(Tensor(xt.data), Tensor(y),
@@ -197,8 +198,11 @@ def test_kernel_gradients_match_finite_differences():
 
 
 def test_kernel_matrix_t_matches_numpy_path():
+    # tracked inputs: the tape's own forward runs, not kernel_matrix
     rng = np.random.default_rng(5)
-    xs = rng.normal(size=(6, 3))
-    got = kernel_matrix_t(Tensor(xs), Tensor(xs), Tensor(np.array(0.4)),
-                          Tensor(np.array(0.1))).data
-    assert np.allclose(got, kernel_matrix(xs, xs, 0.4, 0.1), atol=1e-12)
+    log_ell, log_sf = parameter(np.array(0.4)), parameter(np.array(0.1))
+    for x_shape, y_shape in (((6, 3), (4, 3)), ((5, 4, 3), (5, 4, 3))):
+        xs, ys = rng.normal(size=x_shape), rng.normal(size=y_shape)
+        got = kernel_matrix_t(parameter(xs), Tensor(ys), log_ell, log_sf)
+        assert got._vjp is not None and len(got._parents) == 4
+        assert got.data.tobytes() == kernel_matrix(xs, ys, 0.4, 0.1).tobytes()

@@ -24,8 +24,8 @@ from gptraj.trainer import (Checkpoint, SceneTable, StageTables, TrainingError,
                             base_param_tensors, finetune_scene_loss, scene_labels,
                             stage1_pretrain, stage2_fit_gp, stage3_finetune)
 
-from conftest import (TINY_OBS_DIM, corrupting_factor, tiny_config, tiny_domain,
-                      tiny_spec)
+from conftest import (TINY_OBS_DIM, corrupting_factor, parameter, tiny_config,
+                      tiny_domain, tiny_spec)
 from oracles import (adam_ref, encode_ref, finite_difference, group_ids_ref,
                      predict_ref, traj_distance)
 
@@ -248,7 +248,7 @@ def test_schema_1_checkpoint_rejected(pipeline_bytes):
 def test_adam_step_is_bit_identical_to_out_of_place_update():
     rng = np.random.default_rng(41)
     shapes = {"s": (), "v": (7,), "t": (3, 4, 5)}
-    params = {k: autodiff.parameter(rng.normal(size=sh)) for k, sh in shapes.items()}
+    params = {k: parameter(rng.normal(size=sh)) for k, sh in shapes.items()}
     opt = trainer.Adam(params, lr=0.01, beta1=0.8, beta2=0.99, eps=1e-6)
     ref = {k: (p.data.copy(), np.zeros(sh), np.zeros(sh))
            for (k, p), sh in zip(params.items(), shapes.values())}
