@@ -15,8 +15,10 @@ import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .basemodel import encode
-from .core import SceneRecord, rng_for, scene_rows
+from .core import SceneRecord, rng_for
 from .synthdomain import strip_labels
 from .trainer import Checkpoint, TrainConfig, TrainingError, _finetune_base, frozen_gp
 
@@ -85,10 +87,10 @@ def active_select(records: list[SceneRecord], ckpt: Checkpoint, budget: float,
         raise ValueError(f"unknown strategy {strategy!r}")
 
     model = ckpt.model
-    layout = scene_rows(records, labeled=False)
-    tokens = encode(layout.obs[:len(records)], model.base)
+    tokens = encode(np.array([r.ego_obs for r in records]), model.tensors,
+                    model.spec.token_scale)
     _, variance, _, _ = frozen_gp(model, "active-select GP set-up").predict_scene(
-        tokens, layout.commands)
+        tokens, [r.command for r in records])
     scored = [(r.scene_id, v) for r, v in zip(records, variance.tolist())]
     scored.sort(key=lambda t: (-t[1], t[0]))
 

@@ -129,6 +129,8 @@ def cmd_gen_data(args, cfg) -> int:
     from .synthdomain import gen_dataset, strip_labels
     from .core import save_dataset
 
+    if args.count is not None and args.count < 1:
+        raise ValueError(f"gen-data --count must be a positive integer, got {args.count}")
     if args.unlabeled and args.domain is None:
         raise ValueError("--unlabeled requires --domain")
     if args.domain is not None:
@@ -159,41 +161,26 @@ def cmd_gen_data(args, cfg) -> int:
     return 0
 
 
-def cmd_pretrain(args, cfg) -> int:
-    from .trainer import stage1_pretrain
+# source-training subcommand: (trainer function, stage it starts from, stage
+# it writes); stage 1 starts from the configured model spec
+_TRAINING = {
+    "pretrain": ("stage1_pretrain", None, "stage1"),
+    "fit-gp": ("stage2_fit_gp", "stage1", "stage2"),
+    "finetune": ("stage3_finetune", "stage2", "stage3"),
+}
 
+
+def cmd_train(args, cfg) -> int:
+    from . import trainer
+
+    fn, start, stage = _TRAINING[args.command]
     records = _load_data(args, cfg, "source_train")
-    ckpt = stage1_pretrain(records, cfg.train, cfg.model,
-                           log_path=cfg.out_dir / "train_log.csv")
-    out = cfg.out_dir / "ckpt_stage1.bin"
+    inputs = ((cfg.train, cfg.model) if start is None
+              else (_load_ckpt(args, cfg, f"ckpt_{start}.bin"), cfg.train))
+    ckpt = getattr(trainer, fn)(records, *inputs, log_path=cfg.out_dir / "train_log.csv")
+    out = cfg.out_dir / f"ckpt_{stage}.bin"
     ckpt.save(out)
-    print(f"stage1 checkpoint -> {out}")
-    return 0
-
-
-def cmd_fit_gp(args, cfg) -> int:
-    from .trainer import stage2_fit_gp
-
-    records = _load_data(args, cfg, "source_train")
-    ckpt = _load_ckpt(args, cfg, "ckpt_stage1.bin")
-    out_ckpt = stage2_fit_gp(records, ckpt, cfg.train,
-                             log_path=cfg.out_dir / "train_log.csv")
-    out = cfg.out_dir / "ckpt_stage2.bin"
-    out_ckpt.save(out)
-    print(f"stage2 checkpoint -> {out}")
-    return 0
-
-
-def cmd_finetune(args, cfg) -> int:
-    from .trainer import stage3_finetune
-
-    records = _load_data(args, cfg, "source_train")
-    ckpt = _load_ckpt(args, cfg, "ckpt_stage2.bin")
-    out_ckpt = stage3_finetune(records, ckpt, cfg.train,
-                               log_path=cfg.out_dir / "train_log.csv")
-    out = cfg.out_dir / "ckpt_stage3.bin"
-    out_ckpt.save(out)
-    print(f"stage3 checkpoint -> {out}")
+    print(f"{stage} checkpoint -> {out}")
     return 0
 
 
@@ -202,12 +189,17 @@ def cmd_adapt(args, cfg) -> int:
 
     from .adapt import adapt_supervised, adapt_unsupervised
 
-    records = _load_data(args, cfg, "target_train")
+    keep = None
     if args.subset_from:
-        with open(_require(Path(args.subset_from), "selection file"),
-                  newline="", encoding="utf-8") as f:
-            keep = {row["scene_id"] for row in csv_mod.DictReader(f)
-                    if row["selected"] == "1"}
+        path = _require(Path(args.subset_from), "selection file")
+        with open(path, newline="", encoding="utf-8") as f:
+            reader = csv_mod.DictReader(f)
+            for column in ("scene_id", "selected"):
+                if column not in (reader.fieldnames or ()):
+                    raise ValueError(f"{path}: selection file lacks column {column!r}")
+            keep = {row["scene_id"] for row in reader if row["selected"] == "1"}
+    records = _load_data(args, cfg, "target_train")
+    if keep is not None:
         records = [r for r in records if r.scene_id in keep]
     ckpt = _load_ckpt(args, cfg, "ckpt_stage3.bin")
     fn = adapt_supervised if args.mode == "sup" else adapt_unsupervised
@@ -253,17 +245,17 @@ def cmd_inspect_ckpt(args, cfg) -> int:
 
     ckpt = Checkpoint.load(_require(Path(args.ckpt), "checkpoint"))
     print(f"schema: {CHECKPOINT_SCHEMA}  stage: {ckpt.stage}")
-    print(f"model_spec: {ckpt.model_spec}")
-    for name, arr in sorted(ckpt.named_tensors().items()):
+    print(f"model_spec: {ckpt.model.spec}")
+    for name, arr in sorted(ckpt.model.tensors.items()):
         print(f"  {name}  {list(arr.shape)}")
     return 0
 
 
 _HANDLERS = {
     "gen-data": cmd_gen_data,
-    "pretrain": cmd_pretrain,
-    "fit-gp": cmd_fit_gp,
-    "finetune": cmd_finetune,
+    "pretrain": cmd_train,
+    "fit-gp": cmd_train,
+    "finetune": cmd_train,
     "adapt": cmd_adapt,
     "active-select": cmd_active_select,
     "eval": cmd_eval,

@@ -198,14 +198,6 @@ def sample_and_cluster(
                     token_dim=token_dim)
 
 
-def init_basis_tokens(cb: Codebook, rng_seed: int) -> Codebook:
-    """Sample basis tokens i.i.d. from N(0, 1/D) per entry, in place."""
-    rng = rng_for(rng_seed, "basis-init")
-    cb.basis = rng.normal(0.0, 1.0 / np.sqrt(cb.token_dim),
-                          size=(cb.n_code, cb.group_size, cb.token_dim))
-    return cb
-
-
 def nearest_group(cb: Codebook, flat: np.ndarray, admissible: np.ndarray) -> np.ndarray:
     """Ground-truth classes of the rows of ``flat`` (M, 12): each row's
     admissible group, from the (M, n_code) mask, with the nearest traj_anchor.

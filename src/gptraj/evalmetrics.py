@@ -224,7 +224,8 @@ def evaluate(records: list[SceneRecord], model, mode: str = "base",
     """Aggregate planning metrics over a labeled dataset.
 
     ``mode`` selects the trajectory source: the planner head ("base") or the
-    GP module ("roca"). ``model`` provides cb/base/clf/gp attributes.
+    GP module ("roca"). ``model`` is a ``trainer.Model``: its spec, its
+    tensor dict and the codebook over it.
     """
     if mode not in ("base", "roca"):
         raise ValueError(f"unknown eval mode {mode!r}")
@@ -233,9 +234,9 @@ def evaluate(records: list[SceneRecord], model, mode: str = "base",
         raise ValueError(f"no labeled scenes after subset filter {subset!r}")
     layout = scene_rows(scenes, labeled=True)
     n = len(scenes)
-    tokens = encode(layout.obs[:n], model.base)
+    tokens = encode(layout.obs[:n], model.tensors, model.spec.token_scale)
     if mode == "base":
-        trajs = plan(tokens, admissible(model.cb, layout.commands), model.base,
+        trajs = plan(tokens, admissible(model.cb, layout.commands), model.tensors,
                      model.cb.traj_anchors())[0]
     else:
         trajs = frozen_gp(model, "eval GP set-up").predict_scene(tokens, layout.commands)[0]

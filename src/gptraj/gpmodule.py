@@ -11,18 +11,22 @@ prediction. A learnable noise variance (one for each of the two heads) is
 added on top; the function variance is identical between heads by
 construction.
 
-``GpGraph`` is the one implementation. It conditions every group once per
-graph as (n_code, C, .) tensors, then evaluates token rows with one
-kernel-feature matrix and one classifier pass, gathering each row's group
-slice by id. Training builds one graph per optimizer step over the parameter
-tensors. ``GpInference`` is the same graph over a frozen model's tensors,
-which are all constants, so evaluation, the teacher forward and active
+``GpGraph`` is the one implementation. It reads the GP side of a model by
+checkpoint name from its tensor dict: the basis ``cb.basis``, the
+two-layer tanh classifier ``clf.w1`` ... ``clf.b2`` over the full
+kernel-feature vector, and the log-space scalars ``gp.log_lengthscale``,
+``gp.log_outputscale``, ``gp.log_noise_recon`` and ``gp.log_noise_traj`` (one
+isotropic RBF per codebook, one noise standard deviation per head). It
+conditions every group once per graph as (n_code, C, .) tensors, then
+evaluates token rows with one kernel-feature matrix and one classifier pass,
+gathering each row's group slice by id. Training builds one graph per
+optimizer step over a dict whose trained entries are parameter tensors.
+``GpInference`` is the same graph over a frozen model's arrays, which every
+autodiff op wraps as constants, so evaluation, the teacher forward and active
 selection build no tape.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,68 +37,28 @@ from .codebook import Codebook, admissible
 # kernel features per GpInference.predict_rows block (2 MiB of float64): the
 # size of the classifier's first weight matrix at the default model sizes
 FEATURE_BLOCK = 1 << 18
-CLASSIFIER_NAMES = ("w1", "b1", "w2", "b2")
-GP_SCALAR_NAMES = ("log_lengthscale", "log_outputscale", "log_noise_recon",
-                   "log_noise_traj")
-
-
-@dataclass
-class GpParams:
-    """Learnable GP hyperparameters, all in log space.
-
-    One isotropic RBF lengthscale/outputscale per codebook; two independent
-    noise standard deviations, one for token reconstruction and one for
-    trajectory prediction.
-    """
-
-    log_lengthscale: float = 0.0
-    log_outputscale: float = 0.0
-    log_noise_recon: float = float(np.log(1e-2))
-    log_noise_traj: float = float(np.log(1e-2))
-
-
-@dataclass
-class GroupClassifier:
-    """Two-layer tanh perceptron over the full kernel-feature vector."""
-
-    w1: np.ndarray  # (hidden, n_code * C)
-    b1: np.ndarray
-    w2: np.ndarray  # (n_code, hidden)
-    b2: np.ndarray
-
-    @classmethod
-    def init(cls, n_code: int, group_size: int, hidden: int,
-             rng: np.random.Generator) -> "GroupClassifier":
-        n_in = n_code * group_size
-        return cls(
-            w1=rng.normal(0.0, 1.0 / np.sqrt(n_in), size=(hidden, n_in)),
-            b1=np.zeros(hidden),
-            w2=rng.normal(0.0, 1.0 / np.sqrt(hidden), size=(n_code, hidden)),
-            b2=np.zeros(n_code),
-        )
 
 
 class GpGraph:
     """The GP module over token rows, as tape tensors.
 
-    Holds the parameter tensors, the basis both as (n_code, C, D) and as
-    (n_code * C, D) rows, and, once computed, every group's conditioning.
-    Training builds one per optimizer step.
+    Holds the model's tensor dict ``w`` (arrays or tensors, by checkpoint
+    name), the basis both as (n_code, C, D) and as (n_code * C, D) rows, and,
+    once computed, every group's conditioning. Training builds one per
+    optimizer step.
     """
 
-    def __init__(self, cb: Codebook, basis: Tensor, clf_vars: dict,
-                 log_ell: Tensor, log_sf: Tensor, log_noise_recon: Tensor,
-                 log_noise_traj: Tensor):
+    def __init__(self, cb: Codebook, w: dict):
         self.cb = cb
-        self.basis = basis  # (n_code, C, D)
-        self.flat_basis = autodiff.reshape(basis, (cb.n_code * cb.group_size,
-                                                   cb.token_dim))
-        self.clf = clf_vars  # keys: CLASSIFIER_NAMES
-        self.log_ell = log_ell
-        self.log_sf = log_sf
-        self.sf2 = autodiff.exp(autodiff.mul(log_sf, 2.0))
-        self.noise_recon = autodiff.exp(autodiff.mul(log_noise_recon, 2.0))
-        self.noise_traj = autodiff.exp(autodiff.mul(log_noise_traj, 2.0))
+        self.w = w
+        self.basis = autodiff.as_tensor(w["cb.basis"])  # (n_code, C, D)
+        self.log_ell = autodiff.as_tensor(w["gp.log_lengthscale"])
+        self.log_sf = autodiff.as_tensor(w["gp.log_outputscale"])
+        self.flat_basis = autodiff.reshape(self.basis, (cb.n_code * cb.group_size,
+                                                        cb.token_dim))
+        self.sf2 = autodiff.exp(autodiff.mul(self.log_sf, 2.0))
+        self.noise_recon = autodiff.exp(autodiff.mul(w["gp.log_noise_recon"], 2.0))
+        self.noise_traj = autodiff.exp(autodiff.mul(w["gp.log_noise_traj"], 2.0))
         self._cond: dict | None = None
 
     def group_cond(self) -> dict:
@@ -131,11 +95,11 @@ class GpGraph:
 
     def classifier_logits(self, features: Tensor) -> Tensor:
         """Unmasked group logits (N, n_code) of the feature rows."""
+        w = self.w
         h = autodiff.tanh(autodiff.add(
-            autodiff.matmul(features, autodiff.transpose(self.clf["w1"])),
-            self.clf["b1"]))
-        return autodiff.add(autodiff.matmul(h, autodiff.transpose(self.clf["w2"])),
-                            self.clf["b2"])
+            autodiff.matmul(features, autodiff.transpose(w["clf.w1"])), w["clf.b1"]))
+        return autodiff.add(autodiff.matmul(h, autodiff.transpose(w["clf.w2"])),
+                            w["clf.b2"])
 
     def _conditioned(self, features: Tensor, group: np.ndarray, anchors: Tensor,
                      alpha: Tensor) -> tuple[Tensor, Tensor]:
@@ -176,14 +140,11 @@ class GpGraph:
 
 
 class GpInference(GpGraph):
-    """The GP module of a frozen model: a ``GpGraph`` over constant tensors,
+    """The GP module of a frozen model: a ``GpGraph`` over its arrays,
     conditioned at construction; constants build no tape."""
 
-    def __init__(self, cb: Codebook, clf: GroupClassifier, p: GpParams):
-        super().__init__(
-            cb, Tensor(cb.basis),
-            {n: Tensor(getattr(clf, n)) for n in CLASSIFIER_NAMES},
-            *(Tensor(getattr(p, n)) for n in GP_SCALAR_NAMES))
+    def __init__(self, cb: Codebook, w: dict):
+        super().__init__(cb, w)
         self.group_cond()
 
     def predict_rows(self, tokens: np.ndarray, admissible: np.ndarray):

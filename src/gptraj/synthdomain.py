@@ -233,6 +233,8 @@ def gen_dataset(spec: DomainSpec, n_scenes: int, seed: int, path=None,
     exactly by the sign of every y) and swaps the turn-left/turn-right label
     to keep command semantics truthful.
     """
+    if n_scenes < 0:
+        raise ValueError(f"n_scenes must be non-negative, got {n_scenes}")
     rngs = [rng_for(seed, "scene", spec.name, i) for i in range(n_scenes)]
     commands, speeds, curvatures, n_agents = [], [], [], []
     for rng in rngs:

@@ -6,16 +6,24 @@ noise parameters) on the reconstruction and supervision losses; stage 3
 freezes the GP side and finetunes the base model on ground truth plus the
 teacher regularization.
 
+A model is its ``ModelSpec`` and one dict of named arrays, ``Model.tensors``:
+every checkpoint tensor under its checkpoint name, in the order of
+``ModelSpec.tensor_shapes()``, where each name and shape is stated once.
+The encoder, planner and GP module read their weights from that dict by
+name, and checkpoints write and fill it directly. A stage's parameters are
+the entries with its prefixes (``BASE_PARAMS``, ``GP_PARAMS``) wrapped as
+parameter tensors over the dict's own arrays, which ``Adam`` updates in
+place; its flat buffers hold only the gradients and moments. The frozen
+side of a stage is plain arrays, which every autodiff op wraps as
+constants, so it builds no tape.
+
 Every optimizer step builds one tape over the batch's rows: the ego rows of
 its scenes, then their agent rows, each block in ascending scene order (see
 ``SceneTable``). Base-model stages encode and plan all rows in one pass and
 take the frozen teacher's prediction of all rows in one call. Stage 2
 conditions every codebook group once per step and evaluates the GP and its
 losses over all rows at once. Labels, anchor tables and triplet classes are
-computed once per training call. A stage's parameters are the model's own
-arrays, which ``Adam`` updates in place; its flat buffers hold only the
-gradients and moments. The frozen side of a stage is constants, which build
-no tape.
+computed once per training call.
 
 A step loss returns its terms as a plain dict (see ``losses``);
 ``_run_epochs`` checks them, weights them once with ``cfg.loss_weights``
@@ -46,19 +54,26 @@ import numpy as np
 
 from . import autodiff, basemodel, losses
 from .autodiff import Tensor
-from .basemodel import PARAM_NAMES, BaseModelParams, encode, encode_t, planner_t
+from .basemodel import encode, encode_t, planner_t
 from .codebook import (MIN_AGENT_GROUPS, MIN_EGO_PER_COMMAND, BuildError, Codebook,
-                       admissible, init_basis_tokens, nearest_group,
-                       sample_and_cluster, triplet_table)
+                       admissible, nearest_group, sample_and_cluster, triplet_table)
 from .core import COMMANDS, SceneRecord, rng_for, scene_rows
-from .gpmodule import (CLASSIFIER_NAMES, GP_SCALAR_NAMES, GpGraph, GpInference,
-                       GpParams, GroupClassifier)
+from .gpmodule import GpGraph, GpInference
 from .losses import (SupRows, cross_entropy, loss_gp_teacher, loss_rec, loss_sup,
                      role_terms, traj_mse, weighted_total)
 from .psdlinalg import NotPSD
 
 CHECKPOINT_MAGIC = b"GPTRAJCK"
 CHECKPOINT_SCHEMA = 2
+# the tensors each training stage fits, as checkpoint-name prefixes
+BASE_PARAMS = ("base.",)
+GP_PARAMS = ("clf.", "gp.", "cb.basis")
+# the GP noise scalars start at this standard deviation, and stage 2 clips
+# them to ``TrainConfig.sigma_clamp`` after every step
+NOISE_SCALARS = ("gp.log_noise_recon", "gp.log_noise_traj")
+INIT_NOISE_STD = 1e-2
+# the seeded stream of each family's random draws at initialization
+_INIT_STREAMS = {"base": "base-init", "clf": "clf-init", "cb": "basis-init"}
 
 grad = autodiff.grad  # reverse-mode gradient map; the package's grad contract
 
@@ -123,20 +138,21 @@ class ModelSpec:
         return self.n_ego + self.n_agent
 
     def tensor_shapes(self) -> dict[str, tuple[int, ...]]:
-        """Shape of every checkpoint tensor at these sizes."""
+        """Name and shape of every checkpoint tensor at these sizes, in the
+        order of ``Model.tensors``. A weight matrix is (fan_out, fan_in)."""
         n_code, c, d = self.n_code, self.group_size, self.token_dim
         he, hp, hc = self.encoder_hidden, self.planner_hidden, self.classifier_hidden
-        shapes = {
+        return {
             "base.enc_w1": (he, self.obs_dim), "base.enc_b1": (he,),
             "base.enc_w2": (d, he), "base.enc_b2": (d,),
             "base.pln_w1": (hp, d), "base.pln_b1": (hp,),
             "base.pln_w2": (n_code + 12, hp), "base.pln_b2": (n_code + 12,),
             "clf.w1": (hc, n_code * c), "clf.b1": (hc,),
             "clf.w2": (n_code, hc), "clf.b2": (n_code,),
+            "gp.log_lengthscale": (), "gp.log_outputscale": (),
+            "gp.log_noise_recon": (), "gp.log_noise_traj": (),
             "cb.basis": (n_code, c, d), "cb.trajs": (n_code, c, 12),
         }
-        shapes.update({f"gp.{n}": () for n in GP_SCALAR_NAMES})
-        return shapes
 
 
 @dataclass
@@ -181,13 +197,29 @@ class TrainConfig:
 
 @dataclass
 class Model:
-    cb: Codebook
-    base: BaseModelParams
-    clf: GroupClassifier
-    gp: GpParams
+    """Architecture sizes and every checkpoint tensor, as float64 arrays
+    under their checkpoint names in ``spec.tensor_shapes()`` order; the GP
+    scalars are 0-d arrays."""
+
+    spec: ModelSpec
+    tensors: dict[str, np.ndarray]
+
+    @property
+    def cb(self) -> Codebook:
+        """The codebook over the dict's ``cb.trajs`` and ``cb.basis`` arrays
+        themselves, not copies."""
+        return Codebook(trajectories=self.tensors["cb.trajs"], n_ego=self.spec.n_ego,
+                        token_dim=self.spec.token_dim, basis=self.tensors["cb.basis"])
 
     def clone(self) -> "Model":
         return copy.deepcopy(self)
+
+    def params(self, prefixes: tuple[str, ...]) -> dict[str, Tensor]:
+        """The entries whose names start with one of ``prefixes``, as
+        parameter tensors over the dict's own arrays, which optimizer steps
+        update in place."""
+        return {n: Tensor(a, requires_grad=True) for n, a in self.tensors.items()
+                if n.startswith(prefixes)}
 
 
 def _views(flat: np.ndarray, shapes: dict[str, tuple]) -> dict[str, np.ndarray]:
@@ -247,59 +279,19 @@ class Adam:
             p.data -= self.grads[name]  # this parameter's slice of the step
 
 
-# --- parameter registries ----------------------------------------------------
-
-
-def _tensor_owners(model: Model) -> dict[str, tuple[object, str]]:
-    """Each checkpoint tensor's name, with the object and attribute holding it."""
-    return {**{f"base.{n}": (model.base, n) for n in PARAM_NAMES},
-            **{f"clf.{n}": (model.clf, n) for n in CLASSIFIER_NAMES},
-            **{f"gp.{n}": (model.gp, n) for n in GP_SCALAR_NAMES},
-            "cb.basis": (model.cb, "basis"), "cb.trajs": (model.cb, "trajectories")}
-
-
-def _parameters(model: Model, names) -> dict[str, Tensor]:
-    """The named model tensors as parameters over the model's own arrays,
-    which optimizer steps update in place; the GP scalars are rebound as
-    0-d arrays."""
-    owners = _tensor_owners(model)
-    params = {n: Tensor(getattr(*owners[n]), requires_grad=True) for n in names}
-    for n, p in params.items():
-        setattr(*owners[n], p.data)
-    return params
-
-
-def base_param_tensors(model: Model) -> dict[str, Tensor]:
-    return _parameters(model, [f"base.{n}" for n in PARAM_NAMES])
-
-
-def gp_param_tensors(model: Model) -> dict[str, Tensor]:
-    return _parameters(model, [*(f"gp.{n}" for n in GP_SCALAR_NAMES),
-                               *(f"clf.{n}" for n in CLASSIFIER_NAMES), "cb.basis"])
-
-
 def frozen_gp(model: Model, what: str) -> GpInference:
     """The model's GP module, frozen; a conditioning that is not positive
     definite raises a TrainingError that starts with ``what``."""
     try:
-        return GpInference(model.cb, model.clf, model.gp)
+        return GpInference(model.cb, model.tensors)
     except NotPSD as e:
         raise TrainingError(f"{what}: {e}") from e
 
 
-def gp_graph(cb: Codebook, params: dict[str, Tensor]) -> GpGraph:
-    """One step's differentiable GP module over the ``gp_param_tensors``."""
-    return GpGraph(
-        cb, params["cb.basis"],
-        {n: params[f"clf.{n}"] for n in CLASSIFIER_NAMES},
-        *(params[f"gp.{n}"] for n in GP_SCALAR_NAMES))
-
-
 def _project_noise(params: dict[str, Tensor], sigma_clamp) -> None:
     lo, hi = np.log(sigma_clamp[0]), np.log(sigma_clamp[1])
-    for n in ("gp.log_noise_recon", "gp.log_noise_traj"):
-        if n in params:
-            params[n].data[...] = np.clip(params[n].data, lo, hi)
+    for n in NOISE_SCALARS:
+        params[n].data[...] = np.clip(params[n].data, lo, hi)
 
 
 # --- row layout ----------------------------------------------------------------
@@ -395,9 +387,8 @@ def finetune_scene_loss(batch: SceneTable, bvars: dict[str, Tensor], model: Mode
     trajectory anchor is the label's group when supervised, else the
     teacher's class.
     """
-    v = {k.split(".", 1)[1]: t for k, t in bvars.items()}
-    tokens = encode_t(batch.obs, v, model.base.token_scale)
-    logits, residual = planner_t(tokens, v, model.base.n_code)
+    tokens = encode_t(batch.obs, bvars, model.spec.token_scale)
+    logits, residual = planner_t(tokens, bvars, model.spec.n_code)
     if teacher is not None:
         mean, variance, t_logits, t_label = teacher.predict_rows(tokens.data,
                                                                  batch.admissible)
@@ -502,23 +493,34 @@ def _run_epochs(table: SceneTable, cfg: TrainConfig, params, step_loss_fn, *,
 
 
 def build_model(records, cfg: TrainConfig, spec: ModelSpec) -> Model:
-    """Codebook skeleton from clustered GT of labeled records plus seeded
-    parameter init."""
+    """The codebook trajectories clustered from the ground truth of labeled
+    records, then every other tensor in ``tensor_shapes()`` order: weight
+    matrices and basis tokens from N(0, 1/fan_in), from one seeded stream
+    per family; biases zero; the GP scalars at unit lengthscale and
+    outputscale and ``INIT_NOISE_STD`` noise."""
     rows = scene_rows(records, labeled=True)
     try:
-        cb = sample_and_cluster(rows.gt[:len(records)], rows.commands,
-                                rows.gt[len(records):], spec.n_ego, spec.n_agent,
-                                spec.group_size, spec.token_dim, seed=cfg.seed)
+        trajs = sample_and_cluster(rows.gt[:len(records)], rows.commands,
+                                   rows.gt[len(records):], spec.n_ego, spec.n_agent,
+                                   spec.group_size, spec.token_dim,
+                                   seed=cfg.seed).trajectories
     except BuildError as e:
         raise TrainingError(f"stage1 codebook build: {e}") from e
-    init_basis_tokens(cb, cfg.seed)
-    base = BaseModelParams.init(
-        spec.obs_dim, spec.token_dim, spec.n_code, spec.encoder_hidden,
-        spec.planner_hidden, rng_for(cfg.seed, "base-init"),
-        token_scale=spec.token_scale)
-    clf = GroupClassifier.init(spec.n_code, spec.group_size,
-                               spec.classifier_hidden, rng_for(cfg.seed, "clf-init"))
-    return Model(cb=cb, base=base, clf=clf, gp=GpParams())
+    tensors, rngs = {}, {}
+    for name, shape in spec.tensor_shapes().items():
+        family = name.split(".")[0]
+        if name == "cb.trajs":
+            tensors[name] = trajs
+        elif family == "gp":
+            tensors[name] = np.array(np.log(INIT_NOISE_STD) if name in NOISE_SCALARS
+                                     else 0.0)
+        elif len(shape) == 1:
+            tensors[name] = np.zeros(shape)
+        else:
+            if family not in rngs:
+                rngs[family] = rng_for(cfg.seed, _INIT_STREAMS[family])
+            tensors[name] = rngs[family].normal(0.0, 1.0 / np.sqrt(shape[-1]), size=shape)
+    return Model(spec, tensors)
 
 
 def stage1_pretrain(records, cfg: TrainConfig, spec: ModelSpec,
@@ -528,7 +530,7 @@ def stage1_pretrain(records, cfg: TrainConfig, spec: ModelSpec,
     if not labeled:
         raise TrainingError("stage 1 requires a labeled dataset")
     init = Checkpoint(stage="init", model=build_model(labeled, cfg, spec),
-                      train_config=cfg, model_spec=spec)
+                      train_config=cfg)
     return _finetune_base(labeled, init, cfg, use_teacher=False,
                           epochs=cfg.epochs_stage1, lr=cfg.lr_stage12,
                           stage="stage1", log_path=log_path)
@@ -541,21 +543,22 @@ def stage2_fit_gp(records, ckpt: "Checkpoint", cfg: TrainConfig,
     if not labeled:
         raise TrainingError("stage 2 requires a labeled dataset")
     model = ckpt.model.clone()
-    params = gp_param_tensors(model)
-    table = SceneTable(labeled, model.cb, labeled=True)
-    tables = StageTables.of(model.cb)
+    params = model.params(GP_PARAMS)
+    weights = model.tensors | params
+    cb = model.cb
+    table = SceneTable(labeled, cb, labeled=True)
+    tables = StageTables.of(cb)
     # frozen encoder: tokens are fixed targets, computed once, in row layout
-    tokens = encode(table.obs, model.base)
+    tokens = encode(table.obs, model.tensors, model.spec.token_scale)
 
     def loss_fn(batch: SceneTable) -> dict[str, Tensor]:
-        return gp_stage_loss(batch, gp_graph(model.cb, params), tokens[batch.rows],
-                             tables, cfg)
+        return gp_stage_loss(batch, GpGraph(cb, weights), tokens[batch.rows], tables,
+                             cfg)
 
     _run_epochs(table, cfg, params, loss_fn, epochs=cfg.epochs_stage2,
                 lr=cfg.lr_stage12, stage="stage2", log_path=log_path,
                 post_step=lambda: _project_noise(params, cfg.sigma_clamp))
-    return Checkpoint(stage="stage2", model=model, train_config=cfg,
-                      model_spec=ckpt.model_spec)
+    return Checkpoint(stage="stage2", model=model, train_config=cfg)
 
 
 def _finetune_base(records, ckpt: "Checkpoint", cfg: TrainConfig, *,
@@ -567,7 +570,7 @@ def _finetune_base(records, ckpt: "Checkpoint", cfg: TrainConfig, *,
     records that are all labeled or all unlabeled.
     """
     model = ckpt.model.clone()
-    bvars = base_param_tensors(model)
+    bvars = model.params(BASE_PARAMS)
     labeled = all(r.labeled for r in records)
     teacher = None
     if use_teacher and cfg.gp_weight != 0.0:
@@ -580,8 +583,7 @@ def _finetune_base(records, ckpt: "Checkpoint", cfg: TrainConfig, *,
                 lambda batch: finetune_scene_loss(batch, bvars, model, teacher, cfg,
                                                   tables),
                 epochs=epochs, lr=lr, stage=stage, log_path=log_path)
-    return Checkpoint(stage=stage, model=model, train_config=cfg,
-                      model_spec=ckpt.model_spec)
+    return Checkpoint(stage=stage, model=model, train_config=cfg)
 
 
 def stage3_finetune(records, ckpt: "Checkpoint", cfg: TrainConfig,
@@ -600,26 +602,21 @@ def stage3_finetune(records, ckpt: "Checkpoint", cfg: TrainConfig,
 
 @dataclass
 class Checkpoint:
-    """Versioned container of named tensors, codebook data, and config."""
+    """Versioned container of a model's spec and tensors, and the config."""
 
     stage: str
     model: Model
     train_config: TrainConfig
-    model_spec: ModelSpec
-
-    def named_tensors(self) -> dict[str, np.ndarray]:
-        return {name: np.asarray(getattr(*owner))
-                for name, owner in _tensor_owners(self.model).items()}
 
     def save(self, path) -> None:
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        tensors = self.named_tensors()
+        tensors = self.model.tensors
         index = []
         offset = 0
         blobs = []
         for name in sorted(tensors):
-            arr = np.asarray(tensors[name], dtype=np.float64)  # keeps 0-d scalars 0-d
+            arr = tensors[name]
             index.append({"name": name, "shape": list(arr.shape), "offset": offset})
             blobs.append(arr.tobytes())
             offset += arr.size
@@ -627,7 +624,7 @@ class Checkpoint:
             "schema": CHECKPOINT_SCHEMA,
             "stage": self.stage,
             "train_config": _config_dict(self.train_config),
-            "model_spec": dataclasses.asdict(self.model_spec),
+            "model_spec": dataclasses.asdict(self.model.spec),
             "tensors": index,
         }
         blob = json.dumps(header, sort_keys=True).encode("utf-8")
@@ -692,17 +689,10 @@ class Checkpoint:
                 f"{path}: truncated or corrupt checkpoint: payload holds "
                 f"{len(payload)} bytes, header describes {8 * expected}")
         data = np.frombuffer(payload, dtype="<f8")
-        tensors = {name: data[off:off + size].reshape(shape).copy()
-                   for (name, shape, off), size in zip(entries, sizes)}
-
-        cb = Codebook(trajectories=tensors["cb.trajs"], n_ego=spec.n_ego,
-                      token_dim=spec.token_dim, basis=tensors["cb.basis"])
-        base = BaseModelParams(**{n: tensors[f"base.{n}"] for n in PARAM_NAMES},
-                               n_code=spec.n_code, token_scale=spec.token_scale)
-        clf = GroupClassifier(**{n: tensors[f"clf.{n}"] for n in CLASSIFIER_NAMES})
-        gp = GpParams(**{n: float(tensors[f"gp.{n}"]) for n in GP_SCALAR_NAMES})
-        return cls(stage=stage, model=Model(cb, base, clf, gp),
-                   train_config=cfg, model_spec=spec)
+        offsets = {name: off for name, _, off in entries}
+        tensors = {name: data[offsets[name]:offsets[name] + math.prod(shape)]
+                   .reshape(shape).copy() for name, shape in shapes.items()}
+        return cls(stage=stage, model=Model(spec, tensors), train_config=cfg)
 
 
 def _config_dict(cfg: TrainConfig) -> dict:

@@ -5,7 +5,9 @@ loops, Gauss-Jordan elimination, Jacobi eigenvalues, a per-matrix jittered
 Cholesky inverse, a scatter-add loop, the out-of-place Adam update, quadrature integration,
 dense point sampling, a one-scene L2, a broadcast separating-axis margin
 over (..., corner, axis) projections, a scalar separating-axis loop, one-row
-numpy forms of the base model and the group classifier, the codebook's Lloyd
+numpy forms of the base model and the group classifier, which read the
+weights by checkpoint name, per-family parameter initializers drawing one
+weight matrix at a time, the codebook's Lloyd
 clustering with every distance recomputed by ``np.linalg.norm`` and
 per-cluster means, a statement of the codebook's group layout with a
 sort-per-label triplet selection, the scene generator drawing and checking
@@ -225,14 +227,15 @@ def triplet_classes_ref(cb, label: int) -> tuple[list[int], list[int]]:
     return same[:3], other[:3]
 
 
-def classify_ref(token: np.ndarray, command, cb, clf, p) -> tuple[int, np.ndarray]:
+def classify_ref(token: np.ndarray, command, cb, w) -> tuple[int, np.ndarray]:
     """Masked classifier logits of one token and the argmax group (ties: lowest
     id): ``rbf_oracle`` features against every basis token in group order,
-    then the two-layer tanh perceptron."""
-    ell, sf = math.exp(p.log_lengthscale), math.exp(p.log_outputscale)
+    then the two-layer tanh perceptron. ``w`` holds the ``clf.*`` and
+    ``gp.*`` tensors by checkpoint name."""
+    ell, sf = math.exp(w["gp.log_lengthscale"]), math.exp(w["gp.log_outputscale"])
     feats = np.array([rbf_oracle(token, b, ell, sf)
                       for group in cb.basis for b in group])
-    raw = clf.w2 @ np.tanh(clf.w1 @ feats + clf.b1) + clf.b2
+    raw = w["clf.w2"] @ np.tanh(w["clf.w1"] @ feats + w["clf.b1"]) + w["clf.b2"]
     logits = np.full_like(raw, -np.inf)
     ids = group_ids_ref(cb, command)
     logits[ids] = raw[ids]
@@ -241,12 +244,12 @@ def classify_ref(token: np.ndarray, command, cb, clf, p) -> tuple[int, np.ndarra
 
 def predict_ref(token: np.ndarray, command, model) -> tuple[np.ndarray, float]:
     """The GP module's trajectory mean and scalar variance for one token of a
-    model (cb, clf, gp): ``classify_ref``, then ``gp_oracle`` in that group."""
-    p = model.gp
-    g = classify_ref(token, command, model.cb, model.clf, p)[0]
+    model (cb, tensors): ``classify_ref``, then ``gp_oracle`` in that group."""
+    w = model.tensors
+    g = classify_ref(token, command, model.cb, w)[0]
     return gp_oracle(model.cb.basis[g], model.cb.trajectories[g], token,
-                     math.exp(p.log_lengthscale), math.exp(p.log_outputscale),
-                     math.exp(2.0 * p.log_noise_traj))
+                     math.exp(w["gp.log_lengthscale"]), math.exp(w["gp.log_outputscale"]),
+                     math.exp(2.0 * w["gp.log_noise_traj"]))
 
 
 def arc_position_quadrature(speed: float, curvature: float, t: float):
@@ -497,31 +500,33 @@ def gen_dataset_ref(spec, n_scenes: int, seed: int, obs_dim: int,
 # --- the base model, one numpy row at a time -----------------------------------
 
 
-def _encode_vec(obs: np.ndarray, p) -> np.ndarray:
-    h = np.tanh(p.enc_w1 @ obs + p.enc_b1)
-    raw = p.enc_w2 @ h + p.enc_b2
-    return p.token_scale * raw / np.sqrt(raw @ raw + 1e-12)
+def _encode_vec(obs: np.ndarray, w, token_scale: float) -> np.ndarray:
+    h = np.tanh(w["base.enc_w1"] @ obs + w["base.enc_b1"])
+    raw = w["base.enc_w2"] @ h + w["base.enc_b2"]
+    return token_scale * raw / np.sqrt(raw @ raw + 1e-12)
 
 
-def encode_ref(scene, p) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Ego and agent tokens of one scene; agents in input order."""
-    if scene.ego_obs.shape[0] != p.enc_w1.shape[1]:
+def encode_ref(scene, w, token_scale: float) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Ego and agent tokens of one scene; agents in input order. ``w`` holds
+    the ``base.*`` tensors by checkpoint name."""
+    n_in = w["base.enc_w1"].shape[1]
+    if scene.ego_obs.shape[0] != n_in:
         raise ValueError(
-            f"observation length {scene.ego_obs.shape[0]} != encoder input "
-            f"{p.enc_w1.shape[1]}")
-    return _encode_vec(scene.ego_obs, p), [_encode_vec(a, p) for a in scene.agent_obs]
+            f"observation length {scene.ego_obs.shape[0]} != encoder input {n_in}")
+    return (_encode_vec(scene.ego_obs, w, token_scale),
+            [_encode_vec(a, w, token_scale) for a in scene.agent_obs])
 
 
-def _planner_raw(token: np.ndarray, p) -> tuple[np.ndarray, np.ndarray]:
-    h = np.tanh(p.pln_w1 @ token + p.pln_b1)
-    out = p.pln_w2 @ h + p.pln_b2
-    return out[: p.n_code], RESIDUAL_BOUND * np.tanh(out[p.n_code:])
+def _planner_raw(token: np.ndarray, w, n_code: int) -> tuple[np.ndarray, np.ndarray]:
+    h = np.tanh(w["base.pln_w1"] @ token + w["base.pln_b1"])
+    out = w["base.pln_w2"] @ h + w["base.pln_b2"]
+    return out[:n_code], RESIDUAL_BOUND * np.tanh(out[n_code:])
 
 
-def plan_ref(token: np.ndarray, command, p, cb) -> tuple[np.ndarray, np.ndarray]:
+def plan_ref(token: np.ndarray, command, w, cb) -> tuple[np.ndarray, np.ndarray]:
     """Anchor-plus-residual (6, 2) trajectory for the argmax admissible
     group, and the masked logits."""
-    raw_logits, residual = _planner_raw(token, p)
+    raw_logits, residual = _planner_raw(token, w, cb.n_code)
     logits = np.full_like(raw_logits, -np.inf)
     ids = group_ids_ref(cb, command)
     logits[ids] = raw_logits[ids]
@@ -529,10 +534,78 @@ def plan_ref(token: np.ndarray, command, p, cb) -> tuple[np.ndarray, np.ndarray]
     return (cb.traj_anchors()[group] + residual).reshape(6, 2), logits
 
 
-def plan_with_group_ref(token: np.ndarray, group: int, p, cb) -> np.ndarray:
+def plan_with_group_ref(token: np.ndarray, group: int, w, cb) -> np.ndarray:
     """(6, 2) trajectory for an externally chosen group."""
-    _, residual = _planner_raw(token, p)
+    _, residual = _planner_raw(token, w, cb.n_code)
     return (cb.traj_anchors()[group] + residual).reshape(6, 2)
+
+
+# --- parameter initialization, one family at a time ---------------------------
+
+
+def base_init_ref(rng: np.random.Generator, obs_dim: int, token_dim: int, n_code: int,
+                  hidden_enc: int, hidden_pln: int) -> dict[str, np.ndarray]:
+    """Encoder and planner weights by checkpoint name: each weight matrix
+    (n_out, n_in) from N(0, 1/sqrt(n_in)), drawn from ``rng`` layer by
+    layer; zero biases."""
+    def layer(n_out, n_in):
+        return rng.normal(0.0, 1.0 / np.sqrt(n_in), size=(n_out, n_in))
+
+    return {
+        "base.enc_w1": layer(hidden_enc, obs_dim), "base.enc_b1": np.zeros(hidden_enc),
+        "base.enc_w2": layer(token_dim, hidden_enc), "base.enc_b2": np.zeros(token_dim),
+        "base.pln_w1": layer(hidden_pln, token_dim), "base.pln_b1": np.zeros(hidden_pln),
+        "base.pln_w2": layer(n_code + 12, hidden_pln),
+        "base.pln_b2": np.zeros(n_code + 12),
+    }
+
+
+def classifier_init_ref(rng: np.random.Generator, n_code: int, group_size: int,
+                        hidden: int) -> dict[str, np.ndarray]:
+    """Group-classifier weights by checkpoint name, over n_code * group_size
+    kernel features, drawn like ``base_init_ref``'s."""
+    n_in = n_code * group_size
+    return {
+        "clf.w1": rng.normal(0.0, 1.0 / np.sqrt(n_in), size=(hidden, n_in)),
+        "clf.b1": np.zeros(hidden),
+        "clf.w2": rng.normal(0.0, 1.0 / np.sqrt(hidden), size=(n_code, hidden)),
+        "clf.b2": np.zeros(n_code),
+    }
+
+
+def gp_scalars_ref(log_lengthscale: float = 0.0, log_outputscale: float = 0.0,
+                   log_noise_recon: float = float(np.log(1e-2)),
+                   log_noise_traj: float = float(np.log(1e-2))) -> dict[str, np.ndarray]:
+    """The GP's log-space scalars by checkpoint name, as 0-d arrays; the
+    defaults are a fresh model's."""
+    return {"gp.log_lengthscale": np.array(log_lengthscale),
+            "gp.log_outputscale": np.array(log_outputscale),
+            "gp.log_noise_recon": np.array(log_noise_recon),
+            "gp.log_noise_traj": np.array(log_noise_traj)}
+
+
+def basis_tokens_ref(seed: int, n_code: int, group_size: int,
+                     token_dim: int) -> np.ndarray:
+    """(n_code, group_size, token_dim) basis tokens, i.i.d. N(0, 1/token_dim)."""
+    return _stream_ref(seed, "basis-init").normal(
+        0.0, 1.0 / np.sqrt(token_dim), size=(n_code, group_size, token_dim))
+
+
+def init_tensors_ref(spec, seed: int, trajs: np.ndarray) -> dict[str, np.ndarray]:
+    """Every checkpoint tensor of a fresh model of ``spec`` at ``seed`` with
+    codebook trajectories ``trajs``: base weights from the ``base-init``
+    stream, classifier weights from ``clf-init``, the default GP scalars and
+    basis tokens from ``basis-init``."""
+    n_code = spec.n_ego + spec.n_agent
+    return {
+        **base_init_ref(_stream_ref(seed, "base-init"), spec.obs_dim, spec.token_dim,
+                        n_code, spec.encoder_hidden, spec.planner_hidden),
+        **classifier_init_ref(_stream_ref(seed, "clf-init"), n_code, spec.group_size,
+                              spec.classifier_hidden),
+        **gp_scalars_ref(),
+        "cb.basis": basis_tokens_ref(seed, n_code, spec.group_size, spec.token_dim),
+        "cb.trajs": trajs,
+    }
 
 
 def masked_softmax(logits: np.ndarray) -> np.ndarray:

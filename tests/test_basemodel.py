@@ -7,18 +7,18 @@ import dataclasses
 import numpy as np
 import pytest
 
-from gptraj.basemodel import (BaseModelParams, RESIDUAL_BOUND, encode, encode_t,
-                              plan, planner_t)
+from gptraj.basemodel import (RESIDUAL_BOUND, TOKEN_SCALE, encode, encode_t, plan,
+                              planner_t)
 from gptraj.codebook import admissible
 from gptraj.core import COMMANDS, Command, SceneRecord, rng_for
 
-from oracles import (encode_ref, group_ids_ref, masked_softmax, plan_ref,
+from oracles import (base_init_ref, encode_ref, group_ids_ref, masked_softmax, plan_ref,
                      plan_with_group_ref)
 
 
-def make_params(obs_dim=16, token_dim=8, n_code=23, seed=0) -> BaseModelParams:
-    return BaseModelParams.init(obs_dim, token_dim, n_code, 24, 24,
-                                rng_for(seed, "base-test"))
+def make_params(obs_dim=16, token_dim=8, n_code=23, seed=0) -> dict:
+    """Base weights by checkpoint name, for ``n_code`` groups."""
+    return base_init_ref(rng_for(seed, "base-test"), obs_dim, token_dim, n_code, 24, 24)
 
 
 def scene_with(obs, domain="a") -> SceneRecord:
@@ -27,14 +27,14 @@ def scene_with(obs, domain="a") -> SceneRecord:
                        ego_gt=None, agent_gt=None, agent_footprints=[(4.5, 2.0)])
 
 
-def tokens_of(obs_rows, p: BaseModelParams) -> np.ndarray:
-    return encode(np.atleast_2d(obs_rows), p)
+def tokens_of(obs_rows, p: dict) -> np.ndarray:
+    return encode(np.atleast_2d(obs_rows), p, TOKEN_SCALE)
 
 
 def test_zero_observation_zero_weights_zero_token():
     p = make_params()
-    for name in ("enc_w1", "enc_b1", "enc_w2", "enc_b2"):
-        setattr(p, name, np.zeros_like(getattr(p, name)))
+    for name in ("base.enc_w1", "base.enc_b1", "base.enc_w2", "base.enc_b2"):
+        p[name] = np.zeros_like(p[name])
     assert np.array_equal(tokens_of(np.zeros((2, 16)), p), np.zeros((2, 8)))
 
 
@@ -58,16 +58,16 @@ def test_encode_rejects_wrong_obs_length():
 def test_tokens_have_fixed_scale():
     p = make_params()
     obs = rng_for(2, "obs").normal(size=(3, 16))
-    assert np.allclose(np.linalg.norm(tokens_of(obs, p), axis=1), p.token_scale,
+    assert np.allclose(np.linalg.norm(tokens_of(obs, p), axis=1), TOKEN_SCALE,
                        rtol=1e-6)
 
 
 def test_plan_zero_residual_returns_anchor(tiny_model):
     cb = tiny_model.cb
     p = make_params(n_code=cb.n_code)
-    p.pln_w2 = np.zeros_like(p.pln_w2)
-    p.pln_b2 = np.zeros_like(p.pln_b2)
-    p.pln_b2[0] = 1.0  # group 0 wins among admissible after masking
+    p["base.pln_w2"] = np.zeros_like(p["base.pln_w2"])
+    p["base.pln_b2"] = np.zeros_like(p["base.pln_b2"])
+    p["base.pln_b2"][0] = 1.0  # group 0 wins among admissible after masking
     mask = admissible(cb, [COMMANDS[cb.buckets[0]]])
     traj, group = plan(np.ones((1, 8)), mask, p, cb.traj_anchors())
     assert group.tolist() == [0]
@@ -77,9 +77,9 @@ def test_plan_zero_residual_returns_anchor(tiny_model):
 def test_residual_saturates_at_bound(tiny_model):
     cb = tiny_model.cb
     p = make_params(n_code=cb.n_code)
-    p.pln_b2 = np.zeros_like(p.pln_b2)
-    p.pln_w2 = np.zeros_like(p.pln_w2)
-    p.pln_b2[cb.n_code:] = 1e3  # tanh saturates to +1
+    p["base.pln_b2"] = np.zeros_like(p["base.pln_b2"])
+    p["base.pln_w2"] = np.zeros_like(p["base.pln_w2"])
+    p["base.pln_b2"][cb.n_code:] = 1e3  # tanh saturates to +1
     only0 = np.arange(cb.n_code)[None] == 0  # forces group 0
     traj, _ = plan(np.ones((1, 8)), only0, p, cb.traj_anchors())
     assert np.allclose(traj[0] - cb.traj_anchors()[0], RESIDUAL_BOUND)
@@ -116,20 +116,19 @@ def test_differentiable_paths_match_numpy():
     from gptraj.autodiff import Tensor
 
     p = make_params(seed=9)
+    n_code = 23
     obs = rng_for(7, "obs").normal(size=16)
-    names = ("enc_w1", "enc_b1", "enc_w2", "enc_b2",
-             "pln_w1", "pln_b1", "pln_w2", "pln_b2")
-    v = {n: Tensor(getattr(p, n)) for n in names}
-    tok_t = encode_t(np.stack([obs, obs * 0.5]), v, p.token_scale)
-    ego, agents = encode_ref(scene_with(obs), p)
+    v = {n: Tensor(a) for n, a in p.items()}
+    tok_t = encode_t(np.stack([obs, obs * 0.5]), v, TOKEN_SCALE)
+    ego, agents = encode_ref(scene_with(obs), p, TOKEN_SCALE)
     assert np.allclose(tok_t.data, [ego, agents[0]], atol=1e-12)
-    logits_t, residual_t = planner_t(tok_t, v, p.n_code)
+    logits_t, residual_t = planner_t(tok_t, v, n_code)
     for row, tok in enumerate((ego, agents[0])):
-        h = np.tanh(p.pln_w1 @ tok + p.pln_b1)
-        out = p.pln_w2 @ h + p.pln_b2
-        assert np.allclose(logits_t.data[row], out[:p.n_code], atol=1e-12)
+        h = np.tanh(p["base.pln_w1"] @ tok + p["base.pln_b1"])
+        out = p["base.pln_w2"] @ h + p["base.pln_b2"]
+        assert np.allclose(logits_t.data[row], out[:n_code], atol=1e-12)
         assert np.allclose(residual_t.data[row],
-                           RESIDUAL_BOUND * np.tanh(out[p.n_code:]), atol=1e-12)
+                           RESIDUAL_BOUND * np.tanh(out[n_code:]), atol=1e-12)
 
 
 def test_plan_rows_match_per_token_reference(tiny_model):

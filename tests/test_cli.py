@@ -89,6 +89,27 @@ def test_gen_data_unlabeled_requires_domain(tmp_path, capsys):
         cli.build_parser().parse_args(["gen-data", "--labeled"])
 
 
+@pytest.mark.parametrize("count", ["-3", "0"])
+def test_gen_data_rejects_count_below_one(tmp_path, capsys, count):
+    out = tmp_path / "scenes.jsonl"
+    assert cli.cli_run(["--out-dir", str(tmp_path / "run"), "gen-data", "--domain",
+                        "source_city", "--count", count, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"error: gen-data --count must be a positive integer, got {count}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("header,missing", [("scene_id,variance,strategy", "selected"),
+                                            ("variance,selected,strategy", "scene_id")])
+def test_adapt_subset_file_names_its_missing_column(tmp_path, capsys, header, missing):
+    selection = tmp_path / "selection.csv"
+    selection.write_text(f"{header}\n")
+    assert cli.cli_run(["--out-dir", str(tmp_path / "run"), "adapt", "--mode", "sup",
+                        "--subset-from", str(selection)]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"error: {selection}: selection file lacks column {missing!r}")
+
+
 def run_python(*args: str, cwd: Path, **env: str) -> str:
     """Stdout of ``python *args`` in a fresh interpreter that imports this
     gptraj, with ``env`` over the inherited environment."""

@@ -1,4 +1,4 @@
-"""Clustering, anchors, basis initialization, admissibility, and triplet classes."""
+"""Clustering, anchors, admissibility, and triplet classes."""
 
 from __future__ import annotations
 
@@ -6,14 +6,13 @@ import numpy as np
 import pytest
 
 from gptraj import codebook, config
-from gptraj.codebook import (BuildError, Codebook, admissible, init_basis_tokens,
-                             nearest_group, sample_and_cluster, traj_dists,
-                             triplet_table)
+from gptraj.codebook import (BuildError, Codebook, admissible, nearest_group,
+                             sample_and_cluster, traj_dists, triplet_table)
 from gptraj.core import COMMANDS, COORD_BOUND, Command
 from gptraj.synthdomain import gen_dataset
 
-from oracles import (command_of_ref, group_ids_ref, lloyd_ref, traj_distance,
-                     traj_dists_ref, triplet_classes_ref)
+from oracles import (basis_tokens_ref, command_of_ref, group_ids_ref, lloyd_ref,
+                     traj_distance, traj_dists_ref, triplet_classes_ref)
 
 
 def straight(speed: float, jitter: float = 0.0, rng=None) -> np.ndarray:
@@ -216,27 +215,9 @@ def test_cluster_stability_same_seed():
     assert np.array_equal(a.trajectories, b.trajectories)
 
 
-def test_init_basis_tokens_deterministic_and_shaped():
-    cb = sample_and_cluster(*corpus(), 6, 4, group_size=8, token_dim=32, seed=0)
-    init_basis_tokens(cb, rng_seed=9)
-    first = cb.basis.copy()
-    init_basis_tokens(cb, rng_seed=9)
-    assert np.array_equal(first, cb.basis)
-    assert cb.basis.shape == (cb.n_code, 8, 32)
-
-
-def test_init_basis_variance_near_1_over_d():
-    cb = sample_and_cluster(*corpus(n_per_cmd=40, n_agent=700), 3, 20,
-                            group_size=32, token_dim=16, seed=0)
-    init_basis_tokens(cb, rng_seed=4)
-    samples = cb.basis.reshape(-1)
-    assert samples.size >= 10_000
-    assert abs(samples.var() - 1.0 / 16) < 0.2 / 16
-
-
 def test_token_anchor_tracks_updates():
     cb = sample_and_cluster(*corpus(), 6, 4, group_size=8, token_dim=4, seed=0)
-    init_basis_tokens(cb, rng_seed=0)
+    cb.basis = basis_tokens_ref(0, cb.n_code, cb.group_size, cb.token_dim)
     assert np.allclose(cb.token_anchors()[0], cb.basis[0].mean(axis=0))
     cb.basis[0, 0] += 5.0  # simulated optimizer step
     assert np.allclose(cb.token_anchors()[0], cb.basis[0].mean(axis=0))
@@ -244,7 +225,7 @@ def test_token_anchor_tracks_updates():
 
 def test_bijection_shapes():
     cb = sample_and_cluster(*corpus(), 6, 4, group_size=8, token_dim=4, seed=0)
-    init_basis_tokens(cb, rng_seed=0)
+    cb.basis = basis_tokens_ref(0, cb.n_code, cb.group_size, cb.token_dim)
     assert cb.basis.shape[:2] == cb.trajectories.shape[:2] == (cb.n_code, cb.group_size)
 
 

@@ -226,9 +226,9 @@ def test_evaluate_rows_match_per_scene_reference(tiny_dataset, stage1_ckpt):
         rep = evaluate(tiny_dataset, model, mode=mode)
         l2s = []
         for rec, row in zip(tiny_dataset, rep.rows, strict=True):
-            ego, _ = encode_ref(rec, model.base)
+            ego, _ = encode_ref(rec, model.tensors, model.spec.token_scale)
             if mode == "base":
-                traj, _ = plan_ref(ego, rec.command, model.base, model.cb)
+                traj, _ = plan_ref(ego, rec.command, model.tensors, model.cb)
             else:
                 traj = predict_ref(ego, rec.command, model)[0].reshape(6, 2)
             l2 = avg_l2_ref(traj, rec.ego_gt)

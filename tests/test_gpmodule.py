@@ -9,15 +9,16 @@ import pytest
 
 from gptraj import autodiff, gpmodule
 from gptraj.autodiff import Tensor
-from gptraj.codebook import admissible, init_basis_tokens, sample_and_cluster
+from gptraj.codebook import admissible, sample_and_cluster
 from gptraj.core import COMMANDS, Command
-from gptraj.gpmodule import GpGraph, GpInference, GpParams, GroupClassifier
+from gptraj.gpmodule import GpGraph, GpInference
 from gptraj.trainer import Adam
 from gptraj.losses import cross_entropy
 from gptraj.core import rng_for
 
 from conftest import parameter
-from oracles import classify_ref, gp_oracle, group_ids_ref
+from oracles import (basis_tokens_ref, classifier_init_ref, classify_ref, gp_oracle,
+                     gp_scalars_ref, group_ids_ref)
 
 from test_codebook import corpus
 
@@ -26,26 +27,33 @@ from test_codebook import corpus
 def small_cb():
     cb = sample_and_cluster(*corpus(n_per_cmd=24, n_agent=60), 6, 4,
                             group_size=8, token_dim=6, seed=0)
-    return init_basis_tokens(cb, rng_seed=1)
+    cb.basis = basis_tokens_ref(1, cb.n_code, cb.group_size, cb.token_dim)
+    return cb
 
 
 @pytest.fixture(scope="module")
 def small_clf(small_cb):
-    return GroupClassifier.init(small_cb.n_code, small_cb.group_size, 16,
-                                rng_for(0, "clf-test"))
+    return classifier_init_ref(rng_for(0, "clf-test"), small_cb.n_code,
+                               small_cb.group_size, 16)
 
 
-def near_zero_noise() -> GpParams:
-    return GpParams(log_noise_recon=np.log(1e-5), log_noise_traj=np.log(1e-5))
+def near_zero_noise() -> dict:
+    return gp_scalars_ref(log_noise_recon=np.log(1e-5), log_noise_traj=np.log(1e-5))
 
 
 def noise_var(log_noise: float) -> float:
     return math.exp(2.0 * log_noise)
 
 
+def inference(cb, clf, p) -> GpInference:
+    """The GP module over the codebook's basis, the ``clf.*`` weights and the
+    ``gp.*`` scalars."""
+    return GpInference(cb, {"cb.basis": cb.basis} | clf | p)
+
+
 def reconstruct(cb, clf, p, tokens, groups):
     """``GpInference.reconstruct`` of token rows under given groups, as arrays."""
-    inf = GpInference(cb, clf, p)
+    inf = inference(cb, clf, p)
     mean, var = inf.reconstruct(inf.kernel_features(np.atleast_2d(tokens)),
                                 np.atleast_1d(groups))
     return mean.data, var.data
@@ -53,7 +61,7 @@ def reconstruct(cb, clf, p, tokens, groups):
 
 def predict(cb, clf, p, tokens, groups):
     """``GpInference.predict_trajectory`` of token rows under given groups."""
-    inf = GpInference(cb, clf, p)
+    inf = inference(cb, clf, p)
     mean, var = inf.predict_trajectory(inf.kernel_features(np.atleast_2d(tokens)),
                                        np.atleast_1d(groups))
     return mean.data, var.data
@@ -62,10 +70,10 @@ def predict(cb, clf, p, tokens, groups):
 def oracle(cb, p, token, gid, head: str):
     """``gp_oracle`` of one token under group ``gid``: the reconstruction head
     (targets = basis) or the trajectory head."""
-    targets, log_noise = ((cb.basis[gid], p.log_noise_recon) if head == "recon"
-                          else (cb.trajectories[gid], p.log_noise_traj))
-    return gp_oracle(cb.basis[gid], targets, token, math.exp(p.log_lengthscale),
-                     math.exp(p.log_outputscale), noise_var(log_noise))
+    targets, log_noise = ((cb.basis[gid], p["gp.log_noise_recon"]) if head == "recon"
+                          else (cb.trajectories[gid], p["gp.log_noise_traj"]))
+    return gp_oracle(cb.basis[gid], targets, token, math.exp(p["gp.log_lengthscale"]),
+                     math.exp(p["gp.log_outputscale"]), noise_var(log_noise))
 
 
 def test_reconstruct_interpolates_basis_token(small_cb, small_clf):
@@ -73,15 +81,15 @@ def test_reconstruct_interpolates_basis_token(small_cb, small_clf):
     tok = small_cb.basis[2, 3].copy()
     recon, var = reconstruct(small_cb, small_clf, p, tok, 2)
     assert np.max(np.abs(recon[0] - tok)) < 1e-4
-    assert var[0] <= 1e-6 + noise_var(p.log_noise_recon)
+    assert var[0] <= 1e-6 + noise_var(p["gp.log_noise_recon"])
 
 
 def test_reconstruct_far_token_reverts_to_anchor(small_cb, small_clf):
-    p = GpParams()
+    p = gp_scalars_ref()
     tok = np.full(6, 80.0)  # effectively infinite kernel distance
     recon, var = reconstruct(small_cb, small_clf, p, tok, 1)
     assert np.allclose(recon[0], small_cb.token_anchors()[1], atol=1e-8)
-    assert var[0] == pytest.approx(1.0 + noise_var(p.log_noise_recon))
+    assert var[0] == pytest.approx(1.0 + noise_var(p["gp.log_noise_recon"]))
 
 
 def test_predict_interpolates_paired_trajectory(small_cb, small_clf):
@@ -91,16 +99,16 @@ def test_predict_interpolates_paired_trajectory(small_cb, small_clf):
 
 
 def test_predict_far_token_returns_anchor_trajectory(small_cb, small_clf):
-    p = GpParams()
+    p = gp_scalars_ref()
     mean, var = predict(small_cb, small_clf, p, np.full(6, -90.0), 3)
     assert mean.shape == (1, 12) and var.shape == (1,)
     assert np.allclose(mean[0], small_cb.traj_anchors()[3], atol=1e-8)
-    assert var[0] == pytest.approx(1.0 + noise_var(p.log_noise_traj))
+    assert var[0] == pytest.approx(1.0 + noise_var(p["gp.log_noise_traj"]))
 
 
 def test_matches_dense_inverse_oracle(small_cb, small_clf):
     rng = np.random.default_rng(3)
-    p = GpParams(log_lengthscale=0.2, log_outputscale=-0.1,
+    p = gp_scalars_ref(log_lengthscale=0.2, log_outputscale=-0.1,
                  log_noise_recon=np.log(0.05), log_noise_traj=np.log(0.02))
     groups = np.array([0, 3, 7, 3])  # a repeated group in one call
     toks = rng.normal(size=(len(groups), 6))
@@ -117,7 +125,7 @@ def test_matches_dense_inverse_oracle(small_cb, small_clf):
 
 def test_recon_and_prediction_share_conditioning(small_cb, small_clf):
     # identical function-space variance from both heads at equal noise
-    p = GpParams(log_noise_recon=np.log(0.1), log_noise_traj=np.log(0.1))
+    p = gp_scalars_ref(log_noise_recon=np.log(0.1), log_noise_traj=np.log(0.1))
     tok = np.linspace(-1, 1, 6)
     _, var_rec = reconstruct(small_cb, small_clf, p, tok, 5)
     _, var_traj = predict(small_cb, small_clf, p, tok, 5)
@@ -125,8 +133,8 @@ def test_recon_and_prediction_share_conditioning(small_cb, small_clf):
 
 
 def test_classifier_masking_and_determinism(small_cb, small_clf):
-    p = GpParams()
-    inf = GpInference(small_cb, small_clf, p)
+    p = gp_scalars_ref()
+    inf = inference(small_cb, small_clf, p)
     tok = np.linspace(-0.5, 0.5, 6)[None]
     left_mask = admissible(small_cb, [Command.TURN_LEFT])
     *_, logits1, g1 = inf.predict_rows(tok, left_mask)
@@ -135,7 +143,7 @@ def test_classifier_masking_and_determinism(small_cb, small_clf):
     left = group_ids_ref(small_cb, Command.TURN_LEFT)
     assert g1[0] in left
     assert np.all(np.isneginf(np.delete(logits1[0], left)))
-    want, want_logits = classify_ref(tok[0], Command.TURN_LEFT, small_cb, small_clf, p)
+    want, want_logits = classify_ref(tok[0], Command.TURN_LEFT, small_cb, small_clf | p)
     assert g1[0] == want
     assert np.allclose(logits1[0][left], want_logits[left], rtol=0, atol=1e-12)
     *_, ga = inf.predict_rows(tok, admissible(small_cb, [None]))
@@ -143,10 +151,10 @@ def test_classifier_masking_and_determinism(small_cb, small_clf):
 
 
 def test_variance_lower_bound_and_monotonicity(small_cb, small_clf):
-    p = GpParams(log_noise_traj=np.log(0.05))
+    p = gp_scalars_ref(log_noise_traj=np.log(0.05))
     rng = np.random.default_rng(8)
     _, var = predict(small_cb, small_clf, p, rng.normal(size=(50, 6)), np.zeros(50, int))
-    assert np.all(var >= noise_var(p.log_noise_traj) - 1e-15)
+    assert np.all(var >= noise_var(p["gp.log_noise_traj"]) - 1e-15)
     # moving the query towards the basis cloud decreases variance
     direction = rng.normal(size=6)
     direction /= np.linalg.norm(direction)
@@ -157,9 +165,9 @@ def test_variance_lower_bound_and_monotonicity(small_cb, small_clf):
 
 
 def test_predict_scene_shapes_and_order(small_cb, small_clf):
-    p = GpParams()
+    p = gp_scalars_ref()
     rng = np.random.default_rng(5)
-    inf = GpInference(small_cb, small_clf, p)
+    inf = inference(small_cb, small_clf, p)
     egos = rng.normal(size=(3, 6))
     mean, var, logits, groups = inf.predict_scene(egos, [Command.GO_STRAIGHT] * 3)
     assert (mean.shape, var.shape, logits.shape, groups.shape) == (
@@ -178,21 +186,21 @@ def test_forced_group_reproduces_basis_trajectory_end_to_end(small_cb, small_clf
     p = near_zero_noise()
     gid = group_ids_ref(small_cb, Command.TURN_LEFT)[0]
     only = np.arange(small_cb.n_code)[None, :] == gid
-    mean, _, _, groups = GpInference(small_cb, small_clf, p).predict_rows(
+    mean, _, _, groups = inference(small_cb, small_clf, p).predict_rows(
         small_cb.basis[gid, 2][None], only)
     assert groups.tolist() == [gid]
     assert np.max(np.abs(mean[0] - small_cb.trajectories[gid, 2])) < 1e-3
 
 
 def test_predict_scene_matches_oracle(small_cb, small_clf):
-    p = GpParams(log_lengthscale=0.1, log_noise_traj=np.log(0.03))
-    inf = GpInference(small_cb, small_clf, p)
+    p = gp_scalars_ref(log_lengthscale=0.1, log_noise_traj=np.log(0.03))
+    inf = inference(small_cb, small_clf, p)
     commands = [c for c in COMMANDS for _ in range(4)]
     toks = np.random.default_rng(12).normal(size=(len(commands), 6))
     mean, var, logits, groups = inf.predict_scene(toks, commands)
     for tok, command, m2, v2, l2, g2 in zip(toks, commands, mean, var, logits, groups,
                                            strict=True):
-        gid, want_logits = classify_ref(tok, command, small_cb, small_clf, p)
+        gid, want_logits = classify_ref(tok, command, small_cb, small_clf | p)
         assert g2 == gid
         assert np.array_equal(np.isneginf(l2), np.isneginf(want_logits))
         want_mean, want_var = oracle(small_cb, p, tok, gid, "traj")
@@ -209,16 +217,16 @@ def mixed_rows(cb, n_per_role: int, rng):
 
 
 def test_predict_rows_matches_per_token_reference(small_cb, small_clf, monkeypatch):
-    p = GpParams(log_lengthscale=0.1, log_outputscale=0.05,
+    p = gp_scalars_ref(log_lengthscale=0.1, log_outputscale=0.05,
                  log_noise_traj=np.log(0.07))
     tokens, masks, commands = mixed_rows(small_cb, 6, np.random.default_rng(21))
     # blocks of 5 rows, the last one short
     monkeypatch.setattr(gpmodule, "FEATURE_BLOCK", 5 * small_cb.n_code * small_cb.group_size)
-    mean, var, logits, groups = GpInference(small_cb, small_clf, p).predict_rows(
+    mean, var, logits, groups = inference(small_cb, small_clf, p).predict_rows(
         tokens, masks)
     assert mean.shape == (len(tokens), 12) and var.shape == (len(tokens),)
     for i, (tok, command) in enumerate(zip(tokens, commands)):
-        gid, want_logits = classify_ref(tok, command, small_cb, small_clf, p)
+        gid, want_logits = classify_ref(tok, command, small_cb, small_clf | p)
         assert groups[i] == gid
         assert np.array_equal(np.isneginf(logits[i]), np.isneginf(want_logits))
         assert np.allclose(logits[i][masks[i]], want_logits[masks[i]],
@@ -231,14 +239,13 @@ def test_predict_rows_matches_per_token_reference(small_cb, small_clf, monkeypat
 def test_graph_path_matches_inference_path(small_cb, small_clf):
     # a GpGraph over tracked parameters computes what GpInference computes
     # over constants, and its backward reaches every parameter family
-    p = GpParams(log_lengthscale=0.15, log_outputscale=-0.05,
+    p = gp_scalars_ref(log_lengthscale=0.15, log_outputscale=-0.05,
                  log_noise_recon=np.log(0.04), log_noise_traj=np.log(0.06))
     basis = parameter(small_cb.basis)
-    clf_vars = {n: parameter(getattr(small_clf, n))
-                for n in gpmodule.CLASSIFIER_NAMES}
-    scalars = [parameter(getattr(p, n)) for n in gpmodule.GP_SCALAR_NAMES]
-    graph = GpGraph(small_cb, basis, clf_vars, *scalars)
-    inf = GpInference(small_cb, small_clf, p)
+    clf_vars = {n: parameter(a) for n, a in small_clf.items()}
+    scalars = [parameter(a) for a in p.values()]
+    graph = GpGraph(small_cb, {"cb.basis": basis} | clf_vars | dict(zip(p, scalars)))
+    inf = inference(small_cb, small_clf, p)
     toks = np.random.default_rng(17).normal(size=(4, 6))
     groups = np.array([3, 3, 0, 9])
     feats = graph.kernel_features(toks)
@@ -272,15 +279,15 @@ def test_classifier_learns_two_separated_modes(small_cb):
     # initialized classifier must reach >= 95% held-out accuracy after training
     rng = rng_for(0, "clf-train")
     cb = small_cb
-    p = GpParams()
+    p = gp_scalars_ref()
     ids = group_ids_ref(cb, None)[:2]
     centers = {gid: cb.token_anchors()[gid] + 0.8 for gid in ids}
     centers[ids[1]] = cb.token_anchors()[ids[1]] - 0.8
-    clf = GroupClassifier.init(cb.n_code, cb.group_size, 16, rng)
-    w = {"w1": parameter(clf.w1), "b1": parameter(clf.b1),
-         "w2": parameter(clf.w2), "b2": parameter(clf.b2)}
+    clf = classifier_init_ref(rng, cb.n_code, cb.group_size, 16)
+    w = {"w1": parameter(clf["clf.w1"]), "b1": parameter(clf["clf.b1"]),
+         "w2": parameter(clf["clf.w2"]), "b2": parameter(clf["clf.b2"])}
     opt = Adam(w, lr=1e-2)
-    inf = GpInference(cb, clf, p)
+    inf = inference(cb, clf, p)
     adm = admissible(cb, [None])
     for _ in range(300):
         total = Tensor(0.0)
@@ -294,12 +301,11 @@ def test_classifier_learns_two_separated_modes(small_cb):
             total = autodiff.add(total, autodiff.tsum(ce))
         grads = autodiff.grad(autodiff.mul(total, 1 / 8), w)
         opt.step(grads)
-    trained = GroupClassifier(w1=w["w1"].data, b1=w["b1"].data,
-                              w2=w["w2"].data, b2=w["b2"].data)
+    trained = {f"clf.{n}": t.data for n, t in w.items()}
     labels, toks = [], []
     for _ in range(200):
         labels.append(ids[int(rng.integers(2))])
         toks.append(centers[labels[-1]] + rng.normal(scale=0.3, size=6))
-    *_, got = GpInference(cb, trained, p).predict_rows(
+    *_, got = inference(cb, trained, p).predict_rows(
         np.stack(toks), np.repeat(adm, len(labels), axis=0))
     assert np.mean(got == np.array(labels)) >= 0.95

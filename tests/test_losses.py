@@ -7,7 +7,7 @@ import pytest
 
 from gptraj import autodiff
 from gptraj.autodiff import Tensor
-from gptraj.codebook import init_basis_tokens, sample_and_cluster, triplet_table
+from gptraj.codebook import sample_and_cluster, triplet_table
 from gptraj.losses import (DEFAULT_SIGMA_CLAMP, SupRows, cross_entropy,
                            heteroscedastic_nll, kl_divergence, loss_gp_teacher,
                            loss_rec, loss_sup, orthogonality, triplet_term,
@@ -15,7 +15,8 @@ from gptraj.losses import (DEFAULT_SIGMA_CLAMP, SupRows, cross_entropy,
 from gptraj.trainer import Adam
 
 from conftest import parameter
-from oracles import finite_difference, triplet_classes_ref, triplet_oracle
+from oracles import (basis_tokens_ref, finite_difference, triplet_classes_ref,
+                     triplet_oracle)
 
 from test_codebook import corpus
 
@@ -23,7 +24,8 @@ from test_codebook import corpus
 @pytest.fixture(scope="module")
 def cb():
     c = sample_and_cluster(*corpus(), 12, 7, group_size=4, token_dim=5, seed=2)
-    return init_basis_tokens(c, rng_seed=2)
+    c.basis = basis_tokens_ref(2, c.n_code, c.group_size, c.token_dim)
+    return c
 
 
 def ego_rec(e, e_hat, var, basis):

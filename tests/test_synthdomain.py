@@ -86,6 +86,13 @@ def test_gen_dataset_empty(tmp_path):
     assert path.read_text() == ""
 
 
+def test_gen_dataset_rejects_negative_count(tmp_path):
+    path = tmp_path / "negative.jsonl"
+    with pytest.raises(ValueError, match="^n_scenes must be non-negative, got -1$"):
+        gen_dataset(tiny_domain(), -1, seed=0, path=path, obs_dim=TINY_OBS_DIM)
+    assert not path.exists()
+
+
 def test_gen_dataset_byte_identical(tmp_path):
     p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     gen_dataset(tiny_domain(), 25, seed=4, path=p1, obs_dim=TINY_OBS_DIM)

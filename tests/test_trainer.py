@@ -16,18 +16,18 @@ from gptraj.adapt import active_select, adapt_supervised, adapt_unsupervised
 from gptraj.basemodel import encode
 from gptraj.codebook import BuildError
 from gptraj.evalmetrics import evaluate
-from gptraj.gpmodule import GpInference
+from gptraj.gpmodule import GpGraph, GpInference
 from gptraj.losses import weighted_total
 from gptraj.psdlinalg import NotPSD
 from gptraj.synthdomain import gen_dataset, strip_labels
-from gptraj.trainer import (Checkpoint, SceneTable, StageTables, TrainingError,
-                            base_param_tensors, finetune_scene_loss, scene_labels,
+from gptraj.trainer import (BASE_PARAMS, GP_PARAMS, Checkpoint, SceneTable, StageTables,
+                            TrainingError, finetune_scene_loss, scene_labels,
                             stage1_pretrain, stage2_fit_gp, stage3_finetune)
 
 from conftest import (TINY_OBS_DIM, corrupting_factor, parameter, tiny_config,
                       tiny_domain, tiny_spec)
 from oracles import (adam_ref, encode_ref, finite_difference, group_ids_ref,
-                     predict_ref, traj_distance)
+                     init_tensors_ref, predict_ref, traj_distance)
 
 CFG = tiny_config(epochs_stage1=2, epochs_stage2=1, epochs_stage3=1, adapt_epochs=1)
 
@@ -86,12 +86,28 @@ def test_each_stage_changes_exactly_its_own_tensors(tiny_dataset, target_dataset
     ]
     ckpt = stage1_pretrain(tiny_dataset, CFG, tiny_spec())
     for stage, train, own in stages:
-        before = {k: v.tobytes() for k, v in ckpt.named_tensors().items()}
+        before = {k: v.tobytes() for k, v in ckpt.model.tensors.items()}
         out = train(ckpt)
-        assert {k: v.tobytes() for k, v in ckpt.named_tensors().items()} == before, stage
-        changed = {k for k, v in out.named_tensors().items() if v.tobytes() != before[k]}
+        assert {k: v.tobytes() for k, v in ckpt.model.tensors.items()} == before, stage
+        changed = {k for k, v in out.model.tensors.items() if v.tobytes() != before[k]}
         assert changed == {k for k in before if k.startswith(own)}, stage
         ckpt = out
+
+
+@pytest.mark.parametrize("spec", [
+    tiny_spec(),
+    # unequal widths everywhere, so a transposed shape or a swapped stream shows
+    dataclasses.replace(tiny_spec(), obs_dim=20, token_dim=6, encoder_hidden=10,
+                        planner_hidden=14, classifier_hidden=18),
+], ids=["tiny", "unequal"])
+def test_build_model_draws_match_init_oracle(tiny_dataset, spec):
+    model = trainer.build_model(tiny_dataset, CFG, spec)
+    want = init_tensors_ref(spec, CFG.seed, model.tensors["cb.trajs"])
+    assert list(model.tensors) == list(spec.tensor_shapes()) == list(want)
+    assert ([(k, v.dtype, v.shape, v.tobytes()) for k, v in model.tensors.items()]
+            == [(k, v.dtype, v.shape, v.tobytes()) for k, v in want.items()])
+    assert model.cb.basis is model.tensors["cb.basis"]
+    assert model.cb.trajectories is model.tensors["cb.trajs"]
 
 
 def test_checkpoint_roundtrip_is_byte_identical(pipeline_bytes, tiny_dataset):
@@ -320,7 +336,7 @@ def test_training_rejects_scene_without_agent_gt(tiny_dataset, fitted):
 
 def test_nonfinite_loss_raises_training_error(tiny_dataset):
     ckpt = stage1_pretrain(tiny_dataset, CFG, tiny_spec())
-    ckpt.model.base.pln_b2[:] = np.nan
+    ckpt.model.tensors["base.pln_b2"][:] = np.nan
     with pytest.raises(TrainingError, match="non-finite loss term .* at stage3 step 0"):
         stage3_finetune(tiny_dataset[:16], ckpt, CFG)
 
@@ -393,8 +409,8 @@ def fitted(tiny_dataset):
 
 def step_loss_setup(fitted, records, use_gt: bool, use_teacher: bool):
     model = fitted.model.clone()
-    bvars = base_param_tensors(model)
-    teacher = ReplayTeacher(GpInference(model.cb, model.clf, model.gp)) if (
+    bvars = model.params(BASE_PARAMS)
+    teacher = ReplayTeacher(GpInference(model.cb, model.tensors)) if (
         use_teacher) else None
     table = SceneTable(records, model.cb, labeled=use_gt)
     batch = table.batch(np.arange(len(records)))
@@ -460,8 +476,9 @@ def test_gp_stage_loss_term_order(fitted, tiny_dataset):
     model = fitted.model.clone()
     table = SceneTable(tiny_dataset[:3], model.cb, labeled=True)
     terms = trainer.gp_stage_loss(
-        table.batch(np.arange(3)), trainer.gp_graph(model.cb, trainer.gp_param_tensors(model)),
-        encode(table.obs, model.base), StageTables.of(model.cb), CFG)
+        table.batch(np.arange(3)), GpGraph(model.cb, model.tensors | model.params(GP_PARAMS)),
+        encode(table.obs, model.tensors, model.spec.token_scale), StageTables.of(model.cb),
+        CFG)
     assert list(terms) == ["recon_ego", "recon_agent", "ortho_ego", "ortho_agent",
                            "plan_nll", "class_ce_ego", "triplet_ego",
                            "motion_nll", "class_ce_agent", "triplet_agent"]
@@ -475,14 +492,14 @@ def test_unsupervised_without_teacher_rejected(fitted, tiny_dataset):
 
 def test_gp_stage_loss_gradients_match_finite_differences(fitted, tiny_dataset):
     model = fitted.model.clone()
-    params = trainer.gp_param_tensors(model)
+    params = model.params(GP_PARAMS)
     table = SceneTable(tiny_dataset[:4], model.cb, labeled=True)
     batch = table.batch(np.arange(4))
-    tokens = encode(table.obs, model.base)
+    tokens = encode(table.obs, model.tensors, model.spec.token_scale)
     tables = StageTables.of(model.cb)
 
     def loss():
-        return total(trainer.gp_stage_loss(batch, trainer.gp_graph(model.cb, params),
+        return total(trainer.gp_stage_loss(batch, GpGraph(model.cb, model.tensors | params),
                                            tokens, tables, CFG))
 
     grads = autodiff.grad(loss(), params)
@@ -529,15 +546,16 @@ def read_only_upstream(loss):
 
 def test_no_vjp_writes_into_its_upstream_gradient(fitted, tiny_dataset):
     model = fitted.model.clone()
-    params = trainer.gp_param_tensors(model)
+    params = model.params(GP_PARAMS)
     table = SceneTable(tiny_dataset[:6], model.cb, labeled=True)
     batch = table.batch(np.arange(6))
-    tokens = encode(table.obs, model.base)
+    tokens = encode(table.obs, model.tensors, model.spec.token_scale)
     tables = StageTables.of(model.cb)
     bvars, finetune_loss = step_loss_setup(fitted, tiny_dataset[:6], True, True)
     for loss, variables in [
             (lambda: total(trainer.gp_stage_loss(
-                batch, trainer.gp_graph(model.cb, params), tokens, tables, CFG)), params),
+                batch, GpGraph(model.cb, model.tensors | params), tokens, tables, CFG)),
+             params),
             (lambda: total(finetune_loss()), bvars)]:
         want = autodiff.grad(loss(), variables)
         got = autodiff.grad(read_only_upstream(loss()), variables)
@@ -551,7 +569,7 @@ def test_active_select_ranking_matches_per_scene_reference(fitted, target_datase
     model = fitted.model
     want = []
     for r in records:
-        ego, _ = encode_ref(r, model.base)
+        ego, _ = encode_ref(r, model.tensors, model.spec.token_scale)
         want.append((r.scene_id, predict_ref(ego, r.command, model)[1]))
     want.sort(key=lambda t: (-t[1], t[0]))
     assert [sid for sid, _ in rep.rows] == [sid for sid, _ in want]
