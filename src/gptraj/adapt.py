@@ -72,12 +72,12 @@ def adapt_supervised(records: list[SceneRecord], ckpt: Checkpoint,
 
 
 def active_select(records: list[SceneRecord], ckpt: Checkpoint, budget: float,
-                  strategy: str = "variance", seed: int | None = None) -> SelectionReport:
+                  strategy: str = "variance", *, seed: int) -> SelectionReport:
     """Rank scenes by ego predictive variance and keep the top budget fraction.
 
     Ties break by ascending scene_id, so the ranking is invariant to dataset
     order, and selections nest across budgets. The random strategy draws a
-    seeded uniform sample without replacement.
+    uniform sample without replacement from the stream of ``seed``.
     """
     if not records:
         raise TrainingError("active selection on an empty dataset")
@@ -99,8 +99,7 @@ def active_select(records: list[SceneRecord], ckpt: Checkpoint, budget: float,
         selected = [sid for sid, _ in scored[:k]]
     else:
         ids = sorted(r.scene_id for r in records)
-        rng = rng_for(seed if seed is not None else ckpt.train_config.seed,
-                      "active-random")
+        rng = rng_for(seed, "active-random")
         perm = rng.permutation(len(ids))
         selected = [ids[i] for i in perm[:k]]
     return SelectionReport(rows=scored, selected=selected, strategy=strategy,

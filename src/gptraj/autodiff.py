@@ -113,23 +113,12 @@ def div(a, b) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
-    """``a @ b`` with numpy's rules: 1-D operands are a row or a column, and
-    leading axes batch (and broadcast) over stacks of matrices."""
+    """``a @ b`` over operands of two or more axes: leading axes batch (and
+    broadcast) over stacks of matrices."""
     a, b = as_tensor(a), as_tensor(b)
-    out = a.data @ b.data
-    a2 = a.data[None, :] if a.data.ndim == 1 else a.data
-    b2 = b.data[:, None] if b.data.ndim == 1 else b.data
-    out2 = np.broadcast_shapes(a2.shape[:-2], b2.shape[:-2]) + (a2.shape[-2],
-                                                                b2.shape[-1])
-
-    def vjp(g):
-        g = np.reshape(g, out2)
-        return (lambda: _unbroadcast(g @ np.swapaxes(b2, -1, -2),
-                                     a2.shape).reshape(a.data.shape),
-                lambda: _unbroadcast(np.swapaxes(a2, -1, -2) @ g,
-                                     b2.shape).reshape(b.data.shape))
-
-    return _make(out, (a, b), vjp)
+    return _make(a.data @ b.data, (a, b), lambda g: (
+        lambda: _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape),
+        lambda: _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)))
 
 
 def transpose(a) -> Tensor:
@@ -152,13 +141,9 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     return _make(out, (a,), vjp)
 
 
-def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
+def tmean(a, axis: int, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
-    if axis is None:
-        n = a.data.size
-    else:
-        n = a.data.shape[axis]
-    return mul(tsum(a, axis=axis, keepdims=keepdims), 1.0 / n)
+    return mul(tsum(a, axis=axis, keepdims=keepdims), 1.0 / a.data.shape[axis])
 
 
 def exp(a) -> Tensor:

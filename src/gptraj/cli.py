@@ -94,6 +94,9 @@ def _load_config(args):
 
 
 def _log_resolved(cfg) -> None:
+    """Write ``resolved_config.json``. Each subcommand but ``inspect-ckpt``
+    calls this once its argument checks pass, so a rejected command leaves
+    none."""
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     resolved = cfg.out_dir / "resolved_config.json"
     resolved.write_text(json.dumps(cfg.resolved_dict(), sort_keys=True, indent=2)
@@ -131,13 +134,16 @@ def cmd_gen_data(args, cfg) -> int:
 
     if args.count is not None and args.count < 1:
         raise ValueError(f"gen-data --count must be a positive integer, got {args.count}")
-    if args.unlabeled and args.domain is None:
-        raise ValueError("--unlabeled requires --domain")
+    if args.domain is None:
+        if args.unlabeled:
+            raise ValueError("--unlabeled requires --domain")
+        if args.count is not None or args.out is not None:
+            raise ValueError("--count and --out require --domain")
+    elif args.count is None or args.out is None:
+        raise ValueError("--domain requires --count and --out")
+    _log_resolved(cfg)
     if args.domain is not None:
-        if args.count is None or args.out is None:
-            raise ValueError("--domain requires --count and --out")
-        spec = cfg.domain(args.domain)
-        records = gen_dataset(spec, args.count, cfg.seed, path=None,
+        records = gen_dataset(cfg.domain(args.domain), args.count, cfg.seed,
                               obs_dim=cfg.model.obs_dim)
         if args.unlabeled:
             records = strip_labels(records)
@@ -155,8 +161,8 @@ def cmd_gen_data(args, cfg) -> int:
     )
     for name, spec, count, offset in splits:
         path = _data_path(cfg, name)
-        gen_dataset(spec, count, cfg.seed * 4 + offset, path=path,
-                    obs_dim=cfg.model.obs_dim)
+        save_dataset(gen_dataset(spec, count, cfg.seed * 4 + offset,
+                                 obs_dim=cfg.model.obs_dim), path)
         print(f"wrote {count} scenes -> {path}")
     return 0
 
@@ -174,6 +180,7 @@ def cmd_train(args, cfg) -> int:
     from . import trainer
 
     fn, start, stage = _TRAINING[args.command]
+    _log_resolved(cfg)
     records = _load_data(args, cfg, "source_train")
     inputs = ((cfg.train, cfg.model) if start is None
               else (_load_ckpt(args, cfg, f"ckpt_{start}.bin"), cfg.train))
@@ -189,6 +196,7 @@ def cmd_adapt(args, cfg) -> int:
 
     from .adapt import adapt_supervised, adapt_unsupervised
 
+    _log_resolved(cfg)
     keep = None
     if args.subset_from:
         path = _require(Path(args.subset_from), "selection file")
@@ -214,6 +222,7 @@ def cmd_adapt(args, cfg) -> int:
 def cmd_active_select(args, cfg) -> int:
     from .adapt import active_select
 
+    _log_resolved(cfg)
     records = _load_data(args, cfg, "target_train")
     ckpt = _load_ckpt(args, cfg, "ckpt_stage3.bin")
     report = active_select(records, ckpt, budget=args.budget,
@@ -228,6 +237,7 @@ def cmd_active_select(args, cfg) -> int:
 def cmd_eval(args, cfg) -> int:
     from .evalmetrics import evaluate
 
+    _log_resolved(cfg)
     records = _load_data(args, cfg, "source_val")
     ckpt = _load_ckpt(args, cfg, "ckpt_stage3.bin")
     report = evaluate(records, ckpt.model, mode=args.mode, subset=args.subset,
@@ -267,10 +277,7 @@ def cli_run(argv: list[str] | None = None) -> int:
     """Run one subcommand; returns the process exit code."""
     args = build_parser().parse_args(argv)
     try:
-        cfg = _load_config(args)
-        if args.command != "inspect-ckpt":
-            _log_resolved(cfg)
-        return _HANDLERS[args.command](args, cfg)
+        return _HANDLERS[args.command](args, _load_config(args))
     except Exception as e:  # noqa: BLE001 - single line, machine-parsable
         print(f"error: {e}", file=sys.stderr)
         return 1

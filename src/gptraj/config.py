@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .core import COMMANDS
 from .synthdomain import DomainSpec, build_obs_transform
-from .trainer import ModelSpec, TrainConfig
+from .trainer import ModelSpec, TrainConfig, _finite
 
 _CODEBOOK_KEYS = ("n_ego", "n_agent", "group_size")
 
@@ -34,6 +34,22 @@ def _field_defaults(cls) -> dict:
 
 
 _SPEC_DEFAULTS = _field_defaults(ModelSpec)
+
+
+def _source_priors() -> dict:
+    """source_city's driving priors, new lists and dicts on every call. The
+    low_light and motion_blur domains keep them: they shift only the
+    observations."""
+    return {
+        "curvature_prior": {
+            "turn_left": [0.05, 0.015],
+            "go_straight": [0.0, 0.004],
+            "turn_right": [-0.05, 0.015],
+        },
+        "speed_prior": [3.0, 13.0],
+        "mirror": False,
+    }
+
 
 DEFAULT_CONFIG: dict = {
     "seed": 0,
@@ -53,13 +69,7 @@ DEFAULT_CONFIG: dict = {
         "source_city": {
             "obs_transform": {"kind": "identity"},
             "obs_noise_std": 0.05,
-            "curvature_prior": {
-                "turn_left": [0.05, 0.015],
-                "go_straight": [0.0, 0.004],
-                "turn_right": [-0.05, 0.015],
-            },
-            "speed_prior": [3.0, 13.0],
-            "mirror": False,
+            **_source_priors(),
         },
         "target_city": {
             "obs_transform": {"kind": "rotation", "seed": 7, "angle": 0.5,
@@ -76,24 +86,12 @@ DEFAULT_CONFIG: dict = {
         "low_light": {
             "obs_transform": {"kind": "low_rank", "seed": 11, "rank": 18},
             "obs_noise_std": 0.30,
-            "curvature_prior": {
-                "turn_left": [0.05, 0.015],
-                "go_straight": [0.0, 0.004],
-                "turn_right": [-0.05, 0.015],
-            },
-            "speed_prior": [3.0, 13.0],
-            "mirror": False,
+            **_source_priors(),
         },
         "motion_blur": {
             "obs_transform": {"kind": "low_rank", "seed": 13, "rank": 20},
             "obs_noise_std": 0.20,
-            "curvature_prior": {
-                "turn_left": [0.05, 0.015],
-                "go_straight": [0.0, 0.004],
-                "turn_right": [-0.05, 0.015],
-            },
-            "speed_prior": [3.0, 13.0],
-            "mirror": False,
+            **_source_priors(),
         },
     },
     "eval": {
@@ -106,8 +104,7 @@ DEFAULT_CONFIG: dict = {
 
 _DOMAIN_KEYS = {"obs_transform", "obs_noise_std", "curvature_prior",
                 "speed_prior", "mirror"}
-_TRANSFORM_KEYS = {"kind", "seed", "angle", "rank", "matrix", "bias",
-                   "bias_seed", "bias_scale"}
+_TRANSFORM_KEYS = {"kind", "seed", "angle", "rank", "bias_seed", "bias_scale"}
 _BIN_KEYS = {"min_speed", "max_speed", "min_abs_curvature", "max_abs_curvature"}
 
 
@@ -124,8 +121,8 @@ def _check_keys(d: dict, allowed, path: str) -> None:
 
 
 def _number(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path} must be a number, got {value!r}")
+    if not _finite(value):
+        raise ConfigError(f"{path} must be a finite number, got {value!r}")
     return float(value)
 
 
@@ -187,6 +184,8 @@ def resolve(user: dict | None = None, seed_override: int | None = None) -> Confi
     _check_keys(raw["eval"], {"rarity_bins"}, "eval")
     for name, spec in raw["eval"]["rarity_bins"].items():
         _check_keys(spec, _BIN_KEYS, f"eval.rarity_bins.{name}")
+        for key, bound in spec.items():
+            _number(bound, f"eval.rarity_bins.{name}.{key}")
 
     if seed_override is not None:
         raw["seed"] = int(seed_override)
@@ -214,11 +213,9 @@ def resolve(user: dict | None = None, seed_override: int | None = None) -> Confi
         missing = _DOMAIN_KEYS - set(d)
         if missing:
             raise ConfigError(f"{path} missing keys {sorted(missing)}")
-        tdesc = d["obs_transform"]
-        if isinstance(tdesc, dict):
-            _check_keys(tdesc, _TRANSFORM_KEYS, f"{path}.obs_transform")
+        _check_keys(d["obs_transform"], _TRANSFORM_KEYS, f"{path}.obs_transform")
         try:
-            matrix, bias = build_obs_transform(tdesc, model.obs_dim)
+            matrix, bias = build_obs_transform(d["obs_transform"], model.obs_dim)
         except (KeyError, TypeError, ValueError) as e:
             raise ConfigError(f"{path}.obs_transform: {e!r}") from e
         _check_keys(d["curvature_prior"], {c.value for c in COMMANDS},

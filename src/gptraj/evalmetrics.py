@@ -16,7 +16,7 @@ gathered for the scene's agents.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -86,26 +86,25 @@ def _extent(x: np.ndarray, y: np.ndarray, normal) -> tuple[np.ndarray, np.ndarra
             np.maximum(np.maximum(np.maximum(p[0], p[1]), p[2]), p[3]))
 
 
-def sat_margin(a: np.ndarray, b: np.ndarray, index: np.ndarray | None = None) -> np.ndarray:
-    """Signed overlap of rectangle pairs (..., 4, 2): min over candidate axes
-    of projection overlap. Leading dimensions are batch dimensions.
+def sat_margin(a: np.ndarray, b: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Signed overlap of the rectangle pairs (``a[index[j]]``, ``b[j]``): min
+    over candidate axes of projection overlap. Rectangles are (..., 4, 2)
+    corners; ``index`` indexes ``a``'s first axis and has ``b``'s length,
+    and the remaining leading dimensions, shared by ``a`` and ``b``, are
+    batch dimensions.
 
     Positive means the rectangles penetrate by at least that much along
-    every axis; negative means some axis separates them by that much.
-    With ``index``, ``b[j]`` pairs with ``a[index[j]]``: each rectangle of
-    ``a`` has its edge normals and its projections onto them computed once,
-    then gathered.
+    every axis; negative means some axis separates them by that much. Each
+    rectangle of ``a`` has its edge normals and its projections onto them
+    computed once, then gathered.
     """
-    if index is None:
-        a, b = np.broadcast_arrays(a, b)
     ax, ay = (np.ascontiguousarray(np.moveaxis(a[..., i], -1, 0)) for i in (0, 1))
     bx, by = (np.ascontiguousarray(np.moveaxis(b[..., i], -1, 0)) for i in (0, 1))
     a_normals = _normals(ax, ay)
     a_self = [_extent(ax, ay, n) for n in a_normals]
-    if index is not None:
-        ax, ay = ax[:, index], ay[:, index]
-        a_normals = [(nx[index], ny[index]) for nx, ny in a_normals]
-        a_self = [(lo[index], hi[index]) for lo, hi in a_self]
+    ax, ay = ax[:, index], ay[:, index]
+    a_normals = [(nx[index], ny[index]) for nx, ny in a_normals]
+    a_self = [(lo[index], hi[index]) for lo, hi in a_self]
     b_normals = _normals(bx, by)
     extents = ([(ea, _extent(bx, by, n)) for ea, n in zip(a_self, a_normals)]
                + [(_extent(ax, ay, n), _extent(bx, by, n)) for n in b_normals])
@@ -116,25 +115,24 @@ def sat_margin(a: np.ndarray, b: np.ndarray, index: np.ndarray | None = None) ->
 
 
 def scene_collisions(ego_points: np.ndarray, agent_points: np.ndarray,
-                     agent_footprints: np.ndarray, agent_scene: np.ndarray,
-                     ego_footprint: tuple[float, float] = EGO_FOOTPRINT) -> np.ndarray:
-    """Per scene, True iff its ego rectangle overlaps one of its agents'
-    rectangles at a common step.
+                     agent_footprints: np.ndarray, agent_scene: np.ndarray) -> np.ndarray:
+    """Per scene, True iff its ego rectangle (``EGO_FOOTPRINT``) overlaps one
+    of its agents' rectangles at a common step.
 
     ``ego_points`` (S, n, 2) holds each scene's ego waypoints;
     ``agent_points`` (P, n, 2), ``agent_footprints`` (P, 2) (length, width)
     and ``agent_scene`` (P,) each agent's waypoints, footprint and scene
     index. One SAT pass covers every (ego, agent) pair at every step.
     """
-    ego = rect_corners(ego_points, _headings(ego_points), *ego_footprint)
+    ego = rect_corners(ego_points, _headings(ego_points), *EGO_FOOTPRINT)
     fp = np.asarray(agent_footprints, dtype=np.float64).reshape(-1, 1, 2)
     agents = rect_corners(agent_points, _headings(agent_points), fp[..., 0], fp[..., 1])
     hit = (sat_margin(ego, agents, agent_scene) > 0.0).any(axis=-1)
     return np.bincount(agent_scene[hit], minlength=len(ego_points)) > 0
 
 
-def collision(pred_ego: np.ndarray, agent_trajs: np.ndarray, agent_footprints: np.ndarray,
-              ego_footprint: tuple[float, float] = EGO_FOOTPRINT) -> bool:
+def collision(pred_ego: np.ndarray, agent_trajs: np.ndarray,
+              agent_footprints: np.ndarray) -> bool:
     """True iff the ego rectangle of ``pred_ego`` (6, 2) overlaps the
     rectangle of one of ``agent_trajs`` (A, 6, 2), with ``agent_footprints``
     (A, 2), at a common step.
@@ -144,7 +142,7 @@ def collision(pred_ego: np.ndarray, agent_trajs: np.ndarray, agent_footprints: n
     """
     agent_scene = np.zeros(len(agent_trajs), dtype=np.intp)
     return bool(scene_collisions(pred_ego[None], agent_trajs, agent_footprints,
-                                 agent_scene, ego_footprint)[0])
+                                 agent_scene)[0])
 
 
 def scene_stats(rec: SceneRecord) -> tuple[float, float]:
@@ -163,6 +161,10 @@ def scene_stats(rec: SceneRecord) -> tuple[float, float]:
 
 @dataclass
 class EvalReport:
+    """Aggregate metrics, and per scene its id, command, (overall, 1 s, 2 s,
+    3 s) L2 row of ``l2`` (n, 4) and collision flag, which ``write_csv``
+    formats."""
+
     n_scenes: int
     avg_l2_m: float
     avg_l2_at_1s: float
@@ -171,7 +173,10 @@ class EvalReport:
     collision_rate_pct: float
     subset: str
     mode: str
-    rows: list[dict] = field(default_factory=list)
+    scene_ids: list[str]
+    commands: list[Command]
+    l2: np.ndarray
+    collisions: np.ndarray
 
     def summary_text(self) -> str:
         return (
@@ -185,14 +190,14 @@ class EvalReport:
     def write_csv(self, path) -> None:
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        cols = ["scene_id", "command", "l2_overall", "l2_at_1s", "l2_at_2s",
-                "l2_at_3s", "collision"]
         with open(path, "w", newline="", encoding="utf-8") as f:
             w = csv.writer(f)
             w.writerow([f"# {self.summary_text()} (cumulative-average L2 convention)"])
-            w.writerow(cols)
-            for r in self.rows:
-                w.writerow([r[c] for c in cols])
+            w.writerow(["scene_id", "command", "l2_overall", "l2_at_1s", "l2_at_2s",
+                        "l2_at_3s", "collision"])
+            for sid, command, l2, hit in zip(self.scene_ids, self.commands,
+                                             self.l2.tolist(), self.collisions.tolist()):
+                w.writerow([sid, command.value, *(f"{v:.6f}" for v in l2), int(hit)])
 
 
 def _subset_filter(records: list[SceneRecord], subset: str,
@@ -245,15 +250,6 @@ def evaluate(records: list[SceneRecord], model, mode: str = "base",
                             np.concatenate([r.agent_footprints for r in scenes]),
                             layout.scene_of_row[n:])
     l2s = avg_l2(trajs, layout.gt[:n])
-    rows = [{
-        "scene_id": rec.scene_id,
-        "command": rec.command.value,
-        "l2_overall": f"{overall:.6f}",
-        "l2_at_1s": f"{a1:.6f}",
-        "l2_at_2s": f"{a2:.6f}",
-        "l2_at_3s": f"{a3:.6f}",
-        "collision": int(hit),
-    } for rec, (overall, a1, a2, a3), hit in zip(scenes, l2s.tolist(), hits.tolist())]
     means = l2s.mean(axis=0)
     return EvalReport(
         n_scenes=len(scenes),
@@ -264,5 +260,8 @@ def evaluate(records: list[SceneRecord], model, mode: str = "base",
         collision_rate_pct=100.0 * int(hits.sum()) / len(scenes),
         subset=subset,
         mode=mode,
-        rows=rows,
+        scene_ids=[r.scene_id for r in scenes],
+        commands=layout.commands,
+        l2=l2s,
+        collisions=hits,
     )

@@ -1,11 +1,12 @@
 """RBF kernel evaluation and numerically guarded PSD linear algebra.
 
 ``kernel_matrix`` is the one RBF implementation, sigma_f^2 *
-exp(-||x - y||^2 / (2 l^2)) over row pairs; ``kernel_matrix_t`` is its
-differentiable form, a single tape node with closed-form gradients, and on
-constants (a frozen model's tensors are all constants) it calls
-``kernel_matrix``. Both take the hyperparameters in log space and leading
-batch axes, so every codebook group's Gram matrix comes from one call.
+exp(-||x - y||^2 / (2 l^2)) over the row pairs of two row matrices;
+``kernel_matrix_t`` is its differentiable form, a single tape node with
+closed-form gradients, and on constants (a frozen model's tensors are all
+constants) it calls ``kernel_matrix``. Both take the hyperparameters in log
+space and leading batch axes, so every codebook group's Gram matrix comes
+from one call. Every operand has two or more axes: a row is a (1, D) matrix.
 
 Every Cholesky factorization in the package goes through ``cholesky_factor``.
 It factors a whole (..., n, n) stack with one batched ``np.linalg.cholesky``;
@@ -93,12 +94,10 @@ def kernel_matrix(xs, ys, log_lengthscale, log_outputscale) -> np.ndarray:
     xs[..., i, :] and ys[..., j, :] with lengthscale exp(log_lengthscale)
     and outputscale exp(log_outputscale).
 
-    Leading axes batch independent matrices, e.g. (G, C, D) x (G, C, D) ->
-    (G, C, C). A 1-D input is one row.
+    ``xs`` (..., N, D) and ``ys`` (..., M, D) are row matrices; leading axes
+    batch independent matrices, e.g. (G, C, D) x (G, C, D) -> (G, C, C).
     """
-    x = np.atleast_2d(np.asarray(xs, dtype=np.float64))
-    y = np.atleast_2d(np.asarray(ys, dtype=np.float64))
-    k = _sq_dists(x, y)
+    k = _sq_dists(np.asarray(xs, dtype=np.float64), np.asarray(ys, dtype=np.float64))
     return _rbf(k, log_lengthscale, log_outputscale, out=k)
 
 
@@ -143,14 +142,11 @@ def cholesky_factor(a: np.ndarray) -> CholeskyFactor:
 def solve_with_factor(factor: CholeskyFactor, b: np.ndarray) -> np.ndarray:
     """Solve (A + jitter I) X = B for every matrix of a factored stack.
 
-    ``b`` is (..., n, k), broadcast against the stack, or one vector (n,).
-    X = L^-T (L^-1 B), with every L^-1 from one batched ``np.linalg.inv``.
+    ``b`` is (..., n, k), broadcast against the stack. X = L^-T (L^-1 B),
+    with every L^-1 from one batched ``np.linalg.inv``.
     """
-    b = np.asarray(b, dtype=np.float64)
-    vec = b.ndim == 1
     l_inv = np.linalg.inv(factor.lower)
-    x = np.swapaxes(l_inv, -1, -2) @ (l_inv @ (b[:, None] if vec else b))
-    return x[..., 0] if vec else x
+    return np.swapaxes(l_inv, -1, -2) @ (l_inv @ np.asarray(b, dtype=np.float64))
 
 
 def kernel_matrix_t(x, y, log_lengthscale, log_outputscale) -> Tensor:
@@ -166,8 +162,7 @@ def kernel_matrix_t(x, y, log_lengthscale, log_outputscale) -> Tensor:
                              (x, y, log_lengthscale, log_outputscale))
     if not autodiff._tracked(x, y, log_ell, log_sf):
         return Tensor(kernel_matrix(x.data, y.data, log_ell.data, log_sf.data))
-    x2, y2 = np.atleast_2d(x.data), np.atleast_2d(y.data)
-    d2 = _sq_dists(x2, y2)
+    d2 = _sq_dists(x.data, y.data)
     k = _rbf(d2, log_ell.data, log_sf.data, out=np.empty_like(d2))
     ell = float(np.exp(log_ell.data))
 
@@ -176,10 +171,9 @@ def kernel_matrix_t(x, y, log_lengthscale, log_outputscale) -> Tensor:
         sf_grad = np.array(2.0 * np.sum(gd2))
         np.copyto(gd2, 0.0, where=~(d2 > 0.0))
         gd2 *= -0.5 / ell ** 2
-        return (lambda: (2.0 * (np.sum(gd2, axis=-1)[..., None] * x2 - gd2 @ y2)
-                         ).reshape(x.data.shape),
-                lambda: (2.0 * (np.sum(gd2, axis=-2)[..., None] * y2
-                                - np.swapaxes(gd2, -1, -2) @ x2)).reshape(y.data.shape),
+        return (lambda: 2.0 * (np.sum(gd2, axis=-1)[..., None] * x.data - gd2 @ y.data),
+                lambda: 2.0 * (np.sum(gd2, axis=-2)[..., None] * y.data
+                               - np.swapaxes(gd2, -1, -2) @ x.data),
                 # scales gd2 in place: backward runs it after the two above
                 lambda: np.array(-2.0 * np.sum(np.multiply(gd2, d2, out=gd2))),
                 lambda: sf_grad)

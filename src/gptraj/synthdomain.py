@@ -26,12 +26,11 @@ loop gives. The ego arcs are one array pass over all scenes.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 from scipy.linalg import expm, qr
 
-from .core import N_WAYPOINTS, Command, SceneRecord, rng_for, save_dataset
+from .core import N_WAYPOINTS, Command, SceneRecord, rng_for
 from .evalmetrics import scene_collisions
 
 RAW_DIM = 12
@@ -89,10 +88,10 @@ def embed_matrix(obs_dim: int) -> np.ndarray:
     return rng.normal(0.0, 1.0 / np.sqrt(RAW_DIM), size=(obs_dim, RAW_DIM))
 
 
-def build_obs_transform(desc: dict | str, obs_dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Expand a compact config descriptor into an explicit (matrix, bias)."""
-    if isinstance(desc, str):
-        desc = {"kind": desc}
+def build_obs_transform(desc: dict, obs_dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Expand a compact config descriptor, an object whose ``kind`` is
+    "identity" (the default), "rotation" or "low_rank", into an explicit
+    (matrix, bias); ``bias_seed`` draws a bias, else it is zero."""
     kind = desc.get("kind", "identity")
     bias = np.zeros(obs_dim)
     if "bias_seed" in desc:
@@ -112,12 +111,6 @@ def build_obs_transform(desc: dict | str, obs_dim: int) -> tuple[np.ndarray, np.
         q, _ = qr(rng.normal(size=(obs_dim, obs_dim)))
         v = q[:, :rank]
         return v @ v.T, bias
-    if kind == "matrix":
-        m = np.asarray(desc["matrix"], dtype=np.float64)
-        b = np.asarray(desc.get("bias", bias), dtype=np.float64)
-        if m.shape != (obs_dim, obs_dim) or b.shape != (obs_dim,):
-            raise ValueError(f"explicit obs_transform shape mismatch for obs_dim={obs_dim}")
-        return m, b
     raise ValueError(f"unknown obs_transform kind {kind!r}")
 
 
@@ -223,9 +216,10 @@ def _draw_agents(spec: DomainSpec, rngs: list[np.random.Generator],
     return [(draws[ids], points[ids]) for ids in kept]
 
 
-def gen_dataset(spec: DomainSpec, n_scenes: int, seed: int, path=None,
+def gen_dataset(spec: DomainSpec, n_scenes: int, seed: int,
                 obs_dim: int = DEFAULT_OBS_DIM) -> list[SceneRecord]:
-    """n scenes with per-scene derived RNG streams; optionally written to disk.
+    """n scenes with per-scene derived RNG streams; ``core.save_dataset``
+    writes them to disk.
 
     A scene is an ego arc, 0-4 collision-free agents and distorted
     observations. The mirror flag reflects the whole scene about the x axis
@@ -274,8 +268,6 @@ def gen_dataset(spec: DomainSpec, n_scenes: int, seed: int, path=None,
             agent_gt=points,
             agent_footprints=[AGENT_FOOTPRINT] * len(draws),
         ))
-    if path is not None:
-        save_dataset(records, Path(path))
     return records
 
 

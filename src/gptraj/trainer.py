@@ -191,8 +191,9 @@ class TrainConfig:
             if not _finite(w):
                 raise ValueError(f"loss weight {name} must be a finite number, got {w!r}")
         lo, hi = self.sigma_clamp
-        if not (0 < lo < hi):
-            raise ValueError("sigma_clamp must satisfy 0 < lo < hi")
+        if not (_finite(lo) and _finite(hi) and 0 < lo < hi):
+            raise ValueError(f"sigma_clamp must be finite with 0 < lo < hi, "
+                             f"got {self.sigma_clamp!r}")
 
 
 @dataclass
@@ -623,7 +624,7 @@ class Checkpoint:
         header = {
             "schema": CHECKPOINT_SCHEMA,
             "stage": self.stage,
-            "train_config": _config_dict(self.train_config),
+            "train_config": dataclasses.asdict(self.train_config),
             "model_spec": dataclasses.asdict(self.model.spec),
             "tensors": index,
         }
@@ -693,9 +694,3 @@ class Checkpoint:
         tensors = {name: data[offsets[name]:offsets[name] + math.prod(shape)]
                    .reshape(shape).copy() for name, shape in shapes.items()}
         return cls(stage=stage, model=Model(spec, tensors), train_config=cfg)
-
-
-def _config_dict(cfg: TrainConfig) -> dict:
-    d = dataclasses.asdict(cfg)
-    d["sigma_clamp"] = list(cfg.sigma_clamp)
-    return d

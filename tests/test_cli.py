@@ -97,6 +97,17 @@ def test_gen_data_rejects_count_below_one(tmp_path, capsys, count):
     assert capsys.readouterr().err.splitlines()[-1] == (
         f"error: gen-data --count must be a positive integer, got {count}")
     assert not out.exists()
+    assert not (tmp_path / "run").exists()  # no resolved_config.json either
+
+
+@pytest.mark.parametrize("args", [["--count", "5", "--out", "x.jsonl"], ["--count", "5"],
+                                  ["--out", "x.jsonl"]])
+def test_gen_data_count_and_out_require_domain(tmp_path, monkeypatch, capsys, args):
+    monkeypatch.chdir(tmp_path)
+    assert cli.cli_run(["--out-dir", "run", "gen-data", *args]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "error: --count and --out require --domain")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("header,missing", [("scene_id,variance,strategy", "selected"),

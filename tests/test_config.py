@@ -25,6 +25,24 @@ def test_defaults_resolve():
     assert config.resolve({"train": {"epochs_stage3": 0}}).train.epochs_stage3 == 0
 
 
+def test_default_domains_keep_source_priors_in_unshared_values():
+    domains = DEFAULT_CONFIG["domains"]
+    priors = ("curvature_prior", "speed_prior", "mirror")
+    for name in ("low_light", "motion_blur"):
+        assert ({k: domains[name][k] for k in priors}
+                == {k: domains["source_city"][k] for k in priors})
+
+    def containers(value):
+        """The ids of every dict and list within ``value``, itself included."""
+        if isinstance(value, (dict, list)):
+            yield id(value)
+            for v in value.values() if isinstance(value, dict) else value:
+                yield from containers(v)
+
+    ids = [set(containers(d)) for d in domains.values()]
+    assert sum(map(len, ids)) == len(set().union(*ids))
+
+
 @pytest.mark.parametrize("user,path", [
     ({"domains": {"city": {"obs_noise_std": 0.1}}}, "domains.city missing keys"),
     ({"domains": {"city": domain(curvature_prior={
@@ -69,6 +87,23 @@ def test_defaults_resolve():
     ({"data": {"n_target": True}}, "data.n_target must be a positive integer, got True"),
     ({"data": {"n_target_val": "10"}},
      "data.n_target_val must be a positive integer, got '10'"),
+    # Python's json reads NaN and Infinity, so a config file can carry them
+    ({"domains": {"city": domain(obs_noise_std=float("nan"))}},
+     "domains.city.obs_noise_std must be a finite number, got nan"),
+    ({"domains": {"city": domain(curvature_prior={
+        "turn_left": [float("inf"), 0.015], "go_straight": [0.0, 0.004],
+        "turn_right": [-0.05, 0.015]})}},
+     r"domains.city.curvature_prior.turn_left\[0\] must be a finite number, got inf"),
+    ({"train": {"sigma_clamp": [1e-3, float("inf")]}},
+     r"train.sigma_clamp\[1\] must be a finite number, got inf"),
+    ({"eval": {"rarity_bins": {"slow": {"max_speed": "fast"}}}},
+     "eval.rarity_bins.slow.max_speed must be a finite number, got 'fast'"),
+    ({"eval": {"rarity_bins": {"slow": {"min_abs_curvature": float("nan")}}}},
+     "eval.rarity_bins.slow.min_abs_curvature must be a finite number, got nan"),
+    ({"domains": {"city": domain(obs_transform="identity")}},
+     "domains.city.obs_transform must be an object, got 'identity'"),
+    ({"domains": {"city": domain(obs_transform={"kind": "matrix"})}},
+     "domains.city.obs_transform: .*unknown obs_transform kind 'matrix'"),
 ])
 def test_malformed_values_name_their_key_path(user, path):
     with pytest.raises(ConfigError, match=path):
@@ -90,6 +125,8 @@ def test_malformed_values_name_their_key_path(user, path):
         "turn_left": [0.05, 0.01], "go_straight": [0.0, 0.004],
         "turn_right": [-0.05, 0.015], "u_turn": [0.2, 0.01]})}},
      "domains.city.curvature_prior"),
+    ({"domains": {"city": domain(obs_transform={"kind": "identity", "bias": [0.0]})}},
+     "domains.city.obs_transform"),
 ])
 def test_unknown_keys_rejected_at_each_level(user, path):
     with pytest.raises(ConfigError, match=f"unknown config keys at {path}: "):
@@ -115,9 +152,11 @@ def test_unknown_loss_weight_rejected():
     ({"gp_weight": "x"}, "gp_weight must be a finite number, got 'x'"),
     ({"gp_weight": float("nan")}, "gp_weight must be a finite number, got nan"),
     ({"triplet_margin": "x"}, "triplet_margin must be a finite number, got 'x'"),
+    ({"sigma_clamp": [1.0, 0.5]}, r"sigma_clamp must be finite with 0 < lo < hi, "
+     r"got \(1.0, 0.5\)"),
 ], ids=["string-weight", "nan-weight", "weight-list", "beta1", "beta2", "float-batch",
         "float-epochs", "nan-lr", "inf-eps", "string-gp-weight", "nan-gp-weight",
-        "string-margin"])
+        "string-margin", "reversed-sigma-clamp"])
 def test_bad_train_values_rejected(train, match):
     with pytest.raises(ConfigError, match=f"train: {match}"):
         config.resolve({"train": train})

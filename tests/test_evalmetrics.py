@@ -4,6 +4,7 @@ oracle."""
 
 from __future__ import annotations
 
+import csv
 from dataclasses import replace
 
 import numpy as np
@@ -132,15 +133,21 @@ def random_rects(rng, n: int, heading=None) -> np.ndarray:
                         rng.uniform(1.0, 5.0, n), rng.uniform(0.8, 2.5, n))
 
 
+def paired(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``sat_margin`` of each rectangle ``a[j]`` against ``b[j]``."""
+    return sat_margin(a, b, np.arange(len(b)))
+
+
 def test_sat_margin_matches_broadcast_reference_bits():
     rng = np.random.default_rng(11)
     a, b = random_rects(rng, 2000), random_rects(rng, 2000)
-    margin = sat_margin(a, b)
+    margin = paired(a, b)
     assert (margin > 0).any() and (margin < 0).any()
     assert margin.tobytes() == sat_margin_ref(a, b).tobytes()
     # one pair, and one rectangle against many
-    assert sat_margin(a[0], b[0]).tobytes() == sat_margin_ref(a[0], b[0]).tobytes()
-    assert sat_margin(a[0], b).tobytes() == sat_margin_ref(a[0], b).tobytes()
+    assert paired(a[:1], b[:1]).tobytes() == sat_margin_ref(a[0], b[0]).tobytes()
+    assert (sat_margin(a[:1], b, np.zeros(len(b), dtype=np.intp)).tobytes()
+            == sat_margin_ref(a[0], b).tobytes())
 
 
 def test_sat_margin_stopped_vehicles_bits():
@@ -150,11 +157,11 @@ def test_sat_margin_stopped_vehicles_bits():
     for a, b in ((random_rects(rng, 1000, [1.0, 0.0]), random_rects(rng, 1000)),
                  (random_rects(rng, 1000, [1.0, 0.0]),
                   random_rects(rng, 1000, [1.0, 0.0]))):
-        assert sat_margin(a, b).tobytes() == sat_margin_ref(a, b).tobytes()
+        assert paired(a, b).tobytes() == sat_margin_ref(a, b).tobytes()
     grid = rect_corners(rng.integers(-3, 4, (2, 1000, 2)).astype(np.float64),
                         np.array([1.0, 0.0]), rng.integers(1, 5, (2, 1000)),
                         rng.integers(1, 3, (2, 1000)))
-    margin = sat_margin(grid[0], grid[1])
+    margin = paired(grid[0], grid[1])
     assert (margin == 0.0).sum() >= 50
     assert margin.tobytes() == sat_margin_ref(grid[0], grid[1]).tobytes()
 
@@ -164,7 +171,7 @@ def test_sat_margin_touching_rectangles_exactly_zero():
     # x = 4.25 starts
     ego = rect_corners(np.zeros(2), np.array([1.0, 0.0]), 4.0, 1.8)
     agent = rect_corners(np.array([4.25, 0.0]), np.array([1.0, 0.0]), 4.5, 2.0)
-    margin = sat_margin(ego, agent)
+    margin = paired(ego[None], agent[None])
     assert margin == 0.0
     assert margin.tobytes() == sat_margin_ref(ego, agent).tobytes()
 
@@ -176,7 +183,7 @@ def test_sat_margin_indexed_matches_gathered():
     index = rng.integers(0, 50, 170)
     got = sat_margin(egos, agents, index)
     assert got.shape == (170, 6)
-    assert got.tobytes() == sat_margin(egos[index], agents).tobytes()
+    assert got.tobytes() == paired(egos[index], agents).tobytes()
     assert got.tobytes() == sat_margin_ref(egos[index], agents).tobytes()
 
 
@@ -189,7 +196,7 @@ def test_sat_agrees_with_sampling_oracle_1000_cases():
                                       _unit(rng.uniform(0, 2 * np.pi)),
                                       rng.uniform(1.0, 5.0), rng.uniform(0.8, 2.5)))
     a, b = np.stack(rects[0::2]), np.stack(rects[1::2])
-    margins = sat_margin(a, b)
+    margins = paired(a, b)
     checked = 0
     for ra, rb, margin in zip(a, b, margins):
         if abs(margin) < 0.05:  # declared tie band
@@ -220,12 +227,22 @@ def stage1_ckpt(tiny_dataset):
                            tiny_spec())
 
 
-def test_evaluate_rows_match_per_scene_reference(tiny_dataset, stage1_ckpt):
+def csv_rows(rep, path) -> list[dict]:
+    """The per-scene rows of the CSV that ``rep`` writes to ``path``, each
+    field as its text."""
+    rep.write_csv(path)
+    with open(path, newline="", encoding="utf-8") as f:
+        next(f)  # the summary line
+        return list(csv.DictReader(f))
+
+
+def test_evaluate_rows_match_per_scene_reference(tmp_path, tiny_dataset, stage1_ckpt):
     model = stage1_ckpt.model
     for mode in ("base", "roca"):
         rep = evaluate(tiny_dataset, model, mode=mode)
+        rows = csv_rows(rep, tmp_path / f"{mode}.csv")
         l2s = []
-        for rec, row in zip(tiny_dataset, rep.rows, strict=True):
+        for rec, row in zip(tiny_dataset, rows, strict=True):
             ego, _ = encode_ref(rec, model.tensors, model.spec.token_scale)
             if mode == "base":
                 traj, _ = plan_ref(ego, rec.command, model.tensors, model.cb)
@@ -236,11 +253,11 @@ def test_evaluate_rows_match_per_scene_reference(tiny_dataset, stage1_ckpt):
             assert row["scene_id"] == rec.scene_id
             got = [row[k] for k in ("l2_overall", "l2_at_1s", "l2_at_2s", "l2_at_3s")]
             assert got == [f"{v:.6f}" for v in l2]
-            assert row["collision"] == int(collision_reference(
-                traj, rec.agent_gt, rec.agent_footprints))
+            assert row["collision"] == str(int(collision_reference(
+                traj, rec.agent_gt, rec.agent_footprints)))
         assert rep.avg_l2_m == pytest.approx(np.mean(l2s, axis=0)[0], rel=0, abs=1e-12)
-        hits = sum(row["collision"] for row in rep.rows)
-        assert rep.collision_rate_pct == pytest.approx(100.0 * hits / len(rep.rows))
+        hits = sum(int(row["collision"]) for row in rows)
+        assert rep.collision_rate_pct == pytest.approx(100.0 * hits / len(rows))
 
 
 def test_evaluate_modes_and_subset_filter(tiny_dataset, stage1_ckpt):
@@ -268,7 +285,7 @@ def test_evaluate_rarity_bins(tiny_dataset, stage1_ckpt):
     assert rep.n_scenes == want
 
 
-def test_evaluate_rarity_subset_skips_unlabeled(tiny_dataset, stage1_ckpt):
+def test_evaluate_rarity_subset_skips_unlabeled(tmp_path, tiny_dataset, stage1_ckpt):
     bins = {"curved": {"min_abs_curvature": 0.01}, "slow": {"max_speed": 5.0}}
     unlabeled = [replace(r, ego_gt=None, agent_gt=None) for r in tiny_dataset[:5]]
     for subset in bins:
@@ -277,7 +294,8 @@ def test_evaluate_rarity_subset_skips_unlabeled(tiny_dataset, stage1_ckpt):
         got = evaluate(unlabeled + tiny_dataset, stage1_ckpt.model, subset=subset,
                        rarity_bins=bins)
         assert 0 < got.n_scenes < len(tiny_dataset)
-        assert got.rows == want.rows
+        assert (csv_rows(got, tmp_path / "got.csv")
+                == csv_rows(want, tmp_path / "want.csv"))
 
 
 def test_evaluate_rejects_scene_without_agent_gt(tiny_dataset, stage1_ckpt):

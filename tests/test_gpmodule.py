@@ -294,10 +294,11 @@ def test_classifier_learns_two_separated_modes(small_cb):
         for _ in range(8):
             label = ids[int(rng.integers(2))]
             tok = centers[label] + rng.normal(scale=0.3, size=6)
-            feats = inf.kernel_features(tok[None]).data[0]
-            h = autodiff.tanh(autodiff.add(autodiff.matmul(w["w1"], feats), w["b1"]))
-            logits = autodiff.add(autodiff.matmul(w["w2"], h), w["b2"])
-            ce = cross_entropy(autodiff.reshape(logits, (1, -1)), adm, [label])
+            feats = inf.kernel_features(tok[None]).data
+            h = autodiff.tanh(autodiff.add(
+                autodiff.matmul(feats, autodiff.transpose(w["w1"])), w["b1"]))
+            logits = autodiff.add(autodiff.matmul(h, autodiff.transpose(w["w2"])), w["b2"])
+            ce = cross_entropy(logits, adm, [label])
             total = autodiff.add(total, autodiff.tsum(ce))
         grads = autodiff.grad(autodiff.mul(total, 1 / 8), w)
         opt.step(grads)

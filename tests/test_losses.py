@@ -261,13 +261,11 @@ def test_loss_rec_gradients_match_fd(cb):
         from gptraj.psdlinalg import kernel_matrix_t
         zero = Tensor(np.array(0.0))
         k_bb = kernel_matrix_t(basis, basis, zero, zero)
-        k_star = autodiff.reshape(
-            kernel_matrix_t(autodiff.reshape(Tensor(e), (1, -1)), basis, zero, zero),
-            (-1,))
+        k_star = kernel_matrix_t(autodiff.reshape(Tensor(e), (1, -1)), basis, zero, zero)
         k_inv = autodiff.psd_inverse(k_bb)
         e_hat = autodiff.add(anchor, autodiff.matmul(
             k_star, autodiff.matmul(k_inv, centered)))
-        quad = autodiff.matmul(k_star, autodiff.matmul(k_inv, k_star))
+        quad = autodiff.matmul(k_star, autodiff.matmul(k_inv, autodiff.transpose(k_star)))
         var = autodiff.add(autodiff.relu(autodiff.sub(Tensor(np.array(1.0)), quad)),
                            autodiff.exp(autodiff.mul(log_noise, 2.0)))
         return weighted_total(loss_rec(

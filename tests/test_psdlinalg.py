@@ -18,17 +18,17 @@ UNIT = (0.0, 0.0)  # log lengthscale and log outputscale of the unit kernel
 
 
 def test_kernel_closed_forms():
-    x = np.array([1.0, 0.0])
+    x = np.array([[1.0, 0.0]])
     assert kernel_matrix(x, x, *UNIT)[0, 0] == pytest.approx(1.0)
-    assert kernel_matrix(x, np.zeros(2), *UNIT)[0, 0] == pytest.approx(np.exp(-0.5))
-    x = np.array([3.0, 4.0, 0.0])
-    assert kernel_matrix(x, np.zeros(3), np.log(5.0), np.log(2.0))[0, 0] == (
+    assert kernel_matrix(x, np.zeros((1, 2)), *UNIT)[0, 0] == pytest.approx(np.exp(-0.5))
+    x = np.array([[3.0, 4.0, 0.0]])
+    assert kernel_matrix(x, np.zeros((1, 3)), np.log(5.0), np.log(2.0))[0, 0] == (
         pytest.approx(4.0 * np.exp(-0.5)))
 
 
 def test_kernel_length_mismatch():
     with pytest.raises(ValueError):
-        kernel_matrix(np.zeros(3), np.zeros(4), *UNIT)
+        kernel_matrix(np.zeros((1, 3)), np.zeros((1, 4)), *UNIT)
 
 
 def test_kernel_symmetry_and_bounds():
@@ -36,7 +36,7 @@ def test_kernel_symmetry_and_bounds():
     p = (0.3, -0.2)
     sf2 = np.exp(-0.2) ** 2
     for _ in range(100):
-        x, y = rng.normal(size=5), rng.normal(size=5)
+        x, y = rng.normal(size=(1, 5)), rng.normal(size=(1, 5))
         kxy = kernel_matrix(x, y, *p)[0, 0]
         assert kxy == pytest.approx(kernel_matrix(y, x, *p)[0, 0])
         assert 0.0 < kxy <= sf2
@@ -64,8 +64,8 @@ def test_chol_solve_identity_and_diagonal():
     x = solve_with_factor(cholesky_factor(np.eye(3)), np.eye(3))
     assert np.allclose(x, np.eye(3))
     assert cholesky_factor(np.eye(3)).jitter_used == 0.0
-    x = solve_with_factor(cholesky_factor(np.diag([4.0, 9.0])), np.array([1.0, 1.0]))
-    assert np.allclose(x, [0.25, 1.0 / 9.0])
+    x = solve_with_factor(cholesky_factor(np.diag([4.0, 9.0])), np.array([[1.0], [1.0]]))
+    assert np.allclose(x, [[0.25], [1.0 / 9.0]])
 
 
 def test_chol_solve_matches_gauss_jordan_oracle():
@@ -83,7 +83,7 @@ def test_solve_roundtrip_up_to_256():
     for n in (8, 64, 256):
         m = rng.normal(size=(n, n))
         a = m @ m.T + 1e-3 * np.eye(n)
-        b = rng.normal(size=n)
+        b = rng.normal(size=(n, 1))
         factor = cholesky_factor(a)
         x = solve_with_factor(factor, b)
         recovered = (a + factor.jitter_used * np.eye(n)) @ x

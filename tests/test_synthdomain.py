@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from gptraj import config, synthdomain
-from gptraj.core import Command, load_dataset, validate_record
+from gptraj.core import Command, load_dataset, save_dataset, validate_record
 from gptraj.evalmetrics import collision
 from gptraj.synthdomain import (AGENT_FOOTPRINT, AGENT_RESAMPLE_ATTEMPTS,
                                 arc_points, build_obs_transform, gen_dataset,
@@ -80,23 +80,21 @@ def test_mirror_swaps_turn_labels():
 
 def test_gen_dataset_empty(tmp_path):
     path = tmp_path / "empty.jsonl"
-    records = gen_dataset(tiny_domain(), 0, seed=0, path=path,
-                          obs_dim=TINY_OBS_DIM)
+    records = gen_dataset(tiny_domain(), 0, seed=0, obs_dim=TINY_OBS_DIM)
+    save_dataset(records, path)
     assert records == []
     assert path.read_text() == ""
 
 
-def test_gen_dataset_rejects_negative_count(tmp_path):
-    path = tmp_path / "negative.jsonl"
+def test_gen_dataset_rejects_negative_count():
     with pytest.raises(ValueError, match="^n_scenes must be non-negative, got -1$"):
-        gen_dataset(tiny_domain(), -1, seed=0, path=path, obs_dim=TINY_OBS_DIM)
-    assert not path.exists()
+        gen_dataset(tiny_domain(), -1, seed=0, obs_dim=TINY_OBS_DIM)
 
 
 def test_gen_dataset_byte_identical(tmp_path):
     p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-    gen_dataset(tiny_domain(), 25, seed=4, path=p1, obs_dim=TINY_OBS_DIM)
-    gen_dataset(tiny_domain(), 25, seed=4, path=p2, obs_dim=TINY_OBS_DIM)
+    save_dataset(gen_dataset(tiny_domain(), 25, seed=4, obs_dim=TINY_OBS_DIM), p1)
+    save_dataset(gen_dataset(tiny_domain(), 25, seed=4, obs_dim=TINY_OBS_DIM), p2)
     assert p1.read_bytes() == p2.read_bytes()
     loaded = load_dataset(p1)
     assert len(loaded) == 25

@@ -247,8 +247,9 @@ def test_checkpoint_malformed_tensor_entry_rejected_with_path(pipeline_bytes, ed
     ({"beta1": 1.0}, "beta1 must be below 1"),
     ({"batch_size": 2.5}, "batch_size must be an integer, got 2.5"),
     ({"lr_stage3": float("nan")}, "lr_stage3 must be a finite number, got nan"),
+    ({"sigma_clamp": [1e-3, float("inf")]}, "sigma_clamp must be finite with 0 < lo < hi"),
 ], ids=["weight-name", "string-weight", "nan-weight", "beta1", "float-batch",
-        "nan-lr"])
+        "nan-lr", "inf-sigma-clamp"])
 def test_checkpoint_bad_train_config_rejected_with_path(pipeline_bytes, change, match):
     tmp, saved = pipeline_bytes
     rejected(tmp, edited_header(saved["stage2"], lambda h: h["train_config"].update(change)),
@@ -565,7 +566,7 @@ def test_no_vjp_writes_into_its_upstream_gradient(fitted, tiny_dataset):
 
 def test_active_select_ranking_matches_per_scene_reference(fitted, target_dataset):
     records = strip_labels(target_dataset)
-    rep = active_select(records, fitted, budget=0.5)
+    rep = active_select(records, fitted, budget=0.5, seed=0)
     model = fitted.model
     want = []
     for r in records:
