@@ -222,6 +222,8 @@ def cmd_adapt(args, cfg) -> int:
 def cmd_active_select(args, cfg) -> int:
     from .adapt import active_select
 
+    if not 0.0 < args.budget <= 1.0:
+        raise ValueError(f"active-select --budget must be in (0, 1], got {args.budget}")
     _log_resolved(cfg)
     records = _load_data(args, cfg, "target_train")
     ckpt = _load_ckpt(args, cfg, "ckpt_stage3.bin")

@@ -5,10 +5,15 @@ mean-waypoint-distance metric, bucketed by role: ego groups are partitioned
 evenly across the three driving commands, agent groups share one bucket.
 Each group holds the ``group_size`` trajectories nearest its centroid; basis
 tokens map to them one-to-one and are the learnable half of the pair. The
-clustering keeps every row's distance to each centroid, recomputes only the
-columns of centroids that moved and updates the centroids by one scatter-add:
-both exact, so the codebook is bit-identical to the plain loop and
-``np.linalg.norm`` distance in ``tests/oracles.py``.
+distance is a metric, so the clustering skips most row-centroid distances
+by the triangle inequality (Elkan, "Using the Triangle Inequality to
+Accelerate k-Means", ICML 2003): each row keeps an upper bound on its
+distance to its own centroid and a lower bound on its distance to every
+centroid, both moved by each centroid's shift and widened by a guard far
+above rounding, and only pairs the bounds cannot rule out are measured.
+The assignments are exact and the distance matrix is computed once, from
+the final centroids, so the codebook is bit-identical to the plain loop
+and ``np.linalg.norm`` distance in ``tests/oracles.py``.
 
 The codebook is two stacked arrays, trajectories (n_code, C, 12) and basis
 tokens (n_code, C, D), in a fixed group layout: the ``n_ego`` ego groups
@@ -31,6 +36,9 @@ from .core import COMMANDS, N_WAYPOINTS, Command, rng_for
 
 LLOYD_MAX_ITERS = 100
 LLOYD_TOL = 1e-6
+# relative and absolute widening of every bound update: rounding moves a
+# computed distance by about 1e-15 of itself
+LLOYD_GUARD = 1e-9
 # triplet selection takes 3 positives and 3 negatives per label: 3 other
 # groups of an ego label's command, and 6 other groups of an agent label
 MIN_EGO_PER_COMMAND = 4
@@ -109,34 +117,56 @@ def _lloyd(flat: np.ndarray, k: int, rng: np.random.Generator
     """Cluster rows of ``flat`` into k centroids; returns them and the (n, k)
     distances of every row to each.
 
-    Farthest-point initialization from a seeded first pick, then Lloyd
-    iterations: assign by trajectory distance, move each non-empty cluster's
-    centroid to its mean, summed by one ``bincount`` over flat (group,
-    column) ids, which adds in row order (the order of ``mean``), and
-    recompute only the distance columns of centroids that moved.
-    Bit-identical to ``tests/oracles.py``'s ``lloyd_ref``, which
+    Farthest-point initialization from a seeded first pick, whose exact
+    distances seed the bounds, then Lloyd iterations: move each non-empty
+    cluster's centroid to its mean, summed by one ``bincount`` over flat
+    (group, column) ids, which adds in row order (the order of ``mean``),
+    and reassign. A row's ``upper`` bounds its distance to its own centroid
+    and ``lower[:, j]`` its distance to centroid j. A centroid's shift
+    ``traj_dists(new, old)`` lowers its column of ``lower`` and raises the
+    ``upper`` of its rows, each widened by ``LLOYD_GUARD`` relative and
+    absolute. A row needs work only where some other centroid's lower bound
+    does not clear its upper bound; it then gets the exact distance to its
+    own centroid and to each such centroid, and its argmin over ``lower``,
+    whose entries at or below ``upper`` are all exact, keeps ties on the
+    lowest id. The returned matrix is computed once, from the final
+    centroids. Bit-identical to ``tests/oracles.py``'s ``lloyd_ref``, which
     recomputes everything."""
     n, d = flat.shape
-    picks, nearest, dists = [], np.full(n, np.inf), np.empty((n, k))
+    picks, nearest, lower = [], np.full(n, np.inf), np.empty((n, k))
     for j in range(k):
         picks.append(int(np.argmax(nearest)) if j else int(rng.integers(n)))
-        dists[:, j] = traj_dists(flat, flat[picks[j]])
-        nearest = np.minimum(nearest, dists[:, j])
+        lower[:, j] = traj_dists(flat, flat[picks[j]])
+        nearest = np.minimum(nearest, lower[:, j])
     centroids = flat[picks]
+    every = np.arange(n)
+    assign = np.argmin(lower, axis=1)
+    upper = lower[every, assign]
 
     for _ in range(LLOYD_MAX_ITERS):
-        assign = np.argmin(dists, axis=1)
         counts = np.bincount(assign, minlength=k)[:, None]
         sums = np.bincount((assign[:, None] * d + np.arange(d)).ravel(), flat.ravel(),
                            minlength=k * d).reshape(k, d)
         new = np.where(counts > 0, sums / np.maximum(counts, 1), centroids)
-        for j in np.flatnonzero(np.any(new != centroids, axis=1)):
-            dists[:, j] = traj_dists(flat, new[j])
         motion = float(np.max(np.linalg.norm(new - centroids, axis=1)))
+        shift = traj_dists(new, centroids) * (1 + LLOYD_GUARD) + LLOYD_GUARD
         centroids = new
         if motion < LLOYD_TOL:
             break
-    return centroids, dists
+        lower -= shift
+        lower *= 1 - LLOYD_GUARD
+        upper += shift[assign]
+        upper *= 1 + LLOYD_GUARD
+        check = lower <= upper[:, None]
+        check[every, assign] = False
+        rows = np.flatnonzero(check.any(axis=1))
+        check[rows, assign[rows]] = True
+        r, j = np.nonzero(check[rows])
+        r = rows[r]
+        lower[r, j] = traj_dists(flat[r], centroids[j])
+        assign[rows] = np.argmin(lower[rows], axis=1)
+        upper[rows] = lower[rows, assign[rows]]
+    return centroids, np.stack([traj_dists(flat, c) for c in centroids], axis=1)
 
 
 def _nearest_rows(dists: np.ndarray, m: int) -> np.ndarray:
@@ -201,9 +231,17 @@ def sample_and_cluster(
 def nearest_group(cb: Codebook, flat: np.ndarray, admissible: np.ndarray) -> np.ndarray:
     """Ground-truth classes of the rows of ``flat`` (M, 12): each row's
     admissible group, from the (M, n_code) mask, with the nearest traj_anchor.
-    Ties go to the lowest group id."""
-    dists = np.stack([traj_dists(flat, a) for a in cb.traj_anchors()], axis=1)
-    return np.argmin(np.where(admissible, dists, np.inf), axis=1)
+    Every row is measured only against its own bucket's anchors, which are
+    its admissible groups. Ties go to the lowest group id."""
+    anchors, buckets = cb.traj_anchors(), cb.buckets
+    row_bucket = buckets[np.argmax(admissible, axis=1)]
+    labels = np.empty(len(flat), dtype=np.intp)
+    for b in np.unique(row_bucket):
+        rows, ids = np.flatnonzero(row_bucket == b), np.flatnonzero(buckets == b)
+        sub = flat[rows]
+        dists = np.stack([traj_dists(sub, anchors[g]) for g in ids], axis=1)
+        labels[rows] = ids[np.argmin(dists, axis=1)]
+    return labels
 
 
 def triplet_table(cb: Codebook) -> tuple[np.ndarray, np.ndarray]:

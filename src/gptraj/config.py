@@ -112,10 +112,14 @@ class ConfigError(Exception):
     pass
 
 
-def _check_keys(d: dict, allowed, path: str) -> None:
+def _object(d, path: str) -> dict:
     if not isinstance(d, dict):
         raise ConfigError(f"{path} must be an object, got {d!r}")
-    unknown = set(d) - set(allowed)
+    return d
+
+
+def _check_keys(d: dict, allowed, path: str) -> None:
+    unknown = set(_object(d, path)) - set(allowed)
     if unknown:
         raise ConfigError(f"unknown config keys at {path}: {sorted(unknown)}")
 
@@ -124,6 +128,26 @@ def _number(value, path: str) -> float:
     if not _finite(value):
         raise ConfigError(f"{path} must be a finite number, got {value!r}")
     return float(value)
+
+
+def _integer(value, path: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{path} must be an integer, got {value!r}")
+    return value
+
+
+def _check_transform(desc: dict, obs_dim: int, path: str) -> None:
+    """The numbers of an ``obs_transform`` descriptor: finite reals, integer
+    seeds, and a rank in [1, obs_dim]."""
+    _check_keys(desc, _TRANSFORM_KEYS, path)
+    for key in ("angle", "bias_scale"):
+        if key in desc:
+            _number(desc[key], f"{path}.{key}")
+    for key in ("seed", "bias_seed", "rank"):
+        if key in desc:
+            _integer(desc[key], f"{path}.{key}")
+    if "rank" in desc and not 1 <= desc["rank"] <= obs_dim:
+        raise ConfigError(f"{path}.rank must be in [1, {obs_dim}], got {desc['rank']!r}")
 
 
 def _pair(value, path: str) -> tuple[float, float]:
@@ -165,9 +189,9 @@ def _merge_defaults(user: dict) -> dict:
 
     # domains given by the user replace wholesale (partial domain specs are
     # too easy to get wrong silently); everything else deep-merges
-    out = rec(merged, {k: v for k, v in user.items() if k != "domains"})
+    out = rec(merged, {k: v for k, v in _object(user, "<root>").items() if k != "domains"})
     if "domains" in user:
-        for name, spec in user["domains"].items():
+        for name, spec in _object(user["domains"], "domains").items():
             out["domains"][name] = copy.deepcopy(spec)
     return out
 
@@ -182,7 +206,7 @@ def resolve(user: dict | None = None, seed_override: int | None = None) -> Confi
                               "n_target_val", "source_domain", "target_domain"},
                 "data")
     _check_keys(raw["eval"], {"rarity_bins"}, "eval")
-    for name, spec in raw["eval"]["rarity_bins"].items():
+    for name, spec in _object(raw["eval"]["rarity_bins"], "eval.rarity_bins").items():
         _check_keys(spec, _BIN_KEYS, f"eval.rarity_bins.{name}")
         for key, bound in spec.items():
             _number(bound, f"eval.rarity_bins.{name}.{key}")
@@ -213,7 +237,7 @@ def resolve(user: dict | None = None, seed_override: int | None = None) -> Confi
         missing = _DOMAIN_KEYS - set(d)
         if missing:
             raise ConfigError(f"{path} missing keys {sorted(missing)}")
-        _check_keys(d["obs_transform"], _TRANSFORM_KEYS, f"{path}.obs_transform")
+        _check_transform(d["obs_transform"], model.obs_dim, f"{path}.obs_transform")
         try:
             matrix, bias = build_obs_transform(d["obs_transform"], model.obs_dim)
         except (KeyError, TypeError, ValueError) as e:

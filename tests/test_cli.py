@@ -110,6 +110,15 @@ def test_gen_data_count_and_out_require_domain(tmp_path, monkeypatch, capsys, ar
     assert list(tmp_path.iterdir()) == []
 
 
+def test_active_select_checks_budget_before_any_file(tmp_path, capsys):
+    # no data or checkpoint exists: the budget is reported, not a missing file
+    assert cli.cli_run(["--out-dir", str(tmp_path / "run"), "active-select",
+                        "--budget", "2"]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "error: active-select --budget must be in (0, 1], got 2.0")
+    assert not (tmp_path / "run").exists()  # no resolved_config.json
+
+
 @pytest.mark.parametrize("header,missing", [("scene_id,variance,strategy", "selected"),
                                             ("variance,selected,strategy", "scene_id")])
 def test_adapt_subset_file_names_its_missing_column(tmp_path, capsys, header, missing):

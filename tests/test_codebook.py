@@ -8,7 +8,7 @@ import pytest
 from gptraj import codebook, config
 from gptraj.codebook import (BuildError, Codebook, admissible, nearest_group,
                              sample_and_cluster, traj_dists, triplet_table)
-from gptraj.core import COMMANDS, COORD_BOUND, Command
+from gptraj.core import COMMANDS, COORD_BOUND, Command, rng_for, scene_rows
 from gptraj.synthdomain import gen_dataset
 
 from oracles import (basis_tokens_ref, command_of_ref, group_ids_ref, lloyd_ref,
@@ -122,6 +122,8 @@ def test_traj_dists_matches_norm_form_bit_for_bit():
     rows[140:160] = COORD_BOUND * rng.choice([-1.0, 1.0], size=(20, 12))
     for c in rows[[0, 30, 150, 299]]:  # _lloyd's columns and nearest_group's
         assert traj_dists(rows, c).tobytes() == traj_dists_ref(rows, c).tobytes()
+    # _lloyd's (row, centroid) pairs: one centroid per row
+    assert traj_dists(rows, rows[::-1]).tobytes() == traj_dists_ref(rows, rows[::-1]).tobytes()
     anchors = rows[::3]  # triplet_table's anchor-distance matrix
     assert (traj_dists(anchors[None], anchors[:, None]).tobytes()
             == traj_dists_ref(anchors[None], anchors[:, None]).tobytes())
@@ -157,6 +159,112 @@ def test_lloyd_matches_reference_bit_for_bit(case):
                                        axis=1).tobytes()
     if case % 6 == 5:  # fewer distinct rows than k: equal centroids, empty clusters
         assert len(np.unique(ref, axis=0)) < k
+
+
+def assert_lloyd_matches_reference(flat: np.ndarray, k: int, seed: int) -> np.ndarray:
+    """Run ``_lloyd`` and ``lloyd_ref`` from one seed, check that the
+    centroids and the distance matrix are equal byte for byte, and return
+    the matrix."""
+    centroids, dists = codebook._lloyd(flat, k, np.random.default_rng(seed))
+    ref = lloyd_ref(flat, k, np.random.default_rng(seed),
+                    max_iters=codebook.LLOYD_MAX_ITERS, tol=codebook.LLOYD_TOL)
+    assert centroids.tobytes() == ref.tobytes()
+    assert dists.tobytes() == np.stack([traj_dists_ref(flat, c) for c in ref],
+                                       axis=1).tobytes()
+    return dists
+
+
+def near_tie_bucket(a: float, b: float, m: int) -> np.ndarray:
+    """m constant rows at a, m at b, and two probes one ulp either side of
+    their midpoint: wherever the clustering splits the probes, each sits
+    within a few ulps of a tie between the two centroids."""
+    mid = (a + b) / 2
+    values = [a] * m + [b] * m + [np.nextafter(mid, a), np.nextafter(mid, b)]
+    return np.repeat(np.array(values)[:, None], 12, axis=1)
+
+
+def test_lloyd_near_ties_one_ulp_apart_match_reference():
+    split = 0
+    for a, b in ((0.0, 3.0), (1.0, 4.0), (-0.5, 0.25)):
+        for m in (3, 4, 5):
+            flat = near_tie_bucket(a, b, m)
+            for seed in range(3):
+                probes = np.sort(assert_lloyd_matches_reference(flat, 2, seed)[-2:], axis=1)
+                gap = (probes[:, 1] - probes[:, 0]) / np.spacing(probes[:, 1])
+                split += bool(np.all(gap <= 8))
+    assert split  # some runs end with both probes within 8 ulps of a tie
+    for case in (31, 433, 1660, 2274):
+        assert_lloyd_matches_reference(*collinear_bucket(case), case)
+
+
+def collinear_bucket(case: int) -> tuple[np.ndarray, int]:
+    """Rows on one line through the origin at half-integer steps, 40 % of
+    them nudged one ulp: distances agree with the triangle inequality up to
+    rounding alone. In the cases the test runs, bounds moved by the bare
+    shift, without ``LLOYD_GUARD``, prune a pair that decides an
+    assignment."""
+    rng = np.random.default_rng(case)
+    n, k = int(rng.integers(6, 60)), int(rng.integers(2, 6))
+    steps = rng.integers(-6, 7, size=n) / 2.0
+    nudge = rng.random(n) < 0.4
+    steps[nudge] = np.nextafter(steps[nudge], rng.choice([-np.inf, np.inf], nudge.sum()))
+    direction = (np.ones(12) if case % 2 else rng.integers(-2, 3, size=12).astype(float))
+    return steps[:, None] * direction, k
+
+
+@pytest.mark.parametrize("scale", ["coord-bound", "millimetre"])
+def test_lloyd_extreme_scales_match_reference(scale):
+    rng = np.random.default_rng(7)
+    for seed in range(3):
+        if scale == "coord-bound":  # every coordinate within 1 m of +-COORD_BOUND
+            flat = rng.choice([-1.0, 1.0], size=(300, 12)) * (
+                COORD_BOUND - rng.uniform(0.0, 1.0, size=(300, 12)))
+        else:  # coordinates of a few millimetres
+            flat = 1e-3 * lloyd_bucket(seed)[0][:300] / 30.0
+        assert_lloyd_matches_reference(flat, int(rng.integers(4, 33)), seed)
+
+
+def test_lloyd_degenerate_sizes_match_reference():
+    rng = np.random.default_rng(8)
+    same = np.tile(rng.integers(-40, 41, size=12) / 4, (40, 1))  # exact means
+    dists = assert_lloyd_matches_reference(same, 5, 0)  # all rows equal
+    assert not dists.any()
+    flat, _ = lloyd_bucket(3)
+    assert_lloyd_matches_reference(flat, 1, 3)  # k = 1
+    distinct = rng.normal(size=(12, 12))
+    dists = assert_lloyd_matches_reference(distinct, 12, 4)  # k = n
+    assert (np.sort(dists, axis=1)[:, 0] == 0).all()  # every row is a centroid
+    assert_lloyd_matches_reference(distinct[rng.integers(12, size=12)], 12, 5)
+
+
+def test_lloyd_iteration_cap_matches_reference(monkeypatch):
+    flat, k = lloyd_bucket(1)
+    cap = 3
+    unbounded = lloyd_ref(flat, k, np.random.default_rng(1),
+                          max_iters=codebook.LLOYD_MAX_ITERS, tol=codebook.LLOYD_TOL)
+    capped = lloyd_ref(flat, k, np.random.default_rng(1), max_iters=cap,
+                       tol=codebook.LLOYD_TOL)
+    assert capped.tobytes() != unbounded.tobytes()  # the cap stops the run
+    monkeypatch.setattr(codebook, "LLOYD_MAX_ITERS", cap)
+    assert_lloyd_matches_reference(flat, k, 1)
+
+
+def test_lloyd_skips_most_distances_on_the_agent_bucket(monkeypatch):
+    # the seed-0, 1000-scene source_city agent bucket, 64 groups: measuring
+    # every row against every centroid in every iteration takes 1,156,578
+    # row-centroid distances
+    records = gen_dataset(config.resolve({}).domain("source_city"), 1000, seed=0)
+    flat = scene_rows(records, labeled=True).gt[len(records):].reshape(-1, 12)
+    measured = []
+
+    def counting(a, b):
+        out = traj_dists(a, b)
+        measured.append(out.size)
+        return out
+
+    monkeypatch.setattr(codebook, "traj_dists", counting)
+    codebook._lloyd(flat, 64, rng_for(0, "cluster", "agent", "all"))
+    assert sum(measured) < 1_156_578 // 2
 
 
 def test_build_matches_reference_forms(monkeypatch):
@@ -262,6 +370,21 @@ def test_nearest_group_matches_loop_reference():
         ids = group_ids_ref(cb, command)
         dists = [traj_distance(traj, anchors[i]) for i in ids]
         assert gid == ids[int(np.argmin(dists))]
+
+
+def test_nearest_group_ignores_nearer_anchor_outside_bucket():
+    cb = sample_and_cluster(*corpus(), 6, 4, group_size=8, token_dim=4, seed=0)
+    anchors = cb.traj_anchors()
+    # each row is an anchor of another bucket, labelled as each other bucket
+    for g in (0, 2, 4, cb.n_ego):
+        for command in COMMANDS + (None,):
+            ids = group_ids_ref(cb, command)
+            if g in ids:
+                continue
+            [gid] = nearest_group(cb, anchors[g][None], admissible(cb, [command]))
+            dists = [traj_distance(anchors[g].reshape(6, 2), anchors[i].reshape(6, 2))
+                     for i in ids]
+            assert gid == ids[int(np.argmin(dists))]
 
 
 @pytest.fixture(scope="module")

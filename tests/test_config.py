@@ -104,9 +104,42 @@ def test_default_domains_keep_source_priors_in_unshared_values():
      "domains.city.obs_transform must be an object, got 'identity'"),
     ({"domains": {"city": domain(obs_transform={"kind": "matrix"})}},
      "domains.city.obs_transform: .*unknown obs_transform kind 'matrix'"),
+    # the numbers of an obs_transform descriptor, each at its own key
+    ({"domains": {"city": domain(obs_transform={"kind": "rotation", "seed": 7,
+                                                "angle": float("nan")})}},
+     "domains.city.obs_transform.angle must be a finite number, got nan"),
+    ({"domains": {"city": domain(obs_transform={"kind": "identity", "bias_seed": 7,
+                                                "bias_scale": float("inf")})}},
+     "domains.city.obs_transform.bias_scale must be a finite number, got inf"),
+    ({"domains": {"city": domain(obs_transform={"kind": "rotation", "seed": 7.5})}},
+     "domains.city.obs_transform.seed must be an integer, got 7.5"),
+    ({"domains": {"city": domain(obs_transform={"kind": "rotation", "seed": 7,
+                                                "bias_seed": "7"})}},
+     "domains.city.obs_transform.bias_seed must be an integer, got '7'"),
+    ({"domains": {"city": domain(obs_transform={"kind": "low_rank", "seed": 7,
+                                                "rank": 2.0})}},
+     "domains.city.obs_transform.rank must be an integer, got 2.0"),
+    ({"domains": {"city": domain(obs_transform={"kind": "low_rank", "seed": 7,
+                                                "rank": True})}},
+     "domains.city.obs_transform.rank must be an integer, got True"),
+    ({"domains": {"city": domain(obs_transform={"kind": "low_rank", "seed": 7, "rank": 0})}},
+     r"domains.city.obs_transform.rank must be in \[1, 24\], got 0"),
+    ({"domains": {"city": domain(obs_transform={"kind": "low_rank", "seed": 7,
+                                                "rank": 25})}},
+     r"domains.city.obs_transform.rank must be in \[1, 24\], got 25"),
 ])
 def test_malformed_values_name_their_key_path(user, path):
     with pytest.raises(ConfigError, match=path):
+        config.resolve(user)
+
+
+@pytest.mark.parametrize("user,message", [
+    ({"domains": [1]}, r"domains must be an object, got \[1\]"),
+    ({"domains": {"city": [1]}}, r"domains.city must be an object, got \[1\]"),
+    ({"eval": {"rarity_bins": [1]}}, r"eval.rarity_bins must be an object, got \[1\]"),
+])
+def test_non_object_sections_name_their_key(user, message):
+    with pytest.raises(ConfigError, match=f"^{message}$"):
         config.resolve(user)
 
 
