@@ -3,8 +3,10 @@
 The engine is a classic Wengert tape: every operation returns a ``Tensor``
 holding its value, its parent nodes, and a vector-Jacobian-product closure.
 ``backward`` walks the tape once in reverse topological order. Primitives are
-matrix-level (batched matmul, reductions, elementwise transcendentals, a
-batched PSD inverse), so tapes stay short even for whole training steps.
+matrix-level (batched matmul, a dense layer ``linear``, reductions,
+elementwise transcendentals, a batched PSD inverse), so tapes stay short even
+for whole training steps: each of the six dense layers of the encoder,
+planner and classifier is one ``linear`` node.
 An operation on constants (tensors that neither require a gradient nor come
 from the tape) returns a constant and records nothing, so a frozen model,
 whose tensors are all constants, runs without a tape.
@@ -16,7 +18,9 @@ not constants), in parent order, and no others, so no operation computes a
 gradient that is dropped. Neither a vjp nor its thunks write into the
 upstream gradient. A thunk returns its parent's gradient in the parent's
 shape, as a view of the upstream gradient or as an array that nothing else
-holds, which ``backward`` may keep as the parent's gradient.
+holds, which ``backward`` may keep as the parent's gradient. A view is kept
+only by the last parent that needs a gradient, since the node drops its own
+gradient after that parent; earlier parents copy it.
 """
 
 from __future__ import annotations
@@ -119,6 +123,18 @@ def matmul(a, b) -> Tensor:
     return _make(a.data @ b.data, (a, b), lambda g: (
         lambda: _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape),
         lambda: _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)))
+
+
+def linear(x, w, b) -> Tensor:
+    """``x @ wᵀ + b``: the rows of ``x`` (N, fan_in) through a weight matrix
+    ``w`` (fan_out, fan_in) and a bias ``b`` (fan_out,), as one node. The
+    weight's gradient gᵀ x comes out in the weight's own layout."""
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    out = x.data @ w.data.T
+    out += b.data
+    return _make(out, (x, w, b), lambda g: (lambda: g @ w.data,
+                                            lambda: g.T @ x.data,
+                                            lambda: _unbroadcast(g, b.data.shape)))
 
 
 def transpose(a) -> Tensor:
@@ -273,19 +289,24 @@ def backward(root: Tensor, into: dict[int, np.ndarray] | None = None) -> None:
     for node in reversed(topo):
         if node._vjp is None or node.grad is None:
             continue
-        for p, thunk in zip(node._parents, node._vjp(node.grad)):
-            if not (p.requires_grad or p._vjp is not None):
-                continue  # constants take no gradient: their thunk never runs
-            g = thunk()
+        # constants take no gradient: their thunks never run
+        needy = [i for i, p in enumerate(node._parents)
+                 if p.requires_grad or p._vjp is not None]
+        thunks = node._vjp(node.grad)
+        for i in needy:
+            p, g = node._parents[i], thunks[i]()
             if p.grad is not None:
                 p.grad += g
             elif id(p) in into:
                 p.grad = into[id(p)]
                 p.grad[...] = g
-            elif g.flags.writeable and not np.may_share_memory(g, node.grad):
-                p.grad = g  # a new array, which nothing else holds
+            elif g.flags.writeable and (i == needy[-1]
+                                        or not np.may_share_memory(g, node.grad)):
+                # a new array, which nothing else holds, or, for the last
+                # parent, a view of node.grad, which is dropped below
+                p.grad = g
             else:
-                p.grad = np.array(g)  # a copy: g may alias
+                p.grad = np.array(g)  # a copy: a later parent may read g
         node.grad = None
 
 

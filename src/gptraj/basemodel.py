@@ -33,11 +33,8 @@ def encode_t(obs: np.ndarray, w: dict, token_scale: float) -> Tensor:
     n_in = w["base.enc_w1"].shape[1]
     if obs.shape[1] != n_in:
         raise ValueError(f"observation length {obs.shape[1]} != encoder input {n_in}")
-    h = autodiff.tanh(autodiff.add(
-        autodiff.matmul(Tensor(obs), autodiff.transpose(w["base.enc_w1"])),
-        w["base.enc_b1"]))
-    raw = autodiff.add(autodiff.matmul(h, autodiff.transpose(w["base.enc_w2"])),
-                       w["base.enc_b2"])
+    h = autodiff.tanh(autodiff.linear(obs, w["base.enc_w1"], w["base.enc_b1"]))
+    raw = autodiff.linear(h, w["base.enc_w2"], w["base.enc_b2"])
     norm = autodiff.sqrt(autodiff.add(
         autodiff.tsum(autodiff.square(raw), axis=1, keepdims=True), _NORM_EPS))
     return autodiff.mul(autodiff.div(raw, norm), token_scale)
@@ -46,10 +43,8 @@ def encode_t(obs: np.ndarray, w: dict, token_scale: float) -> Tensor:
 def planner_t(tokens: Tensor, w: dict, n_code: int) -> tuple[Tensor, Tensor]:
     """Raw logits (N, n_code), unmasked, and bounded residuals (N, 12) of
     the token rows."""
-    h = autodiff.tanh(autodiff.add(
-        autodiff.matmul(tokens, autodiff.transpose(w["base.pln_w1"])), w["base.pln_b1"]))
-    out = autodiff.add(autodiff.matmul(h, autodiff.transpose(w["base.pln_w2"])),
-                       w["base.pln_b2"])
+    h = autodiff.tanh(autodiff.linear(tokens, w["base.pln_w1"], w["base.pln_b1"]))
+    out = autodiff.linear(h, w["base.pln_w2"], w["base.pln_b2"])
     logits = autodiff.narrow(out, 0, n_code, axis=1)
     residual = autodiff.mul(
         autodiff.tanh(autodiff.narrow(out, n_code, n_code + 12, axis=1)),

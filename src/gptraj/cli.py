@@ -141,10 +141,10 @@ def cmd_gen_data(args, cfg) -> int:
             raise ValueError("--count and --out require --domain")
     elif args.count is None or args.out is None:
         raise ValueError("--domain requires --count and --out")
+    domain = None if args.domain is None else cfg.domain(args.domain)
     _log_resolved(cfg)
-    if args.domain is not None:
-        records = gen_dataset(cfg.domain(args.domain), args.count, cfg.seed,
-                              obs_dim=cfg.model.obs_dim)
+    if domain is not None:
+        records = gen_dataset(domain, args.count, cfg.seed, obs_dim=cfg.model.obs_dim)
         if args.unlabeled:
             records = strip_labels(records)
         save_dataset(records, args.out)
@@ -237,8 +237,9 @@ def cmd_active_select(args, cfg) -> int:
 
 
 def cmd_eval(args, cfg) -> int:
-    from .evalmetrics import evaluate
+    from .evalmetrics import check_subset, evaluate
 
+    check_subset(args.subset, cfg.rarity_bins)
     _log_resolved(cfg)
     records = _load_data(args, cfg, "source_val")
     ckpt = _load_ckpt(args, cfg, "ckpt_stage3.bin")

@@ -39,6 +39,8 @@ LLOYD_TOL = 1e-6
 # relative and absolute widening of every bound update: rounding moves a
 # computed distance by about 1e-15 of itself
 LLOYD_GUARD = 1e-9
+# (row, anchor) pairs per nearest_group block: 3 MiB of (12,) differences
+LABEL_BLOCK = 1 << 15
 # triplet selection takes 3 positives and 3 negatives per label: 3 other
 # groups of an ego label's command, and 6 other groups of an agent label
 MIN_EGO_PER_COMMAND = 4
@@ -232,15 +234,19 @@ def nearest_group(cb: Codebook, flat: np.ndarray, admissible: np.ndarray) -> np.
     """Ground-truth classes of the rows of ``flat`` (M, 12): each row's
     admissible group, from the (M, n_code) mask, with the nearest traj_anchor.
     Every row is measured only against its own bucket's anchors, which are
-    its admissible groups. Ties go to the lowest group id."""
+    its admissible groups, by one broadcast ``traj_dists`` call per block of
+    at most ``LABEL_BLOCK`` (row, anchor) pairs. Ties go to the lowest group
+    id."""
     anchors, buckets = cb.traj_anchors(), cb.buckets
     row_bucket = buckets[np.argmax(admissible, axis=1)]
     labels = np.empty(len(flat), dtype=np.intp)
     for b in np.unique(row_bucket):
         rows, ids = np.flatnonzero(row_bucket == b), np.flatnonzero(buckets == b)
-        sub = flat[rows]
-        dists = np.stack([traj_dists(sub, anchors[g]) for g in ids], axis=1)
-        labels[rows] = ids[np.argmin(dists, axis=1)]
+        step = max(1, LABEL_BLOCK // len(ids))
+        for i in range(0, len(rows), step):
+            block = rows[i:i + step]
+            dists = traj_dists(flat[block, None, :], anchors[ids])
+            labels[block] = ids[np.argmin(dists, axis=1)]
     return labels
 
 

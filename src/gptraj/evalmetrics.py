@@ -200,28 +200,34 @@ class EvalReport:
                 w.writerow([sid, command.value, *(f"{v:.6f}" for v in l2), int(hit)])
 
 
+def check_subset(subset: str, rarity_bins: dict | None) -> None:
+    """Raise ValueError unless ``subset`` is ``full``, ``targeted`` or a
+    name in ``rarity_bins``."""
+    if subset not in ("full", "targeted", *(rarity_bins or ())):
+        raise ValueError(f"unknown eval subset {subset!r}")
+
+
 def _subset_filter(records: list[SceneRecord], subset: str,
                    rarity_bins: dict | None) -> list[SceneRecord]:
+    check_subset(subset, rarity_bins)
     if subset == "full":
         return records
     if subset == "targeted":
         return [r for r in records if r.command != Command.GO_STRAIGHT]
-    if rarity_bins and subset in rarity_bins:
-        spec = rarity_bins[subset]
-        out = []
-        for r in records:
-            speed, curv = scene_stats(r)
-            if speed < spec.get("min_speed", -np.inf):
-                continue
-            if speed > spec.get("max_speed", np.inf):
-                continue
-            if curv < spec.get("min_abs_curvature", -np.inf):
-                continue
-            if curv > spec.get("max_abs_curvature", np.inf):
-                continue
-            out.append(r)
-        return out
-    raise ValueError(f"unknown eval subset {subset!r}")
+    spec = rarity_bins[subset]
+    out = []
+    for r in records:
+        speed, curv = scene_stats(r)
+        if speed < spec.get("min_speed", -np.inf):
+            continue
+        if speed > spec.get("max_speed", np.inf):
+            continue
+        if curv < spec.get("min_abs_curvature", -np.inf):
+            continue
+        if curv > spec.get("max_abs_curvature", np.inf):
+            continue
+        out.append(r)
+    return out
 
 
 def evaluate(records: list[SceneRecord], model, mode: str = "base",

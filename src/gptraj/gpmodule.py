@@ -96,10 +96,8 @@ class GpGraph:
     def classifier_logits(self, features: Tensor) -> Tensor:
         """Unmasked group logits (N, n_code) of the feature rows."""
         w = self.w
-        h = autodiff.tanh(autodiff.add(
-            autodiff.matmul(features, autodiff.transpose(w["clf.w1"])), w["clf.b1"]))
-        return autodiff.add(autodiff.matmul(h, autodiff.transpose(w["clf.w2"])),
-                            w["clf.b2"])
+        h = autodiff.tanh(autodiff.linear(features, w["clf.w1"], w["clf.b1"]))
+        return autodiff.linear(h, w["clf.w2"], w["clf.b2"])
 
     def _conditioned(self, features: Tensor, group: np.ndarray, anchors: Tensor,
                      alpha: Tensor) -> tuple[Tensor, Tensor]:

@@ -13,7 +13,8 @@ The encoder, planner and GP module read their weights from that dict by
 name, and checkpoints write and fill it directly. A stage's parameters are
 the entries with its prefixes (``BASE_PARAMS``, ``GP_PARAMS``) wrapped as
 parameter tensors over the dict's own arrays, which ``Adam`` updates in
-place; its flat buffers hold only the gradients and moments. The frozen
+place; its flat buffers hold only the gradients and moments, and a step
+runs over them in cache-sized blocks (``ADAM_BLOCK``). The frozen
 side of a stage is plain arrays, which every autodiff op wraps as
 constants, so it builds no tape.
 
@@ -68,6 +69,8 @@ CHECKPOINT_SCHEMA = 2
 # the tensors each training stage fits, as checkpoint-name prefixes
 BASE_PARAMS = ("base.",)
 GP_PARAMS = ("clf.", "gp.", "cb.basis")
+# elements per Adam.step block: 256 KiB of float64
+ADAM_BLOCK = 1 << 15
 # the GP noise scalars start at this standard deviation, and stage 2 clips
 # them to ``TrainConfig.sigma_clamp`` after every step
 NOISE_SCALARS = ("gp.log_noise_recon", "gp.log_noise_traj")
@@ -236,9 +239,11 @@ class Adam:
     The parameters stay in their own arrays. Gradients and the moments m and
     v each live in one flat float64 buffer; ``grads``, ``m`` and ``v`` map
     each name to its view of them. ``step`` is one fused pass over the flat
-    buffers with one scratch buffer; it computes the step in the gradient
-    buffer once m and v are updated, so a step spends its gradients, and
-    then subtracts each parameter's slice of it from that parameter in place.
+    buffers in blocks of ``ADAM_BLOCK`` elements, with a scratch buffer of
+    one block, so each block stays in cache through its dozen operations; it
+    computes the step in the gradient buffer once m and v are updated, so a
+    step spends its gradients, and then subtracts each parameter's slice of
+    it from that parameter in place.
     """
 
     def __init__(self, params: dict[str, Tensor], lr: float, beta1: float = 0.9,
@@ -250,7 +255,8 @@ class Adam:
         self.t = 0
         self.params = params
         size = sum(p.data.size for p in params.values())
-        self._g, self._m, self._v, self._scratch = (np.zeros(size) for _ in range(4))
+        self._g, self._m, self._v = (np.zeros(size) for _ in range(3))
+        self._scratch = np.empty(min(size, ADAM_BLOCK))
         shapes = {k: p.data.shape for k, p in params.items()}
         self.grads, self.m, self.v = (_views(b, shapes)
                                       for b in (self._g, self._m, self._v))
@@ -261,21 +267,25 @@ class Adam:
                 view[...] = grads[name]
         self.t += 1
         b1, b2 = self.beta1, self.beta2
-        g, m, v, s = self._g, self._m, self._v, self._scratch
+        bias1, bias2 = 1 - b1 ** self.t, 1 - b2 ** self.t
         # in place, with the out-of-place update's operations in the same order,
         # so the bits do not change
-        m *= b1
-        m += np.multiply(1 - b1, g, out=s)
-        v *= b2
-        np.multiply(1 - b2, g, out=s)
-        s *= g
-        v += s
-        step = np.divide(m, 1 - b1 ** self.t, out=g)
-        step *= self.lr
-        np.divide(v, 1 - b2 ** self.t, out=s)
-        np.sqrt(s, out=s)
-        s += self.eps
-        step /= s
+        for lo in range(0, len(self._g), ADAM_BLOCK):
+            hi = lo + ADAM_BLOCK
+            g, m, v = self._g[lo:hi], self._m[lo:hi], self._v[lo:hi]
+            s = self._scratch[:len(g)]
+            m *= b1
+            m += np.multiply(1 - b1, g, out=s)
+            v *= b2
+            np.multiply(1 - b2, g, out=s)
+            s *= g
+            v += s
+            step = np.divide(m, bias1, out=g)
+            step *= self.lr
+            np.divide(v, bias2, out=s)
+            np.sqrt(s, out=s)
+            s += self.eps
+            step /= s
         for name, p in self.params.items():
             p.data -= self.grads[name]  # this parameter's slice of the step
 

@@ -192,6 +192,80 @@ def test_a_parents_gradient_does_not_depend_on_what_else_needs_one(op, shapes):
         assert all(g is None for j, g in enumerate(alone) if j != i)
 
 
+# (fan_in, fan_out) of the six production layers at the default model sizes:
+# encoder, planner and classifier, two layers each
+LINEAR_LAYERS = [(24, 64), (64, 32), (32, 64), (64, 124), (1792, 128), (128, 112)]
+
+
+@pytest.mark.parametrize("fan_in,fan_out", LINEAR_LAYERS)
+@pytest.mark.parametrize("rows", [37, 160])
+def test_linear_is_the_matmul_transpose_add_composition_bit_for_bit(fan_in, fan_out,
+                                                                    rows):
+    rng = np.random.default_rng(fan_in + fan_out + rows)
+    arrays = [rng.normal(size=(rows, fan_in)), rng.normal(size=(fan_out, fan_in)),
+              rng.normal(size=fan_out)]
+    up = rng.normal(size=(rows, fan_out))
+
+    def run(build):
+        x, w, b = (parameter(a) for a in arrays)
+        out = build(x, w, b)
+        autodiff.backward(autodiff.tsum(autodiff.mul(out, up)))
+        return [out.data] + [t.grad for t in (x, w, b)]
+
+    got = run(autodiff.linear)
+    want = run(lambda x, w, b: autodiff.add(
+        autodiff.matmul(x, autodiff.transpose(w)), b))
+    # the weight gradient: gᵀx against (xᵀg)ᵀ, equal on a BLAS that sums both
+    # products in one order
+    for name, a, b in zip(("forward", "x", "w", "b"), got, want):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+def test_linear_gradients_match_finite_differences():
+    w = np.random.default_rng(9).normal(size=(5, 3))
+    check_op(lambda x, wt, b: autodiff.tsum(autodiff.mul(
+        autodiff.tanh(autodiff.linear(x, wt, b)), w)), (5, 4), (3, 4), (3,), seed=9)
+
+
+def own_memory(*leaves: Tensor) -> bool:
+    """Whether no two of the leaves' gradients share memory."""
+    return not any(np.shares_memory(a.grad, b.grad)
+                   for i, a in enumerate(leaves) for b in leaves[i + 1:])
+
+
+def test_aliased_gradients_are_correct_and_not_shared():
+    rng = np.random.default_rng(12)
+    w = rng.normal(size=(2, 3))
+    # add(x, y): both parents take the same upstream array; add(x, x) sums it
+    x, y = parameter(rng.normal(size=(2, 3))), parameter(rng.normal(size=(2, 3)))
+    autodiff.backward(autodiff.tsum(autodiff.mul(
+        autodiff.add(autodiff.add(x, y), autodiff.add(x, x)), w)))
+    assert np.array_equal(x.grad, 3.0 * w) and np.array_equal(y.grad, w)
+    assert own_memory(x, y)
+    # mul(x, x)
+    x = parameter(rng.normal(size=(2, 3)))
+    autodiff.backward(autodiff.tsum(autodiff.mul(autodiff.mul(x, x), w)))
+    assert np.allclose(x.grad, 2.0 * x.data * w)
+    # one tensor reached through two reshape views, beside a second leaf
+    x, y = parameter(rng.normal(size=(2, 3))), parameter(rng.normal(size=6))
+    w6 = rng.normal(size=6)
+    flat = autodiff.reshape(x, (6,))
+    loss = autodiff.add(
+        autodiff.tsum(autodiff.mul(autodiff.add(flat, y), w6)),
+        autodiff.tsum(autodiff.mul(autodiff.reshape(x, (3, 2)), w.reshape(3, 2))))
+    autodiff.backward(loss)
+    assert np.array_equal(x.grad, w6.reshape(2, 3) + w)
+    assert np.array_equal(y.grad, w6)
+    assert own_memory(x, y)
+    # a transpose chain whose views end in two leaves
+    x, y = parameter(rng.normal(size=(2, 3))), parameter(rng.normal(size=(3, 2)))
+    tt = autodiff.transpose(autodiff.transpose(x))
+    autodiff.backward(autodiff.tsum(autodiff.mul(
+        autodiff.sub(autodiff.transpose(tt), y), w.T)))
+    assert np.array_equal(x.grad, w) and np.array_equal(y.grad, -w.T)
+    assert own_memory(x, y)
+
+
 def test_shared_subexpression_accumulates():
     x = parameter(np.array(3.0))
     y = autodiff.add(autodiff.square(x), autodiff.mul(x, 2.0))  # x^2 + 2x

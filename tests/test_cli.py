@@ -119,6 +119,29 @@ def test_active_select_checks_budget_before_any_file(tmp_path, capsys):
     assert not (tmp_path / "run").exists()  # no resolved_config.json
 
 
+def test_gen_data_checks_domain_before_any_file(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli.cli_run(["--out-dir", "run", "gen-data", "--domain", "nope", "--count",
+                        "3", "--out", "x.jsonl"]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == "error: unknown domain 'nope'"
+    assert list(tmp_path.iterdir()) == []  # no resolved_config.json, no x.jsonl
+
+
+def test_eval_checks_subset_before_any_file(tmp_path, capsys):
+    # no data or checkpoint exists: the subset is reported, not a missing file
+    assert cli.cli_run(["--out-dir", str(tmp_path / "run"), "eval", "--subset",
+                        "bogus"]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "error: unknown eval subset 'bogus'")
+    assert not (tmp_path / "run").exists()  # no resolved_config.json
+    # a configured rarity bin passes the check and fails only on the data
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"eval": {"rarity_bins": {"fast": {"min_speed": 9.0}}}}))
+    assert cli.cli_run(["--config", str(config), "--out-dir", str(tmp_path / "run"),
+                        "eval", "--subset", "fast"]) == 1
+    assert capsys.readouterr().err.splitlines()[-1].startswith("error: dataset not found")
+
+
 @pytest.mark.parametrize("header,missing", [("scene_id,variance,strategy", "selected"),
                                             ("variance,selected,strategy", "scene_id")])
 def test_adapt_subset_file_names_its_missing_column(tmp_path, capsys, header, missing):

@@ -357,19 +357,23 @@ def test_nearest_group_respects_command():
     assert gid in group_ids_ref(cb, Command.TURN_LEFT)
 
 
-def test_nearest_group_matches_loop_reference():
+def test_nearest_group_matches_loop_reference(monkeypatch):
     cb = sample_and_cluster(*corpus(), 6, 4, group_size=8, token_dim=4, seed=0)
     rng = np.random.default_rng(4)
     ego, _, agents = corpus(seed=9)
     trajs = np.concatenate([ego, agents])
     commands = [COMMANDS[int(rng.integers(3))] if rng.random() < 0.5 else None
                 for _ in trajs]
-    got = nearest_group(cb, trajs.reshape(-1, 12), admissible(cb, commands))
     anchors = cb.traj_anchors().reshape(-1, 6, 2)
-    for traj, command, gid in zip(trajs, commands, got):
-        ids = group_ids_ref(cb, command)
-        dists = [traj_distance(traj, anchors[i]) for i in ids]
-        assert gid == ids[int(np.argmin(dists))]
+    # 13 pairs per block: 3 rows of the agent bucket's 4 anchors, 6 of an ego
+    # bucket's 2, so every bucket spans several blocks, the last one short
+    for block in (codebook.LABEL_BLOCK, 13):
+        monkeypatch.setattr(codebook, "LABEL_BLOCK", block)
+        got = nearest_group(cb, trajs.reshape(-1, 12), admissible(cb, commands))
+        for traj, command, gid in zip(trajs, commands, got):
+            ids = group_ids_ref(cb, command)
+            dists = [traj_distance(traj, anchors[i]) for i in ids]
+            assert gid == ids[int(np.argmin(dists))]
 
 
 def test_nearest_group_ignores_nearer_anchor_outside_bucket():

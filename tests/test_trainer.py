@@ -263,21 +263,29 @@ def test_schema_1_checkpoint_rejected(pipeline_bytes):
 
 
 def test_adam_step_is_bit_identical_to_out_of_place_update():
-    rng = np.random.default_rng(41)
-    shapes = {"s": (), "v": (7,), "t": (3, 4, 5)}
-    params = {k: parameter(rng.normal(size=sh)) for k, sh in shapes.items()}
-    opt = trainer.Adam(params, lr=0.01, beta1=0.8, beta2=0.99, eps=1e-6)
-    ref = {k: (p.data.copy(), np.zeros(sh), np.zeros(sh))
-           for (k, p), sh in zip(params.items(), shapes.values())}
-    for t in range(1, 6):
-        grads = {k: rng.normal(size=sh) for k, sh in shapes.items()}
-        opt.step(grads)
-        for k, p in params.items():
-            p_ref, m_ref, v_ref = ref[k]
-            ref[k] = adam_ref(p_ref, grads[k], m_ref, v_ref, t, 0.01, 0.8, 0.99, 1e-6)
-            assert np.array_equal(p.data, ref[k][0])
-            assert np.array_equal(opt.m[k], ref[k][1])
-            assert np.array_equal(opt.v[k], ref[k][2])
+    block = trainer.ADAM_BLOCK
+    for shapes in [
+        {"s": (), "v": (7,), "t": (3, 4, 5)},
+        {"v": (block - 2,), "s": ()},  # below one block
+        {"t": (block // 8, 8)},  # exactly one block
+        {"v": (block - 3,), "t": (2, 5), "s": ()},  # "t" straddles the boundary
+        {"s": (), "v": (5,), "t": (3, block - 1), "u": (block + 7,)},  # several
+    ]:
+        rng = np.random.default_rng(41)
+        params = {k: parameter(rng.normal(size=sh)) for k, sh in shapes.items()}
+        opt = trainer.Adam(params, lr=0.01, beta1=0.8, beta2=0.99, eps=1e-6)
+        ref = {k: (p.data.copy(), np.zeros(sh), np.zeros(sh))
+               for (k, p), sh in zip(params.items(), shapes.values())}
+        for t in range(1, 6):
+            grads = {k: rng.normal(size=sh) for k, sh in shapes.items()}
+            opt.step(grads)
+            for k, p in params.items():
+                p_ref, m_ref, v_ref = ref[k]
+                ref[k] = adam_ref(p_ref, grads[k], m_ref, v_ref, t, 0.01, 0.8, 0.99,
+                                  1e-6)
+                assert np.array_equal(p.data, ref[k][0])
+                assert np.array_equal(opt.m[k], ref[k][1])
+                assert np.array_equal(opt.v[k], ref[k][2])
 
 
 def test_not_psd_names_stage_and_step(tiny_dataset, monkeypatch):
