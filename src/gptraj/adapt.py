@@ -13,6 +13,7 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -75,9 +76,11 @@ def active_select(records: list[SceneRecord], ckpt: Checkpoint, budget: float,
                   strategy: str = "variance", *, seed: int) -> SelectionReport:
     """Rank scenes by ego predictive variance and keep the top budget fraction.
 
-    Ties break by ascending scene_id, so the ranking is invariant to dataset
-    order, and selections nest across budgets. The random strategy draws a
-    uniform sample without replacement from the stream of ``seed``.
+    It keeps ceil(budget * n) of the n scenes, with the budget taken as the
+    decimal it is written as. Ties break by ascending scene_id, so the
+    ranking is invariant to dataset order, and selections nest across
+    budgets. The random strategy draws a uniform sample without replacement
+    from the stream of ``seed``.
     """
     if not records:
         raise TrainingError("active selection on an empty dataset")
@@ -94,7 +97,9 @@ def active_select(records: list[SceneRecord], ckpt: Checkpoint, budget: float,
     scored = [(r.scene_id, v) for r, v in zip(records, variance.tolist())]
     scored.sort(key=lambda t: (-t[1], t[0]))
 
-    k = math.ceil(budget * len(records))
+    # the budget as written, so that 0.07 of 100 scenes is 7, not the 8 of
+    # ceil(7.000000000000001)
+    k = math.ceil(Fraction(str(float(budget))) * len(records))
     if strategy == "variance":
         selected = [sid for sid, _ in scored[:k]]
     else:

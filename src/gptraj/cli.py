@@ -205,9 +205,15 @@ def cmd_adapt(args, cfg) -> int:
             for column in ("scene_id", "selected"):
                 if column not in (reader.fieldnames or ()):
                     raise ValueError(f"{path}: selection file lacks column {column!r}")
-            keep = {row["scene_id"] for row in reader if row["selected"] == "1"}
+            keep = [row["scene_id"] for row in reader if row["selected"] == "1"]
     records = _load_data(args, cfg, "target_train")
     if keep is not None:
+        known = {r.scene_id for r in records}
+        unknown = [sid for sid in keep if sid not in known]
+        if unknown:
+            raise ValueError(f"{path}: {len(unknown)} selected scenes are not in the "
+                             f"dataset (first: {unknown[0]})")
+        keep = set(keep)
         records = [r for r in records if r.scene_id in keep]
     ckpt = _load_ckpt(args, cfg, "ckpt_stage3.bin")
     fn = adapt_supervised if args.mode == "sup" else adapt_unsupervised

@@ -7,10 +7,13 @@ tests between oriented footprint rectangles at each of the 6 timesteps, with
 headings taken from waypoint chords (one-sided at the endpoints).
 
 ``evaluate`` works in array passes: one ``avg_l2`` call over every scene's
-trajectory and one ``sat_margin`` call over every (scene, agent) pair. The
-SAT runs on contiguous per-corner x and y arrays, and each ego rectangle's
-edge normals and its projections onto them are computed once per scene and
-gathered for the scene's agents.
+trajectory and one ``scene_collisions`` call over every (agent, step) pair.
+That call has two phases: a broad phase keeps only the pairs whose centres
+are close enough for the rectangles to touch, by a reach derived from the
+SAT's own axes, and a narrow phase runs one ``sat_margin`` call over the
+kept pairs. The SAT runs on contiguous per-corner x and y arrays, and each
+ego rectangle's edge normals and its projections onto them are computed once
+and gathered for the pairs that use it.
 """
 
 from __future__ import annotations
@@ -27,6 +30,10 @@ from .core import Command, SceneRecord, scene_rows
 from .trainer import frozen_gp
 
 EGO_FOOTPRINT = (4.0, 1.8)  # length, width in meters
+# relative and absolute widening of the broad phase's squared reach, also
+# applied to the pair's squared centre norms: rounding moves a computed
+# margin or distance by about 1e-15 of the coordinates
+REACH_GUARD = 1e-9
 
 
 def avg_l2(pred: np.ndarray, gt: np.ndarray) -> np.ndarray:
@@ -117,18 +124,54 @@ def sat_margin(a: np.ndarray, b: np.ndarray, index: np.ndarray) -> np.ndarray:
 def scene_collisions(ego_points: np.ndarray, agent_points: np.ndarray,
                      agent_footprints: np.ndarray, agent_scene: np.ndarray) -> np.ndarray:
     """Per scene, True iff its ego rectangle (``EGO_FOOTPRINT``) overlaps one
-    of its agents' rectangles at a common step.
+    of its agents' rectangles at a common step, i.e. their SAT margin is > 0.
 
     ``ego_points`` (S, n, 2) holds each scene's ego waypoints;
     ``agent_points`` (P, n, 2), ``agent_footprints`` (P, 2) (length, width)
     and ``agent_scene`` (P,) each agent's waypoints, footprint and scene
-    index. One SAT pass covers every (ego, agent) pair at every step.
+    index.
+
+    Broad phase: keep the (agent, step) pairs whose centres are within reach.
+    Let u and v be the ego's unit edge normals (u along its heading) and d
+    the centre offset. On u the ego projects to the half-extent L_e / 2 and
+    the agent to at most its circumradius r_a = hypot(L_a, W_a) / 2, so a
+    positive margin needs |d.u| < L_e / 2 + r_a; likewise |d.v| <
+    W_e / 2 + r_a. As u is orthogonal to v, |d|^2 = (d.u)^2 + (d.v)^2 <
+    (L_e / 2 + r_a)^2 + (W_e / 2 + r_a)^2, the squared reach (5.59 m for a
+    4.5 x 2 m agent). The computed margin and distance carry rounding of
+    corners, normals and projections of about 1e-15 of the coordinates, so
+    a pair is kept while |d|^2 < reach^2 + REACH_GUARD * (1 + reach^2 +
+    |c_ego|^2 + |c_agent|^2); every pair culled has margin <= 0.
+
+    Narrow phase: one ``sat_margin`` call over the kept pairs, on rectangles
+    built only for the (scene, step) egos and (agent, step) agents they use,
+    with headings from the full waypoint chords. A scene is hit if one of
+    its kept pairs has margin > 0.
     """
-    ego = rect_corners(ego_points, _headings(ego_points), *EGO_FOOTPRINT)
-    fp = np.asarray(agent_footprints, dtype=np.float64).reshape(-1, 1, 2)
-    agents = rect_corners(agent_points, _headings(agent_points), fp[..., 0], fp[..., 1])
-    hit = (sat_margin(ego, agents, agent_scene) > 0.0).any(axis=-1)
-    return np.bincount(agent_scene[hit], minlength=len(ego_points)) > 0
+    fp = np.asarray(agent_footprints, dtype=np.float64).reshape(-1, 2)
+    r = np.hypot(fp[:, 0], fp[:, 1]) / 2.0
+    reach2 = ((EGO_FOOTPRINT[0] / 2.0 + r) ** 2 + (EGO_FOOTPRINT[1] / 2.0 + r) ** 2)
+    ego_c = ego_points[agent_scene]
+    d = agent_points - ego_c
+    d *= d
+    norms = ego_c * ego_c
+    norms += agent_points * agent_points
+    guard = REACH_GUARD * (1.0 + reach2[:, None] + norms[..., 0] + norms[..., 1])
+    near = d[..., 0] + d[..., 1] < reach2[:, None] + guard
+
+    agents = np.flatnonzero(near.any(axis=1))
+    pair, step = np.nonzero(near[agents])
+    scenes, scene_of = np.unique(agent_scene[agents], return_inverse=True)
+    ego_rows, index = np.unique(scene_of[pair] * ego_points.shape[1] + step,
+                                return_inverse=True)
+    ego_near, agent_near = ego_points[scenes], agent_points[agents]
+    ego = rect_corners(ego_near.reshape(-1, 2)[ego_rows],
+                       _headings(ego_near).reshape(-1, 2)[ego_rows], *EGO_FOOTPRINT)
+    fp = fp[agents[pair]]
+    others = rect_corners(agent_near[pair, step], _headings(agent_near)[pair, step],
+                          fp[:, 0], fp[:, 1])
+    hit = sat_margin(ego, others, index) > 0.0
+    return np.bincount(scenes[scene_of[pair[hit]]], minlength=len(ego_points)) > 0
 
 
 def collision(pred_ego: np.ndarray, agent_trajs: np.ndarray,

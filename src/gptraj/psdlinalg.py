@@ -7,6 +7,13 @@ closed-form gradients, and on constants (a frozen model's tensors are all
 constants) it calls ``kernel_matrix``. Both take the hyperparameters in log
 space and leading batch axes, so every codebook group's Gram matrix comes
 from one call. Every operand has two or more axes: a row is a (1, D) matrix.
+The kernel takes five elementwise passes over the (..., N, M) buffer after
+one matmul x y^T: minus ||x||^2 / 2, minus ||y||^2 / 2, clipped at 0 from
+above, divided by l^2, then exp and a scaling by sigma_f^2. The first three
+give -d2 / 2 bit for bit as the negated half of ||x||^2 - 2 x.y + ||y||^2
+clipped at 0 from below, since halving is exact and rounding is symmetric
+under negation. The matmul stays x @ y^T so that numpy computes a Gram
+matrix x @ x^T by its symmetric routine, as it always has.
 
 Every Cholesky factorization in the package goes through ``cholesky_factor``.
 It factors a whole (..., n, n) stack with one batched ``np.linalg.cholesky``;
@@ -63,27 +70,26 @@ class CholeskyFactor:
     jitters: np.ndarray
 
 
-def _sq_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Squared distances (..., N, M) between the rows of x (..., N, D) and
-    y (..., M, D), clipped at 0, in one buffer updated in place: a call over
-    many rows holds one such array instead of one per arithmetic step."""
+def _neg_half_sq_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Negated half squared distances -d2 / 2 (..., N, M) between the rows
+    of x (..., N, D) and y (..., M, D), clipped at 0 from above, in one
+    buffer updated in place: a call over many rows holds one such array
+    instead of one per arithmetic step."""
     if x.shape[-1] != y.shape[-1]:
         raise ValueError(f"token dimension mismatch: {x.shape[-1]} vs {y.shape[-1]}")
-    d2 = x @ np.swapaxes(y, -1, -2)
-    d2 *= 2.0
-    np.subtract(np.sum(x * x, axis=-1)[..., :, None], d2, out=d2)
-    d2 += np.sum(y * y, axis=-1)[..., None, :]
-    np.maximum(d2, 0.0, out=d2)
-    return d2
+    h = x @ np.swapaxes(y, -1, -2)
+    h -= 0.5 * np.sum(x * x, axis=-1)[..., :, None]
+    h -= 0.5 * np.sum(y * y, axis=-1)[..., None, :]
+    np.minimum(h, 0.0, out=h)
+    return h
 
 
-def _rbf(d2: np.ndarray, log_lengthscale, log_outputscale,
+def _rbf(h: np.ndarray, log_lengthscale, log_outputscale,
          out: np.ndarray) -> np.ndarray:
-    """The kernel of squared distances ``d2``, written into ``out`` (which may
-    be ``d2``)."""
+    """The kernel of negated half squared distances ``h``, written into
+    ``out`` (which may be ``h``)."""
     ell = float(np.exp(log_lengthscale))
-    np.negative(d2, out=out)
-    out /= 2.0 * ell * ell
+    np.divide(h, ell * ell, out=out)
     np.exp(out, out=out)
     out *= float(np.exp(log_outputscale)) ** 2
     return out
@@ -97,7 +103,8 @@ def kernel_matrix(xs, ys, log_lengthscale, log_outputscale) -> np.ndarray:
     ``xs`` (..., N, D) and ``ys`` (..., M, D) are row matrices; leading axes
     batch independent matrices, e.g. (G, C, D) x (G, C, D) -> (G, C, C).
     """
-    k = _sq_dists(np.asarray(xs, dtype=np.float64), np.asarray(ys, dtype=np.float64))
+    k = _neg_half_sq_dists(np.asarray(xs, dtype=np.float64),
+                           np.asarray(ys, dtype=np.float64))
     return _rbf(k, log_lengthscale, log_outputscale, out=k)
 
 
@@ -153,29 +160,29 @@ def kernel_matrix_t(x, y, log_lengthscale, log_outputscale) -> Tensor:
     """Differentiable ``kernel_matrix`` between row-stacked token matrices
     (..., N, D) and (..., M, D), with the log-hyperparameters as tensors.
 
-    One tape node. Untracked, it is ``kernel_matrix``. Tracked, it keeps its
-    squared distances for the backward, which applies the closed-form
-    gradients dk/dd2 = -k / (2 l^2), dk/dlog_l = k d2 / l^2 and
-    dk/dlog_sf = 2 k, with no gradient through distances clipped at 0.
+    One tape node. Untracked, it is ``kernel_matrix``. Tracked, it keeps
+    -d2 / 2 for the backward, which applies the closed-form gradients
+    dk/dd2 = -k / (2 l^2), dk/dlog_l = k d2 / l^2 = -4 (dk/dd2) (-d2 / 2)
+    and dk/dlog_sf = 2 k, with no gradient through distances clipped at 0.
     """
     x, y, log_ell, log_sf = (autodiff.as_tensor(t) for t in
                              (x, y, log_lengthscale, log_outputscale))
     if not autodiff._tracked(x, y, log_ell, log_sf):
         return Tensor(kernel_matrix(x.data, y.data, log_ell.data, log_sf.data))
-    d2 = _sq_dists(x.data, y.data)
-    k = _rbf(d2, log_ell.data, log_sf.data, out=np.empty_like(d2))
+    h = _neg_half_sq_dists(x.data, y.data)
+    k = _rbf(h, log_ell.data, log_sf.data, out=np.empty_like(h))
     ell = float(np.exp(log_ell.data))
 
     def vjp(g):
         gd2 = np.multiply(g, k)
         sf_grad = np.array(2.0 * np.sum(gd2))
-        np.copyto(gd2, 0.0, where=~(d2 > 0.0))
+        np.copyto(gd2, 0.0, where=~(h < 0.0))
         gd2 *= -0.5 / ell ** 2
         return (lambda: 2.0 * (np.sum(gd2, axis=-1)[..., None] * x.data - gd2 @ y.data),
                 lambda: 2.0 * (np.sum(gd2, axis=-2)[..., None] * y.data
                                - np.swapaxes(gd2, -1, -2) @ x.data),
                 # scales gd2 in place: backward runs it after the two above
-                lambda: np.array(-2.0 * np.sum(np.multiply(gd2, d2, out=gd2))),
+                lambda: np.array(4.0 * np.sum(np.multiply(gd2, h, out=gd2))),
                 lambda: sf_grad)
 
     return autodiff._make(k, (x, y, log_ell, log_sf), vjp)

@@ -3,7 +3,8 @@
 These deliberately avoid the library's own linear algebra and geometry: plain
 loops, Gauss-Jordan elimination, Jacobi eigenvalues, a per-matrix jittered
 Cholesky inverse, a scatter-add loop, the out-of-place Adam update, quadrature integration,
-dense point sampling, a one-scene L2, a broadcast separating-axis margin
+dense point sampling, the RBF kernel and its gradients in their earlier
+seven-pass form, a one-scene L2, a broadcast separating-axis margin
 over (..., corner, axis) projections, a scalar separating-axis loop, one-row
 numpy forms of the base model and the group classifier, which read the
 weights by checkpoint name, per-family parameter initializers drawing one
@@ -120,6 +121,32 @@ def rbf_oracle(x: np.ndarray, y: np.ndarray, ell: float, sf: float) -> float:
     for xi, yi in zip(x, y):
         d2 += (xi - yi) ** 2
     return sf * sf * math.exp(-d2 / (2.0 * ell * ell))
+
+
+def rbf_seven_pass_ref(x: np.ndarray, y: np.ndarray, log_ell: float, log_sf: float,
+                       g: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The RBF kernel of the rows of x (..., N, D) and y (..., M, D) in its
+    earlier form, squared distances 2 x.y subtracted from ||x||^2, plus
+    ||y||^2, clipped at 0 and negated, with its closed-form gradients under
+    the upstream gradient ``g``: returns (k, dx, dy, dlog_ell, dlog_sf)."""
+    d2 = x @ np.swapaxes(y, -1, -2)
+    d2 *= 2.0
+    np.subtract(np.sum(x * x, axis=-1)[..., :, None], d2, out=d2)
+    d2 += np.sum(y * y, axis=-1)[..., None, :]
+    np.maximum(d2, 0.0, out=d2)
+    ell = float(np.exp(log_ell))
+    k = np.negative(d2)
+    k /= 2.0 * ell * ell
+    np.exp(k, out=k)
+    k *= float(np.exp(log_sf)) ** 2
+    gd2 = np.multiply(g, k)
+    d_log_sf = np.array(2.0 * np.sum(gd2))
+    np.copyto(gd2, 0.0, where=~(d2 > 0.0))
+    gd2 *= -0.5 / ell ** 2
+    dx = 2.0 * (np.sum(gd2, axis=-1)[..., None] * x - gd2 @ y)
+    dy = 2.0 * (np.sum(gd2, axis=-2)[..., None] * y - np.swapaxes(gd2, -1, -2) @ x)
+    d_log_ell = np.array(-2.0 * np.sum(np.multiply(gd2, d2, out=gd2)))
+    return k, dx, dy, d_log_ell, d_log_sf
 
 
 def gp_oracle(basis: np.ndarray, targets: np.ndarray, query: np.ndarray,

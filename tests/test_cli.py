@@ -153,6 +153,22 @@ def test_adapt_subset_file_names_its_missing_column(tmp_path, capsys, header, mi
         f"error: {selection}: selection file lacks column {missing!r}")
 
 
+def test_adapt_rejects_selected_scenes_not_in_the_dataset(tmp_path, capsys):
+    data = tmp_path / "target.jsonl"
+    assert cli.cli_run(["--out-dir", str(tmp_path / "gen"), "gen-data", "--domain",
+                        "target_city", "--count", "3", "--out", str(data)]) == 0
+    ids = [r.scene_id for r in load_dataset(data)]
+    selection = tmp_path / "selection.csv"
+    selection.write_text("scene_id,variance,selected,strategy\n"
+                         f"{ids[0]},0.5,1,variance\nother-7,0.4,1,variance\n"
+                         f"{ids[1]},0.3,0,variance\nother-9,0.2,1,variance\n")
+    # no checkpoint exists: the selection is checked before one is loaded
+    assert cli.cli_run(["--out-dir", str(tmp_path / "run"), "adapt", "--mode", "sup",
+                        "--data", str(data), "--subset-from", str(selection)]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"error: {selection}: 2 selected scenes are not in the dataset (first: other-7)")
+
+
 def run_python(*args: str, cwd: Path, **env: str) -> str:
     """Stdout of ``python *args`` in a fresh interpreter that imports this
     gptraj, with ``env`` over the inherited environment."""

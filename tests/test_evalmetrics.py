@@ -1,6 +1,7 @@
 """Metric closed forms, the array-pass metrics bit for bit against their
-one-scene and broadcast forms, and SAT collision against the point-sampling
-oracle."""
+one-scene and broadcast forms, SAT collision against the point-sampling
+oracle, and the two-phase collision check against the scalar SAT loop at the
+edges of its cull and by the work it leaves to the SAT."""
 
 from __future__ import annotations
 
@@ -10,10 +11,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gptraj.core import Command
-from gptraj.evalmetrics import (avg_l2, collision, evaluate, rect_corners,
-                                sat_margin, scene_collisions, scene_stats)
-from gptraj.synthdomain import arc_points
+from gptraj import config, evalmetrics
+from gptraj.core import Command, scene_rows
+from gptraj.evalmetrics import (EGO_FOOTPRINT, avg_l2, collision, evaluate,
+                                rect_corners, sat_margin, scene_collisions,
+                                scene_stats)
+from gptraj.synthdomain import AGENT_FOOTPRINT, arc_points, gen_dataset
 from gptraj.trainer import stage1_pretrain
 
 from conftest import tiny_config, tiny_spec
@@ -89,32 +92,126 @@ def random_scenes(rng, n: int):
     return scenes
 
 
+def all_pairs_hits(scenes) -> list[bool]:
+    """``scene_collisions`` over every (scene, agent) pair of ``scenes`` in
+    one call, reduced by scene."""
+    pairs = [(i, t, fp) for i, (_, agents, fps) in enumerate(scenes)
+             for t, fp in zip(agents, fps)]
+    return scene_collisions(np.stack([ego for ego, _, _ in scenes]),
+                            np.array([p for _, p, _ in pairs]).reshape(-1, 6, 2),
+                            np.array([fp for _, _, fp in pairs]).reshape(-1, 2),
+                            np.array([i for i, _, _ in pairs], dtype=np.intp)).tolist()
+
+
 def test_batched_collision_matches_scalar_reference():
     scenes = random_scenes(np.random.default_rng(7), 200)
     want = [collision_reference(*scene) for scene in scenes]
     assert 40 <= sum(want) <= 160  # both outcomes are well represented
     assert any(not len(agents) for _, agents, _ in scenes)
     assert [collision(*scene) for scene in scenes] == want
-    # every (scene, agent) pair in one pass, reduced by scene
-    pairs = [(i, t, fp) for i, (_, agents, fps) in enumerate(scenes)
-             for t, fp in zip(agents, fps)]
-    hits = scene_collisions(np.stack([ego for ego, _, _ in scenes]),
-                            np.stack([p for _, p, _ in pairs]),
-                            np.array([fp for _, _, fp in pairs]),
-                            np.array([i for i, _, _ in pairs]))
-    assert hits.tolist() == want
+    assert all_pairs_hits(scenes) == want
 
 
 def test_touching_and_stopped_rectangles():
     parked = np.zeros((6, 2))  # zero chord: heads along +x
-    # the 4 m ego reaches x = 2, where a 4.5 m agent centred at x = 4.25 starts
-    touching = np.tile([4.25, 0.0], (1, 6, 1))
-    inside = np.tile([4.25 - 1e-6, 0.0], (1, 6, 1))
-    beside = np.tile([0.0, 1.9], (1, 6, 1))  # widths 1.8 and 2.0
-    for agent, hit in ((touching, False), (inside, True), (beside, None)):
+    # the 4 m ego reaches x = 2, where a 4.5 m agent centred at x = 4.25
+    # starts; agents end to end, side by side and corner to corner, touching,
+    # 1e-6 m apart or overlapping by 1e-9 or 1e-6 m
+    for centre, hit in (((4.25, 0.0), False), ((4.25 - 1e-6, 0.0), True),
+                        ((-4.25 + 1e-9, 0.0), True),
+                        ((0.0, 1.9), None),  # widths 1.8 and 2.0
+                        ((0.0, 1.9 + 1e-6), False), ((0.0, -1.9 + 1e-6), True),
+                        ((-4.25, 1.9 + 1e-6), False), ((4.25 - 1e-6, -1.9 + 1e-6), True)):
+        agent = np.tile(centre, (1, 6, 1))
         want = collision_reference(parked, agent, [(4.5, 2.0)])
         assert collision(parked, agent, np.array([[4.5, 2.0]])) is want
         assert hit is None or want is hit
+
+
+def moving(start, heading_deg: float, step: float) -> np.ndarray:
+    """Six waypoints from ``start`` along ``heading_deg``, ``step`` m apart."""
+    return np.asarray(start) + step * np.arange(6)[:, None] * _unit(np.radians(heading_deg))
+
+
+def away(ego_step: float, agent_deg: float, start) -> np.ndarray:
+    """An agent from ``start`` heading ``agent_deg``, 2 m a step faster than
+    an ego moving ``ego_step`` m a step."""
+    return moving(start, agent_deg, ego_step + 2.0)
+
+
+def test_two_phase_collision_agrees_at_the_edges_of_the_cull():
+    length, width = AGENT_FOOTPRINT
+    r_a = np.hypot(length, width) / 2.0
+    reach = np.hypot(EGO_FOOTPRINT[0] / 2.0 + r_a, EGO_FOOTPRINT[1] / 2.0 + r_a)
+    assert reach == pytest.approx(5.59, abs=0.005)
+    fp = np.array([[length, width]])
+    egos = [(0.0, 0.0), (35.0, 1.5), (140.0, 0.8)]  # (heading, step): stopped first
+    scenes, touch = [], []
+    for ego_deg, ego_step in egos:
+        ego = moving([3.0, -7.0], ego_deg, ego_step)
+        if ego_step == 0.0:
+            ego_deg = 0.0  # a stopped ego heads along +x
+        frame = np.radians(ego_deg)
+        # agent centres at the reach bound, every 30 degrees of bearing,
+        # headings over 0-180 degrees
+        for eps in (-1e-3, -1e-9, 1e-9, 1e-3):
+            for bearing in range(0, 360, 30):
+                for agent_deg in range(0, 181, 45):
+                    start = ego[0] + (reach + eps) * _unit(frame + np.radians(bearing))
+                    scenes.append((ego, away(ego_step, ego_deg + agent_deg, start)[None], fp))
+        # the farthest touching pairs: an agent's rear corner on an ego corner,
+        # both diagonals on one line, the agent driving off along it
+        alpha = np.degrees(np.arctan2(width, length))
+        for sx, sy in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+            corner = np.array([sx * EGO_FOOTPRINT[0], sy * EGO_FOOTPRINT[1]]) / 2.0
+            diag = np.degrees(np.arctan2(corner[1], corner[0]))
+            for side in (1, -1):
+                for push in (-1e-3, -1e-9, 1e-9, 1e-3):
+                    offset = corner + (r_a + push) * _unit(np.radians(diag))
+                    rot = np.array([[np.cos(frame), -np.sin(frame)],
+                                    [np.sin(frame), np.cos(frame)]])
+                    start = ego[0] + rot @ offset
+                    agent = away(ego_step, ego_deg + diag + side * alpha, start)
+                    scenes.append((ego, agent[None], fp))
+                    touch.append((len(scenes) - 1, push))
+    rng = np.random.default_rng(5)
+    ego = arc_points(6.0, 0.02)
+    scenes.append((ego, np.zeros((0, 6, 2)), np.zeros((0, 2))))  # no agents
+    # every pair near: agents riding along the ego at small offsets
+    near = ego[None] + rng.uniform(-3.0, 3.0, (4, 1, 2))
+    scenes.append((ego, near, np.tile(fp, (4, 1))))
+    scenes.append((np.zeros((6, 2)), np.zeros((0, 6, 2)), np.zeros((0, 2))))
+    want = [collision_reference(*scene) for scene in scenes]
+    assert all_pairs_hits(scenes) == want
+    assert want[-3:] == [False, True, False]
+    # the touching family straddles the SAT's decision: pushed in by 1e-3 m
+    # every such agent overlaps, pushed out by 1e-3 m some do not
+    assert all(want[i] for i, push in touch if push == -1e-3)
+    assert not all(want[i] for i, push in touch if push == 1e-3)
+
+
+def test_narrow_phase_sees_only_near_pairs(monkeypatch):
+    records = gen_dataset(config.resolve({}).domain("target_city"), 400, seed=9)
+    layout = scene_rows(records, labeled=True)
+    n = len(records)
+    # egos off their ground truth, so that some of them hit an agent
+    egos = layout.gt[:n] + np.random.default_rng(0).normal(0.0, 2.5, (n, 1, 2))
+    agents, scene = layout.gt[n:], layout.scene_of_row[n:]
+    footprints = np.concatenate([r.agent_footprints for r in records])
+    seen = []
+    real = evalmetrics.sat_margin
+
+    def counting(a, b, index):
+        seen.append(int(np.prod(b.shape[:-2])))
+        return real(a, b, index)
+
+    monkeypatch.setattr(evalmetrics, "sat_margin", counting)
+    hits = scene_collisions(egos, agents, footprints, scene)
+    assert len(seen) == 1 and seen[0] < 0.25 * agents.shape[0] * agents.shape[1]
+    want = [collision_reference(egos[i], agents[scene == i], footprints[scene == i])
+            for i in range(n)]
+    assert hits.tolist() == want
+    assert 5 <= sum(want) <= 100
 
 
 def test_rect_corner_geometry():

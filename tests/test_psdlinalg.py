@@ -11,7 +11,8 @@ from gptraj.psdlinalg import (JITTER_LADDER, NotPSD, cholesky_factor, kernel_mat
                               kernel_matrix_t, solve_with_factor)
 
 from conftest import parameter
-from oracles import gauss_jordan_inverse, jacobi_eigenvalues, psd_inverse_ref
+from oracles import (gauss_jordan_inverse, jacobi_eigenvalues, psd_inverse_ref,
+                     rbf_seven_pass_ref)
 
 
 UNIT = (0.0, 0.0)  # log lengthscale and log outputscale of the unit kernel
@@ -206,3 +207,36 @@ def test_kernel_matrix_t_matches_numpy_path():
         got = kernel_matrix_t(parameter(xs), Tensor(ys), log_ell, log_sf)
         assert got._vjp is not None and len(got._parents) == 4
         assert got.data.tobytes() == kernel_matrix(xs, ys, 0.4, 0.1).tobytes()
+
+
+@pytest.mark.parametrize("n_rows,basis_shape", [(130, (1792,)), (146, (1792,)),
+                                                (800, (1792,)), (16, (112, 16)),
+                                                (None, (112, 16))],
+                         ids=["130", "146", "800", "batched", "gram"])
+def test_kernel_forward_and_gradients_match_seven_pass_form_bits(n_rows, basis_shape):
+    # a third of the rows are basis rows, so some distances clip at 0; the
+    # Gram case passes one array as both operands, as GP conditioning does
+    rng = np.random.default_rng(7)
+    y = rng.normal(0.0, 0.7, (*basis_shape, 32))
+    if n_rows is None:
+        x = y
+    else:
+        x = rng.normal(0.0, 0.7, (*basis_shape[:-1], n_rows, 32))
+        x[..., ::3, :] = y[..., :len(range(0, n_rows, 3)), :]
+    log_ell, log_sf = 0.4, -0.1
+    g = rng.normal(size=(*x.shape[:-1], basis_shape[-1]))
+    want = rbf_seven_pass_ref(x, y, log_ell, log_sf, g)
+    assert (want[0] == np.exp(log_sf) ** 2).any()  # a clipped distance
+    assert kernel_matrix(x, y, log_ell, log_sf).tobytes() == want[0].tobytes()
+    params = [parameter(x), parameter(y), parameter(np.array(log_ell)),
+              parameter(np.array(log_sf))]
+    if n_rows is None:
+        params[1] = params[0]
+    k = kernel_matrix_t(*params)
+    assert k.data.tobytes() == want[0].tobytes()
+    autodiff.backward(autodiff.tsum(autodiff.mul(k, Tensor(g))))
+    if n_rows is None:  # one leaf takes both operands' gradients, x's first
+        want = (want[0], want[1] + want[2], None, *want[3:])
+    for param, ref in zip(params, want[1:]):
+        if ref is not None:
+            assert param.grad.tobytes() == ref.tobytes()

@@ -584,3 +584,13 @@ def test_active_select_ranking_matches_per_scene_reference(fitted, target_datase
     assert [sid for sid, _ in rep.rows] == [sid for sid, _ in want]
     assert np.allclose([v for _, v in rep.rows], [v for _, v in want], rtol=0, atol=1e-12)
     assert rep.selected == [sid for sid, _ in want[:len(records) // 2]]
+
+
+@pytest.mark.parametrize("budget,n,k", [(0.07, 100, 7), (0.14, 50, 7), (1.0, 100, 100),
+                                        (1e-9, 100, 1), (0.5, 24, 12), (0.3, 20, 6)])
+def test_active_select_keeps_the_budget_as_written(fitted, budget, n, k):
+    # 0.07 * 100 is 7.000000000000001 in floating point and 0.14 * 50 too
+    records = strip_labels(gen_dataset(tiny_domain(), n, seed=13, obs_dim=TINY_OBS_DIM))
+    for strategy in ("variance", "random"):
+        rep = active_select(records, fitted, budget=budget, strategy=strategy, seed=0)
+        assert len(rep.selected) == len(set(rep.selected)) == k
