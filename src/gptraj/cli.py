@@ -196,7 +196,6 @@ def cmd_adapt(args, cfg) -> int:
 
     from .adapt import adapt_supervised, adapt_unsupervised
 
-    _log_resolved(cfg)
     keep = None
     if args.subset_from:
         path = _require(Path(args.subset_from), "selection file")
@@ -206,6 +205,7 @@ def cmd_adapt(args, cfg) -> int:
                 if column not in (reader.fieldnames or ()):
                     raise ValueError(f"{path}: selection file lacks column {column!r}")
             keep = [row["scene_id"] for row in reader if row["selected"] == "1"]
+    _log_resolved(cfg)
     records = _load_data(args, cfg, "target_train")
     if keep is not None:
         known = {r.scene_id for r in records}

@@ -24,11 +24,16 @@ for an agent group. ``admissible`` compares it against one bucket per row
 (a ``Command`` for an ego row, ``None`` for an agent row) to give the
 groups each row may be classified into, and ``triplet_table`` ranks the
 triplet classes of every label within the buckets.
+
+``sample_and_cluster`` builds the trajectories once per model; a model
+holds one ``Codebook`` over its own trajectory and basis arrays
+(``trainer.Model.cb``), which computes the tables that depend only on the
+trajectories once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -51,42 +56,31 @@ class BuildError(Exception):
     """Raised when a bucket has too few trajectories to populate its groups."""
 
 
-@dataclass
 class Codebook:
-    """Group g's C trajectories are ``trajectories[g]`` and its C basis
-    tokens ``basis[g]``, paired one-to-one, in the group layout above."""
+    """A model's codebook: group g's C trajectories are ``trajectories[g]``
+    and its C basis tokens ``basis[g]``, paired one-to-one, in the group
+    layout above. The tables that depend only on the fixed trajectories are
+    computed once: ``n_code``, ``group_size``, ``buckets`` (n_code,) and
+    ``traj_anchors`` (n_code, 12), each group's mean trajectory, at
+    construction, and ``triplets`` on first use."""
 
-    trajectories: np.ndarray  # (n_code, C, 12), fixed after build
-    n_ego: int
-    token_dim: int
-    basis: np.ndarray | None = None  # (n_code, C, D), learnable
+    def __init__(self, trajectories: np.ndarray, basis: np.ndarray, n_ego: int):
+        self.trajectories = trajectories  # (n_code, C, 12), fixed
+        self.basis = basis  # (n_code, C, D), learnable, updated in place
+        self.n_ego = n_ego
+        self.n_code, self.group_size = trajectories.shape[:2]
+        per_cmd = n_ego // len(COMMANDS)
+        self.buckets = np.repeat(np.arange(len(COMMANDS) + 1),
+                                 [per_cmd] * len(COMMANDS) + [self.n_code - n_ego])
+        self.traj_anchors = trajectories.mean(axis=1)
+        for table in (self.buckets, self.traj_anchors):
+            table.flags.writeable = False
 
-    @property
-    def n_code(self) -> int:
-        return self.trajectories.shape[0]
-
-    @property
-    def group_size(self) -> int:
-        return self.trajectories.shape[1]
-
-    @property
-    def buckets(self) -> np.ndarray:
-        """(n_code,) bucket of each group: the ``COMMANDS`` index of an ego
-        group's command, ``len(COMMANDS)`` for an agent group."""
-        per_cmd = self.n_ego // len(COMMANDS)
-        return np.repeat(np.arange(len(COMMANDS) + 1),
-                         [per_cmd] * len(COMMANDS) + [self.n_code - self.n_ego])
-
-    def traj_anchors(self) -> np.ndarray:
-        """Mean trajectory of each group; shape (n_code, 12)."""
-        return self.trajectories.mean(axis=1)
-
-    def token_anchors(self) -> np.ndarray:
-        """Mean basis token of each group; shape (n_code, D). Recomputed on
-        read so it tracks optimizer updates."""
-        if self.basis is None:
-            raise ValueError("basis tokens not initialized")
-        return self.basis.mean(axis=1)
+    @cached_property
+    def triplets(self) -> tuple[np.ndarray, np.ndarray]:
+        """The positive and negative triplet classes of every label, from
+        ``triplet_table``."""
+        return triplet_table(self)
 
 
 def admissible(cb: Codebook, commands) -> np.ndarray:
@@ -194,10 +188,9 @@ def sample_and_cluster(
     n_ego_groups: int,
     n_agent_groups: int,
     group_size: int,
-    token_dim: int,
     seed: int,
-) -> Codebook:
-    """Cluster trajectories into a codebook skeleton (basis tokens unset).
+) -> np.ndarray:
+    """The (n_code, C, 12) trajectories of a codebook, in the group layout.
 
     ``ego`` (S, 6, 2) holds ego trajectories and ``commands`` their S
     commands, ``agents`` (A, 6, 2) agent trajectories. Ego trajectories are
@@ -226,8 +219,7 @@ def sample_and_cluster(
     members = [build_bucket(ego[np.array([c is cmd for c in commands], dtype=bool)],
                             "ego", cmd, per_cmd) for cmd in COMMANDS]
     members.append(build_bucket(agents, "agent", None, n_agent_groups))
-    return Codebook(trajectories=np.concatenate(members), n_ego=n_ego_groups,
-                    token_dim=token_dim)
+    return np.concatenate(members)
 
 
 def nearest_group(cb: Codebook, flat: np.ndarray, admissible: np.ndarray) -> np.ndarray:
@@ -237,7 +229,7 @@ def nearest_group(cb: Codebook, flat: np.ndarray, admissible: np.ndarray) -> np.
     its admissible groups, by one broadcast ``traj_dists`` call per block of
     at most ``LABEL_BLOCK`` (row, anchor) pairs. Ties go to the lowest group
     id."""
-    anchors, buckets = cb.traj_anchors(), cb.buckets
+    anchors, buckets = cb.traj_anchors, cb.buckets
     row_bucket = buckets[np.argmax(admissible, axis=1)]
     labels = np.empty(len(flat), dtype=np.intp)
     for b in np.unique(row_bucket):
@@ -266,7 +258,7 @@ def triplet_table(cb: Codebook) -> tuple[np.ndarray, np.ndarray]:
             f"not enough groups for triplet selection: {per_cmd} ego groups per "
             f"command (need {MIN_EGO_PER_COMMAND}), {n_agent} agent groups "
             f"(need {MIN_AGENT_GROUPS})")
-    anchors = cb.traj_anchors()
+    anchors = cb.traj_anchors
     dist = traj_dists(anchors[None], anchors[:, None])  # [label, candidate]
     buckets = cb.buckets
     ego = buckets < len(COMMANDS)

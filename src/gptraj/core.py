@@ -123,6 +123,9 @@ class SceneRecord:
         nulls = sorted(k for k, v in d.items() if v is None)
         if nulls:
             raise ValueError(f"null dataset values: {nulls}")
+        for key in ("scene_id", "domain_tag"):
+            if not isinstance(d[key], str):
+                raise ValueError(f"{key} must be a string, got {d[key]!r}")
         return cls(
             scene_id=d["scene_id"], domain_tag=d["domain_tag"],
             command=Command(d["command"]), ego_obs=d["ego_obs"],

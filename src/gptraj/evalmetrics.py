@@ -291,7 +291,7 @@ def evaluate(records: list[SceneRecord], model, mode: str = "base",
     tokens = encode(layout.obs[:n], model.tensors, model.spec.token_scale)
     if mode == "base":
         trajs = plan(tokens, admissible(model.cb, layout.commands), model.tensors,
-                     model.cb.traj_anchors())[0]
+                     model.cb.traj_anchors)[0]
     else:
         trajs = frozen_gp(model, "eval GP set-up").predict_scene(tokens, layout.commands)[0]
     trajs = trajs.reshape(n, -1, 2)

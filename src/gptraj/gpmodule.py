@@ -42,10 +42,12 @@ FEATURE_BLOCK = 1 << 18
 class GpGraph:
     """The GP module over token rows, as tape tensors.
 
-    Holds the model's tensor dict ``w`` (arrays or tensors, by checkpoint
-    name), the basis both as (n_code, C, D) and as (n_code * C, D) rows, and,
-    once computed, every group's conditioning. Training builds one per
-    optimizer step.
+    Holds the model's codebook ``cb``, whose fixed tables it reads, the
+    model's tensor dict ``w`` (arrays or tensors, by checkpoint name), the
+    basis both as (n_code, C, D) and as (n_code * C, D) rows, and, once
+    computed, every group's conditioning; its ``token_anchors`` are the
+    token-anchor table of the stage-2 and teacher losses. Training builds one
+    per optimizer step.
     """
 
     def __init__(self, cb: Codebook, w: dict):
@@ -54,8 +56,7 @@ class GpGraph:
         self.basis = autodiff.as_tensor(w["cb.basis"])  # (n_code, C, D)
         self.log_ell = autodiff.as_tensor(w["gp.log_lengthscale"])
         self.log_sf = autodiff.as_tensor(w["gp.log_outputscale"])
-        self.flat_basis = autodiff.reshape(self.basis, (cb.n_code * cb.group_size,
-                                                        cb.token_dim))
+        self.flat_basis = autodiff.reshape(self.basis, (cb.n_code * cb.group_size, -1))
         self.sf2 = autodiff.exp(autodiff.mul(self.log_sf, 2.0))
         self.noise_recon = autodiff.exp(autodiff.mul(w["gp.log_noise_recon"], 2.0))
         self.noise_traj = autodiff.exp(autodiff.mul(w["gp.log_noise_traj"], 2.0))
@@ -73,18 +74,16 @@ class GpGraph:
         if self._cond is None:
             cb, basis = self.cb, self.basis
             anchors = autodiff.tmean(basis, axis=1)
-            centered = autodiff.sub(basis, autodiff.reshape(
-                anchors, (cb.n_code, 1, cb.token_dim)))
+            centered = autodiff.sub(basis, autodiff.reshape(anchors, (cb.n_code, 1, -1)))
             k_inv = autodiff.psd_inverse(psdlinalg.kernel_matrix_t(
                 basis, basis, self.log_ell, self.log_sf))
-            traj_anchors = cb.traj_anchors()
             self._cond = dict(
                 k_inv=k_inv,
                 token_anchors=anchors,
-                traj_anchors=Tensor(traj_anchors),
+                traj_anchors=Tensor(cb.traj_anchors),
                 alpha_basis=autodiff.matmul(k_inv, centered),
                 alpha_traj=autodiff.matmul(
-                    k_inv, Tensor(cb.trajectories - traj_anchors[:, None, :])),
+                    k_inv, Tensor(cb.trajectories - cb.traj_anchors[:, None, :])),
             )
         return self._cond
 

@@ -23,8 +23,11 @@ its scenes, then their agent rows, each block in ascending scene order (see
 ``SceneTable``). Base-model stages encode and plan all rows in one pass and
 take the frozen teacher's prediction of all rows in one call. Stage 2
 conditions every codebook group once per step and evaluates the GP and its
-losses over all rows at once. Labels, anchor tables and triplet classes are
-computed once per training call.
+losses over all rows at once. Labels are computed once per training call.
+The codebook is built once per model (``Model.cb``): its trajectory anchors
+once, and its triplet classes on first use, by stage 2 or a teacher stage.
+Stage 2 and the teacher take their token anchors from the GP conditioning
+(``GpGraph.group_cond``).
 
 A step loss returns its terms as a plain dict (see ``losses``);
 ``_run_epochs`` checks them, weights them once with ``cfg.loss_weights``
@@ -49,6 +52,7 @@ import math
 import operator
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -57,7 +61,7 @@ from . import autodiff, basemodel, losses
 from .autodiff import Tensor
 from .basemodel import encode, encode_t, planner_t
 from .codebook import (MIN_AGENT_GROUPS, MIN_EGO_PER_COMMAND, BuildError, Codebook,
-                       admissible, nearest_group, sample_and_cluster, triplet_table)
+                       admissible, nearest_group, sample_and_cluster)
 from .core import COMMANDS, SceneRecord, rng_for, scene_rows
 from .gpmodule import GpGraph, GpInference
 from .losses import (SupRows, cross_entropy, loss_gp_teacher, loss_rec, loss_sup,
@@ -203,20 +207,25 @@ class TrainConfig:
 class Model:
     """Architecture sizes and every checkpoint tensor, as float64 arrays
     under their checkpoint names in ``spec.tensor_shapes()`` order; the GP
-    scalars are 0-d arrays."""
+    scalars are 0-d arrays.
+
+    Every array is updated in place, never replaced: ``cb.trajs`` never
+    changes after ``build_model`` and ``cb.basis`` changes only in place, so
+    the one codebook ``cb`` built over them stays valid for the model's
+    life."""
 
     spec: ModelSpec
     tensors: dict[str, np.ndarray]
 
-    @property
+    @cached_property
     def cb(self) -> Codebook:
-        """The codebook over the dict's ``cb.trajs`` and ``cb.basis`` arrays
-        themselves, not copies."""
-        return Codebook(trajectories=self.tensors["cb.trajs"], n_ego=self.spec.n_ego,
-                        token_dim=self.spec.token_dim, basis=self.tensors["cb.basis"])
+        """The model's codebook, built on first use over the dict's
+        ``cb.trajs`` and ``cb.basis`` arrays themselves, not copies."""
+        return Codebook(self.tensors["cb.trajs"], self.tensors["cb.basis"], self.spec.n_ego)
 
     def clone(self) -> "Model":
-        return copy.deepcopy(self)
+        """A model over copies of every array, with its own codebook."""
+        return Model(self.spec, {n: a.copy() for n, a in self.tensors.items()})
 
     def params(self, prefixes: tuple[str, ...]) -> dict[str, Tensor]:
         """The entries whose names start with one of ``prefixes``, as
@@ -357,21 +366,6 @@ def scene_labels(table: SceneTable, cb: Codebook) -> np.ndarray:
     return nearest_group(cb, table.gt, table.admissible)
 
 
-@dataclass(frozen=True)
-class StageTables:
-    """Codebook constants of one training call."""
-
-    traj_anchors: np.ndarray  # (n_code, 12)
-    token_anchors: np.ndarray  # (n_code, D), constant while the GP side is frozen
-    positives: np.ndarray  # (n_code, 3) triplet classes of each label
-    negatives: np.ndarray  # (n_code, 3)
-
-    @classmethod
-    def of(cls, cb: Codebook) -> "StageTables":
-        positives, negatives = triplet_table(cb)
-        return cls(cb.traj_anchors(), cb.token_anchors(), positives, negatives)
-
-
 # --- step losses -----------------------------------------------------------------
 
 
@@ -389,14 +383,14 @@ def base_supervised_loss(batch: SceneTable, traj: Tensor, logits: Tensor) -> dic
 
 
 def finetune_scene_loss(batch: SceneTable, bvars: dict[str, Tensor], model: Model,
-                        teacher: GpInference | None, cfg: TrainConfig,
-                        tables: StageTables) -> dict[str, Tensor]:
+                        teacher: GpInference | None, cfg: TrainConfig) -> dict[str, Tensor]:
     """Terms of one base-model step, over the batch's rows.
 
     Ground-truth terms when the batch carries labels, then the teacher
     regularization scaled by ``cfg.gp_weight`` when a teacher is given. The
     trajectory anchor is the label's group when supervised, else the
-    teacher's class.
+    teacher's class. The triplet term measures the student's tokens against
+    the frozen teacher's token anchors.
     """
     tokens = encode_t(batch.obs, bvars, model.spec.token_scale)
     logits, residual = planner_t(tokens, bvars, model.spec.n_code)
@@ -404,22 +398,23 @@ def finetune_scene_loss(batch: SceneTable, bvars: dict[str, Tensor], model: Mode
         mean, variance, t_logits, t_label = teacher.predict_rows(tokens.data,
                                                                  batch.admissible)
     anchor_gid = batch.labels if batch.labels is not None else t_label
-    traj = autodiff.add(Tensor(tables.traj_anchors[anchor_gid]), residual)
+    traj = autodiff.add(Tensor(model.cb.traj_anchors[anchor_gid]), residual)
     terms = {} if batch.labels is None else base_supervised_loss(batch, traj, logits)
     if teacher is None:
         return terms
+    positives, negatives = model.cb.triplets
     taught = loss_gp_teacher(
         SupRows(traj=traj, target=mean, variance=variance, logits=logits,
                 admissible=batch.admissible, label=t_label, token=tokens,
-                positives=tables.positives[t_label],
-                negatives=tables.negatives[t_label], n_ego=batch.n_ego),
-        t_logits, tables.token_anchors, sigma_clamp=cfg.sigma_clamp,
+                positives=positives[t_label], negatives=negatives[t_label],
+                n_ego=batch.n_ego),
+        t_logits, teacher.group_cond()["token_anchors"], sigma_clamp=cfg.sigma_clamp,
         margin=cfg.triplet_margin)
     return terms | {k: autodiff.mul(t, cfg.gp_weight) for k, t in taught.items()}
 
 
 def gp_stage_loss(batch: SceneTable, graph: GpGraph, tokens: np.ndarray,
-                  tables: StageTables, cfg: TrainConfig) -> dict[str, Tensor]:
+                  cfg: TrainConfig) -> dict[str, Tensor]:
     """Stage-2 terms of one step: reconstruction plus GP supervision.
 
     ``tokens`` are the frozen base model's token rows (constants). All rows
@@ -433,11 +428,12 @@ def gp_stage_loss(batch: SceneTable, graph: GpGraph, tokens: np.ndarray,
     mean, var_traj = graph.predict_trajectory(features, groups)
     rec = loss_rec(tokens, recon, var_rec, batch.n_ego, groups, batch.scene_of_row,
                    graph.basis, sigma_clamp=cfg.sigma_clamp)
+    positives, negatives = graph.cb.triplets
     sup = loss_sup(
         SupRows(traj=mean, target=batch.gt, variance=var_traj, logits=logits,
                 admissible=batch.admissible, label=batch.labels, token=tokens,
-                positives=tables.positives[batch.labels],
-                negatives=tables.negatives[batch.labels], n_ego=batch.n_ego),
+                positives=positives[batch.labels], negatives=negatives[batch.labels],
+                n_ego=batch.n_ego),
         anchors=graph.group_cond()["token_anchors"], sigma_clamp=cfg.sigma_clamp,
         margin=cfg.triplet_margin)
     return rec | sup
@@ -513,8 +509,7 @@ def build_model(records, cfg: TrainConfig, spec: ModelSpec) -> Model:
     try:
         trajs = sample_and_cluster(rows.gt[:len(records)], rows.commands,
                                    rows.gt[len(records):], spec.n_ego, spec.n_agent,
-                                   spec.group_size, spec.token_dim,
-                                   seed=cfg.seed).trajectories
+                                   spec.group_size, seed=cfg.seed)
     except BuildError as e:
         raise TrainingError(f"stage1 codebook build: {e}") from e
     tensors, rngs = {}, {}
@@ -558,13 +553,11 @@ def stage2_fit_gp(records, ckpt: "Checkpoint", cfg: TrainConfig,
     weights = model.tensors | params
     cb = model.cb
     table = SceneTable(labeled, cb, labeled=True)
-    tables = StageTables.of(cb)
     # frozen encoder: tokens are fixed targets, computed once, in row layout
     tokens = encode(table.obs, model.tensors, model.spec.token_scale)
 
     def loss_fn(batch: SceneTable) -> dict[str, Tensor]:
-        return gp_stage_loss(batch, GpGraph(cb, weights), tokens[batch.rows], tables,
-                             cfg)
+        return gp_stage_loss(batch, GpGraph(cb, weights), tokens[batch.rows], cfg)
 
     _run_epochs(table, cfg, params, loss_fn, epochs=cfg.epochs_stage2,
                 lr=cfg.lr_stage12, stage="stage2", log_path=log_path,
@@ -589,10 +582,8 @@ def _finetune_base(records, ckpt: "Checkpoint", cfg: TrainConfig, *,
     elif not labeled:
         raise TrainingError(f"{stage}: no ground truth and no teacher leaves no loss")
     table = SceneTable(records, model.cb, labeled=labeled)
-    tables = StageTables.of(model.cb)
     _run_epochs(table, cfg, bvars,
-                lambda batch: finetune_scene_loss(batch, bvars, model, teacher, cfg,
-                                                  tables),
+                lambda batch: finetune_scene_loss(batch, bvars, model, teacher, cfg),
                 epochs=epochs, lr=lr, stage=stage, log_path=log_path)
     return Checkpoint(stage=stage, model=model, train_config=cfg)
 
@@ -679,7 +670,11 @@ class Checkpoint:
                         operator.index(e["offset"])) for e in header["tensors"]]
         except (KeyError, TypeError, ValueError) as e:
             raise ValueError(f"{path}: bad checkpoint header: {e!r}") from e
-        index = {name: shape for name, shape, _ in entries}
+        index = {}
+        for name, shape, _ in entries:
+            if name in index:
+                raise ValueError(f"{path}: checkpoint tensor {name} is listed twice")
+            index[name] = shape
         shapes = spec.tensor_shapes()
         if index.keys() != shapes.keys():
             raise ValueError(

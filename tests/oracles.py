@@ -241,7 +241,7 @@ def triplet_classes_ref(cb, label: int) -> tuple[list[int], list[int]]:
     (trajectory-anchor distance, id). Ego: the 3 nearest other groups of its
     command, the 3 nearest groups of other commands. Agent: the 3 nearest
     and 3 farthest other agent groups."""
-    anchors = cb.traj_anchors().reshape(-1, 6, 2)
+    anchors = cb.trajectories.mean(axis=1).reshape(-1, 6, 2)
 
     def ranked(ids):
         return sorted(ids, key=lambda i: (traj_distance(anchors[i], anchors[label]), i))
@@ -558,13 +558,13 @@ def plan_ref(token: np.ndarray, command, w, cb) -> tuple[np.ndarray, np.ndarray]
     ids = group_ids_ref(cb, command)
     logits[ids] = raw_logits[ids]
     group = int(np.argmax(logits))
-    return (cb.traj_anchors()[group] + residual).reshape(6, 2), logits
+    return (cb.trajectories.mean(axis=1)[group] + residual).reshape(6, 2), logits
 
 
 def plan_with_group_ref(token: np.ndarray, group: int, w, cb) -> np.ndarray:
     """(6, 2) trajectory for an externally chosen group."""
     _, residual = _planner_raw(token, w, cb.n_code)
-    return (cb.traj_anchors()[group] + residual).reshape(6, 2)
+    return (cb.trajectories.mean(axis=1)[group] + residual).reshape(6, 2)
 
 
 # --- parameter initialization, one family at a time ---------------------------

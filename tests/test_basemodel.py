@@ -69,9 +69,9 @@ def test_plan_zero_residual_returns_anchor(tiny_model):
     p["base.pln_b2"] = np.zeros_like(p["base.pln_b2"])
     p["base.pln_b2"][0] = 1.0  # group 0 wins among admissible after masking
     mask = admissible(cb, [COMMANDS[cb.buckets[0]]])
-    traj, group = plan(np.ones((1, 8)), mask, p, cb.traj_anchors())
+    traj, group = plan(np.ones((1, 8)), mask, p, cb.traj_anchors)
     assert group.tolist() == [0]
-    assert np.allclose(traj[0], cb.traj_anchors()[0])
+    assert np.allclose(traj[0], cb.traj_anchors[0])
 
 
 def test_residual_saturates_at_bound(tiny_model):
@@ -81,10 +81,10 @@ def test_residual_saturates_at_bound(tiny_model):
     p["base.pln_w2"] = np.zeros_like(p["base.pln_w2"])
     p["base.pln_b2"][cb.n_code:] = 1e3  # tanh saturates to +1
     only0 = np.arange(cb.n_code)[None] == 0  # forces group 0
-    traj, _ = plan(np.ones((1, 8)), only0, p, cb.traj_anchors())
-    assert np.allclose(traj[0] - cb.traj_anchors()[0], RESIDUAL_BOUND)
+    traj, _ = plan(np.ones((1, 8)), only0, p, cb.traj_anchors)
+    assert np.allclose(traj[0] - cb.traj_anchors[0], RESIDUAL_BOUND)
     ref = plan_with_group_ref(np.ones(8), 0, p, cb)
-    assert np.allclose(ref.reshape(-1) - cb.traj_anchors()[0], RESIDUAL_BOUND)
+    assert np.allclose(ref.reshape(-1) - cb.traj_anchors[0], RESIDUAL_BOUND)
 
 
 def test_plan_translation_consistent_with_anchor_shift(tiny_model):
@@ -92,7 +92,7 @@ def test_plan_translation_consistent_with_anchor_shift(tiny_model):
     p = make_params(n_code=cb.n_code, seed=5)
     tok = rng_for(4, "tok").normal(size=(1, 8))
     mask = admissible(cb, [COMMANDS[cb.buckets[0]]])
-    anchors = cb.traj_anchors()
+    anchors = cb.traj_anchors.copy()
     before, group = plan(tok, mask, p, anchors)
     shift = np.tile([2.0, -1.0], 6)
     anchors[group] += shift
@@ -137,7 +137,7 @@ def test_plan_rows_match_per_token_reference(tiny_model):
     rng = rng_for(8, "tok")
     commands = [c for c in COMMANDS for _ in range(4)] + [None] * 4
     tokens = rng.normal(size=(len(commands), 8))
-    trajs, groups = plan(tokens, admissible(cb, commands), p, cb.traj_anchors())
+    trajs, groups = plan(tokens, admissible(cb, commands), p, cb.traj_anchors)
     for tok, command, traj, group in zip(tokens, commands, trajs, groups, strict=True):
         want, logits = plan_ref(tok, command, p, cb)
         assert group == int(np.argmax(logits))

@@ -151,6 +151,7 @@ def test_adapt_subset_file_names_its_missing_column(tmp_path, capsys, header, mi
                         "--subset-from", str(selection)]) == 1
     assert capsys.readouterr().err.splitlines()[-1] == (
         f"error: {selection}: selection file lacks column {missing!r}")
+    assert not (tmp_path / "run").exists()  # checked before resolved_config.json
 
 
 def test_adapt_rejects_selected_scenes_not_in_the_dataset(tmp_path, capsys):

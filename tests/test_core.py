@@ -218,6 +218,19 @@ def test_load_reports_the_first_fault_in_line_order(tmp_path, lines, violation):
         load_dataset(path)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("scene_id", 5), ("scene_id", 2.5), ("scene_id", ["a"]), ("scene_id", {"k": 1}),
+    ("domain_tag", 7)], ids=["int_id", "float_id", "list_id", "dict_id", "int_tag"])
+def test_load_rejects_non_string_ids(tmp_path, key, value):
+    # an int id would be written to a selection CSV as "5" and then not be
+    # found; a list or dict id is unhashable
+    path = tmp_path / "data.jsonl"
+    write_lines(path, corrupted_lines({key: value}))
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}:1: {key} must be a string, got {value!r}")):
+        load_dataset(path)
+
+
 @pytest.mark.parametrize("text", ["", "\n", "\n  \n\t\n"])
 def test_load_empty_and_blank_files(tmp_path, text):
     path = tmp_path / "data.jsonl"

@@ -9,7 +9,7 @@ import pytest
 
 from gptraj import autodiff, gpmodule
 from gptraj.autodiff import Tensor
-from gptraj.codebook import admissible, sample_and_cluster
+from gptraj.codebook import Codebook, admissible, sample_and_cluster
 from gptraj.core import COMMANDS, Command
 from gptraj.gpmodule import GpGraph, GpInference
 from gptraj.trainer import Adam
@@ -25,10 +25,9 @@ from test_codebook import corpus
 
 @pytest.fixture(scope="module")
 def small_cb():
-    cb = sample_and_cluster(*corpus(n_per_cmd=24, n_agent=60), 6, 4,
-                            group_size=8, token_dim=6, seed=0)
-    cb.basis = basis_tokens_ref(1, cb.n_code, cb.group_size, cb.token_dim)
-    return cb
+    trajs = sample_and_cluster(*corpus(n_per_cmd=24, n_agent=60), 6, 4, group_size=8,
+                               seed=0)
+    return Codebook(trajs, basis_tokens_ref(1, len(trajs), 8, 6), 6)
 
 
 @pytest.fixture(scope="module")
@@ -88,7 +87,7 @@ def test_reconstruct_far_token_reverts_to_anchor(small_cb, small_clf):
     p = gp_scalars_ref()
     tok = np.full(6, 80.0)  # effectively infinite kernel distance
     recon, var = reconstruct(small_cb, small_clf, p, tok, 1)
-    assert np.allclose(recon[0], small_cb.token_anchors()[1], atol=1e-8)
+    assert np.allclose(recon[0], small_cb.basis.mean(axis=1)[1], atol=1e-8)
     assert var[0] == pytest.approx(1.0 + noise_var(p["gp.log_noise_recon"]))
 
 
@@ -102,7 +101,7 @@ def test_predict_far_token_returns_anchor_trajectory(small_cb, small_clf):
     p = gp_scalars_ref()
     mean, var = predict(small_cb, small_clf, p, np.full(6, -90.0), 3)
     assert mean.shape == (1, 12) and var.shape == (1,)
-    assert np.allclose(mean[0], small_cb.traj_anchors()[3], atol=1e-8)
+    assert np.allclose(mean[0], small_cb.traj_anchors[3], atol=1e-8)
     assert var[0] == pytest.approx(1.0 + noise_var(p["gp.log_noise_traj"]))
 
 
@@ -158,7 +157,7 @@ def test_variance_lower_bound_and_monotonicity(small_cb, small_clf):
     # moving the query towards the basis cloud decreases variance
     direction = rng.normal(size=6)
     direction /= np.linalg.norm(direction)
-    base = small_cb.token_anchors()[0]
+    base = small_cb.basis.mean(axis=1)[0]
     toks = np.stack([base + r * direction for r in (0.5, 2.0, 6.0, 20.0)])
     _, by_dist = predict(small_cb, small_clf, p, toks, np.zeros(4, int))
     assert all(a <= b + 1e-12 for a, b in zip(by_dist, by_dist[1:]))
@@ -212,7 +211,7 @@ def mixed_rows(cb, n_per_role: int, rng):
     """Token rows and admissible masks of ego rows under every command, then
     agent rows; the rows' commands (None for an agent) with them."""
     commands = [c for c in COMMANDS for _ in range(n_per_role)] + [None] * n_per_role
-    tokens = rng.normal(scale=1.5, size=(len(commands), cb.token_dim))
+    tokens = rng.normal(scale=1.5, size=(len(commands), cb.basis.shape[-1]))
     return tokens, admissible(cb, commands), commands
 
 
@@ -281,8 +280,8 @@ def test_classifier_learns_two_separated_modes(small_cb):
     cb = small_cb
     p = gp_scalars_ref()
     ids = group_ids_ref(cb, None)[:2]
-    centers = {gid: cb.token_anchors()[gid] + 0.8 for gid in ids}
-    centers[ids[1]] = cb.token_anchors()[ids[1]] - 0.8
+    centers = {gid: cb.basis.mean(axis=1)[gid] + 0.8 for gid in ids}
+    centers[ids[1]] = cb.basis.mean(axis=1)[ids[1]] - 0.8
     clf = classifier_init_ref(rng, cb.n_code, cb.group_size, 16)
     w = {"w1": parameter(clf["clf.w1"]), "b1": parameter(clf["clf.b1"]),
          "w2": parameter(clf["clf.w2"]), "b2": parameter(clf["clf.b2"])}

@@ -7,7 +7,7 @@ import pytest
 
 from gptraj import autodiff
 from gptraj.autodiff import Tensor
-from gptraj.codebook import sample_and_cluster, triplet_table
+from gptraj.codebook import Codebook, sample_and_cluster, triplet_table
 from gptraj.losses import (DEFAULT_SIGMA_CLAMP, SupRows, cross_entropy,
                            heteroscedastic_nll, kl_divergence, loss_gp_teacher,
                            loss_rec, loss_sup, orthogonality, triplet_term,
@@ -23,9 +23,8 @@ from test_codebook import corpus
 
 @pytest.fixture(scope="module")
 def cb():
-    c = sample_and_cluster(*corpus(), 12, 7, group_size=4, token_dim=5, seed=2)
-    c.basis = basis_tokens_ref(2, c.n_code, c.group_size, c.token_dim)
-    return c
+    trajs = sample_and_cluster(*corpus(), 12, 7, group_size=4, seed=2)
+    return Codebook(trajs, basis_tokens_ref(2, len(trajs), 4, 5), 12)
 
 
 def ego_rec(e, e_hat, var, basis):
@@ -115,7 +114,7 @@ def test_plan_nll_closed_form(cb):
     gt = np.zeros(12)
     pred = np.full(12, np.sqrt(2.0))  # each waypoint error^2 = 2+2 = 4
     rows = ego_sup(cb, pred, 4.0, np.zeros(cb.n_code), gt, 0, np.zeros(5))
-    terms = loss_sup(rows, anchors=cb.token_anchors())
+    terms = loss_sup(rows, anchors=cb.basis.mean(axis=1))
     assert terms["plan_nll"].item() == pytest.approx(4.0 / 4.0 + np.log(2.0))
 
 
@@ -132,20 +131,20 @@ def test_perfect_prediction_all_task_terms_zero(cb):
     pos, _ = triplet_classes_ref(cb, 1)
     logits = np.full(cb.n_code, -50.0)
     logits[1] = 50.0
-    token_far = cb.token_anchors()[pos[0]]  # at a positive anchor
+    token_far = cb.basis.mean(axis=1)[pos[0]]  # at a positive anchor
     rows = ego_sup(cb, gt.copy(), 1.0, logits, gt, 1, token_far)
-    terms = loss_sup(rows, anchors=cb.token_anchors())
+    terms = loss_sup(rows, anchors=cb.basis.mean(axis=1))
     assert terms["plan_nll"].item() == pytest.approx(0.0, abs=1e-12)
     assert terms["class_ce_ego"].item() == pytest.approx(0.0, abs=1e-12)
 
 
 def test_triplet_satisfied_margin_is_zero(cb):
     pos, neg = triplet_classes_ref(cb, 0)
-    anchor = cb.token_anchors()[pos[0]]
+    anchor = cb.basis.mean(axis=1)[pos[0]]
     cb.basis[neg] += 50.0  # negatives far beyond the margin
     try:
         [val] = triplet_term(anchor[None, :], np.array([pos]), np.array([neg]),
-                             cb.token_anchors(), margin=1.0).data
+                             cb.basis.mean(axis=1), margin=1.0).data
         assert val == pytest.approx(0.0)
     finally:
         cb.basis[neg] -= 50.0
@@ -168,10 +167,10 @@ def test_triplet_matches_bruteforce_oracle(cb):
     tokens = rng.normal(size=(20, 5))
     positives, negatives = triplet_table(cb)
     pos, neg = positives[labels], negatives[labels]
-    got = triplet_term(tokens, pos, neg, cb.token_anchors(), margin=1.0).data
+    got = triplet_term(tokens, pos, neg, cb.basis.mean(axis=1), margin=1.0).data
     for token, p, n, value in zip(tokens, pos, neg, got):
-        want = triplet_oracle(token, list(cb.token_anchors()[p]),
-                              list(cb.token_anchors()[n]), 1.0)
+        want = triplet_oracle(token, list(cb.basis.mean(axis=1)[p]),
+                              list(cb.basis.mean(axis=1)[n]), 1.0)
         assert value == pytest.approx(want, rel=1e-10)
 
 
@@ -194,7 +193,7 @@ def _teacher_rows(cb, label, traj, logits, variance=1.0):
     """A single ego row whose student outputs equal the teacher's targets,
     its token at the label's first positive anchor."""
     pos, neg = triplet_classes_ref(cb, label)
-    token = cb.token_anchors()[pos[0]]
+    token = cb.basis.mean(axis=1)[pos[0]]
     return SupRows(traj=Tensor(traj[None].copy()), target=traj[None],
                    variance=np.array([variance]), logits=Tensor(logits[None].copy()),
                    admissible=all_admissible(cb), label=np.array([label]),
@@ -213,7 +212,7 @@ def test_teacher_self_distillation_fixed_point(cb):
         logits[label] = 80.0
         traj = np.linspace(0, 5, 12)
         rows = _teacher_rows(cb, label, traj, logits)
-        terms = loss_gp_teacher(rows, logits[None], anchors=cb.token_anchors())
+        terms = loss_gp_teacher(rows, logits[None], anchors=cb.basis.mean(axis=1))
         assert weighted_total(terms, {}).item() == pytest.approx(0.0, abs=1e-10)
     finally:
         cb.basis[neg] -= 50.0

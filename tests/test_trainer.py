@@ -6,12 +6,13 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import math
 import struct
 
 import numpy as np
 import pytest
 
-from gptraj import autodiff, psdlinalg, trainer
+from gptraj import autodiff, codebook, psdlinalg, trainer
 from gptraj.adapt import active_select, adapt_supervised, adapt_unsupervised
 from gptraj.basemodel import encode
 from gptraj.codebook import BuildError
@@ -20,7 +21,7 @@ from gptraj.gpmodule import GpGraph, GpInference
 from gptraj.losses import weighted_total
 from gptraj.psdlinalg import NotPSD
 from gptraj.synthdomain import gen_dataset, strip_labels
-from gptraj.trainer import (BASE_PARAMS, GP_PARAMS, Checkpoint, SceneTable, StageTables,
+from gptraj.trainer import (BASE_PARAMS, GP_PARAMS, Checkpoint, SceneTable,
                             TrainingError, finetune_scene_loss, scene_labels,
                             stage1_pretrain, stage2_fit_gp, stage3_finetune)
 
@@ -222,22 +223,34 @@ def test_checkpoint_wrong_tensor_shape_rejected_with_path(pipeline_bytes):
              r"\[24, 16\]")
 
 
+def listed_twice(entry, entries):
+    """Append a second entry of ``entry``'s tensor at the payload's end."""
+    entries.append(dict(entry, offset=sum(math.prod(e["shape"]) for e in entries)))
+
+
 @pytest.mark.parametrize("edit, match", [
-    (lambda e: e.pop("shape"), r"KeyError\('shape'\)"),
-    (lambda e: e.pop("offset"), r"KeyError\('offset'\)"),
-    (lambda e: e.update(shape=[float(n) for n in e["shape"]]),
-     "'float' object cannot be interpreted as an integer"),
-], ids=["no-shape", "no-offset", "float-shape"])
+    (lambda e, _: e.pop("shape"), r"bad checkpoint header: .*KeyError\('shape'\)"),
+    (lambda e, _: e.pop("offset"), r"bad checkpoint header: .*KeyError\('offset'\)"),
+    (lambda e, _: e.update(shape=[float(n) for n in e["shape"]]),
+     "bad checkpoint header: .*'float' object cannot be interpreted as an integer"),
+    (listed_twice, "checkpoint tensor base.enc_w1 is listed twice"),
+], ids=["no-shape", "no-offset", "float-shape", "listed-twice"])
 def test_checkpoint_malformed_tensor_entry_rejected_with_path(pipeline_bytes, edit,
                                                               match):
     tmp, saved = pipeline_bytes
+    added = []
 
     def malform(header):
-        [entry] = [e for e in header["tensors"] if e["name"] == "base.enc_w1"]
-        edit(entry)
+        entries = header["tensors"]
+        [entry] = [e for e in entries if e["name"] == "base.enc_w1"]
+        n = len(entries)
+        edit(entry, entries)
+        added.extend(entries[n:])
 
-    rejected(tmp, edited_header(saved["stage2"], malform), "entry.bin",
-             f"bad checkpoint header: .*{match}")
+    # an added entry's bytes follow the payload, so that only the header is wrong
+    blob = edited_header(saved["stage2"], malform) + b"".join(
+        bytes(8 * math.prod(e["shape"])) for e in added)
+    rejected(tmp, blob, "entry.bin", match)
 
 
 @pytest.mark.parametrize("change, match", [
@@ -355,7 +368,7 @@ def test_scene_labels_match_per_scene_loop(tiny_dataset, tiny_model):
     table = SceneTable(tiny_dataset, cb, labeled=True)
     labels = scene_labels(table, cb)
 
-    anchors = cb.traj_anchors().reshape(-1, 6, 2)
+    anchors = cb.traj_anchors.reshape(-1, 6, 2)
 
     def nearest(traj, command):
         ids = group_ids_ref(cb, command)
@@ -393,6 +406,57 @@ def test_batch_is_the_table_of_its_scenes(tiny_dataset, tiny_model, labeled):
         assert np.array_equal(table.scene_of_row[got.rows], scenes[got.scene_of_row])
 
 
+# --- one codebook per model -----------------------------------------------------
+
+
+def test_triplet_table_built_only_by_stages_that_read_it(tiny_dataset, monkeypatch):
+    calls = []
+    real = codebook.triplet_table
+
+    def counting(cb):
+        calls.append(cb)
+        return real(cb)
+
+    monkeypatch.setattr(codebook, "triplet_table", counting)
+    records = tiny_dataset[:24]
+    stage1 = stage1_pretrain(tiny_dataset, CFG, tiny_spec())
+    assert len(calls) == 0
+    stage3_finetune(records, stage1, dataclasses.replace(CFG, gp_weight=0.0))
+    assert len(calls) == 0  # no teacher
+    stage2 = stage2_fit_gp(records, stage1, CFG)
+    assert len(calls) == 1
+    stage3_finetune(records, stage2, CFG)
+    assert len(calls) == 2
+
+
+def test_model_codebook_is_built_once_over_the_model_arrays(fitted):
+    model = fitted.model.clone()
+    cb = model.cb
+    assert model.cb is cb
+    assert cb.basis is model.tensors["cb.basis"]
+    assert cb.trajectories is model.tensors["cb.trajs"]
+    clone = model.clone()
+    assert clone.cb is not cb
+    assert clone.cb.basis is clone.tensors["cb.basis"]
+    assert clone.cb.trajectories is clone.tensors["cb.trajs"]
+    assert clone.cb.basis.tobytes() == cb.basis.tobytes()
+    params = model.params(GP_PARAMS)
+    params["cb.basis"].data[0, 0] += 1.0  # an optimizer step updates in place
+    assert model.cb.basis[0, 0].tobytes() == params["cb.basis"].data[0, 0].tobytes()
+    assert clone.cb.basis[0, 0].tobytes() != model.cb.basis[0, 0].tobytes()
+
+
+@pytest.mark.parametrize("group_size, token_dim", [(4, 8), (16, 32)])
+def test_teacher_token_anchors_are_the_basis_means(group_size, token_dim):
+    # the teacher's triplet anchors come from its conditioning, whose mean is
+    # a sum times 1/C: byte-equal to basis.mean while 1/C is exact
+    spec = dataclasses.replace(tiny_spec(), group_size=group_size, token_dim=token_dim)
+    trajs = np.random.default_rng(3).normal(size=(spec.n_code, group_size, 12))
+    model = trainer.Model(spec, init_tensors_ref(spec, 4, trajs))
+    anchors = GpInference(model.cb, model.tensors).group_cond()["token_anchors"].data
+    assert anchors.tobytes() == model.cb.basis.mean(axis=1).tobytes()
+
+
 # --- the batched step loss -----------------------------------------------------
 
 
@@ -409,6 +473,9 @@ class ReplayTeacher:
             self.recorded = self.teacher.predict_rows(tokens, admissible)
         return self.recorded
 
+    def group_cond(self):
+        return self.teacher.group_cond()
+
 
 @pytest.fixture(scope="module")
 def fitted(tiny_dataset):
@@ -423,10 +490,9 @@ def step_loss_setup(fitted, records, use_gt: bool, use_teacher: bool):
         use_teacher) else None
     table = SceneTable(records, model.cb, labeled=use_gt)
     batch = table.batch(np.arange(len(records)))
-    tables = StageTables.of(model.cb)
 
     def loss():
-        return finetune_scene_loss(batch, bvars, model, teacher, CFG, tables)
+        return finetune_scene_loss(batch, bvars, model, teacher, CFG)
 
     return bvars, loss
 
@@ -486,8 +552,7 @@ def test_gp_stage_loss_term_order(fitted, tiny_dataset):
     table = SceneTable(tiny_dataset[:3], model.cb, labeled=True)
     terms = trainer.gp_stage_loss(
         table.batch(np.arange(3)), GpGraph(model.cb, model.tensors | model.params(GP_PARAMS)),
-        encode(table.obs, model.tensors, model.spec.token_scale), StageTables.of(model.cb),
-        CFG)
+        encode(table.obs, model.tensors, model.spec.token_scale), CFG)
     assert list(terms) == ["recon_ego", "recon_agent", "ortho_ego", "ortho_agent",
                            "plan_nll", "class_ce_ego", "triplet_ego",
                            "motion_nll", "class_ce_agent", "triplet_agent"]
@@ -505,11 +570,10 @@ def test_gp_stage_loss_gradients_match_finite_differences(fitted, tiny_dataset):
     table = SceneTable(tiny_dataset[:4], model.cb, labeled=True)
     batch = table.batch(np.arange(4))
     tokens = encode(table.obs, model.tensors, model.spec.token_scale)
-    tables = StageTables.of(model.cb)
 
     def loss():
         return total(trainer.gp_stage_loss(batch, GpGraph(model.cb, model.tensors | params),
-                                           tokens, tables, CFG))
+                                           tokens, CFG))
 
     grads = autodiff.grad(loss(), params)
     rng = np.random.default_rng(1)
@@ -559,11 +623,10 @@ def test_no_vjp_writes_into_its_upstream_gradient(fitted, tiny_dataset):
     table = SceneTable(tiny_dataset[:6], model.cb, labeled=True)
     batch = table.batch(np.arange(6))
     tokens = encode(table.obs, model.tensors, model.spec.token_scale)
-    tables = StageTables.of(model.cb)
     bvars, finetune_loss = step_loss_setup(fitted, tiny_dataset[:6], True, True)
     for loss, variables in [
             (lambda: total(trainer.gp_stage_loss(
-                batch, GpGraph(model.cb, model.tensors | params), tokens, tables, CFG)),
+                batch, GpGraph(model.cb, model.tensors | params), tokens, CFG)),
              params),
             (lambda: total(finetune_loss()), bvars)]:
         want = autodiff.grad(loss(), variables)
