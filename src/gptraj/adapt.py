@@ -21,7 +21,8 @@ import numpy as np
 from .basemodel import encode
 from .core import SceneRecord, rng_for
 from .synthdomain import strip_labels
-from .trainer import Checkpoint, TrainConfig, TrainingError, _finetune_base, frozen_gp
+from .trainer import (Checkpoint, TrainConfig, TrainingError, _finetune_base,
+                      frozen_gp_predict)
 
 
 @dataclass
@@ -92,8 +93,8 @@ def active_select(records: list[SceneRecord], ckpt: Checkpoint, budget: float,
     model = ckpt.model
     tokens = encode(np.array([r.ego_obs for r in records]), model.tensors,
                     model.spec.token_scale)
-    _, variance, _, _ = frozen_gp(model, "active-select GP set-up").predict_scene(
-        tokens, [r.command for r in records])
+    _, variance, _, _ = frozen_gp_predict(model, tokens, [r.command for r in records],
+                                          "active-select GP")
     scored = [(r.scene_id, v) for r, v in zip(records, variance.tolist())]
     scored.sort(key=lambda t: (-t[1], t[0]))
 

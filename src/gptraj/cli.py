@@ -95,8 +95,8 @@ def _load_config(args):
 
 def _log_resolved(cfg) -> None:
     """Write ``resolved_config.json``. Each subcommand but ``inspect-ckpt``
-    calls this once its argument checks pass, so a rejected command leaves
-    none."""
+    calls this once its argument checks pass and its inputs are loaded, so
+    a command rejected for its arguments or inputs leaves none."""
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     resolved = cfg.out_dir / "resolved_config.json"
     resolved.write_text(json.dumps(cfg.resolved_dict(), sort_keys=True, indent=2)
@@ -180,10 +180,10 @@ def cmd_train(args, cfg) -> int:
     from . import trainer
 
     fn, start, stage = _TRAINING[args.command]
-    _log_resolved(cfg)
     records = _load_data(args, cfg, "source_train")
     inputs = ((cfg.train, cfg.model) if start is None
               else (_load_ckpt(args, cfg, f"ckpt_{start}.bin"), cfg.train))
+    _log_resolved(cfg)
     ckpt = getattr(trainer, fn)(records, *inputs, log_path=cfg.out_dir / "train_log.csv")
     out = cfg.out_dir / f"ckpt_{stage}.bin"
     ckpt.save(out)
@@ -205,7 +205,6 @@ def cmd_adapt(args, cfg) -> int:
                 if column not in (reader.fieldnames or ()):
                     raise ValueError(f"{path}: selection file lacks column {column!r}")
             keep = [row["scene_id"] for row in reader if row["selected"] == "1"]
-    _log_resolved(cfg)
     records = _load_data(args, cfg, "target_train")
     if keep is not None:
         known = {r.scene_id for r in records}
@@ -216,6 +215,7 @@ def cmd_adapt(args, cfg) -> int:
         keep = set(keep)
         records = [r for r in records if r.scene_id in keep]
     ckpt = _load_ckpt(args, cfg, "ckpt_stage3.bin")
+    _log_resolved(cfg)
     fn = adapt_supervised if args.mode == "sup" else adapt_unsupervised
     out_ckpt = fn(records, ckpt, cfg.train,
                   log_path=cfg.out_dir / "train_log.csv")
@@ -230,9 +230,9 @@ def cmd_active_select(args, cfg) -> int:
 
     if not 0.0 < args.budget <= 1.0:
         raise ValueError(f"active-select --budget must be in (0, 1], got {args.budget}")
-    _log_resolved(cfg)
     records = _load_data(args, cfg, "target_train")
     ckpt = _load_ckpt(args, cfg, "ckpt_stage3.bin")
+    _log_resolved(cfg)
     report = active_select(records, ckpt, budget=args.budget,
                            strategy=args.strategy, seed=cfg.seed)
     out = Path(args.out) if args.out else cfg.out_dir / f"selection_{args.strategy}.csv"
@@ -246,9 +246,9 @@ def cmd_eval(args, cfg) -> int:
     from .evalmetrics import check_subset, evaluate
 
     check_subset(args.subset, cfg.rarity_bins)
-    _log_resolved(cfg)
     records = _load_data(args, cfg, "source_val")
     ckpt = _load_ckpt(args, cfg, "ckpt_stage3.bin")
+    _log_resolved(cfg)
     report = evaluate(records, ckpt.model, mode=args.mode, subset=args.subset,
                       rarity_bins=cfg.rarity_bins)
     out = Path(args.out) if args.out else (

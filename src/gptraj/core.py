@@ -286,8 +286,8 @@ def load_dataset(path) -> list[SceneRecord]:
     the first record that pass flags. The first fault in line order is
     raised as ``<path>:<line>: <message>``, the line counted in the file,
     blank lines included: a record's first violation, or a line that does
-    not parse into a record, whichever comes first."""
-    records, linenos = [], []
+    not parse into a record or repeats a scene_id, whichever comes first."""
+    records, linenos, first_line = [], [], {}
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             line = line.strip()
@@ -295,6 +295,9 @@ def load_dataset(path) -> list[SceneRecord]:
                 continue
             try:
                 rec = SceneRecord.from_json_dict(json.loads(line))
+                seen = first_line.setdefault(rec.scene_id, lineno)
+                if seen != lineno:
+                    raise ValueError(f"scene_id {rec.scene_id} repeats line {seen}")
             except ValueError as e:
                 _raise_first_violation(path, records, linenos)  # an earlier line wins
                 raise ValueError(f"{path}:{lineno}: {e}") from e

@@ -27,7 +27,7 @@ import numpy as np
 from .basemodel import encode, plan
 from .codebook import admissible
 from .core import Command, SceneRecord, scene_rows
-from .trainer import frozen_gp
+from .trainer import frozen_gp_predict
 
 EGO_FOOTPRINT = (4.0, 1.8)  # length, width in meters
 # relative and absolute widening of the broad phase's squared reach, also
@@ -293,7 +293,7 @@ def evaluate(records: list[SceneRecord], model, mode: str = "base",
         trajs = plan(tokens, admissible(model.cb, layout.commands), model.tensors,
                      model.cb.traj_anchors)[0]
     else:
-        trajs = frozen_gp(model, "eval GP set-up").predict_scene(tokens, layout.commands)[0]
+        trajs = frozen_gp_predict(model, tokens, layout.commands, "eval GP")[0]
     trajs = trajs.reshape(n, -1, 2)
     hits = scene_collisions(trajs, layout.gt[n:],
                             np.concatenate([r.agent_footprints for r in scenes]),

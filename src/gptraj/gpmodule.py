@@ -17,16 +17,18 @@ two-layer tanh classifier ``clf.w1`` ... ``clf.b2`` over the full
 kernel-feature vector, and the log-space scalars ``gp.log_lengthscale``,
 ``gp.log_outputscale``, ``gp.log_noise_recon`` and ``gp.log_noise_traj`` (one
 isotropic RBF per codebook, one noise standard deviation per head). It
-conditions every group once per graph as (n_code, C, .) tensors, then
 evaluates token rows with one kernel-feature matrix and one classifier pass,
-gathering each row's group slice by id. Training builds one graph per
-optimizer step over a dict whose trained entries are parameter tensors.
-``GpInference`` is the same graph over a frozen model's arrays, which every
-autodiff op wraps as constants, so evaluation, the teacher forward and active
-selection build no tape.
+and conditions only the groups that rows are routed to. Training builds one
+graph per optimizer step, which conditions the step's groups once, over a
+dict whose trained entries are parameter tensors. ``GpInference`` is the
+same graph over a frozen model's arrays, which every autodiff op wraps as
+constants, so evaluation, the teacher forward and active selection build no
+tape; it conditions a group on first use and keeps it.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -44,10 +46,8 @@ class GpGraph:
 
     Holds the model's codebook ``cb``, whose fixed tables it reads, the
     model's tensor dict ``w`` (arrays or tensors, by checkpoint name), the
-    basis both as (n_code, C, D) and as (n_code * C, D) rows, and, once
-    computed, every group's conditioning; its ``token_anchors`` are the
-    token-anchor table of the stage-2 and teacher losses. Training builds one
-    per optimizer step.
+    basis as (n_code, C, D) and as (n_code * C, D) rows, and, once computed,
+    its token anchors and its conditioning. Training builds one per step.
     """
 
     def __init__(self, cb: Codebook, w: dict):
@@ -60,32 +60,41 @@ class GpGraph:
         self.sf2 = autodiff.exp(autodiff.mul(self.log_sf, 2.0))
         self.noise_recon = autodiff.exp(autodiff.mul(w["gp.log_noise_recon"], 2.0))
         self.noise_traj = autodiff.exp(autodiff.mul(w["gp.log_noise_traj"], 2.0))
-        self._cond: dict | None = None
+        self._cond: tuple | None = None
 
-    def group_cond(self) -> dict:
-        """Every group conditioned on its basis, computed once per graph.
+    @cached_property
+    def token_anchors(self) -> Tensor:
+        """Every group's mean basis token (n_code, D), also the token-anchor
+        table of the stage-2 and teacher losses."""
+        return autodiff.tmean(self.basis, axis=1)
 
-        ``k_inv`` (n_code, C, C) is the inverse Gram matrix of each group's
-        basis; ``token_anchors`` (n_code, D) the mean basis tokens and
-        ``traj_anchors`` (n_code, 12) the mean trajectories; ``alpha_basis``
-        (n_code, C, D) and ``alpha_traj`` (n_code, C, 12) are ``k_inv`` times
-        the centred basis and the centred trajectories.
-        """
+    def group_cond(self, groups: np.ndarray) -> tuple[dict, np.ndarray]:
+        """The conditioning of the first call's distinct groups, once per
+        graph, and each row's index into it; later calls route within them."""
         if self._cond is None:
-            cb, basis = self.cb, self.basis
-            anchors = autodiff.tmean(basis, axis=1)
-            centered = autodiff.sub(basis, autodiff.reshape(anchors, (cb.n_code, 1, -1)))
-            k_inv = autodiff.psd_inverse(psdlinalg.kernel_matrix_t(
-                basis, basis, self.log_ell, self.log_sf))
-            self._cond = dict(
-                k_inv=k_inv,
-                token_anchors=anchors,
-                traj_anchors=Tensor(cb.traj_anchors),
-                alpha_basis=autodiff.matmul(k_inv, centered),
-                alpha_traj=autodiff.matmul(
-                    k_inv, Tensor(cb.trajectories - cb.traj_anchors[:, None, :])),
-            )
-        return self._cond
+            ids = np.unique(groups)
+            self._cond = ids, self._condition(ids)
+        ids, cond = self._cond
+        return cond, np.searchsorted(ids, groups)
+
+    def _condition(self, ids: np.ndarray) -> dict:
+        """Groups ``ids`` (distinct, ascending) conditioned on their basis:
+        ``k_inv`` (G, C, C), inverse Gram matrices, and ``alpha_basis`` and
+        ``alpha_traj``, ``k_inv`` times the centred basis and trajectories."""
+        cb, basis = self.cb, self.basis
+        centered = autodiff.sub(basis, autodiff.reshape(self.token_anchors,
+                                                        (cb.n_code, 1, -1)))
+        try:
+            k_inv = autodiff.psd_inverse(psdlinalg.group_gram_t(
+                basis, ids, self.log_ell, self.log_sf))
+        except psdlinalg.NotPSD as e:
+            raise psdlinalg.NotPSD(e.pivot, e.jitter, int(ids[e.group])) from e
+        return dict(
+            k_inv=k_inv,
+            alpha_basis=autodiff.matmul(k_inv, autodiff.gather0(centered, ids)),
+            alpha_traj=autodiff.matmul(
+                k_inv, Tensor(cb.trajectories[ids] - cb.traj_anchors[ids, None, :])),
+        )
 
     def kernel_features(self, tokens) -> Tensor:
         """Kernel features (N, n_code * C) of the token rows (N, D)."""
@@ -99,19 +108,20 @@ class GpGraph:
         return autodiff.linear(h, w["clf.w2"], w["clf.b2"])
 
     def _conditioned(self, features: Tensor, group: np.ndarray, anchors: Tensor,
-                     alpha: Tensor) -> tuple[Tensor, Tensor]:
-        """Each row's posterior mean anchor + k* alpha and function variance
-        sf2 - k*^T K^-1 k* under its group; k* (C,) is the row's slice of
-        its kernel features for that group."""
+                     alpha: str) -> tuple[Tensor, Tensor]:
+        """Each row's posterior mean anchor + k* alpha (``alpha`` names it)
+        and function variance sf2 - k*^T K^-1 k* under its group; k* (C,) is
+        the row's slice of its kernel features for that group."""
         cb = self.cb
         n = len(group)
+        cond, pos = self.group_cond(group)
         k_star = autodiff.gather0(
             autodiff.reshape(features, (n * cb.n_code, 1, cb.group_size)),
             np.arange(n) * cb.n_code + group)  # (N, 1, C)
         quad = autodiff.tsum(autodiff.mul(
-            autodiff.matmul(k_star, autodiff.gather0(self.group_cond()["k_inv"], group)),
+            autodiff.matmul(k_star, autodiff.gather0(cond["k_inv"], pos)),
             k_star), axis=(1, 2))
-        offset = autodiff.matmul(k_star, autodiff.gather0(alpha, group))
+        offset = autodiff.matmul(k_star, autodiff.gather0(cond[alpha], pos))
         mean = autodiff.add(autodiff.gather0(anchors, group),
                             autodiff.reshape(offset, (n, -1)))
         return mean, autodiff.relu(autodiff.sub(self.sf2, quad))
@@ -120,9 +130,8 @@ class GpGraph:
         """Posterior mean (N, D) of each token row under its group (N,), from
         the rows' kernel features, and its scalar variance (N,), noise
         included."""
-        cond = self.group_cond()
-        mean, fn_var = self._conditioned(features, group, cond["token_anchors"],
-                                         cond["alpha_basis"])
+        mean, fn_var = self._conditioned(features, group, self.token_anchors,
+                                         "alpha_basis")
         return mean, autodiff.add(fn_var, self.noise_recon)
 
     def predict_trajectory(self, features: Tensor,
@@ -130,19 +139,29 @@ class GpGraph:
         """Posterior trajectory mean (N, 12) of each token row under its group
         (N,), from the rows' kernel features, and its scalar variance (N,),
         noise included."""
-        cond = self.group_cond()
-        mean, fn_var = self._conditioned(features, group, cond["traj_anchors"],
-                                         cond["alpha_traj"])
+        mean, fn_var = self._conditioned(features, group, Tensor(self.cb.traj_anchors),
+                                         "alpha_traj")
         return mean, autodiff.add(fn_var, self.noise_traj)
 
 
 class GpInference(GpGraph):
-    """The GP module of a frozen model: a ``GpGraph`` over its arrays,
-    conditioned at construction; constants build no tape."""
+    """The GP module of a frozen model: a ``GpGraph`` over its arrays, whose
+    constants build no tape, that keeps each group's conditioning."""
 
     def __init__(self, cb: Codebook, w: dict):
         super().__init__(cb, w)
-        self.group_cond()
+        self._ready = np.zeros(cb.n_code, dtype=bool)
+        self._table: dict[str, np.ndarray] = {}
+
+    def group_cond(self, groups: np.ndarray) -> tuple[dict, np.ndarray]:
+        """By-group tables of all groups conditioned so far, ``groups`` too."""
+        new = np.unique(groups[~self._ready[groups]])
+        if len(new):
+            for name, t in self._condition(new).items():
+                self._table.setdefault(name, np.empty((self.cb.n_code, *t.shape[1:])))
+                self._table[name][new] = t.data
+            self._ready[new] = True
+        return self._table, groups
 
     def predict_rows(self, tokens: np.ndarray, admissible: np.ndarray):
         """Classify every token row and predict within its group.

@@ -4,22 +4,22 @@
 exp(-||x - y||^2 / (2 l^2)) over the row pairs of two row matrices;
 ``kernel_matrix_t`` is its differentiable form, a single tape node with
 closed-form gradients, and on constants (a frozen model's tensors are all
-constants) it calls ``kernel_matrix``. Both take the hyperparameters in log
-space and leading batch axes, so every codebook group's Gram matrix comes
-from one call. Every operand has two or more axes: a row is a (1, D) matrix.
-The kernel takes five elementwise passes over the (..., N, M) buffer after
-one matmul x y^T: minus ||x||^2 / 2, minus ||y||^2 / 2, clipped at 0 from
-above, divided by l^2, then exp and a scaling by sigma_f^2. The first three
-give -d2 / 2 bit for bit as the negated half of ||x||^2 - 2 x.y + ||y||^2
-clipped at 0 from below, since halving is exact and rounding is symmetric
-under negation. The matmul stays x @ y^T so that numpy computes a Gram
-matrix x @ x^T by its symmetric routine, as it always has.
+constants) it calls ``kernel_matrix``; ``group_gram_t`` is that node over
+the Gram matrices of selected codebook groups. All take the hyperparameters
+in log space and leading batch axes. Every operand has two or more axes: a
+row is a (1, D) matrix. The kernel takes five elementwise passes over the
+(..., N, M) buffer after one matmul x y^T: minus ||x||^2 / 2, minus
+||y||^2 / 2, clipped at 0 from above, divided by l^2, then exp and a scaling
+by sigma_f^2. The first three give -d2 / 2 bit for bit as the negated half
+of ||x||^2 - 2 x.y + ||y||^2 clipped at 0 from below, since halving is exact
+and rounding is symmetric under negation. The matmul stays x @ y^T so that
+numpy computes a Gram matrix x @ x^T by its symmetric routine.
 
 Every Cholesky factorization in the package goes through ``cholesky_factor``.
 It factors a whole (..., n, n) stack with one batched ``np.linalg.cholesky``;
-only when that fails does it factor the matrices one by one with dpotrf, each
-escalating its jitter through a fixed ladder. GP conditioning reaches it
-through ``autodiff.psd_inverse``, once for all codebook groups, and
+only if that fails are the matrices factored one by one, and only those that
+fail climb a fixed jitter ladder, so a matrix's factor is the same bytes in
+any stack. GP conditioning reaches it through ``autodiff.psd_inverse``, and
 ``solve_with_factor`` solves the whole stack at once. The learnable noise
 variances are *not* part of the jitter; jitter is purely a numerical guard
 so the learned noise stays interpretable.
@@ -43,8 +43,8 @@ class NotPSD(Exception):
     """Factorization failed at the maximum jitter.
 
     ``pivot`` is the zero-based index of the smallest failing pivot;
-    ``group``, when known, the index of the failing matrix in a stack of
-    per-group matrices.
+    ``group``, when known, the failing matrix's index in its stack, or, from
+    GP conditioning, its codebook group's id.
     """
 
     def __init__(self, pivot: int, jitter: float, group: int | None = None):
@@ -112,10 +112,10 @@ def cholesky_factor(a: np.ndarray) -> CholeskyFactor:
     """Factor each matrix A of a (..., n, n) stack as A + jitter * I.
 
     One ``np.linalg.cholesky`` factors the whole stack at jitter 0. Only if
-    it fails is each matrix factored with dpotrf, escalating its jitter
-    through the fixed ladder; a matrix that fails at the last rung raises
-    ``NotPSD`` with ``group`` set to its index in the flattened stack (no
-    group for a single matrix).
+    it fails is each matrix factored alone: at jitter 0 the same way, and,
+    where that fails, with dpotrf up the rest of the fixed ladder; a matrix
+    that fails at the last rung raises ``NotPSD`` with ``group`` set to its
+    index in the flattened stack (no group for a single matrix).
     """
     a = np.asarray(a, dtype=np.float64)
     n = a.shape[-1]
@@ -129,12 +129,16 @@ def cholesky_factor(a: np.ndarray) -> CholeskyFactor:
     except np.linalg.LinAlgError:
         pass
     lower = np.empty_like(a)
-    jitters = np.empty(a.shape[:-2])
+    jitters = np.zeros(a.shape[:-2])
     flat_lower, flat_jitters = lower.reshape(-1, n, n), jitters.reshape(-1)
     for i, m in enumerate(a.reshape(-1, n, n)):
-        for jitter in JITTER_LADDER:
-            c, info = lapack.dpotrf(m if jitter == 0.0 else m + jitter * np.eye(n),
-                                    lower=1, overwrite_a=False)
+        try:
+            flat_lower[i] = np.linalg.cholesky(m)
+            continue
+        except np.linalg.LinAlgError:
+            pass
+        for jitter in JITTER_LADDER[1:]:
+            c, info = lapack.dpotrf(m + jitter * np.eye(n), lower=1, overwrite_a=False)
             if info == 0:
                 break
         else:
@@ -167,22 +171,46 @@ def kernel_matrix_t(x, y, log_lengthscale, log_outputscale) -> Tensor:
     """
     x, y, log_ell, log_sf = (autodiff.as_tensor(t) for t in
                              (x, y, log_lengthscale, log_outputscale))
-    if not autodiff._tracked(x, y, log_ell, log_sf):
-        return Tensor(kernel_matrix(x.data, y.data, log_ell.data, log_sf.data))
-    h = _neg_half_sq_dists(x.data, y.data)
-    k = _rbf(h, log_ell.data, log_sf.data, out=np.empty_like(h))
-    ell = float(np.exp(log_ell.data))
+    return _kernel_node((x, y, log_ell, log_sf), x.data, y.data, lambda a: a)
+
+
+def group_gram_t(basis, ids: np.ndarray, log_lengthscale, log_outputscale) -> Tensor:
+    """``kernel_matrix_t(basis, basis, ...)[ids]`` of an (n_code, C, D)
+    basis, for the distinct ascending ``ids`` only, with that call's
+    gradient bytes under an upstream gradient zero outside ``ids``."""
+    basis, log_ell, log_sf = (autodiff.as_tensor(t) for t in
+                              (basis, log_lengthscale, log_outputscale))
+    rows = basis.data[ids]  # one array in both slots: numpy's symmetric x x^T
+
+    def scatter(a: np.ndarray) -> np.ndarray:
+        full = np.zeros((len(basis.data), *a.shape[1:]))
+        full[ids] = a
+        return full
+
+    return _kernel_node((basis, basis, log_ell, log_sf), rows, rows, scatter)
+
+
+def _kernel_node(parents: tuple, x: np.ndarray, y: np.ndarray, scatter) -> Tensor:
+    """``kernel_matrix(x, y, ...)`` as one node over ``parents`` (the rows'
+    tensors, then the log-hyperparameters); ``scatter`` lays rows' stacks
+    out in the parents' layout, so gradients and sums come out in it."""
+    log_ell, log_sf = parents[2].data, parents[3].data
+    if not autodiff._tracked(*parents):
+        return Tensor(kernel_matrix(x, y, log_ell, log_sf))
+    h = _neg_half_sq_dists(x, y)
+    k = _rbf(h, log_ell, log_sf, out=np.empty_like(h))
+    ell = float(np.exp(log_ell))
 
     def vjp(g):
         gd2 = np.multiply(g, k)
-        sf_grad = np.array(2.0 * np.sum(gd2))
+        sf_grad = np.array(2.0 * np.sum(scatter(gd2)))
         np.copyto(gd2, 0.0, where=~(h < 0.0))
         gd2 *= -0.5 / ell ** 2
-        return (lambda: 2.0 * (np.sum(gd2, axis=-1)[..., None] * x.data - gd2 @ y.data),
-                lambda: 2.0 * (np.sum(gd2, axis=-2)[..., None] * y.data
-                               - np.swapaxes(gd2, -1, -2) @ x.data),
+        return (lambda: scatter(2.0 * (np.sum(gd2, axis=-1)[..., None] * x - gd2 @ y)),
+                lambda: scatter(2.0 * (np.sum(gd2, axis=-2)[..., None] * y
+                                       - np.swapaxes(gd2, -1, -2) @ x)),
                 # scales gd2 in place: backward runs it after the two above
-                lambda: np.array(4.0 * np.sum(np.multiply(gd2, h, out=gd2))),
+                lambda: np.array(4.0 * np.sum(scatter(np.multiply(gd2, h, out=gd2)))),
                 lambda: sf_grad)
 
-    return autodiff._make(k, (x, y, log_ell, log_sf), vjp)
+    return autodiff._make(k, parents, vjp)

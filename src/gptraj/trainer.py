@@ -21,13 +21,12 @@ constants, so it builds no tape.
 Every optimizer step builds one tape over the batch's rows: the ego rows of
 its scenes, then their agent rows, each block in ascending scene order (see
 ``SceneTable``). Base-model stages encode and plan all rows in one pass and
-take the frozen teacher's prediction of all rows in one call. Stage 2
-conditions every codebook group once per step and evaluates the GP and its
-losses over all rows at once. Labels are computed once per training call.
-The codebook is built once per model (``Model.cb``): its trajectory anchors
-once, and its triplet classes on first use, by stage 2 or a teacher stage.
-Stage 2 and the teacher take their token anchors from the GP conditioning
-(``GpGraph.group_cond``).
+take the frozen teacher's prediction of all rows in one call; the teacher
+conditions each group once, when a step first routes a row to it. Stage 2
+conditions the step's routed groups once per step and evaluates the GP and
+its losses over all rows at once. Labels are computed once per training
+call. The codebook is built once per model (``Model.cb``), its triplet
+classes on first use.
 
 A step loss returns its terms as a plain dict (see ``losses``);
 ``_run_epochs`` checks them, weights them once with ``cfg.loss_weights``
@@ -299,11 +298,11 @@ class Adam:
             p.data -= self.grads[name]  # this parameter's slice of the step
 
 
-def frozen_gp(model: Model, what: str) -> GpInference:
-    """The model's GP module, frozen; a conditioning that is not positive
-    definite raises a TrainingError that starts with ``what``."""
+def frozen_gp_predict(model: Model, tokens: np.ndarray, commands, what: str):
+    """``GpInference.predict_scene`` of the model's frozen GP; a routed group
+    that is not positive definite raises a TrainingError opening ``what``."""
     try:
-        return GpInference(model.cb, model.tensors)
+        return GpInference(model.cb, model.tensors).predict_scene(tokens, commands)
     except NotPSD as e:
         raise TrainingError(f"{what}: {e}") from e
 
@@ -408,7 +407,7 @@ def finetune_scene_loss(batch: SceneTable, bvars: dict[str, Tensor], model: Mode
                 admissible=batch.admissible, label=t_label, token=tokens,
                 positives=positives[t_label], negatives=negatives[t_label],
                 n_ego=batch.n_ego),
-        t_logits, teacher.group_cond()["token_anchors"], sigma_clamp=cfg.sigma_clamp,
+        t_logits, teacher.token_anchors, sigma_clamp=cfg.sigma_clamp,
         margin=cfg.triplet_margin)
     return terms | {k: autodiff.mul(t, cfg.gp_weight) for k, t in taught.items()}
 
@@ -434,7 +433,7 @@ def gp_stage_loss(batch: SceneTable, graph: GpGraph, tokens: np.ndarray,
                 admissible=batch.admissible, label=batch.labels, token=tokens,
                 positives=positives[batch.labels], negatives=negatives[batch.labels],
                 n_ego=batch.n_ego),
-        anchors=graph.group_cond()["token_anchors"], sigma_clamp=cfg.sigma_clamp,
+        anchors=graph.token_anchors, sigma_clamp=cfg.sigma_clamp,
         margin=cfg.triplet_margin)
     return rec | sup
 
@@ -578,7 +577,7 @@ def _finetune_base(records, ckpt: "Checkpoint", cfg: TrainConfig, *,
     labeled = all(r.labeled for r in records)
     teacher = None
     if use_teacher and cfg.gp_weight != 0.0:
-        teacher = frozen_gp(model, f"{stage} teacher set-up")
+        teacher = GpInference(model.cb, model.tensors)
     elif not labeled:
         raise TrainingError(f"{stage}: no ground truth and no teacher leaves no loss")
     table = SceneTable(records, model.cb, labeled=labeled)

@@ -9,7 +9,6 @@ import os
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
-import itertools
 import sys
 from pathlib import Path
 
@@ -74,23 +73,49 @@ def parameter(data) -> Tensor:
     return Tensor(np.array(data, dtype=np.float64), requires_grad=True)
 
 
-def corrupting_factor(call: int, group: int):
-    """The real ``cholesky_factor``, except that its ``call``-th call (from
-    0) gets a stack in which group ``group``'s matrix is -I.
-
-    Each GP conditioning factors the stack of all groups once, so call s is
-    step s's conditioning.
-    """
-    calls = itertools.count()
+@pytest.fixture
+def factored(monkeypatch) -> list[int]:
+    """The number of matrices of each ``psdlinalg.cholesky_factor`` call
+    from here on, in call order."""
+    sizes = []
     real = psdlinalg.cholesky_factor
 
     def factor(a):
-        if next(calls) == call:
-            a = a.copy()
-            a[group] = -np.eye(a.shape[-1])
+        sizes.append(int(np.prod(a.shape[:-2])))
         return real(a)
 
-    return factor
+    monkeypatch.setattr(psdlinalg, "cholesky_factor", factor)
+    return sizes
+
+
+class GramSpy:
+    """The real ``psdlinalg.group_gram_t``, which records the groups of each
+    call in ``ids``. With ``corrupt``, codebook group ``corrupt``'s Gram
+    matrix is -I in the ``at``-th call (from 0), or in every call when
+    ``at`` is None, if the call conditions that group.
+
+    A GP conditioning is one call: one per stage-2 step, and one per
+    ``GpInference`` call that routes rows to groups not yet conditioned.
+    """
+
+    real = staticmethod(psdlinalg.group_gram_t)  # as imported, before any patch
+
+    def __init__(self, corrupt: int | None = None, at: int | None = None):
+        self.corrupt, self.at = corrupt, at
+        self.ids: list[np.ndarray] = []
+
+    def __call__(self, basis, ids, *scalars):
+        gram = self.real(basis, ids, *scalars)
+        if (self.corrupt is not None and self.corrupt in ids
+                and self.at in (None, len(self.ids))):
+            gram.data[np.searchsorted(ids, self.corrupt)] = -np.eye(gram.shape[-1])
+        self.ids.append(np.array(ids))
+        return gram
+
+    def renumbered(self, call: int) -> int:
+        """A group of call ``call`` whose codebook id is not its index in the
+        call's stack, so that an error naming it shows which one it names."""
+        return next(int(g) for i, g in enumerate(self.ids[call]) if g != i)
 
 
 def assert_commands_covered(records):

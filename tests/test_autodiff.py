@@ -166,6 +166,39 @@ def test_fused_rbf_kernel_gradients_with_batch_axes():
         seed=6)
 
 
+def test_selected_group_gram_gradients():
+    ids = np.array([1, 3, 4])
+    w = np.random.default_rng(9).normal(size=(3, 4, 4))
+    check_op(lambda b, log_ell, log_sf: autodiff.tsum(autodiff.mul(
+        psdlinalg.group_gram_t(b, ids, log_ell, log_sf), w)), (6, 4, 3), (), (),
+        seed=10)
+
+
+def test_selected_group_gram_is_the_full_gram_under_a_zero_padded_gradient():
+    # at the default codebook sizes, so that the hyperparameter sums run
+    # numpy's pairwise summation over many blocks
+    rng = np.random.default_rng(11)
+    basis, ids = rng.normal(scale=0.4, size=(112, 16, 32)), np.array([3, 40, 41, 97])
+    scalars = (np.array(0.3), np.array(-0.2))
+    assert psdlinalg.group_gram_t(basis, ids, *scalars).data.tobytes() == (
+        psdlinalg.kernel_matrix(basis, basis, *scalars)[ids].tobytes())
+    b, log_ell, log_sf = (parameter(a) for a in (basis, *scalars))
+    full = psdlinalg.kernel_matrix_t(b, b, log_ell, log_sf)
+    part = psdlinalg.group_gram_t(b, ids, log_ell, log_sf)
+    assert part.data.tobytes() == full.data[ids].tobytes()
+    g = rng.normal(size=part.shape)
+    padded = np.zeros(full.shape)
+    padded[ids] = g
+    # the thunks in backward's order: the log-lengthscale's after the rows'
+    want = [thunk() for thunk in full._vjp(padded)]
+    got = [thunk() for thunk in part._vjp(g)]
+    assert [a.tobytes() for a in got[2:]] == [a.tobytes() for a in want[2:]]
+    rest = np.setdiff1d(np.arange(len(basis)), ids)
+    for a, ref in zip(got[:2], want[:2]):
+        assert a[ids].tobytes() == ref[ids].tobytes()
+        assert not a[rest].any() and not ref[rest].any()
+
+
 @pytest.mark.parametrize("op,shapes", [
     (autodiff.add, [(3, 4), (4,)]),
     (autodiff.sub, [(3, 4), (3, 1)]),

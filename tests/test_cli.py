@@ -13,7 +13,7 @@ import pytest
 from gptraj import cli, psdlinalg, trainer
 from gptraj.core import load_dataset
 
-from conftest import corrupting_factor
+from conftest import GramSpy
 
 TOY_CONFIG = {
     "seed": 0,
@@ -75,11 +75,16 @@ def test_gp_set_up_failure_names_the_command(tmp_path, monkeypatch, capsys):
     ckpt = ["--ckpt", str(tmp_path / "run" / "ckpt_stage1.bin")]
     for command, args in (("eval", ["--mode", "roca"]),
                           ("active-select", ["--budget", "0.5"])):
-        monkeypatch.setattr(psdlinalg, "cholesky_factor", corrupting_factor(0, 3))
+        # a group is conditioned when the prediction routes a row to it
+        spy = GramSpy()
+        monkeypatch.setattr(psdlinalg, "group_gram_t", spy)
+        assert cli.cli_run(argv + [command] + args + ckpt) == 0
+        group = spy.renumbered(0)
+        monkeypatch.setattr(psdlinalg, "group_gram_t", GramSpy(corrupt=group))
         capsys.readouterr()
         assert cli.cli_run(argv + [command] + args + ckpt) == 1
         assert capsys.readouterr().err.splitlines()[-1].startswith(
-            f"error: {command} GP set-up: group 3: matrix not positive definite")
+            f"error: {command} GP: group {group}: matrix not positive definite")
 
 
 def test_gen_data_unlabeled_requires_domain(tmp_path, capsys):
@@ -168,6 +173,27 @@ def test_adapt_rejects_selected_scenes_not_in_the_dataset(tmp_path, capsys):
                         "--data", str(data), "--subset-from", str(selection)]) == 1
     assert capsys.readouterr().err.splitlines()[-1] == (
         f"error: {selection}: 2 selected scenes are not in the dataset (first: other-7)")
+
+
+@pytest.mark.parametrize("args, missing", [
+    (["pretrain"], "dataset"),
+    (["fit-gp"], "dataset"),
+    (["eval", "--ckpt", "{tmp}/none.bin", "--data", "{tmp}/none.jsonl"], "dataset"),
+    (["finetune", "--data", "{data}"], "checkpoint"),
+    (["adapt", "--mode", "unsup", "--data", "{data}"], "checkpoint"),
+    (["active-select", "--budget", "0.5", "--data", "{data}"], "checkpoint"),
+    (["eval", "--data", "{data}", "--ckpt", "{tmp}/none.bin"], "checkpoint"),
+], ids=["pretrain", "fit-gp", "eval-data", "finetune", "adapt", "active-select",
+        "eval-ckpt"])
+def test_missing_input_file_writes_no_resolved_config(tmp_path, capsys, args, missing):
+    data = tmp_path / "target.jsonl"
+    assert cli.cli_run(["--out-dir", str(tmp_path / "gen"), "gen-data", "--domain",
+                        "target_city", "--count", "3", "--out", str(data)]) == 0
+    args = [a.format(tmp=tmp_path, data=data) for a in args]
+    capsys.readouterr()
+    assert cli.cli_run(["--out-dir", str(tmp_path / "run"), *args]) == 1
+    assert capsys.readouterr().err.splitlines()[-1].startswith(f"error: {missing} not found")
+    assert not (tmp_path / "run").exists()  # no resolved_config.json
 
 
 def run_python(*args: str, cwd: Path, **env: str) -> str:

@@ -231,6 +231,19 @@ def test_load_rejects_non_string_ids(tmp_path, key, value):
         load_dataset(path)
 
 
+def test_load_rejects_a_repeated_scene_id(tmp_path):
+    # a selection CSV names scenes by id, so two records with one id cannot
+    # be told apart; a violation on an earlier line is still reported first
+    path = tmp_path / "data.jsonl"
+    lines = [make_record(scene_id=sid).to_json_dict() for sid in ("a", "b", "a")]
+    write_lines(path, [*lines[:2], "", lines[2]])
+    with pytest.raises(ValueError, match=re.escape(f"{path}:4: scene_id a repeats line 1")):
+        load_dataset(path)
+    write_lines(path, [lines[0], numeric_violation(), lines[0]])
+    with pytest.raises(ValueError, match=re.escape(f"{path}:2: ego_gt: waypoint")):
+        load_dataset(path)
+
+
 @pytest.mark.parametrize("text", ["", "\n", "\n  \n\t\n"])
 def test_load_empty_and_blank_files(tmp_path, text):
     path = tmp_path / "data.jsonl"

@@ -235,6 +235,37 @@ def test_predict_rows_matches_per_token_reference(small_cb, small_clf, monkeypat
         assert var[i] == pytest.approx(want_var, rel=0, abs=1e-8)
 
 
+def test_groups_are_conditioned_once_when_first_routed(small_cb, small_clf, factored):
+    p = gp_scalars_ref(log_lengthscale=0.1, log_noise_traj=np.log(0.07))
+    tokens, masks, _ = mixed_rows(small_cb, 6, np.random.default_rng(23))
+    inf = inference(small_cb, small_clf, p)
+    assert factored == []  # construction conditions nothing
+    groups = [inf.predict_rows(tokens[i:j], masks[i:j])[3]
+              for i, j in ((0, 5), (5, 12), (0, 12), (12, 24), (3, 20))]
+    routed = np.unique(np.concatenate(groups))
+    assert len(routed) < small_cb.n_code
+    assert sum(factored) == len(routed)  # each routed group once
+
+
+def test_predictions_do_not_depend_on_call_order_or_split(small_cb, small_clf):
+    # a group's conditioning is the same bytes whatever groups share its
+    # stack, so neither the groups conditioned before a call nor the split
+    # of the rows over calls moves a prediction
+    p = gp_scalars_ref(log_lengthscale=0.1, log_noise_traj=np.log(0.07))
+    rng = np.random.default_rng(29)
+    tokens, masks, _ = mixed_rows(small_cb, 8, rng)
+    want = inference(small_cb, small_clf, p).predict_rows(tokens, masks)
+    for split in (1, 2, 5):
+        inf = inference(small_cb, small_clf, p)
+        order = rng.permutation(len(tokens))
+        got = [np.empty_like(a) for a in want]
+        for rows in np.array_split(order, split):
+            for a, part in zip(got, inf.predict_rows(tokens[rows], masks[rows])):
+                a[rows] = part
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        assert inf.predict_rows(tokens, masks)[0].tobytes() == want[0].tobytes()
+
+
 def test_graph_path_matches_inference_path(small_cb, small_clf):
     # a GpGraph over tracked parameters computes what GpInference computes
     # over constants, and its backward reaches every parameter family

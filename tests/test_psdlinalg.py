@@ -155,6 +155,22 @@ def test_jitter_ladder_runs_for_the_failing_group_only():
         assert np.linalg.norm(inv[g] - ref[g]) <= 1e-14 * cond * np.linalg.norm(ref[g])
 
 
+def test_healthy_factors_do_not_depend_on_a_failing_stack_mate():
+    # a rank-deficient Gram matrix in the stack sends it to the per-matrix
+    # path; every healthy matrix keeps the bytes it factors to alone
+    rng = np.random.default_rng(43)
+    basis = rng.normal(scale=0.3, size=(40, 16, 8))
+    healthy = kernel_matrix(basis, basis, 0.0, 0.0)
+    v = rng.normal(size=(1, 16))
+    alone = [cholesky_factor(m).lower.tobytes() for m in healthy]
+    for stack, bad in ((healthy, None),
+                       (np.concatenate([healthy[:7], (v.T @ v)[None], healthy[7:]]), 7)):
+        factor = cholesky_factor(stack)
+        lower = factor.lower if bad is None else np.delete(factor.lower, bad, axis=0)
+        assert [m.tobytes() for m in lower] == alone
+        assert (bad is None) == (factor.jitter_used == 0.0)
+
+
 def test_dimension_cap():
     with pytest.raises(ValueError, match="4096"):
         cholesky_factor(np.eye(5000))

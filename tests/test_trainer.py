@@ -25,7 +25,7 @@ from gptraj.trainer import (BASE_PARAMS, GP_PARAMS, Checkpoint, SceneTable,
                             TrainingError, finetune_scene_loss, scene_labels,
                             stage1_pretrain, stage2_fit_gp, stage3_finetune)
 
-from conftest import (TINY_OBS_DIM, corrupting_factor, parameter, tiny_config,
+from conftest import (TINY_OBS_DIM, GramSpy, parameter, tiny_config,
                       tiny_domain, tiny_spec)
 from oracles import (adam_ref, encode_ref, finite_difference, group_ids_ref,
                      init_tensors_ref, predict_ref, traj_distance)
@@ -302,19 +302,82 @@ def test_adam_step_is_bit_identical_to_out_of_place_update():
 
 
 def test_not_psd_names_stage_and_step(tiny_dataset, monkeypatch):
+    # a routed group whose Gram matrix is not positive definite stops the run
+    # at the step that conditions it, and is named by its codebook id
     ckpt = stage1_pretrain(tiny_dataset, CFG, tiny_spec())
+    spy = GramSpy()
+    monkeypatch.setattr(psdlinalg, "group_gram_t", spy)
     ckpt2 = stage2_fit_gp(tiny_dataset[:48], ckpt, CFG)
-    monkeypatch.setattr(psdlinalg, "cholesky_factor", corrupting_factor(1, 5))
-    with pytest.raises(TrainingError, match="^stage2 step 1: group 5: matrix not "
-                                            "positive definite") as exc:
+    group = spy.renumbered(1)
+    monkeypatch.setattr(psdlinalg, "group_gram_t", GramSpy(corrupt=group, at=1))
+    with pytest.raises(TrainingError, match=f"^stage2 step 1: group {group}: matrix "
+                                            "not positive definite") as exc:
         stage2_fit_gp(tiny_dataset[:48], ckpt, CFG)
     assert isinstance(exc.value.__cause__, NotPSD)
-    assert exc.value.__cause__.group == 5
-    monkeypatch.setattr(psdlinalg, "cholesky_factor", corrupting_factor(0, 17))
-    with pytest.raises(TrainingError, match="^stage3 teacher set-up: group 17: "
-                                            "matrix not positive definite") as exc:
+    assert exc.value.__cause__.group == group
+    # the teacher conditions its groups as the steps route rows to them
+    spy = GramSpy()
+    monkeypatch.setattr(psdlinalg, "group_gram_t", spy)
+    stage3_finetune(tiny_dataset[:16], ckpt2, CFG)
+    group = spy.renumbered(0)
+    monkeypatch.setattr(psdlinalg, "group_gram_t", GramSpy(corrupt=group, at=0))
+    with pytest.raises(TrainingError, match=f"^stage3 step 0: group {group}: matrix "
+                                            "not positive definite") as exc:
         stage3_finetune(tiny_dataset[:16], ckpt2, CFG)
-    assert isinstance(exc.value.__cause__, NotPSD)
+    assert exc.value.__cause__.group == group
+
+
+def test_stage2_step_factors_only_its_routed_groups(fitted, tiny_dataset, monkeypatch,
+                                                   factored):
+    routed = []
+    real = GpGraph.reconstruct
+
+    def reconstruct(graph, features, group):
+        routed.append(len(np.unique(group)))
+        return real(graph, features, group)
+
+    monkeypatch.setattr(GpGraph, "reconstruct", reconstruct)
+    stage2_fit_gp(tiny_dataset[:48], fitted, CFG)
+    assert len(routed) == 3  # one conditioning per step
+    assert factored == routed
+    assert max(routed) < fitted.model.cb.n_code
+
+
+def failing_on(matrix: np.ndarray):
+    """The real ``cholesky_factor``, except that every matrix of a stack
+    equal to ``matrix`` is replaced by -I."""
+    real = psdlinalg.cholesky_factor
+
+    def factor(a):
+        hit = np.all(a == matrix, axis=(-2, -1))
+        return real(np.where(hit[..., None, None], -np.eye(a.shape[-1]), a))
+
+    return factor
+
+
+def test_only_routed_groups_are_factored(fitted, tiny_dataset, monkeypatch):
+    # a group no row is routed to is never factored, so a Gram matrix of it
+    # that is not positive definite changes nothing, while a routed group's
+    # fails the step that routes to it
+    model = fitted.model
+    grams = psdlinalg.kernel_matrix(model.cb.basis, model.cb.basis,
+                                    model.tensors["gp.log_lengthscale"],
+                                    model.tensors["gp.log_outputscale"])
+    spy = GramSpy()
+    monkeypatch.setattr(psdlinalg, "group_gram_t", spy)
+    want = stage3_finetune(tiny_dataset[:32], fitted, CFG).model.tensors
+    routed = np.unique(np.concatenate(spy.ids))
+    assert sum(map(len, spy.ids)) == len(routed)  # each routed group once
+    unrouted = np.setdiff1d(np.arange(model.cb.n_code), routed)
+    assert len(unrouted) > 0
+    group = int(spy.ids[0][-1])  # routed at step 0
+    monkeypatch.setattr(psdlinalg, "cholesky_factor", failing_on(grams[unrouted[0]]))
+    got = stage3_finetune(tiny_dataset[:32], fitted, CFG).model.tensors
+    assert all(got[name].tobytes() == want[name].tobytes() for name in want)
+    monkeypatch.setattr(psdlinalg, "cholesky_factor", failing_on(grams[group]))
+    with pytest.raises(TrainingError, match=f"^stage3 step 0: group {group}: matrix "
+                                            "not positive definite"):
+        stage3_finetune(tiny_dataset[:32], fitted, CFG)
 
 
 def test_loss_log_keeps_the_steps_before_a_failure(tiny_dataset, fitted, tmp_path,
@@ -448,12 +511,12 @@ def test_model_codebook_is_built_once_over_the_model_arrays(fitted):
 
 @pytest.mark.parametrize("group_size, token_dim", [(4, 8), (16, 32)])
 def test_teacher_token_anchors_are_the_basis_means(group_size, token_dim):
-    # the teacher's triplet anchors come from its conditioning, whose mean is
-    # a sum times 1/C: byte-equal to basis.mean while 1/C is exact
+    # the teacher's triplet anchors are a sum times 1/C: byte-equal to
+    # basis.mean while 1/C is exact
     spec = dataclasses.replace(tiny_spec(), group_size=group_size, token_dim=token_dim)
     trajs = np.random.default_rng(3).normal(size=(spec.n_code, group_size, 12))
     model = trainer.Model(spec, init_tensors_ref(spec, 4, trajs))
-    anchors = GpInference(model.cb, model.tensors).group_cond()["token_anchors"].data
+    anchors = GpInference(model.cb, model.tensors).token_anchors.data
     assert anchors.tobytes() == model.cb.basis.mean(axis=1).tobytes()
 
 
@@ -473,8 +536,9 @@ class ReplayTeacher:
             self.recorded = self.teacher.predict_rows(tokens, admissible)
         return self.recorded
 
-    def group_cond(self):
-        return self.teacher.group_cond()
+    @property
+    def token_anchors(self):
+        return self.teacher.token_anchors
 
 
 @pytest.fixture(scope="module")
