@@ -24,10 +24,22 @@ dict whose trained entries are parameter tensors. ``GpInference`` is the
 same graph over a frozen model's arrays, which every autodiff op wraps as
 constants, so evaluation, the teacher forward and active selection build no
 tape; it conditions a group on first use and keeps it.
+
+Inference is blocked matrix products that release the interpreter lock, so
+``GpInference.predict_rows`` classifies a call of more than one block on
+every CPU the process may use: the calling thread and persistent worker
+threads each take whole blocks, cut where one thread would cut them, and
+the caller then conditions and predicts all rows at once. Each block is
+the same single-threaded BLAS calls in any thread, so the bytes do not
+depend on the CPU count. A one-block call, such as every teacher call of a
+training batch, runs in the caller and starts no thread.
 """
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from functools import cached_property
 
 import numpy as np
@@ -107,31 +119,35 @@ class GpGraph:
         h = autodiff.tanh(autodiff.linear(features, w["clf.w1"], w["clf.b1"]))
         return autodiff.linear(h, w["clf.w2"], w["clf.b2"])
 
-    def _conditioned(self, features: Tensor, group: np.ndarray, anchors: Tensor,
-                     alpha: str) -> tuple[Tensor, Tensor]:
-        """Each row's posterior mean anchor + k* alpha (``alpha`` names it)
-        and function variance sf2 - k*^T K^-1 k* under its group; k* (C,) is
-        the row's slice of its kernel features for that group."""
+    def _k_star(self, features: Tensor, group: np.ndarray) -> Tensor:
+        """Each row's k* (N, 1, C): its slice of its kernel features for its
+        group."""
         cb = self.cb
         n = len(group)
-        cond, pos = self.group_cond(group)
-        k_star = autodiff.gather0(
+        return autodiff.gather0(
             autodiff.reshape(features, (n * cb.n_code, 1, cb.group_size)),
-            np.arange(n) * cb.n_code + group)  # (N, 1, C)
+            np.arange(n) * cb.n_code + group)
+
+    def _conditioned(self, k_star: Tensor, group: np.ndarray, anchors: Tensor,
+                     alpha: str) -> tuple[Tensor, Tensor]:
+        """Each row's posterior mean anchor + k* alpha (``alpha`` names it)
+        and function variance sf2 - k*^T K^-1 k* under its group, from the
+        rows' k* (N, 1, C)."""
+        cond, pos = self.group_cond(group)
         quad = autodiff.tsum(autodiff.mul(
             autodiff.matmul(k_star, autodiff.gather0(cond["k_inv"], pos)),
             k_star), axis=(1, 2))
         offset = autodiff.matmul(k_star, autodiff.gather0(cond[alpha], pos))
         mean = autodiff.add(autodiff.gather0(anchors, group),
-                            autodiff.reshape(offset, (n, -1)))
+                            autodiff.reshape(offset, (len(group), -1)))
         return mean, autodiff.relu(autodiff.sub(self.sf2, quad))
 
     def reconstruct(self, features: Tensor, group: np.ndarray) -> tuple[Tensor, Tensor]:
         """Posterior mean (N, D) of each token row under its group (N,), from
         the rows' kernel features, and its scalar variance (N,), noise
         included."""
-        mean, fn_var = self._conditioned(features, group, self.token_anchors,
-                                         "alpha_basis")
+        mean, fn_var = self._conditioned(self._k_star(features, group), group,
+                                         self.token_anchors, "alpha_basis")
         return mean, autodiff.add(fn_var, self.noise_recon)
 
     def predict_trajectory(self, features: Tensor,
@@ -139,7 +155,11 @@ class GpGraph:
         """Posterior trajectory mean (N, 12) of each token row under its group
         (N,), from the rows' kernel features, and its scalar variance (N,),
         noise included."""
-        mean, fn_var = self._conditioned(features, group, Tensor(self.cb.traj_anchors),
+        return self._trajectory(self._k_star(features, group), group)
+
+    def _trajectory(self, k_star: Tensor, group: np.ndarray) -> tuple[Tensor, Tensor]:
+        """``predict_trajectory`` from the rows' k* (N, 1, C)."""
+        mean, fn_var = self._conditioned(k_star, group, Tensor(self.cb.traj_anchors),
                                          "alpha_traj")
         return mean, autodiff.add(fn_var, self.noise_traj)
 
@@ -171,22 +191,62 @@ class GpInference(GpGraph):
         included, the logits (N, n_code) with -inf outside each row's mask,
         and the groups (N,): the masked argmax, ties to the lowest id.
 
-        Rows go through in blocks of at most FEATURE_BLOCK kernel features,
-        so a large call allocates no larger buffers than a training step.
+        Rows are classified in blocks of at most FEATURE_BLOCK kernel
+        features, cut at multiples of the block's row count whatever the
+        lanes. The blocks go round-robin over ``lanes`` lanes: this thread
+        and, for a call of more than one block on a host with more than one
+        CPU, the process's worker threads. A lane keeps each row's logits
+        and k* and drops the block's features, so at most ``lanes`` blocks
+        of features are in flight. Then this thread conditions the routed
+        groups not conditioned yet, in one stack, and predicts every row
+        from its k*. Each block is the same numpy calls on the same rows
+        in any lane, so the bytes do not depend on the lanes.
         """
         rows = max(1, FEATURE_BLOCK // (self.cb.n_code * self.cb.group_size))
-        blocks = [self._predict_block(tokens[i:i + rows], admissible[i:i + rows])
-                  for i in range(0, len(tokens), rows)]
-        return tuple(np.concatenate(parts) for parts in zip(*blocks))
+        starts = range(0, len(tokens), rows)
+        lanes = min(len(os.sched_getaffinity(0)), len(starts))
+
+        def block(i: int) -> tuple:
+            """The masked logits, groups and k* of the block at row i; its
+            features are freed on return."""
+            features = self.kernel_features(tokens[i:i + rows])
+            logits = np.where(admissible[i:i + rows],
+                              self.classifier_logits(features).data, -np.inf)
+            group = np.argmax(logits, axis=1)
+            return logits, group, self._k_star(features, group).data
+
+        def lane(j: int) -> list:
+            return [block(i) for i in starts[j::lanes]]
+
+        futures = [_workers().submit(lane, j) for j in range(1, lanes)]
+        try:
+            by_lane = [lane(0)]
+        finally:
+            wait(futures)
+        by_lane += [f.result() for f in futures]
+        logits, group, k_star = (np.concatenate(parts) for parts in zip(
+            *(by_lane[b % lanes][b // lanes] for b in range(len(starts)))))
+        mean, variance = self._trajectory(Tensor(k_star), group)
+        return mean.data, variance.data, logits, group
 
     def predict_scene(self, ego_tokens: np.ndarray, commands):
         """``predict_rows`` of each scene's ego token row (N, D) under the
         admissibility mask of its driving command."""
         return self.predict_rows(ego_tokens, admissible(self.cb, commands))
 
-    def _predict_block(self, tokens: np.ndarray, admissible: np.ndarray):
-        features = self.kernel_features(tokens)
-        logits = np.where(admissible, self.classifier_logits(features).data, -np.inf)
-        group = np.argmax(logits, axis=1)
-        mean, variance = self.predict_trajectory(features, group)
-        return mean.data, variance.data, logits, group
+
+# The worker threads of GpInference.predict_rows, one fewer than the CPUs
+# the process may run on, started by the first call that needs one and
+# kept for the process's life: a thread started per call costs more than a
+# block, and GpInference objects are short-lived (one per eval or select).
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def _workers() -> ThreadPoolExecutor:
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(len(os.sched_getaffinity(0)) - 1,
+                                       thread_name_prefix="gpmodule-lane")
+        return _pool

@@ -34,7 +34,10 @@ and appends them to the loss CSV as the step ends.
 
 Determinism contract: identical (config, seed, dataset) produce
 bit-identical checkpoints at one BLAS thread, the count ``gptraj.cli``
-pins (a multithreaded BLAS sums in a thread-dependent order). Shuffles
+pins (a multithreaded BLAS sums in a thread-dependent order). The bytes do
+not depend on the CPU count: ``GpInference.predict_rows`` spreads whole
+blocks over the CPUs, and a block is the same single-threaded BLAS calls
+of the same shapes in any thread. Shuffles
 derive from the seed by purpose keys, and every reduction over a step's
 rows runs in the fixed row order above. The row-batched reduction sums in
 a different order than the per-scene tapes it replaced, so checkpoints

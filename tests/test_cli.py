@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from gptraj import cli, psdlinalg, trainer
+from gptraj import cli, gpmodule, psdlinalg, trainer
 from gptraj.core import load_dataset
 
 from conftest import GramSpy
@@ -255,3 +255,49 @@ def test_gen_data_domain_unlabeled_writes_no_ground_truth(tmp_path):
     assert len(lines) == 5
     assert not any("ego_gt" in d or "agent_gt" in d for d in lines)
     assert not any(r.labeled for r in load_dataset(out))
+
+
+# 60 groups of 16 basis tokens: 960 kernel features a row, so a
+# predict_rows block holds 273 rows and the 300-scene eval and
+# active-select sets are two blocks each
+LANES_CONFIG = {
+    "seed": 0,
+    "model": {"token_dim": 8, "encoder_hidden": 16, "planner_hidden": 16,
+              "classifier_hidden": 16},
+    "codebook": {"n_ego": 12, "n_agent": 48, "group_size": 16},
+    "train": {"epochs_stage1": 1, "batch_size": 64},
+    "data": {"n_source": 450, "n_source_val": 300, "n_target": 300,
+             "n_target_val": 16},
+}
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs")
+def test_outputs_do_not_depend_on_the_cpu_count(tmp_path):
+    """``eval --mode roca`` and ``active-select --strategy variance`` write
+    the same bytes from a process restricted to one CPU, whose
+    ``predict_rows`` calls run one lane, as from one that may use every CPU
+    of the host, which runs a lane per CPU.
+
+    Skipped on a one-CPU host, where both processes would run one lane.
+    """
+    assert gpmodule.FEATURE_BLOCK // (60 * 16) < 300
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(LANES_CONFIG))
+    argv = ["--config", str(config), "--out-dir", str(tmp_path / "run")]
+    assert cli.cli_run(argv + ["gen-data"]) == 0
+    assert cli.cli_run(argv + ["pretrain"]) == 0
+    ckpt = ["--ckpt", str(tmp_path / "run" / "ckpt_stage1.bin")]
+    one_cpu = min(os.sched_getaffinity(0))
+    # the child restricts itself to one CPU, then runs the CLI in its place
+    on_one_cpu = ["-c", f"import os, sys; os.sched_setaffinity(0, {{{one_cpu}}}); "
+                  "os.execv(sys.executable, [sys.executable, *sys.argv[1:]])"]
+    written = []
+    for tag, child in (("one", on_one_cpu), ("all", [])):
+        out = tmp_path / tag
+        for command in (["eval", "--mode", "roca", "--out", str(out / "eval.csv")],
+                        ["active-select", "--budget", "0.5", "--strategy", "variance",
+                         "--out", str(out / "selection.csv")]):
+            run_python(*child, "-m", "gptraj.cli", *argv, *command, *ckpt, cwd=tmp_path)
+        written.append([(out / name).read_bytes() for name in ("eval.csv",
+                                                               "selection.csv")])
+    assert written[0] == written[1]

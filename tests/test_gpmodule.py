@@ -2,17 +2,21 @@
 
 from __future__ import annotations
 
+import functools
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
 
-from gptraj import autodiff, gpmodule
+from gptraj import autodiff, gpmodule, psdlinalg
 from gptraj.autodiff import Tensor
 from gptraj.codebook import Codebook, admissible, sample_and_cluster
 from gptraj.core import COMMANDS, Command
 from gptraj.gpmodule import GpGraph, GpInference
-from gptraj.trainer import Adam
+from gptraj.psdlinalg import NotPSD
+from gptraj.trainer import Adam, ModelSpec
 from gptraj.losses import cross_entropy
 from gptraj.core import rng_for
 
@@ -264,6 +268,142 @@ def test_predictions_do_not_depend_on_call_order_or_split(small_cb, small_clf):
                 a[rows] = part
         assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
         assert inf.predict_rows(tokens, masks)[0].tobytes() == want[0].tobytes()
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """``cpus(n)`` makes ``predict_rows`` see ``n`` CPUs from then on, with
+    no worker thread started yet; the workers the test starts stop at its
+    end."""
+    before = gpmodule._pool
+
+    def stop():
+        if gpmodule._pool not in (None, before):
+            gpmodule._pool.shutdown()
+
+    def set_cpus(n: int):
+        stop()
+        monkeypatch.setattr(gpmodule, "_pool", None)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+    yield set_cpus
+    stop()
+
+
+def default_size_rows(n: int):
+    """A maker of fresh GpInference objects at the default ModelSpec sizes
+    (48 ego and 64 agent groups of 16 basis tokens of 32 dims, 128 hidden
+    classifier units) over random trajectories, and ``n`` token rows near
+    their basis tokens with the admissible masks of mixed commands."""
+    spec = ModelSpec()
+    n_code = spec.n_ego + spec.n_agent
+    rng = np.random.default_rng(31)
+    cb = Codebook(rng.normal(size=(n_code, spec.group_size, 12)),
+                  basis_tokens_ref(2, n_code, spec.group_size, spec.token_dim), spec.n_ego)
+    clf = classifier_init_ref(rng, n_code, spec.group_size, spec.classifier_hidden)
+    p = gp_scalars_ref(log_lengthscale=-0.5, log_noise_traj=np.log(0.07))
+    tokens = (cb.basis[rng.integers(n_code, size=n), rng.integers(spec.group_size, size=n)]
+              + rng.normal(scale=0.05, size=(n, spec.token_dim)))
+    commands = [(None, *COMMANDS)[i % 4] for i in range(n)]
+    return functools.partial(inference, cb, clf, p), tokens, admissible(cb, commands)
+
+
+@pytest.mark.parametrize("size", ["toy", "default"])
+def test_lanes_and_block_slices_give_the_same_bytes(size, small_cb, small_clf, cpus,
+                                                     monkeypatch):
+    # a block's bytes depend on its row count, so lanes must take whole
+    # blocks cut where a one-lane call cuts them, and the conditioning of all
+    # rows at once must equal that of each block alone
+    if size == "toy":
+        p = gp_scalars_ref(log_lengthscale=0.1, log_noise_traj=np.log(0.07))
+        tokens, masks, _ = mixed_rows(small_cb, 6, np.random.default_rng(37))
+        monkeypatch.setattr(gpmodule, "FEATURE_BLOCK",
+                            5 * small_cb.n_code * small_cb.group_size)
+        fresh = functools.partial(inference, small_cb, small_clf, p)
+    else:
+        fresh, tokens, masks = default_size_rows(800)
+    inf = fresh()
+    rows = gpmodule.FEATURE_BLOCK // (inf.cb.n_code * inf.cb.group_size)
+    assert len(tokens) > 3 * rows  # at least 4 blocks
+    threads = []  # the thread of each block
+    real = GpInference.kernel_features
+
+    def kernel_features(self, rows):
+        threads.append(threading.current_thread())
+        return real(self, rows)
+
+    monkeypatch.setattr(GpInference, "kernel_features", kernel_features)
+    by_lanes = {}
+    for lanes in (1, 2, 4):
+        cpus(lanes)
+        threads.clear()
+        by_lanes[lanes] = [a.tobytes() for a in fresh().predict_rows(tokens, masks)]
+        # the caller is a lane; a worker may run two lanes one after the other
+        assert threading.main_thread() in threads
+        assert (len(set(threads)) > 1) == (lanes > 1)
+    assert by_lanes[2] == by_lanes[1] and by_lanes[4] == by_lanes[1]
+    sliced = [inf.predict_rows(tokens[i:i + rows], masks[i:i + rows])
+              for i in range(0, len(tokens), rows)]
+    assert [np.concatenate(parts).tobytes() for parts in zip(*sliced)] == by_lanes[1]
+
+
+def test_a_worker_lane_error_reaches_the_caller_as_itself(small_cb, small_clf, cpus,
+                                                           monkeypatch):
+    p = gp_scalars_ref(log_lengthscale=0.1)
+    tokens, masks, _ = mixed_rows(small_cb, 6, np.random.default_rng(41))
+    monkeypatch.setattr(gpmodule, "FEATURE_BLOCK", 5 * small_cb.n_code * small_cb.group_size)
+    cpus(2)
+    inf = inference(small_cb, small_clf, p)
+    real = GpInference.kernel_features
+
+    def too_narrow_in_workers(self, rows):
+        if threading.current_thread() is not threading.main_thread():
+            rows = rows[:, :-1]
+        return real(self, rows)
+
+    with monkeypatch.context() as m:
+        m.setattr(GpInference, "kernel_features", too_narrow_in_workers)
+        with pytest.raises(ValueError, match="^token dimension mismatch: 5 vs 6$") as exc:
+            inf.predict_rows(tokens, masks)
+    assert exc.type is ValueError
+    with pytest.raises(ValueError, match="^token dimension mismatch: 5 vs 6$"):
+        inf.predict_rows(tokens[:, :-1], masks)  # in every lane
+    # the worker outlives the errors
+    want = inference(small_cb, small_clf, p).predict_rows(tokens, masks)
+    got = inf.predict_rows(tokens, masks)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+def test_not_psd_names_the_lowest_failing_routed_group(small_cb, small_clf, cpus,
+                                                       monkeypatch):
+    # all lanes classify before one conditioning of every routed group, so
+    # of two failing groups the lower id is named, whichever block routes first
+    p = gp_scalars_ref(log_lengthscale=0.1)
+    rng = np.random.default_rng(43)
+    tokens, masks, _ = mixed_rows(small_cb, 6, rng)
+    order = rng.permutation(len(tokens))
+    tokens, masks = tokens[order], masks[order]
+    rows = 5
+    monkeypatch.setattr(gpmodule, "FEATURE_BLOCK",
+                        rows * small_cb.n_code * small_cb.group_size)
+    cpus(2)
+    groups = inference(small_cb, small_clf, p).predict_rows(tokens, masks)[3]
+    first_block = {}
+    for i, g in enumerate(groups.tolist()):
+        first_block.setdefault(g, i // rows)
+    lo, hi = next((lo, hi) for lo in sorted(first_block) for hi in sorted(first_block)
+                  if lo < hi and first_block[lo] > first_block[hi])
+    real = psdlinalg.group_gram_t
+
+    def failing(basis, ids, *scalars):
+        gram = real(basis, ids, *scalars)
+        gram.data[np.isin(ids, [lo, hi])] = -np.eye(gram.shape[-1])
+        return gram
+
+    monkeypatch.setattr(psdlinalg, "group_gram_t", failing)
+    with pytest.raises(NotPSD, match=f"^group {lo}: matrix not positive definite") as exc:
+        inference(small_cb, small_clf, p).predict_rows(tokens, masks)
+    assert exc.value.group == lo
 
 
 def test_graph_path_matches_inference_path(small_cb, small_clf):

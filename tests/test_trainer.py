@@ -7,12 +7,13 @@ import dataclasses
 import itertools
 import json
 import math
+import os
 import struct
 
 import numpy as np
 import pytest
 
-from gptraj import autodiff, codebook, psdlinalg, trainer
+from gptraj import autodiff, codebook, gpmodule, psdlinalg, trainer
 from gptraj.adapt import active_select, adapt_supervised, adapt_unsupervised
 from gptraj.basemodel import encode
 from gptraj.codebook import BuildError
@@ -545,6 +546,24 @@ class ReplayTeacher:
 def fitted(tiny_dataset):
     ckpt = stage1_pretrain(tiny_dataset, CFG, tiny_spec())
     return stage2_fit_gp(tiny_dataset[:24], ckpt, CFG)
+
+
+def test_teacher_calls_start_no_worker_thread(fitted, tiny_dataset, monkeypatch):
+    # every teacher call of a training batch is one predict_rows block,
+    # which runs in the caller, so stage 3 starts no thread on any host
+    monkeypatch.setattr(gpmodule, "_pool", None)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    calls = []
+    real = GpInference.predict_rows
+
+    def predict_rows(self, tokens, admissible):
+        calls.append(len(tokens))
+        return real(self, tokens, admissible)
+
+    monkeypatch.setattr(GpInference, "predict_rows", predict_rows)
+    stage3_finetune(tiny_dataset[:32], fitted, CFG)
+    assert len(calls) == 2  # two steps of 16 scenes
+    assert gpmodule._pool is None
 
 
 def step_loss_setup(fitted, records, use_gt: bool, use_teacher: bool):
