@@ -64,7 +64,8 @@ def as_tensor(x) -> Tensor:
 
 
 def _tracked(*parents: Tensor) -> bool:
-    return any(p.requires_grad or p._parents or p._vjp is not None for p in parents)
+    # only a tape node (one with a vjp) has parents
+    return any(p.requires_grad or p._vjp is not None for p in parents)
 
 
 def _make(data, parents, vjp):
@@ -263,6 +264,10 @@ def backward(root: Tensor, into: dict[int, np.ndarray] | None = None) -> None:
     require them; constant leaves keep ``grad`` None, and a tape node drops
     its gradient once it has passed it on to its parents.
 
+    The topological walk pushes only tape nodes (those with a vjp), so it
+    never visits a leaf, parameter or constant; the tape nodes keep their
+    order, and so do the sums of their gradients.
+
     ``into`` maps the ``id`` of a leaf to a buffer of its shape that becomes
     its ``grad``: the first gradient is copied into it, later ones added.
     """
@@ -282,7 +287,7 @@ def backward(root: Tensor, into: dict[int, np.ndarray] | None = None) -> None:
         visited.add(id(node))
         stack.append((node, True))
         for p in node._parents:
-            if id(p) not in visited:
+            if p._vjp is not None and id(p) not in visited:
                 stack.append((p, False))
 
     root.grad = np.ones_like(root.data)

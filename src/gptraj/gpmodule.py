@@ -28,11 +28,19 @@ tape; it conditions a group on first use and keeps it.
 Inference is blocked matrix products that release the interpreter lock, so
 ``GpInference.predict_rows`` classifies a call of more than one block on
 every CPU the process may use: the calling thread and persistent worker
-threads each take whole blocks, cut where one thread would cut them, and
-the caller then conditions and predicts all rows at once. Each block is
+threads each take whole blocks, and the caller then conditions and predicts
+all rows at once. A call of at most R rows (one block, 146 rows at the
+default sizes), such as every teacher call of a training batch, runs in the
+caller and starts no thread. A call of n > R rows is cut into p =
+2 * ceil(n / 2R) near-equal blocks, by n alone: an even count, so two lanes
+get equal shares, and no block has fewer than R // 2 rows. Each block is
 the same single-threaded BLAS calls in any thread, so the bytes do not
-depend on the CPU count. A one-block call, such as every teacher call of a
-training batch, runs in the caller and starts no thread.
+depend on the CPU count. Whether a row's bytes depend on the block it is
+in is up to the BLAS: at the default sizes on the tested OpenBLAS, blocks
+of 10 rows or fewer rounded differently from the same rows in a larger
+block and blocks of 11 rows or more did not, so there the rows of a call
+above R rows do not depend on the call they are in. Nothing guarantees it
+for another BLAS, or for sizes where R // 2 is 10 rows or fewer.
 """
 
 from __future__ import annotations
@@ -191,32 +199,45 @@ class GpInference(GpGraph):
         included, the logits (N, n_code) with -inf outside each row's mask,
         and the groups (N,): the masked argmax, ties to the lowest id.
 
-        Rows are classified in blocks of at most FEATURE_BLOCK kernel
-        features, cut at multiples of the block's row count whatever the
-        lanes. The blocks go round-robin over ``lanes`` lanes: this thread
-        and, for a call of more than one block on a host with more than one
-        CPU, the process's worker threads. A lane keeps each row's logits
-        and k* and drops the block's features, so at most ``lanes`` blocks
-        of features are in flight. Then this thread conditions the routed
-        groups not conditioned yet, in one stack, and predicts every row
-        from its k*. Each block is the same numpy calls on the same rows
-        in any lane, so the bytes do not depend on the lanes.
-        """
-        rows = max(1, FEATURE_BLOCK // (self.cb.n_code * self.cb.group_size))
-        starts = range(0, len(tokens), rows)
-        lanes = min(len(os.sched_getaffinity(0)), len(starts))
+        Rows are classified in blocks of at most R rows, the rows of
+        FEATURE_BLOCK kernel features. A call of at most R rows is one
+        block; a call of n > R rows is cut into p = 2 * ceil(n / 2R)
+        blocks, block k being rows n * k // p to n * (k + 1) // p, so no
+        block is a short tail of fewer than R // 2 rows. A block of a few
+        rows can round differently from the same rows in a larger block
+        (the classifier's products): 10 rows or fewer did at the default
+        sizes on the tested OpenBLAS, so there a row of a call above R rows
+        had the bytes it has in any other such call, while a one-block call
+        of a few rows can differ.
 
-        def block(i: int) -> tuple:
-            """The masked logits, groups and k* of the block at row i; its
+        The blocks go round-robin over ``lanes`` lanes: this thread and, for
+        a call of more than one block on a host with more than one CPU, the
+        process's worker threads. A lane keeps each row's logits and k* and
+        drops the block's features, so at most ``lanes`` blocks of features
+        are in flight. Then this thread conditions the routed groups not
+        conditioned yet, in one stack, and predicts every row from its k*.
+        The cuts depend on n alone, and each block is the same numpy calls
+        on the same rows in any lane, so the bytes do not depend on the
+        lanes.
+        """
+        n = len(tokens)
+        rows = max(1, FEATURE_BLOCK // (self.cb.n_code * self.cb.group_size))
+        parts = 1 if n <= rows else 2 * -(-n // (2 * rows))
+        cuts = [n * k // parts for k in range(parts + 1)]
+        blocks = list(zip(cuts, cuts[1:]))
+        lanes = min(len(os.sched_getaffinity(0)), parts)
+
+        def block(start: int, stop: int) -> tuple:
+            """The masked logits, groups and k* of rows start to stop; their
             features are freed on return."""
-            features = self.kernel_features(tokens[i:i + rows])
-            logits = np.where(admissible[i:i + rows],
+            features = self.kernel_features(tokens[start:stop])
+            logits = np.where(admissible[start:stop],
                               self.classifier_logits(features).data, -np.inf)
             group = np.argmax(logits, axis=1)
             return logits, group, self._k_star(features, group).data
 
         def lane(j: int) -> list:
-            return [block(i) for i in starts[j::lanes]]
+            return [block(*b) for b in blocks[j::lanes]]
 
         futures = [_workers().submit(lane, j) for j in range(1, lanes)]
         try:
@@ -224,8 +245,8 @@ class GpInference(GpGraph):
         finally:
             wait(futures)
         by_lane += [f.result() for f in futures]
-        logits, group, k_star = (np.concatenate(parts) for parts in zip(
-            *(by_lane[b % lanes][b // lanes] for b in range(len(starts)))))
+        logits, group, k_star = (np.concatenate(col) for col in zip(
+            *(by_lane[b % lanes][b // lanes] for b in range(parts))))
         mean, variance = self._trajectory(Tensor(k_star), group)
         return mean.data, variance.data, logits, group
 

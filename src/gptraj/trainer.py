@@ -35,9 +35,14 @@ and appends them to the loss CSV as the step ends.
 Determinism contract: identical (config, seed, dataset) produce
 bit-identical checkpoints at one BLAS thread, the count ``gptraj.cli``
 pins (a multithreaded BLAS sums in a thread-dependent order). The bytes do
-not depend on the CPU count: ``GpInference.predict_rows`` spreads whole
-blocks over the CPUs, and a block is the same single-threaded BLAS calls
-of the same shapes in any thread. Shuffles
+not depend on the CPU count: ``GpInference.predict_rows`` cuts a call into
+blocks by its row count alone and spreads whole blocks over the CPUs, and a
+block is the same single-threaded BLAS calls of the same shapes in any
+thread. A teacher call of a training batch is one block; a longer call
+(eval, active selection) is cut into blocks of at least half a block's
+rows. Whether its rows depend on the call they are in is measured, not
+guaranteed: see the ``gpmodule`` docstring and
+``test_rows_of_a_call_above_one_block_do_not_depend_on_the_call``. Shuffles
 derive from the seed by purpose keys, and every reduction over a step's
 rows runs in the fixed row order above. The row-batched reduction sums in
 a different order than the per-scene tapes it replaced, so checkpoints

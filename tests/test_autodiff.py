@@ -328,6 +328,46 @@ def test_constant_leaf_takes_no_gradient():
     assert c.grad is None
 
 
+def test_a_float64_array_is_kept_and_other_data_becomes_a_new_float64_array():
+    a = np.arange(6.0).reshape(2, 3)
+    assert Tensor(a).data is a
+    for data in ([[1, 2], [3, 4]], 2.5, 3, np.float64(1.5), np.float32([1.5, 2.5]),
+                 np.arange(4), np.arange(3.0).astype(">f8")):
+        t = Tensor(data)
+        assert type(t.data) is np.ndarray and t.data.dtype == np.float64
+        assert t.data is not data
+        assert np.array_equal(t.data, np.asarray(data, dtype=np.float64))
+
+
+class CountingConstant(Tensor):
+    """A constant that counts how often its parents are read."""
+
+    __slots__ = ("reads",)
+
+    @property
+    def _parents(self):
+        self.reads += 1
+        return ()
+
+    @_parents.setter
+    def _parents(self, value):
+        self.reads = 0
+
+
+def test_the_walk_visits_no_constant_and_constants_take_no_gradient():
+    rng = np.random.default_rng(3)
+    x = parameter(rng.normal(size=(3, 4)))
+    consts = [CountingConstant(rng.uniform(0.5, 1.5, size=(3, 4))) for _ in range(40)]
+    y = x
+    for c in consts:
+        y = autodiff.add(autodiff.mul(y, c), c)
+    grads = autodiff.grad(autodiff.tsum(y), {"x": x})
+    assert np.allclose(grads["x"], np.prod([c.data for c in consts], axis=0),
+                       rtol=1e-12, atol=0)
+    assert all(c.grad is None for c in consts)
+    assert [c.reads for c in consts] == [0] * len(consts)
+
+
 def test_constants_build_no_tape():
     # a frozen model's tensors are all constants, so inference records nothing
     x = Tensor(np.array([[1.0, 2.0], [0.5, -1.0]]))

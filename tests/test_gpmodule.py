@@ -223,7 +223,7 @@ def test_predict_rows_matches_per_token_reference(small_cb, small_clf, monkeypat
     p = gp_scalars_ref(log_lengthscale=0.1, log_outputscale=0.05,
                  log_noise_traj=np.log(0.07))
     tokens, masks, commands = mixed_rows(small_cb, 6, np.random.default_rng(21))
-    # blocks of 5 rows, the last one short
+    # blocks of at most 5 rows: 24 rows are 6 blocks of 4
     monkeypatch.setattr(gpmodule, "FEATURE_BLOCK", 5 * small_cb.n_code * small_cb.group_size)
     mean, var, logits, groups = inference(small_cb, small_clf, p).predict_rows(
         tokens, masks)
@@ -308,6 +308,14 @@ def default_size_rows(n: int):
     return functools.partial(inference, cb, clf, p), tokens, admissible(cb, commands)
 
 
+def block_cuts(n: int, rows: int) -> list[int]:
+    """The first row of each ``predict_rows`` block of an n-row call, then
+    n: one block up to ``rows`` rows, else an even count of near-equal
+    blocks of at most ``rows`` rows."""
+    parts = 1 if n <= rows else 2 * math.ceil(n / (2 * rows))
+    return [n * k // parts for k in range(parts + 1)]
+
+
 @pytest.mark.parametrize("size", ["toy", "default"])
 def test_lanes_and_block_slices_give_the_same_bytes(size, small_cb, small_clf, cpus,
                                                      monkeypatch):
@@ -324,7 +332,8 @@ def test_lanes_and_block_slices_give_the_same_bytes(size, small_cb, small_clf, c
         fresh, tokens, masks = default_size_rows(800)
     inf = fresh()
     rows = gpmodule.FEATURE_BLOCK // (inf.cb.n_code * inf.cb.group_size)
-    assert len(tokens) > 3 * rows  # at least 4 blocks
+    cuts = block_cuts(len(tokens), rows)
+    assert len(cuts) == 7  # 6 blocks: 4 rows each (toy), 133 or 134 (default)
     threads = []  # the thread of each block
     real = GpInference.kernel_features
 
@@ -339,12 +348,27 @@ def test_lanes_and_block_slices_give_the_same_bytes(size, small_cb, small_clf, c
         threads.clear()
         by_lanes[lanes] = [a.tobytes() for a in fresh().predict_rows(tokens, masks)]
         # the caller is a lane; a worker may run two lanes one after the other
+        assert len(threads) == len(cuts) - 1
         assert threading.main_thread() in threads
         assert (len(set(threads)) > 1) == (lanes > 1)
     assert by_lanes[2] == by_lanes[1] and by_lanes[4] == by_lanes[1]
-    sliced = [inf.predict_rows(tokens[i:i + rows], masks[i:i + rows])
-              for i in range(0, len(tokens), rows)]
+    sliced = [inf.predict_rows(tokens[i:j], masks[i:j]) for i, j in zip(cuts, cuts[1:])]
     assert [np.concatenate(parts).tobytes() for parts in zip(*sliced)] == by_lanes[1]
+
+
+def test_rows_of_a_call_above_one_block_do_not_depend_on_the_call():
+    # no block of a call above one block's rows is a short tail, so each row
+    # has the bytes of the same row in the 800-row call; 731 and 148 rows cut
+    # at multiples of 146 would end in a 1-row and a 2-row block
+    fresh, tokens, masks = default_size_rows(800)
+    inf = fresh()
+    rows = gpmodule.FEATURE_BLOCK // (inf.cb.n_code * inf.cb.group_size)
+    assert rows == 146
+    want = inf.predict_rows(tokens, masks)
+    differ = [n for n in sorted({*range(rows + 1, 800, 53), 148, 731})
+              if [a.tobytes() for a in inf.predict_rows(tokens[:n], masks[:n])]
+              != [a[:n].tobytes() for a in want]]
+    assert differ == []
 
 
 def test_a_worker_lane_error_reaches_the_caller_as_itself(small_cb, small_clf, cpus,
@@ -389,8 +413,9 @@ def test_not_psd_names_the_lowest_failing_routed_group(small_cb, small_clf, cpus
     cpus(2)
     groups = inference(small_cb, small_clf, p).predict_rows(tokens, masks)[3]
     first_block = {}
+    cuts = block_cuts(len(tokens), rows)
     for i, g in enumerate(groups.tolist()):
-        first_block.setdefault(g, i // rows)
+        first_block.setdefault(g, int(np.searchsorted(cuts, i, side="right")) - 1)
     lo, hi = next((lo, hi) for lo in sorted(first_block) for hi in sorted(first_block)
                   if lo < hi and first_block[lo] > first_block[hi])
     real = psdlinalg.group_gram_t

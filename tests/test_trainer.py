@@ -454,10 +454,15 @@ def test_batch_is_the_table_of_its_scenes(tiny_dataset, tiny_model, labeled):
     subsets = [np.sort(rng.choice(len(records), size=n, replace=False))
                for n in (1, 2, 5, 13, 32, 40) for _ in range(3)]
     subsets += [np.array(agentless[:1]), np.array(agentless), np.array([0, agentless[-1]])]
+    perm = rng.permutation(len(records))  # an epoch at batch 32: 32 scenes, then 8
+    subsets += [np.sort(perm[i:i + 32]) for i in range(0, len(records), 32)]
     assert sum(bool(set(s) & set(agentless)) for s in subsets) > len(subsets) // 2
-    for scenes in subsets:
-        got = table.batch(scenes)
-        want = SceneTable([records[i] for i in scenes], cb, labeled)
+
+    def check(t: SceneTable, scenes: np.ndarray, position: np.ndarray) -> SceneTable:
+        # the table of the scenes' records, whose rows are the same rows of
+        # the whole table; position maps t's scene positions to the table's
+        got = t.batch(scenes)
+        want = SceneTable([records[i] for i in position[scenes]], cb, labeled)
         assert len(got) == got.n_ego == want.n_ego == len(scenes)
         for name in ("obs", "admissible", "gt", "labels", "scene_of_row"):
             g, w = getattr(got, name), getattr(want, name)
@@ -467,7 +472,13 @@ def test_batch_is_the_table_of_its_scenes(tiny_dataset, tiny_model, labeled):
             assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes()), name
             if name != "scene_of_row":
                 assert g.tobytes() == getattr(table, name)[got.rows].tobytes(), name
-        assert np.array_equal(table.scene_of_row[got.rows], scenes[got.scene_of_row])
+        assert np.array_equal(table.scene_of_row[got.rows],
+                              position[scenes][got.scene_of_row])
+        return got
+
+    for scenes in subsets:
+        got = check(table, scenes, np.arange(len(records)))
+        check(got, np.arange(0, len(scenes), 2), scenes)
 
 
 # --- one codebook per model -----------------------------------------------------
