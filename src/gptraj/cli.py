@@ -33,46 +33,39 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out-dir", type=str, default=None,
                         help="override the config output directory")
     sub = parser.add_subparsers(dest="command", required=True)
+    # the subcommands' input and output paths, each declared once
+    data, ckpt, out = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    for p, flag in ((data, "--data"), (ckpt, "--ckpt"), (out, "--out")):
+        p.add_argument(flag, type=str, default=None)
 
-    p = sub.add_parser("gen-data", help="generate the configured dataset splits")
+    p = sub.add_parser("gen-data", parents=[out],
+                       help="generate the configured dataset splits")
     p.add_argument("--domain", type=str, default=None,
                    help="generate a single domain instead of the default splits")
     p.add_argument("--count", type=int, default=None)
-    p.add_argument("--out", type=str, default=None)
     p.add_argument("--unlabeled", action="store_true",
                    help="strip the ground truth (requires --domain)")
 
-    p = sub.add_parser("pretrain", help="stage 1: pretrain the base model")
-    p.add_argument("--data", type=str, default=None)
+    sub.add_parser("pretrain", parents=[data], help="stage 1: pretrain the base model")
+    sub.add_parser("fit-gp", parents=[data, ckpt],
+                   help="stage 2: fit basis tokens and GP params")
+    sub.add_parser("finetune", parents=[data, ckpt],
+                   help="stage 3: teacher-regularized finetuning")
 
-    p = sub.add_parser("fit-gp", help="stage 2: fit basis tokens and GP params")
-    p.add_argument("--data", type=str, default=None)
-    p.add_argument("--ckpt", type=str, default=None)
-
-    p = sub.add_parser("finetune", help="stage 3: teacher-regularized finetuning")
-    p.add_argument("--data", type=str, default=None)
-    p.add_argument("--ckpt", type=str, default=None)
-
-    p = sub.add_parser("adapt", help="target-domain adaptation")
+    p = sub.add_parser("adapt", parents=[data, ckpt], help="target-domain adaptation")
     p.add_argument("--mode", choices=("sup", "unsup"), required=True)
-    p.add_argument("--data", type=str, default=None)
-    p.add_argument("--ckpt", type=str, default=None)
     p.add_argument("--subset-from", type=str, default=None,
                    help="selection CSV; adapt only on its selected scenes")
 
-    p = sub.add_parser("active-select", help="rank target scenes by GP variance")
+    p = sub.add_parser("active-select", parents=[data, ckpt, out],
+                       help="rank target scenes by GP variance")
     p.add_argument("--budget", type=float, required=True)
     p.add_argument("--strategy", choices=("variance", "random"), default="variance")
-    p.add_argument("--data", type=str, default=None)
-    p.add_argument("--ckpt", type=str, default=None)
-    p.add_argument("--out", type=str, default=None)
 
-    p = sub.add_parser("eval", help="planning metrics on a labeled dataset")
+    p = sub.add_parser("eval", parents=[data, ckpt, out],
+                       help="planning metrics on a labeled dataset")
     p.add_argument("--mode", choices=("base", "roca"), default="base")
     p.add_argument("--subset", type=str, default="full")
-    p.add_argument("--data", type=str, default=None)
-    p.add_argument("--ckpt", type=str, default=None)
-    p.add_argument("--out", type=str, default=None)
 
     p = sub.add_parser("inspect-ckpt", help="print checkpoint schema and tensors")
     p.add_argument("--ckpt", type=str, required=True)
@@ -108,24 +101,38 @@ def _data_path(cfg, name: str) -> Path:
     return cfg.out_dir / "data" / f"{name}.jsonl"
 
 
+def _ckpt_path(cfg, stage: str) -> Path:
+    return cfg.out_dir / f"ckpt_{stage}.bin"
+
+
 def _require(path: Path, what: str) -> Path:
     if not Path(path).exists():
         raise FileNotFoundError(f"{what} not found: {path}")
     return Path(path)
 
 
-def _load_ckpt(args, cfg, default_name: str):
+def _load_data(args, cfg, default_split: str):
+    """The dataset at ``--data``, else the configured split, and its path."""
+    from .core import load_dataset
+
+    path = _require(Path(args.data) if args.data else _data_path(cfg, default_split),
+                    "dataset")
+    return load_dataset(path), path
+
+
+def _load_ckpt(args, cfg, default_stage: str):
     from .trainer import Checkpoint
 
-    path = Path(args.ckpt) if args.ckpt else cfg.out_dir / default_name
+    path = Path(args.ckpt) if args.ckpt else _ckpt_path(cfg, default_stage)
     return Checkpoint.load(_require(path, "checkpoint"))
 
 
-def _load_data(args, cfg, default_split: str):
-    from .core import load_dataset
-
-    path = Path(args.data) if args.data else _data_path(cfg, default_split)
-    return load_dataset(_require(path, "dataset"))
+def _check_fit(records, path, spec) -> None:
+    """Raise ``<path>: ...`` unless the model's encoder takes the dataset's
+    observation length; ``load_dataset`` gives every record the first's."""
+    if records and len(records[0].ego_obs) != spec.obs_dim:
+        raise ValueError(f"{path}: observation length {len(records[0].ego_obs)}, "
+                         f"the model takes {spec.obs_dim}")
 
 
 def cmd_gen_data(args, cfg) -> int:
@@ -167,27 +174,27 @@ def cmd_gen_data(args, cfg) -> int:
     return 0
 
 
-# source-training subcommand: (trainer function, stage it starts from, stage
-# it writes); stage 1 starts from the configured model spec
+# training subcommand: (trainer function, stage it starts from, None for cfg.model)
 _TRAINING = {
-    "pretrain": ("stage1_pretrain", None, "stage1"),
-    "fit-gp": ("stage2_fit_gp", "stage1", "stage2"),
-    "finetune": ("stage3_finetune", "stage2", "stage3"),
+    "pretrain": ("stage1_pretrain", None),
+    "fit-gp": ("stage2_fit_gp", "stage1"),
+    "finetune": ("stage3_finetune", "stage2"),
 }
 
 
 def cmd_train(args, cfg) -> int:
     from . import trainer
 
-    fn, start, stage = _TRAINING[args.command]
-    records = _load_data(args, cfg, "source_train")
-    inputs = ((cfg.train, cfg.model) if start is None
-              else (_load_ckpt(args, cfg, f"ckpt_{start}.bin"), cfg.train))
+    fn, start = _TRAINING[args.command]
+    records, data = _load_data(args, cfg, "source_train")
+    start_ckpt = None if start is None else _load_ckpt(args, cfg, start)
+    _check_fit(records, data, cfg.model if start_ckpt is None else start_ckpt.model.spec)
+    inputs = ((cfg.train, cfg.model) if start_ckpt is None else (start_ckpt, cfg.train))
     _log_resolved(cfg)
     ckpt = getattr(trainer, fn)(records, *inputs, log_path=cfg.out_dir / "train_log.csv")
-    out = cfg.out_dir / f"ckpt_{stage}.bin"
+    out = _ckpt_path(cfg, ckpt.stage)
     ckpt.save(out)
-    print(f"{stage} checkpoint -> {out}")
+    print(f"{ckpt.stage} checkpoint -> {out}")
     return 0
 
 
@@ -205,7 +212,7 @@ def cmd_adapt(args, cfg) -> int:
                 if column not in (reader.fieldnames or ()):
                     raise ValueError(f"{path}: selection file lacks column {column!r}")
             keep = [row["scene_id"] for row in reader if row["selected"] == "1"]
-    records = _load_data(args, cfg, "target_train")
+    records, data = _load_data(args, cfg, "target_train")
     if keep is not None:
         known = {r.scene_id for r in records}
         unknown = [sid for sid in keep if sid not in known]
@@ -214,12 +221,13 @@ def cmd_adapt(args, cfg) -> int:
                              f"dataset (first: {unknown[0]})")
         keep = set(keep)
         records = [r for r in records if r.scene_id in keep]
-    ckpt = _load_ckpt(args, cfg, "ckpt_stage3.bin")
+    ckpt = _load_ckpt(args, cfg, "stage3")
+    _check_fit(records, data, ckpt.model.spec)
     _log_resolved(cfg)
     fn = adapt_supervised if args.mode == "sup" else adapt_unsupervised
     out_ckpt = fn(records, ckpt, cfg.train,
                   log_path=cfg.out_dir / "train_log.csv")
-    out = cfg.out_dir / f"ckpt_adapt_{args.mode}.bin"
+    out = _ckpt_path(cfg, out_ckpt.stage)
     out_ckpt.save(out)
     print(f"adaptation ({args.mode}) checkpoint -> {out}")
     return 0
@@ -230,8 +238,9 @@ def cmd_active_select(args, cfg) -> int:
 
     if not 0.0 < args.budget <= 1.0:
         raise ValueError(f"active-select --budget must be in (0, 1], got {args.budget}")
-    records = _load_data(args, cfg, "target_train")
-    ckpt = _load_ckpt(args, cfg, "ckpt_stage3.bin")
+    records, data = _load_data(args, cfg, "target_train")
+    ckpt = _load_ckpt(args, cfg, "stage3")
+    _check_fit(records, data, ckpt.model.spec)
     _log_resolved(cfg)
     report = active_select(records, ckpt, budget=args.budget,
                            strategy=args.strategy, seed=cfg.seed)
@@ -246,8 +255,9 @@ def cmd_eval(args, cfg) -> int:
     from .evalmetrics import check_subset, evaluate
 
     check_subset(args.subset, cfg.rarity_bins)
-    records = _load_data(args, cfg, "source_val")
-    ckpt = _load_ckpt(args, cfg, "ckpt_stage3.bin")
+    records, data = _load_data(args, cfg, "source_val")
+    ckpt = _load_ckpt(args, cfg, "stage3")
+    _check_fit(records, data, ckpt.model.spec)
     _log_resolved(cfg)
     report = evaluate(records, ckpt.model, mode=args.mode, subset=args.subset,
                       rarity_bins=cfg.rarity_bins)

@@ -102,8 +102,7 @@ DEFAULT_CONFIG: dict = {
     },
 }
 
-_DOMAIN_KEYS = {"obs_transform", "obs_noise_std", "curvature_prior",
-                "speed_prior", "mirror"}
+_DOMAIN_KEYS = set(DEFAULT_CONFIG["domains"]["source_city"])
 _TRANSFORM_KEYS = {"kind", "seed", "angle", "rank", "bias_seed", "bias_scale"}
 _BIN_KEYS = {"min_speed", "max_speed", "min_abs_curvature", "max_abs_curvature"}
 
@@ -198,14 +197,9 @@ def _merge_defaults(user: dict) -> dict:
 
 def resolve(user: dict | None = None, seed_override: int | None = None) -> Config:
     raw = _merge_defaults(user or {})
-    _check_keys(raw, {"seed", "out_dir", "model", "codebook", "train", "data",
-                      "domains", "eval"}, "<root>")
-    for section in ("model", "codebook", "train"):
+    _check_keys(raw, DEFAULT_CONFIG, "<root>")
+    for section in ("model", "codebook", "train", "data", "eval"):
         _check_keys(raw[section], DEFAULT_CONFIG[section], section)
-    _check_keys(raw["data"], {"n_source", "n_source_val", "n_target",
-                              "n_target_val", "source_domain", "target_domain"},
-                "data")
-    _check_keys(raw["eval"], {"rarity_bins"}, "eval")
     for name, spec in _object(raw["eval"]["rarity_bins"], "eval.rarity_bins").items():
         _check_keys(spec, _BIN_KEYS, f"eval.rarity_bins.{name}")
         for key, bound in spec.items():

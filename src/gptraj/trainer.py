@@ -431,8 +431,9 @@ def gp_stage_loss(batch: SceneTable, graph: GpGraph, tokens: np.ndarray,
     features = graph.kernel_features(tokens)
     logits = graph.classifier_logits(features)
     groups = np.argmax(np.where(batch.admissible, logits.data, -np.inf), axis=1)
-    recon, var_rec = graph.reconstruct(features, groups)
-    mean, var_traj = graph.predict_trajectory(features, groups)
+    # a k* gather per head: a shared one sums the gradient in another order
+    recon, var_rec = graph.reconstruct(graph.k_star(features, groups), groups)
+    mean, var_traj = graph.predict_trajectory(graph.k_star(features, groups), groups)
     rec = loss_rec(tokens, recon, var_rec, batch.n_ego, groups, batch.scene_of_row,
                    graph.basis, sigma_clamp=cfg.sigma_clamp)
     positives, negatives = graph.cb.triplets

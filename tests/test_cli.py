@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from gptraj import cli, gpmodule, psdlinalg, trainer
-from gptraj.core import load_dataset
+from gptraj import cli, config as config_mod, gpmodule, psdlinalg, trainer
+from gptraj.core import load_dataset, save_dataset
+from gptraj.synthdomain import gen_dataset
 
 from conftest import GramSpy
 
@@ -193,6 +196,41 @@ def test_missing_input_file_writes_no_resolved_config(tmp_path, capsys, args, mi
     capsys.readouterr()
     assert cli.cli_run(["--out-dir", str(tmp_path / "run"), *args]) == 1
     assert capsys.readouterr().err.splitlines()[-1].startswith(f"error: {missing} not found")
+    assert not (tmp_path / "run").exists()  # no resolved_config.json
+
+
+@pytest.fixture(scope="module")
+def toy_stage1(tmp_path_factory):
+    """The TOY_CONFIG file and the stage-1 checkpoint it trains, whose
+    encoder takes 24-dim observations."""
+    tmp = tmp_path_factory.mktemp("toy")
+    config = tmp / "config.json"
+    config.write_text(json.dumps(TOY_CONFIG))
+    argv = ["--config", str(config), "--out-dir", str(tmp / "run")]
+    assert cli.cli_run(argv + ["gen-data"]) == 0
+    assert cli.cli_run(argv + ["pretrain"]) == 0
+    return config, tmp / "run" / "ckpt_stage1.bin"
+
+
+@pytest.mark.parametrize("args", [
+    ["pretrain"], ["fit-gp"], ["finetune"], ["adapt", "--mode", "sup"],
+    ["active-select", "--budget", "0.5"], ["eval"],
+], ids=lambda args: args[0])
+def test_a_dataset_that_does_not_fit_the_model_fails_before_any_file(
+        tmp_path, capsys, toy_stage1, args):
+    # pretrain checks the dataset against the configured model, the others
+    # against the checkpoint, before clustering or writing anything
+    config, stage1 = toy_stage1
+    data = tmp_path / "obs16.jsonl"
+    domain = dataclasses.replace(config_mod.resolve().domain("source_city"),
+                                 obs_transform=np.eye(16), obs_bias=np.zeros(16))
+    save_dataset(gen_dataset(domain, 90, 0, obs_dim=16), data)
+    ckpt = [] if args == ["pretrain"] else ["--ckpt", str(stage1)]
+    capsys.readouterr()
+    assert cli.cli_run(["--config", str(config), "--out-dir", str(tmp_path / "run"),
+                        *args, "--data", str(data), *ckpt]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"error: {data}: observation length 16, the model takes 24")
     assert not (tmp_path / "run").exists()  # no resolved_config.json
 
 

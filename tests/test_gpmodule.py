@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+import signal
 import threading
 
 import numpy as np
@@ -54,19 +55,23 @@ def inference(cb, clf, p) -> GpInference:
     return GpInference(cb, {"cb.basis": cb.basis} | clf | p)
 
 
+def k_star(inf: GpInference, tokens, groups):
+    """The k* of token rows under given groups, with the groups as an array."""
+    groups = np.atleast_1d(groups)
+    return inf.k_star(inf.kernel_features(np.atleast_2d(tokens)), groups), groups
+
+
 def reconstruct(cb, clf, p, tokens, groups):
     """``GpInference.reconstruct`` of token rows under given groups, as arrays."""
     inf = inference(cb, clf, p)
-    mean, var = inf.reconstruct(inf.kernel_features(np.atleast_2d(tokens)),
-                                np.atleast_1d(groups))
+    mean, var = inf.reconstruct(*k_star(inf, tokens, groups))
     return mean.data, var.data
 
 
 def predict(cb, clf, p, tokens, groups):
     """``GpInference.predict_trajectory`` of token rows under given groups."""
     inf = inference(cb, clf, p)
-    mean, var = inf.predict_trajectory(inf.kernel_features(np.atleast_2d(tokens)),
-                                       np.atleast_1d(groups))
+    mean, var = inf.predict_trajectory(*k_star(inf, tokens, groups))
     return mean.data, var.data
 
 
@@ -398,6 +403,27 @@ def test_a_worker_lane_error_reaches_the_caller_as_itself(small_cb, small_clf, c
     assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
+def test_a_forked_child_runs_calls_above_one_block(cpus):
+    # a child forked after a call that started the worker lane has no thread
+    # behind the pool it inherits, so it must start its own; the alarm ends
+    # a child that waits on the parent's pool
+    cpus(2)
+    fresh, tokens, masks = default_size_rows(300)
+    want = b"".join(a.tobytes() for a in fresh().predict_rows(tokens, masks))
+    assert gpmodule._pool is not None
+    pid = os.fork()
+    if pid == 0:  # the child reports through its exit code
+        code = 1
+        try:
+            signal.alarm(20)
+            got = fresh().predict_rows(tokens, masks)
+            code = 0 if b"".join(a.tobytes() for a in got) == want else 3
+        finally:
+            os._exit(code)
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+
+
 def test_not_psd_names_the_lowest_failing_routed_group(small_cb, small_clf, cpus,
                                                        monkeypatch):
     # all lanes classify before one conditioning of every routed group, so
@@ -449,11 +475,12 @@ def test_graph_path_matches_inference_path(small_cb, small_clf):
     logits = graph.classifier_logits(feats)
     assert np.allclose(logits.data, inf.classifier_logits(inf_feats).data,
                        rtol=0, atol=1e-12)
-    recon, var = graph.reconstruct(feats, groups)
-    mean, var_t = graph.predict_trajectory(feats, groups)
+    recon, var = graph.reconstruct(graph.k_star(feats, groups), groups)
+    mean, var_t = graph.predict_trajectory(graph.k_star(feats, groups), groups)
+    inf_k_star = inf.k_star(inf_feats, groups)
     for got, want in zip((recon, var, mean, var_t),
-                         inf.reconstruct(inf_feats, groups)
-                         + inf.predict_trajectory(inf_feats, groups)):
+                         inf.reconstruct(inf_k_star, groups)
+                         + inf.predict_trajectory(inf_k_star, groups)):
         assert np.allclose(got.data, want.data, rtol=0, atol=1e-12)
     for i, (tok, gid) in enumerate(zip(toks, groups)):
         want_recon, want_var = oracle(small_cb, p, tok, gid, "recon")

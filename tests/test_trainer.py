@@ -333,9 +333,9 @@ def test_stage2_step_factors_only_its_routed_groups(fitted, tiny_dataset, monkey
     routed = []
     real = GpGraph.reconstruct
 
-    def reconstruct(graph, features, group):
+    def reconstruct(graph, k_star, group):
         routed.append(len(np.unique(group)))
-        return real(graph, features, group)
+        return real(graph, k_star, group)
 
     monkeypatch.setattr(GpGraph, "reconstruct", reconstruct)
     stage2_fit_gp(tiny_dataset[:48], fitted, CFG)
