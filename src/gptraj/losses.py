@@ -12,10 +12,15 @@ ascending scene order. A row's admissible groups come as a boolean
 (N, n_code) mask. A role's term is the sum of its rows, so a step's terms
 are the sum of its scenes' terms.
 
+A step builds one masked log-softmax forward per logits matrix
+(``MaskedLogSoftmax``, passed down, never cached); each of its consumers is
+one tape node whose vjp replays the composed chain's backward ops in their
+order, so values and gradients keep the bytes of that chain.
+
 Each loss returns its terms as a plain dict of scalar tensors named from
-``TERM_NAMES``. The trainer weights them once per step with
-``weighted_total``, which sums in dict order, so that order is part of the
-checkpoint bits. Stage 2 fits the GP-guided families against ground truth
+``TERM_NAMES``. The trainer makes the step's loss from them with
+``step_total``, one node that sums in dict order, so that order is part of
+the checkpoint bits. Stage 2 fits the GP-guided families against ground truth
 (``loss_sup``); base-model stages distil the same families from the frozen
 GP teacher (``loss_gp_teacher``), which adds only the KL term.
 """
@@ -23,7 +28,7 @@ GP teacher (``loss_gp_teacher``), which adds only the KL term.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Collection, Mapping, Sequence
 
 import numpy as np
 
@@ -36,18 +41,12 @@ TERM_NAMES = (
     "triplet_ego", "triplet_agent", "kl_ego", "kl_agent",
     "base_plan", "base_motion", "base_class_ce_ego", "base_class_ce_agent",
 )
+# the terms of ``loss_gp_teacher``, which base-model stages scale by gp_weight
+TEACHER_TERMS = TERM_NAMES[4:12]
 
 DEFAULT_SIGMA_CLAMP = (1e-3, 1e3)
 DEFAULT_TRIPLET_MARGIN = 1.0
 _NORM_EPS = 1e-12
-
-
-def weighted_total(terms: Mapping[str, Tensor], weights: Mapping[str, float]) -> Tensor:
-    """Sum of the terms in dict order, each times its weight (1 if unnamed)."""
-    out = Tensor(0.0)
-    for name, t in terms.items():
-        out = autodiff.add(out, autodiff.mul(t, weights.get(name, 1.0)))
-    return out
 
 
 def role_sums(per_row: Tensor, n_ego: int) -> tuple[Tensor, Tensor]:
@@ -65,39 +64,71 @@ def role_terms(per_row: Mapping[tuple[str, str], Tensor], n_ego: int) -> dict[st
             **{agent: s[1] for (_, agent), s in zip(per_row, sums)}}
 
 
-def _masked_log_softmax(logits: Tensor, admissible: np.ndarray) -> Tensor:
-    """Row-wise log-softmax over each row's admissible entries, 0 elsewhere."""
-    mask = admissible.astype(np.float64)
-    m = np.max(np.where(admissible, logits.data, -np.inf), axis=-1, keepdims=True)
-    shifted = autodiff.mul(autodiff.sub(logits, m), mask)
-    lse = autodiff.log(autodiff.tsum(autodiff.mul(autodiff.exp(shifted), mask),
-                                     axis=-1, keepdims=True))
-    return autodiff.mul(autodiff.sub(shifted, lse), mask)
+def _log_softmax(x: np.ndarray, admissible: np.ndarray, mask: np.ndarray):
+    """Exp of the shifted rows, their masked sums, and the masked log-softmax."""
+    m = np.max(np.where(admissible, x, -np.inf), axis=-1, keepdims=True)
+    shifted = (x - m) * mask
+    e = np.exp(shifted)
+    sums = np.sum(e * mask, axis=-1, keepdims=True)
+    return e, sums, (shifted - np.log(sums)) * mask
 
 
-def cross_entropy(logits: Tensor, admissible: np.ndarray, labels) -> Tensor:
+class MaskedLogSoftmax:
+    """A logits matrix's masked log-softmax forward, shared by its one-node
+    consumers (``cross_entropy``, ``kl_divergence``)."""
+
+    def __init__(self, logits: Tensor, admissible: np.ndarray):
+        self.logits, self.admissible, self.mask = logits, admissible, admissible.astype(float)
+        self.exp, self.sums, self.out = _log_softmax(logits.data, admissible, self.mask)
+
+    def node(self, value: np.ndarray, upstream) -> Tensor:
+        """A node over the logits; its vjp takes ``upstream(g)`` through the log-softmax."""
+        def grad(g):
+            gd = upstream(g) * self.mask
+            g_sums = np.sum(-gd, axis=-1, keepdims=True) / self.sums
+            return (gd + g_sums * self.mask * self.exp) * self.mask
+
+        return autodiff._make(value, (self.logits,), lambda g: (lambda: grad(g),))
+
+
+def cross_entropy(ls: MaskedLogSoftmax, labels) -> Tensor:
     """Per row, -log softmax probability of the label among the admissible groups."""
     labels = np.asarray(labels, dtype=np.intp)
     rows = np.arange(len(labels))
-    if not np.all(admissible[rows, labels]):
+    if not np.all(ls.admissible[rows, labels]):
         raise ValueError("label outside the admissible set")
-    onehot = np.zeros(admissible.shape)
+    onehot = np.zeros(ls.admissible.shape)
     onehot[rows, labels] = 1.0
-    ls = _masked_log_softmax(logits, admissible)
-    return autodiff.mul(autodiff.tsum(autodiff.mul(ls, onehot), axis=1), -1.0)
+    return ls.node(np.sum(ls.out * onehot, axis=1) * -1.0,
+                   lambda g: (g * -1.0)[:, None] * onehot)
 
 
-def kl_divergence(student_logits: Tensor, teacher_logits: np.ndarray,
-                  admissible: np.ndarray) -> Tensor:
+def kl_divergence(ls: MaskedLogSoftmax, teacher_logits: np.ndarray) -> Tensor:
     """Per row, KL(softmax(student) || softmax(teacher)) over the admissible set.
 
     Teacher logits are constants; entries outside the set are ignored.
     """
-    ls_s = _masked_log_softmax(student_logits, admissible)
-    teacher = Tensor(np.where(admissible, teacher_logits, 0.0))
-    ls_t = _masked_log_softmax(teacher, admissible).data
-    p_s = autodiff.mul(autodiff.exp(ls_s), admissible.astype(np.float64))
-    return autodiff.tsum(autodiff.mul(p_s, autodiff.sub(ls_s, ls_t)), axis=1)
+    _, _, ls_t = _log_softmax(np.where(ls.admissible, teacher_logits, 0.0),
+                              ls.admissible, ls.mask)
+    e = np.exp(ls.out)
+    p, diff = e * ls.mask, ls.out - ls_t
+    return ls.node(np.sum(p * diff, axis=1),
+                   lambda g: g[:, None] * p + g[:, None] * diff * ls.mask * e)
+
+
+def step_total(terms: Mapping[str, Tensor], weights: Mapping[str, float], n_ego: int,
+               gp_weight: float = 1.0, taught: Collection[str] = ()):
+    """A step's loss as one node, and the values it sums: each term named in
+    ``taught`` times ``gp_weight``. Each value is weighted (1 if unnamed), the
+    products summed from 0 in dict order and the sum scaled by 1/n_ego."""
+    scale = [gp_weight if name in taught else 1.0 for name in terms]
+    w = [weights.get(name, 1.0) for name in terms]
+    values = np.array([t.item() for t in terms.values()]) * scale
+    total, inv = 0.0, 1.0 / n_ego
+    for v, wi in zip(values, w):
+        total = total + v * wi
+    return autodiff._make(total * inv, tuple(terms.values()), lambda g: tuple(
+        lambda wi=wi, si=si: np.asarray(g * inv * wi * si) for wi, si in zip(w, scale))), values
 
 
 def heteroscedastic_nll(task_loss: Tensor, variance,
@@ -192,8 +223,7 @@ class SupRows:
     traj: Tensor  # (N, 12) predicted trajectories
     target: np.ndarray  # (N, 12)
     variance: Tensor | np.ndarray  # (N,) GP predictive variance
-    logits: Tensor  # (N, n_code) classifier logits, unmasked
-    admissible: np.ndarray  # (N, n_code) bool
+    ls: MaskedLogSoftmax  # of the (N, n_code) classifier logits
     label: np.ndarray  # (N,)
     token: Tensor | np.ndarray  # (N, D)
     positives: np.ndarray  # (N, 3) triplet classes of each label
@@ -207,8 +237,7 @@ def _gp_families(rows: SupRows, anchors, sigma_clamp,
     return {
         ("plan_nll", "motion_nll"): heteroscedastic_nll(
             traj_mse(rows.traj, rows.target), rows.variance, sigma_clamp),
-        ("class_ce_ego", "class_ce_agent"): cross_entropy(
-            rows.logits, rows.admissible, rows.label),
+        ("class_ce_ego", "class_ce_agent"): cross_entropy(rows.ls, rows.label),
         ("triplet_ego", "triplet_agent"): triplet_term(
             rows.token, rows.positives, rows.negatives, anchors, margin),
     }
@@ -236,6 +265,5 @@ def loss_gp_teacher(rows: SupRows, teacher_logits: np.ndarray, anchors,
     table.
     """
     families = _gp_families(rows, anchors, sigma_clamp, margin)
-    families["kl_ego", "kl_agent"] = kl_divergence(rows.logits, teacher_logits,
-                                                   rows.admissible)
+    families["kl_ego", "kl_agent"] = kl_divergence(rows.ls, teacher_logits)
     return role_terms(families, rows.n_ego)

@@ -28,9 +28,9 @@ its losses over all rows at once. Labels are computed once per training
 call. The codebook is built once per model (``Model.cb``), its triplet
 classes on first use.
 
-A step loss returns its terms as a plain dict (see ``losses``);
-``_run_epochs`` checks them, weights them once with ``cfg.loss_weights``
-and appends them to the loss CSV as the step ends.
+A step loss returns its terms as a plain dict (see ``losses``); ``_run_epochs``
+weights them in one node (``losses.step_total``), checks the values it scaled
+by ``cfg.gp_weight`` and appends them to the loss CSV as the step ends.
 
 Determinism contract: identical (config, seed, dataset) produce
 bit-identical checkpoints at one BLAS thread, the count ``gptraj.cli``
@@ -71,8 +71,8 @@ from .codebook import (MIN_AGENT_GROUPS, MIN_EGO_PER_COMMAND, BuildError, Codebo
                        admissible, nearest_group, sample_and_cluster)
 from .core import COMMANDS, SceneRecord, rng_for, scene_rows
 from .gpmodule import GpGraph, GpInference
-from .losses import (SupRows, cross_entropy, loss_gp_teacher, loss_rec, loss_sup,
-                     role_terms, traj_mse, weighted_total)
+from .losses import (MaskedLogSoftmax, SupRows, cross_entropy, loss_gp_teacher, loss_rec,
+                     loss_sup, role_terms, traj_mse)
 from .psdlinalg import NotPSD
 
 CHECKPOINT_MAGIC = b"GPTRAJCK"
@@ -376,7 +376,7 @@ def scene_labels(table: SceneTable, cb: Codebook) -> np.ndarray:
 # --- step losses -----------------------------------------------------------------
 
 
-def base_supervised_loss(batch: SceneTable, traj: Tensor, logits: Tensor) -> dict[str, Tensor]:
+def base_supervised_loss(batch: SceneTable, traj: Tensor, ls: MaskedLogSoftmax) -> dict:
     """Ground-truth terms of a base-model step: anchored-waypoint MSE plus class CE.
 
     The planning trajectory is assembled from the label group's anchor
@@ -384,8 +384,7 @@ def base_supervised_loss(batch: SceneTable, traj: Tensor, logits: Tensor) -> dic
     """
     return role_terms({
         ("base_plan", "base_motion"): traj_mse(traj, batch.gt),
-        ("base_class_ce_ego", "base_class_ce_agent"): cross_entropy(
-            logits, batch.admissible, batch.labels),
+        ("base_class_ce_ego", "base_class_ce_agent"): cross_entropy(ls, batch.labels),
     }, batch.n_ego)
 
 
@@ -394,30 +393,30 @@ def finetune_scene_loss(batch: SceneTable, bvars: dict[str, Tensor], model: Mode
     """Terms of one base-model step, over the batch's rows.
 
     Ground-truth terms when the batch carries labels, then the teacher
-    regularization scaled by ``cfg.gp_weight`` when a teacher is given. The
+    regularization, which ``_run_epochs`` scales by ``cfg.gp_weight``. The
     trajectory anchor is the label's group when supervised, else the
     teacher's class. The triplet term measures the student's tokens against
     the frozen teacher's token anchors.
     """
     tokens = encode_t(batch.obs, bvars, model.spec.token_scale)
     logits, residual = planner_t(tokens, bvars, model.spec.n_code)
+    ls = MaskedLogSoftmax(logits, batch.admissible)
     if teacher is not None:
         mean, variance, t_logits, t_label = teacher.predict_rows(tokens.data,
                                                                  batch.admissible)
     anchor_gid = batch.labels if batch.labels is not None else t_label
     traj = autodiff.add(Tensor(model.cb.traj_anchors[anchor_gid]), residual)
-    terms = {} if batch.labels is None else base_supervised_loss(batch, traj, logits)
+    terms = {} if batch.labels is None else base_supervised_loss(batch, traj, ls)
     if teacher is None:
         return terms
     positives, negatives = model.cb.triplets
     taught = loss_gp_teacher(
-        SupRows(traj=traj, target=mean, variance=variance, logits=logits,
-                admissible=batch.admissible, label=t_label, token=tokens,
-                positives=positives[t_label], negatives=negatives[t_label],
+        SupRows(traj=traj, target=mean, variance=variance, ls=ls, label=t_label,
+                token=tokens, positives=positives[t_label], negatives=negatives[t_label],
                 n_ego=batch.n_ego),
         t_logits, teacher.token_anchors, sigma_clamp=cfg.sigma_clamp,
         margin=cfg.triplet_margin)
-    return terms | {k: autodiff.mul(t, cfg.gp_weight) for k, t in taught.items()}
+    return terms | taught
 
 
 def gp_stage_loss(batch: SceneTable, graph: GpGraph, tokens: np.ndarray,
@@ -438,8 +437,8 @@ def gp_stage_loss(batch: SceneTable, graph: GpGraph, tokens: np.ndarray,
                    graph.basis, sigma_clamp=cfg.sigma_clamp)
     positives, negatives = graph.cb.triplets
     sup = loss_sup(
-        SupRows(traj=mean, target=batch.gt, variance=var_traj, logits=logits,
-                admissible=batch.admissible, label=batch.labels, token=tokens,
+        SupRows(traj=mean, target=batch.gt, variance=var_traj, label=batch.labels,
+                ls=MaskedLogSoftmax(logits, batch.admissible), token=tokens,
                 positives=positives[batch.labels], negatives=negatives[batch.labels],
                 n_ego=batch.n_ego),
         anchors=graph.token_anchors, sigma_clamp=cfg.sigma_clamp,
@@ -462,11 +461,12 @@ def _open_log(log_path):
 
 
 def _run_epochs(table: SceneTable, cfg: TrainConfig, params, step_loss_fn, *,
-                epochs, lr, stage: str, log_path=None, post_step=None) -> None:
+                epochs, lr, stage: str, log_path=None, post_step=None, taught=()) -> None:
     """Shared loop: shuffle, one step loss per batch, Adam step, CSV log.
 
-    ``step_loss_fn`` returns a batch's terms as a dict; they are weighted
-    by ``cfg.loss_weights`` here, once per step, in dict order.
+    ``step_loss_fn`` returns a batch's terms as a dict; once per step, those
+    named in ``taught`` are scaled by ``cfg.gp_weight`` and all weighted by
+    ``cfg.loss_weights`` in dict order.
 
     The log is opened at the first step and each step's rows are flushed as
     the step ends, so a failed run keeps the steps before the failure. A GP
@@ -485,20 +485,20 @@ def _run_epochs(table: SceneTable, cfg: TrainConfig, params, step_loss_fn, *,
                     terms = step_loss_fn(batch)
                 except NotPSD as e:
                     raise TrainingError(f"{stage} step {step}: {e}") from e
-                for name, t in terms.items():
-                    if not np.all(np.isfinite(t.data)):
-                        raise TrainingError(
-                            f"non-finite loss term {name!r} at {stage} step {step}")
-                total = autodiff.mul(weighted_total(terms, cfg.loss_weights),
-                                     1.0 / batch.n_ego)
+                total, values = losses.step_total(terms, cfg.loss_weights, batch.n_ego,
+                                                  cfg.gp_weight, taught)
+                finite = np.isfinite(values)
+                if not finite.all():
+                    raise TrainingError(f"non-finite loss term {list(terms)[finite.argmin()]!r}"
+                                        f" at {stage} step {step}")
                 opt.step(grad(total, params, out=opt.grads))
                 if post_step is not None:
                     post_step()
                 if log_path is not None:
                     log = log or _open_log(log_path)
                     csv.writer(log).writerows(
-                        [[step, stage, term, f"{t.item() / batch.n_ego:.10g}"]
-                         for term, t in terms.items()]
+                        [[step, stage, term, f"{v / batch.n_ego:.10g}"]
+                         for term, v in zip(terms, values.tolist())]
                         + [[step, stage, "total", f"{total.item():.10g}"]])
                     log.flush()
                 step += 1
@@ -592,7 +592,8 @@ def _finetune_base(records, ckpt: "Checkpoint", cfg: TrainConfig, *,
     table = SceneTable(records, model.cb, labeled=labeled)
     _run_epochs(table, cfg, bvars,
                 lambda batch: finetune_scene_loss(batch, bvars, model, teacher, cfg),
-                epochs=epochs, lr=lr, stage=stage, log_path=log_path)
+                epochs=epochs, lr=lr, stage=stage, log_path=log_path,
+                taught=losses.TEACHER_TERMS)
     return Checkpoint(stage=stage, model=model, train_config=cfg)
 
 

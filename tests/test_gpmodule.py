@@ -18,7 +18,7 @@ from gptraj.core import COMMANDS, Command
 from gptraj.gpmodule import GpGraph, GpInference
 from gptraj.psdlinalg import NotPSD
 from gptraj.trainer import Adam, ModelSpec
-from gptraj.losses import cross_entropy
+from gptraj.losses import MaskedLogSoftmax, cross_entropy
 from gptraj.core import rng_for
 
 from conftest import parameter
@@ -520,7 +520,7 @@ def test_classifier_learns_two_separated_modes(small_cb):
             h = autodiff.tanh(autodiff.add(
                 autodiff.matmul(feats, autodiff.transpose(w["w1"])), w["b1"]))
             logits = autodiff.add(autodiff.matmul(h, autodiff.transpose(w["w2"])), w["b2"])
-            ce = cross_entropy(logits, adm, [label])
+            ce = cross_entropy(MaskedLogSoftmax(logits, adm), [label])
             total = autodiff.add(total, autodiff.tsum(ce))
         grads = autodiff.grad(autodiff.mul(total, 1 / 8), w)
         opt.step(grads)

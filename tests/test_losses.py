@@ -8,10 +8,10 @@ import pytest
 from gptraj import autodiff
 from gptraj.autodiff import Tensor
 from gptraj.codebook import Codebook, sample_and_cluster, triplet_table
-from gptraj.losses import (DEFAULT_SIGMA_CLAMP, SupRows, cross_entropy,
-                           heteroscedastic_nll, kl_divergence, loss_gp_teacher,
-                           loss_rec, loss_sup, orthogonality, triplet_term,
-                           weighted_total)
+from gptraj.losses import (DEFAULT_SIGMA_CLAMP, MaskedLogSoftmax, SupRows,
+                           cross_entropy, heteroscedastic_nll, kl_divergence,
+                           loss_gp_teacher, loss_rec, loss_sup, orthogonality,
+                           step_total, triplet_term)
 from gptraj.trainer import Adam
 
 from conftest import parameter
@@ -104,7 +104,7 @@ def ego_sup(cb, pred, variance, logits, gt, label, token):
     pos, neg = triplet_classes_ref(cb, label)
     return SupRows(traj=Tensor(np.array([pred])), target=np.array([gt]),
                    variance=Tensor(np.array([variance])),
-                   logits=Tensor(np.array([logits])), admissible=all_admissible(cb),
+                   ls=MaskedLogSoftmax(Tensor(np.array([logits])), all_admissible(cb)),
                    label=np.array([label]), token=np.array([token]),
                    positives=np.array([pos]), negatives=np.array([neg]), n_ego=1)
 
@@ -121,7 +121,7 @@ def test_plan_nll_closed_form(cb):
 def test_class_ce_zero_temperature_limit(cb):
     logits = np.full(cb.n_code, -200.0)
     logits[3] = 200.0
-    ce = cross_entropy(Tensor(logits[None, :]), all_admissible(cb), [3])
+    ce = cross_entropy(MaskedLogSoftmax(Tensor(logits[None, :]), all_admissible(cb)), [3])
     assert ce.data.shape == (1,)
     assert ce.data[0] == pytest.approx(0.0, abs=1e-12)
 
@@ -180,12 +180,12 @@ def test_kl_identity_and_uniform_cases():
     mask[0, adm] = True
     logits = np.zeros(12)
     logits[adm] = [0.3, -0.1, 0.8, 0.2]
-    assert kl_divergence(Tensor(logits[None]), logits[None].copy(), mask).data[0] \
-        == pytest.approx(0.0, abs=1e-12)
+    assert kl_divergence(MaskedLogSoftmax(Tensor(logits[None]), mask),
+                         logits[None].copy()).data[0] == pytest.approx(0.0, abs=1e-12)
     student = np.full(12, -300.0)
     student[adm[0]] = 300.0  # one-hot in the zero-temperature limit
     teacher = np.zeros(12)  # uniform over the 4 admissible groups
-    kl = kl_divergence(Tensor(student[None]), teacher[None], mask)
+    kl = kl_divergence(MaskedLogSoftmax(Tensor(student[None]), mask), teacher[None])
     assert kl.data[0] == pytest.approx(np.log(4.0), abs=1e-9)
 
 
@@ -195,8 +195,9 @@ def _teacher_rows(cb, label, traj, logits, variance=1.0):
     pos, neg = triplet_classes_ref(cb, label)
     token = cb.basis.mean(axis=1)[pos[0]]
     return SupRows(traj=Tensor(traj[None].copy()), target=traj[None],
-                   variance=np.array([variance]), logits=Tensor(logits[None].copy()),
-                   admissible=all_admissible(cb), label=np.array([label]),
+                   variance=np.array([variance]),
+                   ls=MaskedLogSoftmax(Tensor(logits[None].copy()), all_admissible(cb)),
+                   label=np.array([label]),
                    token=Tensor(token[None].copy()), positives=np.array([pos]),
                    negatives=np.array([neg]), n_ego=1)
 
@@ -213,14 +214,16 @@ def test_teacher_self_distillation_fixed_point(cb):
         traj = np.linspace(0, 5, 12)
         rows = _teacher_rows(cb, label, traj, logits)
         terms = loss_gp_teacher(rows, logits[None], anchors=cb.basis.mean(axis=1))
-        assert weighted_total(terms, {}).item() == pytest.approx(0.0, abs=1e-10)
+        assert step_total(terms, {}, 1)[0].item() == pytest.approx(0.0, abs=1e-10)
     finally:
         cb.basis[neg] -= 50.0
 
 
 def test_total_is_weighted_sum():
     t = {"recon_ego": Tensor(np.array(2.0)), "plan_nll": Tensor(np.array(3.0))}
-    assert weighted_total(t, {"recon_ego": 0.5}).item() == pytest.approx(0.5 * 2.0 + 3.0)
+    total, values = step_total(t, {"recon_ego": 0.5}, 2, gp_weight=4.0, taught=("plan_nll",))
+    assert total.item() == pytest.approx((0.5 * 2.0 + 4.0 * 3.0) / 2)
+    assert values.tolist() == [2.0, 12.0]
 
 
 def test_loss_bounded_below_under_clamp():
@@ -267,10 +270,10 @@ def test_loss_rec_gradients_match_fd(cb):
         quad = autodiff.matmul(k_star, autodiff.matmul(k_inv, autodiff.transpose(k_star)))
         var = autodiff.add(autodiff.relu(autodiff.sub(Tensor(np.array(1.0)), quad)),
                            autodiff.exp(autodiff.mul(log_noise, 2.0)))
-        return weighted_total(loss_rec(
+        return step_total(loss_rec(
             e[None], autodiff.reshape(e_hat, (1, -1)), autodiff.reshape(var, (1,)),
             n_ego=1, groups=[0], scenes=[0], basis=autodiff.reshape(basis, (1, 4, 5))),
-            {})
+            {}, 1)[0]
 
     loss = build()
     grads = autodiff.grad(loss, {"basis": basis, "log_noise": log_noise})
@@ -279,3 +282,112 @@ def test_loss_rec_gradients_match_fd(cb):
     for name, fd in fds.items():
         denom = np.maximum(np.abs(fd), 1e-6)
         assert np.max(np.abs(grads[name] - fd) / denom) < 1e-4
+
+
+# --- one-node losses against the composed primitive chains they replace ------
+
+
+def composed_log_softmax(logits, admissible):
+    mask = admissible.astype(np.float64)
+    m = np.max(np.where(admissible, logits.data, -np.inf), axis=-1, keepdims=True)
+    shifted = autodiff.mul(autodiff.sub(logits, m), mask)
+    lse = autodiff.log(autodiff.tsum(autodiff.mul(autodiff.exp(shifted), mask),
+                                     axis=-1, keepdims=True))
+    return autodiff.mul(autodiff.sub(shifted, lse), mask)
+
+
+def composed_ce(logits, admissible, labels):
+    onehot = np.zeros(admissible.shape)
+    onehot[np.arange(len(labels)), labels] = 1.0
+    ls = composed_log_softmax(logits, admissible)
+    return autodiff.mul(autodiff.tsum(autodiff.mul(ls, onehot), axis=1), -1.0)
+
+
+def composed_kl(logits, teacher_logits, admissible):
+    ls_s = composed_log_softmax(logits, admissible)
+    ls_t = composed_log_softmax(Tensor(np.where(admissible, teacher_logits, 0.0)),
+                                admissible).data
+    p_s = autodiff.mul(autodiff.exp(ls_s), admissible.astype(np.float64))
+    return autodiff.tsum(autodiff.mul(p_s, autodiff.sub(ls_s, ls_t)), axis=1)
+
+
+def composed_total(terms, weights, n, gp_weight, taught):
+    out = Tensor(0.0)
+    for name, t in terms.items():
+        t = autodiff.mul(t, gp_weight) if name in taught else t
+        out = autodiff.add(out, autodiff.mul(t, weights.get(name, 1.0)))
+    return autodiff.mul(out, 1.0 / n)
+
+
+@pytest.fixture(scope="module")
+def class_rows():
+    """Logits over 112 groups for rows admitting 16, 64 and 1 groups, some
+    tied at the row max; teacher logits -inf outside each row's set; labels
+    in the set; upstream gradients with negative entries and a zero."""
+    rng = np.random.default_rng(5)
+    sizes = [16, 64, 1, 16, 64, 16, 64, 1, 16]
+    admissible = np.zeros((len(sizes), 112), dtype=bool)
+    logits = rng.normal(scale=3.0, size=admissible.shape)
+    labels = []
+    for i, k in enumerate(sizes):
+        ids = rng.choice(112, size=k, replace=False)
+        admissible[i, ids] = True
+        if i % 3 == 0 and k > 1:  # ties at the row max
+            logits[i, ids[:2]] = logits[i, ids].max() + 1.0
+        labels.append(ids[-1])
+    teacher = np.where(admissible, rng.normal(scale=2.0, size=admissible.shape), -np.inf)
+    upstream = [rng.normal(size=len(sizes)) for _ in range(3)]
+    upstream[0][[1, 4]] = [-0.0, 0.0]
+    return logits, admissible, np.array(labels), teacher, upstream
+
+
+def test_class_nodes_give_the_bytes_of_the_composed_chains(class_rows):
+    logits, admissible, labels, teacher, upstream = class_rows
+
+    def run(consumers):
+        # each consumer's rows weighted by an upstream gradient, one backward
+        x = parameter(logits)
+        outs = consumers(x)
+        root = Tensor(0.0)
+        for out, g in zip(outs, upstream):
+            root = autodiff.add(root, autodiff.tsum(autodiff.mul(out, g)))
+        autodiff.backward(root)
+        return [out.data.tobytes() for out in outs], x.grad.tobytes()
+
+    taught = np.argmax(teacher, axis=1)  # the teacher's classes
+
+    def nodes(x):
+        ls = MaskedLogSoftmax(x, admissible)
+        return [cross_entropy(ls, labels), cross_entropy(ls, taught),
+                kl_divergence(ls, teacher)]
+
+    def composed(x):
+        return [composed_ce(x, admissible, labels), composed_ce(x, admissible, taught),
+                composed_kl(x, teacher, admissible)]
+
+    for pick in ([0], [2], [0, 1, 2]):  # alone, and three consumers of one forward
+        assert run(lambda x: [nodes(x)[i] for i in pick]) == \
+            run(lambda x: [composed(x)[i] for i in pick]), pick
+
+
+def test_total_node_gives_the_bytes_of_the_composed_sum():
+    coef = np.random.default_rng(8).normal(size=(5, 7))
+    weights = {"base_plan": 0.0, "plan_nll": 2.5}  # kl_ego, recon_ego unnamed
+    taught = ("plan_nll", "kl_ego")
+    names = ["base_plan", "plan_nll", "recon_ego", "kl_ego", "triplet_agent"]
+
+    def run(total_of):
+        x = parameter(coef[0] * 0.7 - 0.2)
+        terms = {n: autodiff.tsum(autodiff.mul(x, c)) for n, c in zip(names, coef)}
+        total, values = total_of(terms)
+        autodiff.backward(total)
+        return total.data.tobytes(), values, x.grad.tobytes()
+
+    # (1/7 * 2.5) * 0.7 and (1/7 * 0.7) * 2.5 round apart: the order shows
+    got = run(lambda terms: step_total(terms, weights, 7, 0.7, taught))
+    want = run(lambda terms: (
+        composed_total(terms, weights, 7, 0.7, taught),
+        np.array([(autodiff.mul(t, 0.7) if n in taught else t).item()
+                  for n, t in terms.items()])))
+    assert got[0] == want[0] and got[2] == want[2]
+    assert got[1].tobytes() == want[1].tobytes()

@@ -13,13 +13,13 @@ import struct
 import numpy as np
 import pytest
 
-from gptraj import autodiff, codebook, gpmodule, psdlinalg, trainer
+from gptraj import autodiff, codebook, gpmodule, losses, psdlinalg, trainer
 from gptraj.adapt import active_select, adapt_supervised, adapt_unsupervised
 from gptraj.basemodel import encode
 from gptraj.codebook import BuildError
 from gptraj.evalmetrics import evaluate
 from gptraj.gpmodule import GpGraph, GpInference
-from gptraj.losses import weighted_total
+from gptraj.losses import step_total
 from gptraj.psdlinalg import NotPSD
 from gptraj.synthdomain import gen_dataset, strip_labels
 from gptraj.trainer import (BASE_PARAMS, GP_PARAMS, Checkpoint, SceneTable,
@@ -35,8 +35,8 @@ CFG = tiny_config(epochs_stage1=2, epochs_stage2=1, epochs_stage3=1, adapt_epoch
 
 
 def total(terms):
-    """A step's terms weighted as the training loop weights them."""
-    return weighted_total(terms, CFG.loss_weights)
+    """A step's terms weighted as the training loop weights them, unscaled."""
+    return step_total(terms, CFG.loss_weights, 1)[0]
 
 
 @pytest.fixture(scope="module")
@@ -423,8 +423,18 @@ def test_training_rejects_scene_without_agent_gt(tiny_dataset, fitted):
 def test_nonfinite_loss_raises_training_error(tiny_dataset):
     ckpt = stage1_pretrain(tiny_dataset, CFG, tiny_spec())
     ckpt.model.tensors["base.pln_b2"][:] = np.nan
-    with pytest.raises(TrainingError, match="non-finite loss term .* at stage3 step 0"):
+    with pytest.raises(TrainingError, match="^non-finite loss term 'base_plan' at stage3 "
+                                            "step 0$"):
         stage3_finetune(tiny_dataset[:16], ckpt, CFG)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_nonfinite_check_reads_the_gp_weighted_terms(tiny_dataset, fitted):
+    # every term is finite, but the first teacher term overflows once scaled
+    cfg = dataclasses.replace(CFG, gp_weight=1e308)
+    with pytest.raises(TrainingError, match="^non-finite loss term 'plan_nll' at stage3 "
+                                            "step 0$"):
+        stage3_finetune(tiny_dataset[:16], fitted, cfg)
 
 
 def test_scene_labels_match_per_scene_loop(tiny_dataset, tiny_model):
@@ -718,15 +728,52 @@ def test_no_vjp_writes_into_its_upstream_gradient(fitted, tiny_dataset):
     batch = table.batch(np.arange(6))
     tokens = encode(table.obs, model.tensors, model.spec.token_scale)
     bvars, finetune_loss = step_loss_setup(fitted, tiny_dataset[:6], True, True)
+    # unsupervised: the teacher CE and the KL share one log-softmax forward
+    uvars, unsup_loss = step_loss_setup(fitted, strip_labels(tiny_dataset[:6]), False, True)
     for loss, variables in [
             (lambda: total(trainer.gp_stage_loss(
                 batch, GpGraph(model.cb, model.tensors | params), tokens, CFG)),
              params),
-            (lambda: total(finetune_loss()), bvars)]:
+            (lambda: total(finetune_loss()), bvars),
+            (lambda: total(unsup_loss()), uvars)]:
         want = autodiff.grad(loss(), variables)
         got = autodiff.grad(read_only_upstream(loss()), variables)
         for name in variables:
             assert got[name].tobytes() == want[name].tobytes(), name
+
+
+@pytest.mark.parametrize("use_gt", [True, False], ids=["gt+teacher", "teacher"])
+def test_backward_keeps_the_shared_log_softmax_forward(fitted, tiny_dataset, monkeypatch,
+                                                       use_gt):
+    # backward keeps a thunk's array as a parent's grad and may add into it
+    # later, so no thunk may return an array of the shared forward
+    made = []
+
+    class Recorded(losses.MaskedLogSoftmax):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(trainer, "MaskedLogSoftmax", Recorded)
+    records = tiny_dataset[:6] if use_gt else strip_labels(tiny_dataset[:6])
+    bvars, loss = step_loss_setup(fitted, records, use_gt, True)
+    root = total(loss())
+    [ls] = made
+    shared = [a for a in vars(ls).values() if isinstance(a, np.ndarray)]
+    assert len(shared) == 5  # admissible, mask, exp, sums, out
+    before = [a.tobytes() for a in shared]
+    returned = []
+    seen, stack = set(), [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen and node._vjp is not None:
+            seen.add(id(node))
+            node._vjp = lambda g, vjp=node._vjp: tuple(
+                lambda t=t: returned.append(t()) or returned[-1] for t in vjp(g))
+            stack.extend(node._parents)
+    autodiff.grad(root, bvars)
+    assert [a.tobytes() for a in shared] == before
+    assert returned and not any(np.may_share_memory(r, a) for r in returned for a in shared)
 
 
 def test_active_select_ranking_matches_per_scene_reference(fitted, target_dataset):
