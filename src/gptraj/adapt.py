@@ -21,7 +21,7 @@ import numpy as np
 from .basemodel import encode
 from .core import SceneRecord, rng_for
 from .synthdomain import strip_labels
-from .trainer import (Checkpoint, TrainConfig, TrainingError, _finetune_base,
+from .trainer import (Checkpoint, TrainConfig, TrainingError, finetune_base,
                       frozen_gp_predict)
 
 
@@ -48,29 +48,24 @@ class SelectionReport:
 def adapt_unsupervised(records: list[SceneRecord], ckpt: Checkpoint,
                        cfg: TrainConfig, log_path=None) -> Checkpoint:
     """Finetune the base model with the teacher loss only; labels are ignored."""
-    if not records:
-        raise TrainingError("adaptation dataset is empty")
     if any(r.labeled for r in records):
         warnings.warn("unsupervised adaptation: ground truth present, ignoring it")
         records = strip_labels(records)
-    return _finetune_base(records, ckpt, cfg, use_teacher=True,
-                          epochs=cfg.adapt_epochs, lr=cfg.lr_stage3,
-                          stage="adapt_unsup", log_path=log_path)
+    return finetune_base(records, ckpt.model.clone(), cfg, use_teacher=True,
+                         epochs=cfg.adapt_epochs, lr=cfg.lr_stage3,
+                         stage="adapt_unsup", log_path=log_path)
 
 
 def adapt_supervised(records: list[SceneRecord], ckpt: Checkpoint,
                      cfg: TrainConfig, log_path=None) -> Checkpoint:
     """Finetune with ground-truth losses plus the teacher regularization."""
-    if not records:
-        raise TrainingError("adaptation dataset is empty")
     missing = [r.scene_id for r in records if not r.labeled]
     if missing:
-        raise TrainingError(
-            f"supervised adaptation requires ground truth; missing on "
-            f"{len(missing)} scenes (first: {missing[0]})")
-    return _finetune_base(records, ckpt, cfg, use_teacher=True,
-                          epochs=cfg.adapt_epochs, lr=cfg.lr_stage3,
-                          stage="adapt_sup", log_path=log_path)
+        raise TrainingError(f"adapt_sup: ground truth missing on {len(missing)} "
+                            f"scenes (first: {missing[0]})")
+    return finetune_base(records, ckpt.model.clone(), cfg, use_teacher=True,
+                         epochs=cfg.adapt_epochs, lr=cfg.lr_stage3,
+                         stage="adapt_sup", log_path=log_path)
 
 
 def active_select(records: list[SceneRecord], ckpt: Checkpoint, budget: float,

@@ -253,8 +253,7 @@ def psd_inverse(a) -> Tensor:
     from . import psdlinalg  # deferred: psdlinalg imports this module
 
     a = as_tensor(a)
-    inv = psdlinalg.solve_with_factor(psdlinalg.cholesky_factor(a.data),
-                                      np.eye(a.data.shape[-1]))
+    inv = psdlinalg.solve_with_factor(psdlinalg.cholesky_factor(a.data))
     inv_t = np.swapaxes(inv, -1, -2)
     return _make(inv, (a,), lambda g: (lambda: -(inv_t @ g @ inv_t),))
 
@@ -322,12 +321,18 @@ def grad(loss: Tensor, params: dict[str, Tensor],
     Parameters absent from the tape get zero gradients. Existing ``.grad``
     buffers on the parameters are reset first; with ``out``, a map of
     buffers of the parameters' shapes, each gradient is written into its
-    buffer.
+    buffer, which is zeroed for a parameter absent from the tape, and
+    ``out`` is returned.
     """
     if not np.isfinite(loss.data):
         raise FloatingPointError("non-finite loss")
     for p in params.values():
         p.grad = None
     backward(loss, out and {id(p): out[name] for name, p in params.items()})
-    return {name: np.zeros_like(p.data) if p.grad is None else p.grad
-            for name, p in params.items()}
+    if out is None:
+        return {name: np.zeros_like(p.data) if p.grad is None else p.grad
+                for name, p in params.items()}
+    for name, p in params.items():
+        if p.grad is None:
+            out[name].fill(0.0)
+    return out

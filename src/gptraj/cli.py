@@ -76,14 +76,11 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_config(args):
     from . import config as config_mod
 
-    if args.config is not None:
-        cfg = config_mod.load(args.config, seed_override=args.seed)
-    else:
-        cfg = config_mod.resolve(seed_override=args.seed)
-    if args.out_dir is not None:
-        cfg.out_dir = Path(args.out_dir)
-        cfg.raw["out_dir"] = str(args.out_dir)
-    return cfg
+    user = {} if args.config is None else config_mod.load(args.config)
+    for key, value in (("seed", args.seed), ("out_dir", args.out_dir)):
+        if value is not None:
+            user[key] = value
+    return config_mod.resolve(user)
 
 
 def _log_resolved(cfg) -> None:

@@ -195,7 +195,7 @@ def _merge_defaults(user: dict) -> dict:
     return out
 
 
-def resolve(user: dict | None = None, seed_override: int | None = None) -> Config:
+def resolve(user: dict | None = None) -> Config:
     raw = _merge_defaults(user or {})
     _check_keys(raw, DEFAULT_CONFIG, "<root>")
     for section in ("model", "codebook", "train", "data", "eval"):
@@ -204,9 +204,6 @@ def resolve(user: dict | None = None, seed_override: int | None = None) -> Confi
         _check_keys(spec, _BIN_KEYS, f"eval.rarity_bins.{name}")
         for key, bound in spec.items():
             _number(bound, f"eval.rarity_bins.{name}.{key}")
-
-    if seed_override is not None:
-        raw["seed"] = int(seed_override)
 
     if not isinstance(raw["out_dir"], str):
         raise ConfigError(f"out_dir must be a path string, got {raw['out_dir']!r}")
@@ -279,7 +276,8 @@ def resolve(user: dict | None = None, seed_override: int | None = None) -> Confi
     )
 
 
-def load(path, seed_override: int | None = None) -> Config:
+def load(path) -> dict:
+    """The user config in the JSON file at ``path``, unresolved."""
     with open(path, "r", encoding="utf-8") as f:
         try:
             user = json.load(f)
@@ -287,4 +285,4 @@ def load(path, seed_override: int | None = None) -> Config:
             raise ConfigError(f"{path}: invalid JSON: {e}") from e
     if not isinstance(user, dict):
         raise ConfigError(f"{path}: config root must be an object")
-    return resolve(user, seed_override=seed_override)
+    return user

@@ -20,9 +20,9 @@ It factors a whole (..., n, n) stack with one batched ``np.linalg.cholesky``;
 only if that fails are the matrices factored one by one, and only those that
 fail climb a fixed jitter ladder, so a matrix's factor is the same bytes in
 any stack. GP conditioning reaches it through ``autodiff.psd_inverse``, and
-``solve_with_factor`` solves the whole stack at once. The learnable noise
-variances are *not* part of the jitter; jitter is purely a numerical guard
-so the learned noise stays interpretable.
+``solve_with_factor`` inverts the whole factored stack at once. The
+learnable noise variances are *not* part of the jitter; jitter is purely a
+numerical guard so the learned noise stays interpretable.
 """
 
 from __future__ import annotations
@@ -150,14 +150,12 @@ def cholesky_factor(a: np.ndarray) -> CholeskyFactor:
                           jitters=jitters)
 
 
-def solve_with_factor(factor: CholeskyFactor, b: np.ndarray) -> np.ndarray:
-    """Solve (A + jitter I) X = B for every matrix of a factored stack.
-
-    ``b`` is (..., n, k), broadcast against the stack. X = L^-T (L^-1 B),
-    with every L^-1 from one batched ``np.linalg.inv``.
-    """
+def solve_with_factor(factor: CholeskyFactor) -> np.ndarray:
+    """The inverse (A + jitter I)^-1 = L^-T L^-1 of every matrix of a
+    factored stack, with every L^-1 from one batched ``np.linalg.inv``; numpy
+    multiplies L^-1 by its own transpose with its symmetric routine."""
     l_inv = np.linalg.inv(factor.lower)
-    return np.swapaxes(l_inv, -1, -2) @ (l_inv @ np.asarray(b, dtype=np.float64))
+    return np.swapaxes(l_inv, -1, -2) @ l_inv
 
 
 def kernel_matrix_t(x, y, log_lengthscale, log_outputscale) -> Tensor:

@@ -35,18 +35,10 @@ by ``cfg.gp_weight`` and appends them to the loss CSV as the step ends.
 Determinism contract: identical (config, seed, dataset) produce
 bit-identical checkpoints at one BLAS thread, the count ``gptraj.cli``
 pins (a multithreaded BLAS sums in a thread-dependent order). The bytes do
-not depend on the CPU count: ``GpInference.predict_rows`` cuts a call into
-blocks by its row count alone and spreads whole blocks over the CPUs, and a
-block is the same single-threaded BLAS calls of the same shapes in any
-thread. A teacher call of a training batch is one block; a longer call
-(eval, active selection) is cut into blocks of at least half a block's
-rows. Whether its rows depend on the call they are in is measured, not
-guaranteed: see the ``gpmodule`` docstring and
-``test_rows_of_a_call_above_one_block_do_not_depend_on_the_call``. Shuffles
-derive from the seed by purpose keys, and every reduction over a step's
-rows runs in the fixed row order above. The row-batched reduction sums in
-a different order than the per-scene tapes it replaced, so checkpoints
-match those only to rounding, not bit for bit.
+not depend on the CPU count: the ``gpmodule`` docstring states how GP
+inference is cut into blocks and what that guarantees. Shuffles derive from
+the seed by purpose keys, and every reduction over a step's rows runs in the
+fixed row order above.
 """
 
 from __future__ import annotations
@@ -277,10 +269,9 @@ class Adam:
         self.grads, self.m, self.v = (_views(b, shapes)
                                       for b in (self._g, self._m, self._v))
 
-    def step(self, grads: dict[str, np.ndarray]) -> None:
-        for name, view in self.grads.items():
-            if grads[name] is not view:
-                view[...] = grads[name]
+    def step(self) -> None:
+        """One update from the gradients in ``grads``, which
+        ``grad(..., out=opt.grads)`` fills."""
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         bias1, bias2 = 1 - b1 ** self.t, 1 - b2 ** self.t
@@ -336,8 +327,6 @@ class SceneTable:
     """
 
     def __init__(self, records: list[SceneRecord], cb: Codebook, labeled: bool):
-        if not records:
-            raise TrainingError("dataset is empty")
         rows = scene_rows(records, labeled)
         self.n_ego = len(records)
         self.rows = np.arange(len(rows.obs))
@@ -491,7 +480,8 @@ def _run_epochs(table: SceneTable, cfg: TrainConfig, params, step_loss_fn, *,
                 if not finite.all():
                     raise TrainingError(f"non-finite loss term {list(terms)[finite.argmin()]!r}"
                                         f" at {stage} step {step}")
-                opt.step(grad(total, params, out=opt.grads))
+                grad(total, params, out=opt.grads)
+                opt.step()
                 if post_step is not None:
                     post_step()
                 if log_path is not None:
@@ -537,25 +527,27 @@ def build_model(records, cfg: TrainConfig, spec: ModelSpec) -> Model:
     return Model(spec, tensors)
 
 
+def _labeled(records, stage: str) -> list[SceneRecord]:
+    """The labeled records, which stages 1-3 train on."""
+    labeled = [r for r in records if r.labeled]
+    if not labeled:
+        raise TrainingError(f"{stage}: no labeled scenes")
+    return labeled
+
+
 def stage1_pretrain(records, cfg: TrainConfig, spec: ModelSpec,
                     log_path=None) -> "Checkpoint":
     """Pretrain encoder and planner on labeled source data."""
-    labeled = [r for r in records if r.labeled]
-    if not labeled:
-        raise TrainingError("stage 1 requires a labeled dataset")
-    init = Checkpoint(stage="init", model=build_model(labeled, cfg, spec),
-                      train_config=cfg)
-    return _finetune_base(labeled, init, cfg, use_teacher=False,
-                          epochs=cfg.epochs_stage1, lr=cfg.lr_stage12,
-                          stage="stage1", log_path=log_path)
+    labeled = _labeled(records, "stage1")
+    return finetune_base(labeled, build_model(labeled, cfg, spec), cfg,
+                         use_teacher=False, epochs=cfg.epochs_stage1,
+                         lr=cfg.lr_stage12, stage="stage1", log_path=log_path)
 
 
 def stage2_fit_gp(records, ckpt: "Checkpoint", cfg: TrainConfig,
                   log_path=None) -> "Checkpoint":
     """Fit basis tokens, classifier, and kernel/noise params; base frozen."""
-    labeled = [r for r in records if r.labeled]
-    if not labeled:
-        raise TrainingError("stage 2 requires a labeled dataset")
+    labeled = _labeled(records, "stage2")
     model = ckpt.model.clone()
     params = model.params(GP_PARAMS)
     weights = model.tensors | params
@@ -573,15 +565,16 @@ def stage2_fit_gp(records, ckpt: "Checkpoint", cfg: TrainConfig,
     return Checkpoint(stage="stage2", model=model, train_config=cfg)
 
 
-def _finetune_base(records, ckpt: "Checkpoint", cfg: TrainConfig, *,
-                   use_teacher: bool, epochs: int, lr: float, stage: str,
-                   log_path=None) -> "Checkpoint":
-    """Train a copy of the checkpoint's base model; the GP side stays frozen.
+def finetune_base(records, model: Model, cfg: TrainConfig, *, use_teacher: bool,
+                  epochs: int, lr: float, stage: str, log_path=None) -> "Checkpoint":
+    """Train the base side of ``model`` in place, the GP side frozen, and
+    return it as the ``stage`` checkpoint.
 
     Ground truth is used when the records are labeled; every caller passes
     records that are all labeled or all unlabeled.
     """
-    model = ckpt.model.clone()
+    if not records:
+        raise TrainingError(f"{stage}: no scenes")
     bvars = model.params(BASE_PARAMS)
     labeled = all(r.labeled for r in records)
     teacher = None
@@ -600,12 +593,9 @@ def _finetune_base(records, ckpt: "Checkpoint", cfg: TrainConfig, *,
 def stage3_finetune(records, ckpt: "Checkpoint", cfg: TrainConfig,
                     log_path=None) -> "Checkpoint":
     """Finetune the base model on GT plus teacher regularization; GP frozen."""
-    labeled = [r for r in records if r.labeled]
-    if not labeled:
-        raise TrainingError("stage 3 requires a labeled dataset")
-    return _finetune_base(labeled, ckpt, cfg, use_teacher=True,
-                          epochs=cfg.epochs_stage3, lr=cfg.lr_stage3,
-                          stage="stage3", log_path=log_path)
+    return finetune_base(_labeled(records, "stage3"), ckpt.model.clone(), cfg,
+                         use_teacher=True, epochs=cfg.epochs_stage3, lr=cfg.lr_stage3,
+                         stage="stage3", log_path=log_path)
 
 
 # --- checkpoint container ------------------------------------------------------

@@ -389,6 +389,27 @@ def test_grad_map_zero_for_unused():
     assert np.array_equal(grads["unused"], [0.0])
 
 
+def test_grad_writes_every_gradient_into_its_out_buffer():
+    # stale buffers, as an optimizer's are after its step: every entry is
+    # overwritten, with zeros for the parameter the tape never reaches
+    rng = np.random.default_rng(8)
+    params = {"w": parameter(rng.normal(size=(3, 2))), "b": parameter(rng.normal(size=2)),
+              "off": parameter(rng.normal(size=4))}
+    x = rng.normal(size=(5, 3))
+
+    def loss():
+        h = autodiff.add(autodiff.matmul(x, params["w"]), params["b"])
+        return autodiff.tsum(autodiff.mul(h, autodiff.add(h, params["b"])))
+
+    want = autodiff.grad(loss(), params)
+    out = {name: np.full(p.data.shape, np.nan) for name, p in params.items()}
+    assert autodiff.grad(loss(), params, out=out) is out
+    assert {name: b.tobytes() for name, b in out.items()} == {
+        name: g.tobytes() for name, g in want.items()}
+    assert not out["off"].any()
+    assert params["w"].grad is out["w"] and params["off"].grad is None
+
+
 def test_grad_rejects_nonscalar_and_nonfinite():
     x = parameter(np.array([1.0, 2.0]))
     with pytest.raises(ValueError):

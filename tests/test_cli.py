@@ -234,6 +234,33 @@ def test_a_dataset_that_does_not_fit_the_model_fails_before_any_file(
     assert not (tmp_path / "run").exists()  # no resolved_config.json
 
 
+def test_supervised_adapt_on_unlabeled_data_is_one_error_line(tmp_path, capsys,
+                                                               toy_stage1):
+    config, stage1 = toy_stage1
+    data = tmp_path / "unlabeled.jsonl"
+    argv = ["--config", str(config), "--out-dir", str(tmp_path / "run")]
+    assert cli.cli_run(argv + ["gen-data", "--domain", "target_city", "--count", "5",
+                               "--unlabeled", "--out", str(data)]) == 0
+    capsys.readouterr()
+    assert cli.cli_run(argv + ["adapt", "--mode", "sup", "--data", str(data),
+                               "--ckpt", str(stage1)]) == 1
+    first = load_dataset(data)[0].scene_id
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: adapt_sup: ground truth missing on 5 scenes (first: {first})"]
+
+
+def test_seed_and_out_dir_flags_override_the_config_file(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seed": 5, "out_dir": str(tmp_path / "configured")}))
+    out = tmp_path / "flagged"
+    assert cli.cli_run(["--config", str(config), "--seed", "3", "--out-dir", str(out),
+                        "gen-data", "--domain", "source_city", "--count", "1",
+                        "--out", str(tmp_path / "one.jsonl")]) == 0
+    resolved = json.loads((out / "resolved_config.json").read_text())
+    assert (resolved["seed"], resolved["out_dir"]) == (3, str(out))
+    assert not (tmp_path / "configured").exists()
+
+
 def run_python(*args: str, cwd: Path, **env: str) -> str:
     """Stdout of ``python *args`` in a fresh interpreter that imports this
     gptraj, with ``env`` over the inherited environment."""

@@ -522,8 +522,8 @@ def test_classifier_learns_two_separated_modes(small_cb):
             logits = autodiff.add(autodiff.matmul(h, autodiff.transpose(w["w2"])), w["b2"])
             ce = cross_entropy(MaskedLogSoftmax(logits, adm), [label])
             total = autodiff.add(total, autodiff.tsum(ce))
-        grads = autodiff.grad(autodiff.mul(total, 1 / 8), w)
-        opt.step(grads)
+        autodiff.grad(autodiff.mul(total, 1 / 8), w, out=opt.grads)
+        opt.step()
     trained = {f"clf.{n}": t.data for n, t in w.items()}
     labels, toks = [], []
     for _ in range(200):

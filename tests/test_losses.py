@@ -244,8 +244,8 @@ def test_optimal_sigma_squared_is_twice_task_loss():
         sigma = autodiff.exp(theta)
         loss = autodiff.add(autodiff.div(task, autodiff.square(sigma)),
                             autodiff.log(sigma))
-        grads = autodiff.grad(loss, {"theta": theta})
-        opt.step(grads)
+        autodiff.grad(loss, {"theta": theta}, out=opt.grads)
+        opt.step()
     sigma_sq = float(np.exp(2 * theta.data))
     assert abs(sigma_sq - 2 * task) / (2 * task) < 0.05
 

@@ -62,11 +62,11 @@ def test_kernel_matrix_psd_by_jacobi():
 
 
 def test_chol_solve_identity_and_diagonal():
-    x = solve_with_factor(cholesky_factor(np.eye(3)), np.eye(3))
+    x = solve_with_factor(cholesky_factor(np.eye(3)))
     assert np.allclose(x, np.eye(3))
     assert cholesky_factor(np.eye(3)).jitter_used == 0.0
-    x = solve_with_factor(cholesky_factor(np.diag([4.0, 9.0])), np.array([[1.0], [1.0]]))
-    assert np.allclose(x, [[0.25], [1.0 / 9.0]])
+    x = solve_with_factor(cholesky_factor(np.diag([4.0, 9.0])))
+    assert np.allclose(x, np.diag([0.25, 1.0 / 9.0]))
 
 
 def test_chol_solve_matches_gauss_jordan_oracle():
@@ -75,7 +75,7 @@ def test_chol_solve_matches_gauss_jordan_oracle():
         m = rng.normal(size=(n, n))
         a = m @ m.T + 0.5 * np.eye(n)
         b = rng.normal(size=(n, 3))
-        x = solve_with_factor(cholesky_factor(a), b)
+        x = solve_with_factor(cholesky_factor(a)) @ b
         assert np.max(np.abs(x - gauss_jordan_inverse(a) @ b)) < 1e-8
 
 
@@ -86,7 +86,7 @@ def test_solve_roundtrip_up_to_256():
         a = m @ m.T + 1e-3 * np.eye(n)
         b = rng.normal(size=(n, 1))
         factor = cholesky_factor(a)
-        x = solve_with_factor(factor, b)
+        x = solve_with_factor(factor) @ b
         recovered = (a + factor.jitter_used * np.eye(n)) @ x
         assert np.max(np.abs(recovered - b)) < 1e-7
 
@@ -129,7 +129,7 @@ def test_batched_factor_matches_per_matrix_reference():
         assert factor.lower.shape == a.shape and factor.jitters.shape == a.shape[:-2]
         assert factor.jitter_used == 0.0 and not factor.jitters.any()
         ref, _ = psd_inverse_ref(a, JITTER_LADDER)
-        got = solve_with_factor(factor, np.eye(6))
+        got = solve_with_factor(factor)
         err = np.linalg.norm(got - ref, axis=(-2, -1))
         assert np.all(err < 1e-12 * np.linalg.norm(ref, axis=(-2, -1)))
     stack[1, 2] = -np.eye(6)  # flattened index 5

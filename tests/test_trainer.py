@@ -9,6 +9,7 @@ import json
 import math
 import os
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -292,7 +293,9 @@ def test_adam_step_is_bit_identical_to_out_of_place_update():
                for (k, p), sh in zip(params.items(), shapes.values())}
         for t in range(1, 6):
             grads = {k: rng.normal(size=sh) for k, sh in shapes.items()}
-            opt.step(grads)
+            for k, g in grads.items():
+                opt.grads[k][...] = g
+            opt.step()
             for k, p in params.items():
                 p_ref, m_ref, v_ref = ref[k]
                 ref[k] = adam_ref(p_ref, grads[k], m_ref, v_ref, t, 0.01, 0.8, 0.99,
@@ -666,6 +669,62 @@ def test_unsupervised_without_teacher_rejected(fitted, tiny_dataset):
     cfg = dataclasses.replace(CFG, gp_weight=0.0)
     with pytest.raises(TrainingError, match="no loss"):
         adapt_unsupervised(strip_labels(tiny_dataset[:8]), fitted, cfg)
+
+
+# the five training entry points by stage id, each as train(records, ckpt)
+ENTRY_POINTS = {
+    "stage1": lambda records, ckpt: stage1_pretrain(records, CFG, tiny_spec()),
+    "stage2": lambda records, ckpt: stage2_fit_gp(records, ckpt, CFG),
+    "stage3": lambda records, ckpt: stage3_finetune(records, ckpt, CFG),
+    "adapt_unsup": lambda records, ckpt: adapt_unsupervised(records, ckpt, CFG),
+    "adapt_sup": lambda records, ckpt: adapt_supervised(records, ckpt, CFG),
+}
+
+
+@pytest.mark.parametrize("stage", ENTRY_POINTS)
+def test_no_scenes_rejected_naming_the_stage(fitted, stage):
+    gate = "no scenes" if stage.startswith("adapt") else "no labeled scenes"
+    with pytest.raises(TrainingError, match=f"^{stage}: {gate}$"):
+        ENTRY_POINTS[stage]([], fitted)
+
+
+@pytest.mark.parametrize("stage", ENTRY_POINTS)
+def test_unlabeled_scenes_train_only_unsupervised_adaptation(fitted, tiny_dataset,
+                                                             stage):
+    records = strip_labels(tiny_dataset[:8])
+    if stage == "adapt_unsup":
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # nothing to strip, so no warning
+            assert ENTRY_POINTS[stage](records, fitted).stage == stage
+        return
+    gate = (f"ground truth missing on 8 scenes \\(first: {records[0].scene_id}\\)"
+            if stage == "adapt_sup" else "no labeled scenes")
+    with pytest.raises(TrainingError, match=f"^{stage}: {gate}$"):
+        ENTRY_POINTS[stage](records, fitted)
+
+
+@pytest.mark.parametrize("stage", ENTRY_POINTS)
+def test_mixed_scenes_by_stage(fitted, tiny_dataset, stage):
+    # stages 1-3 train on the labeled scenes alone, unsupervised adaptation
+    # strips the labels with a warning, supervised adaptation rejects them
+    unlabeled = strip_labels(gen_dataset(tiny_domain(), 9, seed=6, obs_dim=TINY_OBS_DIM))
+    mixed = tiny_dataset[:45] + unlabeled + tiny_dataset[45:]
+    train = ENTRY_POINTS[stage]
+    if stage == "adapt_sup":
+        with pytest.raises(TrainingError, match=f"^adapt_sup: ground truth missing on "
+                           f"9 scenes \\(first: {unlabeled[0].scene_id}\\)$"):
+            train(mixed, fitted)
+        return
+    if stage == "adapt_unsup":
+        with pytest.warns(UserWarning, match="^unsupervised adaptation: ground truth "
+                          "present, ignoring it$"):
+            got = train(mixed, fitted)
+        want = train(strip_labels(mixed), fitted)
+    else:
+        got = train(mixed, fitted)
+        want = train([r for r in mixed if r.labeled], fitted)
+    assert ({k: v.tobytes() for k, v in got.model.tensors.items()}
+            == {k: v.tobytes() for k, v in want.model.tensors.items()})
 
 
 def test_gp_stage_loss_gradients_match_finite_differences(fitted, tiny_dataset):
