@@ -48,8 +48,9 @@ class SelectionReport:
 def adapt_unsupervised(records: list[SceneRecord], ckpt: Checkpoint,
                        cfg: TrainConfig, log_path=None) -> Checkpoint:
     """Finetune the base model with the teacher loss only; labels are ignored."""
-    if any(r.labeled for r in records):
-        warnings.warn("unsupervised adaptation: ground truth present, ignoring it")
+    labeled = sum(r.labeled for r in records)
+    if labeled:
+        warnings.warn(f"adapt_unsup: ground truth present on {labeled} scenes, ignoring it")
         records = strip_labels(records)
     return finetune_base(records, ckpt.model.clone(), cfg, use_teacher=True,
                          epochs=cfg.adapt_epochs, lr=cfg.lr_stage3,

@@ -19,6 +19,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 import argparse
 import json
 import sys
+import warnings
 from pathlib import Path
 
 
@@ -289,14 +290,22 @@ _HANDLERS = {
 }
 
 
+def _print_warning(message, *_) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def cli_run(argv: list[str] | None = None) -> int:
-    """Run one subcommand; returns the process exit code."""
+    """Run one subcommand; returns the process exit code. A library warning
+    is one stderr line, ``warning: <message>``, and a failure one line
+    ``error: <message>``."""
     args = build_parser().parse_args(argv)
-    try:
-        return _HANDLERS[args.command](args, _load_config(args))
-    except Exception as e:  # noqa: BLE001 - single line, machine-parsable
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():
+        warnings.showwarning = _print_warning
+        try:
+            return _HANDLERS[args.command](args, _load_config(args))
+        except Exception as e:  # noqa: BLE001 - single line, machine-parsable
+            print(f"error: {e}", file=sys.stderr)
+            return 1
 
 
 def main() -> None:

@@ -29,18 +29,19 @@ Inference is blocked matrix products that release the interpreter lock, so
 ``GpInference.predict_rows`` classifies a call of more than one block on
 every CPU the process may use: the calling thread and persistent worker
 threads each take whole blocks, and the caller then conditions and predicts
-all rows at once. A call of at most R rows (one block, 146 rows at the
-default sizes), such as every teacher call of a training batch, runs in the
-caller and starts no thread. A call of n > R rows is cut into p =
-2 * ceil(n / 2R) near-equal blocks, by n alone: an even count, so two lanes
-get equal shares, and no block has fewer than R // 2 rows. Each block is
-the same single-threaded BLAS calls in any thread, so the bytes do not
-depend on the CPU count. Whether a row's bytes depend on the block it is
-in is up to the BLAS: at the default sizes on the tested OpenBLAS, blocks
-of 10 rows or fewer rounded differently from the same rows in a larger
-block and blocks of 11 rows or more did not, so there the rows of a call
-above R rows do not depend on the call they are in. Nothing guarantees it
-for another BLAS, or for sizes where R // 2 is 10 rows or fewer.
+all rows at once. Every block has R // 2 to R rows (R is 146 at the default
+sizes): a call of fewer than R // 2 rows is zero-padded to R // 2 rows,
+whose pad rows are dropped before any conditioning, and a call of at most R
+rows is one block, which runs in the caller and starts no thread. A call of
+n > R rows is cut into p = 2 * ceil(n / 2R) near-equal blocks, by n alone:
+an even count, so two lanes get equal shares. Each block is the same
+single-threaded BLAS calls in any thread, so the bytes do not depend on the
+CPU count. Whether a row's bytes depend on the block it is in is up to the
+BLAS: at the default sizes on the tested OpenBLAS, blocks of 10 rows or
+fewer rounded differently from the same rows in a larger block and blocks
+of 11 rows or more did not, so there a row's bytes do not depend on the
+call it is in. Nothing guarantees it for another BLAS, or for sizes where
+R // 2 is 10 rows or fewer.
 """
 
 from __future__ import annotations
@@ -191,16 +192,15 @@ class GpInference(GpGraph):
         included, the logits (N, n_code) with -inf outside each row's mask,
         and the groups (N,): the masked argmax, ties to the lowest id.
 
-        Rows are classified in blocks of at most R rows, the rows of
-        FEATURE_BLOCK kernel features. A call of at most R rows is one
-        block; a call of n > R rows is cut into p = 2 * ceil(n / 2R)
-        blocks, block k being rows n * k // p to n * (k + 1) // p, so no
-        block is a short tail of fewer than R // 2 rows. A block of a few
-        rows can round differently from the same rows in a larger block
-        (the classifier's products): 10 rows or fewer did at the default
-        sizes on the tested OpenBLAS, so there a row of a call above R rows
-        had the bytes it has in any other such call, while a one-block call
-        of a few rows can differ.
+        Rows are classified in blocks of R // 2 to R rows, R being the rows
+        of FEATURE_BLOCK kernel features. A call of fewer than R // 2 rows
+        is zero-padded to R // 2 rows, and the pad rows are dropped after
+        the classifier, so they are never conditioned on and never name a
+        group in an error. A call of at most R rows is then one block; a
+        call of n > R rows is cut into p = 2 * ceil(n / 2R) blocks, block k
+        being rows n * k // p to n * (k + 1) // p. A block of a few rows
+        can round differently from the same rows in a larger block (the
+        classifier's products), so no block is that short.
 
         The blocks go round-robin over ``lanes`` lanes: this thread and, for
         a call of more than one block on a host with more than one CPU, the
@@ -214,8 +214,12 @@ class GpInference(GpGraph):
         """
         n = len(tokens)
         rows = max(1, FEATURE_BLOCK // (self.cb.n_code * self.cb.group_size))
-        parts = 1 if n <= rows else 2 * -(-n // (2 * rows))
-        cuts = [n * k // parts for k in range(parts + 1)]
+        if n < rows // 2:  # zero rows up to R // 2, dropped before any conditioning
+            pad = ((0, rows // 2 - n), (0, 0))
+            tokens, admissible = np.pad(tokens, pad), np.pad(admissible, pad)
+        m = len(tokens)
+        parts = 1 if m <= rows else 2 * -(-m // (2 * rows))
+        cuts = [m * k // parts for k in range(parts + 1)]
         blocks = list(zip(cuts, cuts[1:]))
         lanes = min(len(os.sched_getaffinity(0)), parts)
 
@@ -237,7 +241,7 @@ class GpInference(GpGraph):
         finally:
             wait(futures)
         by_lane += [f.result() for f in futures]
-        logits, group, k_star = (np.concatenate(col) for col in zip(
+        logits, group, k_star = (np.concatenate(col)[:n] for col in zip(
             *(by_lane[b % lanes][b // lanes] for b in range(parts))))
         mean, variance = self.predict_trajectory(Tensor(k_star), group)
         return mean.data, variance.data, logits, group
@@ -250,7 +254,8 @@ class GpInference(GpGraph):
 
 # The worker threads of GpInference.predict_rows, one fewer than the CPUs
 # the process may run on, started by the first call that needs one and
-# kept for the process's life (a GpInference lives for one eval or select).
+# kept for the process's life (a GpInference lives for one eval, select or
+# teacher pass).
 # On a 2-core host a pool started per call gave the same bytes but made
 # 200-row calls 0.3-0.8 ms (5-17 %) slower; at 800 rows it ran from 18 %
 # faster to 15 % slower from run to run. A forked child has none of the

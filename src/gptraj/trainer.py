@@ -20,12 +20,15 @@ constants, so it builds no tape.
 
 Every optimizer step builds one tape over the batch's rows: the ego rows of
 its scenes, then their agent rows, each block in ascending scene order (see
-``SceneTable``). Base-model stages encode and plan all rows in one pass and
-take the frozen teacher's prediction of all rows in one call; the teacher
-conditions each group once, when a step first routes a row to it. Stage 2
-conditions the step's routed groups once per step and evaluates the GP and
-its losses over all rows at once. Labels are computed once per training
-call. The codebook is built once per model (``Model.cb``), its triplet
+``SceneTable``). Base-model stages encode and plan all rows in one pass.
+Stage 2 conditions the step's routed groups once per step and evaluates the
+GP and its losses over all rows at once. Labels are computed once per
+training call, and so is the frozen teacher of stage 3 and both
+adaptations: one ``predict_rows`` pass over the tokens of the model the
+call starts from predicts every row of the call's table before the first
+step (``SceneTable.teach``), and each step reads its batch's rows of that
+prediction as constants, so the teacher's targets do not move with the
+student. The codebook is built once per model (``Model.cb``), its triplet
 classes on first use.
 
 A step loss returns its terms as a plain dict (see ``losses``); ``_run_epochs``
@@ -35,10 +38,12 @@ by ``cfg.gp_weight`` and appends them to the loss CSV as the step ends.
 Determinism contract: identical (config, seed, dataset) produce
 bit-identical checkpoints at one BLAS thread, the count ``gptraj.cli``
 pins (a multithreaded BLAS sums in a thread-dependent order). The bytes do
-not depend on the CPU count: the ``gpmodule`` docstring states how GP
-inference is cut into blocks and what that guarantees. Shuffles derive from
-the seed by purpose keys, and every reduction over a step's rows runs in the
-fixed row order above.
+not depend on the CPU count: the teacher pass is one ``predict_rows`` call,
+and the ``gpmodule`` docstring states how such a call is cut into blocks
+and what that guarantees; a row's teacher bytes do not depend on the
+batches it is later drawn into. Shuffles derive from the seed by purpose
+keys, and every reduction over a step's rows runs in the fixed row order
+above.
 """
 
 from __future__ import annotations
@@ -318,13 +323,18 @@ def _project_noise(params: dict[str, Tensor], sigma_clamp) -> None:
 class SceneTable:
     """Scenes in ``core.scene_rows`` layout, with each row's scene, its
     admissible-group mask and, when ``labeled``, its flat (12,) ground truth
-    and label.
+    and label; once ``teach`` has run, also the frozen teacher's prediction
+    of each row and its token anchors.
 
     A training call builds one table of its scenes; each optimizer step
     works on the table of its batch, from ``batch``. ``rows`` index the
     training call's table and ``scene_of_row`` gives each row's scene
     position within this table.
     """
+
+    # the per-row arrays, which ``batch`` slices by row
+    ROW_ARRAYS = ("obs", "admissible", "gt", "labels",
+                  "t_mean", "t_variance", "t_logits", "t_group")
 
     def __init__(self, records: list[SceneRecord], cb: Codebook, labeled: bool):
         rows = scene_rows(records, labeled)
@@ -338,9 +348,22 @@ class SceneTable:
         if labeled:
             self.gt = rows.gt.reshape(len(rows.gt), -1)
             self.labels = scene_labels(self, cb)
+        self.t_mean = self.t_variance = self.t_logits = self.t_group = None
+        self.t_anchors = None
 
     def __len__(self) -> int:
         return self.n_ego
+
+    def teach(self, model: Model) -> None:
+        """Keep the frozen teacher's prediction of every row, from one
+        ``predict_rows`` pass over the tokens of ``model`` as it is now:
+        mean (N, 12), variance (N,), masked logits (N, n_code) and group
+        (N,); and its token anchors (n_code, D)."""
+        teacher = GpInference(model.cb, model.tensors)
+        tokens = encode(self.obs, model.tensors, model.spec.token_scale)
+        self.t_mean, self.t_variance, self.t_logits, self.t_group = (
+            teacher.predict_rows(tokens, self.admissible))
+        self.t_anchors = teacher.token_anchors.data
 
     def batch(self, scenes: np.ndarray) -> "SceneTable":
         """The table of ``scenes`` (scene positions, ascending): their ego
@@ -350,9 +373,9 @@ class SceneTable:
         sub.n_ego = len(scenes)
         sub.rows = self.rows[rows]
         sub.scene_of_row = np.searchsorted(scenes, self.scene_of_row[rows])
-        sub.obs, sub.admissible, sub.gt, sub.labels = (
-            None if a is None else a[rows]
-            for a in (self.obs, self.admissible, self.gt, self.labels))
+        for name in self.ROW_ARRAYS:
+            a = getattr(self, name)
+            setattr(sub, name, None if a is None else a[rows])
         return sub
 
 
@@ -378,32 +401,33 @@ def base_supervised_loss(batch: SceneTable, traj: Tensor, ls: MaskedLogSoftmax) 
 
 
 def finetune_scene_loss(batch: SceneTable, bvars: dict[str, Tensor], model: Model,
-                        teacher: GpInference | None, cfg: TrainConfig) -> dict[str, Tensor]:
+                        cfg: TrainConfig) -> dict[str, Tensor]:
     """Terms of one base-model step, over the batch's rows.
 
-    Ground-truth terms when the batch carries labels, then the teacher
+    Ground-truth terms when the batch carries labels, then, when it carries
+    the teacher's predictions (``SceneTable.teach``), the teacher
     regularization, which ``_run_epochs`` scales by ``cfg.gp_weight``. The
-    trajectory anchor is the label's group when supervised, else the
-    teacher's class. The triplet term measures the student's tokens against
-    the frozen teacher's token anchors.
+    teacher's mean, variance, logits and group are constants of the
+    training call, made from the model it started from, so its targets do
+    not move with the student. The trajectory anchor is the label's group
+    when supervised, else the teacher's group. The triplet term measures
+    the student's tokens against the teacher's token anchors.
     """
     tokens = encode_t(batch.obs, bvars, model.spec.token_scale)
     logits, residual = planner_t(tokens, bvars, model.spec.n_code)
     ls = MaskedLogSoftmax(logits, batch.admissible)
-    if teacher is not None:
-        mean, variance, t_logits, t_label = teacher.predict_rows(tokens.data,
-                                                                 batch.admissible)
-    anchor_gid = batch.labels if batch.labels is not None else t_label
+    t_group = batch.t_group
+    anchor_gid = batch.labels if batch.labels is not None else t_group
     traj = autodiff.add(Tensor(model.cb.traj_anchors[anchor_gid]), residual)
     terms = {} if batch.labels is None else base_supervised_loss(batch, traj, ls)
-    if teacher is None:
+    if t_group is None:
         return terms
     positives, negatives = model.cb.triplets
     taught = loss_gp_teacher(
-        SupRows(traj=traj, target=mean, variance=variance, ls=ls, label=t_label,
-                token=tokens, positives=positives[t_label], negatives=negatives[t_label],
-                n_ego=batch.n_ego),
-        t_logits, teacher.token_anchors, sigma_clamp=cfg.sigma_clamp,
+        SupRows(traj=traj, target=batch.t_mean, variance=batch.t_variance, ls=ls,
+                label=t_group, token=tokens, positives=positives[t_group],
+                negatives=negatives[t_group], n_ego=batch.n_ego),
+        batch.t_logits, batch.t_anchors, sigma_clamp=cfg.sigma_clamp,
         margin=cfg.triplet_margin)
     return terms | taught
 
@@ -458,9 +482,9 @@ def _run_epochs(table: SceneTable, cfg: TrainConfig, params, step_loss_fn, *,
     ``cfg.loss_weights`` in dict order.
 
     The log is opened at the first step and each step's rows are flushed as
-    the step ends, so a failed run keeps the steps before the failure. A GP
-    conditioning that is not positive definite stops training with a
-    TrainingError naming the stage, step and group.
+    the step ends, so a failed run keeps the steps before the failure. A
+    step's GP conditioning (stage 2's) that is not positive definite stops
+    training with a TrainingError naming the stage, step and group.
     """
     opt = Adam(params, lr=lr, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps)
     log = None
@@ -571,20 +595,25 @@ def finetune_base(records, model: Model, cfg: TrainConfig, *, use_teacher: bool,
     return it as the ``stage`` checkpoint.
 
     Ground truth is used when the records are labeled; every caller passes
-    records that are all labeled or all unlabeled.
+    records that are all labeled or all unlabeled. With a teacher, one pass
+    of the frozen GP over the tokens of ``model`` as given sets the
+    teacher's targets for every step of the call.
     """
     if not records:
         raise TrainingError(f"{stage}: no scenes")
     bvars = model.params(BASE_PARAMS)
     labeled = all(r.labeled for r in records)
-    teacher = None
-    if use_teacher and cfg.gp_weight != 0.0:
-        teacher = GpInference(model.cb, model.tensors)
-    elif not labeled:
+    taught = use_teacher and cfg.gp_weight != 0.0
+    if not (taught or labeled):
         raise TrainingError(f"{stage}: no ground truth and no teacher leaves no loss")
     table = SceneTable(records, model.cb, labeled=labeled)
+    if taught:
+        try:
+            table.teach(model)
+        except NotPSD as e:
+            raise TrainingError(f"{stage} teacher: {e}") from e
     _run_epochs(table, cfg, bvars,
-                lambda batch: finetune_scene_loss(batch, bvars, model, teacher, cfg),
+                lambda batch: finetune_scene_loss(batch, bvars, model, cfg),
                 epochs=epochs, lr=lr, stage=stage, log_path=log_path,
                 taught=losses.TEACHER_TERMS)
     return Checkpoint(stage=stage, model=model, train_config=cfg)

@@ -30,7 +30,7 @@ TOY_CONFIG = {
 }
 
 
-@pytest.mark.filterwarnings("ignore:unsupervised adaptation")
+@pytest.mark.filterwarnings("ignore:adapt_unsup")
 def test_cli_pipeline_at_toy_size(tmp_path, monkeypatch, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(TOY_CONFIG))
@@ -88,6 +88,21 @@ def test_gp_set_up_failure_names_the_command(tmp_path, monkeypatch, capsys):
         assert cli.cli_run(argv + [command] + args + ckpt) == 1
         assert capsys.readouterr().err.splitlines()[-1].startswith(
             f"error: {command} GP: group {group}: matrix not positive definite")
+
+
+def test_unsupervised_adaptation_warns_in_one_line(tmp_path, capsys):
+    # the default target split is labeled, and its labels are dropped
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(TOY_CONFIG))
+    argv = ["--config", str(config), "--out-dir", str(tmp_path / "run")]
+    for command in ("gen-data", "pretrain", "fit-gp"):
+        assert cli.cli_run(argv + [command]) == 0
+    capsys.readouterr()
+    assert cli.cli_run(argv + ["adapt", "--mode", "unsup", "--ckpt",
+                               str(tmp_path / "run" / "ckpt_stage2.bin")]) == 0
+    n = TOY_CONFIG["data"]["n_target"]
+    assert capsys.readouterr().err == (
+        f"warning: adapt_unsup: ground truth present on {n} scenes, ignoring it\n")
 
 
 def test_gen_data_unlabeled_requires_domain(tmp_path, capsys):

@@ -362,15 +362,17 @@ def test_lanes_and_block_slices_give_the_same_bytes(size, small_cb, small_clf, c
 
 
 def test_rows_of_a_call_above_one_block_do_not_depend_on_the_call():
+    # no block is short: a call of fewer than 73 rows is padded to 73, and
     # no block of a call above one block's rows is a short tail, so each row
-    # has the bytes of the same row in the 800-row call; 731 and 148 rows cut
-    # at multiples of 146 would end in a 1-row and a 2-row block
+    # has the bytes of the same row in the 800-row call; unpadded, calls of
+    # 1 to 10 rows differed, and 731 and 148 rows cut at multiples of 146
+    # would end in a 1-row and a 2-row block
     fresh, tokens, masks = default_size_rows(800)
     inf = fresh()
     rows = gpmodule.FEATURE_BLOCK // (inf.cb.n_code * inf.cb.group_size)
     assert rows == 146
     want = inf.predict_rows(tokens, masks)
-    differ = [n for n in sorted({*range(rows + 1, 800, 53), 148, 731})
+    differ = [n for n in sorted({*range(1, 161), *range(rows + 1, 800, 53), 731})
               if [a.tobytes() for a in inf.predict_rows(tokens[:n], masks[:n])]
               != [a[:n].tobytes() for a in want]]
     assert differ == []

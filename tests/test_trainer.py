@@ -7,14 +7,13 @@ import dataclasses
 import itertools
 import json
 import math
-import os
 import struct
 import warnings
 
 import numpy as np
 import pytest
 
-from gptraj import autodiff, codebook, gpmodule, losses, psdlinalg, trainer
+from gptraj import autodiff, codebook, losses, psdlinalg, trainer
 from gptraj.adapt import active_select, adapt_supervised, adapt_unsupervised
 from gptraj.basemodel import encode
 from gptraj.codebook import BuildError
@@ -319,15 +318,19 @@ def test_not_psd_names_stage_and_step(tiny_dataset, monkeypatch):
         stage2_fit_gp(tiny_dataset[:48], ckpt, CFG)
     assert isinstance(exc.value.__cause__, NotPSD)
     assert exc.value.__cause__.group == group
-    # the teacher conditions its groups as the steps route rows to them
+    # the teacher conditions the groups of all its rows in one pass before
+    # the first step, so its failure names the stage's teacher, not a step
     spy = GramSpy()
     monkeypatch.setattr(psdlinalg, "group_gram_t", spy)
     stage3_finetune(tiny_dataset[:16], ckpt2, CFG)
+    assert len(spy.ids) == 1
     group = spy.renumbered(0)
     monkeypatch.setattr(psdlinalg, "group_gram_t", GramSpy(corrupt=group, at=0))
-    with pytest.raises(TrainingError, match=f"^stage3 step 0: group {group}: matrix "
+    with pytest.raises(TrainingError, match=f"^stage3 teacher: group {group}: matrix "
                                             "not positive definite") as exc:
         stage3_finetune(tiny_dataset[:16], ckpt2, CFG)
+    assert "\n" not in str(exc.value)
+    assert isinstance(exc.value.__cause__, NotPSD)
     assert exc.value.__cause__.group == group
 
 
@@ -374,12 +377,12 @@ def test_only_routed_groups_are_factored(fitted, tiny_dataset, monkeypatch):
     assert sum(map(len, spy.ids)) == len(routed)  # each routed group once
     unrouted = np.setdiff1d(np.arange(model.cb.n_code), routed)
     assert len(unrouted) > 0
-    group = int(spy.ids[0][-1])  # routed at step 0
+    group = int(spy.ids[0][-1])  # routed by the teacher pass
     monkeypatch.setattr(psdlinalg, "cholesky_factor", failing_on(grams[unrouted[0]]))
     got = stage3_finetune(tiny_dataset[:32], fitted, CFG).model.tensors
     assert all(got[name].tobytes() == want[name].tobytes() for name in want)
     monkeypatch.setattr(psdlinalg, "cholesky_factor", failing_on(grams[group]))
-    with pytest.raises(TrainingError, match=f"^stage3 step 0: group {group}: matrix "
+    with pytest.raises(TrainingError, match=f"^stage3 teacher: group {group}: matrix "
                                             "not positive definite"):
         stage3_finetune(tiny_dataset[:32], fitted, CFG)
 
@@ -548,58 +551,64 @@ def test_teacher_token_anchors_are_the_basis_means(group_size, token_dim):
 # --- the batched step loss -----------------------------------------------------
 
 
-class ReplayTeacher:
-    """Teacher whose row predictions are recorded once and then replayed, so that
-    finite differences see the teacher as the constant the gradient treats it as."""
-
-    def __init__(self, teacher: GpInference):
-        self.teacher = teacher
-        self.recorded = None
-
-    def predict_rows(self, tokens, admissible):
-        if self.recorded is None:
-            self.recorded = self.teacher.predict_rows(tokens, admissible)
-        return self.recorded
-
-    @property
-    def token_anchors(self):
-        return self.teacher.token_anchors
-
-
 @pytest.fixture(scope="module")
 def fitted(tiny_dataset):
     ckpt = stage1_pretrain(tiny_dataset, CFG, tiny_spec())
     return stage2_fit_gp(tiny_dataset[:24], ckpt, CFG)
 
 
-def test_teacher_calls_start_no_worker_thread(fitted, tiny_dataset, monkeypatch):
-    # every teacher call of a training batch is one predict_rows block,
-    # which runs in the caller, so stage 3 starts no thread on any host
-    monkeypatch.setattr(gpmodule, "_pool", None)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    calls = []
-    real = GpInference.predict_rows
+@pytest.mark.parametrize("stage", ["stage3", "adapt_unsup", "adapt_sup"])
+def test_teacher_runs_once_per_training_call_on_the_start_model(fitted, tiny_dataset,
+                                                                 target_dataset,
+                                                                 monkeypatch, stage):
+    # one predict_rows pass over the tokens of the model the call starts
+    # from, whose rows every step's batch of both epochs reads
+    cfg = dataclasses.replace(CFG, epochs_stage3=2, adapt_epochs=2)
+    records, train = {
+        "stage3": (tiny_dataset[:40], lambda r: stage3_finetune(r, fitted, cfg)),
+        "adapt_unsup": (strip_labels(target_dataset),
+                        lambda r: adapt_unsupervised(r, fitted, cfg)),
+        "adapt_sup": (target_dataset[:20], lambda r: adapt_supervised(r, fitted, cfg)),
+    }[stage]
+    model = fitted.model
+    obs = SceneTable(records, model.cb, labeled=False).obs
+    start_tokens = encode(obs, model.tensors, model.spec.token_scale)
+    calls, batches = [], []
+    real_predict, real_loss = GpInference.predict_rows, trainer.finetune_scene_loss
 
     def predict_rows(self, tokens, admissible):
-        calls.append(len(tokens))
-        return real(self, tokens, admissible)
+        calls.append((tokens.copy(), real_predict(self, tokens, admissible)))
+        return calls[-1][1]
+
+    def finetune_scene_loss(batch, *args):
+        batches.append(batch)
+        return real_loss(batch, *args)
 
     monkeypatch.setattr(GpInference, "predict_rows", predict_rows)
-    stage3_finetune(tiny_dataset[:32], fitted, CFG)
-    assert len(calls) == 2  # two steps of 16 scenes
-    assert gpmodule._pool is None
+    monkeypatch.setattr(trainer, "finetune_scene_loss", finetune_scene_loss)
+    train(records)
+    [(tokens, prediction)] = calls
+    assert tokens.tobytes() == start_tokens.tobytes()
+    assert len(batches) == 2 * -(-len(records) // cfg.batch_size)
+    anchors = GpInference(model.cb, model.tensors).token_anchors.data
+    for batch in batches:
+        for name, whole in zip(("t_mean", "t_variance", "t_logits", "t_group"), prediction):
+            got = getattr(batch, name)
+            assert (got.shape, got.tobytes()) == (whole[batch.rows].shape,
+                                                  whole[batch.rows].tobytes()), name
+        assert batch.t_anchors.tobytes() == anchors.tobytes()
 
 
 def step_loss_setup(fitted, records, use_gt: bool, use_teacher: bool):
     model = fitted.model.clone()
     bvars = model.params(BASE_PARAMS)
-    teacher = ReplayTeacher(GpInference(model.cb, model.tensors)) if (
-        use_teacher) else None
     table = SceneTable(records, model.cb, labeled=use_gt)
+    if use_teacher:
+        table.teach(model)  # constants, as the gradient treats them
     batch = table.batch(np.arange(len(records)))
 
     def loss():
-        return finetune_scene_loss(batch, bvars, model, teacher, CFG)
+        return finetune_scene_loss(batch, bvars, model, CFG)
 
     return bvars, loss
 
@@ -716,8 +725,8 @@ def test_mixed_scenes_by_stage(fitted, tiny_dataset, stage):
             train(mixed, fitted)
         return
     if stage == "adapt_unsup":
-        with pytest.warns(UserWarning, match="^unsupervised adaptation: ground truth "
-                          "present, ignoring it$"):
+        with pytest.warns(UserWarning, match="^adapt_unsup: ground truth present on "
+                          f"{len(mixed) - 9} scenes, ignoring it$"):
             got = train(mixed, fitted)
         want = train(strip_labels(mixed), fitted)
     else:
