@@ -4,9 +4,10 @@ The engine is a classic Wengert tape: every operation returns a ``Tensor``
 holding its value, its parent nodes, and a vector-Jacobian-product closure.
 ``backward`` walks the tape once in reverse topological order. Primitives are
 matrix-level (batched matmul, a dense layer ``linear``, reductions,
-elementwise transcendentals, a batched PSD inverse), so tapes stay short even
-for whole training steps: each of the six dense layers of the encoder,
-planner and classifier is one ``linear`` node.
+elementwise transcendentals; ``psdlinalg`` adds the RBF kernel and a batched
+PSD inverse), so tapes stay short even for whole training steps: each of the
+six dense layers of the encoder, planner and classifier is one ``linear``
+node.
 An operation on constants (tensors that neither require a gradient nor come
 from the tape) returns a constant and records nothing, so a frozen model,
 whose tensors are all constants, runs without a tape.
@@ -242,22 +243,6 @@ def gather0(a, idx) -> Tensor:
     return _make(out, (a,), lambda g: (lambda: grad_a(g),))
 
 
-def psd_inverse(a) -> Tensor:
-    """Differentiable (A + jitter I)^-1 of each symmetric PSD matrix in a
-    (..., n, n) stack, from one :func:`gptraj.psdlinalg.cholesky_factor`
-    and one ``solve_with_factor`` call over the whole stack. A matrix that
-    stays indefinite through the jitter ladder raises ``NotPSD`` with
-    ``group`` set to its index in the flattened stack. The gradient is
-    -A^-T G A^-T.
-    """
-    from . import psdlinalg  # deferred: psdlinalg imports this module
-
-    a = as_tensor(a)
-    inv = psdlinalg.solve_with_factor(psdlinalg.cholesky_factor(a.data))
-    inv_t = np.swapaxes(inv, -1, -2)
-    return _make(inv, (a,), lambda g: (lambda: -(inv_t @ g @ inv_t),))
-
-
 def backward(root: Tensor, into: dict[int, np.ndarray] | None = None) -> None:
     """Accumulate gradients of a scalar ``root`` into the leaves that
     require them; constant leaves keep ``grad`` None, and a tape node drops
@@ -315,23 +300,19 @@ def backward(root: Tensor, into: dict[int, np.ndarray] | None = None) -> None:
 
 
 def grad(loss: Tensor, params: dict[str, Tensor],
-         out: dict[str, np.ndarray] | None = None) -> dict[str, np.ndarray]:
-    """Gradient map of a scalar loss for the named parameters.
+         out: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Write the gradient of a scalar loss for each named parameter into
+    its buffer in ``out``, a map of buffers of the parameters' shapes, and
+    return ``out``.
 
-    Parameters absent from the tape get zero gradients. Existing ``.grad``
-    buffers on the parameters are reset first; with ``out``, a map of
-    buffers of the parameters' shapes, each gradient is written into its
-    buffer, which is zeroed for a parameter absent from the tape, and
-    ``out`` is returned.
+    Existing ``.grad`` buffers on the parameters are reset first; the buffer
+    of a parameter absent from the tape is zeroed.
     """
     if not np.isfinite(loss.data):
         raise FloatingPointError("non-finite loss")
     for p in params.values():
         p.grad = None
-    backward(loss, out and {id(p): out[name] for name, p in params.items()})
-    if out is None:
-        return {name: np.zeros_like(p.data) if p.grad is None else p.grad
-                for name, p in params.items()}
+    backward(loss, {id(p): out[name] for name, p in params.items()})
     for name, p in params.items():
         if p.grad is None:
             out[name].fill(0.0)

@@ -18,30 +18,31 @@ kernel-feature vector, and the log-space scalars ``gp.log_lengthscale``,
 ``gp.log_outputscale``, ``gp.log_noise_recon`` and ``gp.log_noise_traj`` (one
 isotropic RBF per codebook, one noise standard deviation per head). It
 evaluates token rows with one kernel-feature matrix and one classifier pass,
-and conditions only the groups that rows are routed to. Training builds one
-graph per optimizer step, which conditions the step's groups once, over a
-dict whose trained entries are parameter tensors. ``GpInference`` is the
-same graph over a frozen model's arrays, which every autodiff op wraps as
-constants, so evaluation, the teacher forward and active selection build no
-tape; it conditions a group on first use and keeps it.
+and conditions only the groups that rows are routed to: each call conditions
+its distinct groups, and the graph keeps that conditioning while later calls
+route to the same groups. Training builds one graph per optimizer step, over
+a dict whose trained entries are parameter tensors, so a step's two heads
+share one conditioning. ``GpInference`` is the same graph over a frozen
+model's arrays, which every autodiff op wraps as constants, so evaluation,
+the teacher forward and active selection build no tape; each of them builds
+its own and makes one ``predict_rows`` call.
 
 Inference is blocked matrix products that release the interpreter lock, so
 ``GpInference.predict_rows`` classifies a call of more than one block on
 every CPU the process may use: the calling thread and persistent worker
 threads each take whole blocks, and the caller then conditions and predicts
-all rows at once. Every block has R // 2 to R rows (R is 146 at the default
-sizes): a call of fewer than R // 2 rows is zero-padded to R // 2 rows,
-whose pad rows are dropped before any conditioning, and a call of at most R
-rows is one block, which runs in the caller and starts no thread. A call of
-n > R rows is cut into p = 2 * ceil(n / 2R) near-equal blocks, by n alone:
-an even count, so two lanes get equal shares. Each block is the same
-single-threaded BLAS calls in any thread, so the bytes do not depend on the
-CPU count. Whether a row's bytes depend on the block it is in is up to the
-BLAS: at the default sizes on the tested OpenBLAS, blocks of 10 rows or
-fewer rounded differently from the same rows in a larger block and blocks
-of 11 rows or more did not, so there a row's bytes do not depend on the
-call it is in. Nothing guarantees it for another BLAS, or for sizes where
-R // 2 is 10 rows or fewer.
+all rows at once. Every block has R // 2 to R rows, R = ``BLOCK_ROWS``
+(146) at every model size: a call of fewer than R // 2 rows is zero-padded
+to R // 2 rows, whose pad rows are dropped before any conditioning, and a
+call of at most R rows is one block, which runs in the caller and starts no
+thread. A call of n > R rows is cut into p = 2 * ceil(n / 2R) near-equal
+blocks, by n alone: an even count, so two lanes get equal shares. Each block
+is the same single-threaded BLAS calls in any thread, so the bytes do not
+depend on the CPU count. Whether a row's bytes depend on the block it is in
+is up to the BLAS: at the default sizes on the tested OpenBLAS, blocks of 10
+rows or fewer rounded differently from the same rows in a larger block and
+blocks of 11 rows or more did not, so there a row's bytes do not depend on
+the call it is in. Nothing guarantees it for another BLAS or other sizes.
 """
 
 from __future__ import annotations
@@ -57,9 +58,9 @@ from . import autodiff, psdlinalg
 from .autodiff import Tensor
 from .codebook import Codebook, admissible
 
-# kernel features per GpInference.predict_rows block (2 MiB of float64): the
-# size of the classifier's first weight matrix at the default model sizes
-FEATURE_BLOCK = 1 << 18
+# rows per GpInference.predict_rows block: 2 MiB of float64 kernel features
+# at the default model sizes (112 groups of 16 basis tokens)
+BLOCK_ROWS = 146
 
 
 class GpGraph:
@@ -90,13 +91,12 @@ class GpGraph:
         return autodiff.tmean(self.basis, axis=1)
 
     def group_cond(self, groups: np.ndarray) -> tuple[dict, np.ndarray]:
-        """The conditioning of the first call's distinct groups, once per
-        graph, and each row's index into it; later calls route within them."""
-        if self._cond is None:
-            ids = np.unique(groups)
+        """The conditioning of the call's distinct groups and each row's
+        index into it; kept until a call routes to another set of groups."""
+        ids = np.unique(groups)
+        if self._cond is None or not np.array_equal(self._cond[0], ids):
             self._cond = ids, self._condition(ids)
-        ids, cond = self._cond
-        return cond, np.searchsorted(ids, groups)
+        return self._cond[1], np.searchsorted(ids, groups)
 
     def _condition(self, ids: np.ndarray) -> dict:
         """Groups ``ids`` (distinct, ascending) conditioned on their basis:
@@ -106,7 +106,7 @@ class GpGraph:
         centered = autodiff.sub(basis, autodiff.reshape(self.token_anchors,
                                                         (cb.n_code, 1, -1)))
         try:
-            k_inv = autodiff.psd_inverse(psdlinalg.group_gram_t(
+            k_inv = psdlinalg.psd_inverse(psdlinalg.group_gram_t(
                 basis, ids, self.log_ell, self.log_sf))
         except psdlinalg.NotPSD as e:
             raise psdlinalg.NotPSD(e.pivot, e.jitter, int(ids[e.group])) from e
@@ -167,22 +167,12 @@ class GpGraph:
 
 class GpInference(GpGraph):
     """The GP module of a frozen model: a ``GpGraph`` over its arrays, whose
-    constants build no tape, that keeps each group's conditioning."""
+    constants build no tape, that predicts rows in blocks over lanes."""
 
     def __init__(self, cb: Codebook, w: dict):
+        """A graph over the frozen arrays ``w``: its own method, so that
+        ``perfbench`` times inference set-up apart from training graphs'."""
         super().__init__(cb, w)
-        self._ready = np.zeros(cb.n_code, dtype=bool)
-        self._table: dict[str, np.ndarray] = {}
-
-    def group_cond(self, groups: np.ndarray) -> tuple[dict, np.ndarray]:
-        """By-group tables of all groups conditioned so far, ``groups`` too."""
-        new = np.unique(groups[~self._ready[groups]])
-        if len(new):
-            for name, t in self._condition(new).items():
-                self._table.setdefault(name, np.empty((self.cb.n_code, *t.shape[1:])))
-                self._table[name][new] = t.data
-            self._ready[new] = True
-        return self._table, groups
 
     def predict_rows(self, tokens: np.ndarray, admissible: np.ndarray):
         """Classify every token row and predict within its group.
@@ -192,33 +182,32 @@ class GpInference(GpGraph):
         included, the logits (N, n_code) with -inf outside each row's mask,
         and the groups (N,): the masked argmax, ties to the lowest id.
 
-        Rows are classified in blocks of R // 2 to R rows, R being the rows
-        of FEATURE_BLOCK kernel features. A call of fewer than R // 2 rows
-        is zero-padded to R // 2 rows, and the pad rows are dropped after
-        the classifier, so they are never conditioned on and never name a
-        group in an error. A call of at most R rows is then one block; a
-        call of n > R rows is cut into p = 2 * ceil(n / 2R) blocks, block k
-        being rows n * k // p to n * (k + 1) // p. A block of a few rows
-        can round differently from the same rows in a larger block (the
-        classifier's products), so no block is that short.
+        Rows are classified in blocks of R // 2 to R rows, R being
+        ``BLOCK_ROWS``. A call of fewer than R // 2 rows is zero-padded to
+        R // 2 rows, and the pad rows are dropped after the classifier, so
+        they are never conditioned on and never name a group in an error. A
+        call of at most R rows is then one block; a call of n > R rows is
+        cut into p = 2 * ceil(n / 2R) blocks, block k being rows n * k // p
+        to n * (k + 1) // p. A block of a few rows can round differently
+        from the same rows in a larger block (the classifier's products), so
+        no block is that short.
 
         The blocks go round-robin over ``lanes`` lanes: this thread and, for
         a call of more than one block on a host with more than one CPU, the
         process's worker threads. A lane keeps each row's logits and k* and
         drops the block's features, so at most ``lanes`` blocks of features
-        are in flight. Then this thread conditions the routed groups not
-        conditioned yet, in one stack, and predicts every row from its k*.
+        are in flight. Then this thread conditions the routed groups, in one
+        stack, and predicts every row from its k*.
         The cuts depend on n alone, and each block is the same numpy calls
         on the same rows in any lane, so the bytes do not depend on the
         lanes.
         """
         n = len(tokens)
-        rows = max(1, FEATURE_BLOCK // (self.cb.n_code * self.cb.group_size))
-        if n < rows // 2:  # zero rows up to R // 2, dropped before any conditioning
-            pad = ((0, rows // 2 - n), (0, 0))
+        if n < BLOCK_ROWS // 2:  # zero rows up to R // 2, dropped before any conditioning
+            pad = ((0, BLOCK_ROWS // 2 - n), (0, 0))
             tokens, admissible = np.pad(tokens, pad), np.pad(admissible, pad)
         m = len(tokens)
-        parts = 1 if m <= rows else 2 * -(-m // (2 * rows))
+        parts = 1 if m <= BLOCK_ROWS else 2 * -(-m // (2 * BLOCK_ROWS))
         cuts = [m * k // parts for k in range(parts + 1)]
         blocks = list(zip(cuts, cuts[1:]))
         lanes = min(len(os.sched_getaffinity(0)), parts)

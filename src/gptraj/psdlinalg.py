@@ -19,7 +19,7 @@ Every Cholesky factorization in the package goes through ``cholesky_factor``.
 It factors a whole (..., n, n) stack with one batched ``np.linalg.cholesky``;
 only if that fails are the matrices factored one by one, and only those that
 fail climb a fixed jitter ladder, so a matrix's factor is the same bytes in
-any stack. GP conditioning reaches it through ``autodiff.psd_inverse``, and
+any stack. GP conditioning reaches it through ``psd_inverse``, whose
 ``solve_with_factor`` inverts the whole factored stack at once. The
 learnable noise variances are *not* part of the jitter; jitter is purely a
 numerical guard so the learned noise stays interpretable.
@@ -156,6 +156,19 @@ def solve_with_factor(factor: CholeskyFactor) -> np.ndarray:
     multiplies L^-1 by its own transpose with its symmetric routine."""
     l_inv = np.linalg.inv(factor.lower)
     return np.swapaxes(l_inv, -1, -2) @ l_inv
+
+
+def psd_inverse(a) -> Tensor:
+    """Differentiable (A + jitter I)^-1 of each symmetric PSD matrix in a
+    (..., n, n) stack, from one ``cholesky_factor`` and one
+    ``solve_with_factor`` call over the whole stack. A matrix that stays
+    indefinite through the jitter ladder raises ``NotPSD`` with ``group``
+    set to its index in the flattened stack. The gradient is -A^-T G A^-T.
+    """
+    a = autodiff.as_tensor(a)
+    inv = solve_with_factor(cholesky_factor(a.data))
+    inv_t = np.swapaxes(inv, -1, -2)
+    return autodiff._make(inv, (a,), lambda g: (lambda: -(inv_t @ g @ inv_t),))
 
 
 def kernel_matrix_t(x, y, log_lengthscale, log_outputscale) -> Tensor:

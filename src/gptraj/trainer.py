@@ -39,11 +39,11 @@ Determinism contract: identical (config, seed, dataset) produce
 bit-identical checkpoints at one BLAS thread, the count ``gptraj.cli``
 pins (a multithreaded BLAS sums in a thread-dependent order). The bytes do
 not depend on the CPU count: the teacher pass is one ``predict_rows`` call,
-and the ``gpmodule`` docstring states how such a call is cut into blocks
-and what that guarantees; a row's teacher bytes do not depend on the
-batches it is later drawn into. Shuffles derive from the seed by purpose
-keys, and every reduction over a step's rows runs in the fixed row order
-above.
+cut into blocks of ``gpmodule.BLOCK_ROWS`` // 2 to ``BLOCK_ROWS`` rows by its
+row count alone, and the ``gpmodule`` docstring states how and what that
+guarantees; a row's teacher bytes do not depend on the batches it is later
+drawn into. Shuffles derive from the seed by purpose keys, and every
+reduction over a step's rows runs in the fixed row order above.
 """
 
 from __future__ import annotations
@@ -259,8 +259,8 @@ class Adam:
     it from that parameter in place.
     """
 
-    def __init__(self, params: dict[str, Tensor], lr: float, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: dict[str, Tensor], lr: float, beta1: float,
+                 beta2: float, eps: float):
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2

@@ -17,7 +17,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from gptraj import psdlinalg
+from gptraj import autodiff, psdlinalg
 from gptraj.autodiff import Tensor
 from gptraj.core import COMMANDS, Command
 from gptraj.synthdomain import DomainSpec, gen_dataset
@@ -73,6 +73,11 @@ def parameter(data) -> Tensor:
     return Tensor(np.array(data, dtype=np.float64), requires_grad=True)
 
 
+def grad_map(loss: Tensor, params: dict[str, Tensor]) -> dict[str, np.ndarray]:
+    """``autodiff.grad`` of ``loss`` into a new buffer for each parameter."""
+    return autodiff.grad(loss, params, {n: np.empty_like(p.data) for n, p in params.items()})
+
+
 @pytest.fixture
 def factored(monkeypatch) -> list[int]:
     """The number of matrices of each ``psdlinalg.cholesky_factor`` call
@@ -95,7 +100,7 @@ class GramSpy:
     ``at`` is None, if the call conditions that group.
 
     A GP conditioning is one call: one per stage-2 step, and one per
-    ``GpInference`` call that routes rows to groups not yet conditioned.
+    ``GpInference.predict_rows`` call.
     """
 
     real = staticmethod(psdlinalg.group_gram_t)  # as imported, before any patch

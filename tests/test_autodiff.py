@@ -8,7 +8,7 @@ import pytest
 from gptraj import autodiff, psdlinalg
 from gptraj.autodiff import Tensor
 
-from conftest import parameter
+from conftest import grad_map, parameter
 from oracles import add_at_ref
 
 
@@ -141,15 +141,15 @@ def test_psd_inverse_gradients():
     def spd(m):
         return autodiff.add(autodiff.matmul(m, autodiff.transpose(m)), 4.0 * np.eye(4))
 
-    check_op(lambda m: autodiff.tsum(autodiff.mul(autodiff.psd_inverse(spd(m)), w)),
+    check_op(lambda m: autodiff.tsum(autodiff.mul(psdlinalg.psd_inverse(spd(m)), w)),
              (2, 4, 4), seed=7)
 
 
 def test_psd_inverse_of_diagonal_stack_and_failing_group():
-    out = autodiff.psd_inverse(Tensor(np.stack([np.diag([4.0, 9.0]), np.eye(2)])))
+    out = psdlinalg.psd_inverse(Tensor(np.stack([np.diag([4.0, 9.0]), np.eye(2)])))
     assert np.allclose(out.data, [np.diag([0.25, 1.0 / 9.0]), np.eye(2)])
     with pytest.raises(psdlinalg.NotPSD, match="^group 1: matrix not positive") as exc:
-        autodiff.psd_inverse(Tensor(np.stack([np.eye(2), np.diag([1.0, -5.0])])))
+        psdlinalg.psd_inverse(Tensor(np.stack([np.eye(2), np.diag([1.0, -5.0])])))
     assert (exc.value.group, exc.value.pivot) == (1, 1)
 
 
@@ -361,7 +361,7 @@ def test_the_walk_visits_no_constant_and_constants_take_no_gradient():
     y = x
     for c in consts:
         y = autodiff.add(autodiff.mul(y, c), c)
-    grads = autodiff.grad(autodiff.tsum(y), {"x": x})
+    grads = grad_map(autodiff.tsum(y), {"x": x})
     assert np.allclose(grads["x"], np.prod([c.data for c in consts], axis=0),
                        rtol=1e-12, atol=0)
     assert all(c.grad is None for c in consts)
@@ -373,7 +373,7 @@ def test_constants_build_no_tape():
     x = Tensor(np.array([[1.0, 2.0], [0.5, -1.0]]))
     log_ell, log_sf = Tensor(np.array(0.1)), Tensor(np.array(-0.2))
     k = psdlinalg.kernel_matrix_t(x, x, log_ell, log_sf)
-    y = autodiff.tsum(autodiff.square(autodiff.matmul(autodiff.psd_inverse(k), x)))
+    y = autodiff.tsum(autodiff.square(autodiff.matmul(psdlinalg.psd_inverse(k), x)))
     for t in (k, y):
         assert t._parents == () and t._vjp is None and not t.requires_grad
     autodiff.backward(y)  # nothing to walk; leaves untouched
@@ -384,7 +384,7 @@ def test_grad_map_zero_for_unused():
     x = parameter(np.array([1.0, 2.0]))
     unused = parameter(np.array([5.0]))
     loss = autodiff.tsum(autodiff.square(x))
-    grads = autodiff.grad(loss, {"x": x, "unused": unused})
+    grads = grad_map(loss, {"x": x, "unused": unused})
     assert np.allclose(grads["x"], [2.0, 4.0])
     assert np.array_equal(grads["unused"], [0.0])
 
@@ -401,7 +401,7 @@ def test_grad_writes_every_gradient_into_its_out_buffer():
         h = autodiff.add(autodiff.matmul(x, params["w"]), params["b"])
         return autodiff.tsum(autodiff.mul(h, autodiff.add(h, params["b"])))
 
-    want = autodiff.grad(loss(), params)
+    want = grad_map(loss(), params)
     out = {name: np.full(p.data.shape, np.nan) for name, p in params.items()}
     assert autodiff.grad(loss(), params, out=out) is out
     assert {name: b.tobytes() for name, b in out.items()} == {
@@ -416,4 +416,4 @@ def test_grad_rejects_nonscalar_and_nonfinite():
         autodiff.backward(autodiff.square(x))
     bad = Tensor(np.array(np.inf))
     with pytest.raises(FloatingPointError):
-        autodiff.grad(bad, {})
+        grad_map(bad, {})

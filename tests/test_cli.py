@@ -337,14 +337,9 @@ def test_gen_data_domain_unlabeled_writes_no_ground_truth(tmp_path):
     assert not any(r.labeled for r in load_dataset(out))
 
 
-# 60 groups of 16 basis tokens: 960 kernel features a row, so a
-# predict_rows block holds 273 rows and the 300-scene eval and
-# active-select sets are two blocks each
-LANES_CONFIG = {
-    "seed": 0,
-    "model": {"token_dim": 8, "encoder_hidden": 16, "planner_hidden": 16,
-              "classifier_hidden": 16},
-    "codebook": {"n_ego": 12, "n_agent": 48, "group_size": 16},
+# TOY_CONFIG's model, with 300-scene eval (source_val) and active-select
+# (target_train) sets: more than one predict_rows block each
+LANES_CONFIG = TOY_CONFIG | {
     "train": {"epochs_stage1": 1, "batch_size": 64},
     "data": {"n_source": 450, "n_source_val": 300, "n_target": 300,
              "n_target_val": 16},
@@ -360,7 +355,7 @@ def test_outputs_do_not_depend_on_the_cpu_count(tmp_path):
 
     Skipped on a one-CPU host, where both processes would run one lane.
     """
-    assert gpmodule.FEATURE_BLOCK // (60 * 16) < 300
+    assert gpmodule.BLOCK_ROWS < 300
     config = tmp_path / "config.json"
     config.write_text(json.dumps(LANES_CONFIG))
     argv = ["--config", str(config), "--out-dir", str(tmp_path / "run")]

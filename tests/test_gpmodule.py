@@ -229,7 +229,7 @@ def test_predict_rows_matches_per_token_reference(small_cb, small_clf, monkeypat
                  log_noise_traj=np.log(0.07))
     tokens, masks, commands = mixed_rows(small_cb, 6, np.random.default_rng(21))
     # blocks of at most 5 rows: 24 rows are 6 blocks of 4
-    monkeypatch.setattr(gpmodule, "FEATURE_BLOCK", 5 * small_cb.n_code * small_cb.group_size)
+    monkeypatch.setattr(gpmodule, "BLOCK_ROWS", 5)
     mean, var, logits, groups = inference(small_cb, small_clf, p).predict_rows(
         tokens, masks)
     assert mean.shape == (len(tokens), 12) and var.shape == (len(tokens),)
@@ -244,22 +244,52 @@ def test_predict_rows_matches_per_token_reference(small_cb, small_clf, monkeypat
         assert var[i] == pytest.approx(want_var, rel=0, abs=1e-8)
 
 
-def test_groups_are_conditioned_once_when_first_routed(small_cb, small_clf, factored):
+def test_each_call_conditions_the_groups_it_routes_to(small_cb, small_clf, factored):
+    # one stack per call, of that call's distinct groups, unless the call
+    # before routed to the same groups; both heads of one call share it
     p = gp_scalars_ref(log_lengthscale=0.1, log_noise_traj=np.log(0.07))
     tokens, masks, _ = mixed_rows(small_cb, 6, np.random.default_rng(23))
     inf = inference(small_cb, small_clf, p)
     assert factored == []  # construction conditions nothing
     groups = [inf.predict_rows(tokens[i:j], masks[i:j])[3]
               for i, j in ((0, 5), (5, 12), (0, 12), (12, 24), (3, 20))]
-    routed = np.unique(np.concatenate(groups))
-    assert len(routed) < small_cb.n_code
-    assert sum(factored) == len(routed)  # each routed group once
+    routed = [np.unique(g).tolist() for g in groups]
+    assert routed[2] == routed[1]  # rows 0 to 12 keep rows 5 to 12's conditioning
+    assert factored == [len(r) for i, r in enumerate(routed)
+                        if i == 0 or r != routed[i - 1]]
+    factored.clear()
+    k_star = inf.k_star(inf.kernel_features(tokens[:12]), groups[2])
+    inf.reconstruct(k_star, groups[2])
+    inf.predict_trajectory(k_star, groups[2])
+    assert factored == [len(np.unique(groups[2]))]
+
+
+@pytest.mark.parametrize("second", [[9, 2, 9, 8], [1, 5, 5, 1]])
+def test_a_call_on_other_groups_equals_a_new_graph(small_cb, small_clf, second):
+    # a graph keeps its conditioning only while calls route to the same
+    # groups: a later call on groups above or between the first call's
+    # conditions its own, as a new graph would
+    p = gp_scalars_ref(log_lengthscale=0.1, log_noise_recon=np.log(0.04),
+                       log_noise_traj=np.log(0.07))
+    w = {"cb.basis": parameter(small_cb.basis)} | {n: parameter(a) for n, a in
+                                                   (small_clf | p).items()}
+    toks = np.random.default_rng(19).normal(size=(4, 6))
+
+    def heads(graph: GpGraph, groups) -> list[bytes]:
+        groups = np.array(groups)
+        k_star = graph.k_star(graph.kernel_features(toks[:len(groups)]), groups)
+        return [t.data.tobytes() for t in graph.predict_trajectory(k_star, groups)
+                + graph.reconstruct(k_star, groups)]
+
+    graph = GpGraph(small_cb, w)
+    heads(graph, [0, 3, 3, 7])
+    assert heads(graph, second) == heads(GpGraph(small_cb, w), second)
 
 
 def test_predictions_do_not_depend_on_call_order_or_split(small_cb, small_clf):
     # a group's conditioning is the same bytes whatever groups share its
-    # stack, so neither the groups conditioned before a call nor the split
-    # of the rows over calls moves a prediction
+    # stack, so neither the calls before a call nor the split of the rows
+    # over calls moves a prediction
     p = gp_scalars_ref(log_lengthscale=0.1, log_noise_traj=np.log(0.07))
     rng = np.random.default_rng(29)
     tokens, masks, _ = mixed_rows(small_cb, 8, rng)
@@ -330,14 +360,12 @@ def test_lanes_and_block_slices_give_the_same_bytes(size, small_cb, small_clf, c
     if size == "toy":
         p = gp_scalars_ref(log_lengthscale=0.1, log_noise_traj=np.log(0.07))
         tokens, masks, _ = mixed_rows(small_cb, 6, np.random.default_rng(37))
-        monkeypatch.setattr(gpmodule, "FEATURE_BLOCK",
-                            5 * small_cb.n_code * small_cb.group_size)
+        monkeypatch.setattr(gpmodule, "BLOCK_ROWS", 5)
         fresh = functools.partial(inference, small_cb, small_clf, p)
     else:
         fresh, tokens, masks = default_size_rows(800)
     inf = fresh()
-    rows = gpmodule.FEATURE_BLOCK // (inf.cb.n_code * inf.cb.group_size)
-    cuts = block_cuts(len(tokens), rows)
+    cuts = block_cuts(len(tokens), gpmodule.BLOCK_ROWS)
     assert len(cuts) == 7  # 6 blocks: 4 rows each (toy), 133 or 134 (default)
     threads = []  # the thread of each block
     real = GpInference.kernel_features
@@ -369,7 +397,7 @@ def test_rows_of_a_call_above_one_block_do_not_depend_on_the_call():
     # would end in a 1-row and a 2-row block
     fresh, tokens, masks = default_size_rows(800)
     inf = fresh()
-    rows = gpmodule.FEATURE_BLOCK // (inf.cb.n_code * inf.cb.group_size)
+    rows = gpmodule.BLOCK_ROWS
     assert rows == 146
     want = inf.predict_rows(tokens, masks)
     differ = [n for n in sorted({*range(1, 161), *range(rows + 1, 800, 53), 731})
@@ -382,7 +410,7 @@ def test_a_worker_lane_error_reaches_the_caller_as_itself(small_cb, small_clf, c
                                                            monkeypatch):
     p = gp_scalars_ref(log_lengthscale=0.1)
     tokens, masks, _ = mixed_rows(small_cb, 6, np.random.default_rng(41))
-    monkeypatch.setattr(gpmodule, "FEATURE_BLOCK", 5 * small_cb.n_code * small_cb.group_size)
+    monkeypatch.setattr(gpmodule, "BLOCK_ROWS", 5)
     cpus(2)
     inf = inference(small_cb, small_clf, p)
     real = GpInference.kernel_features
@@ -436,8 +464,7 @@ def test_not_psd_names_the_lowest_failing_routed_group(small_cb, small_clf, cpus
     order = rng.permutation(len(tokens))
     tokens, masks = tokens[order], masks[order]
     rows = 5
-    monkeypatch.setattr(gpmodule, "FEATURE_BLOCK",
-                        rows * small_cb.n_code * small_cb.group_size)
+    monkeypatch.setattr(gpmodule, "BLOCK_ROWS", rows)
     cpus(2)
     groups = inference(small_cb, small_clf, p).predict_rows(tokens, masks)[3]
     first_block = {}
@@ -510,7 +537,7 @@ def test_classifier_learns_two_separated_modes(small_cb):
     clf = classifier_init_ref(rng, cb.n_code, cb.group_size, 16)
     w = {"w1": parameter(clf["clf.w1"]), "b1": parameter(clf["clf.b1"]),
          "w2": parameter(clf["clf.w2"]), "b2": parameter(clf["clf.b2"])}
-    opt = Adam(w, lr=1e-2)
+    opt = Adam(w, lr=1e-2, beta1=0.9, beta2=0.999, eps=1e-8)
     inf = inference(cb, clf, p)
     adm = admissible(cb, [None])
     for _ in range(300):

@@ -8,7 +8,7 @@ import pytest
 from gptraj import autodiff
 from gptraj.autodiff import Tensor
 from gptraj.psdlinalg import (JITTER_LADDER, NotPSD, cholesky_factor, kernel_matrix,
-                              kernel_matrix_t, solve_with_factor)
+                              kernel_matrix_t, psd_inverse, solve_with_factor)
 
 from conftest import parameter
 from oracles import (gauss_jordan_inverse, jacobi_eigenvalues, psd_inverse_ref,
@@ -148,7 +148,7 @@ def test_jitter_ladder_runs_for_the_failing_group_only():
     assert jitters[3] > 0.0 and not np.delete(jitters, 3).any()
     assert np.array_equal(factor.jitters, jitters)
     assert type(factor.jitter_used) is float and factor.jitter_used == jitters[3]
-    inv = autodiff.psd_inverse(Tensor(stack)).data
+    inv = psd_inverse(Tensor(stack)).data
     for g in range(len(stack)):
         # an inverse's relative error grows with the condition number
         cond = np.linalg.cond(stack[g] + jitters[g] * np.eye(5))
