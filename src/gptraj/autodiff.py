@@ -243,7 +243,7 @@ def gather0(a, idx) -> Tensor:
     return _make(out, (a,), lambda g: (lambda: grad_a(g),))
 
 
-def backward(root: Tensor, into: dict[int, np.ndarray] | None = None) -> None:
+def backward(root: Tensor, into: dict[int, np.ndarray]) -> None:
     """Accumulate gradients of a scalar ``root`` into the leaves that
     require them; constant leaves keep ``grad`` None, and a tape node drops
     its gradient once it has passed it on to its parents.
@@ -253,11 +253,11 @@ def backward(root: Tensor, into: dict[int, np.ndarray] | None = None) -> None:
     order, and so do the sums of their gradients.
 
     ``into`` maps the ``id`` of a leaf to a buffer of its shape that becomes
-    its ``grad``: the first gradient is copied into it, later ones added.
+    its ``grad``: the first gradient is copied into it, later ones added;
+    a leaf it does not name gets an array of its own.
     """
     if root.data.ndim != 0:
         raise ValueError("backward expects a scalar loss")
-    into = into or {}
     topo: list[Tensor] = []
     visited: set[int] = set()
     stack: list[tuple[Tensor, bool]] = [(root, False)]

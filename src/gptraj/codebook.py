@@ -15,7 +15,7 @@ The assignments are exact and the distance matrix is computed once, from
 the final centroids, so the codebook is bit-identical to the plain loop
 and ``np.linalg.norm`` distance in ``tests/oracles.py``.
 
-The codebook is two stacked arrays, trajectories (n_code, C, 12) and basis
+A model pairs two stacked arrays, trajectories (n_code, C, 12) and basis
 tokens (n_code, C, D), in a fixed group layout: the ``n_ego`` ego groups
 first, ``n_ego / 3`` per command in ``COMMANDS`` order, then the agent
 groups. The layout is stated once, as ``Codebook.buckets``: one entry per
@@ -26,9 +26,9 @@ groups each row may be classified into, and ``triplet_table`` ranks the
 triplet classes of every label within the buckets.
 
 ``sample_and_cluster`` builds the trajectories once per model; a model
-holds one ``Codebook`` over its own trajectory and basis arrays
-(``trainer.Model.cb``), which computes the tables that depend only on the
-trajectories once.
+holds one ``Codebook`` over its own trajectory array (``trainer.Model.cb``),
+which computes the tables that depend only on them once. The basis is the
+model tensor ``cb.basis``, which the GP module reads from the tensor dict.
 """
 
 from __future__ import annotations
@@ -57,16 +57,15 @@ class BuildError(Exception):
 
 
 class Codebook:
-    """A model's codebook: group g's C trajectories are ``trajectories[g]``
-    and its C basis tokens ``basis[g]``, paired one-to-one, in the group
-    layout above. The tables that depend only on the fixed trajectories are
-    computed once: ``n_code``, ``group_size``, ``buckets`` (n_code,) and
-    ``traj_anchors`` (n_code, 12), each group's mean trajectory, at
-    construction, and ``triplets`` on first use."""
+    """A model's codebook: group g's C trajectories are ``trajectories[g]``,
+    paired one-to-one with the model's C basis tokens of group g, in the
+    group layout above. The tables that depend only on the fixed
+    trajectories are computed once: ``n_code``, ``group_size``, ``buckets``
+    (n_code,) and ``traj_anchors`` (n_code, 12), each group's mean
+    trajectory, at construction, and ``triplets`` on first use."""
 
-    def __init__(self, trajectories: np.ndarray, basis: np.ndarray, n_ego: int):
+    def __init__(self, trajectories: np.ndarray, n_ego: int):
         self.trajectories = trajectories  # (n_code, C, 12), fixed
-        self.basis = basis  # (n_code, C, D), learnable, updated in place
         self.n_ego = n_ego
         self.n_code, self.group_size = trajectories.shape[:2]
         per_cmd = n_ego // len(COMMANDS)

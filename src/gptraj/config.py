@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .core import COMMANDS
 from .synthdomain import DomainSpec, build_obs_transform
-from .trainer import ModelSpec, TrainConfig, _finite
+from .trainer import ModelSpec, TrainConfig, _finite, _is_int
 
 _CODEBOOK_KEYS = ("n_ego", "n_agent", "group_size")
 
@@ -130,7 +130,7 @@ def _number(value, path: str) -> float:
 
 
 def _integer(value, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not _is_int(value):
         raise ConfigError(f"{path} must be an integer, got {value!r}")
     return value
 
@@ -257,7 +257,7 @@ def resolve(user: dict | None = None) -> Config:
             raise ConfigError(f"{path}: {e}") from e
     for key in ("n_source", "n_source_val", "n_target", "n_target_val"):
         n = raw["data"][key]
-        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        if not _is_int(n) or n < 1:
             raise ConfigError(f"data.{key} must be a positive integer, got {n!r}")
     for key in ("source_domain", "target_domain"):
         name = raw["data"][key]

@@ -17,15 +17,15 @@ two-layer tanh classifier ``clf.w1`` ... ``clf.b2`` over the full
 kernel-feature vector, and the log-space scalars ``gp.log_lengthscale``,
 ``gp.log_outputscale``, ``gp.log_noise_recon`` and ``gp.log_noise_traj`` (one
 isotropic RBF per codebook, one noise standard deviation per head). It
-evaluates token rows with one kernel-feature matrix and one classifier pass,
-and conditions only the groups that rows are routed to: each call conditions
-its distinct groups, and the graph keeps that conditioning while later calls
-route to the same groups. Training builds one graph per optimizer step, over
-a dict whose trained entries are parameter tensors, so a step's two heads
-share one conditioning. ``GpInference`` is the same graph over a frozen
-model's arrays, which every autodiff op wraps as constants, so evaluation,
-the teacher forward and active selection build no tape; each of them builds
-its own and makes one ``predict_rows`` call.
+routes token rows with one kernel-feature matrix and one classifier pass
+(``route``) and conditions only the groups they are routed to
+(``group_cond``, which keeps nothing); the caller passes that conditioning
+to each head, which builds only its own posterior. Training builds one
+graph per optimizer step, over a dict whose trained entries are parameter
+tensors, and conditions once for both heads. ``GpInference`` is the same
+graph over a frozen model's arrays, which every autodiff op wraps as
+constants, so evaluation, the teacher forward and active selection build
+no tape; each builds its own and makes one ``predict_rows`` call.
 
 Inference is blocked matrix products that release the interpreter lock, so
 ``GpInference.predict_rows`` classifies a call of more than one block on
@@ -69,7 +69,7 @@ class GpGraph:
     Holds the model's codebook ``cb``, whose fixed tables it reads, the
     model's tensor dict ``w`` (arrays or tensors, by checkpoint name), the
     basis as (n_code, C, D) and as (n_code * C, D) rows, and, once computed,
-    its token anchors and its conditioning. Training builds one per step.
+    its token anchors. Training builds one per step.
     """
 
     def __init__(self, cb: Codebook, w: dict):
@@ -82,7 +82,6 @@ class GpGraph:
         self.sf2 = autodiff.exp(autodiff.mul(self.log_sf, 2.0))
         self.noise_recon = autodiff.exp(autodiff.mul(w["gp.log_noise_recon"], 2.0))
         self.noise_traj = autodiff.exp(autodiff.mul(w["gp.log_noise_traj"], 2.0))
-        self._cond: tuple | None = None
 
     @cached_property
     def token_anchors(self) -> Tensor:
@@ -90,32 +89,26 @@ class GpGraph:
         table of the stage-2 and teacher losses."""
         return autodiff.tmean(self.basis, axis=1)
 
-    def group_cond(self, groups: np.ndarray) -> tuple[dict, np.ndarray]:
-        """The conditioning of the call's distinct groups and each row's
-        index into it; kept until a call routes to another set of groups."""
-        ids = np.unique(groups)
-        if self._cond is None or not np.array_equal(self._cond[0], ids):
-            self._cond = ids, self._condition(ids)
-        return self._cond[1], np.searchsorted(ids, groups)
+    def route(self, tokens, admissible: np.ndarray) -> tuple[Tensor, Tensor, np.ndarray]:
+        """The kernel features (N, n_code * C) of the token rows (N, D),
+        their unmasked logits (N, n_code), and each row's group under its
+        (N, n_code) mask: the masked argmax, ties to the lowest id."""
+        features = self.kernel_features(tokens)
+        logits = self.classifier_logits(features)
+        return features, logits, np.argmax(np.where(admissible, logits.data, -np.inf),
+                                           axis=1)
 
-    def _condition(self, ids: np.ndarray) -> dict:
-        """Groups ``ids`` (distinct, ascending) conditioned on their basis:
-        ``k_inv`` (G, C, C), inverse Gram matrices, and ``alpha_basis`` and
-        ``alpha_traj``, ``k_inv`` times the centred basis and trajectories."""
-        cb, basis = self.cb, self.basis
-        centered = autodiff.sub(basis, autodiff.reshape(self.token_anchors,
-                                                        (cb.n_code, 1, -1)))
+    def group_cond(self, groups: np.ndarray) -> tuple[np.ndarray, Tensor, np.ndarray]:
+        """The conditioning of the rows' groups (N,): their distinct ids
+        (G,), ascending, the ids' inverse Gram matrices ``k_inv`` (G, C, C),
+        and each row's index into them (N,)."""
+        ids = np.unique(groups)
         try:
             k_inv = psdlinalg.psd_inverse(psdlinalg.group_gram_t(
-                basis, ids, self.log_ell, self.log_sf))
+                self.basis, ids, self.log_ell, self.log_sf))
         except psdlinalg.NotPSD as e:
             raise psdlinalg.NotPSD(e.pivot, e.jitter, int(ids[e.group])) from e
-        return dict(
-            k_inv=k_inv,
-            alpha_basis=autodiff.matmul(k_inv, autodiff.gather0(centered, ids)),
-            alpha_traj=autodiff.matmul(
-                k_inv, Tensor(cb.trajectories[ids] - cb.traj_anchors[ids, None, :])),
-        )
+        return ids, k_inv, np.searchsorted(ids, groups)
 
     def kernel_features(self, tokens) -> Tensor:
         """Kernel features (N, n_code * C) of the token rows (N, D)."""
@@ -137,32 +130,36 @@ class GpGraph:
             autodiff.reshape(features, (n * cb.n_code, 1, cb.group_size)),
             np.arange(n) * cb.n_code + group)
 
-    def _conditioned(self, k_star: Tensor, group: np.ndarray, anchors: Tensor,
-                     alpha: str, noise: Tensor) -> tuple[Tensor, Tensor]:
-        """Each row's posterior mean anchor + k* alpha (``alpha`` names it)
-        and scalar variance sf2 - k*^T K^-1 k* + noise under its group."""
-        cond, pos = self.group_cond(group)
+    def _posterior(self, k_star: Tensor, group: np.ndarray, cond: tuple, targets,
+                   anchors, noise: Tensor) -> tuple[Tensor, Tensor]:
+        """Each row's posterior mean anchor + k* K^-1 (targets - anchor) and
+        scalar variance sf2 - k*^T K^-1 k* + noise under its group, from its
+        k* (N, 1, C) and ``cond``, ``group_cond(group)``; ``targets`` are
+        every group's (n_code, C, ·) and ``anchors`` their means (n_code, ·)."""
+        ids, k_inv, pos = cond
+        centered = autodiff.sub(targets, autodiff.reshape(anchors, (self.cb.n_code, 1, -1)))
+        alpha = autodiff.matmul(k_inv, autodiff.gather0(centered, ids))
         quad = autodiff.tsum(autodiff.mul(
-            autodiff.matmul(k_star, autodiff.gather0(cond["k_inv"], pos)),
-            k_star), axis=(1, 2))
-        offset = autodiff.matmul(k_star, autodiff.gather0(cond[alpha], pos))
+            autodiff.matmul(k_star, autodiff.gather0(k_inv, pos)), k_star), axis=(1, 2))
+        offset = autodiff.matmul(k_star, autodiff.gather0(alpha, pos))
         mean = autodiff.add(autodiff.gather0(anchors, group),
                             autodiff.reshape(offset, (len(group), -1)))
         return mean, autodiff.add(autodiff.relu(autodiff.sub(self.sf2, quad)), noise)
 
-    def reconstruct(self, k_star: Tensor, group: np.ndarray) -> tuple[Tensor, Tensor]:
-        """Posterior mean (N, D) of each token row under its group (N,), from
-        the rows' k* (N, 1, C), and its scalar variance (N,), noise included."""
-        return self._conditioned(k_star, group, self.token_anchors, "alpha_basis",
-                                 self.noise_recon)
+    def reconstruct(self, k_star: Tensor, group: np.ndarray,
+                    cond: tuple) -> tuple[Tensor, Tensor]:
+        """Posterior mean (N, D) and scalar variance (N,), noise included, of
+        each token row under its group: ``_posterior`` of the basis."""
+        return self._posterior(k_star, group, cond, self.basis, self.token_anchors,
+                               self.noise_recon)
 
-    def predict_trajectory(self, k_star: Tensor,
-                           group: np.ndarray) -> tuple[Tensor, Tensor]:
-        """Posterior trajectory mean (N, 12) of each token row under its group
-        (N,), from the rows' k* (N, 1, C), and its scalar variance (N,),
-        noise included."""
-        return self._conditioned(k_star, group, Tensor(self.cb.traj_anchors),
-                                 "alpha_traj", self.noise_traj)
+    def predict_trajectory(self, k_star: Tensor, group: np.ndarray,
+                           cond: tuple) -> tuple[Tensor, Tensor]:
+        """Posterior trajectory mean (N, 12) and scalar variance (N,), noise
+        included, of each token row under its group: ``_posterior`` of the
+        trajectories."""
+        return self._posterior(k_star, group, cond, self.cb.trajectories,
+                               self.cb.traj_anchors, self.noise_traj)
 
 
 class GpInference(GpGraph):
@@ -213,13 +210,11 @@ class GpInference(GpGraph):
         lanes = min(len(os.sched_getaffinity(0)), parts)
 
         def block(start: int, stop: int) -> tuple:
-            """The masked logits, groups and k* of rows start to stop; their
+            """The logits, groups and k* of rows start to stop; their
             features are freed on return."""
-            features = self.kernel_features(tokens[start:stop])
-            logits = np.where(admissible[start:stop],
-                              self.classifier_logits(features).data, -np.inf)
-            group = np.argmax(logits, axis=1)
-            return logits, group, self.k_star(features, group).data
+            features, logits, group = self.route(tokens[start:stop],
+                                                 admissible[start:stop])
+            return logits.data, group, self.k_star(features, group).data
 
         def lane(j: int) -> list:
             return [block(*b) for b in blocks[j::lanes]]
@@ -232,8 +227,8 @@ class GpInference(GpGraph):
         by_lane += [f.result() for f in futures]
         logits, group, k_star = (np.concatenate(col)[:n] for col in zip(
             *(by_lane[b % lanes][b // lanes] for b in range(parts))))
-        mean, variance = self.predict_trajectory(Tensor(k_star), group)
-        return mean.data, variance.data, logits, group
+        mean, variance = self.predict_trajectory(Tensor(k_star), group, self.group_cond(group))
+        return mean.data, variance.data, np.where(admissible[:n], logits, -np.inf), group
 
     def predict_scene(self, ego_tokens: np.ndarray, commands):
         """``predict_rows`` of each scene's ego token row (N, D) under the

@@ -98,6 +98,11 @@ def _finite(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
 
 
+def _is_int(v) -> bool:
+    """Whether ``v`` is an int; a bool is not one."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _check_fields(obj, positive=(), non_negative=()) -> None:
     """Check the numeric fields of the dataclass ``obj``: an ``int`` field
     holds an int and a ``float`` field a finite real number (a bool is
@@ -105,7 +110,7 @@ def _check_fields(obj, positive=(), non_negative=()) -> None:
     ``non_negative`` at least 0. Messages open with the field's name."""
     for f in dataclasses.fields(obj):
         v = getattr(obj, f.name)
-        if f.type == "int" and (isinstance(v, bool) or not isinstance(v, int)):
+        if f.type == "int" and not _is_int(v):
             raise ValueError(f"{f.name} must be an integer, got {v!r}")
         if f.type == "float" and not _finite(v):
             raise ValueError(f"{f.name} must be a finite number, got {v!r}")
@@ -214,9 +219,9 @@ class Model:
     scalars are 0-d arrays.
 
     Every array is updated in place, never replaced: ``cb.trajs`` never
-    changes after ``build_model`` and ``cb.basis`` changes only in place, so
-    the one codebook ``cb`` built over them stays valid for the model's
-    life."""
+    changes after ``build_model``, so the one codebook ``cb`` built over it
+    stays valid for the model's life. The learnable basis ``cb.basis`` is
+    read from the dict alone, by the GP module."""
 
     spec: ModelSpec
     tensors: dict[str, np.ndarray]
@@ -224,8 +229,8 @@ class Model:
     @cached_property
     def cb(self) -> Codebook:
         """The model's codebook, built on first use over the dict's
-        ``cb.trajs`` and ``cb.basis`` arrays themselves, not copies."""
-        return Codebook(self.tensors["cb.trajs"], self.tensors["cb.basis"], self.spec.n_ego)
+        ``cb.trajs`` array itself, not a copy."""
+        return Codebook(self.tensors["cb.trajs"], self.spec.n_ego)
 
     def clone(self) -> "Model":
         """A model over copies of every array, with its own codebook."""
@@ -437,15 +442,14 @@ def gp_stage_loss(batch: SceneTable, graph: GpGraph, tokens: np.ndarray,
     """Stage-2 terms of one step: reconstruction plus GP supervision.
 
     ``tokens`` are the frozen base model's token rows (constants). All rows
-    are classified in one pass and conditioned on their classifier-argmax
-    groups; supervision labels come from the ground truth.
+    are classified in one pass and conditioned once, for both heads, on
+    their argmax groups; supervision labels come from the ground truth.
     """
-    features = graph.kernel_features(tokens)
-    logits = graph.classifier_logits(features)
-    groups = np.argmax(np.where(batch.admissible, logits.data, -np.inf), axis=1)
+    features, logits, groups = graph.route(tokens, batch.admissible)
+    cond = graph.group_cond(groups)
     # a k* gather per head: a shared one sums the gradient in another order
-    recon, var_rec = graph.reconstruct(graph.k_star(features, groups), groups)
-    mean, var_traj = graph.predict_trajectory(graph.k_star(features, groups), groups)
+    recon, var_rec = graph.reconstruct(graph.k_star(features, groups), groups, cond)
+    mean, var_traj = graph.predict_trajectory(graph.k_star(features, groups), groups, cond)
     rec = loss_rec(tokens, recon, var_rec, batch.n_ego, groups, batch.scene_of_row,
                    graph.basis, sigma_clamp=cfg.sigma_clamp)
     positives, negatives = graph.cb.triplets

@@ -257,11 +257,11 @@ def triplet_classes_ref(cb, label: int) -> tuple[list[int], list[int]]:
 def classify_ref(token: np.ndarray, command, cb, w) -> tuple[int, np.ndarray]:
     """Masked classifier logits of one token and the argmax group (ties: lowest
     id): ``rbf_oracle`` features against every basis token in group order,
-    then the two-layer tanh perceptron. ``w`` holds the ``clf.*`` and
-    ``gp.*`` tensors by checkpoint name."""
+    then the two-layer tanh perceptron. ``w`` holds the ``cb.basis``,
+    ``clf.*`` and ``gp.*`` tensors by checkpoint name."""
     ell, sf = math.exp(w["gp.log_lengthscale"]), math.exp(w["gp.log_outputscale"])
     feats = np.array([rbf_oracle(token, b, ell, sf)
-                      for group in cb.basis for b in group])
+                      for group in w["cb.basis"] for b in group])
     raw = w["clf.w2"] @ np.tanh(w["clf.w1"] @ feats + w["clf.b1"]) + w["clf.b2"]
     logits = np.full_like(raw, -np.inf)
     ids = group_ids_ref(cb, command)
@@ -274,7 +274,7 @@ def predict_ref(token: np.ndarray, command, model) -> tuple[np.ndarray, float]:
     model (cb, tensors): ``classify_ref``, then ``gp_oracle`` in that group."""
     w = model.tensors
     g = classify_ref(token, command, model.cb, w)[0]
-    return gp_oracle(model.cb.basis[g], model.cb.trajectories[g], token,
+    return gp_oracle(w["cb.basis"][g], model.cb.trajectories[g], token,
                      math.exp(w["gp.log_lengthscale"]), math.exp(w["gp.log_outputscale"]),
                      math.exp(2.0 * w["gp.log_noise_traj"]))
 

@@ -32,7 +32,7 @@ def check_op(build, *shapes, seed=0, h=1e-6, tol=1e-6):
     arrays = [rng.normal(size=s) if s else np.array(rng.normal()) for s in shapes]
     params = [parameter(a) for a in arrays]
     loss = build(*params)
-    autodiff.backward(loss)
+    autodiff.backward(loss, {})
     for p, a in zip(params, arrays):
         fd = numeric_grad(lambda: build(*[Tensor(q.data) for q in params]).item(), p.data, h)
         got = p.grad if p.grad is not None else np.zeros_like(p.data)
@@ -84,12 +84,12 @@ def test_elementwise_transcendentals():
 def test_relu_and_clamp_masks():
     x = parameter(np.array([-2.0, -0.5, 0.5, 2.0]))
     y = autodiff.tsum(autodiff.relu(x))
-    autodiff.backward(y)
+    autodiff.backward(y, {})
     assert np.array_equal(x.grad, [0.0, 0.0, 1.0, 1.0])
 
     x = parameter(np.array([-2.0, 0.0, 0.7, 2.0]))
     y = autodiff.tsum(autodiff.clamp(x, -1.0, 1.0))
-    autodiff.backward(y)
+    autodiff.backward(y, {})
     assert np.array_equal(x.grad, [0.0, 1.0, 1.0, 0.0])
 
 
@@ -104,7 +104,7 @@ def test_narrow_gather_reshape():
 def test_gather_repeated_indices_accumulate():
     x = parameter(np.array([1.0, 2.0, 3.0]))
     y = autodiff.tsum(autodiff.gather0(x, np.array([1, 1, 1])))
-    autodiff.backward(y)
+    autodiff.backward(y, {})
     assert np.array_equal(x.grad, [0.0, 3.0, 0.0])
 
 
@@ -215,7 +215,7 @@ def test_a_parents_gradient_does_not_depend_on_what_else_needs_one(op, shapes):
     def grads(needed):
         parents = [parameter(a) if i in needed else Tensor(a)
                    for i, a in enumerate(arrays)]
-        autodiff.backward(autodiff.tsum(autodiff.mul(op(*parents), w)))
+        autodiff.backward(autodiff.tsum(autodiff.mul(op(*parents), w)), {})
         return [p.grad for p in parents]
 
     every = grads(range(len(arrays)))
@@ -242,7 +242,7 @@ def test_linear_is_the_matmul_transpose_add_composition_bit_for_bit(fan_in, fan_
     def run(build):
         x, w, b = (parameter(a) for a in arrays)
         out = build(x, w, b)
-        autodiff.backward(autodiff.tsum(autodiff.mul(out, up)))
+        autodiff.backward(autodiff.tsum(autodiff.mul(out, up)), {})
         return [out.data] + [t.grad for t in (x, w, b)]
 
     got = run(autodiff.linear)
@@ -272,12 +272,12 @@ def test_aliased_gradients_are_correct_and_not_shared():
     # add(x, y): both parents take the same upstream array; add(x, x) sums it
     x, y = parameter(rng.normal(size=(2, 3))), parameter(rng.normal(size=(2, 3)))
     autodiff.backward(autodiff.tsum(autodiff.mul(
-        autodiff.add(autodiff.add(x, y), autodiff.add(x, x)), w)))
+        autodiff.add(autodiff.add(x, y), autodiff.add(x, x)), w)), {})
     assert np.array_equal(x.grad, 3.0 * w) and np.array_equal(y.grad, w)
     assert own_memory(x, y)
     # mul(x, x)
     x = parameter(rng.normal(size=(2, 3)))
-    autodiff.backward(autodiff.tsum(autodiff.mul(autodiff.mul(x, x), w)))
+    autodiff.backward(autodiff.tsum(autodiff.mul(autodiff.mul(x, x), w)), {})
     assert np.allclose(x.grad, 2.0 * x.data * w)
     # one tensor reached through two reshape views, beside a second leaf
     x, y = parameter(rng.normal(size=(2, 3))), parameter(rng.normal(size=6))
@@ -286,7 +286,7 @@ def test_aliased_gradients_are_correct_and_not_shared():
     loss = autodiff.add(
         autodiff.tsum(autodiff.mul(autodiff.add(flat, y), w6)),
         autodiff.tsum(autodiff.mul(autodiff.reshape(x, (3, 2)), w.reshape(3, 2))))
-    autodiff.backward(loss)
+    autodiff.backward(loss, {})
     assert np.array_equal(x.grad, w6.reshape(2, 3) + w)
     assert np.array_equal(y.grad, w6)
     assert own_memory(x, y)
@@ -294,7 +294,7 @@ def test_aliased_gradients_are_correct_and_not_shared():
     x, y = parameter(rng.normal(size=(2, 3))), parameter(rng.normal(size=(3, 2)))
     tt = autodiff.transpose(autodiff.transpose(x))
     autodiff.backward(autodiff.tsum(autodiff.mul(
-        autodiff.sub(autodiff.transpose(tt), y), w.T)))
+        autodiff.sub(autodiff.transpose(tt), y), w.T)), {})
     assert np.array_equal(x.grad, w) and np.array_equal(y.grad, -w.T)
     assert own_memory(x, y)
 
@@ -302,20 +302,20 @@ def test_aliased_gradients_are_correct_and_not_shared():
 def test_shared_subexpression_accumulates():
     x = parameter(np.array(3.0))
     y = autodiff.add(autodiff.square(x), autodiff.mul(x, 2.0))  # x^2 + 2x
-    autodiff.backward(y)
+    autodiff.backward(y, {})
     assert np.allclose(x.grad, 2 * 3.0 + 2.0)
 
 
 def test_repeated_and_broadcast_operands_get_their_own_gradient():
     x = parameter(np.array([1.0, -2.0, 3.0]))
-    autodiff.backward(autodiff.tsum(autodiff.add(autodiff.add(x, x), x)))
+    autodiff.backward(autodiff.tsum(autodiff.add(autodiff.add(x, x), x)), {})
     assert np.array_equal(x.grad, [3.0, 3.0, 3.0])
     x.grad = None
-    autodiff.backward(autodiff.tsum(autodiff.mul(x, x)))
+    autodiff.backward(autodiff.tsum(autodiff.mul(x, x)), {})
     assert np.array_equal(x.grad, 2.0 * x.data)
     a = parameter(np.ones((3, 4)))
     b = parameter(np.ones(4))
-    autodiff.backward(autodiff.tsum(autodiff.mul(autodiff.add(a, b), a)))
+    autodiff.backward(autodiff.tsum(autodiff.mul(autodiff.add(a, b), a)), {})
     assert np.array_equal(a.grad, np.full((3, 4), 3.0))
     assert np.array_equal(b.grad, np.full(4, 3.0))
 
@@ -323,7 +323,7 @@ def test_repeated_and_broadcast_operands_get_their_own_gradient():
 def test_constant_leaf_takes_no_gradient():
     x = parameter(np.array([1.0, 2.0]))
     c = Tensor(np.array([3.0, 4.0]))
-    autodiff.backward(autodiff.tsum(autodiff.mul(autodiff.add(x, c), c)))
+    autodiff.backward(autodiff.tsum(autodiff.mul(autodiff.add(x, c), c)), {})
     assert np.array_equal(x.grad, [3.0, 4.0])
     assert c.grad is None
 
@@ -376,7 +376,7 @@ def test_constants_build_no_tape():
     y = autodiff.tsum(autodiff.square(autodiff.matmul(psdlinalg.psd_inverse(k), x)))
     for t in (k, y):
         assert t._parents == () and t._vjp is None and not t.requires_grad
-    autodiff.backward(y)  # nothing to walk; leaves untouched
+    autodiff.backward(y, {})  # nothing to walk; leaves untouched
     assert x.grad is None and log_ell.grad is None and log_sf.grad is None
 
 
@@ -413,7 +413,7 @@ def test_grad_writes_every_gradient_into_its_out_buffer():
 def test_grad_rejects_nonscalar_and_nonfinite():
     x = parameter(np.array([1.0, 2.0]))
     with pytest.raises(ValueError):
-        autodiff.backward(autodiff.square(x))
+        autodiff.backward(autodiff.square(x), {})
     bad = Tensor(np.array(np.inf))
     with pytest.raises(FloatingPointError):
         grad_map(bad, {})

@@ -11,8 +11,8 @@ from gptraj.codebook import (BuildError, Codebook, admissible, nearest_group,
 from gptraj.core import COMMANDS, COORD_BOUND, Command, rng_for, scene_rows
 from gptraj.synthdomain import gen_dataset
 
-from oracles import (basis_tokens_ref, command_of_ref, group_ids_ref, lloyd_ref,
-                     traj_distance, traj_dists_ref, triplet_classes_ref)
+from oracles import (command_of_ref, group_ids_ref, lloyd_ref, traj_distance,
+                     traj_dists_ref, triplet_classes_ref)
 
 
 def straight(speed: float, jitter: float = 0.0, rng=None) -> np.ndarray:
@@ -37,13 +37,11 @@ def cluster_input(ego: list, agents: list) -> tuple:
 
 
 def clustered(ego, commands, agents, n_ego_groups, n_agent_groups, group_size,
-              token_dim, seed) -> Codebook:
-    """The codebook of ``sample_and_cluster``'s trajectories, with
-    ``basis_tokens_ref`` basis tokens of ``token_dim`` from ``seed``."""
+              seed) -> Codebook:
+    """The codebook of ``sample_and_cluster``'s trajectories."""
     trajs = sample_and_cluster(ego, commands, agents, n_ego_groups, n_agent_groups,
                                group_size, seed=seed)
-    return Codebook(trajs, basis_tokens_ref(seed, len(trajs), group_size, token_dim),
-                    n_ego_groups)
+    return Codebook(trajs, n_ego_groups)
 
 
 def corpus(n_per_cmd=24, n_agent=40, seed=0):
@@ -68,7 +66,7 @@ def test_speed_clusters_are_pure():
     # minimal ego data per command bucket
     ego = [(straight(6.0, 0.05, rng), cmd) for cmd in COMMANDS for _ in range(8)]
     cb = clustered(*cluster_input(ego, agents), n_ego_groups=3, n_agent_groups=3,
-                   group_size=8, token_dim=4, seed=0)
+                   group_size=8, seed=0)
     anchors = cb.traj_anchors.reshape(-1, 6, 2)
     agent_ids = group_ids_ref(cb, None)
     for g in agent_ids:
@@ -84,7 +82,7 @@ def test_agent_speed_families_separate():
     agents = [straight(speed, 0.02, rng) for speed in (2.0, 8.0, 14.0) for _ in range(10)]
     # minimal ego data so the build succeeds
     ego = [(straight(6.0, 0.02, rng), cmd) for cmd in COMMANDS for _ in range(4)]
-    cb = clustered(*cluster_input(ego, agents), 3, 3, group_size=4, token_dim=4, seed=1)
+    cb = clustered(*cluster_input(ego, agents), 3, 3, group_size=4, seed=1)
     speeds_per_group = []
     for gid in group_ids_ref(cb, None):
         xs = cb.trajectories[gid, :, 0]  # first-waypoint x ~ 0.5 * speed
@@ -96,7 +94,7 @@ def test_agent_speed_families_separate():
 def test_identical_trajectories_degenerate_cluster():
     t = straight(5.0)
     ego = [(t, cmd) for cmd in COMMANDS for _ in range(4)]
-    cb = clustered(*cluster_input(ego, [t] * 4), 3, 1, group_size=4, token_dim=4, seed=0)
+    cb = clustered(*cluster_input(ego, [t] * 4), 3, 1, group_size=4, seed=0)
     [g] = group_ids_ref(cb, None)
     assert np.allclose(cb.traj_anchors[g], t.reshape(-1))
     assert np.allclose(cb.trajectories[g], t.reshape(-1))
@@ -104,7 +102,7 @@ def test_identical_trajectories_degenerate_cluster():
 
 def test_no_group_mixes_commands():
     ego, commands, agents = corpus()
-    cb = clustered(ego, commands, agents, 6, 4, group_size=8, token_dim=4, seed=3)
+    cb = clustered(ego, commands, agents, 6, 4, group_size=8, seed=3)
     assert cb.buckets.tolist() == [0, 0, 1, 1, 2, 2, 3, 3, 3, 3]
     assert [command_of_ref(cb, g) for g in range(cb.n_code)] == (
         [c for c in COMMANDS for _ in range(2)] + [None] * 4)
@@ -301,8 +299,7 @@ def test_group_members_keep_index_order_across_tied_cut():
     _, dists = codebook._lloyd(agent_rows.reshape(-1, 12), 1, np.random.default_rng(0))
     assert dists[:, 0].tolist() == [2.0, 0.5, 0.5, 2.0, 1.0, 1.0, 1.0, 1.0]
     ego = [(straight(6.0), cmd) for cmd in COMMANDS for _ in range(3)]
-    cb = clustered(*cluster_input(ego, agent_rows), 3, 1, group_size=3, token_dim=4,
-                   seed=0)
+    cb = clustered(*cluster_input(ego, agent_rows), 3, 1, group_size=3, seed=0)
     [g] = group_ids_ref(cb, None)
     assert cb.trajectories[g].tobytes() == agent_rows[[1, 2, 4]].tobytes()
     # the selection against a full stable argsort, on integer distances
@@ -319,24 +316,26 @@ def test_insufficient_trajectories_raise_with_counts():
 
 
 def test_centered_rows_mean_zero():
-    cb = clustered(*corpus(), 6, 4, group_size=8, token_dim=4, seed=3)
+    cb = clustered(*corpus(), 6, 4, group_size=8, seed=3)
     centered = cb.trajectories - cb.traj_anchors[:, None, :]
     assert np.max(np.abs(centered.mean(axis=1))) < 1e-9
 
 
 def test_cluster_stability_same_seed():
-    a = clustered(*corpus(), 6, 4, group_size=8, token_dim=4, seed=7)
-    b = clustered(*corpus(), 6, 4, group_size=8, token_dim=4, seed=7)
+    a = clustered(*corpus(), 6, 4, group_size=8, seed=7)
+    b = clustered(*corpus(), 6, 4, group_size=8, seed=7)
     assert np.array_equal(a.trajectories, b.trajectories)
 
 
-def test_bijection_shapes():
-    cb = clustered(*corpus(), 6, 4, group_size=8, token_dim=4, seed=0)
-    assert cb.basis.shape[:2] == cb.trajectories.shape[:2] == (cb.n_code, cb.group_size)
+def test_bijection_shapes(tiny_model):
+    # a model's basis tokens pair one-to-one with its codebook's trajectories
+    cb = tiny_model.cb
+    assert (tiny_model.tensors["cb.basis"].shape[:2] == cb.trajectories.shape[:2]
+            == (cb.n_code, cb.group_size))
 
 
 def test_admissible_group_counts_default_partition():
-    cb = clustered(*corpus(), 6, 4, group_size=8, token_dim=4, seed=0)
+    cb = clustered(*corpus(), 6, 4, group_size=8, seed=0)
     assert admissible(cb, list(COMMANDS) + [None]).sum(axis=1).tolist() == [2, 2, 2, 4]
     # rows in any order get the groups of the layout reference
     rng = np.random.default_rng(3)
@@ -349,14 +348,14 @@ def test_admissible_group_counts_default_partition():
 
 
 def test_nearest_group_respects_command():
-    cb = clustered(*corpus(), 6, 4, group_size=8, token_dim=4, seed=0)
+    cb = clustered(*corpus(), 6, 4, group_size=8, seed=0)
     mask = admissible(cb, [Command.TURN_LEFT])
     [gid] = nearest_group(cb, curved(6.0, 0.05).reshape(1, 12), mask)
     assert gid in group_ids_ref(cb, Command.TURN_LEFT)
 
 
 def test_nearest_group_matches_loop_reference(monkeypatch):
-    cb = clustered(*corpus(), 6, 4, group_size=8, token_dim=4, seed=0)
+    cb = clustered(*corpus(), 6, 4, group_size=8, seed=0)
     rng = np.random.default_rng(4)
     ego, _, agents = corpus(seed=9)
     trajs = np.concatenate([ego, agents])
@@ -375,7 +374,7 @@ def test_nearest_group_matches_loop_reference(monkeypatch):
 
 
 def test_nearest_group_ignores_nearer_anchor_outside_bucket():
-    cb = clustered(*corpus(), 6, 4, group_size=8, token_dim=4, seed=0)
+    cb = clustered(*corpus(), 6, 4, group_size=8, seed=0)
     anchors = cb.traj_anchors
     # each row is an anchor of another bucket, labelled as each other bucket
     for g in (0, 2, 4, cb.n_ego):
@@ -393,7 +392,7 @@ def test_nearest_group_ignores_nearer_anchor_outside_bucket():
 def cb_4x3_7():
     """Four ego groups per command and seven agent groups: the fewest that
     triplet selection allows."""
-    return clustered(*corpus(), 12, 7, group_size=4, token_dim=5, seed=2)
+    return clustered(*corpus(), 12, 7, group_size=4, seed=2)
 
 
 def test_triplet_table_disjoint_and_admissible(cb_4x3_7):
@@ -417,7 +416,7 @@ def shared_anchor_codebook() -> Codebook:
     groups, so that most candidates tie with another on anchor distance."""
     rng = np.random.default_rng(5)
     distinct = rng.normal(scale=5.0, size=(3, 2, 12))
-    return Codebook(distinct[rng.integers(3, size=21)], np.zeros((21, 2, 2)), 12)
+    return Codebook(distinct[rng.integers(3, size=21)], 12)
 
 
 @pytest.mark.parametrize("make", [lambda model: model.cb,
@@ -432,7 +431,7 @@ def test_triplet_table_matches_per_label_reference(tiny_model, make):
 
 
 def test_triplet_table_rejects_small_pools():
-    cb = Codebook(np.zeros((9 + 6, 2, 12)), np.zeros((9 + 6, 2, 2)), 9)
+    cb = Codebook(np.zeros((9 + 6, 2, 12)), 9)
     with pytest.raises(ValueError, match=r"3 ego groups per command \(need 4\), "
                                          r"6 agent groups \(need 7\)"):
         triplet_table(cb)

@@ -32,13 +32,16 @@ from test_codebook import corpus
 def small_cb():
     trajs = sample_and_cluster(*corpus(n_per_cmd=24, n_agent=60), 6, 4, group_size=8,
                                seed=0)
-    return Codebook(trajs, basis_tokens_ref(1, len(trajs), 8, 6), 6)
+    return Codebook(trajs, 6)
 
 
 @pytest.fixture(scope="module")
-def small_clf(small_cb):
-    return classifier_init_ref(rng_for(0, "clf-test"), small_cb.n_code,
-                               small_cb.group_size, 16)
+def small_w(small_cb):
+    """The small codebook's basis tokens (D = 6) and classifier, by
+    checkpoint name."""
+    clf = classifier_init_ref(rng_for(0, "clf-test"), small_cb.n_code, small_cb.group_size,
+                              16)
+    return {"cb.basis": basis_tokens_ref(1, small_cb.n_code, 8, 6)} | clf
 
 
 def near_zero_noise() -> dict:
@@ -49,100 +52,104 @@ def noise_var(log_noise: float) -> float:
     return math.exp(2.0 * log_noise)
 
 
-def inference(cb, clf, p) -> GpInference:
-    """The GP module over the codebook's basis, the ``clf.*`` weights and the
-    ``gp.*`` scalars."""
-    return GpInference(cb, {"cb.basis": cb.basis} | clf | p)
+def inference(cb, w, p) -> GpInference:
+    """The GP module over the ``cb.basis`` and ``clf.*`` tensors ``w`` and
+    the ``gp.*`` scalars ``p``."""
+    return GpInference(cb, w | p)
 
 
-def k_star(inf: GpInference, tokens, groups):
-    """The k* of token rows under given groups, with the groups as an array."""
+def head_inputs(inf: GpInference, tokens, groups):
+    """The k* of token rows under given groups, the groups as an array and
+    their conditioning: the arguments of either head."""
     groups = np.atleast_1d(groups)
-    return inf.k_star(inf.kernel_features(np.atleast_2d(tokens)), groups), groups
+    return (inf.k_star(inf.kernel_features(np.atleast_2d(tokens)), groups), groups,
+            inf.group_cond(groups))
 
 
-def reconstruct(cb, clf, p, tokens, groups):
+def reconstruct(cb, w, p, tokens, groups):
     """``GpInference.reconstruct`` of token rows under given groups, as arrays."""
-    inf = inference(cb, clf, p)
-    mean, var = inf.reconstruct(*k_star(inf, tokens, groups))
+    inf = inference(cb, w, p)
+    mean, var = inf.reconstruct(*head_inputs(inf, tokens, groups))
     return mean.data, var.data
 
 
-def predict(cb, clf, p, tokens, groups):
+def predict(cb, w, p, tokens, groups):
     """``GpInference.predict_trajectory`` of token rows under given groups."""
-    inf = inference(cb, clf, p)
-    mean, var = inf.predict_trajectory(*k_star(inf, tokens, groups))
+    inf = inference(cb, w, p)
+    mean, var = inf.predict_trajectory(*head_inputs(inf, tokens, groups))
     return mean.data, var.data
 
 
-def oracle(cb, p, token, gid, head: str):
-    """``gp_oracle`` of one token under group ``gid``: the reconstruction head
-    (targets = basis) or the trajectory head."""
-    targets, log_noise = ((cb.basis[gid], p["gp.log_noise_recon"]) if head == "recon"
-                          else (cb.trajectories[gid], p["gp.log_noise_traj"]))
-    return gp_oracle(cb.basis[gid], targets, token, math.exp(p["gp.log_lengthscale"]),
-                     math.exp(p["gp.log_outputscale"]), noise_var(log_noise))
+def oracle(cb, w, token, gid, head: str):
+    """``gp_oracle`` of one token under group ``gid``, from the ``cb.basis``
+    and ``gp.*`` tensors ``w``: the reconstruction head (targets = basis) or
+    the trajectory head."""
+    basis = w["cb.basis"][gid]
+    targets, log_noise = ((basis, w["gp.log_noise_recon"]) if head == "recon"
+                          else (cb.trajectories[gid], w["gp.log_noise_traj"]))
+    return gp_oracle(basis, targets, token, math.exp(w["gp.log_lengthscale"]),
+                     math.exp(w["gp.log_outputscale"]), noise_var(log_noise))
 
 
-def test_reconstruct_interpolates_basis_token(small_cb, small_clf):
+def test_reconstruct_interpolates_basis_token(small_cb, small_w):
     p = near_zero_noise()
-    tok = small_cb.basis[2, 3].copy()
-    recon, var = reconstruct(small_cb, small_clf, p, tok, 2)
+    tok = small_w["cb.basis"][2, 3].copy()
+    recon, var = reconstruct(small_cb, small_w, p, tok, 2)
     assert np.max(np.abs(recon[0] - tok)) < 1e-4
     assert var[0] <= 1e-6 + noise_var(p["gp.log_noise_recon"])
 
 
-def test_reconstruct_far_token_reverts_to_anchor(small_cb, small_clf):
+def test_reconstruct_far_token_reverts_to_anchor(small_cb, small_w):
     p = gp_scalars_ref()
     tok = np.full(6, 80.0)  # effectively infinite kernel distance
-    recon, var = reconstruct(small_cb, small_clf, p, tok, 1)
-    assert np.allclose(recon[0], small_cb.basis.mean(axis=1)[1], atol=1e-8)
+    recon, var = reconstruct(small_cb, small_w, p, tok, 1)
+    assert np.allclose(recon[0], small_w["cb.basis"].mean(axis=1)[1], atol=1e-8)
     assert var[0] == pytest.approx(1.0 + noise_var(p["gp.log_noise_recon"]))
 
 
-def test_predict_interpolates_paired_trajectory(small_cb, small_clf):
+def test_predict_interpolates_paired_trajectory(small_cb, small_w):
     p = near_zero_noise()
-    mean, _ = predict(small_cb, small_clf, p, small_cb.basis[4, 0].copy(), 4)
+    mean, _ = predict(small_cb, small_w, p, small_w["cb.basis"][4, 0].copy(), 4)
     assert np.max(np.abs(mean[0] - small_cb.trajectories[4, 0])) < 1e-4
 
 
-def test_predict_far_token_returns_anchor_trajectory(small_cb, small_clf):
+def test_predict_far_token_returns_anchor_trajectory(small_cb, small_w):
     p = gp_scalars_ref()
-    mean, var = predict(small_cb, small_clf, p, np.full(6, -90.0), 3)
+    mean, var = predict(small_cb, small_w, p, np.full(6, -90.0), 3)
     assert mean.shape == (1, 12) and var.shape == (1,)
     assert np.allclose(mean[0], small_cb.traj_anchors[3], atol=1e-8)
     assert var[0] == pytest.approx(1.0 + noise_var(p["gp.log_noise_traj"]))
 
 
-def test_matches_dense_inverse_oracle(small_cb, small_clf):
+def test_matches_dense_inverse_oracle(small_cb, small_w):
     rng = np.random.default_rng(3)
     p = gp_scalars_ref(log_lengthscale=0.2, log_outputscale=-0.1,
                  log_noise_recon=np.log(0.05), log_noise_traj=np.log(0.02))
     groups = np.array([0, 3, 7, 3])  # a repeated group in one call
     toks = rng.normal(size=(len(groups), 6))
-    recon, var_rec = reconstruct(small_cb, small_clf, p, toks, groups)
-    mean, var_traj = predict(small_cb, small_clf, p, toks, groups)
+    recon, var_rec = reconstruct(small_cb, small_w, p, toks, groups)
+    mean, var_traj = predict(small_cb, small_w, p, toks, groups)
     for i, (tok, gid) in enumerate(zip(toks, groups)):
-        mean_o, var_o = oracle(small_cb, p, tok, gid, "recon")
+        mean_o, var_o = oracle(small_cb, small_w | p, tok, gid, "recon")
         assert np.max(np.abs(recon[i] - mean_o)) < 1e-8
         assert abs(var_rec[i] - var_o) < 1e-8
-        mean_o, var_o = oracle(small_cb, p, tok, gid, "traj")
+        mean_o, var_o = oracle(small_cb, small_w | p, tok, gid, "traj")
         assert np.max(np.abs(mean[i] - mean_o)) < 1e-8
         assert abs(var_traj[i] - var_o) < 1e-8
 
 
-def test_recon_and_prediction_share_conditioning(small_cb, small_clf):
+def test_recon_and_prediction_share_conditioning(small_cb, small_w):
     # identical function-space variance from both heads at equal noise
     p = gp_scalars_ref(log_noise_recon=np.log(0.1), log_noise_traj=np.log(0.1))
     tok = np.linspace(-1, 1, 6)
-    _, var_rec = reconstruct(small_cb, small_clf, p, tok, 5)
-    _, var_traj = predict(small_cb, small_clf, p, tok, 5)
+    _, var_rec = reconstruct(small_cb, small_w, p, tok, 5)
+    _, var_traj = predict(small_cb, small_w, p, tok, 5)
     assert var_rec[0] == pytest.approx(var_traj[0], abs=1e-12)
 
 
-def test_classifier_masking_and_determinism(small_cb, small_clf):
+def test_classifier_masking_and_determinism(small_cb, small_w):
     p = gp_scalars_ref()
-    inf = inference(small_cb, small_clf, p)
+    inf = inference(small_cb, small_w, p)
     tok = np.linspace(-0.5, 0.5, 6)[None]
     left_mask = admissible(small_cb, [Command.TURN_LEFT])
     *_, logits1, g1 = inf.predict_rows(tok, left_mask)
@@ -151,31 +158,31 @@ def test_classifier_masking_and_determinism(small_cb, small_clf):
     left = group_ids_ref(small_cb, Command.TURN_LEFT)
     assert g1[0] in left
     assert np.all(np.isneginf(np.delete(logits1[0], left)))
-    want, want_logits = classify_ref(tok[0], Command.TURN_LEFT, small_cb, small_clf | p)
+    want, want_logits = classify_ref(tok[0], Command.TURN_LEFT, small_cb, small_w | p)
     assert g1[0] == want
     assert np.allclose(logits1[0][left], want_logits[left], rtol=0, atol=1e-12)
     *_, ga = inf.predict_rows(tok, admissible(small_cb, [None]))
     assert ga[0] in group_ids_ref(small_cb, None)
 
 
-def test_variance_lower_bound_and_monotonicity(small_cb, small_clf):
+def test_variance_lower_bound_and_monotonicity(small_cb, small_w):
     p = gp_scalars_ref(log_noise_traj=np.log(0.05))
     rng = np.random.default_rng(8)
-    _, var = predict(small_cb, small_clf, p, rng.normal(size=(50, 6)), np.zeros(50, int))
+    _, var = predict(small_cb, small_w, p, rng.normal(size=(50, 6)), np.zeros(50, int))
     assert np.all(var >= noise_var(p["gp.log_noise_traj"]) - 1e-15)
     # moving the query towards the basis cloud decreases variance
     direction = rng.normal(size=6)
     direction /= np.linalg.norm(direction)
-    base = small_cb.basis.mean(axis=1)[0]
+    base = small_w["cb.basis"].mean(axis=1)[0]
     toks = np.stack([base + r * direction for r in (0.5, 2.0, 6.0, 20.0)])
-    _, by_dist = predict(small_cb, small_clf, p, toks, np.zeros(4, int))
+    _, by_dist = predict(small_cb, small_w, p, toks, np.zeros(4, int))
     assert all(a <= b + 1e-12 for a, b in zip(by_dist, by_dist[1:]))
 
 
-def test_predict_scene_shapes_and_order(small_cb, small_clf):
+def test_predict_scene_shapes_and_order(small_cb, small_w):
     p = gp_scalars_ref()
     rng = np.random.default_rng(5)
-    inf = inference(small_cb, small_clf, p)
+    inf = inference(small_cb, small_w, p)
     egos = rng.normal(size=(3, 6))
     mean, var, logits, groups = inf.predict_scene(egos, [Command.GO_STRAIGHT] * 3)
     assert (mean.shape, var.shape, logits.shape, groups.shape) == (
@@ -189,29 +196,29 @@ def test_predict_scene_shapes_and_order(small_cb, small_clf):
         assert np.allclose(alone[0][0], mean[i], rtol=0, atol=1e-12)
 
 
-def test_forced_group_reproduces_basis_trajectory_end_to_end(small_cb, small_clf):
+def test_forced_group_reproduces_basis_trajectory_end_to_end(small_cb, small_w):
     # classifier forced via a single-group admissible mask
     p = near_zero_noise()
     gid = group_ids_ref(small_cb, Command.TURN_LEFT)[0]
     only = np.arange(small_cb.n_code)[None, :] == gid
-    mean, _, _, groups = inference(small_cb, small_clf, p).predict_rows(
-        small_cb.basis[gid, 2][None], only)
+    mean, _, _, groups = inference(small_cb, small_w, p).predict_rows(
+        small_w["cb.basis"][gid, 2][None], only)
     assert groups.tolist() == [gid]
     assert np.max(np.abs(mean[0] - small_cb.trajectories[gid, 2])) < 1e-3
 
 
-def test_predict_scene_matches_oracle(small_cb, small_clf):
+def test_predict_scene_matches_oracle(small_cb, small_w):
     p = gp_scalars_ref(log_lengthscale=0.1, log_noise_traj=np.log(0.03))
-    inf = inference(small_cb, small_clf, p)
+    inf = inference(small_cb, small_w, p)
     commands = [c for c in COMMANDS for _ in range(4)]
     toks = np.random.default_rng(12).normal(size=(len(commands), 6))
     mean, var, logits, groups = inf.predict_scene(toks, commands)
     for tok, command, m2, v2, l2, g2 in zip(toks, commands, mean, var, logits, groups,
                                            strict=True):
-        gid, want_logits = classify_ref(tok, command, small_cb, small_clf | p)
+        gid, want_logits = classify_ref(tok, command, small_cb, small_w | p)
         assert g2 == gid
         assert np.array_equal(np.isneginf(l2), np.isneginf(want_logits))
-        want_mean, want_var = oracle(small_cb, p, tok, gid, "traj")
+        want_mean, want_var = oracle(small_cb, small_w | p, tok, gid, "traj")
         assert np.allclose(m2, want_mean, rtol=0, atol=1e-8)
         assert v2 == pytest.approx(want_var, rel=0, abs=1e-8)
 
@@ -220,82 +227,63 @@ def mixed_rows(cb, n_per_role: int, rng):
     """Token rows and admissible masks of ego rows under every command, then
     agent rows; the rows' commands (None for an agent) with them."""
     commands = [c for c in COMMANDS for _ in range(n_per_role)] + [None] * n_per_role
-    tokens = rng.normal(scale=1.5, size=(len(commands), cb.basis.shape[-1]))
+    tokens = rng.normal(scale=1.5, size=(len(commands), 6))
     return tokens, admissible(cb, commands), commands
 
 
-def test_predict_rows_matches_per_token_reference(small_cb, small_clf, monkeypatch):
+def test_predict_rows_matches_per_token_reference(small_cb, small_w, monkeypatch):
     p = gp_scalars_ref(log_lengthscale=0.1, log_outputscale=0.05,
                  log_noise_traj=np.log(0.07))
     tokens, masks, commands = mixed_rows(small_cb, 6, np.random.default_rng(21))
     # blocks of at most 5 rows: 24 rows are 6 blocks of 4
     monkeypatch.setattr(gpmodule, "BLOCK_ROWS", 5)
-    mean, var, logits, groups = inference(small_cb, small_clf, p).predict_rows(
+    mean, var, logits, groups = inference(small_cb, small_w, p).predict_rows(
         tokens, masks)
     assert mean.shape == (len(tokens), 12) and var.shape == (len(tokens),)
     for i, (tok, command) in enumerate(zip(tokens, commands)):
-        gid, want_logits = classify_ref(tok, command, small_cb, small_clf | p)
+        gid, want_logits = classify_ref(tok, command, small_cb, small_w | p)
         assert groups[i] == gid
         assert np.array_equal(np.isneginf(logits[i]), np.isneginf(want_logits))
         assert np.allclose(logits[i][masks[i]], want_logits[masks[i]],
                            rtol=0, atol=1e-12)
-        want_mean, want_var = oracle(small_cb, p, tok, gid, "traj")
+        want_mean, want_var = oracle(small_cb, small_w | p, tok, gid, "traj")
         assert np.allclose(mean[i], want_mean, rtol=0, atol=1e-8)
         assert var[i] == pytest.approx(want_var, rel=0, abs=1e-8)
 
 
-def test_each_call_conditions_the_groups_it_routes_to(small_cb, small_clf, factored):
-    # one stack per call, of that call's distinct groups, unless the call
-    # before routed to the same groups; both heads of one call share it
+def test_each_call_conditions_the_groups_it_routes_to(small_cb, small_w, factored):
+    # one stack per call, of that call's distinct groups, whatever the calls
+    # before it routed to; the graph keeps no conditioning, and a head
+    # conditions nothing itself
     p = gp_scalars_ref(log_lengthscale=0.1, log_noise_traj=np.log(0.07))
     tokens, masks, _ = mixed_rows(small_cb, 6, np.random.default_rng(23))
-    inf = inference(small_cb, small_clf, p)
+    inf = inference(small_cb, small_w, p)
     assert factored == []  # construction conditions nothing
     groups = [inf.predict_rows(tokens[i:j], masks[i:j])[3]
-              for i, j in ((0, 5), (5, 12), (0, 12), (12, 24), (3, 20))]
-    routed = [np.unique(g).tolist() for g in groups]
-    assert routed[2] == routed[1]  # rows 0 to 12 keep rows 5 to 12's conditioning
-    assert factored == [len(r) for i, r in enumerate(routed)
-                        if i == 0 or r != routed[i - 1]]
+              for i, j in ((0, 5), (5, 12), (0, 12), (0, 12), (12, 24), (3, 20))]
+    assert np.array_equal(groups[2], groups[3])  # a repeated call conditions again
+    assert factored == [len(np.unique(g)) for g in groups]
+    # the calls wrote no attribute: no conditioning and no token anchors
+    assert vars(inf).keys() == vars(inference(small_cb, small_w, p)).keys()
+    assert "token_anchors" not in vars(inf)
     factored.clear()
-    k_star = inf.k_star(inf.kernel_features(tokens[:12]), groups[2])
-    inf.reconstruct(k_star, groups[2])
-    inf.predict_trajectory(k_star, groups[2])
+    k_star, group, cond = head_inputs(inf, tokens[:12], groups[2])
+    assert factored == [len(np.unique(groups[2]))]
+    inf.reconstruct(k_star, group, cond)
+    inf.predict_trajectory(k_star, group, cond)
     assert factored == [len(np.unique(groups[2]))]
 
 
-@pytest.mark.parametrize("second", [[9, 2, 9, 8], [1, 5, 5, 1]])
-def test_a_call_on_other_groups_equals_a_new_graph(small_cb, small_clf, second):
-    # a graph keeps its conditioning only while calls route to the same
-    # groups: a later call on groups above or between the first call's
-    # conditions its own, as a new graph would
-    p = gp_scalars_ref(log_lengthscale=0.1, log_noise_recon=np.log(0.04),
-                       log_noise_traj=np.log(0.07))
-    w = {"cb.basis": parameter(small_cb.basis)} | {n: parameter(a) for n, a in
-                                                   (small_clf | p).items()}
-    toks = np.random.default_rng(19).normal(size=(4, 6))
-
-    def heads(graph: GpGraph, groups) -> list[bytes]:
-        groups = np.array(groups)
-        k_star = graph.k_star(graph.kernel_features(toks[:len(groups)]), groups)
-        return [t.data.tobytes() for t in graph.predict_trajectory(k_star, groups)
-                + graph.reconstruct(k_star, groups)]
-
-    graph = GpGraph(small_cb, w)
-    heads(graph, [0, 3, 3, 7])
-    assert heads(graph, second) == heads(GpGraph(small_cb, w), second)
-
-
-def test_predictions_do_not_depend_on_call_order_or_split(small_cb, small_clf):
+def test_predictions_do_not_depend_on_call_order_or_split(small_cb, small_w):
     # a group's conditioning is the same bytes whatever groups share its
     # stack, so neither the calls before a call nor the split of the rows
     # over calls moves a prediction
     p = gp_scalars_ref(log_lengthscale=0.1, log_noise_traj=np.log(0.07))
     rng = np.random.default_rng(29)
     tokens, masks, _ = mixed_rows(small_cb, 8, rng)
-    want = inference(small_cb, small_clf, p).predict_rows(tokens, masks)
+    want = inference(small_cb, small_w, p).predict_rows(tokens, masks)
     for split in (1, 2, 5):
-        inf = inference(small_cb, small_clf, p)
+        inf = inference(small_cb, small_w, p)
         order = rng.permutation(len(tokens))
         got = [np.empty_like(a) for a in want]
         for rows in np.array_split(order, split):
@@ -333,14 +321,15 @@ def default_size_rows(n: int):
     spec = ModelSpec()
     n_code = spec.n_ego + spec.n_agent
     rng = np.random.default_rng(31)
-    cb = Codebook(rng.normal(size=(n_code, spec.group_size, 12)),
-                  basis_tokens_ref(2, n_code, spec.group_size, spec.token_dim), spec.n_ego)
-    clf = classifier_init_ref(rng, n_code, spec.group_size, spec.classifier_hidden)
+    cb = Codebook(rng.normal(size=(n_code, spec.group_size, 12)), spec.n_ego)
+    basis = basis_tokens_ref(2, n_code, spec.group_size, spec.token_dim)
+    w = {"cb.basis": basis} | classifier_init_ref(rng, n_code, spec.group_size,
+                                                  spec.classifier_hidden)
     p = gp_scalars_ref(log_lengthscale=-0.5, log_noise_traj=np.log(0.07))
-    tokens = (cb.basis[rng.integers(n_code, size=n), rng.integers(spec.group_size, size=n)]
+    tokens = (basis[rng.integers(n_code, size=n), rng.integers(spec.group_size, size=n)]
               + rng.normal(scale=0.05, size=(n, spec.token_dim)))
     commands = [(None, *COMMANDS)[i % 4] for i in range(n)]
-    return functools.partial(inference, cb, clf, p), tokens, admissible(cb, commands)
+    return functools.partial(inference, cb, w, p), tokens, admissible(cb, commands)
 
 
 def block_cuts(n: int, rows: int) -> list[int]:
@@ -352,7 +341,7 @@ def block_cuts(n: int, rows: int) -> list[int]:
 
 
 @pytest.mark.parametrize("size", ["toy", "default"])
-def test_lanes_and_block_slices_give_the_same_bytes(size, small_cb, small_clf, cpus,
+def test_lanes_and_block_slices_give_the_same_bytes(size, small_cb, small_w, cpus,
                                                      monkeypatch):
     # a block's bytes depend on its row count, so lanes must take whole
     # blocks cut where a one-lane call cuts them, and the conditioning of all
@@ -361,7 +350,7 @@ def test_lanes_and_block_slices_give_the_same_bytes(size, small_cb, small_clf, c
         p = gp_scalars_ref(log_lengthscale=0.1, log_noise_traj=np.log(0.07))
         tokens, masks, _ = mixed_rows(small_cb, 6, np.random.default_rng(37))
         monkeypatch.setattr(gpmodule, "BLOCK_ROWS", 5)
-        fresh = functools.partial(inference, small_cb, small_clf, p)
+        fresh = functools.partial(inference, small_cb, small_w, p)
     else:
         fresh, tokens, masks = default_size_rows(800)
     inf = fresh()
@@ -406,13 +395,13 @@ def test_rows_of_a_call_above_one_block_do_not_depend_on_the_call():
     assert differ == []
 
 
-def test_a_worker_lane_error_reaches_the_caller_as_itself(small_cb, small_clf, cpus,
+def test_a_worker_lane_error_reaches_the_caller_as_itself(small_cb, small_w, cpus,
                                                            monkeypatch):
     p = gp_scalars_ref(log_lengthscale=0.1)
     tokens, masks, _ = mixed_rows(small_cb, 6, np.random.default_rng(41))
     monkeypatch.setattr(gpmodule, "BLOCK_ROWS", 5)
     cpus(2)
-    inf = inference(small_cb, small_clf, p)
+    inf = inference(small_cb, small_w, p)
     real = GpInference.kernel_features
 
     def too_narrow_in_workers(self, rows):
@@ -428,7 +417,7 @@ def test_a_worker_lane_error_reaches_the_caller_as_itself(small_cb, small_clf, c
     with pytest.raises(ValueError, match="^token dimension mismatch: 5 vs 6$"):
         inf.predict_rows(tokens[:, :-1], masks)  # in every lane
     # the worker outlives the errors
-    want = inference(small_cb, small_clf, p).predict_rows(tokens, masks)
+    want = inference(small_cb, small_w, p).predict_rows(tokens, masks)
     got = inf.predict_rows(tokens, masks)
     assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
@@ -454,7 +443,7 @@ def test_a_forked_child_runs_calls_above_one_block(cpus):
     assert os.waitstatus_to_exitcode(status) == 0
 
 
-def test_not_psd_names_the_lowest_failing_routed_group(small_cb, small_clf, cpus,
+def test_not_psd_names_the_lowest_failing_routed_group(small_cb, small_w, cpus,
                                                        monkeypatch):
     # all lanes classify before one conditioning of every routed group, so
     # of two failing groups the lower id is named, whichever block routes first
@@ -466,7 +455,7 @@ def test_not_psd_names_the_lowest_failing_routed_group(small_cb, small_clf, cpus
     rows = 5
     monkeypatch.setattr(gpmodule, "BLOCK_ROWS", rows)
     cpus(2)
-    groups = inference(small_cb, small_clf, p).predict_rows(tokens, masks)[3]
+    groups = inference(small_cb, small_w, p).predict_rows(tokens, masks)[3]
     first_block = {}
     cuts = block_cuts(len(tokens), rows)
     for i, g in enumerate(groups.tolist()):
@@ -482,20 +471,20 @@ def test_not_psd_names_the_lowest_failing_routed_group(small_cb, small_clf, cpus
 
     monkeypatch.setattr(psdlinalg, "group_gram_t", failing)
     with pytest.raises(NotPSD, match=f"^group {lo}: matrix not positive definite") as exc:
-        inference(small_cb, small_clf, p).predict_rows(tokens, masks)
+        inference(small_cb, small_w, p).predict_rows(tokens, masks)
     assert exc.value.group == lo
 
 
-def test_graph_path_matches_inference_path(small_cb, small_clf):
+def test_graph_path_matches_inference_path(small_cb, small_w):
     # a GpGraph over tracked parameters computes what GpInference computes
     # over constants, and its backward reaches every parameter family
     p = gp_scalars_ref(log_lengthscale=0.15, log_outputscale=-0.05,
                  log_noise_recon=np.log(0.04), log_noise_traj=np.log(0.06))
-    basis = parameter(small_cb.basis)
-    clf_vars = {n: parameter(a) for n, a in small_clf.items()}
+    clf_vars = {n: parameter(a) for n, a in small_w.items() if n.startswith("clf.")}
+    basis = parameter(small_w["cb.basis"])
     scalars = [parameter(a) for a in p.values()]
     graph = GpGraph(small_cb, {"cb.basis": basis} | clf_vars | dict(zip(p, scalars)))
-    inf = inference(small_cb, small_clf, p)
+    inf = inference(small_cb, small_w, p)
     toks = np.random.default_rng(17).normal(size=(4, 6))
     groups = np.array([3, 3, 0, 9])
     feats = graph.kernel_features(toks)
@@ -504,41 +493,42 @@ def test_graph_path_matches_inference_path(small_cb, small_clf):
     logits = graph.classifier_logits(feats)
     assert np.allclose(logits.data, inf.classifier_logits(inf_feats).data,
                        rtol=0, atol=1e-12)
-    recon, var = graph.reconstruct(graph.k_star(feats, groups), groups)
-    mean, var_t = graph.predict_trajectory(graph.k_star(feats, groups), groups)
-    inf_k_star = inf.k_star(inf_feats, groups)
+    cond = graph.group_cond(groups)
+    recon, var = graph.reconstruct(graph.k_star(feats, groups), groups, cond)
+    mean, var_t = graph.predict_trajectory(graph.k_star(feats, groups), groups, cond)
+    inf_inputs = inf.k_star(inf_feats, groups), groups, inf.group_cond(groups)
     for got, want in zip((recon, var, mean, var_t),
-                         inf.reconstruct(inf_k_star, groups)
-                         + inf.predict_trajectory(inf_k_star, groups)):
+                         inf.reconstruct(*inf_inputs) + inf.predict_trajectory(*inf_inputs)):
         assert np.allclose(got.data, want.data, rtol=0, atol=1e-12)
     for i, (tok, gid) in enumerate(zip(toks, groups)):
-        want_recon, want_var = oracle(small_cb, p, tok, gid, "recon")
+        want_recon, want_var = oracle(small_cb, small_w | p, tok, gid, "recon")
         assert np.allclose(recon.data[i], want_recon, atol=1e-8)
         assert var.data[i] == pytest.approx(want_var, abs=1e-8)
     loss = autodiff.tsum(autodiff.add(
         autodiff.add(autodiff.tsum(recon), autodiff.tsum(var)),
         autodiff.add(autodiff.tsum(logits), autodiff.tsum(var_t))))
-    autodiff.backward(loss)
+    autodiff.backward(loss, {})
     assert np.any(basis.grad[3] != 0.0)
     for leaf in list(clf_vars.values()) + scalars:
         assert leaf.grad is not None and np.any(leaf.grad != 0.0)
     assert inf.log_ell.grad is None  # the constants build no tape
 
 
-def test_classifier_learns_two_separated_modes(small_cb):
+def test_classifier_learns_two_separated_modes(small_cb, small_w):
     # two well-separated token clusters mapped to two agent groups; a freshly
     # initialized classifier must reach >= 95% held-out accuracy after training
     rng = rng_for(0, "clf-train")
     cb = small_cb
     p = gp_scalars_ref()
     ids = group_ids_ref(cb, None)[:2]
-    centers = {gid: cb.basis.mean(axis=1)[gid] + 0.8 for gid in ids}
-    centers[ids[1]] = cb.basis.mean(axis=1)[ids[1]] - 0.8
+    basis = small_w["cb.basis"]
+    centers = {gid: basis.mean(axis=1)[gid] + 0.8 for gid in ids}
+    centers[ids[1]] = basis.mean(axis=1)[ids[1]] - 0.8
     clf = classifier_init_ref(rng, cb.n_code, cb.group_size, 16)
     w = {"w1": parameter(clf["clf.w1"]), "b1": parameter(clf["clf.b1"]),
          "w2": parameter(clf["clf.w2"]), "b2": parameter(clf["clf.b2"])}
     opt = Adam(w, lr=1e-2, beta1=0.9, beta2=0.999, eps=1e-8)
-    inf = inference(cb, clf, p)
+    inf = inference(cb, {"cb.basis": basis} | clf, p)
     adm = admissible(cb, [None])
     for _ in range(300):
         total = Tensor(0.0)
@@ -558,6 +548,6 @@ def test_classifier_learns_two_separated_modes(small_cb):
     for _ in range(200):
         labels.append(ids[int(rng.integers(2))])
         toks.append(centers[labels[-1]] + rng.normal(scale=0.3, size=6))
-    *_, got = inference(cb, trained, p).predict_rows(
+    *_, got = inference(cb, {"cb.basis": basis} | trained, p).predict_rows(
         np.stack(toks), np.repeat(adm, len(labels), axis=0))
     assert np.mean(got == np.array(labels)) >= 0.95

@@ -24,7 +24,13 @@ from test_codebook import corpus
 @pytest.fixture(scope="module")
 def cb():
     trajs = sample_and_cluster(*corpus(), 12, 7, group_size=4, seed=2)
-    return Codebook(trajs, basis_tokens_ref(2, len(trajs), 4, 5), 12)
+    return Codebook(trajs, 12)
+
+
+@pytest.fixture(scope="module")
+def cb_basis(cb):
+    """Basis tokens (D = 5) for the codebook's groups."""
+    return basis_tokens_ref(2, cb.n_code, cb.group_size, 5)
 
 
 def ego_rec(e, e_hat, var, basis):
@@ -58,9 +64,9 @@ def test_ortho_nonzero_for_correlated_rows():
     assert orthogonality(Tensor(b[None])).data[0] > 0.5
 
 
-def test_ortho_matches_per_group_frobenius(cb):
-    want = [np.sum((b @ b.T - np.eye(len(b))) ** 2) for b in cb.basis]
-    assert np.allclose(orthogonality(Tensor(cb.basis)).data, want, rtol=1e-12)
+def test_ortho_matches_per_group_frobenius(cb_basis):
+    want = [np.sum((b @ b.T - np.eye(len(b))) ** 2) for b in cb_basis]
+    assert np.allclose(orthogonality(Tensor(cb_basis)).data, want, rtol=1e-12)
 
 
 def test_ortho_deduplicates_shared_groups():
@@ -73,7 +79,7 @@ def test_ortho_deduplicates_shared_groups():
     assert terms["ortho_agent"].item() == pytest.approx(0.0)
 
 
-def test_ortho_counts_match_per_scene_loop(cb):
+def test_ortho_counts_match_per_scene_loop(cb_basis):
     # each scene counts its ego group once in ortho_ego, and each other
     # distinct group among its agents once in ortho_agent
     rng = np.random.default_rng(11)
@@ -83,8 +89,8 @@ def test_ortho_counts_match_per_scene_loop(cb):
     groups = rng.integers(4, size=len(scenes))  # few groups, so many repeats
     n = len(scenes)
     terms = loss_rec(np.zeros((n, 5)), Tensor(np.zeros((n, 5))), Tensor(np.ones(n)),
-                  n_ego=n_scenes, groups=groups, scenes=scenes, basis=Tensor(cb.basis))
-    ortho = orthogonality(Tensor(cb.basis)).data
+                  n_ego=n_scenes, groups=groups, scenes=scenes, basis=Tensor(cb_basis))
+    ortho = orthogonality(Tensor(cb_basis)).data
     want_ego = want_agent = 0.0
     for s in range(n_scenes):
         ego = groups[s]
@@ -109,12 +115,12 @@ def ego_sup(cb, pred, variance, logits, gt, label, token):
                    positives=np.array([pos]), negatives=np.array([neg]), n_ego=1)
 
 
-def test_plan_nll_closed_form(cb):
+def test_plan_nll_closed_form(cb, cb_basis):
     # mean squared waypoint error 4, sigma = 2 -> 4/4 + log 2
     gt = np.zeros(12)
     pred = np.full(12, np.sqrt(2.0))  # each waypoint error^2 = 2+2 = 4
     rows = ego_sup(cb, pred, 4.0, np.zeros(cb.n_code), gt, 0, np.zeros(5))
-    terms = loss_sup(rows, anchors=cb.basis.mean(axis=1))
+    terms = loss_sup(rows, anchors=cb_basis.mean(axis=1))
     assert terms["plan_nll"].item() == pytest.approx(4.0 / 4.0 + np.log(2.0))
 
 
@@ -126,28 +132,28 @@ def test_class_ce_zero_temperature_limit(cb):
     assert ce.data[0] == pytest.approx(0.0, abs=1e-12)
 
 
-def test_perfect_prediction_all_task_terms_zero(cb):
+def test_perfect_prediction_all_task_terms_zero(cb, cb_basis):
     gt = np.arange(12.0)
     pos, _ = triplet_classes_ref(cb, 1)
     logits = np.full(cb.n_code, -50.0)
     logits[1] = 50.0
-    token_far = cb.basis.mean(axis=1)[pos[0]]  # at a positive anchor
+    token_far = cb_basis.mean(axis=1)[pos[0]]  # at a positive anchor
     rows = ego_sup(cb, gt.copy(), 1.0, logits, gt, 1, token_far)
-    terms = loss_sup(rows, anchors=cb.basis.mean(axis=1))
+    terms = loss_sup(rows, anchors=cb_basis.mean(axis=1))
     assert terms["plan_nll"].item() == pytest.approx(0.0, abs=1e-12)
     assert terms["class_ce_ego"].item() == pytest.approx(0.0, abs=1e-12)
 
 
-def test_triplet_satisfied_margin_is_zero(cb):
+def test_triplet_satisfied_margin_is_zero(cb, cb_basis):
     pos, neg = triplet_classes_ref(cb, 0)
-    anchor = cb.basis.mean(axis=1)[pos[0]]
-    cb.basis[neg] += 50.0  # negatives far beyond the margin
+    anchor = cb_basis.mean(axis=1)[pos[0]]
+    cb_basis[neg] += 50.0  # negatives far beyond the margin
     try:
         [val] = triplet_term(anchor[None, :], np.array([pos]), np.array([neg]),
-                             cb.basis.mean(axis=1), margin=1.0).data
+                             cb_basis.mean(axis=1), margin=1.0).data
         assert val == pytest.approx(0.0)
     finally:
-        cb.basis[neg] -= 50.0
+        cb_basis[neg] -= 50.0
 
 
 def test_triplet_equidistant_hinges_at_margin():
@@ -161,16 +167,16 @@ def test_triplet_equidistant_hinges_at_margin():
     assert val.data[0] == pytest.approx(0.7, abs=1e-6)
 
 
-def test_triplet_matches_bruteforce_oracle(cb):
+def test_triplet_matches_bruteforce_oracle(cb, cb_basis):
     rng = np.random.default_rng(6)
     labels = rng.integers(cb.n_code, size=20)
     tokens = rng.normal(size=(20, 5))
     positives, negatives = triplet_table(cb)
     pos, neg = positives[labels], negatives[labels]
-    got = triplet_term(tokens, pos, neg, cb.basis.mean(axis=1), margin=1.0).data
+    got = triplet_term(tokens, pos, neg, cb_basis.mean(axis=1), margin=1.0).data
     for token, p, n, value in zip(tokens, pos, neg, got):
-        want = triplet_oracle(token, list(cb.basis.mean(axis=1)[p]),
-                              list(cb.basis.mean(axis=1)[n]), 1.0)
+        want = triplet_oracle(token, list(cb_basis.mean(axis=1)[p]),
+                              list(cb_basis.mean(axis=1)[n]), 1.0)
         assert value == pytest.approx(want, rel=1e-10)
 
 
@@ -189,11 +195,11 @@ def test_kl_identity_and_uniform_cases():
     assert kl.data[0] == pytest.approx(np.log(4.0), abs=1e-9)
 
 
-def _teacher_rows(cb, label, traj, logits, variance=1.0):
+def _teacher_rows(cb, cb_basis, label, traj, logits, variance=1.0):
     """A single ego row whose student outputs equal the teacher's targets,
     its token at the label's first positive anchor."""
     pos, neg = triplet_classes_ref(cb, label)
-    token = cb.basis.mean(axis=1)[pos[0]]
+    token = cb_basis.mean(axis=1)[pos[0]]
     return SupRows(traj=Tensor(traj[None].copy()), target=traj[None],
                    variance=np.array([variance]),
                    ls=MaskedLogSoftmax(Tensor(logits[None].copy()), all_admissible(cb)),
@@ -202,21 +208,21 @@ def _teacher_rows(cb, label, traj, logits, variance=1.0):
                    negatives=np.array([neg]), n_ego=1)
 
 
-def test_teacher_self_distillation_fixed_point(cb):
+def test_teacher_self_distillation_fixed_point(cb, cb_basis):
     # identical outputs, peaked logits, sigma = 1, token at a positive anchor
     # with negatives beyond the margin: every term vanishes
     label = 0
     pos, neg = triplet_classes_ref(cb, label)
-    cb.basis[neg] += 50.0
+    cb_basis[neg] += 50.0
     try:
         logits = np.full(cb.n_code, -80.0)
         logits[label] = 80.0
         traj = np.linspace(0, 5, 12)
-        rows = _teacher_rows(cb, label, traj, logits)
-        terms = loss_gp_teacher(rows, logits[None], anchors=cb.basis.mean(axis=1))
+        rows = _teacher_rows(cb, cb_basis, label, traj, logits)
+        terms = loss_gp_teacher(rows, logits[None], anchors=cb_basis.mean(axis=1))
         assert step_total(terms, {}, 1)[0].item() == pytest.approx(0.0, abs=1e-10)
     finally:
-        cb.basis[neg] -= 50.0
+        cb_basis[neg] -= 50.0
 
 
 def test_total_is_weighted_sum():
@@ -250,11 +256,11 @@ def test_optimal_sigma_squared_is_twice_task_loss():
     assert abs(sigma_sq - 2 * task) / (2 * task) < 0.05
 
 
-def test_loss_rec_gradients_match_fd(cb):
+def test_loss_rec_gradients_match_fd(cb_basis):
     rng = np.random.default_rng(3)
     gid = 0
     e = rng.normal(size=5)
-    basis = parameter(cb.basis[gid])
+    basis = parameter(cb_basis[gid])
     log_noise = parameter(np.array(np.log(0.3)))
 
     def build():
@@ -351,7 +357,7 @@ def test_class_nodes_give_the_bytes_of_the_composed_chains(class_rows):
         root = Tensor(0.0)
         for out, g in zip(outs, upstream):
             root = autodiff.add(root, autodiff.tsum(autodiff.mul(out, g)))
-        autodiff.backward(root)
+        autodiff.backward(root, {})
         return [out.data.tobytes() for out in outs], x.grad.tobytes()
 
     taught = np.argmax(teacher, axis=1)  # the teacher's classes
@@ -380,7 +386,7 @@ def test_total_node_gives_the_bytes_of_the_composed_sum():
         x = parameter(coef[0] * 0.7 - 0.2)
         terms = {n: autodiff.tsum(autodiff.mul(x, c)) for n, c in zip(names, coef)}
         total, values = total_of(terms)
-        autodiff.backward(total)
+        autodiff.backward(total, {})
         return total.data.tobytes(), values, x.grad.tobytes()
 
     # (1/7 * 2.5) * 0.7 and (1/7 * 0.7) * 2.5 round apart: the order shows

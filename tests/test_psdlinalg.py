@@ -190,7 +190,7 @@ def test_kernel_gradients_match_finite_differences():
                                              Tensor(log_sf.data))).item()
 
     loss = autodiff.tsum(kernel_matrix_t(xt, Tensor(y), log_ell, log_sf))
-    autodiff.backward(loss)
+    autodiff.backward(loss, {})
     h = 1e-5
     for p in (log_ell, log_sf):
         orig = p.data.copy()
@@ -250,7 +250,7 @@ def test_kernel_forward_and_gradients_match_seven_pass_form_bits(n_rows, basis_s
         params[1] = params[0]
     k = kernel_matrix_t(*params)
     assert k.data.tobytes() == want[0].tobytes()
-    autodiff.backward(autodiff.tsum(autodiff.mul(k, Tensor(g))))
+    autodiff.backward(autodiff.tsum(autodiff.mul(k, Tensor(g))), {})
     if n_rows is None:  # one leaf takes both operands' gradients, x's first
         want = (want[0], want[1] + want[2], None, *want[3:])
     for param, ref in zip(params, want[1:]):

@@ -108,7 +108,6 @@ def test_build_model_draws_match_init_oracle(tiny_dataset, spec):
     assert list(model.tensors) == list(spec.tensor_shapes()) == list(want)
     assert ([(k, v.dtype, v.shape, v.tobytes()) for k, v in model.tensors.items()]
             == [(k, v.dtype, v.shape, v.tobytes()) for k, v in want.items()])
-    assert model.cb.basis is model.tensors["cb.basis"]
     assert model.cb.trajectories is model.tensors["cb.trajs"]
 
 
@@ -334,19 +333,55 @@ def test_not_psd_names_stage_and_step(tiny_dataset, monkeypatch):
     assert exc.value.__cause__.group == group
 
 
+@pytest.mark.parametrize("what", ["eval", "active-select"])
+def test_frozen_gp_not_psd_names_the_pass_and_group(fitted, tiny_dataset, monkeypatch,
+                                                    what):
+    # roca-mode eval and active selection condition the groups of all their
+    # rows in one predict_rows pass; a failure names the pass and the group
+    # by its codebook id
+    records = tiny_dataset[:32]
+    run = {"eval": lambda: evaluate(records, fitted.model, mode="roca"),
+           "active-select": lambda: active_select(records, fitted, budget=0.5, seed=0),
+           }[what]
+    spy = GramSpy()
+    monkeypatch.setattr(psdlinalg, "group_gram_t", spy)
+    run()
+    assert len(spy.ids) == 1
+    group = spy.renumbered(0)
+    monkeypatch.setattr(psdlinalg, "group_gram_t", GramSpy(corrupt=group, at=0))
+    with pytest.raises(TrainingError, match=f"^{what} GP: group {group}: matrix "
+                                            "not positive definite") as exc:
+        run()
+    assert isinstance(exc.value.__cause__, NotPSD)
+    assert exc.value.__cause__.group == group
+
+
 def test_stage2_step_factors_only_its_routed_groups(fitted, tiny_dataset, monkeypatch,
                                                    factored):
-    routed = []
-    real = GpGraph.reconstruct
+    # each step inverts one stack, of its routed groups, which both heads read
+    calls, routed, inverted = [], [], []
+    real_loss, real_route = trainer.gp_stage_loss, GpGraph.route
+    real_inverse = psdlinalg.psd_inverse
 
-    def reconstruct(graph, k_star, group):
-        routed.append(len(np.unique(group)))
-        return real(graph, k_star, group)
+    def gp_stage_loss(*args):
+        calls.append(len(inverted))
+        return real_loss(*args)
 
-    monkeypatch.setattr(GpGraph, "reconstruct", reconstruct)
+    def route(graph, tokens, admissible):
+        out = real_route(graph, tokens, admissible)
+        routed.append(len(np.unique(out[2])))
+        return out
+
+    def psd_inverse(a):
+        inverted.append(a.shape[0])
+        return real_inverse(a)
+
+    monkeypatch.setattr(trainer, "gp_stage_loss", gp_stage_loss)
+    monkeypatch.setattr(GpGraph, "route", route)
+    monkeypatch.setattr(psdlinalg, "psd_inverse", psd_inverse)
     stage2_fit_gp(tiny_dataset[:48], fitted, CFG)
-    assert len(routed) == 3  # one conditioning per step
-    assert factored == routed
+    assert calls == [0, 1, 2] and len(inverted) == 3  # one inverse per step
+    assert inverted == factored == routed
     assert max(routed) < fitted.model.cb.n_code
 
 
@@ -367,7 +402,8 @@ def test_only_routed_groups_are_factored(fitted, tiny_dataset, monkeypatch):
     # that is not positive definite changes nothing, while a routed group's
     # fails the step that routes to it
     model = fitted.model
-    grams = psdlinalg.kernel_matrix(model.cb.basis, model.cb.basis,
+    basis = model.tensors["cb.basis"]
+    grams = psdlinalg.kernel_matrix(basis, basis,
                                     model.tensors["gp.log_lengthscale"],
                                     model.tensors["gp.log_outputscale"])
     spy = GramSpy()
@@ -524,17 +560,18 @@ def test_model_codebook_is_built_once_over_the_model_arrays(fitted):
     model = fitted.model.clone()
     cb = model.cb
     assert model.cb is cb
-    assert cb.basis is model.tensors["cb.basis"]
     assert cb.trajectories is model.tensors["cb.trajs"]
+    assert "basis" not in vars(cb)  # the GP reads the basis from the tensor dict
+    assert GpInference(cb, model.tensors).basis.data is model.tensors["cb.basis"]
     clone = model.clone()
     assert clone.cb is not cb
-    assert clone.cb.basis is clone.tensors["cb.basis"]
     assert clone.cb.trajectories is clone.tensors["cb.trajs"]
-    assert clone.cb.basis.tobytes() == cb.basis.tobytes()
+    assert clone.cb.trajectories.tobytes() == cb.trajectories.tobytes()
+    basis, clone_basis = model.tensors["cb.basis"], clone.tensors["cb.basis"]
     params = model.params(GP_PARAMS)
     params["cb.basis"].data[0, 0] += 1.0  # an optimizer step updates in place
-    assert model.cb.basis[0, 0].tobytes() == params["cb.basis"].data[0, 0].tobytes()
-    assert clone.cb.basis[0, 0].tobytes() != model.cb.basis[0, 0].tobytes()
+    assert basis[0, 0].tobytes() == params["cb.basis"].data[0, 0].tobytes()
+    assert clone_basis[0, 0].tobytes() != basis[0, 0].tobytes()
 
 
 @pytest.mark.parametrize("group_size, token_dim", [(4, 8), (16, 32)])
@@ -545,7 +582,7 @@ def test_teacher_token_anchors_are_the_basis_means(group_size, token_dim):
     trajs = np.random.default_rng(3).normal(size=(spec.n_code, group_size, 12))
     model = trainer.Model(spec, init_tensors_ref(spec, 4, trajs))
     anchors = GpInference(model.cb, model.tensors).token_anchors.data
-    assert anchors.tobytes() == model.cb.basis.mean(axis=1).tobytes()
+    assert anchors.tobytes() == model.tensors["cb.basis"].mean(axis=1).tobytes()
 
 
 # --- the batched step loss -----------------------------------------------------
