@@ -2,26 +2,28 @@
 
 The engine is a classic Wengert tape: every operation returns a ``Tensor``
 holding its value, its parent nodes, and a vector-Jacobian-product closure.
-``backward`` walks the tape once in reverse topological order. Primitives are
-matrix-level (batched matmul, a dense layer ``linear``, reductions,
-elementwise transcendentals; ``psdlinalg`` adds the RBF kernel and a batched
-PSD inverse), so tapes stay short even for whole training steps: each of the
-six dense layers of the encoder, planner and classifier is one ``linear``
-node.
+``grad`` walks the tape once in reverse topological order and writes the
+named parameters' gradients into buffers the caller owns; no tensor holds a
+gradient. Primitives are matrix-level (batched matmul, a dense layer
+``linear``, reductions, elementwise transcendentals; ``psdlinalg`` adds the
+RBF kernel and a batched PSD inverse), so tapes stay short even for whole
+training steps: each of the six dense layers of the encoder, planner and
+classifier is one ``linear`` node.
 An operation on constants (tensors that neither require a gradient nor come
 from the tape) returns a constant and records nothing, so a frozen model,
 whose tensors are all constants, runs without a tape.
 
 The vjp contract: a node's vjp takes the upstream gradient and returns one
-thunk per parent, which computes that parent's gradient. ``backward`` calls
-the thunks of the parents that need a gradient (parameters and tape nodes,
-not constants), in parent order, and no others, so no operation computes a
-gradient that is dropped. Neither a vjp nor its thunks write into the
-upstream gradient. A thunk returns its parent's gradient in the parent's
+thunk per parent, which computes that parent's gradient. ``grad`` calls the
+thunks of the parents that need a gradient (tape nodes and the named
+parameters, not constants), in parent order, and no others, so no operation
+computes a gradient that is dropped. Neither a vjp nor its thunks write into
+the upstream gradient. A thunk returns its parent's gradient in the parent's
 shape, as a view of the upstream gradient or as an array that nothing else
-holds, which ``backward`` may keep as the parent's gradient. A view is kept
-only by the last parent that needs a gradient, since the node drops its own
-gradient after that parent; earlier parents copy it.
+holds, which ``grad`` may keep, and later add into, as a tape node's
+gradient. A view is kept only by the last parent that needs a gradient,
+since the node's own gradient is dropped after that parent; earlier parents
+copy it.
 """
 
 from __future__ import annotations
@@ -37,11 +39,10 @@ class Tensor:
     ``_vjp`` maps the upstream gradient to one gradient thunk per parent.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp")
+    __slots__ = ("data", "requires_grad", "_parents", "_vjp")
 
     def __init__(self, data, requires_grad: bool = False, parents=(), vjp=None):
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self._parents: tuple[Tensor, ...] = parents
         self._vjp: Callable[[np.ndarray], tuple] | None = vjp
@@ -52,9 +53,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, grad={self.requires_grad})"
@@ -243,24 +241,26 @@ def gather0(a, idx) -> Tensor:
     return _make(out, (a,), lambda g: (lambda: grad_a(g),))
 
 
-def backward(root: Tensor, into: dict[int, np.ndarray]) -> None:
-    """Accumulate gradients of a scalar ``root`` into the leaves that
-    require them; constant leaves keep ``grad`` None, and a tape node drops
-    its gradient once it has passed it on to its parents.
+def grad(loss: Tensor, params: dict[str, Tensor],
+         out: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Write the gradient of a scalar loss for each named parameter into
+    its buffer in ``out``, a map of buffers of the parameters' shapes, and
+    return ``out``. A parameter's first gradient is copied into its buffer
+    and later ones added; the buffer of a parameter the tape never reaches
+    is zeroed.
 
     The topological walk pushes only tape nodes (those with a vjp), so it
     never visits a leaf, parameter or constant; the tape nodes keep their
-    order, and so do the sums of their gradients.
-
-    ``into`` maps the ``id`` of a leaf to a buffer of its shape that becomes
-    its ``grad``: the first gradient is copied into it, later ones added;
-    a leaf it does not name gets an array of its own.
+    order, and so do the sums of their gradients. A tape node's gradient
+    lives in this call only, and is dropped once passed on to its parents.
     """
-    if root.data.ndim != 0:
-        raise ValueError("backward expects a scalar loss")
+    if loss.data.ndim != 0:
+        raise ValueError("grad expects a scalar loss")
+    if not np.isfinite(loss.data):
+        raise FloatingPointError("non-finite loss")
     topo: list[Tensor] = []
     visited: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    stack: list[tuple[Tensor, bool]] = [(loss, False)] if loss._vjp is not None else []
     while stack:
         node, processed = stack.pop()
         if processed:
@@ -274,46 +274,32 @@ def backward(root: Tensor, into: dict[int, np.ndarray]) -> None:
             if p._vjp is not None and id(p) not in visited:
                 stack.append((p, False))
 
-    root.grad = np.ones_like(root.data)
+    bufs = {id(p): out[name] for name, p in params.items()}
+    written: set[int] = set()
+    grads = {id(loss): np.ones_like(loss.data)}  # tape nodes' gradients, by id
     for node in reversed(topo):
-        if node._vjp is None or node.grad is None:
-            continue
+        upstream = grads.pop(id(node))
         # constants take no gradient: their thunks never run
         needy = [i for i, p in enumerate(node._parents)
-                 if p.requires_grad or p._vjp is not None]
-        thunks = node._vjp(node.grad)
+                 if p._vjp is not None or id(p) in bufs]
+        thunks = node._vjp(upstream)
         for i in needy:
-            p, g = node._parents[i], thunks[i]()
-            if p.grad is not None:
-                p.grad += g
-            elif id(p) in into:
-                p.grad = into[id(p)]
-                p.grad[...] = g
+            key, g = id(node._parents[i]), thunks[i]()
+            if key in written:
+                bufs[key] += g
+            elif key in bufs:
+                bufs[key][...] = g
+                written.add(key)
+            elif key in grads:
+                grads[key] += g
             elif g.flags.writeable and (i == needy[-1]
-                                        or not np.may_share_memory(g, node.grad)):
+                                        or not np.may_share_memory(g, upstream)):
                 # a new array, which nothing else holds, or, for the last
-                # parent, a view of node.grad, which is dropped below
-                p.grad = g
+                # parent, a view of upstream, which is dropped after it
+                grads[key] = g
             else:
-                p.grad = np.array(g)  # a copy: a later parent may read g
-        node.grad = None
-
-
-def grad(loss: Tensor, params: dict[str, Tensor],
-         out: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """Write the gradient of a scalar loss for each named parameter into
-    its buffer in ``out``, a map of buffers of the parameters' shapes, and
-    return ``out``.
-
-    Existing ``.grad`` buffers on the parameters are reset first; the buffer
-    of a parameter absent from the tape is zeroed.
-    """
-    if not np.isfinite(loss.data):
-        raise FloatingPointError("non-finite loss")
-    for p in params.values():
-        p.grad = None
-    backward(loss, {id(p): out[name] for name, p in params.items()})
-    for name, p in params.items():
-        if p.grad is None:
-            out[name].fill(0.0)
+                grads[key] = np.array(g)  # a copy: a later parent may read g
+    for key, buf in bufs.items():
+        if key not in written:
+            buf.fill(0.0)
     return out

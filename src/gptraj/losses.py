@@ -143,8 +143,8 @@ def heteroscedastic_nll(task_loss: Tensor, variance,
 
 
 def traj_mse(pred: Tensor, gt) -> Tensor:
-    """Per row, mean over the 6 waypoints of squared point error."""
-    d = autodiff.sub(pred, as_tensor(gt).detach())
+    """Per row, mean over the 6 waypoints of squared error from the constant ``gt``."""
+    d = autodiff.sub(pred, gt)
     return autodiff.div(autodiff.tsum(autodiff.square(d), axis=-1), 6.0)
 
 
@@ -195,7 +195,7 @@ def loss_rec(targets, recon: Tensor, variance: Tensor, n_ego: int,
     once for its ego group and once for each other group among its agents.
     """
     task = autodiff.tsum(
-        autodiff.square(autodiff.sub(recon, as_tensor(targets).detach())), axis=1)
+        autodiff.square(autodiff.sub(recon, targets)), axis=1)
     recon_ego, recon_agent = role_sums(
         heteroscedastic_nll(task, variance, sigma_clamp), n_ego)
     groups = np.asarray(groups, dtype=np.intp)

@@ -220,7 +220,7 @@ def _kernel_node(parents: tuple, x: np.ndarray, y: np.ndarray, scatter) -> Tenso
         return (lambda: scatter(2.0 * (np.sum(gd2, axis=-1)[..., None] * x - gd2 @ y)),
                 lambda: scatter(2.0 * (np.sum(gd2, axis=-2)[..., None] * y
                                        - np.swapaxes(gd2, -1, -2) @ x)),
-                # scales gd2 in place: backward runs it after the two above
+                # scales gd2 in place: grad runs it after the two above
                 lambda: np.array(4.0 * np.sum(scatter(np.multiply(gd2, h, out=gd2)))),
                 lambda: sf_grad)
 

@@ -255,8 +255,8 @@ class Adam:
     """Adam with bias correction.
 
     The parameters stay in their own arrays. Gradients and the moments m and
-    v each live in one flat float64 buffer; ``grads``, ``m`` and ``v`` map
-    each name to its view of them. ``step`` is one fused pass over the flat
+    v each live in one flat float64 buffer; ``grads`` maps each name to its
+    view of the gradients. ``step`` is one fused pass over the flat
     buffers in blocks of ``ADAM_BLOCK`` elements, with a scratch buffer of
     one block, so each block stays in cache through its dozen operations; it
     computes the step in the gradient buffer once m and v are updated, so a
@@ -275,9 +275,7 @@ class Adam:
         size = sum(p.data.size for p in params.values())
         self._g, self._m, self._v = (np.zeros(size) for _ in range(3))
         self._scratch = np.empty(min(size, ADAM_BLOCK))
-        shapes = {k: p.data.shape for k, p in params.items()}
-        self.grads, self.m, self.v = (_views(b, shapes)
-                                      for b in (self._g, self._m, self._v))
+        self.grads = _views(self._g, {k: p.data.shape for k, p in params.items()})
 
     def step(self) -> None:
         """One update from the gradients in ``grads``, which

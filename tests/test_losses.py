@@ -351,14 +351,13 @@ def test_class_nodes_give_the_bytes_of_the_composed_chains(class_rows):
     logits, admissible, labels, teacher, upstream = class_rows
 
     def run(consumers):
-        # each consumer's rows weighted by an upstream gradient, one backward
+        # each consumer's rows weighted by an upstream gradient, one grad call
         x = parameter(logits)
         outs = consumers(x)
         root = Tensor(0.0)
         for out, g in zip(outs, upstream):
             root = autodiff.add(root, autodiff.tsum(autodiff.mul(out, g)))
-        autodiff.backward(root, {})
-        return [out.data.tobytes() for out in outs], x.grad.tobytes()
+        return [out.data.tobytes() for out in outs], grad_map(root, {"x": x})["x"].tobytes()
 
     taught = np.argmax(teacher, axis=1)  # the teacher's classes
 
@@ -386,8 +385,7 @@ def test_total_node_gives_the_bytes_of_the_composed_sum():
         x = parameter(coef[0] * 0.7 - 0.2)
         terms = {n: autodiff.tsum(autodiff.mul(x, c)) for n, c in zip(names, coef)}
         total, values = total_of(terms)
-        autodiff.backward(total, {})
-        return total.data.tobytes(), values, x.grad.tobytes()
+        return total.data.tobytes(), values, grad_map(total, {"x": x})["x"].tobytes()
 
     # (1/7 * 2.5) * 0.7 and (1/7 * 0.7) * 2.5 round apart: the order shows
     got = run(lambda terms: step_total(terms, weights, 7, 0.7, taught))

@@ -298,9 +298,33 @@ def test_adam_step_is_bit_identical_to_out_of_place_update():
                 p_ref, m_ref, v_ref = ref[k]
                 ref[k] = adam_ref(p_ref, grads[k], m_ref, v_ref, t, 0.01, 0.8, 0.99,
                                   1e-6)
-                assert np.array_equal(p.data, ref[k][0])
-                assert np.array_equal(opt.m[k], ref[k][1])
-                assert np.array_equal(opt.v[k], ref[k][2])
+                # m and v feed every later step, so a wrong moment shows here
+                assert p.data.tobytes() == ref[k][0].tobytes()
+
+
+def test_gradients_live_only_in_the_callers_buffers():
+    # no tensor keeps a gradient after grad and a step, so a later grad into
+    # the same spent buffers gives a fresh call's bytes
+    rng = np.random.default_rng(6)
+    params = {"w": parameter(rng.normal(size=(3, 2))), "b": parameter(rng.normal(size=2))}
+    x, c = rng.normal(size=(5, 3)), autodiff.Tensor(rng.normal(size=(5, 2)))
+    h = autodiff.add(autodiff.matmul(x, params["w"]), params["b"])
+    first = autodiff.tsum(autodiff.mul(autodiff.square(h), c))
+    opt = trainer.Adam(params, lr=0.1, beta1=0.9, beta2=0.999, eps=1e-8)
+    autodiff.grad(first, params, out=opt.grads)
+    opt.step()
+    tape, stack = [], [first]
+    while stack:
+        tape.append(stack.pop())
+        stack.extend(tape[-1]._parents)
+    assert {id(t) for t in tape} >= {id(c), *map(id, params.values())}
+    assert not any(hasattr(t, "grad") for t in tape)
+    second = autodiff.tsum(autodiff.tanh(autodiff.matmul(x, params["w"])))
+    want = grad_map(second, params)
+    got = autodiff.grad(second, params, out=opt.grads)
+    assert {n: g.tobytes() for n, g in got.items()} == {
+        n: g.tobytes() for n, g in want.items()}
+    assert not got["b"].any()  # the second loss does not reach b
 
 
 def test_not_psd_names_stage_and_step(tiny_dataset, monkeypatch):
@@ -850,7 +874,7 @@ def test_no_vjp_writes_into_its_upstream_gradient(fitted, tiny_dataset):
 @pytest.mark.parametrize("use_gt", [True, False], ids=["gt+teacher", "teacher"])
 def test_backward_keeps_the_shared_log_softmax_forward(fitted, tiny_dataset, monkeypatch,
                                                        use_gt):
-    # backward keeps a thunk's array as a parent's grad and may add into it
+    # grad keeps a thunk's array as a tape node's gradient and may add into it
     # later, so no thunk may return an array of the shared forward
     made = []
 
