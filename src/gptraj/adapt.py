@@ -19,8 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .basemodel import encode
-from .core import SceneRecord, rng_for
-from .synthdomain import strip_labels
+from .core import SceneRecord, rng_for, scene_rows
 from .trainer import (Checkpoint, TrainConfig, TrainingError, finetune_base,
                       frozen_gp_predict)
 
@@ -51,9 +50,8 @@ def adapt_unsupervised(records: list[SceneRecord], ckpt: Checkpoint,
     labeled = sum(r.labeled for r in records)
     if labeled:
         warnings.warn(f"adapt_unsup: ground truth present on {labeled} scenes, ignoring it")
-        records = strip_labels(records)
-    return finetune_base(records, ckpt.model.clone(), cfg, use_teacher=True,
-                         epochs=cfg.adapt_epochs, lr=cfg.lr_stage3,
+    return finetune_base(scene_rows(records, labeled=False), ckpt.model.clone(), cfg,
+                         use_teacher=True, epochs=cfg.adapt_epochs, lr=cfg.lr_stage3,
                          stage="adapt_unsup", log_path=log_path)
 
 
@@ -64,8 +62,8 @@ def adapt_supervised(records: list[SceneRecord], ckpt: Checkpoint,
     if missing:
         raise TrainingError(f"adapt_sup: ground truth missing on {len(missing)} "
                             f"scenes (first: {missing[0]})")
-    return finetune_base(records, ckpt.model.clone(), cfg, use_teacher=True,
-                         epochs=cfg.adapt_epochs, lr=cfg.lr_stage3,
+    return finetune_base(scene_rows(records, labeled=True), ckpt.model.clone(), cfg,
+                         use_teacher=True, epochs=cfg.adapt_epochs, lr=cfg.lr_stage3,
                          stage="adapt_sup", log_path=log_path)
 
 

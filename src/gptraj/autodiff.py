@@ -7,8 +7,11 @@ named parameters' gradients into buffers the caller owns; no tensor holds a
 gradient. Primitives are matrix-level (batched matmul, a dense layer
 ``linear``, reductions, elementwise transcendentals; ``psdlinalg`` adds the
 RBF kernel and a batched PSD inverse), so tapes stay short even for whole
-training steps: each of the six dense layers of the encoder, planner and
-classifier is one ``linear`` node.
+training steps: a dense layer is one ``linear`` node, and a two-layer tanh
+network one ``mlp`` node (``basemodel`` builds its encoder and its planner
+from that network's forward and backward). A fused node's vjp replays the
+backward ops of the chain it replaces, in that chain's order, so its
+values and gradients have the chain's bytes.
 An operation on constants (tensors that neither require a gradient nor come
 from the tape) returns a constant and records nothing, so a frozen model,
 whose tensors are all constants, runs without a tape.
@@ -28,6 +31,7 @@ copy it.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable
 
@@ -135,6 +139,42 @@ def linear(x, w, b) -> Tensor:
     return _make(out, (x, w, b), lambda g: (lambda: g @ w.data,
                                             lambda: g.T @ x.data,
                                             lambda: _unbroadcast(g, b.data.shape)))
+
+
+def mlp_forward(x, w1, b1, w2, b2) -> tuple[np.ndarray, np.ndarray]:
+    """The hidden rows ``tanh(x @ w1ᵀ + b1)`` and the output rows
+    ``hidden @ w2ᵀ + b2`` of the array operands, with ``linear``'s and
+    ``tanh``'s operations."""
+    h = x @ w1.T
+    h += b1
+    np.tanh(h, out=h)
+    out = h @ w2.T
+    out += b2
+    return h, out
+
+
+def mlp_thunks(x, w1, b1, w2, b2, h, g) -> tuple:
+    """The gradient thunks of ``mlp``'s parents (x, w1, b1, w2, b2), given
+    as arrays, for the upstream gradient ``g`` of its output and its hidden
+    rows ``h``: the backward ops of ``linear``, ``tanh`` and ``linear``. The
+    gradient at the first layer's output is made once, by the first thunk
+    that needs it."""
+    @functools.cache
+    def g_pre():
+        return (g @ w2) * (1.0 - h * h)
+
+    return (lambda: g_pre() @ w1, lambda: g_pre().T @ x,
+            lambda: _unbroadcast(g_pre(), b1.shape),
+            lambda: g.T @ h, lambda: _unbroadcast(g, b2.shape))
+
+
+def mlp(x, w1, b1, w2, b2) -> Tensor:
+    """``linear(tanh(linear(x, w1, b1)), w2, b2)`` as one node, with the
+    bytes of that chain in value and gradients."""
+    parents = tuple(as_tensor(t) for t in (x, w1, b1, w2, b2))
+    arrays = [t.data for t in parents]
+    h, out = mlp_forward(*arrays)
+    return _make(out, parents, lambda g: mlp_thunks(*arrays, h, g))
 
 
 def transpose(a) -> Tensor:
@@ -247,7 +287,7 @@ def grad(loss: Tensor, params: dict[str, Tensor],
     its buffer in ``out``, a map of buffers of the parameters' shapes, and
     return ``out``. A parameter's first gradient is copied into its buffer
     and later ones added; the buffer of a parameter the tape never reaches
-    is zeroed.
+    is zeroed. One tensor under two names raises a ValueError naming both.
 
     The topological walk pushes only tape nodes (those with a vjp), so it
     never visits a leaf, parameter or constant; the tape nodes keep their
@@ -275,6 +315,12 @@ def grad(loss: Tensor, params: dict[str, Tensor],
                 stack.append((p, False))
 
     bufs = {id(p): out[name] for name, p in params.items()}
+    if len(bufs) < len(params):
+        first = {}
+        for name, p in params.items():
+            if id(p) in first:
+                raise ValueError(f"parameters {first[id(p)]!r} and {name!r} are one tensor")
+            first[id(p)] = name
     written: set[int] = set()
     grads = {id(loss): np.ones_like(loss.data)}  # tape nodes' gradients, by id
     for node in reversed(topo):

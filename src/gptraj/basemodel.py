@@ -11,6 +11,12 @@ model's tensor dict, whose values may be arrays or tensors: training passes
 parameter tensors to ``encode_t``/``planner_t``, and inference calls
 ``encode``/``plan`` over the arrays, which every autodiff op wraps as
 constants, so they build no tape.
+
+On a tape the base model is two nodes: the encoder is one node over its
+four weights, and the planner's network one ``autodiff.mlp`` node, cut into
+logits and residuals by two ``narrow`` nodes. Both share the two-layer
+network's forward and backward (``autodiff.mlp_forward``/``mlp_thunks``),
+and both keep the bytes of the chains of primitive nodes they replace.
 """
 
 from __future__ import annotations
@@ -29,22 +35,35 @@ _NORM_EPS = 1e-12
 
 
 def encode_t(obs: np.ndarray, w: dict, token_scale: float) -> Tensor:
-    """Tokens (N, token_dim) of the observation rows ``obs`` (N, obs_dim)."""
-    n_in = w["base.enc_w1"].shape[1]
+    """Tokens (N, token_dim) of the observation rows ``obs`` (N, obs_dim), as
+    one node over the four encoder weights: the two-layer network's raw
+    rows, divided by their norm (its square sum plus a small epsilon, then
+    the root) and scaled. The vjp replays the backward ops of the composed
+    chain (``mlp``, ``square``, ``tsum``, ``add``, ``sqrt``, ``div``, ``mul``)
+    in its order."""
+    params = tuple(autodiff.as_tensor(w[f"base.enc_{n}"]) for n in ("w1", "b1", "w2", "b2"))
+    n_in = params[0].data.shape[1]
     if obs.shape[1] != n_in:
         raise ValueError(f"observation length {obs.shape[1]} != encoder input {n_in}")
-    h = autodiff.tanh(autodiff.linear(obs, w["base.enc_w1"], w["base.enc_b1"]))
-    raw = autodiff.linear(h, w["base.enc_w2"], w["base.enc_b2"])
-    norm = autodiff.sqrt(autodiff.add(
-        autodiff.tsum(autodiff.square(raw), axis=1, keepdims=True), _NORM_EPS))
-    return autodiff.mul(autodiff.div(raw, norm), token_scale)
+    arrays = [obs] + [p.data for p in params]
+    h, raw = autodiff.mlp_forward(*arrays)
+    norm = np.sqrt(np.sum(raw * raw, axis=1, keepdims=True) + _NORM_EPS)
+    tokens = raw / norm * token_scale
+
+    def vjp(g):
+        g_q = g * token_scale
+        g_norm = np.sum(-g_q * raw / (norm * norm), axis=1, keepdims=True)
+        g_raw = g_q / norm
+        g_raw += 2.0 * (g_norm * 0.5 / norm) * raw
+        return autodiff.mlp_thunks(*arrays, h, g_raw)[1:]
+
+    return autodiff._make(tokens, params, vjp)
 
 
 def planner_t(tokens: Tensor, w: dict, n_code: int) -> tuple[Tensor, Tensor]:
     """Raw logits (N, n_code), unmasked, and bounded residuals (N, 12) of
-    the token rows."""
-    h = autodiff.tanh(autodiff.linear(tokens, w["base.pln_w1"], w["base.pln_b1"]))
-    out = autodiff.linear(h, w["base.pln_w2"], w["base.pln_b2"])
+    the token rows: one ``mlp`` node, cut by two ``narrow`` nodes."""
+    out = autodiff.mlp(tokens, *(w[f"base.pln_{n}"] for n in ("w1", "b1", "w2", "b2")))
     logits = autodiff.narrow(out, 0, n_code, axis=1)
     residual = autodiff.mul(
         autodiff.tanh(autodiff.narrow(out, n_code, n_code + 12, axis=1)),

@@ -15,6 +15,14 @@ The assignments are exact and the distance matrix is computed once, from
 the final centroids, so the codebook is bit-identical to the plain loop
 and ``np.linalg.norm`` distance in ``tests/oracles.py``.
 
+Distances come in two forms with the same per-element operations:
+``traj_dists`` measures broadcast pairs (a column, a centroid's shift, the
+pairs the bounds keep), and ``traj_dist_blocks`` every row of one set
+against every row of another, in blocks of at most ``DIST_BLOCK`` pairs
+over waypoint-major copies of both. The clustering's returned matrix, the
+labels of ``nearest_group`` and the anchor distances of ``triplet_table``
+come from the blocked kernel.
+
 A model pairs two stacked arrays, trajectories (n_code, C, 12) and basis
 tokens (n_code, C, D), in a fixed group layout: the ``n_ego`` ego groups
 first, ``n_ego / 3`` per command in ``COMMANDS`` order, then the agent
@@ -44,12 +52,14 @@ LLOYD_TOL = 1e-6
 # relative and absolute widening of every bound update: rounding moves a
 # computed distance by about 1e-15 of itself
 LLOYD_GUARD = 1e-9
-# (row, anchor) pairs per nearest_group block: 3 MiB of (12,) differences
-LABEL_BLOCK = 1 << 15
+# (row, column) pairs per traj_dist_blocks block: 128 KiB per buffer
+DIST_BLOCK = 1 << 14
 # triplet selection takes 3 positives and 3 negatives per label: 3 other
 # groups of an ego label's command, and 6 other groups of an agent label
 MIN_EGO_PER_COMMAND = 4
 MIN_AGENT_GROUPS = 7
+# a row's bucket: its command's COMMANDS index, len(COMMANDS) for an agent row
+_BUCKET_OF = {c: i for i, c in enumerate(COMMANDS)} | {None: len(COMMANDS)}
 
 
 class BuildError(Exception):
@@ -86,7 +96,7 @@ def admissible(cb: Codebook, commands) -> np.ndarray:
     """(N, n_code) masks of the groups each row may be classified into, one
     row per entry of ``commands``: a ``Command`` for an ego row, ``None`` for
     an agent row."""
-    rows = [len(COMMANDS) if c is None else COMMANDS.index(c) for c in commands]
+    rows = [_BUCKET_OF[c] for c in commands]
     return np.array(rows, dtype=np.intp)[:, None] == cb.buckets
 
 
@@ -107,6 +117,44 @@ def traj_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return total
 
 
+def traj_dist_blocks(a: np.ndarray, b: np.ndarray):
+    """The (n, k) ``traj_dists`` of every row of ``a`` (n, 12) to every row
+    of ``b`` (k, 12), block by block: yields ``(lo, hi, dists)``, the rows
+    lo:hi of the matrix, in a buffer that the next block reuses. A block
+    has at most ``DIST_BLOCK`` pairs (at least one row). Both operands are
+    copied waypoint-major once, and each waypoint's x and y differences,
+    their squares, sum and root are ``traj_dists``' per-element operations,
+    summed over the waypoints left to right, so the bytes are equal."""
+    at, bt = np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)
+    n, k = len(a), len(b)
+    step = max(1, DIST_BLOCK // k)
+    total, s, y = (np.empty((min(step, n), k)) for _ in range(3))
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        t, sq, dy = total[:hi - lo], s[:hi - lo], y[:hi - lo]
+        for w in range(N_WAYPOINTS):
+            np.subtract(at[2 * w, lo:hi, None], bt[2 * w], out=sq)
+            sq *= sq
+            np.subtract(at[2 * w + 1, lo:hi, None], bt[2 * w + 1], out=dy)
+            dy *= dy
+            sq += dy
+            if w:
+                t += np.sqrt(sq, out=sq)
+            else:
+                np.sqrt(sq, out=t)
+        t /= N_WAYPOINTS
+        yield lo, hi, t
+
+
+def traj_dist_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The (n, k) ``traj_dists`` of every row of ``a`` to every row of
+    ``b``, from ``traj_dist_blocks``."""
+    out = np.empty((len(a), len(b)))
+    for lo, hi, dists in traj_dist_blocks(a, b):
+        out[lo:hi] = dists
+    return out
+
+
 def _lloyd(flat: np.ndarray, k: int, rng: np.random.Generator
            ) -> tuple[np.ndarray, np.ndarray]:
     """Cluster rows of ``flat`` into k centroids; returns them and the (n, k)
@@ -125,8 +173,8 @@ def _lloyd(flat: np.ndarray, k: int, rng: np.random.Generator
     own centroid and to each such centroid, and its argmin over ``lower``,
     whose entries at or below ``upper`` are all exact, keeps ties on the
     lowest id. The returned matrix is computed once, from the final
-    centroids. Bit-identical to ``tests/oracles.py``'s ``lloyd_ref``, which
-    recomputes everything."""
+    centroids, by ``traj_dist_matrix``. Bit-identical to
+    ``tests/oracles.py``'s ``lloyd_ref``, which recomputes everything."""
     n, d = flat.shape
     picks, nearest, lower = [], np.full(n, np.inf), np.empty((n, k))
     for j in range(k):
@@ -161,7 +209,7 @@ def _lloyd(flat: np.ndarray, k: int, rng: np.random.Generator
         lower[r, j] = traj_dists(flat[r], centroids[j])
         assign[rows] = np.argmin(lower[rows], axis=1)
         upper[rows] = lower[rows, assign[rows]]
-    return centroids, np.stack([traj_dists(flat, c) for c in centroids], axis=1)
+    return centroids, traj_dist_matrix(flat, centroids)
 
 
 def _nearest_rows(dists: np.ndarray, m: int) -> np.ndarray:
@@ -225,19 +273,16 @@ def nearest_group(cb: Codebook, flat: np.ndarray, admissible: np.ndarray) -> np.
     """Ground-truth classes of the rows of ``flat`` (M, 12): each row's
     admissible group, from the (M, n_code) mask, with the nearest traj_anchor.
     Every row is measured only against its own bucket's anchors, which are
-    its admissible groups, by one broadcast ``traj_dists`` call per block of
-    at most ``LABEL_BLOCK`` (row, anchor) pairs. Ties go to the lowest group
-    id."""
+    its admissible groups, by ``traj_dist_blocks``, and each block's argmin
+    is taken before the next block, so no (M, anchors) matrix is kept. Ties
+    go to the lowest group id."""
     anchors, buckets = cb.traj_anchors, cb.buckets
     row_bucket = buckets[np.argmax(admissible, axis=1)]
     labels = np.empty(len(flat), dtype=np.intp)
     for b in np.unique(row_bucket):
         rows, ids = np.flatnonzero(row_bucket == b), np.flatnonzero(buckets == b)
-        step = max(1, LABEL_BLOCK // len(ids))
-        for i in range(0, len(rows), step):
-            block = rows[i:i + step]
-            dists = traj_dists(flat[block, None, :], anchors[ids])
-            labels[block] = ids[np.argmin(dists, axis=1)]
+        for lo, hi, dists in traj_dist_blocks(flat[rows], anchors[ids]):
+            labels[rows[lo:hi]] = ids[np.argmin(dists, axis=1)]
     return labels
 
 
@@ -258,7 +303,8 @@ def triplet_table(cb: Codebook) -> tuple[np.ndarray, np.ndarray]:
             f"command (need {MIN_EGO_PER_COMMAND}), {n_agent} agent groups "
             f"(need {MIN_AGENT_GROUPS})")
     anchors = cb.traj_anchors
-    dist = traj_dists(anchors[None], anchors[:, None])  # [label, candidate]
+    # [label, candidate]: the distance of candidate - label
+    dist = traj_dist_matrix(anchors, anchors).T
     buckets = cb.buckets
     ego = buckets < len(COMMANDS)
     # rank class of a candidate: 0 in the label's bucket, 1 in another ego

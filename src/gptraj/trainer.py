@@ -66,7 +66,7 @@ from .autodiff import Tensor
 from .basemodel import encode, encode_t, planner_t
 from .codebook import (MIN_AGENT_GROUPS, MIN_EGO_PER_COMMAND, BuildError, Codebook,
                        admissible, nearest_group, sample_and_cluster)
-from .core import COMMANDS, SceneRecord, rng_for, scene_rows
+from .core import COMMANDS, SceneRecord, SceneRows, rng_for, scene_rows
 from .gpmodule import GpGraph, GpInference
 from .losses import (MaskedLogSoftmax, SupRows, cross_entropy, loss_gp_teacher, loss_rec,
                      loss_sup, role_terms, traj_mse)
@@ -325,9 +325,9 @@ def _project_noise(params: dict[str, Tensor], sigma_clamp) -> None:
 
 class SceneTable:
     """Scenes in ``core.scene_rows`` layout, with each row's scene, its
-    admissible-group mask and, when ``labeled``, its flat (12,) ground truth
-    and label; once ``teach`` has run, also the frozen teacher's prediction
-    of each row and its token anchors.
+    admissible-group mask and, when the layout holds ground truth, its flat
+    (12,) ground truth and label; once ``teach`` has run, also the frozen
+    teacher's prediction of each row and its token anchors.
 
     A training call builds one table of its scenes; each optimizer step
     works on the table of its batch, from ``batch``. ``rows`` index the
@@ -339,16 +339,15 @@ class SceneTable:
     ROW_ARRAYS = ("obs", "admissible", "gt", "labels",
                   "t_mean", "t_variance", "t_logits", "t_group")
 
-    def __init__(self, records: list[SceneRecord], cb: Codebook, labeled: bool):
-        rows = scene_rows(records, labeled)
-        self.n_ego = len(records)
+    def __init__(self, rows: SceneRows, cb: Codebook):
+        self.n_ego = len(rows.commands)
         self.rows = np.arange(len(rows.obs))
         self.scene_of_row = rows.scene_of_row
         self.obs = rows.obs
         self.admissible = admissible(
-            cb, rows.commands + [None] * (len(rows.obs) - len(records)))
+            cb, rows.commands + [None] * (len(rows.obs) - self.n_ego))
         self.gt = self.labels = None
-        if labeled:
+        if rows.gt is not None:
             self.gt = rows.gt.reshape(len(rows.gt), -1)
             self.labels = scene_labels(self, cb)
         self.t_mean = self.t_variance = self.t_logits = self.t_group = None
@@ -371,7 +370,9 @@ class SceneTable:
     def batch(self, scenes: np.ndarray) -> "SceneTable":
         """The table of ``scenes`` (scene positions, ascending): their ego
         rows, then their agent rows, each block in scene order."""
-        rows = np.flatnonzero(np.isin(self.scene_of_row, scenes))
+        chosen = np.zeros(self.n_ego, dtype=bool)
+        chosen[scenes] = True
+        rows = np.flatnonzero(chosen[self.scene_of_row])
         sub = copy.copy(self)
         sub.n_ego = len(scenes)
         sub.rows = self.rows[rows]
@@ -485,6 +486,8 @@ def _run_epochs(table: SceneTable, cfg: TrainConfig, params, step_loss_fn, *,
 
     The log is opened at the first step and each step's rows are flushed as
     the step ends, so a failed run keeps the steps before the failure. A
+    finished step's batch and tape are released before the next step's loss
+    is built, so only one tape is alive at a time. A
     step's GP conditioning (stage 2's) that is not positive definite stops
     training with a TrainingError naming the stage, step and group.
     """
@@ -517,23 +520,25 @@ def _run_epochs(table: SceneTable, cfg: TrainConfig, params, step_loss_fn, *,
                          for term, v in zip(terms, values.tolist())]
                         + [[step, stage, "total", f"{total.item():.10g}"]])
                     log.flush()
+                del batch, terms, total, values
                 step += 1
     finally:
         if log is not None:
             log.close()
 
 
-def build_model(records, cfg: TrainConfig, spec: ModelSpec) -> Model:
-    """The codebook trajectories clustered from the ground truth of labeled
-    records, then every other tensor in ``tensor_shapes()`` order: weight
-    matrices and basis tokens from N(0, 1/fan_in), from one seeded stream
-    per family; biases zero; the GP scalars at unit lengthscale and
-    outputscale and ``INIT_NOISE_STD`` noise."""
-    rows = scene_rows(records, labeled=True)
+def build_model(rows: SceneRows, cfg: TrainConfig, spec: ModelSpec) -> Model:
+    """The codebook trajectories clustered from the ground truth of the
+    labeled scene rows ``rows``, then every other tensor in
+    ``tensor_shapes()`` order: weight matrices and basis tokens from
+    N(0, 1/fan_in), from one seeded stream per family; biases zero; the GP
+    scalars at unit lengthscale and outputscale and ``INIT_NOISE_STD``
+    noise."""
+    n_ego = len(rows.commands)
     try:
-        trajs = sample_and_cluster(rows.gt[:len(records)], rows.commands,
-                                   rows.gt[len(records):], spec.n_ego, spec.n_agent,
-                                   spec.group_size, seed=cfg.seed)
+        trajs = sample_and_cluster(rows.gt[:n_ego], rows.commands, rows.gt[n_ego:],
+                                   spec.n_ego, spec.n_agent, spec.group_size,
+                                   seed=cfg.seed)
     except BuildError as e:
         raise TrainingError(f"stage1 codebook build: {e}") from e
     tensors, rngs = {}, {}
@@ -563,9 +568,10 @@ def _labeled(records, stage: str) -> list[SceneRecord]:
 
 def stage1_pretrain(records, cfg: TrainConfig, spec: ModelSpec,
                     log_path=None) -> "Checkpoint":
-    """Pretrain encoder and planner on labeled source data."""
-    labeled = _labeled(records, "stage1")
-    return finetune_base(labeled, build_model(labeled, cfg, spec), cfg,
+    """Pretrain encoder and planner on labeled source data; the codebook
+    and the training table share one row layout."""
+    rows = scene_rows(_labeled(records, "stage1"), labeled=True)
+    return finetune_base(rows, build_model(rows, cfg, spec), cfg,
                          use_teacher=False, epochs=cfg.epochs_stage1,
                          lr=cfg.lr_stage12, stage="stage1", log_path=log_path)
 
@@ -578,7 +584,7 @@ def stage2_fit_gp(records, ckpt: "Checkpoint", cfg: TrainConfig,
     params = model.params(GP_PARAMS)
     weights = model.tensors | params
     cb = model.cb
-    table = SceneTable(labeled, cb, labeled=True)
+    table = SceneTable(scene_rows(labeled, labeled=True), cb)
     # frozen encoder: tokens are fixed targets, computed once, in row layout
     tokens = encode(table.obs, model.tensors, model.spec.token_scale)
 
@@ -591,24 +597,22 @@ def stage2_fit_gp(records, ckpt: "Checkpoint", cfg: TrainConfig,
     return Checkpoint(stage="stage2", model=model, train_config=cfg)
 
 
-def finetune_base(records, model: Model, cfg: TrainConfig, *, use_teacher: bool,
+def finetune_base(rows: SceneRows, model: Model, cfg: TrainConfig, *, use_teacher: bool,
                   epochs: int, lr: float, stage: str, log_path=None) -> "Checkpoint":
-    """Train the base side of ``model`` in place, the GP side frozen, and
-    return it as the ``stage`` checkpoint.
+    """Train the base side of ``model`` in place on the scene rows ``rows``,
+    the GP side frozen, and return it as the ``stage`` checkpoint.
 
-    Ground truth is used when the records are labeled; every caller passes
-    records that are all labeled or all unlabeled. With a teacher, one pass
-    of the frozen GP over the tokens of ``model`` as given sets the
-    teacher's targets for every step of the call.
+    Ground truth is used when the rows hold it. With a teacher, one pass of
+    the frozen GP over the tokens of ``model`` as given sets the teacher's
+    targets for every step of the call.
     """
-    if not records:
+    if not rows.commands:
         raise TrainingError(f"{stage}: no scenes")
     bvars = model.params(BASE_PARAMS)
-    labeled = all(r.labeled for r in records)
     taught = use_teacher and cfg.gp_weight != 0.0
-    if not (taught or labeled):
+    if not (taught or rows.gt is not None):
         raise TrainingError(f"{stage}: no ground truth and no teacher leaves no loss")
-    table = SceneTable(records, model.cb, labeled=labeled)
+    table = SceneTable(rows, model.cb)
     if taught:
         try:
             table.teach(model)
@@ -624,9 +628,10 @@ def finetune_base(records, model: Model, cfg: TrainConfig, *, use_teacher: bool,
 def stage3_finetune(records, ckpt: "Checkpoint", cfg: TrainConfig,
                     log_path=None) -> "Checkpoint":
     """Finetune the base model on GT plus teacher regularization; GP frozen."""
-    return finetune_base(_labeled(records, "stage3"), ckpt.model.clone(), cfg,
-                         use_teacher=True, epochs=cfg.epochs_stage3, lr=cfg.lr_stage3,
-                         stage="stage3", log_path=log_path)
+    return finetune_base(scene_rows(_labeled(records, "stage3"), labeled=True),
+                         ckpt.model.clone(), cfg, use_teacher=True,
+                         epochs=cfg.epochs_stage3, lr=cfg.lr_stage3, stage="stage3",
+                         log_path=log_path)
 
 
 # --- checkpoint container ------------------------------------------------------

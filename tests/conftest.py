@@ -19,7 +19,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from gptraj import autodiff, psdlinalg
 from gptraj.autodiff import Tensor
-from gptraj.core import COMMANDS, Command
+from gptraj.core import COMMANDS, Command, scene_rows
 from gptraj.synthdomain import DomainSpec, gen_dataset
 from gptraj.trainer import ModelSpec, TrainConfig, build_model
 
@@ -65,7 +65,7 @@ def tiny_dataset():
 
 @pytest.fixture(scope="session")
 def tiny_model(tiny_dataset):
-    return build_model(tiny_dataset, tiny_config(), tiny_spec())
+    return build_model(scene_rows(tiny_dataset, labeled=True), tiny_config(), tiny_spec())
 
 
 def parameter(data) -> Tensor:

@@ -254,6 +254,43 @@ def test_linear_is_the_matmul_transpose_add_composition_bit_for_bit(fan_in, fan_
         assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
 
+def composed_mlp(x, w1, b1, w2, b2) -> Tensor:
+    return autodiff.linear(autodiff.tanh(autodiff.linear(x, w1, b1)), w2, b2)
+
+
+# (fan_in, hidden, fan_out): the planner at the default and the test sizes,
+# and the encoder's network at the default sizes
+@pytest.mark.parametrize("sizes", [(32, 64, 124), (8, 24, 35), (24, 64, 32)])
+@pytest.mark.parametrize("rows", [1, 37, 160])
+def test_mlp_node_gives_the_bytes_of_the_composed_chain(sizes, rows):
+    fan_in, hidden, fan_out = sizes
+    rng = np.random.default_rng(sum(sizes) + rows)
+    arrays = {"x": rng.normal(size=(rows, fan_in)), "w1": rng.normal(size=(hidden, fan_in)),
+              "b1": rng.normal(size=hidden), "w2": rng.normal(size=(fan_out, hidden)),
+              "b2": rng.normal(size=fan_out)}
+    up = rng.normal(size=(rows, fan_out))
+    cut = fan_out // 3
+
+    def run(build):
+        # x stands for the tokens: its gradient is the one the node passes on;
+        # the output has two consumers, as the planner's heads do
+        params = {n: parameter(a) for n, a in arrays.items()}
+        out = build(*params.values())
+        loss = autodiff.add(
+            autodiff.tsum(autodiff.mul(autodiff.narrow(out, 0, cut, axis=1), up[:, :cut])),
+            autodiff.tsum(autodiff.mul(autodiff.narrow(out, cut, fan_out, axis=1),
+                                       up[:, cut:])))
+        return [out.data.tobytes()] + [g.tobytes() for g in grad_map(loss, params).values()]
+
+    assert run(autodiff.mlp) == run(composed_mlp)
+
+
+def test_mlp_gradients_match_finite_differences():
+    w = np.random.default_rng(10).normal(size=(5, 2))
+    check_op(lambda *p: autodiff.tsum(autodiff.mul(autodiff.mlp(*p), w)),
+             (5, 4), (3, 4), (3,), (2, 3), (2,), seed=10)
+
+
 def test_linear_gradients_match_finite_differences():
     w = np.random.default_rng(9).normal(size=(5, 3))
     check_op(lambda x, wt, b: autodiff.tsum(autodiff.mul(
@@ -397,6 +434,13 @@ def test_grad_writes_every_gradient_into_its_out_buffer():
     assert {name: b.tobytes() for name, b in out.items()} == {
         name: g.tobytes() for name, g in want.items()}
     assert not out["off"].any()
+
+
+def test_grad_rejects_one_tensor_under_two_names():
+    x, y = parameter(np.array([1.0, 2.0])), parameter(np.array([3.0]))
+    loss = autodiff.add(autodiff.tsum(autodiff.square(x)), autodiff.tsum(y))
+    with pytest.raises(ValueError, match="^parameters 'a' and 'c' are one tensor$"):
+        grad_map(loss, {"a": x, "b": y, "c": x})
 
 
 def test_grad_rejects_nonscalar_and_nonfinite():

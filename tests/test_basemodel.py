@@ -7,11 +7,13 @@ import dataclasses
 import numpy as np
 import pytest
 
+from gptraj import autodiff, basemodel
 from gptraj.basemodel import (RESIDUAL_BOUND, TOKEN_SCALE, encode, encode_t, plan,
                               planner_t)
 from gptraj.codebook import admissible
 from gptraj.core import COMMANDS, Command, SceneRecord, rng_for
 
+from conftest import grad_map, parameter
 from oracles import (base_init_ref, encode_ref, group_ids_ref, masked_softmax, plan_ref,
                      plan_with_group_ref)
 
@@ -129,6 +131,60 @@ def test_differentiable_paths_match_numpy():
         assert np.allclose(logits_t.data[row], out[:n_code], atol=1e-12)
         assert np.allclose(residual_t.data[row],
                            RESIDUAL_BOUND * np.tanh(out[n_code:]), atol=1e-12)
+
+
+def composed_encoder(obs, w: dict, token_scale: float):
+    """The encoder as its chain of primitive nodes."""
+    h = autodiff.tanh(autodiff.linear(obs, w["base.enc_w1"], w["base.enc_b1"]))
+    raw = autodiff.linear(h, w["base.enc_w2"], w["base.enc_b2"])
+    norm = autodiff.sqrt(autodiff.add(
+        autodiff.tsum(autodiff.square(raw), axis=1, keepdims=True), basemodel._NORM_EPS))
+    return autodiff.mul(autodiff.div(raw, norm), token_scale)
+
+
+def composed_planner(tokens, w: dict, n_code: int):
+    """The planner as its chain of primitive nodes."""
+    h = autodiff.tanh(autodiff.linear(tokens, w["base.pln_w1"], w["base.pln_b1"]))
+    out = autodiff.linear(h, w["base.pln_w2"], w["base.pln_b2"])
+    return (autodiff.narrow(out, 0, n_code, axis=1), autodiff.mul(
+        autodiff.tanh(autodiff.narrow(out, n_code, n_code + 12, axis=1)), RESIDUAL_BOUND))
+
+
+@pytest.mark.parametrize("rows", [1, 40, 300])
+def test_base_model_nodes_give_the_bytes_of_the_composed_chains(rows):
+    n_code = 23
+    rng = rng_for(rows, "chains")
+    weights = make_params(n_code=n_code, seed=rows)
+    for name, a in weights.items():
+        if a.ndim == 1:  # biases away from their zero start
+            weights[name] = rng.normal(size=a.shape)
+    obs = rng.normal(size=(rows, 16))
+    up = [rng.normal(size=(rows, n)) for n in (n_code, 12, 8)]
+
+    def run(encoder, planner):
+        # the tokens feed the planner and a second consumer, as they feed the
+        # teacher's triplet term, so their upstream gradient is a sum
+        w = {n: parameter(a) for n, a in weights.items()}
+        tokens = encoder(obs, w, TOKEN_SCALE)
+        leaf = parameter(tokens.data)  # the planner's gradient into its tokens
+
+        def loss(tokens):
+            logits, residual = planner(tokens, w, n_code)
+            terms = [autodiff.tsum(autodiff.mul(t, u)) for t, u in
+                     zip((logits, residual, tokens), up)]
+            return autodiff.add(autodiff.add(terms[0], terms[1]), terms[2]), [
+                tokens, logits, residual]
+
+        root, outs = loss(tokens)
+        return ([t.data.tobytes() for t in outs]
+                + [g.tobytes() for g in grad_map(root, w).values()]
+                + [grad_map(loss(leaf)[0], {"tokens": leaf})["tokens"].tobytes()])
+
+    got = run(encode_t, planner_t)
+    want = run(composed_encoder, composed_planner)
+    assert len(got) == 3 + len(weights) + 1
+    for i, (a, b) in enumerate(zip(got, want, strict=True)):
+        assert a == b, i
 
 
 def test_plan_rows_match_per_token_reference(tiny_model):

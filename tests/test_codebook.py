@@ -7,7 +7,8 @@ import pytest
 
 from gptraj import codebook, config
 from gptraj.codebook import (BuildError, Codebook, admissible, nearest_group,
-                             sample_and_cluster, traj_dists, triplet_table)
+                             sample_and_cluster, traj_dist_blocks, traj_dist_matrix,
+                             traj_dists, triplet_table)
 from gptraj.core import COMMANDS, COORD_BOUND, Command, rng_for, scene_rows
 from gptraj.synthdomain import gen_dataset
 
@@ -118,19 +119,43 @@ def test_no_group_mixes_commands():
             cmd}
 
 
+def hard_rows(n: int, seed: int) -> np.ndarray:
+    """n flat trajectories: uniform in the coordinate bound, with runs of
+    zeros, of 0.1 m steps (equal distances and signed zeros) and of
+    coordinates at +-COORD_BOUND."""
+    rng = np.random.default_rng(seed)
+    rows = rng.uniform(-COORD_BOUND, COORD_BOUND, size=(n, 12))
+    kind = np.arange(n) % 15
+    rows[kind < 1] = 0.0
+    tied = (kind >= 1) & (kind < 9)
+    rows[tied] = np.round(rng.normal(scale=0.3, size=(tied.sum(), 12)), 1)
+    edge = (kind >= 9) & (kind < 11)
+    rows[edge] = COORD_BOUND * rng.choice([-1.0, 1.0], size=(edge.sum(), 12))
+    return rows
+
+
 def test_traj_dists_matches_norm_form_bit_for_bit():
-    rng = np.random.default_rng(11)
-    rows = rng.uniform(-COORD_BOUND, COORD_BOUND, size=(300, 12))
-    rows[:20] = 0.0
-    # 0.1 m rounding gives equal distances and signed zeros
-    rows[20:140] = np.round(rng.normal(scale=0.3, size=(120, 12)), 1)
-    rows[140:160] = COORD_BOUND * rng.choice([-1.0, 1.0], size=(20, 12))
-    for c in rows[[0, 30, 150, 299]]:  # _lloyd's columns and nearest_group's
+    rows = hard_rows(300, 11)
+    for c in rows[[0, 30, 150, 299]]:  # _lloyd's farthest-point columns
         assert traj_dists(rows, c).tobytes() == traj_dists_ref(rows, c).tobytes()
-    # _lloyd's (row, centroid) pairs: one centroid per row
+    # _lloyd's shifts and measured (row, centroid) pairs: one centroid per row
     assert traj_dists(rows, rows[::-1]).tobytes() == traj_dists_ref(rows, rows[::-1]).tobytes()
-    anchors = rows[::3]  # triplet_table's anchor-distance matrix
-    assert (traj_dists(anchors[None], anchors[:, None]).tobytes()
+
+
+@pytest.mark.parametrize("k", [1, 16, 64])
+def test_blocked_kernel_matches_norm_form_bit_for_bit(k):
+    step = codebook.DIST_BLOCK // k  # rows per block
+    cols = hard_rows(k + 7, 12)[7:]
+    for n in (1, step - 1, step, step + 1, 2 * step + 1):
+        rows = hard_rows(n, n)
+        want = traj_dists_ref(rows[:, None], cols)
+        assert traj_dist_matrix(rows, cols).tobytes() == want.tobytes(), n
+        spans = [(lo, hi) for lo, hi, d in traj_dist_blocks(rows, cols)]
+        assert [lo for lo, _ in spans] == list(range(0, n, step))
+        assert spans[-1][1] == n
+    # triplet_table's anchor-distance matrix, [label, candidate]
+    anchors = hard_rows(112, 13)
+    assert (traj_dist_matrix(anchors, anchors).T.tobytes()
             == traj_dists_ref(anchors[None], anchors[:, None]).tobytes())
 
 
@@ -267,7 +292,13 @@ def test_lloyd_skips_most_distances_on_the_agent_bucket(monkeypatch):
         measured.append(out.size)
         return out
 
+    def counting_blocks(a, b):
+        for lo, hi, dists in traj_dist_blocks(a, b):
+            measured.append(dists.size)
+            yield lo, hi, dists
+
     monkeypatch.setattr(codebook, "traj_dists", counting)
+    monkeypatch.setattr(codebook, "traj_dist_blocks", counting_blocks)
     codebook._lloyd(flat, 64, rng_for(0, "cluster", "agent", "all"))
     assert sum(measured) < 1_156_578 // 2
 
@@ -354,23 +385,27 @@ def test_nearest_group_respects_command():
     assert gid in group_ids_ref(cb, Command.TURN_LEFT)
 
 
-def test_nearest_group_matches_loop_reference(monkeypatch):
+def test_nearest_group_matches_loop_reference():
     cb = clustered(*corpus(), 6, 4, group_size=8, seed=0)
     rng = np.random.default_rng(4)
     ego, _, agents = corpus(seed=9)
-    trajs = np.concatenate([ego, agents])
-    commands = [COMMANDS[int(rng.integers(3))] if rng.random() < 0.5 else None
-                for _ in trajs]
-    anchors = cb.traj_anchors.reshape(-1, 6, 2)
-    # 13 pairs per block: 3 rows of the agent bucket's 4 anchors, 6 of an ego
-    # bucket's 2, so every bucket spans several blocks, the last one short
-    for block in (codebook.LABEL_BLOCK, 13):
-        monkeypatch.setattr(codebook, "LABEL_BLOCK", block)
-        got = nearest_group(cb, trajs.reshape(-1, 12), admissible(cb, commands))
-        for traj, command, gid in zip(trajs, commands, got):
-            ids = group_ids_ref(cb, command)
-            dists = [traj_distance(traj, anchors[i]) for i in ids]
-            assert gid == ids[int(np.argmin(dists))]
+    pool = np.concatenate([ego, agents]).reshape(-1, 12)
+    # each bucket's rows around the kernel's rows per block, so that buckets
+    # cross one and two block boundaries, the last block short or of one row
+    per_block = {cmd: codebook.DIST_BLOCK // len(group_ids_ref(cb, cmd))
+                 for cmd in COMMANDS + (None,)}
+    extra = dict(zip(COMMANDS + (None,), (-1, 0, 1, per_block[None] + 1)))
+    commands = [cmd for cmd, e in extra.items() for _ in range(per_block[cmd] + e)]
+    order = rng.permutation(len(commands))
+    commands = [commands[i] for i in order]
+    trajs = pool[rng.integers(len(pool), size=len(commands))] + rng.normal(
+        scale=0.5, size=(len(commands), 12))
+    got = nearest_group(cb, trajs, admissible(cb, commands))
+    for cmd in extra:  # one bucket at a time, against its anchors
+        rows = np.flatnonzero([c is cmd for c in commands])
+        ids = np.array(group_ids_ref(cb, cmd))
+        dists = traj_dists_ref(trajs[rows, None], cb.traj_anchors[ids])
+        assert got[rows].tolist() == ids[np.argmin(dists, axis=1)].tolist()
 
 
 def test_nearest_group_ignores_nearer_anchor_outside_bucket():

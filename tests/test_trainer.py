@@ -9,6 +9,7 @@ import json
 import math
 import struct
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from gptraj import autodiff, codebook, losses, psdlinalg, trainer
 from gptraj.adapt import active_select, adapt_supervised, adapt_unsupervised
 from gptraj.basemodel import encode
 from gptraj.codebook import BuildError
+from gptraj.core import scene_rows
 from gptraj.evalmetrics import evaluate
 from gptraj.gpmodule import GpGraph, GpInference
 from gptraj.losses import step_total
@@ -103,7 +105,7 @@ def test_each_stage_changes_exactly_its_own_tensors(tiny_dataset, target_dataset
                         planner_hidden=14, classifier_hidden=18),
 ], ids=["tiny", "unequal"])
 def test_build_model_draws_match_init_oracle(tiny_dataset, spec):
-    model = trainer.build_model(tiny_dataset, CFG, spec)
+    model = trainer.build_model(scene_rows(tiny_dataset, labeled=True), CFG, spec)
     want = init_tensors_ref(spec, CFG.seed, model.tensors["cb.trajs"])
     assert list(model.tensors) == list(spec.tensor_shapes()) == list(want)
     assert ([(k, v.dtype, v.shape, v.tobytes()) for k, v in model.tensors.items()]
@@ -505,7 +507,7 @@ def test_nonfinite_check_reads_the_gp_weighted_terms(tiny_dataset, fitted):
 
 def test_scene_labels_match_per_scene_loop(tiny_dataset, tiny_model):
     cb = tiny_model.cb
-    table = SceneTable(tiny_dataset, cb, labeled=True)
+    table = SceneTable(scene_rows(tiny_dataset, labeled=True), cb)
     labels = scene_labels(table, cb)
 
     anchors = cb.traj_anchors.reshape(-1, 6, 2)
@@ -524,7 +526,7 @@ def test_scene_labels_match_per_scene_loop(tiny_dataset, tiny_model):
 def test_batch_is_the_table_of_its_scenes(tiny_dataset, tiny_model, labeled):
     cb = tiny_model.cb
     records = tiny_dataset[:40] if labeled else strip_labels(tiny_dataset[:40])
-    table = SceneTable(records, cb, labeled)
+    table = SceneTable(scene_rows(records, labeled), cb)
     agentless = [i for i, r in enumerate(records) if r.n_agents == 0]
     rng = np.random.default_rng(7)
     subsets = [np.sort(rng.choice(len(records), size=n, replace=False))
@@ -538,7 +540,7 @@ def test_batch_is_the_table_of_its_scenes(tiny_dataset, tiny_model, labeled):
         # the table of the scenes' records, whose rows are the same rows of
         # the whole table; position maps t's scene positions to the table's
         got = t.batch(scenes)
-        want = SceneTable([records[i] for i in position[scenes]], cb, labeled)
+        want = SceneTable(scene_rows([records[i] for i in position[scenes]], labeled), cb)
         assert len(got) == got.n_ego == want.n_ego == len(scenes)
         for name in ("obs", "admissible", "gt", "labels", "scene_of_row"):
             g, w = getattr(got, name), getattr(want, name)
@@ -618,6 +620,76 @@ def fitted(tiny_dataset):
     return stage2_fit_gp(tiny_dataset[:24], ckpt, CFG)
 
 
+def tape_nodes(root) -> int:
+    """The distinct tape nodes (tensors with a vjp) reachable from ``root``."""
+    seen, stack = set(), [root]
+    while stack:
+        node = stack.pop()
+        if node._vjp is not None and id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node._parents)
+    return len(seen)
+
+
+@pytest.mark.parametrize("stage,nodes", [("stage1", 21), ("stage2", 112), ("stage3", 63),
+                                         ("adapt_unsup", 50)])
+def test_tape_nodes_per_step(fitted, tiny_dataset, monkeypatch, stage, nodes):
+    # the encoder and the planner's network are one node each
+    counts = []
+    real = losses.step_total
+
+    def step_total(terms, *args):
+        total, values = real(terms, *args)
+        counts.append(tape_nodes(total))
+        return total, values
+
+    monkeypatch.setattr(losses, "step_total", step_total)
+    {"stage1": lambda: stage1_pretrain(tiny_dataset, CFG, tiny_spec()),
+     "stage2": lambda: stage2_fit_gp(tiny_dataset[:24], fitted, CFG),
+     "stage3": lambda: stage3_finetune(tiny_dataset[:24], fitted, CFG),
+     "adapt_unsup": lambda: adapt_unsupervised(strip_labels(tiny_dataset[:24]), fitted, CFG),
+     }[stage]()
+    assert counts and set(counts) == {nodes}
+
+
+def test_a_finished_step_is_released_before_the_next_loss(tiny_dataset, monkeypatch):
+    # only one tape is alive at a time: step k's batch and total are gone
+    # when step k + 1's loss is entered (a Tensor takes no weak reference,
+    # and its array dies with it)
+    refs, alive = [], []
+    real_loss, real_total = trainer.finetune_scene_loss, losses.step_total
+
+    def finetune_scene_loss(batch, *args):
+        alive.append([r for r in refs if r() is not None])
+        refs.append(weakref.ref(batch))
+        return real_loss(batch, *args)
+
+    def step_total(terms, *args):
+        total, values = real_total(terms, *args)
+        refs.append(weakref.ref(total.data))
+        return total, values
+
+    monkeypatch.setattr(trainer, "finetune_scene_loss", finetune_scene_loss)
+    monkeypatch.setattr(losses, "step_total", step_total)
+    stage1_pretrain(tiny_dataset, CFG, tiny_spec())
+    assert len(alive) == CFG.epochs_stage1 * -(-len(tiny_dataset) // CFG.batch_size)
+    assert not any(alive)
+
+
+def test_stage1_lays_out_its_rows_once(tiny_dataset, monkeypatch):
+    # the codebook build and the training table share one layout
+    calls = []
+    real = trainer.scene_rows
+
+    def scene_rows(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(trainer, "scene_rows", scene_rows)
+    stage1_pretrain(tiny_dataset, CFG, tiny_spec())
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("stage", ["stage3", "adapt_unsup", "adapt_sup"])
 def test_teacher_runs_once_per_training_call_on_the_start_model(fitted, tiny_dataset,
                                                                  target_dataset,
@@ -632,7 +704,7 @@ def test_teacher_runs_once_per_training_call_on_the_start_model(fitted, tiny_dat
         "adapt_sup": (target_dataset[:20], lambda r: adapt_supervised(r, fitted, cfg)),
     }[stage]
     model = fitted.model
-    obs = SceneTable(records, model.cb, labeled=False).obs
+    obs = scene_rows(records, labeled=False).obs
     start_tokens = encode(obs, model.tensors, model.spec.token_scale)
     calls, batches = [], []
     real_predict, real_loss = GpInference.predict_rows, trainer.finetune_scene_loss
@@ -663,7 +735,7 @@ def test_teacher_runs_once_per_training_call_on_the_start_model(fitted, tiny_dat
 def step_loss_setup(fitted, records, use_gt: bool, use_teacher: bool):
     model = fitted.model.clone()
     bvars = model.params(BASE_PARAMS)
-    table = SceneTable(records, model.cb, labeled=use_gt)
+    table = SceneTable(scene_rows(records, labeled=use_gt), model.cb)
     if use_teacher:
         table.teach(model)  # constants, as the gradient treats them
     batch = table.batch(np.arange(len(records)))
@@ -726,7 +798,7 @@ def test_step_loss_term_order(fitted, tiny_dataset, use_gt, use_teacher, order):
 
 def test_gp_stage_loss_term_order(fitted, tiny_dataset):
     model = fitted.model.clone()
-    table = SceneTable(tiny_dataset[:3], model.cb, labeled=True)
+    table = SceneTable(scene_rows(tiny_dataset[:3], labeled=True), model.cb)
     terms = trainer.gp_stage_loss(
         table.batch(np.arange(3)), GpGraph(model.cb, model.tensors | model.params(GP_PARAMS)),
         encode(table.obs, model.tensors, model.spec.token_scale), CFG)
@@ -800,7 +872,7 @@ def test_mixed_scenes_by_stage(fitted, tiny_dataset, stage):
 def test_gp_stage_loss_gradients_match_finite_differences(fitted, tiny_dataset):
     model = fitted.model.clone()
     params = model.params(GP_PARAMS)
-    table = SceneTable(tiny_dataset[:4], model.cb, labeled=True)
+    table = SceneTable(scene_rows(tiny_dataset[:4], labeled=True), model.cb)
     batch = table.batch(np.arange(4))
     tokens = encode(table.obs, model.tensors, model.spec.token_scale)
 
@@ -853,7 +925,7 @@ def read_only_upstream(loss):
 def test_no_vjp_writes_into_its_upstream_gradient(fitted, tiny_dataset):
     model = fitted.model.clone()
     params = model.params(GP_PARAMS)
-    table = SceneTable(tiny_dataset[:6], model.cb, labeled=True)
+    table = SceneTable(scene_rows(tiny_dataset[:6], labeled=True), model.cb)
     batch = table.batch(np.arange(6))
     tokens = encode(table.obs, model.tensors, model.spec.token_scale)
     bvars, finetune_loss = step_loss_setup(fitted, tiny_dataset[:6], True, True)
