@@ -5,11 +5,12 @@ holding its value, its parent nodes, and a vector-Jacobian-product closure.
 ``grad`` walks the tape once in reverse topological order and writes the
 named parameters' gradients into buffers the caller owns; no tensor holds a
 gradient. Primitives are matrix-level (batched matmul, a dense layer
-``linear``, reductions, elementwise transcendentals; ``psdlinalg`` adds the
-RBF kernel and a batched PSD inverse), so tapes stay short even for whole
+``linear``, reductions, ``exp`` and ``tanh``; ``psdlinalg`` adds the RBF
+kernel and a batched PSD inverse), so tapes stay short even for whole
 training steps: a dense layer is one ``linear`` node, and a two-layer tanh
 network one ``mlp`` node (``basemodel`` builds its encoder and its planner
-from that network's forward and backward). A fused node's vjp replays the
+from that network's forward and backward; ``losses`` makes each loss family
+one node, from the numpy ops of its chain). A fused node's vjp replays the
 backward ops of the chain it replaces, in that chain's order, so its
 values and gradients have the chain's bytes.
 An operation on constants (tensors that neither require a gradient nor come
@@ -112,14 +113,6 @@ def mul(a, b) -> Tensor:
         lambda: _unbroadcast(g * a.data, b.data.shape)))
 
 
-def div(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    out = a.data / b.data
-    return _make(out, (a, b), lambda g: (
-        lambda: _unbroadcast(g / b.data, a.data.shape),
-        lambda: _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape)))
-
-
 def matmul(a, b) -> Tensor:
     """``a @ b`` over operands of two or more axes: leading axes batch (and
     broadcast) over stacks of matrices."""
@@ -208,21 +201,10 @@ def exp(a) -> Tensor:
     return _make(out, (a,), lambda g: (lambda: g * out,))
 
 
-def log(a) -> Tensor:
-    a = as_tensor(a)
-    return _make(np.log(a.data), (a,), lambda g: (lambda: g / a.data,))
-
-
 def tanh(a) -> Tensor:
     a = as_tensor(a)
     out = np.tanh(a.data)
     return _make(out, (a,), lambda g: (lambda: g * (1.0 - out * out),))
-
-
-def sqrt(a) -> Tensor:
-    a = as_tensor(a)
-    out = np.sqrt(a.data)
-    return _make(out, (a,), lambda g: (lambda: g * 0.5 / out,))
 
 
 def square(a) -> Tensor:
@@ -234,14 +216,6 @@ def relu(a) -> Tensor:
     a = as_tensor(a)
     mask = a.data > 0.0
     return _make(np.where(mask, a.data, 0.0), (a,), lambda g: (lambda: g * mask,))
-
-
-def clamp(a, lo: float, hi: float) -> Tensor:
-    """Clip to [lo, hi]; gradient passes only through the interior."""
-    a = as_tensor(a)
-    out = np.clip(a.data, lo, hi)
-    mask = (a.data >= lo) & (a.data <= hi)
-    return _make(out, (a,), lambda g: (lambda: g * mask,))
 
 
 def reshape(a, shape) -> Tensor:
@@ -269,16 +243,17 @@ def gather0(a, idx) -> Tensor:
     [0, len(a))."""
     a = as_tensor(a)
     idx = np.asarray(idx, dtype=np.intp)
-    out = a.data[idx]
+    return _make(a.data[idx], (a,), lambda g: (lambda: scatter0(g, idx, a.data.shape),))
 
-    def grad_a(g):
-        # one bincount over flat (row, column) ids: np.add.at's in-order sums
-        width = math.prod(a.data.shape[1:])
-        ids = (idx.reshape(-1, 1) * width + np.arange(width)).reshape(-1)
-        return np.bincount(ids, weights=np.reshape(g, -1),
-                           minlength=a.data.size).reshape(a.data.shape)
 
-    return _make(out, (a,), lambda g: (lambda: grad_a(g),))
+def scatter0(g, idx, shape: tuple) -> np.ndarray:
+    """``gather0``'s gradient: the rows of ``g`` summed into a zero array of
+    ``shape`` at the ids ``idx``, by one bincount over flat (row, column)
+    ids, which adds in the order of ``np.add.at``."""
+    width = math.prod(shape[1:])
+    ids = (np.reshape(idx, (-1, 1)) * width + np.arange(width)).reshape(-1)
+    return np.bincount(ids, weights=np.reshape(g, -1),
+                       minlength=math.prod(shape)).reshape(shape)
 
 
 def grad(loss: Tensor, params: dict[str, Tensor],

@@ -293,8 +293,10 @@ def triplet_table(cb: Codebook) -> tuple[np.ndarray, np.ndarray]:
     An ego label's positives are the 3 other groups of its command with the
     nearest trajectory anchors, its negatives the 3 nearest ego groups of
     the other commands. An agent label's are its 3 nearest and 3 farthest
-    other agent groups. Each label's candidates are ranked by one stable
-    sort of its row of the anchor-distance matrix, so ties go to the lower id.
+    other agent groups. Only the ego x ego and agent x agent blocks of the
+    anchor-distance matrix are measured. Each label's candidates, in id
+    order, are ranked by a stable argsort of its row of its bucket's block,
+    so ties go to the lower id, and the label itself is dropped.
     """
     per_cmd, n_agent = cb.n_ego // len(COMMANDS), cb.n_code - cb.n_ego
     if per_cmd < MIN_EGO_PER_COMMAND or n_agent < MIN_AGENT_GROUPS:
@@ -302,17 +304,23 @@ def triplet_table(cb: Codebook) -> tuple[np.ndarray, np.ndarray]:
             f"not enough groups for triplet selection: {per_cmd} ego groups per "
             f"command (need {MIN_EGO_PER_COMMAND}), {n_agent} agent groups "
             f"(need {MIN_AGENT_GROUPS})")
-    anchors = cb.traj_anchors
-    # [label, candidate]: the distance of candidate - label
-    dist = traj_dist_matrix(anchors, anchors).T
-    buckets = cb.buckets
-    ego = buckets < len(COMMANDS)
-    # rank class of a candidate: 0 in the label's bucket, 1 in another ego
-    # bucket (ego labels only), 2 never chosen (the label itself, other role)
-    rank = np.where(buckets[:, None] == buckets, 0, np.where(ego[:, None] & ego, 1, 2))
-    np.fill_diagonal(rank, 2)
-    order = np.lexsort((dist, rank))
-    # an ego label's negatives open its class-1 block, after its per_cmd - 1
-    # class-0 groups; an agent label's close its n_agent - 1 class-0 groups
-    start = np.where(ego, per_cmd - 1, n_agent - 4)
-    return order[:, :3], np.take_along_axis(order, start[:, None] + np.arange(3), axis=1)
+    anchors, buckets = cb.traj_anchors, cb.buckets
+    positives, negatives = (np.empty((cb.n_code, 3), dtype=np.intp) for _ in range(2))
+    for role in (slice(0, cb.n_ego), slice(cb.n_ego, cb.n_code)):
+        ids = np.arange(cb.n_code)[role]
+        # [label, candidate]: the distance of candidate - label
+        dist = traj_dist_matrix(anchors[role], anchors[role]).T
+        for b in np.unique(buckets[role]):
+            own = buckets[role] == b
+            labels = ids[own]
+            order = np.argsort(dist[np.ix_(own, own)], axis=1, kind="stable")
+            # each label's other groups of its bucket, nearest first
+            same = labels[order[order != np.arange(len(labels))[:, None]]
+                          .reshape(len(labels), -1)]
+            positives[labels] = same[:, :3]
+            if b == len(COMMANDS):  # an agent label: its 3 farthest
+                negatives[labels] = same[:, -3:]
+            else:  # an ego label: the 3 nearest of the other commands
+                nearest = np.argsort(dist[np.ix_(own, ~own)], axis=1, kind="stable")
+                negatives[labels] = ids[~own][nearest[:, :3]]
+    return positives, negatives

@@ -12,10 +12,16 @@ ascending scene order. A row's admissible groups come as a boolean
 (N, n_code) mask. A role's term is the sum of its rows, so a step's terms
 are the sum of its scenes' terms.
 
-A step builds one masked log-softmax forward per logits matrix
-(``MaskedLogSoftmax``, passed down, never cached); each of its consumers is
-one tape node whose vjp replays the composed chain's backward ops in their
-order, so values and gradients keep the bytes of that chain.
+Each loss family is one tape node per step, whose vjp replays the backward
+ops of the chain of primitive nodes it stands for, in that chain's order,
+so values and gradients keep the bytes of that chain: the trajectory MSE
+(``traj_mse``), the heteroscedastic NLL, the triplet hinge and each role
+sum (``role_sums``). A step builds one masked log-softmax forward per
+logits matrix (``MaskedLogSoftmax``, passed down, never cached), which its
+one-node consumers (``cross_entropy``, ``kl_divergence``) share. The
+teacher's log-softmax is a constant of the training call: the trainer
+computes it once over the call's rows (``teacher_log_softmax``), and each
+step reads its rows.
 
 Each loss returns its terms as a plain dict of scalar tensors named from
 ``TERM_NAMES``. The trainer makes the step's loss from them with
@@ -27,6 +33,7 @@ GP teacher (``loss_gp_teacher``), which adds only the KL term.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Collection, Mapping, Sequence
 
@@ -50,10 +57,20 @@ _NORM_EPS = 1e-12
 
 
 def role_sums(per_row: Tensor, n_ego: int) -> tuple[Tensor, Tensor]:
-    """Sum of the ego rows (the first ``n_ego``) and sum of the agent rows."""
+    """Sum of the ego rows (the first ``n_ego``) and sum of the agent rows,
+    one node each, with the bytes of ``tsum(narrow(...))``: a node's vjp puts
+    the upstream into its slice's rows and zeros elsewhere."""
     n = per_row.data.shape[0]
-    return (autodiff.tsum(autodiff.narrow(per_row, 0, n_ego)),
-            autodiff.tsum(autodiff.narrow(per_row, n_ego, n)))
+    return _slice_sum(per_row, 0, n_ego), _slice_sum(per_row, n_ego, n)
+
+
+def _slice_sum(a: Tensor, start: int, stop: int) -> Tensor:
+    def grad(g):
+        full = np.zeros_like(a.data)
+        full[start:stop] = g
+        return full
+
+    return autodiff._make(a.data[start:stop].sum(), (a,), lambda g: (lambda: grad(g),))
 
 
 def role_terms(per_row: Mapping[tuple[str, str], Tensor], n_ego: int) -> dict[str, Tensor]:
@@ -103,15 +120,23 @@ def cross_entropy(ls: MaskedLogSoftmax, labels) -> Tensor:
                    lambda g: (g * -1.0)[:, None] * onehot)
 
 
-def kl_divergence(ls: MaskedLogSoftmax, teacher_logits: np.ndarray) -> Tensor:
+def teacher_log_softmax(logits: np.ndarray, admissible: np.ndarray) -> np.ndarray:
+    """The masked log-softmax (N, n_code) of constant logits, whatever they
+    hold outside each row's (N, n_code) mask: what ``kl_divergence`` compares
+    against. Every operation is row-wise, so a row's bytes do not depend on
+    the other rows."""
+    return _log_softmax(np.where(admissible, logits, 0.0), admissible,
+                        admissible.astype(float))[2]
+
+
+def kl_divergence(ls: MaskedLogSoftmax, teacher_ls: np.ndarray) -> Tensor:
     """Per row, KL(softmax(student) || softmax(teacher)) over the admissible set.
 
-    Teacher logits are constants; entries outside the set are ignored.
+    ``teacher_ls`` is the teacher's constant ``teacher_log_softmax`` of the
+    rows; entries outside the set are ignored.
     """
-    _, _, ls_t = _log_softmax(np.where(ls.admissible, teacher_logits, 0.0),
-                              ls.admissible, ls.mask)
     e = np.exp(ls.out)
-    p, diff = e * ls.mask, ls.out - ls_t
+    p, diff = e * ls.mask, ls.out - teacher_ls
     return ls.node(np.sum(p * diff, axis=1),
                    lambda g: g[:, None] * p + g[:, None] * diff * ls.mask * e)
 
@@ -133,19 +158,40 @@ def step_total(terms: Mapping[str, Tensor], weights: Mapping[str, float], n_ego:
 
 def heteroscedastic_nll(task_loss: Tensor, variance,
                         sigma_clamp: tuple[float, float] = DEFAULT_SIGMA_CLAMP) -> Tensor:
-    """Elementwise task_loss / sigma^2 + log sigma, sigma = clamp(sqrt(variance))."""
-    variance = as_tensor(variance)
+    """Elementwise task_loss / sigma^2 + log sigma, sigma = clamp(sqrt(variance)),
+    as one node over the task loss and the variance (a tape node or a
+    constant). The vjp replays the chain sqrt, clamp, square, div, log, add:
+    sigma's gradient is the sum of its two consumers', and the clamp passes
+    it only inside the band, bounds included."""
+    task, variance = as_tensor(task_loss), as_tensor(variance)
     if np.any(variance.data <= 0.0):
         raise ValueError("non-positive variance in heteroscedastic loss")
-    sigma = autodiff.clamp(autodiff.sqrt(variance), *sigma_clamp)
-    return autodiff.add(autodiff.div(task_loss, autodiff.square(sigma)),
-                        autodiff.log(sigma))
+    lo, hi = sigma_clamp
+    root = np.sqrt(variance.data)
+    sigma = np.clip(root, lo, hi)
+    inside = (root >= lo) & (root <= hi)
+    sq = sigma * sigma
+    quotient, log_sigma = task.data / sq, np.log(sigma)
+
+    def vjp(g):
+        g_q = autodiff._unbroadcast(g, quotient.shape)
+
+        def g_variance():
+            g_sq = autodiff._unbroadcast(-g_q * task.data / (sq * sq), sq.shape)
+            g_sigma = 2.0 * g_sq * sigma + autodiff._unbroadcast(g, log_sigma.shape) / sigma
+            return g_sigma * inside * 0.5 / root
+
+        return (lambda: autodiff._unbroadcast(g_q / sq, task.data.shape), g_variance)
+
+    return autodiff._make(quotient + log_sigma, (task, variance), vjp)
 
 
 def traj_mse(pred: Tensor, gt) -> Tensor:
-    """Per row, mean over the 6 waypoints of squared error from the constant ``gt``."""
-    d = autodiff.sub(pred, gt)
-    return autodiff.div(autodiff.tsum(autodiff.square(d), axis=-1), 6.0)
+    """Per row, mean over the 6 waypoints of squared error from the constant
+    ``gt``, as one node with the bytes of sub, square, tsum and div."""
+    d = pred.data - as_tensor(gt).data
+    return autodiff._make(np.sum(d * d, axis=-1) / 6.0, (pred,), lambda g: (
+        lambda: 2.0 * np.expand_dims(g / 6.0, -1) * d,))
 
 
 def orthogonality(basis: Tensor) -> Tensor:
@@ -163,23 +209,44 @@ def triplet_term(tokens, positives: np.ndarray, negatives: np.ndarray, anchors,
     ``tokens`` is (N, D); ``positives``/``negatives`` are (N, k) group ids
     into the (n_code, D) ``anchors`` table. Distances are Euclidean between
     a row's token and each group's token anchor.
+
+    One node, whose parents are the tokens and the table twice: the table's
+    gradient gathered through the positives, then through the negatives,
+    as two contributions, as the chain's two ``gather0`` nodes give them.
+    The vjp replays that chain's backward ops (div, tsum, relu, sub, sqrt,
+    tsum, square, sub) in its order; the tokens' gradient is the sum of the
+    two distances'.
     """
-    tok = as_tensor(tokens)
-    table = as_tensor(anchors)
+    tok, table = as_tensor(tokens), as_tensor(anchors)
     n, dim = tok.data.shape
-    t3 = autodiff.reshape(tok, (n, 1, dim))
+    t3 = tok.data.reshape(n, 1, dim)
+    ids = (np.asarray(positives, dtype=np.intp), np.asarray(negatives, dtype=np.intp))
+    diffs = [t3 - table.data[i] for i in ids]
+    roots = [np.sqrt(np.sum(d * d, axis=2) + _NORM_EPS) for d in diffs]
+    k_pos, k_neg = (i.shape[1] for i in ids)
+    count = float(k_pos * k_neg)
+    hinge_in = roots[0].reshape(n, k_pos, 1) - roots[1].reshape(n, 1, k_neg) + margin
+    active = hinge_in > 0.0
+    out = np.sum(np.where(active, hinge_in, 0.0), axis=(1, 2)) / count
 
-    def dist(ids):
-        d = autodiff.sub(t3, autodiff.gather0(table, ids))
-        return autodiff.sqrt(autodiff.add(autodiff.tsum(autodiff.square(d), axis=2),
-                                          _NORM_EPS))
+    def vjp(g):
+        @functools.cache
+        def g_diffs():
+            g_hinge = np.expand_dims(g / count, (1, 2)) * active
+            g_roots = (autodiff._unbroadcast(g_hinge, (n, k_pos, 1)).reshape(n, k_pos),
+                       autodiff._unbroadcast(-g_hinge, (n, 1, k_neg)).reshape(n, k_neg))
+            return [2.0 * np.expand_dims(gr * 0.5 / r, 2) * d
+                    for gr, r, d in zip(g_roots, roots, diffs)]
 
-    d_pos, d_neg = dist(positives), dist(negatives)
-    k_pos, k_neg = d_pos.data.shape[1], d_neg.data.shape[1]
-    gap = autodiff.sub(autodiff.reshape(d_pos, (n, k_pos, 1)),
-                       autodiff.reshape(d_neg, (n, 1, k_neg)))
-    hinge = autodiff.relu(autodiff.add(gap, margin))
-    return autodiff.div(autodiff.tsum(hinge, axis=(1, 2)), float(k_pos * k_neg))
+        def g_tokens():
+            g_pos, g_neg = (autodiff._unbroadcast(gd, (n, 1, dim)) for gd in g_diffs())
+            return (g_pos + g_neg).reshape(n, dim)
+
+        return (g_tokens,
+                *(lambda j=j: autodiff.scatter0(-g_diffs()[j], ids[j], table.data.shape)
+                  for j in range(2)))
+
+    return autodiff._make(out, (tok, table, table), vjp)
 
 
 def loss_rec(targets, recon: Tensor, variance: Tensor, n_ego: int,
@@ -253,17 +320,17 @@ def loss_sup(rows: SupRows, anchors,
     return role_terms(_gp_families(rows, anchors, sigma_clamp, margin), rows.n_ego)
 
 
-def loss_gp_teacher(rows: SupRows, teacher_logits: np.ndarray, anchors,
+def loss_gp_teacher(rows: SupRows, teacher_ls: np.ndarray, anchors,
                     sigma_clamp: tuple[float, float] = DEFAULT_SIGMA_CLAMP,
                     margin: float = DEFAULT_TRIPLET_MARGIN) -> dict[str, Tensor]:
     """Distillation of the base model against the GP module, no ground truth.
 
     ``rows`` hold the base model's outputs and the teacher's targets;
-    ``teacher_logits`` (N, n_code) are the teacher's, -inf outside each
-    row's admissible set. Adds the KL to the teacher's class distribution
+    ``teacher_ls`` (N, n_code) is the ``teacher_log_softmax`` of the
+    teacher's logits. Adds the KL to the teacher's class distribution
     to ``loss_sup``'s families. ``anchors`` is the (n_code, D) token-anchor
     table.
     """
     families = _gp_families(rows, anchors, sigma_clamp, margin)
-    families["kl_ego", "kl_agent"] = kl_divergence(rows.ls, teacher_logits)
+    families["kl_ego", "kl_agent"] = kl_divergence(rows.ls, teacher_ls)
     return role_terms(families, rows.n_ego)

@@ -26,10 +26,11 @@ GP and its losses over all rows at once. Labels are computed once per
 training call, and so is the frozen teacher of stage 3 and both
 adaptations: one ``predict_rows`` pass over the tokens of the model the
 call starts from predicts every row of the call's table before the first
-step (``SceneTable.teach``), and each step reads its batch's rows of that
-prediction as constants, so the teacher's targets do not move with the
-student. The codebook is built once per model (``Model.cb``), its triplet
-classes on first use.
+step (``SceneTable.teach``), which also takes the masked log-softmax of its
+logits once, and each step reads its batch's rows of that prediction as
+constants, so the teacher's targets do not move with the student. The
+codebook is built once per model (``Model.cb``), its triplet classes on
+first use.
 
 A step loss returns its terms as a plain dict (see ``losses``); ``_run_epochs``
 weights them in one node (``losses.step_total``), checks the values it scaled
@@ -69,7 +70,7 @@ from .codebook import (MIN_AGENT_GROUPS, MIN_EGO_PER_COMMAND, BuildError, Codebo
 from .core import COMMANDS, SceneRecord, SceneRows, rng_for, scene_rows
 from .gpmodule import GpGraph, GpInference
 from .losses import (MaskedLogSoftmax, SupRows, cross_entropy, loss_gp_teacher, loss_rec,
-                     loss_sup, role_terms, traj_mse)
+                     loss_sup, role_terms, teacher_log_softmax, traj_mse)
 from .psdlinalg import NotPSD
 
 CHECKPOINT_MAGIC = b"GPTRAJCK"
@@ -337,7 +338,7 @@ class SceneTable:
 
     # the per-row arrays, which ``batch`` slices by row
     ROW_ARRAYS = ("obs", "admissible", "gt", "labels",
-                  "t_mean", "t_variance", "t_logits", "t_group")
+                  "t_mean", "t_variance", "t_log_softmax", "t_group")
 
     def __init__(self, rows: SceneRows, cb: Codebook):
         self.n_ego = len(rows.commands)
@@ -350,7 +351,7 @@ class SceneTable:
         if rows.gt is not None:
             self.gt = rows.gt.reshape(len(rows.gt), -1)
             self.labels = scene_labels(self, cb)
-        self.t_mean = self.t_variance = self.t_logits = self.t_group = None
+        self.t_mean = self.t_variance = self.t_log_softmax = self.t_group = None
         self.t_anchors = None
 
     def __len__(self) -> int:
@@ -359,12 +360,15 @@ class SceneTable:
     def teach(self, model: Model) -> None:
         """Keep the frozen teacher's prediction of every row, from one
         ``predict_rows`` pass over the tokens of ``model`` as it is now:
-        mean (N, 12), variance (N,), masked logits (N, n_code) and group
-        (N,); and its token anchors (n_code, D)."""
+        mean (N, 12), variance (N,), the masked log-softmax of its logits
+        (N, n_code), computed once for every row (``teacher_log_softmax``,
+        row-wise, so a batch's rows have the bytes of the batch's own), and
+        group (N,); and its token anchors (n_code, D)."""
         teacher = GpInference(model.cb, model.tensors)
         tokens = encode(self.obs, model.tensors, model.spec.token_scale)
-        self.t_mean, self.t_variance, self.t_logits, self.t_group = (
+        self.t_mean, self.t_variance, logits, self.t_group = (
             teacher.predict_rows(tokens, self.admissible))
+        self.t_log_softmax = teacher_log_softmax(logits, self.admissible)
         self.t_anchors = teacher.token_anchors.data
 
     def batch(self, scenes: np.ndarray) -> "SceneTable":
@@ -411,7 +415,7 @@ def finetune_scene_loss(batch: SceneTable, bvars: dict[str, Tensor], model: Mode
     Ground-truth terms when the batch carries labels, then, when it carries
     the teacher's predictions (``SceneTable.teach``), the teacher
     regularization, which ``_run_epochs`` scales by ``cfg.gp_weight``. The
-    teacher's mean, variance, logits and group are constants of the
+    teacher's mean, variance, log-softmax and group are constants of the
     training call, made from the model it started from, so its targets do
     not move with the student. The trajectory anchor is the label's group
     when supervised, else the teacher's group. The triplet term measures
@@ -431,7 +435,7 @@ def finetune_scene_loss(batch: SceneTable, bvars: dict[str, Tensor], model: Mode
         SupRows(traj=traj, target=batch.t_mean, variance=batch.t_variance, ls=ls,
                 label=t_group, token=tokens, positives=positives[t_group],
                 negatives=negatives[t_group], n_ego=batch.n_ego),
-        batch.t_logits, batch.t_anchors, sigma_clamp=cfg.sigma_clamp,
+        batch.t_log_softmax, batch.t_anchors, sigma_clamp=cfg.sigma_clamp,
         margin=cfg.triplet_margin)
     return terms | taught
 
@@ -488,8 +492,10 @@ def _run_epochs(table: SceneTable, cfg: TrainConfig, params, step_loss_fn, *,
     the step ends, so a failed run keeps the steps before the failure. A
     finished step's batch and tape are released before the next step's loss
     is built, so only one tape is alive at a time. A
-    step's GP conditioning (stage 2's) that is not positive definite stops
-    training with a TrainingError naming the stage, step and group.
+    step's GP conditioning (stage 2's) that is not positive definite, and a
+    ValueError of a step loss (a non-positive variance, a label outside the
+    admissible set), stop training with a TrainingError that opens
+    ``<stage> step <n>: `` and chains the error.
     """
     opt = Adam(params, lr=lr, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps)
     log = None
@@ -501,7 +507,7 @@ def _run_epochs(table: SceneTable, cfg: TrainConfig, params, step_loss_fn, *,
                 batch = table.batch(np.sort(perm[start:start + cfg.batch_size]))
                 try:
                     terms = step_loss_fn(batch)
-                except NotPSD as e:
+                except (NotPSD, ValueError) as e:
                     raise TrainingError(f"{stage} step {step}: {e}") from e
                 total, values = losses.step_total(terms, cfg.loss_weights, batch.n_ego,
                                                   cfg.gp_weight, taught)

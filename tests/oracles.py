@@ -11,7 +11,7 @@ weights by checkpoint name, per-family parameter initializers drawing one
 weight matrix at a time, the codebook's Lloyd
 clustering with every distance recomputed by ``np.linalg.norm`` and
 per-cluster means, a statement of the codebook's group layout with a
-sort-per-label triplet selection, the scene generator drawing and checking
+sort-per-label triplet selection and a whole-table ``lexsort`` one, the scene generator drawing and checking
 one candidate agent at a time, and central finite differences. They exist to
 cross-check the production paths and must stay independent of them.
 """
@@ -252,6 +252,28 @@ def triplet_classes_ref(cb, label: int) -> tuple[list[int], list[int]]:
         return same[:3], same[-3:]
     other = ranked(g for c in COMMANDS if c != command for g in group_ids_ref(cb, c))
     return same[:3], other[:3]
+
+
+def triplet_table_ref(cb) -> tuple[np.ndarray, np.ndarray]:
+    """The triplet classes of every label, as (n_code, 3) positive and
+    negative id arrays, from one ``lexsort`` over the full (n_code, n_code)
+    ``traj_dists_ref`` matrix of the trajectory anchors. A label's
+    candidates sort by rank class, then distance, then id: class 0 is its
+    own bucket, 1 another ego bucket (ego labels only), 2 never chosen (the
+    label itself, the other role). An ego label's negatives open its class-1
+    block, after its per_cmd - 1 class-0 groups; an agent label's close its
+    n_agent - 1 class-0 groups."""
+    anchors = cb.trajectories.mean(axis=1)
+    dist = traj_dists_ref(anchors[None], anchors[:, None])  # [label, candidate]
+    per_cmd, n_agent = cb.n_ego // len(COMMANDS), cb.n_code - cb.n_ego
+    bucket = np.array([COMMANDS.index(command_of_ref(cb, g)) if g < cb.n_ego
+                       else len(COMMANDS) for g in range(cb.n_code)])
+    ego = bucket < len(COMMANDS)
+    rank = np.where(bucket[:, None] == bucket, 0, np.where(ego[:, None] & ego, 1, 2))
+    np.fill_diagonal(rank, 2)
+    order = np.lexsort((dist, rank))
+    start = np.where(ego, per_cmd - 1, n_agent - 4)
+    return order[:, :3], np.take_along_axis(order, start[:, None] + np.arange(3), axis=1)
 
 
 def classify_ref(token: np.ndarray, command, cb, w) -> tuple[int, np.ndarray]:

@@ -7,12 +7,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from gptraj import autodiff, basemodel
+from gptraj import autodiff
 from gptraj.basemodel import (RESIDUAL_BOUND, TOKEN_SCALE, encode, encode_t, plan,
                               planner_t)
 from gptraj.codebook import admissible
 from gptraj.core import COMMANDS, Command, SceneRecord, rng_for
 
+from composed import composed_encoder, composed_planner
 from conftest import grad_map, parameter
 from oracles import (base_init_ref, encode_ref, group_ids_ref, masked_softmax, plan_ref,
                      plan_with_group_ref)
@@ -131,23 +132,6 @@ def test_differentiable_paths_match_numpy():
         assert np.allclose(logits_t.data[row], out[:n_code], atol=1e-12)
         assert np.allclose(residual_t.data[row],
                            RESIDUAL_BOUND * np.tanh(out[n_code:]), atol=1e-12)
-
-
-def composed_encoder(obs, w: dict, token_scale: float):
-    """The encoder as its chain of primitive nodes."""
-    h = autodiff.tanh(autodiff.linear(obs, w["base.enc_w1"], w["base.enc_b1"]))
-    raw = autodiff.linear(h, w["base.enc_w2"], w["base.enc_b2"])
-    norm = autodiff.sqrt(autodiff.add(
-        autodiff.tsum(autodiff.square(raw), axis=1, keepdims=True), basemodel._NORM_EPS))
-    return autodiff.mul(autodiff.div(raw, norm), token_scale)
-
-
-def composed_planner(tokens, w: dict, n_code: int):
-    """The planner as its chain of primitive nodes."""
-    h = autodiff.tanh(autodiff.linear(tokens, w["base.pln_w1"], w["base.pln_b1"]))
-    out = autodiff.linear(h, w["base.pln_w2"], w["base.pln_b2"])
-    return (autodiff.narrow(out, 0, n_code, axis=1), autodiff.mul(
-        autodiff.tanh(autodiff.narrow(out, n_code, n_code + 12, axis=1)), RESIDUAL_BOUND))
 
 
 @pytest.mark.parametrize("rows", [1, 40, 300])

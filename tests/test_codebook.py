@@ -13,7 +13,7 @@ from gptraj.core import COMMANDS, COORD_BOUND, Command, rng_for, scene_rows
 from gptraj.synthdomain import gen_dataset
 
 from oracles import (command_of_ref, group_ids_ref, lloyd_ref, traj_distance,
-                     traj_dists_ref, triplet_classes_ref)
+                     traj_dists_ref, triplet_classes_ref, triplet_table_ref)
 
 
 def straight(speed: float, jitter: float = 0.0, rng=None) -> np.ndarray:
@@ -153,7 +153,7 @@ def test_blocked_kernel_matches_norm_form_bit_for_bit(k):
         spans = [(lo, hi) for lo, hi, d in traj_dist_blocks(rows, cols)]
         assert [lo for lo, _ in spans] == list(range(0, n, step))
         assert spans[-1][1] == n
-    # triplet_table's anchor-distance matrix, [label, candidate]
+    # triplet_table's anchor distances, [label, candidate]
     anchors = hard_rows(112, 13)
     assert (traj_dist_matrix(anchors, anchors).T.tobytes()
             == traj_dists_ref(anchors[None], anchors[:, None]).tobytes())
@@ -463,6 +463,27 @@ def test_triplet_table_matches_per_label_reference(tiny_model, make):
     for label in range(cb.n_code):
         pos, neg = triplet_classes_ref(cb, label)
         assert (positives[label].tolist(), negatives[label].tolist()) == (pos, neg), label
+
+
+def default_size_codebook(distinct: int | None) -> Codebook:
+    """48 ego and 64 agent groups of 16 random trajectories; with
+    ``distinct``, drawn from that many groups, so that anchors repeat and
+    candidates tie on distance."""
+    rng = np.random.default_rng(distinct or 0)
+    trajs = rng.normal(scale=5.0, size=(distinct or 112, 16, 12))
+    return Codebook(trajs if distinct is None else trajs[rng.integers(distinct, size=112)],
+                    48)
+
+
+@pytest.mark.parametrize("make", [lambda model: model.cb,
+                                  lambda model: default_size_codebook(None),
+                                  lambda model: shared_anchor_codebook(),
+                                  lambda model: default_size_codebook(5)],
+                         ids=["tiny", "default", "shared_anchors", "default_shared"])
+def test_triplet_table_is_the_whole_table_lexsort(tiny_model, make):
+    cb = make(tiny_model)
+    got, want = triplet_table(cb), triplet_table_ref(cb)
+    assert [a.tobytes() for a in got] == [a.astype(np.intp).tobytes() for a in want]
 
 
 def test_triplet_table_rejects_small_pools():

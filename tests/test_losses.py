@@ -11,9 +11,13 @@ from gptraj.codebook import Codebook, sample_and_cluster, triplet_table
 from gptraj.losses import (DEFAULT_SIGMA_CLAMP, MaskedLogSoftmax, SupRows,
                            cross_entropy, heteroscedastic_nll, kl_divergence,
                            loss_gp_teacher, loss_rec, loss_sup, orthogonality,
-                           step_total, triplet_term)
+                           role_sums, step_total, teacher_log_softmax, traj_mse,
+                           triplet_term)
 from gptraj.trainer import Adam
 
+import composed
+from composed import (composed_ce, composed_kl, composed_nll, composed_role_sums,
+                      composed_total, composed_traj_mse, composed_triplet)
 from conftest import grad_map, parameter
 from oracles import (basis_tokens_ref, finite_difference, triplet_classes_ref,
                      triplet_oracle)
@@ -187,11 +191,13 @@ def test_kl_identity_and_uniform_cases():
     logits = np.zeros(12)
     logits[adm] = [0.3, -0.1, 0.8, 0.2]
     assert kl_divergence(MaskedLogSoftmax(Tensor(logits[None]), mask),
-                         logits[None].copy()).data[0] == pytest.approx(0.0, abs=1e-12)
+                         teacher_log_softmax(logits[None], mask)).data[0] == pytest.approx(
+        0.0, abs=1e-12)
     student = np.full(12, -300.0)
     student[adm[0]] = 300.0  # one-hot in the zero-temperature limit
     teacher = np.zeros(12)  # uniform over the 4 admissible groups
-    kl = kl_divergence(MaskedLogSoftmax(Tensor(student[None]), mask), teacher[None])
+    kl = kl_divergence(MaskedLogSoftmax(Tensor(student[None]), mask),
+                       teacher_log_softmax(teacher[None], mask))
     assert kl.data[0] == pytest.approx(np.log(4.0), abs=1e-9)
 
 
@@ -219,7 +225,8 @@ def test_teacher_self_distillation_fixed_point(cb, cb_basis):
         logits[label] = 80.0
         traj = np.linspace(0, 5, 12)
         rows = _teacher_rows(cb, cb_basis, label, traj, logits)
-        terms = loss_gp_teacher(rows, logits[None], anchors=cb_basis.mean(axis=1))
+        terms = loss_gp_teacher(rows, teacher_log_softmax(logits[None], all_admissible(cb)),
+                                anchors=cb_basis.mean(axis=1))
         assert step_total(terms, {}, 1)[0].item() == pytest.approx(0.0, abs=1e-10)
     finally:
         cb_basis[neg] -= 50.0
@@ -248,8 +255,8 @@ def test_optimal_sigma_squared_is_twice_task_loss():
     opt = Adam({"theta": theta}, lr=1e-2, beta1=0.9, beta2=0.999, eps=1e-8)
     for _ in range(500):
         sigma = autodiff.exp(theta)
-        loss = autodiff.add(autodiff.div(task, autodiff.square(sigma)),
-                            autodiff.log(sigma))
+        loss = autodiff.add(composed.div(task, autodiff.square(sigma)),
+                            composed.log(sigma))
         autodiff.grad(loss, {"theta": theta}, out=opt.grads)
         opt.step()
     sigma_sq = float(np.exp(2 * theta.data))
@@ -293,38 +300,6 @@ def test_loss_rec_gradients_match_fd(cb_basis):
 # --- one-node losses against the composed primitive chains they replace ------
 
 
-def composed_log_softmax(logits, admissible):
-    mask = admissible.astype(np.float64)
-    m = np.max(np.where(admissible, logits.data, -np.inf), axis=-1, keepdims=True)
-    shifted = autodiff.mul(autodiff.sub(logits, m), mask)
-    lse = autodiff.log(autodiff.tsum(autodiff.mul(autodiff.exp(shifted), mask),
-                                     axis=-1, keepdims=True))
-    return autodiff.mul(autodiff.sub(shifted, lse), mask)
-
-
-def composed_ce(logits, admissible, labels):
-    onehot = np.zeros(admissible.shape)
-    onehot[np.arange(len(labels)), labels] = 1.0
-    ls = composed_log_softmax(logits, admissible)
-    return autodiff.mul(autodiff.tsum(autodiff.mul(ls, onehot), axis=1), -1.0)
-
-
-def composed_kl(logits, teacher_logits, admissible):
-    ls_s = composed_log_softmax(logits, admissible)
-    ls_t = composed_log_softmax(Tensor(np.where(admissible, teacher_logits, 0.0)),
-                                admissible).data
-    p_s = autodiff.mul(autodiff.exp(ls_s), admissible.astype(np.float64))
-    return autodiff.tsum(autodiff.mul(p_s, autodiff.sub(ls_s, ls_t)), axis=1)
-
-
-def composed_total(terms, weights, n, gp_weight, taught):
-    out = Tensor(0.0)
-    for name, t in terms.items():
-        t = autodiff.mul(t, gp_weight) if name in taught else t
-        out = autodiff.add(out, autodiff.mul(t, weights.get(name, 1.0)))
-    return autodiff.mul(out, 1.0 / n)
-
-
 @pytest.fixture(scope="module")
 def class_rows():
     """Logits over 112 groups for rows admitting 16, 64 and 1 groups, some
@@ -364,7 +339,7 @@ def test_class_nodes_give_the_bytes_of_the_composed_chains(class_rows):
     def nodes(x):
         ls = MaskedLogSoftmax(x, admissible)
         return [cross_entropy(ls, labels), cross_entropy(ls, taught),
-                kl_divergence(ls, teacher)]
+                kl_divergence(ls, teacher_log_softmax(teacher, admissible))]
 
     def composed(x):
         return [composed_ce(x, admissible, labels), composed_ce(x, admissible, taught),
@@ -395,3 +370,158 @@ def test_total_node_gives_the_bytes_of_the_composed_sum():
                   for n, t in terms.items()])))
     assert got[0] == want[0] and got[2] == want[2]
     assert got[1].tobytes() == want[1].tobytes()
+
+
+# --- one-node loss families against their composed chains -------------------
+
+
+def node_bytes(build, arrays: dict, needed, seed: int = 0, extra=None) -> list[bytes]:
+    """The bytes of the outputs of ``build(**tensors)`` and of the gradients
+    of the arrays named in ``needed`` (parameters; the others are constants)
+    from one ``grad`` call, whose root weights each output by a seeded
+    upstream with negative entries. ``extra``, if given, is (where, term):
+    ``term(tensors)`` is one more term of the root, added before the
+    outputs' terms when ``where`` is "first" and after them otherwise."""
+    rng = np.random.default_rng(seed)
+    tensors = {n: parameter(a) if n in needed else Tensor(a) for n, a in arrays.items()}
+    outs = build(**tensors)
+    outs = outs if isinstance(outs, tuple) else (outs,)
+    terms = [autodiff.tsum(autodiff.mul(out, rng.normal(size=out.shape))) for out in outs]
+    if extra is not None:
+        where, term = extra
+        terms.insert(0 if where == "first" else len(terms), term(tensors))
+    root = terms[0]
+    for t in terms[1:]:
+        root = autodiff.add(root, t)
+    grads = grad_map(root, {n: tensors[n] for n in needed})
+    return [o.data.tobytes() for o in outs] + [grads[n].tobytes() for n in needed]
+
+
+def assert_same_bytes(node, chain, arrays, needed, **kw):
+    got, want = node_bytes(node, arrays, needed, **kw), node_bytes(chain, arrays, needed, **kw)
+    assert len(got) == len(want)
+    for i, (a, b) in enumerate(zip(got, want)):
+        assert a == b, i
+
+
+@pytest.mark.parametrize("n_ego", [0, 1, 5, 9], ids=["no-ego", "one-ego", "mixed", "no-agent"])
+def test_role_sums_give_the_bytes_of_the_composed_chain(n_ego):
+    per_row = np.random.default_rng(n_ego).normal(size=9)
+    assert_same_bytes(lambda x: role_sums(autodiff.mul(x, 1.5), n_ego),
+                      lambda x: composed_role_sums(autodiff.mul(x, 1.5), n_ego),
+                      {"x": per_row}, ["x"])
+
+
+@pytest.mark.parametrize("rows", [1, 7, 40])
+def test_traj_mse_gives_the_bytes_of_the_composed_chain(rows):
+    rng = np.random.default_rng(rows)
+    gt = rng.normal(size=(rows, 12))
+    assert_same_bytes(lambda pred: traj_mse(pred, gt),
+                      lambda pred: composed_traj_mse(pred, gt),
+                      {"pred": rng.normal(size=(rows, 12)) * 3.0}, ["pred"])
+
+
+def nll_rows(rows: int, lo: float, hi: float) -> dict:
+    """Task losses and variances whose roots fall below, at, inside and above
+    the band [lo, hi] (roots exact at the bounds)."""
+    rng = np.random.default_rng(rows)
+    variance = np.exp(rng.uniform(np.log(lo * lo) - 2, np.log(hi * hi) + 2, size=rows))
+    variance[:2] = lo * lo, hi * hi
+    return {"task": rng.uniform(0.0, 4.0, size=rows), "variance": variance}
+
+
+@pytest.mark.parametrize("needed", [["task", "variance"], ["task"], ["variance"]],
+                         ids=["both", "constant-variance", "constant-task"])
+def test_nll_gives_the_bytes_of_the_composed_chain(needed):
+    lo, hi = 0.5, 4.0
+    arrays = nll_rows(41, lo, hi)
+    assert np.sqrt(arrays["variance"][:2]).tolist() == [lo, hi]
+    for band in ((lo, hi), DEFAULT_SIGMA_CLAMP):
+        assert_same_bytes(lambda task, variance: heteroscedastic_nll(task, variance, band),
+                          lambda task, variance: composed_nll(task, variance, band),
+                          arrays, needed)
+
+
+def triplet_arrays(rows: int, n_code: int = 11, dim: int = 5, k: int = 3):
+    """Token rows and an anchor table, by name, and (rows, k) positive and
+    negative ids into the table."""
+    rng = np.random.default_rng(rows + n_code)
+    arrays = {"tokens": rng.normal(size=(rows, dim)), "table": rng.normal(size=(n_code, dim))}
+    return arrays, rng.integers(n_code, size=(rows, k)), rng.integers(n_code, size=(rows, k))
+
+
+@pytest.mark.parametrize("needed", [["tokens", "table"], ["tokens"], ["table"]],
+                         ids=["both", "teacher", "stage2"])
+@pytest.mark.parametrize("rows", [1, 9, 40])
+def test_triplet_gives_the_bytes_of_the_composed_chain(rows, needed):
+    arrays, pos, neg = triplet_arrays(rows)
+
+    def of(fn):
+        return lambda tokens, table: fn(tokens, pos, neg, table, 0.8)
+
+    assert_same_bytes(of(triplet_term), of(composed_triplet), arrays, needed)
+    # a third consumer of the table, whose gradient joins the two gathered
+    # ones before or after them, so that their order shows
+    w = np.random.default_rng(rows).normal(size=arrays["table"].shape)
+    for where in ("first", "last"):
+        extra = (where, lambda t: autodiff.tsum(autodiff.mul(autodiff.square(t["table"]), w)))
+        assert_same_bytes(of(triplet_term), of(composed_triplet), arrays, needed,
+                          extra=extra)
+
+
+def test_triplet_hinge_at_exactly_zero():
+    # negative 4 is positive 0's anchor and the margin is 0: that pair's
+    # hinge input is exactly 0, so it adds nothing and passes no gradient
+    arrays = triplet_arrays(2, n_code=6, dim=4)[0]
+    arrays["table"][4] = arrays["table"][0]
+    pos, neg = np.array([[0], [1]]), np.array([[4], [5]])
+    assert triplet_term(arrays["tokens"], pos, neg, arrays["table"], 0.0).data[0] == 0.0
+
+    def of(fn):
+        return lambda tokens, table: fn(tokens, np.array([[0, 1], [1, 2]]),
+                                        np.array([[4, 5], [5, 4]]), table, 0.0)
+
+    assert_same_bytes(of(triplet_term), of(composed_triplet), arrays, ["tokens", "table"])
+    x = parameter(arrays["tokens"])
+    grads = grad_map(autodiff.tsum(triplet_term(x, pos, neg, arrays["table"], 0.0)), {"x": x})
+    assert not grads["x"][0].any()
+
+
+def fd_check(build, arrays: dict, tol: float = 1e-6):
+    """``build``'s gradients of a seeded weighting of its rows against
+    central differences."""
+    params = {n: parameter(a) for n, a in arrays.items()}
+    w = np.random.default_rng(1).normal(size=build(**params).shape)
+    got = grad_map(autodiff.tsum(autodiff.mul(build(**params), w)), params)
+    fds = finite_difference(
+        lambda: float(np.sum(build(**{n: Tensor(p.data) for n, p in params.items()}).data * w)),
+        {n: p.data for n, p in params.items()}, h=1e-6)
+    for name, fd in fds.items():
+        assert np.allclose(got[name], fd, rtol=1e-5, atol=tol), name
+
+
+def test_triplet_gradients_match_finite_differences():
+    arrays, pos, neg = triplet_arrays(6)
+    fd_check(lambda tokens, table: triplet_term(tokens, pos, neg, table, 1.5), arrays)
+
+
+def test_nll_gradients_match_finite_differences():
+    # the two roots at the bounds moved inside the band: the clamp has no
+    # derivative at its bounds
+    arrays = nll_rows(12, 0.5, 4.0)
+    arrays["variance"][:2] = 0.3, 1.7
+    fd_check(lambda task, variance: heteroscedastic_nll(task, variance, (0.5, 4.0)), arrays)
+
+
+def test_teacher_log_softmax_rows_do_not_depend_on_the_other_rows():
+    # at the default sizes: 112 groups, 16 admissible to an ego row and 64
+    # to an agent row, logits -inf outside
+    rng = np.random.default_rng(4)
+    buckets = np.repeat(np.arange(4), [16, 16, 16, 64])
+    admissible = rng.integers(4, size=(300, 1)) == buckets
+    logits = np.where(admissible, rng.normal(scale=3.0, size=admissible.shape), -np.inf)
+    whole = teacher_log_softmax(logits, admissible)
+    for n in (1, 7, 32, 300):
+        rows = np.sort(rng.choice(300, size=n, replace=False))
+        own = teacher_log_softmax(logits[rows], admissible[rows])
+        assert whole[rows].tobytes() == own.tobytes(), n

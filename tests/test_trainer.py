@@ -21,13 +21,15 @@ from gptraj.codebook import BuildError
 from gptraj.core import scene_rows
 from gptraj.evalmetrics import evaluate
 from gptraj.gpmodule import GpGraph, GpInference
-from gptraj.losses import step_total
+from gptraj.losses import step_total, teacher_log_softmax
 from gptraj.psdlinalg import NotPSD
 from gptraj.synthdomain import gen_dataset, strip_labels
 from gptraj.trainer import (BASE_PARAMS, GP_PARAMS, Checkpoint, SceneTable,
                             TrainingError, finetune_scene_loss, scene_labels,
                             stage1_pretrain, stage2_fit_gp, stage3_finetune)
 
+from composed import (composed_nll, composed_role_sums, composed_traj_mse,
+                      composed_triplet)
 from conftest import (TINY_OBS_DIM, GramSpy, grad_map, parameter, tiny_config,
                       tiny_domain, tiny_spec)
 from oracles import (adam_ref, encode_ref, finite_difference, group_ids_ref,
@@ -359,6 +361,22 @@ def test_not_psd_names_stage_and_step(tiny_dataset, monkeypatch):
     assert exc.value.__cause__.group == group
 
 
+def test_a_step_loss_value_error_names_stage_and_step(fitted, tiny_dataset, monkeypatch):
+    # a step loss's ValueError (here the NLL's, from a taught table whose
+    # variances are zeroed) stops the run as a TrainingError, chained
+    real = SceneTable.teach
+
+    def teach(self, model):
+        real(self, model)
+        self.t_variance[:] = 0.0
+
+    monkeypatch.setattr(SceneTable, "teach", teach)
+    with pytest.raises(TrainingError,
+                       match="^stage3 step 0: non-positive variance") as exc:
+        stage3_finetune(tiny_dataset[:24], fitted, CFG)
+    assert type(exc.value.__cause__) is ValueError
+
+
 @pytest.mark.parametrize("what", ["eval", "active-select"])
 def test_frozen_gp_not_psd_names_the_pass_and_group(fitted, tiny_dataset, monkeypatch,
                                                     what):
@@ -631,10 +649,11 @@ def tape_nodes(root) -> int:
     return len(seen)
 
 
-@pytest.mark.parametrize("stage,nodes", [("stage1", 21), ("stage2", 112), ("stage3", 63),
-                                         ("adapt_unsup", 50)])
+@pytest.mark.parametrize("stage,nodes", [("stage1", 14), ("stage2", 73), ("stage3", 27),
+                                         ("adapt_unsup", 21)])
 def test_tape_nodes_per_step(fitted, tiny_dataset, monkeypatch, stage, nodes):
-    # the encoder and the planner's network are one node each
+    # the encoder and the planner's network are one node each, and so is
+    # each loss family and each role sum
     counts = []
     real = losses.step_total
 
@@ -710,8 +729,8 @@ def test_teacher_runs_once_per_training_call_on_the_start_model(fitted, tiny_dat
     real_predict, real_loss = GpInference.predict_rows, trainer.finetune_scene_loss
 
     def predict_rows(self, tokens, admissible):
-        calls.append((tokens.copy(), real_predict(self, tokens, admissible)))
-        return calls[-1][1]
+        calls.append((tokens.copy(), admissible, real_predict(self, tokens, admissible)))
+        return calls[-1][2]
 
     def finetune_scene_loss(batch, *args):
         batches.append(batch)
@@ -720,16 +739,55 @@ def test_teacher_runs_once_per_training_call_on_the_start_model(fitted, tiny_dat
     monkeypatch.setattr(GpInference, "predict_rows", predict_rows)
     monkeypatch.setattr(trainer, "finetune_scene_loss", finetune_scene_loss)
     train(records)
-    [(tokens, prediction)] = calls
+    [(tokens, mask, (mean, variance, logits, group))] = calls
     assert tokens.tobytes() == start_tokens.tobytes()
     assert len(batches) == 2 * -(-len(records) // cfg.batch_size)
     anchors = GpInference(model.cb, model.tensors).token_anchors.data
     for batch in batches:
-        for name, whole in zip(("t_mean", "t_variance", "t_logits", "t_group"), prediction):
+        for name, whole in zip(("t_mean", "t_variance", "t_log_softmax", "t_group"),
+                               (mean, variance, teacher_log_softmax(logits, mask), group)):
             got = getattr(batch, name)
             assert (got.shape, got.tobytes()) == (whole[batch.rows].shape,
                                                   whole[batch.rows].tobytes()), name
         assert batch.t_anchors.tobytes() == anchors.tobytes()
+
+
+@pytest.mark.parametrize("scenes", [1, 7, 32, None], ids=["1", "7", "32", "table"])
+def test_the_tables_teacher_log_softmax_has_each_batchs_own_bytes(fitted, tiny_dataset,
+                                                                 scenes):
+    model = fitted.model
+    table = SceneTable(scene_rows(tiny_dataset, labeled=True), model.cb)
+    table.teach(model)
+    tokens = encode(table.obs, model.tensors, model.spec.token_scale)
+    logits = GpInference(model.cb, model.tensors).predict_rows(tokens, table.admissible)[2]
+    chosen = (np.arange(len(table)) if scenes is None else np.sort(
+        np.random.default_rng(scenes).choice(len(table), scenes, replace=False)))
+    batch = table.batch(chosen)
+    own = teacher_log_softmax(logits[batch.rows], batch.admissible)
+    assert batch.t_log_softmax.tobytes() == own.tobytes()
+
+
+@pytest.mark.parametrize("stage", ["stage2", "stage3", "adapt_unsup"])
+def test_loss_family_nodes_train_the_bytes_of_the_composed_chains(fitted, tiny_dataset,
+                                                                  monkeypatch, stage):
+    # every one-node loss family swapped for its chain of primitive nodes:
+    # the trained tensors keep their bytes, whatever else reads the tables
+    # and tokens those nodes take gradients into
+    train = {
+        "stage2": lambda: stage2_fit_gp(tiny_dataset[:40], fitted, CFG),
+        "stage3": lambda: stage3_finetune(tiny_dataset[:40], fitted, CFG),
+        "adapt_unsup": lambda: adapt_unsupervised(strip_labels(tiny_dataset[:40]), fitted,
+                                                  CFG),
+    }[stage]
+    fused = train().model.tensors
+    for module in (losses, trainer):
+        monkeypatch.setattr(module, "traj_mse", composed_traj_mse)
+    monkeypatch.setattr(losses, "role_sums", composed_role_sums)
+    monkeypatch.setattr(losses, "heteroscedastic_nll", composed_nll)
+    monkeypatch.setattr(losses, "triplet_term", composed_triplet)
+    chained = train().model.tensors
+    assert {n: a.tobytes() for n, a in fused.items()} == {
+        n: a.tobytes() for n, a in chained.items()}
 
 
 def step_loss_setup(fitted, records, use_gt: bool, use_teacher: bool):
