@@ -4,15 +4,14 @@ The engine is a classic Wengert tape: every operation returns a ``Tensor``
 holding its value, its parent nodes, and a vector-Jacobian-product closure.
 ``grad`` walks the tape once in reverse topological order and writes the
 named parameters' gradients into buffers the caller owns; no tensor holds a
-gradient. Primitives are matrix-level (batched matmul, a dense layer
-``linear``, reductions, ``exp`` and ``tanh``; ``psdlinalg`` adds the RBF
-kernel and a batched PSD inverse), so tapes stay short even for whole
-training steps: a dense layer is one ``linear`` node, and a two-layer tanh
-network one ``mlp`` node (``basemodel`` builds its encoder and its planner
-from that network's forward and backward; ``losses`` makes each loss family
-one node, from the numpy ops of its chain). A fused node's vjp replays the
-backward ops of the chain it replaces, in that chain's order, so its
-values and gradients have the chain's bytes.
+gradient. Primitives are matrix-level (batched matmul, reductions, ``exp``
+and ``tanh``; ``psdlinalg`` adds the RBF kernel and a batched PSD inverse),
+so tapes stay short even for whole training steps: a two-layer tanh network
+is one ``mlp`` node (the GP classifier is one; ``basemodel`` builds its
+encoder and its planner from that network's forward and backward; ``losses``
+makes each loss family one node, from the numpy ops of its chain). A fused
+node's vjp replays the backward ops of the chain it replaces, in that
+chain's order, so its values and gradients have the chain's bytes.
 An operation on constants (tensors that neither require a gradient nor come
 from the tape) returns a constant and records nothing, so a frozen model,
 whose tensors are all constants, runs without a tape.
@@ -122,22 +121,10 @@ def matmul(a, b) -> Tensor:
         lambda: _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)))
 
 
-def linear(x, w, b) -> Tensor:
-    """``x @ wᵀ + b``: the rows of ``x`` (N, fan_in) through a weight matrix
-    ``w`` (fan_out, fan_in) and a bias ``b`` (fan_out,), as one node. The
-    weight's gradient gᵀ x comes out in the weight's own layout."""
-    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
-    out = x.data @ w.data.T
-    out += b.data
-    return _make(out, (x, w, b), lambda g: (lambda: g @ w.data,
-                                            lambda: g.T @ x.data,
-                                            lambda: _unbroadcast(g, b.data.shape)))
-
-
 def mlp_forward(x, w1, b1, w2, b2) -> tuple[np.ndarray, np.ndarray]:
     """The hidden rows ``tanh(x @ w1ᵀ + b1)`` and the output rows
-    ``hidden @ w2ᵀ + b2`` of the array operands, with ``linear``'s and
-    ``tanh``'s operations."""
+    ``hidden @ w2ᵀ + b2`` of the array operands: weight matrices are
+    (fan_out, fan_in) and biases (fan_out,)."""
     h = x @ w1.T
     h += b1
     np.tanh(h, out=h)
@@ -149,9 +136,10 @@ def mlp_forward(x, w1, b1, w2, b2) -> tuple[np.ndarray, np.ndarray]:
 def mlp_thunks(x, w1, b1, w2, b2, h, g) -> tuple:
     """The gradient thunks of ``mlp``'s parents (x, w1, b1, w2, b2), given
     as arrays, for the upstream gradient ``g`` of its output and its hidden
-    rows ``h``: the backward ops of ``linear``, ``tanh`` and ``linear``. The
-    gradient at the first layer's output is made once, by the first thunk
-    that needs it."""
+    rows ``h``: the backward ops of a dense layer, ``tanh`` and a dense
+    layer, a weight's gradient gᵀ x coming out in the weight's own layout.
+    The gradient at the first layer's output is made once, by the first
+    thunk that needs it."""
     @functools.cache
     def g_pre():
         return (g @ w2) * (1.0 - h * h)
@@ -162,8 +150,9 @@ def mlp_thunks(x, w1, b1, w2, b2, h, g) -> tuple:
 
 
 def mlp(x, w1, b1, w2, b2) -> Tensor:
-    """``linear(tanh(linear(x, w1, b1)), w2, b2)`` as one node, with the
-    bytes of that chain in value and gradients."""
+    """A dense layer, ``tanh`` and a dense layer as one node, with the bytes
+    of that chain (``composed_mlp`` in ``tests/composed.py``) in value and
+    gradients."""
     parents = tuple(as_tensor(t) for t in (x, w1, b1, w2, b2))
     arrays = [t.data for t in parents]
     h, out = mlp_forward(*arrays)

@@ -15,13 +15,13 @@ The assignments are exact and the distance matrix is computed once, from
 the final centroids, so the codebook is bit-identical to the plain loop
 and ``np.linalg.norm`` distance in ``tests/oracles.py``.
 
-Distances come in two forms with the same per-element operations:
-``traj_dists`` measures broadcast pairs (a column, a centroid's shift, the
-pairs the bounds keep), and ``traj_dist_blocks`` every row of one set
-against every row of another, in blocks of at most ``DIST_BLOCK`` pairs
-over waypoint-major copies of both. The clustering's returned matrix, the
-labels of ``nearest_group`` and the anchor distances of ``triplet_table``
-come from the blocked kernel.
+Every distance comes from one kernel, ``_dists``, over waypoint-major
+trajectories (12, ...) broadcast over the trailing axes. ``traj_dists`` is
+its adapter for flat (..., 12) rows, and ``traj_dist_blocks`` cuts every
+row of one set against every row of another into blocks of at most
+``DIST_BLOCK`` pairs, so that the clustering's returned matrix, the labels
+of ``nearest_group`` and the anchor distances of ``triplet_table`` keep
+their temporaries bounded.
 
 A model pairs two stacked arrays, trajectories (n_code, C, 12) and basis
 tokens (n_code, C, D), in a fixed group layout: the ``n_ego`` ego groups
@@ -52,8 +52,10 @@ LLOYD_TOL = 1e-6
 # relative and absolute widening of every bound update: rounding moves a
 # computed distance by about 1e-15 of itself
 LLOYD_GUARD = 1e-9
-# (row, column) pairs per traj_dist_blocks block: 128 KiB per buffer
-DIST_BLOCK = 1 << 14
+# (row, column) pairs per traj_dist_blocks block: 416 KiB of temporaries in
+# _dists. On a (2001, 64) matrix 4k and 8k were the fastest of 2k to 16k
+# (2-core x86-64 host, one BLAS thread), and 8k raised the peak RSS
+DIST_BLOCK = 1 << 12
 # triplet selection takes 3 positives and 3 negatives per label: 3 other
 # groups of an ego label's command, and 6 other groups of an agent label
 MIN_EGO_PER_COMMAND = 4
@@ -100,50 +102,44 @@ def admissible(cb: Codebook, commands) -> np.ndarray:
     return np.array(rows, dtype=np.intp)[:, None] == cb.buckets
 
 
-def traj_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Mean-over-waypoints Euclidean distance between flat trajectories
-    (..., 12), broadcast over the leading axes. Squares in place, adds the
-    x and y halves, then sums the waypoint columns left to right and divides
-    by their count: the operations of the ``np.linalg.norm`` and ``mean``
-    form in ``tests/oracles.py``, in its order, so the bytes are equal."""
-    d = a - b
+def _dists(at: np.ndarray, bt: np.ndarray) -> np.ndarray:
+    """Mean-over-waypoints Euclidean distance between waypoint-major
+    trajectories (12, ...), broadcast over the trailing axes: the x and y
+    differences squared and added, rooted, then summed over the waypoints
+    left to right and divided by their count. These are the operations of
+    the ``np.linalg.norm`` and ``mean`` form in ``tests/oracles.py``, in its
+    order, so the bytes are equal."""
+    d = at - bt
     d *= d
-    s = d[..., 0::2] + d[..., 1::2]
+    s = d[0::2]
+    s += d[1::2]
     np.sqrt(s, out=s)
-    total = s[..., 0].copy()
-    for k in range(1, s.shape[-1]):
-        total += s[..., k]
-    total /= s.shape[-1]
+    total = s[0] + s[1]
+    for w in range(2, N_WAYPOINTS):
+        total += s[w]
+    total /= N_WAYPOINTS
     return total
+
+
+def traj_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``_dists`` of flat trajectories (..., 12), broadcast over the leading
+    axes."""
+    a, b = np.broadcast_arrays(a, b)
+    axes = (-1, *range(a.ndim - 1))  # the coordinate axis first
+    return _dists(a.transpose(axes), b.transpose(axes))
 
 
 def traj_dist_blocks(a: np.ndarray, b: np.ndarray):
     """The (n, k) ``traj_dists`` of every row of ``a`` (n, 12) to every row
     of ``b`` (k, 12), block by block: yields ``(lo, hi, dists)``, the rows
-    lo:hi of the matrix, in a buffer that the next block reuses. A block
-    has at most ``DIST_BLOCK`` pairs (at least one row). Both operands are
-    copied waypoint-major once, and each waypoint's x and y differences,
-    their squares, sum and root are ``traj_dists``' per-element operations,
-    summed over the waypoints left to right, so the bytes are equal."""
-    at, bt = np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)
-    n, k = len(a), len(b)
-    step = max(1, DIST_BLOCK // k)
-    total, s, y = (np.empty((min(step, n), k)) for _ in range(3))
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
-        t, sq, dy = total[:hi - lo], s[:hi - lo], y[:hi - lo]
-        for w in range(N_WAYPOINTS):
-            np.subtract(at[2 * w, lo:hi, None], bt[2 * w], out=sq)
-            sq *= sq
-            np.subtract(at[2 * w + 1, lo:hi, None], bt[2 * w + 1], out=dy)
-            dy *= dy
-            sq += dy
-            if w:
-                t += np.sqrt(sq, out=sq)
-            else:
-                np.sqrt(sq, out=t)
-        t /= N_WAYPOINTS
-        yield lo, hi, t
+    lo:hi of the matrix. A block has at most ``DIST_BLOCK`` pairs (at least
+    one row), measured by ``_dists`` on waypoint-major copies of both
+    operands, made once."""
+    at, bt = np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)[:, None]
+    step = max(1, DIST_BLOCK // len(b))
+    for lo in range(0, len(a), step):
+        hi = min(lo + step, len(a))
+        yield lo, hi, _dists(at[:, lo:hi, None], bt)
 
 
 def traj_dist_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -172,14 +168,16 @@ def _lloyd(flat: np.ndarray, k: int, rng: np.random.Generator
     does not clear its upper bound; it then gets the exact distance to its
     own centroid and to each such centroid, and its argmin over ``lower``,
     whose entries at or below ``upper`` are all exact, keeps ties on the
-    lowest id. The returned matrix is computed once, from the final
-    centroids, by ``traj_dist_matrix``. Bit-identical to
+    lowest id. The farthest-point columns and the measured pairs are taken
+    on one waypoint-major copy of the rows. The returned matrix is computed
+    once, from the final centroids, by ``traj_dist_matrix``. Bit-identical to
     ``tests/oracles.py``'s ``lloyd_ref``, which recomputes everything."""
     n, d = flat.shape
+    flat_t = np.ascontiguousarray(flat.T)  # waypoint-major, for _dists
     picks, nearest, lower = [], np.full(n, np.inf), np.empty((n, k))
     for j in range(k):
         picks.append(int(np.argmax(nearest)) if j else int(rng.integers(n)))
-        lower[:, j] = traj_dists(flat, flat[picks[j]])
+        lower[:, j] = _dists(flat_t, flat_t[:, picks[j], None])
         nearest = np.minimum(nearest, lower[:, j])
     centroids = flat[picks]
     every = np.arange(n)
@@ -206,7 +204,7 @@ def _lloyd(flat: np.ndarray, k: int, rng: np.random.Generator
         check[rows, assign[rows]] = True
         r, j = np.nonzero(check[rows])
         r = rows[r]
-        lower[r, j] = traj_dists(flat[r], centroids[j])
+        lower[r, j] = _dists(flat_t[:, r], centroids.T[:, j])
         assign[rows] = np.argmin(lower[rows], axis=1)
         upper[rows] = lower[rows, assign[rows]]
     return centroids, traj_dist_matrix(flat, centroids)

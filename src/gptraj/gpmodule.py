@@ -14,17 +14,18 @@ construction.
 ``GpGraph`` is the one implementation. It reads the GP side of a model by
 checkpoint name from its tensor dict: the basis ``cb.basis``, the
 two-layer tanh classifier ``clf.w1`` ... ``clf.b2`` over the full
-kernel-feature vector, and the log-space scalars ``gp.log_lengthscale``,
-``gp.log_outputscale``, ``gp.log_noise_recon`` and ``gp.log_noise_traj`` (one
-isotropic RBF per codebook, one noise standard deviation per head). It
-routes token rows with one kernel-feature matrix and one classifier pass
-(``route``) and conditions only the groups they are routed to
-(``group_cond``, which keeps nothing); the caller passes that conditioning
-to each head, which builds only its own posterior. Training builds one
-graph per optimizer step, over a dict whose trained entries are parameter
-tensors, and conditions once for both heads. ``GpInference`` is the same
-graph over a frozen model's arrays, which every autodiff op wraps as
-constants, so evaluation, the teacher forward and active selection build
+kernel-feature vector (one ``autodiff.mlp`` node, the network that the base
+model's encoder and planner use), and the log-space scalars
+``gp.log_lengthscale``, ``gp.log_outputscale``, ``gp.log_noise_recon`` and
+``gp.log_noise_traj`` (one isotropic RBF per codebook, one noise standard
+deviation per head). It routes token rows with one kernel-feature matrix
+and one classifier pass (``route``) and conditions only the groups they are
+routed to (``group_cond``, which keeps nothing); the caller passes that
+conditioning to each head, which builds only its own posterior. Training
+builds one graph per optimizer step, over a dict whose trained entries are
+parameter tensors, and conditions once for both heads. ``GpInference`` is
+the same graph over a frozen model's arrays, which every autodiff op wraps
+as constants, so evaluation, the teacher forward and active selection build
 no tape; each builds its own and makes one ``predict_rows`` call.
 
 Inference is blocked matrix products that release the interpreter lock, so
@@ -116,10 +117,10 @@ class GpGraph:
                                          self.log_sf)
 
     def classifier_logits(self, features: Tensor) -> Tensor:
-        """Unmasked group logits (N, n_code) of the feature rows."""
+        """Unmasked group logits (N, n_code) of the feature rows: one
+        ``autodiff.mlp`` node, the two-layer tanh network of the base model."""
         w = self.w
-        h = autodiff.tanh(autodiff.linear(features, w["clf.w1"], w["clf.b1"]))
-        return autodiff.linear(h, w["clf.w2"], w["clf.b2"])
+        return autodiff.mlp(features, w["clf.w1"], w["clf.b1"], w["clf.w2"], w["clf.b2"])
 
     def k_star(self, features: Tensor, group: np.ndarray) -> Tensor:
         """Each row's k* (N, 1, C): its slice of its kernel features

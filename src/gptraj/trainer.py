@@ -736,6 +736,10 @@ class Checkpoint:
                 f"{path}: truncated or corrupt checkpoint: payload holds "
                 f"{len(payload)} bytes, header describes {8 * expected}")
         data = np.frombuffer(payload, dtype="<f8")
+        if not np.isfinite(data).all():
+            name = next(name for name, shape, off in entries
+                        if not np.isfinite(data[off:off + math.prod(shape)]).all())
+            raise ValueError(f"{path}: checkpoint tensor {name} holds non-finite values")
         offsets = {name: off for name, _, off in entries}
         tensors = {name: data[offsets[name]:offsets[name] + math.prod(shape)]
                    .reshape(shape).copy() for name, shape in shapes.items()}

@@ -1,10 +1,11 @@
 """Composed reference chains: the chains of primitive tape nodes that the
-library's one-node forms replace (the two-layer network, the encoder and
-the planner, the masked log-softmax consumers, the step total, the role
-sums, the trajectory MSE, the heteroscedastic NLL and the triplet hinge),
-and the primitives that only these chains use (``div``, ``log``, ``sqrt``,
-``clamp``). A one-node form's test runs both forms under one upstream
-gradient and compares the bytes of values and gradients.
+library's one-node forms replace (the two-layer network, the encoder, the
+planner and the GP classifier, the masked log-softmax consumers, the step
+total, the role sums, the trajectory MSE, the heteroscedastic NLL and the
+triplet hinge), and the primitives that only these chains use (``linear``,
+``div``, ``log``, ``sqrt``, ``clamp``). A one-node form's test runs both
+forms under one upstream gradient and compares the bytes of values and
+gradients.
 """
 
 from __future__ import annotations
@@ -16,6 +17,18 @@ from gptraj.autodiff import Tensor, _make, _unbroadcast, as_tensor
 from gptraj.basemodel import RESIDUAL_BOUND
 
 # --- primitives only the chains use ------------------------------------------
+
+
+def linear(x, w, b) -> Tensor:
+    """``x @ wᵀ + b``: the rows of ``x`` (N, fan_in) through a weight matrix
+    ``w`` (fan_out, fan_in) and a bias ``b`` (fan_out,), as one node. The
+    weight's gradient gᵀ x comes out in the weight's own layout."""
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    out = x.data @ w.data.T
+    out += b.data
+    return _make(out, (x, w, b), lambda g: (lambda: g @ w.data,
+                                            lambda: g.T @ x.data,
+                                            lambda: _unbroadcast(g, b.data.shape)))
 
 
 def div(a, b) -> Tensor:
@@ -49,13 +62,13 @@ def clamp(a, lo: float, hi: float) -> Tensor:
 
 
 def composed_mlp(x, w1, b1, w2, b2) -> Tensor:
-    return autodiff.linear(autodiff.tanh(autodiff.linear(x, w1, b1)), w2, b2)
+    return linear(autodiff.tanh(linear(x, w1, b1)), w2, b2)
 
 
 def composed_encoder(obs, w: dict, token_scale: float):
     """The encoder as its chain of primitive nodes."""
-    h = autodiff.tanh(autodiff.linear(obs, w["base.enc_w1"], w["base.enc_b1"]))
-    raw = autodiff.linear(h, w["base.enc_w2"], w["base.enc_b2"])
+    h = autodiff.tanh(linear(obs, w["base.enc_w1"], w["base.enc_b1"]))
+    raw = linear(h, w["base.enc_w2"], w["base.enc_b2"])
     norm = sqrt(autodiff.add(
         autodiff.tsum(autodiff.square(raw), axis=1, keepdims=True), basemodel._NORM_EPS))
     return autodiff.mul(div(raw, norm), token_scale)
@@ -63,10 +76,16 @@ def composed_encoder(obs, w: dict, token_scale: float):
 
 def composed_planner(tokens, w: dict, n_code: int):
     """The planner as its chain of primitive nodes."""
-    h = autodiff.tanh(autodiff.linear(tokens, w["base.pln_w1"], w["base.pln_b1"]))
-    out = autodiff.linear(h, w["base.pln_w2"], w["base.pln_b2"])
+    h = autodiff.tanh(linear(tokens, w["base.pln_w1"], w["base.pln_b1"]))
+    out = linear(h, w["base.pln_w2"], w["base.pln_b2"])
     return (autodiff.narrow(out, 0, n_code, axis=1), autodiff.mul(
         autodiff.tanh(autodiff.narrow(out, n_code, n_code + 12, axis=1)), RESIDUAL_BOUND))
+
+
+def composed_classifier(graph, features):
+    """``GpGraph.classifier_logits`` as its chain of primitive nodes."""
+    w = graph.w
+    return composed_mlp(features, w["clf.w1"], w["clf.b1"], w["clf.w2"], w["clf.b2"])
 
 
 # --- the losses --------------------------------------------------------------

@@ -227,9 +227,11 @@ def test_a_parents_gradient_does_not_depend_on_what_else_needs_one(op, shapes):
         assert grads({i})[str(i)].tobytes() == every[str(i)].tobytes()
 
 
-# (fan_in, fan_out) of the six production layers at the default model sizes:
-# encoder, planner and classifier, two layers each
-LINEAR_LAYERS = [(24, 64), (64, 32), (32, 64), (64, 124), (1792, 128), (128, 112)]
+# (fan_in, hidden, fan_out) of the three two-layer networks at the default
+# model sizes: encoder, planner and GP classifier
+NETWORKS = [(24, 64, 32), (32, 64, 124), (1792, 128, 112)]
+# (fan_in, fan_out) of their six layers
+LINEAR_LAYERS = [layer for n in NETWORKS for layer in (n[:2], n[1:])]
 
 
 @pytest.mark.parametrize("fan_in,fan_out", LINEAR_LAYERS)
@@ -247,7 +249,7 @@ def test_linear_is_the_matmul_transpose_add_composition_bit_for_bit(fan_in, fan_
         grads = grad_map(autodiff.tsum(autodiff.mul(out, up)), {"x": x, "w": w, "b": b})
         return [out.data] + list(grads.values())
 
-    got = run(autodiff.linear)
+    got = run(composed.linear)
     want = run(lambda x, w, b: autodiff.add(
         autodiff.matmul(x, autodiff.transpose(w)), b))
     # the weight gradient: gᵀx against (xᵀg)ᵀ, equal on a BLAS that sums both
@@ -256,9 +258,39 @@ def test_linear_is_the_matmul_transpose_add_composition_bit_for_bit(fan_in, fan_
         assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
 
+def matmul_transpose_mlp(x, w1, b1, w2, b2) -> Tensor:
+    """The two-layer network from ``matmul``, ``transpose`` and ``add``: a
+    weight's gradient comes out as (xᵀg)ᵀ."""
+    h = autodiff.tanh(autodiff.add(autodiff.matmul(x, autodiff.transpose(w1)), b1))
+    return autodiff.add(autodiff.matmul(h, autodiff.transpose(w2)), b2)
+
+
+@pytest.mark.parametrize("sizes", NETWORKS, ids=["encoder", "planner", "classifier"])
+@pytest.mark.parametrize("rows", [37, 160])
+def test_mlp_weight_gradients_are_the_matmul_transpose_bytes(sizes, rows):
+    # mlp's weight gradients gᵀx against (xᵀg)ᵀ: equal on a BLAS that sums
+    # both products in one order
+    fan_in, hidden, fan_out = sizes
+    rng = np.random.default_rng(sum(sizes) + rows)
+    arrays = [rng.normal(size=(rows, fan_in)), rng.normal(size=(hidden, fan_in)),
+              rng.normal(size=hidden), rng.normal(size=(fan_out, hidden)),
+              rng.normal(size=fan_out)]
+    up = rng.normal(size=(rows, fan_out))
+
+    def run(build):
+        params = {str(i): parameter(a) for i, a in enumerate(arrays)}
+        out = build(*params.values())
+        grads = grad_map(autodiff.tsum(autodiff.mul(out, up)), params)
+        return [out.data.tobytes()] + [g.tobytes() for g in grads.values()]
+
+    assert run(autodiff.mlp) == run(matmul_transpose_mlp)
+
+
 # (fan_in, hidden, fan_out): the planner at the default and the test sizes,
-# and the encoder's network at the default sizes
-@pytest.mark.parametrize("sizes", [(32, 64, 124), (8, 24, 35), (24, 64, 32)])
+# the encoder's network at the default sizes, and the GP classifier at the
+# default and the test sizes
+@pytest.mark.parametrize("sizes", [(32, 64, 124), (8, 24, 35), (24, 64, 32),
+                                   (1792, 128, 112), (76, 32, 19)])
 @pytest.mark.parametrize("rows", [1, 37, 160])
 def test_mlp_node_gives_the_bytes_of_the_composed_chain(sizes, rows):
     fan_in, hidden, fan_out = sizes
@@ -292,7 +324,7 @@ def test_mlp_gradients_match_finite_differences():
 def test_linear_gradients_match_finite_differences():
     w = np.random.default_rng(9).normal(size=(5, 3))
     check_op(lambda x, wt, b: autodiff.tsum(autodiff.mul(
-        autodiff.tanh(autodiff.linear(x, wt, b)), w)), (5, 4), (3, 4), (3,), seed=9)
+        autodiff.tanh(composed.linear(x, wt, b)), w)), (5, 4), (3, 4), (3,), seed=9)
 
 
 def test_aliased_gradients_are_correct_and_not_shared():

@@ -142,11 +142,30 @@ def test_traj_dists_matches_norm_form_bit_for_bit():
     assert traj_dists(rows, rows[::-1]).tobytes() == traj_dists_ref(rows, rows[::-1]).tobytes()
 
 
-@pytest.mark.parametrize("k", [1, 16, 64])
+@pytest.mark.parametrize("scale", [1.0, 1e150, 1e-150], ids=["1", "1e150", "1e-150"])
+def test_kernel_matches_norm_form_on_broadcasts_views_and_scales(scale):
+    rows = hard_rows(90, 14) * scale
+    dup = rows[np.random.default_rng(15).integers(30, size=60)]  # repeated rows
+    strided = np.asfortranarray(rows)[::3]  # a non-contiguous view
+    for a, b in [(rows, rows[::-1]),  # pairs
+                 (rows, rows[7]),  # one column
+                 (rows[:, None], dup[None, :20]),  # (90, 20)
+                 (rows.reshape(9, 10, 12), dup[:10]),  # (9, 10)
+                 (strided, dup[::-2]),
+                 (dup, dup[::-1])]:
+        assert traj_dists(a, b).tobytes() == traj_dists_ref(a, b).tobytes()
+    for a, b in [(rows, dup), (dup[::-2], strided), (dup, dup)]:
+        want = traj_dists_ref(a[:, None], b)
+        assert traj_dist_matrix(a, b).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("k", [1, 16, 64, 48, codebook.DIST_BLOCK + 3])
 def test_blocked_kernel_matches_norm_form_bit_for_bit(k):
-    step = codebook.DIST_BLOCK // k  # rows per block
+    # 48 columns do not divide a block, and more columns than DIST_BLOCK
+    # make blocks of one row
+    step = max(1, codebook.DIST_BLOCK // k)  # rows per block
     cols = hard_rows(k + 7, 12)[7:]
-    for n in (1, step - 1, step, step + 1, 2 * step + 1):
+    for n in sorted({1, max(1, step - 1), step, step + 1, 2 * step + 1}):
         rows = hard_rows(n, n)
         want = traj_dists_ref(rows[:, None], cols)
         assert traj_dist_matrix(rows, cols).tobytes() == want.tobytes(), n
@@ -286,19 +305,14 @@ def test_lloyd_skips_most_distances_on_the_agent_bucket(monkeypatch):
     records = gen_dataset(config.resolve({}).domain("source_city"), 1000, seed=0)
     flat = scene_rows(records, labeled=True).gt[len(records):].reshape(-1, 12)
     measured = []
+    kernel = codebook._dists
 
-    def counting(a, b):
-        out = traj_dists(a, b)
+    def counting(at, bt):
+        out = kernel(at, bt)
         measured.append(out.size)
         return out
 
-    def counting_blocks(a, b):
-        for lo, hi, dists in traj_dist_blocks(a, b):
-            measured.append(dists.size)
-            yield lo, hi, dists
-
-    monkeypatch.setattr(codebook, "traj_dists", counting)
-    monkeypatch.setattr(codebook, "traj_dist_blocks", counting_blocks)
+    monkeypatch.setattr(codebook, "_dists", counting)
     codebook._lloyd(flat, 64, rng_for(0, "cluster", "agent", "all"))
     assert sum(measured) < 1_156_578 // 2
 

@@ -28,8 +28,8 @@ from gptraj.trainer import (BASE_PARAMS, GP_PARAMS, Checkpoint, SceneTable,
                             TrainingError, finetune_scene_loss, scene_labels,
                             stage1_pretrain, stage2_fit_gp, stage3_finetune)
 
-from composed import (composed_nll, composed_role_sums, composed_traj_mse,
-                      composed_triplet)
+from composed import (composed_classifier, composed_nll, composed_role_sums,
+                      composed_traj_mse, composed_triplet)
 from conftest import (TINY_OBS_DIM, GramSpy, grad_map, parameter, tiny_config,
                       tiny_domain, tiny_spec)
 from oracles import (adam_ref, encode_ref, finite_difference, group_ids_ref,
@@ -271,6 +271,23 @@ def test_checkpoint_bad_train_config_rejected_with_path(pipeline_bytes, change, 
     tmp, saved = pipeline_bytes
     rejected(tmp, edited_header(saved["stage2"], lambda h: h["train_config"].update(change)),
              "train.bin", f"bad checkpoint header: .*{match}")
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+def test_checkpoint_non_finite_tensor_rejected_with_path(pipeline_bytes, value):
+    tmp, saved = pipeline_bytes
+    blob = saved["stage2"]
+    hlen = struct.unpack("<Q", blob[8:16])[0]
+    offset = {e["name"]: e["offset"] for e in json.loads(blob[16:16 + hlen])["tensors"]}
+    payload = np.frombuffer(blob[16 + hlen:], dtype="<f8").copy()
+    # the first such tensor in header order is named
+    for name in ("gp.log_noise_traj", "base.pln_w2"):
+        payload[offset[name]] = value
+        rejected(tmp, blob[:16 + hlen] + payload.tobytes(), "nonfinite.bin",
+                 f"checkpoint tensor {name} holds non-finite values")
+    finite = tmp / "finite.bin"
+    finite.write_bytes(blob)
+    assert Checkpoint.load(finite).model.tensors.keys() == offset.keys()
 
 
 def test_schema_1_checkpoint_rejected(pipeline_bytes):
@@ -649,7 +666,7 @@ def tape_nodes(root) -> int:
     return len(seen)
 
 
-@pytest.mark.parametrize("stage,nodes", [("stage1", 14), ("stage2", 73), ("stage3", 27),
+@pytest.mark.parametrize("stage,nodes", [("stage1", 14), ("stage2", 71), ("stage3", 27),
                                          ("adapt_unsup", 21)])
 def test_tape_nodes_per_step(fitted, tiny_dataset, monkeypatch, stage, nodes):
     # the encoder and the planner's network are one node each, and so is
@@ -786,6 +803,25 @@ def test_loss_family_nodes_train_the_bytes_of_the_composed_chains(fitted, tiny_d
     monkeypatch.setattr(losses, "heteroscedastic_nll", composed_nll)
     monkeypatch.setattr(losses, "triplet_term", composed_triplet)
     chained = train().model.tensors
+    assert {n: a.tobytes() for n, a in fused.items()} == {
+        n: a.tobytes() for n, a in chained.items()}
+
+
+def test_classifier_node_trains_the_bytes_of_the_composed_chain(fitted, tiny_dataset,
+                                                               monkeypatch):
+    # a stage-2 step's kernel features take gradient from the classifier and
+    # both heads' k*, in walk order; the one-node classifier keeps the order
+    # of its chain's contributions
+    fused = stage2_fit_gp(tiny_dataset[:40], fitted, CFG).model.tensors
+    calls = []
+
+    def classifier_logits(graph, features):
+        calls.append(len(features.data))
+        return composed_classifier(graph, features)
+
+    monkeypatch.setattr(GpGraph, "classifier_logits", classifier_logits)
+    chained = stage2_fit_gp(tiny_dataset[:40], fitted, CFG).model.tensors
+    assert calls
     assert {n: a.tobytes() for n, a in fused.items()} == {
         n: a.tobytes() for n, a in chained.items()}
 
