@@ -85,8 +85,7 @@ def active_select(records: list[SceneRecord], ckpt: Checkpoint, budget: float,
         raise ValueError(f"unknown strategy {strategy!r}")
 
     model = ckpt.model
-    tokens = encode(np.array([r.ego_obs for r in records]), model.tensors,
-                    model.spec.token_scale)
+    tokens = encode(np.array([r.ego_obs for r in records]), model.tensors)
     _, variance, _, _ = frozen_gp_predict(model, tokens, [r.command for r in records],
                                           "active-select GP")
     scored = [(r.scene_id, v) for r, v in zip(records, variance.tolist())]

@@ -1,8 +1,9 @@
 """Toy stand-in for the base end-to-end planner.
 
-A two-layer tanh encoder maps raw observation vectors to tokens (scaled to a
-fixed norm so kernel lengthscales stay in a sane range), and a shared
-two-layer planner head maps a token to classification logits over all
+A two-layer tanh encoder maps raw observation vectors to tokens (scaled to
+the fixed norm ``TOKEN_SCALE`` so kernel lengthscales stay in a sane
+range), and a shared two-layer planner head maps a token to classification
+logits over all
 codebook groups plus a squashed waypoint residual. The planned trajectory is
 the selected group's anchor trajectory plus the residual; role only enters
 through the admissibility mask. Both run over row matrices and read their
@@ -34,13 +35,13 @@ _NORM_EPS = 1e-12
 # --- differentiable builders -------------------------------------------------
 
 
-def encode_t(obs: np.ndarray, w: dict, token_scale: float) -> Tensor:
+def encode_t(obs: np.ndarray, w: dict) -> Tensor:
     """Tokens (N, token_dim) of the observation rows ``obs`` (N, obs_dim), as
     one node over the four encoder weights: the two-layer network's raw
     rows, divided by their norm (its square sum plus a small epsilon, then
-    the root) and scaled. The vjp replays the backward ops of the composed
-    chain (``mlp``, ``square``, ``tsum``, ``add``, ``sqrt``, ``div``, ``mul``)
-    in its order."""
+    the root) and scaled to ``TOKEN_SCALE``. The vjp replays the backward ops
+    of the composed chain (``mlp``, ``square``, ``tsum``, ``add``, ``sqrt``,
+    ``div``, ``mul``) in its order."""
     params = tuple(autodiff.as_tensor(w[f"base.enc_{n}"]) for n in ("w1", "b1", "w2", "b2"))
     n_in = params[0].data.shape[1]
     if obs.shape[1] != n_in:
@@ -48,10 +49,10 @@ def encode_t(obs: np.ndarray, w: dict, token_scale: float) -> Tensor:
     arrays = [obs] + [p.data for p in params]
     h, raw = autodiff.mlp_forward(*arrays)
     norm = np.sqrt(np.sum(raw * raw, axis=1, keepdims=True) + _NORM_EPS)
-    tokens = raw / norm * token_scale
+    tokens = raw / norm * TOKEN_SCALE
 
     def vjp(g):
-        g_q = g * token_scale
+        g_q = g * TOKEN_SCALE
         g_norm = np.sum(-g_q * raw / (norm * norm), axis=1, keepdims=True)
         g_raw = g_q / norm
         g_raw += 2.0 * (g_norm * 0.5 / norm) * raw
@@ -74,9 +75,9 @@ def planner_t(tokens: Tensor, w: dict, n_code: int) -> tuple[Tensor, Tensor]:
 # --- frozen-model inference --------------------------------------------------
 
 
-def encode(obs: np.ndarray, w: dict, token_scale: float) -> np.ndarray:
+def encode(obs: np.ndarray, w: dict) -> np.ndarray:
     """Tokens (N, token_dim) of the observation rows ``obs`` (N, obs_dim)."""
-    return encode_t(obs, w, token_scale).data
+    return encode_t(obs, w).data
 
 
 def plan(tokens: np.ndarray, admissible: np.ndarray, w: dict,

@@ -22,14 +22,13 @@ _CODEBOOK_KEYS = ("n_ego", "n_agent", "group_size")
 
 
 def _field_defaults(cls) -> dict:
-    """A dataclass's field defaults in JSON form (tuples become lists); fields
-    without a default are left out."""
+    """A dataclass's field defaults; fields without a default are left out."""
     out = {}
     for f in dataclasses.fields(cls):
         if f.default_factory is not dataclasses.MISSING:
             out[f.name] = f.default_factory()
         elif f.default is not dataclasses.MISSING:
-            out[f.name] = list(f.default) if isinstance(f.default, tuple) else f.default
+            out[f.name] = f.default
     return out
 
 
@@ -214,10 +213,8 @@ def resolve(user: dict | None = None) -> Config:
         # each ModelSpec message opens with the field's name
         section = "codebook" if str(e).split()[0] in _CODEBOOK_KEYS else "model"
         raise ConfigError(f"{section}.{e}") from e
-    tr = dict(raw["train"])
-    tr["sigma_clamp"] = _pair(tr["sigma_clamp"], "train.sigma_clamp")
     try:
-        train = TrainConfig(seed=raw["seed"], **tr)
+        train = TrainConfig(seed=raw["seed"], **raw["train"])
     except (TypeError, ValueError) as e:
         raise ConfigError(f"train: {e}") from e
 

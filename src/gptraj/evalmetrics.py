@@ -288,7 +288,7 @@ def evaluate(records: list[SceneRecord], model, mode: str = "base",
         raise ValueError(f"no labeled scenes after subset filter {subset!r}")
     layout = scene_rows(scenes, labeled=True)
     n = len(scenes)
-    tokens = encode(layout.obs[:n], model.tensors, model.spec.token_scale)
+    tokens = encode(layout.obs[:n], model.tensors)
     if mode == "base":
         trajs = plan(tokens, admissible(model.cb, layout.commands), model.tensors,
                      model.cb.traj_anchors)[0]

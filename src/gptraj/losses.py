@@ -3,8 +3,8 @@
 All losses are built as autodiff expressions; targets (original tokens,
 ground truth, teacher outputs) must be passed as constants so no gradient
 flows into them. The variance-weighted form is the standard heteroscedastic
-Gaussian NLL, task_loss / sigma^2 + log(sigma), with sigma clamped to a
-configurable band so the total stays bounded below.
+Gaussian NLL, task_loss / sigma^2 + log(sigma), with sigma clamped to the
+band ``SIGMA_CLAMP`` so the total stays bounded below.
 
 Every term is computed row-wise over one optimizer step's rows: the ego
 rows of the batch's scenes first, then their agent rows, each block in
@@ -51,8 +51,8 @@ TERM_NAMES = (
 # the terms of ``loss_gp_teacher``, which base-model stages scale by gp_weight
 TEACHER_TERMS = TERM_NAMES[4:12]
 
-DEFAULT_SIGMA_CLAMP = (1e-3, 1e3)
-DEFAULT_TRIPLET_MARGIN = 1.0
+SIGMA_CLAMP = (1e-3, 1e3)  # the band of the NLL's sigma, and of the GP noise scalars
+TRIPLET_MARGIN = 1.0
 _NORM_EPS = 1e-12
 
 
@@ -156,17 +156,17 @@ def step_total(terms: Mapping[str, Tensor], weights: Mapping[str, float], n_ego:
         lambda wi=wi, si=si: np.asarray(g * inv * wi * si) for wi, si in zip(w, scale))), values
 
 
-def heteroscedastic_nll(task_loss: Tensor, variance,
-                        sigma_clamp: tuple[float, float] = DEFAULT_SIGMA_CLAMP) -> Tensor:
-    """Elementwise task_loss / sigma^2 + log sigma, sigma = clamp(sqrt(variance)),
-    as one node over the task loss and the variance (a tape node or a
-    constant). The vjp replays the chain sqrt, clamp, square, div, log, add:
-    sigma's gradient is the sum of its two consumers', and the clamp passes
-    it only inside the band, bounds included."""
+def heteroscedastic_nll(task_loss: Tensor, variance) -> Tensor:
+    """Elementwise task_loss / sigma^2 + log sigma, sigma = sqrt(variance)
+    clamped to ``SIGMA_CLAMP``, as one node over the task loss and the
+    variance (a tape node or a constant). The vjp replays the chain sqrt,
+    clamp, square, div, log, add: sigma's gradient is the sum of its two
+    consumers', and the clamp passes it only inside the band, bounds
+    included."""
     task, variance = as_tensor(task_loss), as_tensor(variance)
     if np.any(variance.data <= 0.0):
         raise ValueError("non-positive variance in heteroscedastic loss")
-    lo, hi = sigma_clamp
+    lo, hi = SIGMA_CLAMP
     root = np.sqrt(variance.data)
     sigma = np.clip(root, lo, hi)
     inside = (root >= lo) & (root <= hi)
@@ -202,9 +202,9 @@ def orthogonality(basis: Tensor) -> Tensor:
     return autodiff.tsum(autodiff.square(autodiff.sub(gram, eye)), axis=(1, 2))
 
 
-def triplet_term(tokens, positives: np.ndarray, negatives: np.ndarray, anchors,
-                 margin: float = DEFAULT_TRIPLET_MARGIN) -> Tensor:
-    """Per row, mean hinge over every (positive, negative) anchor pair.
+def triplet_term(tokens, positives: np.ndarray, negatives: np.ndarray, anchors) -> Tensor:
+    """Per row, mean hinge at ``TRIPLET_MARGIN`` over every (positive,
+    negative) anchor pair.
 
     ``tokens`` is (N, D); ``positives``/``negatives`` are (N, k) group ids
     into the (n_code, D) ``anchors`` table. Distances are Euclidean between
@@ -225,7 +225,8 @@ def triplet_term(tokens, positives: np.ndarray, negatives: np.ndarray, anchors,
     roots = [np.sqrt(np.sum(d * d, axis=2) + _NORM_EPS) for d in diffs]
     k_pos, k_neg = (i.shape[1] for i in ids)
     count = float(k_pos * k_neg)
-    hinge_in = roots[0].reshape(n, k_pos, 1) - roots[1].reshape(n, 1, k_neg) + margin
+    hinge_in = (roots[0].reshape(n, k_pos, 1) - roots[1].reshape(n, 1, k_neg)
+                + TRIPLET_MARGIN)
     active = hinge_in > 0.0
     out = np.sum(np.where(active, hinge_in, 0.0), axis=(1, 2)) / count
 
@@ -250,8 +251,8 @@ def triplet_term(tokens, positives: np.ndarray, negatives: np.ndarray, anchors,
 
 
 def loss_rec(targets, recon: Tensor, variance: Tensor, n_ego: int,
-             groups: Sequence[int], scenes: Sequence[int], basis: Tensor,
-             sigma_clamp: tuple[float, float] = DEFAULT_SIGMA_CLAMP) -> dict[str, Tensor]:
+             groups: Sequence[int], scenes: Sequence[int],
+             basis: Tensor) -> dict[str, Tensor]:
     """Token reconstruction NLL plus basis orthogonality over a step's rows.
 
     ``targets`` (N, D) are the fixed tokens and must be constants; ``recon``
@@ -264,7 +265,7 @@ def loss_rec(targets, recon: Tensor, variance: Tensor, n_ego: int,
     task = autodiff.tsum(
         autodiff.square(autodiff.sub(recon, targets)), axis=1)
     recon_ego, recon_agent = role_sums(
-        heteroscedastic_nll(task, variance, sigma_clamp), n_ego)
+        heteroscedastic_nll(task, variance), n_ego)
     groups = np.asarray(groups, dtype=np.intp)
     scenes = np.asarray(scenes, dtype=np.intp)
     n_code = basis.data.shape[0]
@@ -298,31 +299,26 @@ class SupRows:
     n_ego: int  # the first n_ego rows are ego rows
 
 
-def _gp_families(rows: SupRows, anchors, sigma_clamp,
-                 margin) -> dict[tuple[str, str], Tensor]:
+def _gp_families(rows: SupRows, anchors) -> dict[tuple[str, str], Tensor]:
     """Per-row variance-weighted trajectory NLL, class CE and triplets."""
     return {
         ("plan_nll", "motion_nll"): heteroscedastic_nll(
-            traj_mse(rows.traj, rows.target), rows.variance, sigma_clamp),
+            traj_mse(rows.traj, rows.target), rows.variance),
         ("class_ce_ego", "class_ce_agent"): cross_entropy(rows.ls, rows.label),
         ("triplet_ego", "triplet_agent"): triplet_term(
-            rows.token, rows.positives, rows.negatives, anchors, margin),
+            rows.token, rows.positives, rows.negatives, anchors),
     }
 
 
-def loss_sup(rows: SupRows, anchors,
-             sigma_clamp: tuple[float, float] = DEFAULT_SIGMA_CLAMP,
-             margin: float = DEFAULT_TRIPLET_MARGIN) -> dict[str, Tensor]:
+def loss_sup(rows: SupRows, anchors) -> dict[str, Tensor]:
     """Variance-weighted GP supervision: planning/motion NLL, class CE, triplets.
 
     ``anchors`` is the (n_code, D) token-anchor table.
     """
-    return role_terms(_gp_families(rows, anchors, sigma_clamp, margin), rows.n_ego)
+    return role_terms(_gp_families(rows, anchors), rows.n_ego)
 
 
-def loss_gp_teacher(rows: SupRows, teacher_ls: np.ndarray, anchors,
-                    sigma_clamp: tuple[float, float] = DEFAULT_SIGMA_CLAMP,
-                    margin: float = DEFAULT_TRIPLET_MARGIN) -> dict[str, Tensor]:
+def loss_gp_teacher(rows: SupRows, teacher_ls: np.ndarray, anchors) -> dict[str, Tensor]:
     """Distillation of the base model against the GP module, no ground truth.
 
     ``rows`` hold the base model's outputs and the teacher's targets;
@@ -331,6 +327,6 @@ def loss_gp_teacher(rows: SupRows, teacher_ls: np.ndarray, anchors,
     to ``loss_sup``'s families. ``anchors`` is the (n_code, D) token-anchor
     table.
     """
-    families = _gp_families(rows, anchors, sigma_clamp, margin)
+    families = _gp_families(rows, anchors)
     families["kl_ego", "kl_agent"] = kl_divergence(rows.ls, teacher_ls)
     return role_terms(families, rows.n_ego)

@@ -6,17 +6,18 @@ noise parameters) on the reconstruction and supervision losses; stage 3
 freezes the GP side and finetunes the base model on ground truth plus the
 teacher regularization.
 
-A model is its ``ModelSpec`` and one dict of named arrays, ``Model.tensors``:
-every checkpoint tensor under its checkpoint name, in the order of
-``ModelSpec.tensor_shapes()``, where each name and shape is stated once.
-The encoder, planner and GP module read their weights from that dict by
-name, and checkpoints write and fill it directly. A stage's parameters are
-the entries with its prefixes (``BASE_PARAMS``, ``GP_PARAMS``) wrapped as
-parameter tensors over the dict's own arrays, which ``Adam`` updates in
-place; its flat buffers hold only the gradients and moments, and a step
-runs over them in cache-sized blocks (``ADAM_BLOCK``). The frozen
-side of a stage is plain arrays, which every autodiff op wraps as
-constants, so it builds no tape.
+A model is its ``ModelSpec``, which holds sizes only, and one dict of named
+arrays, ``Model.tensors``: every checkpoint tensor under its checkpoint
+name, in the order of ``ModelSpec.tensor_shapes()``, where each name and
+shape is stated once. The encoder, planner and GP module read their weights
+from that dict by name. A checkpoint writes the dict's arrays in that
+order after a header holding the spec, so the spec alone gives each
+tensor's name, shape and offset. A stage's parameters are the entries with
+its prefixes (``BASE_PARAMS``, ``GP_PARAMS``) wrapped as parameter tensors
+over the dict's own arrays, which ``Adam`` updates in place; its flat
+buffers hold only the gradients and moments, and a step runs over them in
+cache-sized blocks (``ADAM_BLOCK``). The frozen side of a stage is plain
+arrays, which every autodiff op wraps as constants, so it builds no tape.
 
 Every optimizer step builds one tape over the batch's rows: the ego rows of
 its scenes, then their agent rows, each block in ascending scene order (see
@@ -54,7 +55,6 @@ import csv
 import dataclasses
 import json
 import math
-import operator
 import struct
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -62,7 +62,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import autodiff, basemodel, losses
+from . import autodiff, losses
 from .autodiff import Tensor
 from .basemodel import encode, encode_t, planner_t
 from .codebook import (MIN_AGENT_GROUPS, MIN_EGO_PER_COMMAND, BuildError, Codebook,
@@ -74,14 +74,15 @@ from .losses import (MaskedLogSoftmax, SupRows, cross_entropy, loss_gp_teacher, 
 from .psdlinalg import NotPSD
 
 CHECKPOINT_MAGIC = b"GPTRAJCK"
-CHECKPOINT_SCHEMA = 2
+CHECKPOINT_SCHEMA = 3
 # the tensors each training stage fits, as checkpoint-name prefixes
 BASE_PARAMS = ("base.",)
 GP_PARAMS = ("clf.", "gp.", "cb.basis")
 # elements per Adam.step block: 256 KiB of float64
 ADAM_BLOCK = 1 << 15
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 # the GP noise scalars start at this standard deviation, and stage 2 clips
-# them to ``TrainConfig.sigma_clamp`` after every step
+# them to ``losses.SIGMA_CLAMP`` after every step
 NOISE_SCALARS = ("gp.log_noise_recon", "gp.log_noise_traj")
 INIT_NOISE_STD = 1e-2
 # the seeded stream of each family's random draws at initialization
@@ -133,7 +134,6 @@ class ModelSpec:
     encoder_hidden: int = 64
     planner_hidden: int = 64
     classifier_hidden: int = 128
-    token_scale: float = basemodel.TOKEN_SCALE
 
     def __post_init__(self):
         _check_fields(self, positive=[f.name for f in dataclasses.fields(self)])
@@ -182,23 +182,14 @@ class TrainConfig:
     batch_size: int = 32
     lr_stage12: float = 1e-3
     lr_stage3: float = 3e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     loss_weights: dict[str, float] = field(default_factory=dict)
-    sigma_clamp: tuple[float, float] = losses.DEFAULT_SIGMA_CLAMP
-    triplet_margin: float = losses.DEFAULT_TRIPLET_MARGIN
     gp_weight: float = 1.0  # weight of the teacher-regularization total
 
     def __post_init__(self):
         _check_fields(
-            self, positive=("batch_size", "lr_stage12", "lr_stage3", "beta1", "beta2",
-                            "eps"),
+            self, positive=("batch_size", "lr_stage12", "lr_stage3"),
             non_negative=("epochs_stage1", "epochs_stage2", "epochs_stage3",
                           "adapt_epochs"))
-        for name in ("beta1", "beta2"):
-            if getattr(self, name) >= 1:
-                raise ValueError(f"{name} must be below 1")
         if not isinstance(self.loss_weights, dict):
             raise ValueError("loss_weights must map term names to numbers")
         bad = set(self.loss_weights) - set(losses.TERM_NAMES)
@@ -207,10 +198,6 @@ class TrainConfig:
         for name, w in self.loss_weights.items():
             if not _finite(w):
                 raise ValueError(f"loss weight {name} must be a finite number, got {w!r}")
-        lo, hi = self.sigma_clamp
-        if not (_finite(lo) and _finite(hi) and 0 < lo < hi):
-            raise ValueError(f"sigma_clamp must be finite with 0 < lo < hi, "
-                             f"got {self.sigma_clamp!r}")
 
 
 @dataclass
@@ -253,7 +240,7 @@ def _views(flat: np.ndarray, shapes: dict[str, tuple]) -> dict[str, np.ndarray]:
 
 
 class Adam:
-    """Adam with bias correction.
+    """Adam with bias correction, at ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS``.
 
     The parameters stay in their own arrays. Gradients and the moments m and
     v each live in one flat float64 buffer; ``grads`` maps each name to its
@@ -265,12 +252,8 @@ class Adam:
     it from that parameter in place.
     """
 
-    def __init__(self, params: dict[str, Tensor], lr: float, beta1: float,
-                 beta2: float, eps: float):
+    def __init__(self, params: dict[str, Tensor], lr: float):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.params = params
         size = sum(p.data.size for p in params.values())
@@ -282,7 +265,7 @@ class Adam:
         """One update from the gradients in ``grads``, which
         ``grad(..., out=opt.grads)`` fills."""
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         bias1, bias2 = 1 - b1 ** self.t, 1 - b2 ** self.t
         # in place, with the out-of-place update's operations in the same order,
         # so the bits do not change
@@ -300,7 +283,7 @@ class Adam:
             step *= self.lr
             np.divide(v, bias2, out=s)
             np.sqrt(s, out=s)
-            s += self.eps
+            s += ADAM_EPS
             step /= s
         for name, p in self.params.items():
             p.data -= self.grads[name]  # this parameter's slice of the step
@@ -315,8 +298,8 @@ def frozen_gp_predict(model: Model, tokens: np.ndarray, commands, what: str):
         raise TrainingError(f"{what}: {e}") from e
 
 
-def _project_noise(params: dict[str, Tensor], sigma_clamp) -> None:
-    lo, hi = np.log(sigma_clamp[0]), np.log(sigma_clamp[1])
+def _project_noise(params: dict[str, Tensor]) -> None:
+    lo, hi = np.log(losses.SIGMA_CLAMP[0]), np.log(losses.SIGMA_CLAMP[1])
     for n in NOISE_SCALARS:
         params[n].data[...] = np.clip(params[n].data, lo, hi)
 
@@ -365,7 +348,7 @@ class SceneTable:
         row-wise, so a batch's rows have the bytes of the batch's own), and
         group (N,); and its token anchors (n_code, D)."""
         teacher = GpInference(model.cb, model.tensors)
-        tokens = encode(self.obs, model.tensors, model.spec.token_scale)
+        tokens = encode(self.obs, model.tensors)
         self.t_mean, self.t_variance, logits, self.t_group = (
             teacher.predict_rows(tokens, self.admissible))
         self.t_log_softmax = teacher_log_softmax(logits, self.admissible)
@@ -408,20 +391,20 @@ def base_supervised_loss(batch: SceneTable, traj: Tensor, ls: MaskedLogSoftmax) 
     }, batch.n_ego)
 
 
-def finetune_scene_loss(batch: SceneTable, bvars: dict[str, Tensor], model: Model,
-                        cfg: TrainConfig) -> dict[str, Tensor]:
+def finetune_scene_loss(batch: SceneTable, bvars: dict[str, Tensor],
+                        model: Model) -> dict[str, Tensor]:
     """Terms of one base-model step, over the batch's rows.
 
     Ground-truth terms when the batch carries labels, then, when it carries
     the teacher's predictions (``SceneTable.teach``), the teacher
-    regularization, which ``_run_epochs`` scales by ``cfg.gp_weight``. The
-    teacher's mean, variance, log-softmax and group are constants of the
+    regularization, which ``_run_epochs`` scales by ``TrainConfig.gp_weight``.
+    The teacher's mean, variance, log-softmax and group are constants of the
     training call, made from the model it started from, so its targets do
     not move with the student. The trajectory anchor is the label's group
     when supervised, else the teacher's group. The triplet term measures
     the student's tokens against the teacher's token anchors.
     """
-    tokens = encode_t(batch.obs, bvars, model.spec.token_scale)
+    tokens = encode_t(batch.obs, bvars)
     logits, residual = planner_t(tokens, bvars, model.spec.n_code)
     ls = MaskedLogSoftmax(logits, batch.admissible)
     t_group = batch.t_group
@@ -435,13 +418,11 @@ def finetune_scene_loss(batch: SceneTable, bvars: dict[str, Tensor], model: Mode
         SupRows(traj=traj, target=batch.t_mean, variance=batch.t_variance, ls=ls,
                 label=t_group, token=tokens, positives=positives[t_group],
                 negatives=negatives[t_group], n_ego=batch.n_ego),
-        batch.t_log_softmax, batch.t_anchors, sigma_clamp=cfg.sigma_clamp,
-        margin=cfg.triplet_margin)
+        batch.t_log_softmax, batch.t_anchors)
     return terms | taught
 
 
-def gp_stage_loss(batch: SceneTable, graph: GpGraph, tokens: np.ndarray,
-                  cfg: TrainConfig) -> dict[str, Tensor]:
+def gp_stage_loss(batch: SceneTable, graph: GpGraph, tokens: np.ndarray) -> dict[str, Tensor]:
     """Stage-2 terms of one step: reconstruction plus GP supervision.
 
     ``tokens`` are the frozen base model's token rows (constants). All rows
@@ -454,15 +435,14 @@ def gp_stage_loss(batch: SceneTable, graph: GpGraph, tokens: np.ndarray,
     recon, var_rec = graph.reconstruct(graph.k_star(features, groups), groups, cond)
     mean, var_traj = graph.predict_trajectory(graph.k_star(features, groups), groups, cond)
     rec = loss_rec(tokens, recon, var_rec, batch.n_ego, groups, batch.scene_of_row,
-                   graph.basis, sigma_clamp=cfg.sigma_clamp)
+                   graph.basis)
     positives, negatives = graph.cb.triplets
     sup = loss_sup(
         SupRows(traj=mean, target=batch.gt, variance=var_traj, label=batch.labels,
                 ls=MaskedLogSoftmax(logits, batch.admissible), token=tokens,
                 positives=positives[batch.labels], negatives=negatives[batch.labels],
                 n_ego=batch.n_ego),
-        anchors=graph.token_anchors, sigma_clamp=cfg.sigma_clamp,
-        margin=cfg.triplet_margin)
+        anchors=graph.token_anchors)
     return rec | sup
 
 
@@ -497,7 +477,7 @@ def _run_epochs(table: SceneTable, cfg: TrainConfig, params, step_loss_fn, *,
     admissible set), stop training with a TrainingError that opens
     ``<stage> step <n>: `` and chains the error.
     """
-    opt = Adam(params, lr=lr, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps)
+    opt = Adam(params, lr=lr)
     log = None
     step = 0
     try:
@@ -592,14 +572,14 @@ def stage2_fit_gp(records, ckpt: "Checkpoint", cfg: TrainConfig,
     cb = model.cb
     table = SceneTable(scene_rows(labeled, labeled=True), cb)
     # frozen encoder: tokens are fixed targets, computed once, in row layout
-    tokens = encode(table.obs, model.tensors, model.spec.token_scale)
+    tokens = encode(table.obs, model.tensors)
 
     def loss_fn(batch: SceneTable) -> dict[str, Tensor]:
-        return gp_stage_loss(batch, GpGraph(cb, weights), tokens[batch.rows], cfg)
+        return gp_stage_loss(batch, GpGraph(cb, weights), tokens[batch.rows])
 
     _run_epochs(table, cfg, params, loss_fn, epochs=cfg.epochs_stage2,
                 lr=cfg.lr_stage12, stage="stage2", log_path=log_path,
-                post_step=lambda: _project_noise(params, cfg.sigma_clamp))
+                post_step=lambda: _project_noise(params))
     return Checkpoint(stage="stage2", model=model, train_config=cfg)
 
 
@@ -625,7 +605,7 @@ def finetune_base(rows: SceneRows, model: Model, cfg: TrainConfig, *, use_teache
         except NotPSD as e:
             raise TrainingError(f"{stage} teacher: {e}") from e
     _run_epochs(table, cfg, bvars,
-                lambda batch: finetune_scene_loss(batch, bvars, model, cfg),
+                lambda batch: finetune_scene_loss(batch, bvars, model),
                 epochs=epochs, lr=lr, stage=stage, log_path=log_path,
                 taught=losses.TEACHER_TERMS)
     return Checkpoint(stage=stage, model=model, train_config=cfg)
@@ -645,7 +625,13 @@ def stage3_finetune(records, ckpt: "Checkpoint", cfg: TrainConfig,
 
 @dataclass
 class Checkpoint:
-    """Versioned container of a model's spec and tensors, and the config."""
+    """Versioned container of a model's spec and tensors, and the config.
+
+    The file is ``CHECKPOINT_MAGIC``, the header's length as a little-endian
+    uint64, the JSON header (``schema``, ``stage``, ``train_config`` and
+    ``model_spec``), then every tensor as little-endian float64 in
+    ``model_spec``'s ``tensor_shapes()`` order, which alone gives each
+    tensor's name, shape and offset."""
 
     stage: str
     model: Model
@@ -654,29 +640,19 @@ class Checkpoint:
     def save(self, path) -> None:
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        tensors = self.model.tensors
-        index = []
-        offset = 0
-        blobs = []
-        for name in sorted(tensors):
-            arr = tensors[name]
-            index.append({"name": name, "shape": list(arr.shape), "offset": offset})
-            blobs.append(arr.tobytes())
-            offset += arr.size
         header = {
             "schema": CHECKPOINT_SCHEMA,
             "stage": self.stage,
             "train_config": dataclasses.asdict(self.train_config),
             "model_spec": dataclasses.asdict(self.model.spec),
-            "tensors": index,
         }
         blob = json.dumps(header, sort_keys=True).encode("utf-8")
         with open(path, "wb") as f:
             f.write(CHECKPOINT_MAGIC)
             f.write(struct.pack("<Q", len(blob)))
             f.write(blob)
-            for b in blobs:
-                f.write(b)
+            for arr in self.model.tensors.values():
+                f.write(arr.tobytes())
 
     @classmethod
     def load(cls, path) -> "Checkpoint":
@@ -703,44 +679,21 @@ class Checkpoint:
             if not isinstance(stage, str):
                 raise TypeError(f"stage must be a string, got {stage!r}")
             spec = ModelSpec(**header["model_spec"])
-            cfg_d = dict(header["train_config"])
-            cfg_d["sigma_clamp"] = tuple(cfg_d["sigma_clamp"])
-            cfg = TrainConfig(**cfg_d)
-            # (name, shape, offset) of each tensor, in header order
-            entries = [(e["name"], tuple(operator.index(n) for n in e["shape"]),
-                        operator.index(e["offset"])) for e in header["tensors"]]
+            cfg = TrainConfig(**header["train_config"])
         except (KeyError, TypeError, ValueError) as e:
             raise ValueError(f"{path}: bad checkpoint header: {e!r}") from e
-        index = {}
-        for name, shape, _ in entries:
-            if name in index:
-                raise ValueError(f"{path}: checkpoint tensor {name} is listed twice")
-            index[name] = shape
         shapes = spec.tensor_shapes()
-        if index.keys() != shapes.keys():
-            raise ValueError(
-                f"{path}: checkpoint tensors do not match the model: missing "
-                f"{sorted(shapes.keys() - index.keys())}, unexpected "
-                f"{sorted(index.keys() - shapes.keys())}")
-        for name, shape in shapes.items():
-            if index[name] != shape:
-                raise ValueError(
-                    f"{path}: checkpoint tensor {name} has shape "
-                    f"{list(index[name])}, its model_spec implies {list(shape)}")
         payload = raw[16 + hlen:]
-        sizes = [math.prod(shape) for _, shape, _ in entries]
-        expected = sum(sizes)
-        if (len(payload) != 8 * expected
-                or [off for _, _, off in entries] != np.cumsum([0] + sizes)[:-1].tolist()):
+        expected = 8 * sum(math.prod(shape) for shape in shapes.values())
+        if len(payload) != expected:
             raise ValueError(
                 f"{path}: truncated or corrupt checkpoint: payload holds "
-                f"{len(payload)} bytes, header describes {8 * expected}")
-        data = np.frombuffer(payload, dtype="<f8")
-        if not np.isfinite(data).all():
-            name = next(name for name, shape, off in entries
-                        if not np.isfinite(data[off:off + math.prod(shape)]).all())
-            raise ValueError(f"{path}: checkpoint tensor {name} holds non-finite values")
-        offsets = {name: off for name, _, off in entries}
-        tensors = {name: data[offsets[name]:offsets[name] + math.prod(shape)]
-                   .reshape(shape).copy() for name, shape in shapes.items()}
+                f"{len(payload)} bytes, its model_spec implies {expected}")
+        # one array per tensor: views of one buffer made the benchmark's
+        # evaluate(mode="base") about 4 % slower
+        tensors = {name: view.copy() for name, view
+                   in _views(np.frombuffer(payload, dtype="<f8"), shapes).items()}
+        for name, arr in tensors.items():
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{path}: checkpoint tensor {name} holds non-finite values")
         return cls(stage=stage, model=Model(spec, tensors), train_config=cfg)

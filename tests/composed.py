@@ -65,13 +65,13 @@ def composed_mlp(x, w1, b1, w2, b2) -> Tensor:
     return linear(autodiff.tanh(linear(x, w1, b1)), w2, b2)
 
 
-def composed_encoder(obs, w: dict, token_scale: float):
+def composed_encoder(obs, w: dict):
     """The encoder as its chain of primitive nodes."""
     h = autodiff.tanh(linear(obs, w["base.enc_w1"], w["base.enc_b1"]))
     raw = linear(h, w["base.enc_w2"], w["base.enc_b2"])
     norm = sqrt(autodiff.add(
         autodiff.tsum(autodiff.square(raw), axis=1, keepdims=True), basemodel._NORM_EPS))
-    return autodiff.mul(div(raw, norm), token_scale)
+    return autodiff.mul(div(raw, norm), basemodel.TOKEN_SCALE)
 
 
 def composed_planner(tokens, w: dict, n_code: int):
@@ -134,16 +134,15 @@ def composed_traj_mse(pred, gt):
     return div(autodiff.tsum(autodiff.square(d), axis=-1), 6.0)
 
 
-def composed_nll(task_loss, variance, sigma_clamp=losses.DEFAULT_SIGMA_CLAMP):
+def composed_nll(task_loss, variance):
     variance = as_tensor(variance)
     if np.any(variance.data <= 0.0):
         raise ValueError("non-positive variance in heteroscedastic loss")
-    sigma = clamp(sqrt(variance), *sigma_clamp)
+    sigma = clamp(sqrt(variance), *losses.SIGMA_CLAMP)
     return autodiff.add(div(task_loss, autodiff.square(sigma)), log(sigma))
 
 
-def composed_triplet(tokens, positives, negatives, anchors,
-                     margin=losses.DEFAULT_TRIPLET_MARGIN):
+def composed_triplet(tokens, positives, negatives, anchors):
     tok = as_tensor(tokens)
     table = as_tensor(anchors)
     n, dim = tok.data.shape
@@ -158,5 +157,5 @@ def composed_triplet(tokens, positives, negatives, anchors,
     k_pos, k_neg = d_pos.data.shape[1], d_neg.data.shape[1]
     gap = autodiff.sub(autodiff.reshape(d_pos, (n, k_pos, 1)),
                        autodiff.reshape(d_neg, (n, 1, k_neg)))
-    hinge = autodiff.relu(autodiff.add(gap, margin))
+    hinge = autodiff.relu(autodiff.add(gap, losses.TRIPLET_MARGIN))
     return div(autodiff.tsum(hinge, axis=(1, 2)), float(k_pos * k_neg))

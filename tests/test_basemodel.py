@@ -31,7 +31,7 @@ def scene_with(obs, domain="a") -> SceneRecord:
 
 
 def tokens_of(obs_rows, p: dict) -> np.ndarray:
-    return encode(np.atleast_2d(obs_rows), p, TOKEN_SCALE)
+    return encode(np.atleast_2d(obs_rows), p)
 
 
 def test_zero_observation_zero_weights_zero_token():
@@ -122,7 +122,7 @@ def test_differentiable_paths_match_numpy():
     n_code = 23
     obs = rng_for(7, "obs").normal(size=16)
     v = {n: Tensor(a) for n, a in p.items()}
-    tok_t = encode_t(np.stack([obs, obs * 0.5]), v, TOKEN_SCALE)
+    tok_t = encode_t(np.stack([obs, obs * 0.5]), v)
     ego, agents = encode_ref(scene_with(obs), p, TOKEN_SCALE)
     assert np.allclose(tok_t.data, [ego, agents[0]], atol=1e-12)
     logits_t, residual_t = planner_t(tok_t, v, n_code)
@@ -149,7 +149,7 @@ def test_base_model_nodes_give_the_bytes_of_the_composed_chains(rows):
         # the tokens feed the planner and a second consumer, as they feed the
         # teacher's triplet term, so their upstream gradient is a sum
         w = {n: parameter(a) for n, a in weights.items()}
-        tokens = encoder(obs, w, TOKEN_SCALE)
+        tokens = encoder(obs, w)
         leaf = parameter(tokens.data)  # the planner's gradient into its tokens
 
         def loss(tokens):

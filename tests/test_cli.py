@@ -65,7 +65,7 @@ def test_cli_pipeline_at_toy_size(tmp_path, monkeypatch, capsys):
     assert run("inspect-ckpt", "--ckpt", str(out / "ckpt_stage2.bin")) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == f"schema: {trainer.CHECKPOINT_SCHEMA}  stage: stage2"
-    assert trainer.CHECKPOINT_SCHEMA == 2
+    assert trainer.CHECKPOINT_SCHEMA == 3
     assert "  cb.basis  [19, 4, 8]" in lines
 
 

@@ -319,9 +319,15 @@ def test_lloyd_skips_most_distances_on_the_agent_bucket(monkeypatch):
 
 def test_build_matches_reference_forms(monkeypatch):
     records = gen_dataset(config.resolve({}).domain("source_city"), 80, seed=3)
-    trajs = cluster_input([(r.ego_gt, r.command) for r in records],
-                          [t for r in records for t in r.agent_gt])
-    got = sample_and_cluster(*trajs, 12, 7, group_size=4, seed=3)
+    generated = cluster_input([(r.ego_gt, r.command) for r in records],
+                              [t for r in records for t in r.agent_gt])
+    # straight lines at whole speeds, shifted sideways by whole metres: rows
+    # at exactly equal distances from a centroid, so that tie order shows
+    shifts = [(0, 0), (0, 1), (0, -1), (0, 2), (0, -2)]
+    lattice = cluster_input([(straight(6.0) + s, cmd) for cmd in COMMANDS for s in shifts],
+                            [straight(float(v)) + s for v in range(2, 10) for s in shifts])
+    cases = [(generated, 12, 7, 4, 3), (lattice, 3, 4, 4, 0)]
+    got = [sample_and_cluster(*trajs, *sizes) for trajs, *sizes in cases]
 
     def lloyd(flat, k, rng):
         centroids = lloyd_ref(flat, k, rng, max_iters=codebook.LLOYD_MAX_ITERS,
@@ -329,9 +335,10 @@ def test_build_matches_reference_forms(monkeypatch):
         return centroids, np.stack([traj_dists_ref(flat, c) for c in centroids], axis=1)
 
     monkeypatch.setattr(codebook, "_lloyd", lloyd)
-    monkeypatch.setattr(codebook, "traj_dists", traj_dists_ref)
-    want = sample_and_cluster(*trajs, 12, 7, group_size=4, seed=3)
-    assert got.tobytes() == want.tobytes()
+    monkeypatch.setattr(codebook, "_nearest_rows",
+                        lambda d, m: np.argsort(d, axis=1, kind="stable")[:, :m])
+    for g, (trajs, *sizes) in zip(got, cases):
+        assert g.tobytes() == sample_and_cluster(*trajs, *sizes).tobytes()
 
 
 def test_group_members_keep_index_order_across_tied_cut():

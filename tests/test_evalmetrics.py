@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from gptraj import config, evalmetrics
+from gptraj.basemodel import TOKEN_SCALE
 from gptraj.core import Command, scene_rows
 from gptraj.evalmetrics import (EGO_FOOTPRINT, avg_l2, collision, evaluate,
                                 rect_corners, sat_margin, scene_collisions,
@@ -340,7 +341,7 @@ def test_evaluate_rows_match_per_scene_reference(tmp_path, tiny_dataset, stage1_
         rows = csv_rows(rep, tmp_path / f"{mode}.csv")
         l2s = []
         for rec, row in zip(tiny_dataset, rows, strict=True):
-            ego, _ = encode_ref(rec, model.tensors, model.spec.token_scale)
+            ego, _ = encode_ref(rec, model.tensors, TOKEN_SCALE)
             if mode == "base":
                 traj, _ = plan_ref(ego, rec.command, model.tensors, model.cb)
             else:

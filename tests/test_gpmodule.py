@@ -527,7 +527,7 @@ def test_classifier_learns_two_separated_modes(small_cb, small_w):
     clf = classifier_init_ref(rng, cb.n_code, cb.group_size, 16)
     w = {"w1": parameter(clf["clf.w1"]), "b1": parameter(clf["clf.b1"]),
          "w2": parameter(clf["clf.w2"]), "b2": parameter(clf["clf.b2"])}
-    opt = Adam(w, lr=1e-2, beta1=0.9, beta2=0.999, eps=1e-8)
+    opt = Adam(w, lr=1e-2)
     inf = inference(cb, {"cb.basis": basis} | clf, p)
     adm = admissible(cb, [None])
     for _ in range(300):

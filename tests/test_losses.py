@@ -5,10 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from gptraj import autodiff
+from gptraj import autodiff, losses
 from gptraj.autodiff import Tensor
 from gptraj.codebook import Codebook, sample_and_cluster, triplet_table
-from gptraj.losses import (DEFAULT_SIGMA_CLAMP, MaskedLogSoftmax, SupRows,
+from gptraj.losses import (SIGMA_CLAMP, TRIPLET_MARGIN, MaskedLogSoftmax, SupRows,
                            cross_entropy, heteroscedastic_nll, kl_divergence,
                            loss_gp_teacher, loss_rec, loss_sup, orthogonality,
                            role_sums, step_total, teacher_log_softmax, traj_mse,
@@ -154,7 +154,7 @@ def test_triplet_satisfied_margin_is_zero(cb, cb_basis):
     cb_basis[neg] += 50.0  # negatives far beyond the margin
     try:
         [val] = triplet_term(anchor[None, :], np.array([pos]), np.array([neg]),
-                             cb_basis.mean(axis=1), margin=1.0).data
+                             cb_basis.mean(axis=1)).data
         assert val == pytest.approx(0.0)
     finally:
         cb_basis[neg] -= 50.0
@@ -167,8 +167,8 @@ def test_triplet_equidistant_hinges_at_margin():
                5: -np.array([1.0, 0.0]) / np.sqrt(2) - np.array([0.0, 1.0]) / np.sqrt(2)}
     table = np.stack([anchors[gid] for gid in range(6)])
     val = triplet_term(np.zeros((1, 2)), np.array([[0, 1, 2]]), np.array([[3, 4, 5]]),
-                       table, margin=0.7)
-    assert val.data[0] == pytest.approx(0.7, abs=1e-6)
+                       table)
+    assert val.data[0] == pytest.approx(TRIPLET_MARGIN, abs=1e-6)
 
 
 def test_triplet_matches_bruteforce_oracle(cb, cb_basis):
@@ -177,7 +177,7 @@ def test_triplet_matches_bruteforce_oracle(cb, cb_basis):
     tokens = rng.normal(size=(20, 5))
     positives, negatives = triplet_table(cb)
     pos, neg = positives[labels], negatives[labels]
-    got = triplet_term(tokens, pos, neg, cb_basis.mean(axis=1), margin=1.0).data
+    got = triplet_term(tokens, pos, neg, cb_basis.mean(axis=1)).data
     for token, p, n, value in zip(tokens, pos, neg, got):
         want = triplet_oracle(token, list(cb_basis.mean(axis=1)[p]),
                               list(cb_basis.mean(axis=1)[n]), 1.0)
@@ -240,7 +240,7 @@ def test_total_is_weighted_sum():
 
 
 def test_loss_bounded_below_under_clamp():
-    lo, hi = DEFAULT_SIGMA_CLAMP
+    lo, hi = SIGMA_CLAMP
     floor = np.log(lo)  # task >= 0, so log sigma bounds the term from below
     for var in (1e-12, 1e-4, 1.0, 1e8):
         val = heteroscedastic_nll(Tensor(np.array(0.0)),
@@ -252,7 +252,7 @@ def test_optimal_sigma_squared_is_twice_task_loss():
     # analytic optimum of L/sigma^2 + log sigma at sigma^2 = 2L
     task = 2.0
     theta = parameter(np.array(0.0))  # log sigma
-    opt = Adam({"theta": theta}, lr=1e-2, beta1=0.9, beta2=0.999, eps=1e-8)
+    opt = Adam({"theta": theta}, lr=1e-2)
     for _ in range(500):
         sigma = autodiff.exp(theta)
         loss = autodiff.add(composed.div(task, autodiff.square(sigma)),
@@ -432,13 +432,15 @@ def nll_rows(rows: int, lo: float, hi: float) -> dict:
 
 @pytest.mark.parametrize("needed", [["task", "variance"], ["task"], ["variance"]],
                          ids=["both", "constant-variance", "constant-task"])
-def test_nll_gives_the_bytes_of_the_composed_chain(needed):
+def test_nll_gives_the_bytes_of_the_composed_chain(needed, monkeypatch):
     lo, hi = 0.5, 4.0
     arrays = nll_rows(41, lo, hi)
     assert np.sqrt(arrays["variance"][:2]).tolist() == [lo, hi]
-    for band in ((lo, hi), DEFAULT_SIGMA_CLAMP):
-        assert_same_bytes(lambda task, variance: heteroscedastic_nll(task, variance, band),
-                          lambda task, variance: composed_nll(task, variance, band),
+    # a narrow band, so that roots fall below, at, inside and above it
+    for band in ((lo, hi), SIGMA_CLAMP):
+        monkeypatch.setattr(losses, "SIGMA_CLAMP", band)
+        assert_same_bytes(lambda task, variance: heteroscedastic_nll(task, variance),
+                          lambda task, variance: composed_nll(task, variance),
                           arrays, needed)
 
 
@@ -457,7 +459,7 @@ def test_triplet_gives_the_bytes_of_the_composed_chain(rows, needed):
     arrays, pos, neg = triplet_arrays(rows)
 
     def of(fn):
-        return lambda tokens, table: fn(tokens, pos, neg, table, 0.8)
+        return lambda tokens, table: fn(tokens, pos, neg, table)
 
     assert_same_bytes(of(triplet_term), of(composed_triplet), arrays, needed)
     # a third consumer of the table, whose gradient joins the two gathered
@@ -469,21 +471,22 @@ def test_triplet_gives_the_bytes_of_the_composed_chain(rows, needed):
                           extra=extra)
 
 
-def test_triplet_hinge_at_exactly_zero():
+def test_triplet_hinge_at_exactly_zero(monkeypatch):
     # negative 4 is positive 0's anchor and the margin is 0: that pair's
     # hinge input is exactly 0, so it adds nothing and passes no gradient
+    monkeypatch.setattr(losses, "TRIPLET_MARGIN", 0.0)
     arrays = triplet_arrays(2, n_code=6, dim=4)[0]
     arrays["table"][4] = arrays["table"][0]
     pos, neg = np.array([[0], [1]]), np.array([[4], [5]])
-    assert triplet_term(arrays["tokens"], pos, neg, arrays["table"], 0.0).data[0] == 0.0
+    assert triplet_term(arrays["tokens"], pos, neg, arrays["table"]).data[0] == 0.0
 
     def of(fn):
         return lambda tokens, table: fn(tokens, np.array([[0, 1], [1, 2]]),
-                                        np.array([[4, 5], [5, 4]]), table, 0.0)
+                                        np.array([[4, 5], [5, 4]]), table)
 
     assert_same_bytes(of(triplet_term), of(composed_triplet), arrays, ["tokens", "table"])
     x = parameter(arrays["tokens"])
-    grads = grad_map(autodiff.tsum(triplet_term(x, pos, neg, arrays["table"], 0.0)), {"x": x})
+    grads = grad_map(autodiff.tsum(triplet_term(x, pos, neg, arrays["table"])), {"x": x})
     assert not grads["x"][0].any()
 
 
@@ -502,15 +505,16 @@ def fd_check(build, arrays: dict, tol: float = 1e-6):
 
 def test_triplet_gradients_match_finite_differences():
     arrays, pos, neg = triplet_arrays(6)
-    fd_check(lambda tokens, table: triplet_term(tokens, pos, neg, table, 1.5), arrays)
+    fd_check(lambda tokens, table: triplet_term(tokens, pos, neg, table), arrays)
 
 
-def test_nll_gradients_match_finite_differences():
-    # the two roots at the bounds moved inside the band: the clamp has no
-    # derivative at its bounds
+def test_nll_gradients_match_finite_differences(monkeypatch):
+    # a narrow band, with the two roots at the bounds moved inside it: the
+    # clamp has no derivative at its bounds
+    monkeypatch.setattr(losses, "SIGMA_CLAMP", (0.5, 4.0))
     arrays = nll_rows(12, 0.5, 4.0)
     arrays["variance"][:2] = 0.3, 1.7
-    fd_check(lambda task, variance: heteroscedastic_nll(task, variance, (0.5, 4.0)), arrays)
+    fd_check(lambda task, variance: heteroscedastic_nll(task, variance), arrays)
 
 
 def test_teacher_log_softmax_rows_do_not_depend_on_the_other_rows():
