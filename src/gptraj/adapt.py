@@ -31,7 +31,6 @@ class SelectionReport:
     rows: list[tuple[str, float]]  # (scene_id, scalar_variance), ranked
     selected: list[str]
     strategy: str
-    budget: float
 
     def write_csv(self, path) -> None:
         path = Path(path)
@@ -101,5 +100,4 @@ def active_select(records: list[SceneRecord], ckpt: Checkpoint, budget: float,
         rng = rng_for(seed, "active-random")
         perm = rng.permutation(len(ids))
         selected = [ids[i] for i in perm[:k]]
-    return SelectionReport(rows=scored, selected=selected, strategy=strategy,
-                           budget=budget)
+    return SelectionReport(rows=scored, selected=selected, strategy=strategy)

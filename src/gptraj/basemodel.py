@@ -26,6 +26,7 @@ import numpy as np
 
 from . import autodiff
 from .autodiff import Tensor
+from .core import TRAJ_DIM
 
 RESIDUAL_BOUND = 5.0  # meters per coordinate
 TOKEN_SCALE = 3.0
@@ -67,7 +68,7 @@ def planner_t(tokens: Tensor, w: dict, n_code: int) -> tuple[Tensor, Tensor]:
     out = autodiff.mlp(tokens, *(w[f"base.pln_{n}"] for n in ("w1", "b1", "w2", "b2")))
     logits = autodiff.narrow(out, 0, n_code, axis=1)
     residual = autodiff.mul(
-        autodiff.tanh(autodiff.narrow(out, n_code, n_code + 12, axis=1)),
+        autodiff.tanh(autodiff.narrow(out, n_code, n_code + TRAJ_DIM, axis=1)),
         RESIDUAL_BOUND)
     return logits, residual
 

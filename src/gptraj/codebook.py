@@ -16,12 +16,12 @@ the final centroids, so the codebook is bit-identical to the plain loop
 and ``np.linalg.norm`` distance in ``tests/oracles.py``.
 
 Every distance comes from one kernel, ``_dists``, over waypoint-major
-trajectories (12, ...) broadcast over the trailing axes. ``traj_dists`` is
-its adapter for flat (..., 12) rows, and ``traj_dist_blocks`` cuts every
-row of one set against every row of another into blocks of at most
-``DIST_BLOCK`` pairs, so that the clustering's returned matrix, the labels
-of ``nearest_group`` and the anchor distances of ``triplet_table`` keep
-their temporaries bounded.
+trajectories (12, ...) broadcast over the trailing axes. Lloyd passes it
+transposed flat rows, and ``traj_dist_blocks`` cuts every row of one set
+of flat (n, 12) trajectories against every row of another into blocks of
+at most ``DIST_BLOCK`` pairs, so that the clustering's returned matrix,
+the labels of ``nearest_group`` and the anchor distances of
+``triplet_table`` keep their temporaries bounded.
 
 A model pairs two stacked arrays, trajectories (n_code, C, 12) and basis
 tokens (n_code, C, D), in a fixed group layout: the ``n_ego`` ego groups
@@ -121,17 +121,9 @@ def _dists(at: np.ndarray, bt: np.ndarray) -> np.ndarray:
     return total
 
 
-def traj_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``_dists`` of flat trajectories (..., 12), broadcast over the leading
-    axes."""
-    a, b = np.broadcast_arrays(a, b)
-    axes = (-1, *range(a.ndim - 1))  # the coordinate axis first
-    return _dists(a.transpose(axes), b.transpose(axes))
-
-
 def traj_dist_blocks(a: np.ndarray, b: np.ndarray):
-    """The (n, k) ``traj_dists`` of every row of ``a`` (n, 12) to every row
-    of ``b`` (k, 12), block by block: yields ``(lo, hi, dists)``, the rows
+    """The (n, k) ``_dists`` of every row of ``a`` (n, 12) to every row of
+    ``b`` (k, 12), block by block: yields ``(lo, hi, dists)``, the rows
     lo:hi of the matrix. A block has at most ``DIST_BLOCK`` pairs (at least
     one row), measured by ``_dists`` on waypoint-major copies of both
     operands, made once."""
@@ -143,8 +135,8 @@ def traj_dist_blocks(a: np.ndarray, b: np.ndarray):
 
 
 def traj_dist_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The (n, k) ``traj_dists`` of every row of ``a`` to every row of
-    ``b``, from ``traj_dist_blocks``."""
+    """The (n, k) ``_dists`` of every row of ``a`` to every row of ``b``,
+    from ``traj_dist_blocks``."""
     out = np.empty((len(a), len(b)))
     for lo, hi, dists in traj_dist_blocks(a, b):
         out[lo:hi] = dists
@@ -161,17 +153,18 @@ def _lloyd(flat: np.ndarray, k: int, rng: np.random.Generator
     cluster's centroid to its mean, summed by one ``bincount`` over flat
     (group, column) ids, which adds in row order (the order of ``mean``),
     and reassign. A row's ``upper`` bounds its distance to its own centroid
-    and ``lower[:, j]`` its distance to centroid j. A centroid's shift
-    ``traj_dists(new, old)`` lowers its column of ``lower`` and raises the
-    ``upper`` of its rows, each widened by ``LLOYD_GUARD`` relative and
-    absolute. A row needs work only where some other centroid's lower bound
-    does not clear its upper bound; it then gets the exact distance to its
-    own centroid and to each such centroid, and its argmin over ``lower``,
-    whose entries at or below ``upper`` are all exact, keeps ties on the
-    lowest id. The farthest-point columns and the measured pairs are taken
-    on one waypoint-major copy of the rows. The returned matrix is computed
-    once, from the final centroids, by ``traj_dist_matrix``. Bit-identical to
-    ``tests/oracles.py``'s ``lloyd_ref``, which recomputes everything."""
+    and ``lower[:, j]`` its distance to centroid j. A centroid's shift, the
+    ``_dists`` of its new position to its old, lowers its column of
+    ``lower`` and raises the ``upper`` of its rows, each widened by
+    ``LLOYD_GUARD`` relative and absolute. A row needs work only where some
+    other centroid's lower bound does not clear its upper bound; it then
+    gets the exact distance to its own centroid and to each such centroid,
+    and its argmin over ``lower``, whose entries at or below ``upper`` are
+    all exact, keeps ties on the lowest id. The farthest-point columns and
+    the measured pairs are taken on one waypoint-major copy of the rows. The
+    returned matrix is computed once, from the final centroids, by
+    ``traj_dist_matrix``. Bit-identical to ``tests/oracles.py``'s
+    ``lloyd_ref``, which recomputes everything."""
     n, d = flat.shape
     flat_t = np.ascontiguousarray(flat.T)  # waypoint-major, for _dists
     picks, nearest, lower = [], np.full(n, np.inf), np.empty((n, k))
@@ -190,7 +183,7 @@ def _lloyd(flat: np.ndarray, k: int, rng: np.random.Generator
                            minlength=k * d).reshape(k, d)
         new = np.where(counts > 0, sums / np.maximum(counts, 1), centroids)
         motion = float(np.max(np.linalg.norm(new - centroids, axis=1)))
-        shift = traj_dists(new, centroids) * (1 + LLOYD_GUARD) + LLOYD_GUARD
+        shift = _dists(new.T, centroids.T) * (1 + LLOYD_GUARD) + LLOYD_GUARD
         centroids = new
         if motion < LLOYD_TOL:
             break

@@ -3,7 +3,8 @@
 Unknown keys anywhere in the file are rejected. ``resolve`` expands compact
 domain descriptors into full ``DomainSpec`` objects and materializes the
 trainer/model configs; every run should log the fully resolved form via
-``resolved_dict``.
+``resolved_dict``. The ``model`` and ``train`` sections hold the fields of
+``ModelSpec`` (codebook sizes included) and ``TrainConfig`` but its seed.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ from .core import COMMANDS
 from .synthdomain import DomainSpec, build_obs_transform
 from .trainer import ModelSpec, TrainConfig, _finite, _is_int
 
-_CODEBOOK_KEYS = ("n_ego", "n_agent", "group_size")
-
 
 def _field_defaults(cls) -> dict:
     """A dataclass's field defaults; fields without a default are left out."""
@@ -30,9 +29,6 @@ def _field_defaults(cls) -> dict:
         elif f.default is not dataclasses.MISSING:
             out[f.name] = f.default
     return out
-
-
-_SPEC_DEFAULTS = _field_defaults(ModelSpec)
 
 
 def _source_priors() -> dict:
@@ -53,8 +49,7 @@ def _source_priors() -> dict:
 DEFAULT_CONFIG: dict = {
     "seed": 0,
     "out_dir": "runs/default",
-    "model": {k: v for k, v in _SPEC_DEFAULTS.items() if k not in _CODEBOOK_KEYS},
-    "codebook": {k: _SPEC_DEFAULTS[k] for k in _CODEBOOK_KEYS},
+    "model": _field_defaults(ModelSpec),
     "train": _field_defaults(TrainConfig),
     "data": {
         "n_source": 2000,
@@ -197,7 +192,7 @@ def _merge_defaults(user: dict) -> dict:
 def resolve(user: dict | None = None) -> Config:
     raw = _merge_defaults(user or {})
     _check_keys(raw, DEFAULT_CONFIG, "<root>")
-    for section in ("model", "codebook", "train", "data", "eval"):
+    for section in ("model", "train", "data", "eval"):
         _check_keys(raw[section], DEFAULT_CONFIG[section], section)
     for name, spec in _object(raw["eval"]["rarity_bins"], "eval.rarity_bins").items():
         _check_keys(spec, _BIN_KEYS, f"eval.rarity_bins.{name}")
@@ -207,12 +202,10 @@ def resolve(user: dict | None = None) -> Config:
     if not isinstance(raw["out_dir"], str):
         raise ConfigError(f"out_dir must be a path string, got {raw['out_dir']!r}")
     try:
-        model = ModelSpec(**{k: raw[s][k] for s in ("model", "codebook")
-                             for k in raw[s]})
+        model = ModelSpec(**raw["model"])
     except ValueError as e:
         # each ModelSpec message opens with the field's name
-        section = "codebook" if str(e).split()[0] in _CODEBOOK_KEYS else "model"
-        raise ConfigError(f"{section}.{e}") from e
+        raise ConfigError(f"model.{e}") from e
     try:
         train = TrainConfig(seed=raw["seed"], **raw["train"])
     except (TypeError, ValueError) as e:

@@ -4,12 +4,13 @@ Trajectories are 6 BEV waypoints covering 3 s at 2 Hz (t = 0.5 s ... 3.0 s)
 in an ego-centric frame: x forward, y left, meters. A scene of one ego
 vehicle and A agents is a ``SceneRecord`` of float64 arrays: ``ego_obs``
 (D,), ``agent_obs`` (A, D), ``ego_gt`` (6, 2), ``agent_gt`` (A, 6, 2) and
-``agent_footprints`` (A, 2) as (length, width) in meters. Ground truth is
-None for unlabeled data; a labeled scene without agents has a (0, 6, 2)
-``agent_gt``. ``scene_rows`` lays scenes out as the rows that every stage,
-selection and eval pass works on: every ego row in record order, then every
-agent row in record order. Datasets are line-delimited JSON, one scene per
-line, with a mandatory ``"schema": 1`` version key.
+``agent_footprints`` (A, 2) as (length, width) in meters. A record raises
+on any other shape when built, so ``validate_record`` checks values only.
+Ground truth is None for unlabeled data; a labeled scene without agents has
+a (0, 6, 2) ``agent_gt``. ``scene_rows`` lays scenes out as the rows that
+every stage, selection and eval pass works on: every ego row in record
+order, then every agent row in record order. Datasets are line-delimited
+JSON, one scene per line, with a mandatory ``"schema": 1`` version key.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ from pathlib import Path
 import numpy as np
 
 N_WAYPOINTS = 6
+TRAJ_DIM = 2 * N_WAYPOINTS  # a flat trajectory: x, y of each waypoint
+DEFAULT_OBS_DIM = 24  # observation length of generated scenes and of ModelSpec
 COORD_BOUND = 200.0  # sanity bound on |x|, |y| in meters
 SCHEMA_VERSION = 1
 
@@ -42,8 +45,9 @@ COMMANDS = (Command.TURN_LEFT, Command.TURN_RIGHT, Command.GO_STRAIGHT)
 
 _TRAJ_SHAPE = (N_WAYPOINTS, 2)
 
-# the violation of a row of a per-agent field that has the wrong shape
-_ROW_SHAPE_ERRORS = {
+# the fault of a field, or of row i of a per-agent field, of another shape
+_SHAPE_FAULTS = {
+    "ego_gt": "ego_gt: waypoint count != %d: shape {shape}" % N_WAYPOINTS,
     "agent_obs": "agent_obs[{i}] length mismatch with ego_obs",
     "agent_gt": "agent_gt[{i}]: waypoint count != %d: shape {shape}" % N_WAYPOINTS,
     "agent_footprints": "agent_footprints[{i}] must be a (length, width) pair",
@@ -52,28 +56,31 @@ _ROW_SHAPE_ERRORS = {
 
 def _array(name: str, value, row_shape: tuple | None = None) -> np.ndarray:
     """``value`` as a float64 array. With ``row_shape`` it is a per-agent
-    field, (A, *row_shape), and an empty list is (0, *row_shape). Nothing is
-    reshaped, so a row of another shape stays one for ``validate_record``;
-    a ragged list is rejected here, naming its first row of another shape."""
+    field, (A, *row_shape), and an empty list is (0, *row_shape); a row of
+    another shape raises, a ragged list naming its first such row."""
     try:
         arr = np.asarray(value, dtype=np.float64)
     except (TypeError, ValueError) as e:
         for i, row in enumerate(() if row_shape is None else value):
             shape = np.asarray(row, dtype=object).shape  # ragged rows too
             if shape != row_shape:
-                raise ValueError(_ROW_SHAPE_ERRORS[name].format(i=i, shape=shape)) from None
+                raise ValueError(_SHAPE_FAULTS[name].format(i=i, shape=shape)) from None
         raise ValueError(f"{name}: {e}") from None
     if row_shape is None:
         return arr
     if arr.ndim == 0:
         raise ValueError(f"{name} must be a list")
-    return arr.reshape(0, *row_shape) if arr.shape == (0,) else arr
+    if arr.shape == (0,):
+        return arr.reshape(0, *row_shape)
+    if arr.shape[1:] != row_shape:
+        raise ValueError(_SHAPE_FAULTS[name].format(i=0, shape=arr.shape[1:]))
+    return arr
 
 
 @dataclass(frozen=True)
 class SceneRecord:
     """One training/eval scene, its fields shaped as the module docstring
-    states; list-valued fields are converted to arrays."""
+    states, else a ValueError names the fault; lists become arrays."""
 
     scene_id: str
     domain_tag: str
@@ -85,12 +92,23 @@ class SceneRecord:
     agent_footprints: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "ego_obs", _array("ego_obs", self.ego_obs))
-        for name, row_shape in (("agent_obs", self.ego_obs.shape), ("ego_gt", None),
-                                ("agent_gt", _TRAJ_SHAPE), ("agent_footprints", (2,))):
+        ego = _array("ego_obs", self.ego_obs)
+        if ego.ndim != 1:
+            raise ValueError("ego_obs must be a vector")
+        object.__setattr__(self, "ego_obs", ego)
+        object.__setattr__(self, "agent_obs", _array("agent_obs", self.agent_obs, ego.shape))
+        if self.ego_gt is not None:
+            object.__setattr__(self, "ego_gt", _array("ego_gt", self.ego_gt))
+            if self.ego_gt.shape != _TRAJ_SHAPE:
+                raise ValueError(_SHAPE_FAULTS["ego_gt"].format(shape=self.ego_gt.shape))
+        for name, row_shape in (("agent_gt", _TRAJ_SHAPE), ("agent_footprints", (2,))):
             value = getattr(self, name)
             if value is not None:
-                object.__setattr__(self, name, _array(name, value, row_shape))
+                arr = _array(name, value, row_shape)
+                if len(arr) != self.n_agents:
+                    raise ValueError(f"agent list length mismatch: {self.n_agents} agent_obs, "
+                                     f"{len(arr)} {name}")
+                object.__setattr__(self, name, arr)
 
     @property
     def n_agents(self) -> int:
@@ -136,8 +154,6 @@ class SceneRecord:
 def _traj_violations(trajs: np.ndarray, name) -> list[str]:
     """Violations of stacked (n, 6, 2) trajectories, the i-th named
     ``name(i)``."""
-    if trajs.shape[1:] != _TRAJ_SHAPE:
-        return [f"{name(0)}: waypoint count != {N_WAYPOINTS}: shape {trajs.shape[1:]}"]
     inside = (np.abs(trajs) <= COORD_BOUND).all(axis=(1, 2))  # False for NaN too
     return [f"{name(i)}: non-finite waypoint coordinate"
             if not np.isfinite(trajs[i]).all() else
@@ -146,36 +162,23 @@ def _traj_violations(trajs: np.ndarray, name) -> list[str]:
 
 
 def validate_record(rec: SceneRecord, obs_dim: int | None = None) -> list[str]:
-    """All invariant violations for a record; empty list means ok."""
+    """All value violations for a record, its observation length against
+    ``obs_dim`` among them; empty list means ok."""
     errors: list[str] = []
-    ego, agents, footprints = rec.ego_obs, rec.agent_obs, rec.agent_footprints
-    if ego.ndim != 1:
-        errors.append("ego_obs must be a vector")
-    elif obs_dim is not None and len(ego) != obs_dim:
+    ego, footprints = rec.ego_obs, rec.agent_footprints
+    if obs_dim is not None and len(ego) != obs_dim:
         errors.append(f"ego_obs length {len(ego)} != {obs_dim}")
     if not np.all(np.isfinite(ego)):
         errors.append("non-finite ego_obs")
-    if agents.shape[1:] != ego.shape:
-        errors.append(_ROW_SHAPE_ERRORS["agent_obs"].format(i=0))
-    elif ego.ndim == 1:
-        errors.extend(f"non-finite agent_obs[{i}]"
-                      for i in np.flatnonzero(~np.isfinite(agents).all(axis=1)))
+    errors.extend(f"non-finite agent_obs[{i}]"
+                  for i in np.flatnonzero(~np.isfinite(rec.agent_obs).all(axis=1)))
     if rec.ego_gt is not None:
         errors.extend(_traj_violations(rec.ego_gt[None], lambda i: "ego_gt"))
     if rec.agent_gt is not None:
-        if len(rec.agent_gt) != len(agents):
-            errors.append(f"agent list length mismatch: {len(agents)} agent_obs, "
-                          f"{len(rec.agent_gt)} agent_gt")
         errors.extend(_traj_violations(rec.agent_gt, lambda i: f"agent_gt[{i}]"))
-    if len(footprints) != len(agents):
-        errors.append(f"agent list length mismatch: {len(agents)} agent_obs, "
-                      f"{len(footprints)} agent_footprints")
-    if footprints.shape[1:] != (2,):
-        errors.append(_ROW_SHAPE_ERRORS["agent_footprints"].format(i=0))
-    else:
-        ok = np.isfinite(footprints).all(axis=1) & (footprints > 0).all(axis=1)
-        errors.extend(f"agent_footprints[{i}] must be positive finite (length, width)"
-                      for i in np.flatnonzero(~ok))
+    ok = np.isfinite(footprints).all(axis=1) & (footprints > 0).all(axis=1)
+    errors.extend(f"agent_footprints[{i}] must be positive finite (length, width)"
+                  for i in np.flatnonzero(~ok))
     return errors
 
 
@@ -194,17 +197,16 @@ class SceneRows:
 
 def scene_rows(records: list[SceneRecord], labeled: bool) -> SceneRows:
     """The rows of non-empty ``records``; with ``labeled``, their ground
-    truth too, which needs one agent trajectory per agent observation."""
+    truth too, which a record with agents must have for its agents."""
     counts = [r.n_agents for r in records]
     gt = None
     if labeled:
         for r, n in zip(records, counts):
-            got = 0 if r.agent_gt is None else len(r.agent_gt)
-            if got != n:
+            if n and r.agent_gt is None:
                 raise ValueError(f"scene {r.scene_id}: {n} agent observations "
-                                 f"but {got} agent trajectories")
+                                 f"but 0 agent trajectories")
         gt = np.concatenate([np.array([r.ego_gt for r in records])]
-                            + [r.agent_gt for r in records])
+                            + [r.agent_gt for r in records if r.n_agents])
     return SceneRows(
         commands=[r.command for r in records],
         scene_of_row=np.concatenate([np.arange(len(records)),
@@ -239,20 +241,12 @@ def _invalid_records(records: list[SceneRecord]) -> np.ndarray:
     observation length from the second record on, reports a violation.
 
     One pass over the stacked fields instead of one call per record: a
-    Python comparison of each record's shapes, then one array check per
-    value group (observations finite, trajectories within ``COORD_BOUND``,
-    footprints finite and positive) whose failing elements are mapped back
-    to their records. A first observation that is not a vector flags every
-    record."""
-    obs_shape = records[0].ego_obs.shape if records else ()
-    bad = np.array([len(obs_shape) != 1
-                    or r.ego_obs.shape != obs_shape
-                    or r.agent_obs.shape[1:] != obs_shape
-                    or r.agent_footprints.shape != (len(r.agent_obs), 2)
-                    or (r.ego_gt is not None and r.ego_gt.shape != _TRAJ_SHAPE)
-                    or (r.agent_gt is not None
-                        and r.agent_gt.shape != (len(r.agent_obs), *_TRAJ_SHAPE))
-                    for r in records], dtype=bool)
+    Python comparison of each record's observation length, then one array
+    check per value group (observations finite, trajectories within
+    ``COORD_BOUND``, footprints finite and positive) whose failing elements
+    are mapped back to their records."""
+    obs_dim = len(records[0].ego_obs) if records else 0
+    bad = np.array([len(r.ego_obs) != obs_dim for r in records], dtype=bool)
     groups = (
         ([[r.ego_obs, r.agent_obs] for r in records], np.isfinite),
         ([[t for t in (r.ego_gt, r.agent_gt) if t is not None] for r in records],
@@ -285,8 +279,9 @@ def load_dataset(path) -> list[SceneRecord]:
     file is checked by one array pass, and ``validate_record`` runs only on
     the first record that pass flags. The first fault in line order is
     raised as ``<path>:<line>: <message>``, the line counted in the file,
-    blank lines included: a record's first violation, or a line that does
-    not parse into a record or repeats a scene_id, whichever comes first."""
+    blank lines included: a record's first value violation, or a line that
+    does not parse into a well-shaped record or repeats a scene_id,
+    whichever comes first."""
     records, linenos, first_line = [], [], {}
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):

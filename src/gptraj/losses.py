@@ -41,6 +41,7 @@ import numpy as np
 
 from . import autodiff
 from .autodiff import Tensor, as_tensor
+from .core import N_WAYPOINTS
 
 TERM_NAMES = (
     "recon_ego", "recon_agent", "ortho_ego", "ortho_agent",
@@ -190,8 +191,8 @@ def traj_mse(pred: Tensor, gt) -> Tensor:
     """Per row, mean over the 6 waypoints of squared error from the constant
     ``gt``, as one node with the bytes of sub, square, tsum and div."""
     d = pred.data - as_tensor(gt).data
-    return autodiff._make(np.sum(d * d, axis=-1) / 6.0, (pred,), lambda g: (
-        lambda: 2.0 * np.expand_dims(g / 6.0, -1) * d,))
+    return autodiff._make(np.sum(d * d, axis=-1) / N_WAYPOINTS, (pred,), lambda g: (
+        lambda: 2.0 * np.expand_dims(g / N_WAYPOINTS, -1) * d,))
 
 
 def orthogonality(basis: Tensor) -> Tensor:

@@ -30,11 +30,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg import expm, qr
 
-from .core import N_WAYPOINTS, Command, SceneRecord, rng_for
+from .core import DEFAULT_OBS_DIM, N_WAYPOINTS, Command, SceneRecord, rng_for
 from .evalmetrics import scene_collisions
 
 RAW_DIM = 12
-DEFAULT_OBS_DIM = 24
 AGENT_FOOTPRINT = (4.5, 2.0)
 MAX_AGENTS = 4
 AGENT_RESAMPLE_ATTEMPTS = 20

@@ -34,8 +34,8 @@ codebook is built once per model (``Model.cb``), its triplet classes on
 first use.
 
 A step loss returns its terms as a plain dict (see ``losses``); ``_run_epochs``
-weights them in one node (``losses.step_total``), checks the values it scaled
-by ``cfg.gp_weight`` and appends them to the loss CSV as the step ends.
+weights them in one node (``losses.step_total``), checks that it and the values
+it scaled by ``cfg.gp_weight`` are finite, and logs them as the step ends.
 
 Determinism contract: identical (config, seed, dataset) produce
 bit-identical checkpoints at one BLAS thread, the count ``gptraj.cli``
@@ -67,7 +67,8 @@ from .autodiff import Tensor
 from .basemodel import encode, encode_t, planner_t
 from .codebook import (MIN_AGENT_GROUPS, MIN_EGO_PER_COMMAND, BuildError, Codebook,
                        admissible, nearest_group, sample_and_cluster)
-from .core import COMMANDS, SceneRecord, SceneRows, rng_for, scene_rows
+from .core import (COMMANDS, DEFAULT_OBS_DIM, TRAJ_DIM, SceneRecord, SceneRows, rng_for,
+                   scene_rows)
 from .gpmodule import GpGraph, GpInference
 from .losses import (MaskedLogSoftmax, SupRows, cross_entropy, loss_gp_teacher, loss_rec,
                      loss_sup, role_terms, teacher_log_softmax, traj_mse)
@@ -126,7 +127,7 @@ def _check_fields(obj, positive=(), non_negative=()) -> None:
 class ModelSpec:
     """Architecture sizes captured in every checkpoint."""
 
-    obs_dim: int = 24
+    obs_dim: int = DEFAULT_OBS_DIM
     token_dim: int = 32
     n_ego: int = 48
     n_agent: int = 64
@@ -163,12 +164,12 @@ class ModelSpec:
             "base.enc_w1": (he, self.obs_dim), "base.enc_b1": (he,),
             "base.enc_w2": (d, he), "base.enc_b2": (d,),
             "base.pln_w1": (hp, d), "base.pln_b1": (hp,),
-            "base.pln_w2": (n_code + 12, hp), "base.pln_b2": (n_code + 12,),
+            "base.pln_w2": (n_code + TRAJ_DIM, hp), "base.pln_b2": (n_code + TRAJ_DIM,),
             "clf.w1": (hc, n_code * c), "clf.b1": (hc,),
             "clf.w2": (n_code, hc), "clf.b2": (n_code,),
             "gp.log_lengthscale": (), "gp.log_outputscale": (),
             "gp.log_noise_recon": (), "gp.log_noise_traj": (),
-            "cb.basis": (n_code, c, d), "cb.trajs": (n_code, c, 12),
+            "cb.basis": (n_code, c, d), "cb.trajs": (n_code, c, TRAJ_DIM),
         }
 
 
@@ -495,6 +496,8 @@ def _run_epochs(table: SceneTable, cfg: TrainConfig, params, step_loss_fn, *,
                 if not finite.all():
                     raise TrainingError(f"non-finite loss term {list(terms)[finite.argmin()]!r}"
                                         f" at {stage} step {step}")
+                if not np.isfinite(total.item()):  # the weighted sum can overflow
+                    raise TrainingError(f"non-finite loss total at {stage} step {step}")
                 grad(total, params, out=opt.grads)
                 opt.step()
                 if post_step is not None:

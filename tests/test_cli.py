@@ -21,8 +21,7 @@ from conftest import GramSpy
 TOY_CONFIG = {
     "seed": 0,
     "model": {"token_dim": 8, "encoder_hidden": 16, "planner_hidden": 16,
-              "classifier_hidden": 16},
-    "codebook": {"n_ego": 12, "n_agent": 7, "group_size": 4},
+              "classifier_hidden": 16, "n_ego": 12, "n_agent": 7, "group_size": 4},
     "train": {"epochs_stage1": 1, "epochs_stage2": 1, "epochs_stage3": 1,
               "adapt_epochs": 1, "batch_size": 16},
     "data": {"n_source": 90, "n_source_val": 16, "n_target": 24,
@@ -295,7 +294,7 @@ def test_import_cli_leaves_numpy_unloaded(tmp_path):
 # (at TOY_CONFIG's sizes one- and two-thread bytes agree anyway)
 THREADED_CONFIG = {
     "seed": 0,
-    "codebook": {"group_size": 4},
+    "model": {"group_size": 4},
     "train": {"epochs_stage1": 1, "epochs_stage2": 1, "epochs_stage3": 1},
     "data": {"n_source": 300, "n_source_val": 16, "n_target": 16,
              "n_target_val": 16},

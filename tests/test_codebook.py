@@ -8,7 +8,7 @@ import pytest
 from gptraj import codebook, config
 from gptraj.codebook import (BuildError, Codebook, admissible, nearest_group,
                              sample_and_cluster, traj_dist_blocks, traj_dist_matrix,
-                             traj_dists, triplet_table)
+                             triplet_table)
 from gptraj.core import COMMANDS, COORD_BOUND, Command, rng_for, scene_rows
 from gptraj.synthdomain import gen_dataset
 
@@ -132,6 +132,14 @@ def hard_rows(n: int, seed: int) -> np.ndarray:
     edge = (kind >= 9) & (kind < 11)
     rows[edge] = COORD_BOUND * rng.choice([-1.0, 1.0], size=(edge.sum(), 12))
     return rows
+
+
+def traj_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The kernel ``codebook._dists`` of flat trajectories (..., 12),
+    broadcast over the leading axes."""
+    a, b = np.broadcast_arrays(a, b)
+    axes = (-1, *range(a.ndim - 1))  # the coordinate axis first
+    return codebook._dists(a.transpose(axes), b.transpose(axes))
 
 
 def test_traj_dists_matches_norm_form_bit_for_bit():

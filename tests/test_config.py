@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
 
 import pytest
 
 from gptraj import config
 from gptraj.config import DEFAULT_CONFIG, ConfigError
+from gptraj.trainer import ModelSpec
 
 
 def domain(**changes) -> dict:
@@ -20,6 +22,8 @@ def domain(**changes) -> dict:
 def test_defaults_resolve():
     cfg = config.resolve({})
     assert cfg.model.token_dim == DEFAULT_CONFIG["model"]["token_dim"]
+    # the codebook sizes among them
+    assert list(DEFAULT_CONFIG["model"]) == [f.name for f in dataclasses.fields(ModelSpec)]
     assert cfg.domain("target_city").speed_prior == (2.0, 9.0)
     assert config.resolve({"train": {"epochs_stage3": 0}}).train.epochs_stage3 == 0
 
@@ -59,14 +63,14 @@ def test_default_domains_keep_source_priors_in_unshared_values():
     ({"model": {"token_dim": "x"}}, "model.token_dim"),
     ({"model": {"token_dim": 32.5}}, "model.token_dim"),
     ({"model": {"obs_dim": "24"}}, "model.obs_dim"),
-    ({"codebook": {"group_size": True}}, "codebook.group_size"),
+    ({"model": {"group_size": True}}, "model.group_size"),
     ({"model": 3}, "model must be an object"),
     ({"train": {"batch_size": 0}}, "train: batch_size"),
     ({"train": {"epochs_stage1": "x"}}, "train: "),
     ({"train": {"gp_weight": [1.0]}}, "train: gp_weight must be a finite number"),
-    ({"codebook": {"n_ego": 13}}, "codebook.n_ego 13 is not a multiple of 3"),
-    ({"codebook": {"n_ego": 9}}, "codebook.n_ego 9 gives 3 ego groups per command"),
-    ({"codebook": {"n_agent": 6}}, "codebook.n_agent 6 is below the 7 agent groups"),
+    ({"model": {"n_ego": 13}}, "model.n_ego 13 is not a multiple of 3"),
+    ({"model": {"n_ego": 9}}, "model.n_ego 9 gives 3 ego groups per command"),
+    ({"model": {"n_agent": 6}}, "model.n_agent 6 is below the 7 agent groups"),
     ({"train": {"epochs_stage2": -1}}, "train: epochs_stage2 must be non-negative"),
     ({"train": {"adapt_epochs": -3}}, "train: adapt_epochs must be non-negative"),
     ({"train": {"batch_size": -2}}, "train: batch_size must be positive"),
@@ -78,7 +82,7 @@ def test_default_domains_keep_source_priors_in_unshared_values():
     ({"seed": "abc"}, "train: seed must be an integer, got 'abc'"),
     ({"seed": 1.5}, "train: seed must be an integer, got 1.5"),
     ({"model": {"encoder_hidden": 0}}, "model.encoder_hidden must be positive"),
-    ({"codebook": {"group_size": 0}}, "codebook.group_size must be positive"),
+    ({"model": {"group_size": 0}}, "model.group_size must be positive"),
     ({"model": {"planner_hidden": -1}}, "model.planner_hidden must be positive"),
     ({"data": {"n_source": 2.5}}, "data.n_source must be a positive integer, got 2.5"),
     ({"data": {"n_source_val": -3}}, "data.n_source_val must be a positive integer, got -3"),
@@ -126,6 +130,60 @@ def test_default_domains_keep_source_priors_in_unshared_values():
     ({"domains": {"city": domain(obs_transform={"kind": "low_rank", "seed": 7,
                                                 "rank": 25})}},
      r"domains.city.obs_transform.rank must be in \[1, 24\], got 25"),
+], ids=[
+    # explicit, so that editing or deleting a case renames only that case;
+    # the cases kept from the positional ids keep their names
+    'user0-domains.city missing keys',
+    'user1-domains.city.curvature_prior.turn_left',
+    'user2-domains.city.speed_prior',
+    r'user3-domains.city.speed_prior\[1\]',
+    'user4-domains.city: speed range',
+    'user5-domains.city.obs_transform',
+    'user6-domains.city.obs_noise_std',
+    'user7-domains.city.curvature_prior missing',
+    'user8-model.token_dim',
+    'user9-model.token_dim',
+    'user10-model.obs_dim',
+    'bool_group_size',
+    'user12-model must be an object',
+    'user13-train: batch_size',
+    'user14-train: ',
+    'user15-train: gp_weight must be a finite number',
+    'n_ego_13',
+    'n_ego_9',
+    'n_agent_6',
+    'user19-train: epochs_stage2 must be non-negative',
+    'user20-train: adapt_epochs must be non-negative',
+    'user21-train: batch_size must be positive',
+    'user22-domains.city.mirror must be true or false',
+    "user23-data.source_domain: unknown domain 'nowhere'",
+    'user24-data.target_domain: unknown domain',
+    'user25-out_dir must be a path string, got 3',
+    "user26-train: seed must be an integer, got 'abc'",
+    'user27-train: seed must be an integer, got 1.5',
+    'user28-model.encoder_hidden must be positive',
+    'zero_group_size',
+    'user30-model.planner_hidden must be positive',
+    'user31-data.n_source must be a positive integer, got 2.5',
+    'user32-data.n_source_val must be a positive integer, got -3',
+    'user33-data.n_target must be a positive integer, got 0',
+    'user34-data.n_target must be a positive integer, got True',
+    "user35-data.n_target_val must be a positive integer, got '10'",
+    'user36-domains.city.obs_noise_std must be a finite number, got nan',
+    r'user37-domains.city.curvature_prior.turn_left\[0\] must be a finite number, got inf',
+    'user38-train: lr_stage12 must be a finite number, got inf',
+    "user39-eval.rarity_bins.slow.max_speed must be a finite number, got 'fast'",
+    'user40-eval.rarity_bins.slow.min_abs_curvature must be a finite number, got nan',
+    "user41-domains.city.obs_transform must be an object, got 'identity'",
+    "user42-domains.city.obs_transform: .*unknown obs_transform kind 'matrix'",
+    'user43-domains.city.obs_transform.angle must be a finite number, got nan',
+    'user44-domains.city.obs_transform.bias_scale must be a finite number, got inf',
+    'user45-domains.city.obs_transform.seed must be an integer, got 7.5',
+    "user46-domains.city.obs_transform.bias_seed must be an integer, got '7'",
+    'user47-domains.city.obs_transform.rank must be an integer, got 2.0',
+    'user48-domains.city.obs_transform.rank must be an integer, got True',
+    r'user49-domains.city.obs_transform.rank must be in \[1, 24\], got 0',
+    r'user50-domains.city.obs_transform.rank must be in \[1, 24\], got 25',
 ])
 def test_malformed_values_name_their_key_path(user, path):
     with pytest.raises(ConfigError, match=path):
@@ -145,7 +203,7 @@ def test_non_object_sections_name_their_key(user, message):
 @pytest.mark.parametrize("user,path", [
     ({"extra": 1}, "<root>"),
     ({"model": {"depth": 3}}, "model"),
-    ({"codebook": {"size": 3}}, "codebook"),
+    ({"codebook": {"n_ego": 12}}, "<root>"),  # the codebook sizes are model keys
     ({"train": {"momentum": 0.9}}, "train"),
     ({"data": {"n_test": 3}}, "data"),
     ({"eval": {"bins": {}}}, "eval"),
@@ -164,6 +222,22 @@ def test_non_object_sections_name_their_key(user, message):
     ({"train": {"sigma_clamp": [1e-3, 1e3]}}, "train"),
     ({"train": {"triplet_margin": 1.0}}, "train"),
     ({"model": {"token_scale": 3.0}}, "model"),
+], ids=[
+    'user0-<root>',
+    'user1-model',
+    'codebook_section',
+    'user3-train',
+    'user4-data',
+    'user5-eval',
+    'user6-eval.rarity_bins.slow',
+    'user7-domains.city',
+    'user8-domains.city.obs_transform',
+    'user9-domains.city.curvature_prior',
+    'user10-domains.city.obs_transform',
+    'user11-train',
+    'user12-train',
+    'user13-train',
+    'user14-model',
 ])
 def test_unknown_keys_rejected_at_each_level(user, path):
     with pytest.raises(ConfigError, match=f"unknown config keys at {path}: "):

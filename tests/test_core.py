@@ -12,7 +12,7 @@ import pytest
 
 from gptraj import core
 from gptraj.core import (COORD_BOUND, Command, SceneRecord, load_dataset, rng_for,
-                         save_dataset, validate_record)
+                         save_dataset, scene_rows, validate_record)
 
 from oracles import traj_distance
 
@@ -42,24 +42,29 @@ def test_wellformed_record_ok():
 
 
 def test_wrong_waypoint_count_reported():
-    bad = np.zeros((5, 2))
-    errors = validate_record(dataclasses.replace(make_record(), ego_gt=bad))
-    assert any("waypoint count" in e for e in errors)
+    with pytest.raises(ValueError, match=re.escape("ego_gt: waypoint count != 6: shape (5, 2)")):
+        dataclasses.replace(make_record(), ego_gt=np.zeros((5, 2)))
 
 
 def test_scalar_ego_obs_reported_with_known_length():
-    rec = make_record(n_agents=0, ego_obs=np.float64(5.0))
-    assert validate_record(rec, obs_dim=8) == ["ego_obs must be a vector"]
+    with pytest.raises(ValueError, match="^ego_obs must be a vector$"):
+        make_record(n_agents=0, ego_obs=np.float64(5.0))
 
 
 def test_agent_list_length_mismatch_reported():
     rec = make_record(n_agents=2)
-    rec = SceneRecord(
-        scene_id=rec.scene_id, domain_tag=rec.domain_tag, command=rec.command,
-        ego_obs=rec.ego_obs, agent_obs=rec.agent_obs, ego_gt=rec.ego_gt,
-        agent_gt=rec.agent_gt[:1], agent_footprints=rec.agent_footprints)
-    errors = validate_record(rec)
-    assert any("length mismatch" in e for e in errors)
+    with pytest.raises(ValueError, match="^agent list length mismatch: 2 agent_obs, 1 agent_gt$"):
+        dataclasses.replace(rec, agent_gt=rec.agent_gt[:1])
+
+
+def test_labeled_rows_need_agent_trajectories_only_for_agents():
+    # a labeled scene without agents may omit agent_gt, as its JSON may
+    rows = scene_rows([make_record(n_agents=0, agent_gt=False), make_record(scene_id="s1")],
+                      labeled=True)
+    assert rows.gt.shape == (3, 6, 2)
+    with pytest.raises(ValueError, match="^scene s2: 1 agent observations but 0 agent "
+                                         "trajectories$"):
+        scene_rows([make_record(scene_id="s2", agent_gt=False)], labeled=True)
 
 
 def test_coordinate_bound_and_finiteness():
@@ -183,6 +188,22 @@ def test_load_validates_records_with_path_and_line(tmp_path, bad, violation):
     assert "\n" not in str(e.value)
 
 
+# the corruptions that a record refuses when built, in memory as on load:
+# every shape fault, and a value that is not a number
+FIELD_FAULTS = ["five_waypoint_ego_gt", "missing_footprint", "three_number_footprint",
+                "flat_ego_gt", "flat_agent_gt", "ragged_agent_obs", "ragged_agent_gt",
+                "ragged_footprints", "scalar_footprints", "non_numeric_ego_obs"]
+
+
+@pytest.mark.parametrize("fault", FIELD_FAULTS)
+def test_record_rejects_a_field_fault_as_load_does(fault):
+    bad, violation = CORRUPTIONS[CORRUPTION_IDS.index(fault)]
+    message = violation.split(": ", 1)[1]  # without the line number
+    with pytest.raises(ValueError, match="^" + re.escape(message)) as e:
+        dataclasses.replace(make_record(), **bad)
+    assert "\n" not in str(e.value)
+
+
 def write_lines(path, lines: list) -> None:
     """Write dicts as JSON lines and strings as they are."""
     path.write_text("".join((ln if isinstance(ln, str) else json.dumps(ln)) + "\n"
@@ -291,8 +312,9 @@ def test_array_pass_flags_exactly_what_validate_record_rejects():
             except ValueError:
                 pass
     want = [bool(validate_record(r, None if i == 0 else 8)) for i, r in enumerate(records)]
-    # 20 bad values (bound values and 5e-324 are fine) and 6 corrupted records
-    assert sum(want) == 26
+    # 20 bad values (bound values and 5e-324 are fine) and the one corrupted
+    # record that builds, whose observation length is not the file's
+    assert sum(want) == 21
     assert core._invalid_records(records).tolist() == want
 
 

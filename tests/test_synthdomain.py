@@ -8,7 +8,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from gptraj import config, synthdomain
+from gptraj import config, core, synthdomain
 from gptraj.core import Command, load_dataset, save_dataset, validate_record
 from gptraj.evalmetrics import collision
 from gptraj.synthdomain import (AGENT_FOOTPRINT, AGENT_RESAMPLE_ATTEMPTS,
@@ -126,7 +126,7 @@ def as_json(records):
 def test_configured_domains_match_sequential_oracle(name):
     spec = config.resolve({}).domain(name)
     got = gen_dataset(spec, 150, seed=4)
-    assert as_json(got) == gen_dataset_ref(spec, 150, 4, synthdomain.DEFAULT_OBS_DIM)
+    assert as_json(got) == gen_dataset_ref(spec, 150, 4, core.DEFAULT_OBS_DIM)
 
 
 def test_tiny_domain_matches_sequential_oracle():

@@ -215,7 +215,8 @@ def rejected(tmp, blob: bytes, name: str, match: str) -> None:
     # same n_code, but no layout of 13 ego groups into equal thirds
     ({"n_ego": 13, "n_agent": 6}, "n_ego 13 is not a multiple of 3"),
     ({"encoder_hidden": 0}, "encoder_hidden must be positive"),
-])
+], ids=["change0-n_wheels", "change1-n_ego 13 is not a multiple of 3",
+        "change2-encoder_hidden must be positive"])
 def test_checkpoint_bad_model_spec_rejected_with_path(pipeline_bytes, change, match):
     tmp, saved = pipeline_bytes
     rejected(tmp, edited_header(saved["stage2"], lambda h: h["model_spec"].update(change)),
@@ -545,6 +546,14 @@ def test_nonfinite_check_reads_the_gp_weighted_terms(tiny_dataset, fitted):
     with pytest.raises(TrainingError, match="^non-finite loss term 'plan_nll' at stage3 "
                                             "step 0$"):
         stage3_finetune(tiny_dataset[:16], fitted, cfg)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_nonfinite_check_reads_the_weighted_total(tiny_dataset):
+    # every term is finite, but the loss_weights-weighted total overflows
+    cfg = dataclasses.replace(CFG, loss_weights={"base_plan": 1e308, "base_motion": 1e308})
+    with pytest.raises(TrainingError, match="^non-finite loss total at stage1 step 0$"):
+        stage1_pretrain(tiny_dataset, cfg, tiny_spec())
 
 
 def test_scene_labels_match_per_scene_loop(tiny_dataset, tiny_model):
