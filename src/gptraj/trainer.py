@@ -45,7 +45,8 @@ cut into blocks of ``gpmodule.BLOCK_ROWS`` // 2 to ``BLOCK_ROWS`` rows by its
 row count alone, and the ``gpmodule`` docstring states how and what that
 guarantees; a row's teacher bytes do not depend on the batches it is later
 drawn into. Shuffles derive from the seed by purpose keys, and every
-reduction over a step's rows runs in the fixed row order above.
+reduction over a step's rows runs in the fixed row order above. Where an array
+lives never changes its bytes (a CLI test runs under ``MALLOC_PERTURB_``).
 """
 
 from __future__ import annotations
@@ -655,7 +656,7 @@ class Checkpoint:
             f.write(struct.pack("<Q", len(blob)))
             f.write(blob)
             for arr in self.model.tensors.values():
-                f.write(arr.tobytes())
+                f.write(np.ascontiguousarray(arr, dtype="<f8"))
 
     @classmethod
     def load(cls, path) -> "Checkpoint":

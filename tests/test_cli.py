@@ -323,6 +323,36 @@ def test_checkpoints_ignore_inherited_blas_threads(tmp_path):
     assert [name for name, one, two in zip(stages, *written) if one != two] == []
 
 
+def test_checkpoints_ignore_heap_contents(tmp_path):
+    """Freed memory is reused, not returned as fresh zero pages, so a read of
+    memory no code wrote would show in the bytes: a pipeline run with freed
+    and new heap blocks filled by ``MALLOC_PERTURB_`` writes the same
+    checkpoints and eval CSV as one without."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(THREADED_CONFIG))
+    files = ("ckpt_stage1.bin", "ckpt_stage2.bin", "ckpt_stage3.bin", "eval_roca_full.csv")
+    written = []
+    for perturb in ("0", "165"):
+        out = tmp_path / f"perturb{perturb}"
+        for args in (("gen-data",), ("pretrain",), ("fit-gp",), ("finetune",),
+                     ("eval", "--mode", "roca")):
+            run_python("-m", "gptraj.cli", "--config", str(config), "--out-dir",
+                       str(out), *args, cwd=tmp_path, MALLOC_PERTURB_=perturb)
+        written.append([(out / name).read_bytes() for name in files])
+    assert [name for name, plain, filled in zip(files, *written) if plain != filled] == []
+
+
+def test_import_pins_the_allocator(tmp_path):
+    # a freed 4 MiB array stays in the heap, so the next one faults in no
+    # fresh pages (about 500 without the pin)
+    code = ("import resource, gptraj, numpy as np\n"
+            "faults = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "a = np.ones(1 << 19); del a\n"
+            "before = faults(); b = np.empty(1 << 19); b[:] = 1.0\n"
+            "print(faults() - before)")
+    assert int(run_python("-c", code, cwd=tmp_path)) < 64
+
+
 def test_gen_data_domain_unlabeled_writes_no_ground_truth(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(TOY_CONFIG))

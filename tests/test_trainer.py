@@ -177,6 +177,8 @@ def test_checkpoint_is_header_then_tensors_in_spec_order(tmp_path):
     spec = tiny_spec()
     rng = np.random.default_rng(3)
     tensors = {name: rng.normal(size=shape) for name, shape in spec.tensor_shapes().items()}
+    # a big-endian, column-major tensor is written as little-endian rows too
+    tensors["base.enc_w1"] = np.asfortranarray(tensors["base.enc_w1"]).astype(">f8")
     path = tmp_path / "layout.bin"
     Checkpoint(stage="stage2", model=trainer.Model(spec, tensors), train_config=CFG).save(path)
     blob = path.read_bytes()
@@ -187,7 +189,9 @@ def test_checkpoint_is_header_then_tensors_in_spec_order(tmp_path):
     assert payload.size == sum(a.size for a in tensors.values())
     for name, offset in spec_offsets(spec).items():
         a = tensors[name]
-        assert payload[offset:offset + a.size].tobytes() == a.tobytes(), name
+        assert np.array_equal(payload[offset:offset + a.size], a.ravel()), name
+    assert payload.tobytes() == b"".join(tensors[name].astype("<f8").tobytes(order="C")
+                                         for name in spec.tensor_shapes())
 
 
 def edited_header(blob: bytes, edit) -> bytes:
