@@ -1,10 +1,13 @@
 """Run configuration: strict JSON schema, defaults, and resolution.
 
-Unknown keys anywhere in the file are rejected. ``resolve`` expands compact
-domain descriptors into full ``DomainSpec`` objects and materializes the
-trainer/model configs; every run should log the fully resolved form via
-``resolved_dict``. The ``model`` and ``train`` sections hold the fields of
-``ModelSpec`` (codebook sizes included) and ``TrainConfig`` but its seed.
+Unknown keys anywhere in the file are rejected. ``resolve`` checks every
+value and materializes the trainer/model configs; every run should log the
+fully resolved form via ``resolved_dict``. A domain's compact descriptor
+becomes its full ``DomainSpec`` on the first ``Config.domain`` call for it,
+so a command builds, and loads ``scipy.linalg`` for, only the observation
+transforms of the domains it uses. The ``model``
+and ``train`` sections hold the fields of ``ModelSpec`` (codebook sizes
+included) and ``TrainConfig`` but its seed.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .core import COMMANDS
-from .synthdomain import DomainSpec, build_obs_transform
+from .synthdomain import DomainSpec, build_obs_transform, check_domain, check_obs_transform
 from .trainer import ModelSpec, TrainConfig, _finite, _is_int
 
 
@@ -156,14 +159,23 @@ class Config:
     model: ModelSpec
     train: TrainConfig
     data: dict
-    domains: dict[str, DomainSpec]
+    domains: dict[str, dict]  # checked ``DomainSpec`` arguments, by name
     rarity_bins: dict[str, dict]
     raw: dict = field(repr=False, default_factory=dict)
+    _specs: dict[str, DomainSpec] = field(init=False, repr=False, compare=False,
+                                          default_factory=dict)
 
     def domain(self, name: str) -> DomainSpec:
+        """The named domain, built with its observation transform on the
+        first call; later calls return the same spec."""
         if name not in self.domains:
             raise ConfigError(f"unknown domain {name!r}")
-        return self.domains[name]
+        if name not in self._specs:
+            args = dict(self.domains[name])
+            matrix, bias = build_obs_transform(args.pop("obs_transform"), self.model.obs_dim)
+            self._specs[name] = DomainSpec(name=name, obs_transform=matrix, obs_bias=bias,
+                                           **args)
+        return self._specs[name]
 
     def resolved_dict(self) -> dict:
         return copy.deepcopy(self.raw)
@@ -220,7 +232,7 @@ def resolve(user: dict | None = None) -> Config:
             raise ConfigError(f"{path} missing keys {sorted(missing)}")
         _check_transform(d["obs_transform"], model.obs_dim, f"{path}.obs_transform")
         try:
-            matrix, bias = build_obs_transform(d["obs_transform"], model.obs_dim)
+            check_obs_transform(d["obs_transform"])
         except (KeyError, TypeError, ValueError) as e:
             raise ConfigError(f"{path}.obs_transform: {e!r}") from e
         _check_keys(d["curvature_prior"], {c.value for c in COMMANDS},
@@ -233,18 +245,18 @@ def resolve(user: dict | None = None) -> Config:
                 raise ConfigError(f"{path}.curvature_prior missing {cmd.value}")
             curv[cmd] = _pair(d["curvature_prior"][cmd.value],
                               f"{path}.curvature_prior.{cmd.value}")
+        args = dict(
+            obs_transform=copy.deepcopy(d["obs_transform"]),
+            obs_noise_std=_number(d["obs_noise_std"], f"{path}.obs_noise_std"),
+            curvature_prior=curv,
+            speed_prior=_pair(d["speed_prior"], f"{path}.speed_prior"),
+            mirror=d["mirror"],
+        )
         try:
-            domains[name] = DomainSpec(
-                name=name,
-                obs_transform=matrix,
-                obs_bias=bias,
-                obs_noise_std=_number(d["obs_noise_std"], f"{path}.obs_noise_std"),
-                curvature_prior=curv,
-                speed_prior=_pair(d["speed_prior"], f"{path}.speed_prior"),
-                mirror=d["mirror"],
-            )
+            check_domain(args["obs_noise_std"], curv, args["speed_prior"])
         except ValueError as e:
             raise ConfigError(f"{path}: {e}") from e
+        domains[name] = args
     for key in ("n_source", "n_source_val", "n_target", "n_target_val"):
         n = raw["data"][key]
         if not _is_int(n) or n < 1:

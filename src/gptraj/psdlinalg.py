@@ -30,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
 
 from . import autodiff
 from .autodiff import Tensor
@@ -137,6 +136,8 @@ def cholesky_factor(a: np.ndarray) -> CholeskyFactor:
             continue
         except np.linalg.LinAlgError:
             pass
+        from scipy.linalg import lapack  # loaded only for a matrix that needs jitter
+
         for jitter in JITTER_LADDER[1:]:
             c, info = lapack.dpotrf(m + jitter * np.eye(n), lower=1, overwrite_a=False)
             if info == 0:

@@ -13,14 +13,25 @@ count, then 5 scalar draws per candidate agent, then the observation noise.
 A candidate that collides with the ego is redrawn, up to
 ``AGENT_RESAMPLE_ATTEMPTS`` times per agent. The candidates therefore form
 one fixed sequence per scene whatever is accepted; the decisions only set
-how many are consumed before the noise draws start. ``gen_dataset`` draws
-ahead in rounds: one candidate per open agent slot of every scene, each
-candidate's draws still taken one at a time from its own scene's stream,
-then the whole round's geometry (rotations, arcs, waypoints) in one array
-pass, all of it checked by one SAT pass, then each scene's decisions in draw
-order. A round never draws more candidates than its decisions consume, so
-every stream, and with it every record, is the one a candidate-at-a-time
-loop gives. The ego arcs are one array pass over all scenes.
+how many are consumed before the noise draws start. Only the draws stay per
+scene, since each comes from its scene's stream in this order. A scalar
+draw is the expression that ``Generator.uniform`` or ``.normal`` evaluates,
+``low + (high - low) * random()`` or ``loc + scale * standard_normal()``:
+the same value without the call's argument checks, which is why
+``DomainSpec`` rejects a negative standard deviation itself. Everything
+else runs in array passes over all scenes. ``gen_dataset`` draws
+ahead in rounds: one candidate per open agent slot of every scene, then the
+whole round's geometry (rotations, arcs, waypoints) in one pass, all of it
+checked by one SAT pass, then each scene's decisions in draw order. A round
+never draws more candidates than its decisions consume, so every stream,
+and with it every record, is the one a candidate-at-a-time loop gives. The
+ego arcs, the mirror, and the raw feature rows of every ego and agent are
+one pass each, and the clean observations of all of them one stacked
+product ``obs_transform @ (embed @ raw)`` over (12, 1) operands: numpy
+computes each stacked matrix-vector product as it does the one-row
+product, so every row has the one-row bytes, where a 2-D (n, 12) product
+rounds differently. Each scene's noise for its ego and agent rows is one
+draw of (1 + A, D) values, ego row first, the order of the one-row draws.
 """
 
 from __future__ import annotations
@@ -28,7 +39,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import expm, qr
 
 from .core import DEFAULT_OBS_DIM, N_WAYPOINTS, Command, SceneRecord, rng_for
 from .evalmetrics import scene_collisions
@@ -44,14 +54,9 @@ _CURV_NORM = 0.08
 _RELX_NORM = 20.0
 _RELY_NORM = 10.0
 
-# a scene's command draw indexes this order, as does its one-hot raw feature
+# a scene's command draw indexes this order, as does its one-hot raw
+# feature; the mirror swaps the turns, index k for 2 - k
 _COMMAND_ORDER = (Command.TURN_LEFT, Command.GO_STRAIGHT, Command.TURN_RIGHT)
-
-_MIRROR_SWAP = {
-    Command.TURN_LEFT: Command.TURN_RIGHT,
-    Command.TURN_RIGHT: Command.TURN_LEFT,
-    Command.GO_STRAIGHT: Command.GO_STRAIGHT,
-}
 
 _TIMES = 0.5 * np.arange(1, N_WAYPOINTS + 1)  # the waypoint times in s
 
@@ -59,6 +64,25 @@ _TIMES = 0.5 * np.arange(1, N_WAYPOINTS + 1)  # the waypoint times in s
 # heading, speed, curvature; mirroring negates y, heading and curvature
 _X, _Y, _HEADING, _SPEED, _CURV = range(5)
 _MIRROR_DRAWS = np.array([1.0, -1.0, -1.0, 1.0, -1.0])
+_FLIP = np.array([1.0, -1.0])  # the mirror of an (x, y) point
+
+# each observation-transform kind's required descriptor keys, in the order
+# the build reads them
+_TRANSFORM_KEYS = {"identity": (), "rotation": ("seed",), "low_rank": ("rank", "seed")}
+
+
+def check_domain(obs_noise_std, curvature_prior, speed_prior) -> None:
+    """``DomainSpec``'s checks of its numbers, which ``config.resolve`` makes
+    before it builds any observation transform. A standard deviation with
+    its sign bit set is rejected, as numpy's ``normal`` rejects it."""
+    if np.signbit(obs_noise_std):
+        raise ValueError("obs_noise_std must be >= 0")
+    for command, (_, std) in curvature_prior.items():
+        if np.signbit(std):
+            raise ValueError(f"curvature_prior.{command.value} std must be >= 0, got {std!r}")
+    lo, hi = speed_prior
+    if not (1.0 <= lo <= hi <= 20.0):
+        raise ValueError(f"speed range {speed_prior} outside [1, 20] m/s")
 
 
 @dataclass(frozen=True)
@@ -74,11 +98,7 @@ class DomainSpec:
     mirror: bool = False
 
     def __post_init__(self):
-        if self.obs_noise_std < 0:
-            raise ValueError("obs_noise_std must be >= 0")
-        lo, hi = self.speed_prior
-        if not (1.0 <= lo <= hi <= 20.0):
-            raise ValueError(f"speed range {self.speed_prior} outside [1, 20] m/s")
+        check_domain(self.obs_noise_std, self.curvature_prior, self.speed_prior)
 
 
 def embed_matrix(obs_dim: int) -> np.ndarray:
@@ -87,11 +107,28 @@ def embed_matrix(obs_dim: int) -> np.ndarray:
     return rng.normal(0.0, 1.0 / np.sqrt(RAW_DIM), size=(obs_dim, RAW_DIM))
 
 
+def check_obs_transform(desc: dict) -> str:
+    """The kind of an observation-transform descriptor (see
+    ``build_obs_transform``), checked without building it: an unknown kind
+    or a negative ``bias_scale`` raises ValueError, a missing ``seed`` or
+    ``rank`` KeyError."""
+    kind = desc.get("kind", "identity")
+    if "bias_seed" in desc and np.signbit(desc.get("bias_scale", 0.1)):
+        raise ValueError(f"bias_scale must be >= 0, got {desc['bias_scale']!r}")
+    if not isinstance(kind, str) or kind not in _TRANSFORM_KEYS:
+        raise ValueError(f"unknown obs_transform kind {kind!r}")
+    for key in _TRANSFORM_KEYS[kind]:
+        if key not in desc:
+            raise KeyError(key)
+    return kind
+
+
 def build_obs_transform(desc: dict, obs_dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Expand a compact config descriptor, an object whose ``kind`` is
     "identity" (the default), "rotation" or "low_rank", into an explicit
-    (matrix, bias); ``bias_seed`` draws a bias, else it is zero."""
-    kind = desc.get("kind", "identity")
+    (matrix, bias); ``bias_seed`` draws a bias, else it is zero. Only the
+    rotation and low-rank kinds load ``scipy.linalg``."""
+    kind = check_obs_transform(desc)
     bias = np.zeros(obs_dim)
     if "bias_seed" in desc:
         bias = rng_for(int(desc["bias_seed"]), "obs-bias").normal(
@@ -99,18 +136,20 @@ def build_obs_transform(desc: dict, obs_dim: int) -> tuple[np.ndarray, np.ndarra
     if kind == "identity":
         return np.eye(obs_dim), bias
     if kind == "rotation":
+        from scipy.linalg import expm
+
         rng = rng_for(int(desc["seed"]), "obs-rotation")
         s = rng.normal(size=(obs_dim, obs_dim))
         s = s - s.T
         s /= np.linalg.norm(s, 2)
         return expm(float(desc.get("angle", 0.4)) * s), bias
-    if kind == "low_rank":
-        rank = int(desc["rank"])
-        rng = rng_for(int(desc["seed"]), "obs-lowrank")
-        q, _ = qr(rng.normal(size=(obs_dim, obs_dim)))
-        v = q[:, :rank]
-        return v @ v.T, bias
-    raise ValueError(f"unknown obs_transform kind {kind!r}")
+    from scipy.linalg import qr
+
+    rank = int(desc["rank"])
+    rng = rng_for(int(desc["seed"]), "obs-lowrank")
+    q, _ = qr(rng.normal(size=(obs_dim, obs_dim)))
+    v = q[:, :rank]
+    return v @ v.T, bias
 
 
 def arc_points(speed, curvature) -> np.ndarray:
@@ -136,27 +175,17 @@ def _sample_agents(rngs: list[np.random.Generator], speed_prior
     order, and its waypoints (m, 6, 2), the arc of its speed and curvature
     turned by its heading and moved to its start."""
     lo, hi = speed_prior
-    draws = np.array([(rng.uniform(4.0, 28.0), rng.uniform(-8.0, 8.0), rng.normal(0.0, 0.25),
-                       rng.uniform(lo, hi), rng.normal(0.0, 0.01)) for rng in rngs])
+    # uniform(4, 28), uniform(-8, 8), normal(0, 0.25), uniform(lo, hi),
+    # normal(0, 0.01) as the expressions those calls evaluate
+    draws = np.array([(4.0 + (28.0 - 4.0) * rng.random(), -8.0 + (8.0 + 8.0) * rng.random(),
+                       0.0 + 0.25 * rng.standard_normal(), lo + (hi - lo) * rng.random(),
+                       0.0 + 0.01 * rng.standard_normal()) for rng in rngs])
     c, s = np.cos(draws[:, _HEADING]), np.sin(draws[:, _HEADING])
     rot = np.stack([c, -s, s, c], axis=1).reshape(-1, 2, 2)
     # a (6, 2) @ (2, 2) product per row, as for one arc: BLAS fuses its
     # multiply-adds, so an elementwise rotation would round differently
     arcs = arc_points(draws[:, _SPEED], draws[:, _CURV])
     return draws, draws[:, None, :2] + arcs @ rot.transpose(0, 2, 1)
-
-
-def _ego_raw(speed, curvature, command, agents: np.ndarray) -> np.ndarray:
-    raw = np.zeros(RAW_DIM)
-    raw[0] = 1.0
-    raw[1] = speed / _SPEED_NORM
-    raw[2] = curvature / _CURV_NORM
-    raw[3 + _COMMAND_ORDER.index(command)] = 1.0
-    if len(agents):
-        raw[6] = agents[:, _X].mean() / _RELX_NORM
-        raw[7] = agents[:, _Y].mean() / _RELY_NORM
-    raw[10] = len(agents) / MAX_AGENTS
-    return raw
 
 
 def _agent_raw(agents: np.ndarray) -> np.ndarray:
@@ -171,11 +200,36 @@ def _agent_raw(agents: np.ndarray) -> np.ndarray:
     return raw
 
 
+def _ego_raw(speeds: np.ndarray, curvatures: np.ndarray, commands: np.ndarray,
+             starts: np.ndarray, n_agents: np.ndarray) -> np.ndarray:
+    """The (S, 12) raw rows of S egos from their speeds, curvatures,
+    command indices, agent counts and their agents' (x, y) starts (N, 2)
+    in scene order. A scene's mean start is ``ndarray.mean``'s: its
+    agents' coordinates summed in slot order from zero (further zeros pad
+    the slots), divided by the count; a scene without agents has zeros."""
+    n = len(speeds)
+    first = np.cumsum(n_agents) - n_agents
+    scene = np.repeat(np.arange(n), n_agents)
+    padded = np.zeros((n, MAX_AGENTS, 2))
+    padded[scene, np.arange(len(scene)) - first[scene]] = starts
+    means = padded.sum(axis=1) / np.maximum(n_agents, 1)[:, None]
+    raw = np.zeros((n, RAW_DIM))
+    raw[:, 0] = 1.0
+    raw[:, 1] = speeds / _SPEED_NORM
+    raw[:, 2] = curvatures / _CURV_NORM
+    raw[np.arange(n), 3 + commands] = 1.0
+    raw[:, 6] = means[:, 0] / _RELX_NORM
+    raw[:, 7] = means[:, 1] / _RELY_NORM
+    raw[:, 10] = n_agents / MAX_AGENTS
+    return raw
+
+
 def _draw_agents(spec: DomainSpec, rngs: list[np.random.Generator],
                  ego_points: np.ndarray, n_agents: list[int]
-                 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The collision-free agents of every scene, in slot order: their draws
-    (A, 5) and waypoints (A, 6, 2), as ``_sample_agents`` gives them.
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The collision-free agents of every scene: their draws (N, 5) and
+    waypoints (N, 6, 2), as ``_sample_agents`` gives them, in scene order
+    and each scene's in slot order, and each scene's count (S,).
 
     Each round draws one candidate per open slot of every pending scene from
     that scene's stream, checks them all with one SAT pass against
@@ -211,8 +265,9 @@ def _draw_agents(spec: DomainSpec, rngs: list[np.random.Generator],
         points.append(p)
         n_drawn += len(owner)
         pending = [i for i in pending if open_slots[i]]
-    draws, points = np.concatenate(draws), np.concatenate(points)
-    return [(draws[ids], points[ids]) for ids in kept]
+    ids = [cand for scene in kept for cand in scene]
+    return (np.concatenate(draws)[ids], np.concatenate(points)[ids],
+            np.array([len(scene) for scene in kept], dtype=np.int64))
 
 
 def gen_dataset(spec: DomainSpec, n_scenes: int, seed: int,
@@ -229,43 +284,52 @@ def gen_dataset(spec: DomainSpec, n_scenes: int, seed: int,
     if n_scenes < 0:
         raise ValueError(f"n_scenes must be non-negative, got {n_scenes}")
     rngs = [rng_for(seed, "scene", spec.name, i) for i in range(n_scenes)]
+    lo, hi = spec.speed_prior
     commands, speeds, curvatures, n_agents = [], [], [], []
     for rng in rngs:
-        command = _COMMAND_ORDER[int(rng.integers(3))]
-        speeds.append(rng.uniform(*spec.speed_prior))
-        mu, sd = spec.curvature_prior[command]
-        curvatures.append(rng.normal(mu, sd))
+        command = int(rng.integers(3))
+        speeds.append(lo + (hi - lo) * rng.random())  # uniform(lo, hi)
+        mu, sd = spec.curvature_prior[_COMMAND_ORDER[command]]
+        curvatures.append(mu + sd * rng.standard_normal())  # normal(mu, sd)
         commands.append(command)
         n_agents.append(int(rng.integers(0, MAX_AGENTS + 1)))
-    ego_points = arc_points(np.array(speeds), np.array(curvatures))
-    agents = _draw_agents(spec, rngs, ego_points, n_agents)
+    speeds, curvatures = np.array(speeds), np.array(curvatures)
+    commands = np.array(commands, dtype=np.int64)
+    ego_points = arc_points(speeds, curvatures)
+    draws, points, n_agents = _draw_agents(spec, rngs, ego_points, n_agents)
+    if spec.mirror:
+        commands = 2 - commands
+        curvatures = -curvatures
+        ego_points = ego_points * _FLIP
+        draws = draws * _MIRROR_DRAWS
+        points = points * _FLIP
 
-    embed = embed_matrix(obs_dim)
+    # every scene's rows in one array: its ego row, then its agents' rows
+    ego_rows = np.arange(n_scenes) + np.cumsum(n_agents) - n_agents
+    is_ego = np.zeros(n_scenes + len(draws), dtype=bool)
+    is_ego[ego_rows] = True
+    raw = np.empty((len(is_ego), RAW_DIM))
+    raw[is_ego] = _ego_raw(speeds, curvatures, commands, draws[:, :2], n_agents)
+    raw[~is_ego] = _agent_raw(draws)
+    obs = (spec.obs_transform @ (embed_matrix(obs_dim) @ raw[:, :, None]))[:, :, 0]
+    obs += spec.obs_bias
+    footprints = np.full((len(draws), 2), AGENT_FOOTPRINT)
 
-    def observe(raw: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        clean = spec.obs_transform @ (embed @ raw) + spec.obs_bias
-        return clean + rng.normal(0.0, spec.obs_noise_std, size=obs_dim)
-
-    flip = np.array([1.0, -1.0])
     records = []
-    for i, (rng, command, speed, curvature, ego, (draws, points)) in enumerate(
-            zip(rngs, commands, speeds, curvatures, ego_points, agents)):
-        if spec.mirror:
-            command = _MIRROR_SWAP[command]
-            curvature = -curvature
-            ego = ego * flip
-            draws = draws * _MIRROR_DRAWS
-            points = points * flip
-        ego_obs = observe(_ego_raw(speed, curvature, command, draws), rng)
+    for i, (rng, command, ego, row, n) in enumerate(
+            zip(rngs, commands.tolist(), ego_points, ego_rows.tolist(), n_agents.tolist())):
+        agent = row - i  # the scene's first agent
+        rows = obs[row:row + 1 + n]
+        rows += rng.normal(0.0, spec.obs_noise_std, size=rows.shape)
         records.append(SceneRecord(
             scene_id=f"{spec.name}-{seed}-{i:06d}",
             domain_tag=spec.name,
-            command=command,
-            ego_obs=ego_obs,
-            agent_obs=[observe(raw, rng) for raw in _agent_raw(draws)],
+            command=_COMMAND_ORDER[command],
+            ego_obs=rows[0],
+            agent_obs=rows[1:],
             ego_gt=ego,
-            agent_gt=points,
-            agent_footprints=[AGENT_FOOTPRINT] * len(draws),
+            agent_gt=points[agent:agent + n],
+            agent_footprints=footprints[agent:agent + n],
         ))
     return records
 

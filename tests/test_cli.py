@@ -290,6 +290,22 @@ def test_import_cli_leaves_numpy_unloaded(tmp_path):
     assert run_python("-c", code, cwd=tmp_path) == "False"
 
 
+def test_commands_without_a_transform_leave_scipy_linalg_unloaded(tmp_path, toy_stage1):
+    # only a rotation or low-rank observation transform and a Cholesky that
+    # needs jitter load scipy.linalg, and resolving a config builds no
+    # transform
+    config, stage1 = toy_stage1
+    report = "print('scipy.linalg' in sys.modules)"
+    run_cli = ("import sys; from gptraj import cli; code = cli.cli_run(sys.argv[1:]); "
+               f"{report}; sys.exit(code)")
+    for args in (["-c", f"import sys; from gptraj import config; config.resolve({{}}); {report}"],
+                 ["-c", run_cli, "inspect-ckpt", "--ckpt", str(stage1)],
+                 ["-c", run_cli, "--config", str(config), "--out-dir", str(tmp_path / "run"),
+                  "eval", "--data", str(stage1.parent / "data" / "source_val.jsonl"),
+                  "--ckpt", str(stage1)]):
+        assert run_python(*args, cwd=tmp_path).splitlines()[-1] == "False", args[2:]
+
+
 # large enough that OpenBLAS splits the training matmuls over two threads
 # (at TOY_CONFIG's sizes one- and two-thread bytes agree anyway)
 THREADED_CONFIG = {

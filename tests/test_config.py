@@ -130,6 +130,13 @@ def test_default_domains_keep_source_priors_in_unshared_values():
     ({"domains": {"city": domain(obs_transform={"kind": "low_rank", "seed": 7,
                                                 "rank": 25})}},
      r"domains.city.obs_transform.rank must be in \[1, 24\], got 25"),
+    ({"domains": {"city": domain(curvature_prior={
+        "turn_left": [0.05, -0.015], "go_straight": [0.0, 0.004],
+        "turn_right": [-0.05, 0.015]})}},
+     r"^domains.city: curvature_prior.turn_left std must be >= 0, got -0.015$"),
+    ({"domains": {"city": domain(obs_transform={"kind": "identity", "bias_seed": 7,
+                                                "bias_scale": -0.1})}},
+     r"^domains.city.obs_transform: .*bias_scale must be >= 0, got -0.1"),
 ], ids=[
     # explicit, so that editing or deleting a case renames only that case;
     # the cases kept from the positional ids keep their names
@@ -184,6 +191,8 @@ def test_default_domains_keep_source_priors_in_unshared_values():
     'user48-domains.city.obs_transform.rank must be an integer, got True',
     r'user49-domains.city.obs_transform.rank must be in \[1, 24\], got 0',
     r'user50-domains.city.obs_transform.rank must be in \[1, 24\], got 25',
+    'negative_curvature_std',
+    'negative_bias_scale',
 ])
 def test_malformed_values_name_their_key_path(user, path):
     with pytest.raises(ConfigError, match=path):

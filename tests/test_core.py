@@ -6,6 +6,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import re
+import zlib
 
 import numpy as np
 import pytest
@@ -356,3 +357,15 @@ def test_rng_streams_are_stable_and_distinct():
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d)
+
+
+@pytest.mark.parametrize("seed", [0, -1, 2**31, 2**32 - 1])
+def test_rng_for_is_the_stream_of_the_list_form(seed):
+    # the uint32-array entropy seeds the stream that default_rng gives the
+    # list of the seed and keys as 32-bit words, at the words' extremes
+    for keys in ((), (2**31,), (2**32 - 1,), ("scene", 2**31, 2**32 - 1)):
+        words = [seed & 0xFFFFFFFF] + [zlib.crc32(k.encode()) if isinstance(k, str) else k
+                                       for k in keys]
+        got, want = rng_for(seed, *keys), np.random.default_rng(words)
+        assert got.bit_generator.state == want.bit_generator.state
+        assert got.random(4).tobytes() == want.random(4).tobytes()

@@ -3,6 +3,7 @@ round-batched rejection sampling against the one-candidate-at-a-time oracle."""
 
 from __future__ import annotations
 
+import json
 from collections import Counter
 
 import numpy as np
@@ -118,7 +119,11 @@ def test_gt_collision_free_invariant():
 
 
 def as_json(records):
-    return [r.to_json_dict() for r in records]
+    """Each record's JSON text, as ``save_dataset`` writes it, from a
+    ``SceneRecord`` or an oracle's dict: unlike dicts compared with ``==``,
+    the text tells -0.0 from 0.0."""
+    return [json.dumps(r if isinstance(r, dict) else r.to_json_dict(), sort_keys=True,
+                       allow_nan=False) for r in records]
 
 
 @pytest.mark.parametrize("name", ["source_city", "target_city", "low_light",
@@ -126,14 +131,14 @@ def as_json(records):
 def test_configured_domains_match_sequential_oracle(name):
     spec = config.resolve({}).domain(name)
     got = gen_dataset(spec, 150, seed=4)
-    assert as_json(got) == gen_dataset_ref(spec, 150, 4, core.DEFAULT_OBS_DIM)
+    assert as_json(got) == as_json(gen_dataset_ref(spec, 150, 4, core.DEFAULT_OBS_DIM))
 
 
 def test_tiny_domain_matches_sequential_oracle():
     # slow agents linger in front of the ego: more rejections per scene
     domain = tiny_domain(speed=(1.0, 12.0))
     got = gen_dataset(domain, 150, seed=4, obs_dim=TINY_OBS_DIM)
-    assert as_json(got) == gen_dataset_ref(domain, 150, 4, TINY_OBS_DIM)
+    assert as_json(got) == as_json(gen_dataset_ref(domain, 150, 4, TINY_OBS_DIM))
 
 
 def forced(egos, hits):
@@ -191,7 +196,7 @@ def test_forced_rejections_match_sequential_oracle(monkeypatch, hits, min_agents
     monkeypatch.setattr(synthdomain, "_sample_agents",
                         per_round(got_place, synthdomain._sample_agents))
     got = gen_dataset(domain, 30, seed=6, obs_dim=TINY_OBS_DIM)
-    assert as_json(got) == want
+    assert as_json(got) == as_json(want)
     assert got_place.calls == want_place.calls
     assert got_place.calls[scene] == n_agents[scene] + candidates
     assert [len(r.agent_gt) for r in got] == [
@@ -208,8 +213,23 @@ def test_scenes_without_agents_draw_no_candidate(monkeypatch):
     # seed 16's first three scenes draw no agents
     want = gen_dataset_ref(domain, 3, 16, TINY_OBS_DIM)
     assert [len(r["agent_gt"]) for r in want] == [0, 0, 0]
-    assert as_json(gen_dataset(domain, 3, seed=16, obs_dim=TINY_OBS_DIM)) == want
+    assert as_json(gen_dataset(domain, 3, seed=16, obs_dim=TINY_OBS_DIM)) == as_json(want)
     assert gen_dataset(domain, 0, seed=16, obs_dim=TINY_OBS_DIM) == []
+
+
+def test_agent_free_mirrored_scenes_match_sequential_oracle(monkeypatch):
+    # the array passes over no agent rows, with the mirror, a rotation and
+    # a bias: seed 73's first three target_city scenes draw no agents
+    spec = config.resolve({}).domain("target_city")
+    want = gen_dataset_ref(spec, 3, 73, core.DEFAULT_OBS_DIM)
+    assert [len(r["agent_gt"]) for r in want] == [0, 0, 0]
+
+    def fail(*args):
+        raise AssertionError("no candidate or collision check expected")
+
+    monkeypatch.setattr(synthdomain, "_sample_agents", fail)
+    monkeypatch.setattr(synthdomain, "scene_collisions", fail)
+    assert as_json(gen_dataset(spec, 3, seed=73)) == as_json(want)
 
 
 def test_agent_metadata_consistent():
